@@ -14,7 +14,6 @@ import hashlib
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -30,9 +29,10 @@ from .core import (
     Manifest,
     Modality,
     SampleRecord,
-    load_image,
+    iter_samples,
     parse_manifest,
     save_image,
+    successes,
     write_manifest,
 )
 from .errors import NonFiniteLossError, XmodalError
@@ -100,30 +100,8 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     return buf.getvalue()
 
 
-def _limited_records(manifest: Manifest, limit: Optional[int]) -> list[SampleRecord]:
-    records = list(manifest.records)
-    return records[:limit] if limit else records
-
-
-def _load_images_with_failures(
-    records: Sequence[SampleRecord], threads: int = 1
-) -> tuple[list[ImageBuffer], list[str]]:
-    """Load all records, in manifest order, tolerating per-sample failures."""
-
-    def load_one(rec: SampleRecord):
-        try:
-            return load_image(rec.path), None
-        except (XmodalError, OSError):
-            return None, rec.id
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(load_one, records))
-    else:
-        results = [load_one(rec) for rec in records]
-    images = [img for img, _ in results if img is not None]
-    failed = [rec_id for _, rec_id in results if rec_id is not None]
-    return images, failed
+def _loaded_image(rec: SampleRecord, img: ImageBuffer) -> ImageBuffer:
+    return img
 
 
 # --- analyze ----------------------------------------------------------------
@@ -133,7 +111,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     manifest = parse_manifest(args.manifest)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    records = _limited_records(manifest, args.limit)
+    records = manifest.records[: args.limit]
+    # dct and luma reduce images as they stream in; ``failed`` fills as they do
+    failed: list[str] = []
+    images = successes(
+        iter_samples(records, _loaded_image, args.threads), failed, "to load"
+    )
     kind = args.kind
     inputs = {"manifest": Path(args.manifest)}
     config = {
@@ -146,9 +129,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     }
 
     if kind == "dct":
-        images, failed = _load_images_with_failures(records, args.threads)
-        if not images:
-            raise XmodalError("no loadable samples in manifest")
         result = dct_ac_histogram(images, value_range=args.range, nbins=args.bins)
         hist = result.histogram
         rows = [
@@ -177,9 +157,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             inputs["chain"] = Path(args.chain)
             config["chain"] = str(args.chain)
         window = Window.HANN if args.window == "hann" else Window.NONE
-        sub = Manifest(tuple(records), manifest.source_path)
         result = dataset_mean_rapsd(
-            sub, preprocess=preprocess, nbins=args.bins, window=window, seed=args.seed
+            records, preprocess=preprocess, nbins=args.bins, window=window,
+            seed=args.seed, threads=args.threads,
         )
         profile = result.profile
         rows = [
@@ -201,9 +181,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         _write_json(out_dir / "rapsd.summary.json", summary)
 
     elif kind == "luma":
-        images, failed = _load_images_with_failures(records, args.threads)
-        if not images:
-            raise XmodalError("no loadable samples in manifest")
         hist = luminance_histogram(images)
         rows = [(code, int(count)) for code, count in enumerate(hist.counts)]
         (out_dir / "luma.csv").write_text(
@@ -215,15 +192,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "tail_mass": evidence.tail_mass,
             "comb_score": evidence.comb_score,
             "total_pixels": hist.total,
-            "n_images": len(images),
+            "n_images": len(records) - len(failed),
             "n_failed": len(failed),
             "failed_ids": failed,
         }
         _write_json(out_dir / "luma.summary.json", summary)
 
     elif kind == "spectrum":
-        sub = Manifest(tuple(records), manifest.source_path)
-        result = residual_spectrum(sub, denoise_sigma=args.sigma, size=args.size)
+        result = residual_spectrum(
+            records, denoise_sigma=args.sigma, size=args.size, threads=args.threads
+        )
         spec = result.spectrum
         rows = [
             (y, x, repr(float(spec.values[y, x])))
@@ -269,32 +247,23 @@ def cmd_degrade(args: argparse.Namespace) -> int:
     chain = ChainSpec.load(args.chain)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    records = _limited_records(manifest, args.limit)
+    records = manifest.records[: args.limit]
+    position = {rec.id: i for i, rec in enumerate(records)}
 
-    def process(item: tuple[int, SampleRecord]):
-        index, rec = item
-        try:
-            img = load_image(rec.path)
-            rng = np.random.default_rng(derive_sample_seed(args.seed, rec.id))
-            degraded = apply_chain(img, chain, rng)
-            ext = "pgm" if degraded.channels == 1 else "ppm"
-            out_path = out_dir / f"{index:06d}_{_safe_filename(rec.id)}.{ext}"
-            save_image(degraded, out_path)
-            return rec, str(out_path), None
-        except (XmodalError, OSError) as exc:
-            return rec, None, str(exc)
-
-    items = list(enumerate(records))
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(process, items))
-    else:
-        results = [process(item) for item in items]
+    def degrade_one(rec: SampleRecord, img: ImageBuffer) -> str:
+        rng = np.random.default_rng(derive_sample_seed(args.seed, rec.id))
+        degraded = apply_chain(img, chain, rng)
+        ext = "pgm" if degraded.channels == 1 else "ppm"
+        out_path = out_dir / f"{position[rec.id]:06d}_{_safe_filename(rec.id)}.{ext}"
+        save_image(degraded, out_path)
+        return str(out_path)
 
     new_records = []
     failures = []
-    for rec, out_path, error in results:
-        if error is None:
+    for rec, out_path in iter_samples(records, degrade_one, args.threads):
+        if isinstance(out_path, Exception):
+            failures.append({"id": rec.id, "error": str(out_path)})
+        else:
             new_records.append(
                 SampleRecord(
                     id=rec.id,
@@ -306,8 +275,6 @@ def cmd_degrade(args: argparse.Namespace) -> int:
                     frame_count=rec.frame_count,
                 )
             )
-        else:
-            failures.append({"id": rec.id, "error": error})
     if not new_records:
         raise XmodalError("every sample failed degradation")
     write_manifest(
@@ -472,57 +439,13 @@ def _score_feature_records(
     return preds
 
 
-def _video_group_key(rec: SampleRecord) -> Optional[str]:
-    if rec.frame_index is not None and "#" in rec.id:
-        return rec.id.rsplit("#", 1)[0]
-    return None
-
-
-def _score_manifest(
-    model: ToyModel, feature_layer: str, manifest: Manifest, t: int, limit
-) -> list[ScoredPrediction]:
-    frames: list[FrameScore] = []
-    for i, rec in enumerate(_limited_records(manifest, limit)):
-        img = load_image(rec.path)
-        x = img.data.ravel()[None, :]
-        logit = float(forward(model, x, feature_layer).logits[0])
-        key = _video_group_key(rec) or f"__single_{i}"
-        frames.append(
-            FrameScore(
-                video_id=key,
-                frame_index=rec.frame_index or 0,
-                score=float(expit(logit)),
-                label=rec.label,
-                subset=rec.subset,
-                logit=logit,
-            )
-        )
-    return [
-        multi_frame_average(group, t=t) for group in group_frames(frames).values()
-    ]
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
     model, config = load_checkpoint(args.checkpoint)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    inputs = {"checkpoint": Path(args.checkpoint)}
-    if args.features:
-        records = load_feature_file(args.features)
-        if args.limit:
-            records = records[: args.limit]
-        preds = _score_feature_records(
-            model, config.feature_layer, records, args.frames
-        )
-        inputs["features"] = Path(args.features)
-    elif args.manifest:
-        manifest = parse_manifest(args.manifest)
-        preds = _score_manifest(
-            model, config.feature_layer, manifest, args.frames, args.limit
-        )
-        inputs["manifest"] = Path(args.manifest)
-    else:
-        raise XmodalError("evaluate needs --features or --manifest")
+    records = load_feature_file(args.features)[: args.limit]
+    preds = _score_feature_records(model, config.feature_layer, records, args.frames)
+    inputs = {"checkpoint": Path(args.checkpoint), "features": Path(args.features)}
     headline = (
         Aggregation.OVERALL_POOLED
         if args.aggregation == "overall"
@@ -534,7 +457,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     config_doc = {
         "checkpoint": str(args.checkpoint),
         "features": args.features,
-        "manifest": args.manifest,
         "aggregation": args.aggregation,
         "frames": args.frames,
         "threshold": args.threshold,
@@ -546,6 +468,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 # --- argument parsing ------------------------------------------------------------
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -560,9 +492,9 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("kind", choices=("dct", "rapsd", "luma", "spectrum"))
     analyze.add_argument("--manifest", required=True)
     analyze.add_argument("--out", required=True)
-    analyze.add_argument("--limit", type=int, default=None)
+    analyze.add_argument("--limit", type=_positive_int, default=None)
     analyze.add_argument("--seed", type=int, default=0)
-    analyze.add_argument("--threads", type=int, default=1)
+    analyze.add_argument("--threads", type=_positive_int, default=1)
     analyze.add_argument("--bins", type=int, default=None)
     analyze.add_argument("--range", type=float, default=64.0,
                          help="dct: half-width of the coefficient histogram")
@@ -580,8 +512,8 @@ def build_parser() -> argparse.ArgumentParser:
     degrade.add_argument("--chain", required=True)
     degrade.add_argument("--out", required=True)
     degrade.add_argument("--seed", type=int, default=0)
-    degrade.add_argument("--limit", type=int, default=None)
-    degrade.add_argument("--threads", type=int, default=1)
+    degrade.add_argument("--limit", type=_positive_int, default=None)
+    degrade.add_argument("--threads", type=_positive_int, default=1)
     degrade.set_defaults(func=cmd_degrade)
 
     train_p = sub.add_parser("train", help="train the desk-scale model")
@@ -593,15 +525,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     evaluate = sub.add_parser("evaluate", help="score a dataset and emit a report")
     evaluate.add_argument("--checkpoint", required=True)
-    evaluate.add_argument("--features", default=None)
-    evaluate.add_argument("--manifest", default=None)
+    evaluate.add_argument("--features", required=True)
     evaluate.add_argument("--out", required=True)
     evaluate.add_argument("--aggregation", choices=("subset-mean", "overall"),
                           default="subset-mean")
     evaluate.add_argument("--frames", type=int, default=1,
                           help="frames per video for logit averaging")
     evaluate.add_argument("--threshold", type=float, default=0.5)
-    evaluate.add_argument("--limit", type=int, default=None)
+    evaluate.add_argument("--limit", type=_positive_int, default=None)
     evaluate.set_defaults(func=cmd_evaluate)
 
     version = sub.add_parser("version", help="print the tool version")

@@ -7,14 +7,17 @@ function of its inputs.
 from __future__ import annotations
 
 import json
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Iterable, Iterator, Optional, TypeVar, Union
 
 import numpy as np
 
 from .errors import (
+    AllSamplesFailedError,
     DuplicateIdError,
     MalformedLineError,
     MissingFileError,
@@ -22,6 +25,7 @@ from .errors import (
     UnknownLabelError,
     UnknownModalityError,
     UnsupportedFormatError,
+    XmodalError,
 )
 
 
@@ -367,3 +371,81 @@ def save_image(img: ImageBuffer, path: str | Path) -> None:
         magic, payload = b"P6", codes.transpose(1, 2, 0).tobytes()
     header = b"%s\n%d %d\n255\n" % (magic, img.width, img.height)
     path.write_bytes(header + payload)
+
+
+T = TypeVar("T")
+
+# Samples submitted but not yet yielded, per worker thread: enough to keep
+# every worker busy while the consumer reduces one result.
+IN_FLIGHT_PER_THREAD = 2
+
+
+def iter_samples(
+    records: Iterable[SampleRecord],
+    fn: Callable[[SampleRecord, ImageBuffer], T],
+    threads: int = 1,
+    loader: Callable[[str], ImageBuffer] = load_image,
+) -> Iterator[tuple[SampleRecord, Union[T, Exception]]]:
+    """Load each record, apply ``fn(record, image)``, yield in record order.
+
+    This is the one per-sample corpus loop. A sample whose loading or ``fn``
+    raises XmodalError or OSError is yielded as ``(record, exception)``
+    instead of ending the stream. With ``threads > 1`` samples run on a
+    thread pool, with at most ``IN_FLIGHT_PER_THREAD * threads`` of them
+    submitted and not yet consumed, so memory is bounded by that window
+    rather than by the corpus size.
+    """
+    if threads <= 1:
+        for rec in records:
+            # ``img`` stays bound until the next load replaces it. Freeing it
+            # first lets glibc malloc trim the heap after every sample, so the
+            # next sample's arrays fault in fresh pages: 15x the page faults
+            # and +30% wall time for ``analyze rapsd`` on 108 360x640 frames.
+            try:
+                img = loader(rec.path)
+                result = fn(rec, img)
+            except (XmodalError, OSError) as exc:
+                result = exc
+            yield rec, result
+        return
+
+    def run(rec: SampleRecord):
+        try:
+            return fn(rec, loader(rec.path))
+        except (XmodalError, OSError) as exc:
+            return exc
+
+    window = IN_FLIGHT_PER_THREAD * threads
+    pending: deque = deque()
+    pool = ThreadPoolExecutor(max_workers=threads)
+    try:
+        for rec in records:
+            if len(pending) == window:
+                done, future = pending.popleft()
+                yield done, future.result()
+            pending.append((rec, pool.submit(run, rec)))
+        while pending:
+            done, future = pending.popleft()
+            yield done, future.result()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def successes(
+    stream: Iterable[tuple[SampleRecord, Union[T, Exception]]],
+    failed: list[str],
+    what: str,
+) -> Iterator[T]:
+    """Yield the results of ``iter_samples``, appending failed ids to ``failed``.
+
+    Raises AllSamplesFailedError once the stream ends if no sample succeeded.
+    """
+    n_ok = 0
+    for rec, result in stream:
+        if isinstance(result, Exception):
+            failed.append(rec.id)
+        else:
+            n_ok += 1
+            yield result
+    if n_ok == 0:
+        raise AllSamplesFailedError(f"all {len(failed)} samples failed {what}")

@@ -15,14 +15,8 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .codecsim import BLOCK, ChainSpec, _blocks_forward, apply_chain, derive_sample_seed
-from .core import ImageBuffer, Manifest, load_image
-from .errors import (
-    AllSamplesFailedError,
-    EmptyInputError,
-    ImageTooSmallError,
-    WrongBinCountError,
-    XmodalError,
-)
+from .core import ImageBuffer, SampleRecord, iter_samples, load_image, successes
+from .errors import EmptyInputError, ImageTooSmallError, WrongBinCountError
 from .pixelops import Boundary, Window, gaussian_blur, round_half_away, to_luma
 
 ZERO_EPS = 1e-6  # |coefficient| below this counts as an exact post-quantization zero
@@ -208,31 +202,22 @@ class DatasetSpectrum(DatasetAnalysis):
     spectrum: SpectrumImage
 
 
-def _iter_manifest_images(
-    manifest: Manifest,
-    limit: Optional[int],
-    loader: Callable[[str], ImageBuffer],
-):
-    records = manifest.records[:limit] if limit else manifest.records
-    for rec in records:
-        yield rec, loader(rec.path)
-
-
 def dataset_mean_rapsd(
-    manifest: Manifest,
+    records: Iterable[SampleRecord],
     preprocess: Optional[ChainSpec | Callable[[ImageBuffer, str], ImageBuffer]] = None,
     nbins: int = 32,
     window: Window = Window.NONE,
-    limit: Optional[int] = None,
     loader: Callable[[str], ImageBuffer] = load_image,
     seed: int = 0,
+    threads: int = 1,
 ) -> DatasetRapsd:
-    """Arithmetic mean of per-image RAPSD profiles over the manifest.
+    """Arithmetic mean of per-image RAPSD profiles over the records.
 
     Samples that fail to load or analyze are counted and skipped; only a
-    fully failing manifest raises. ``preprocess`` is either a degradation
+    fully failing corpus raises. ``preprocess`` is either a degradation
     ChainSpec (applied with a per-sample generator derived from ``seed`` and
-    the sample id) or a callable receiving (image, id).
+    the sample id) or a callable receiving (image, id). Profiles are computed
+    on ``threads`` workers and summed in record order.
     """
     if isinstance(preprocess, ChainSpec):
         chain = preprocess
@@ -241,34 +226,22 @@ def dataset_mean_rapsd(
             rng = np.random.default_rng(derive_sample_seed(seed, sample_id))
             return apply_chain(img, chain, rng)
 
-    power_sum: Optional[np.ndarray] = None
-    count_sum: Optional[np.ndarray] = None
-    radii: Optional[np.ndarray] = None
+    def profile_of(rec: SampleRecord, img: ImageBuffer) -> RadialProfile:
+        if preprocess is not None:
+            img = preprocess(img, rec.id)
+        return rapsd(img, window=window, nbins=nbins)
+
+    power_sum = count_sum = 0
     n_used = 0
     failed: list[str] = []
-    records = manifest.records[: limit if limit else None]
-    for rec in records:
-        try:
-            img = loader(rec.path)
-            if preprocess is not None:
-                img = preprocess(img, rec.id)
-            profile = rapsd(img, window=window, nbins=nbins)
-        except (XmodalError, OSError):
-            failed.append(rec.id)
-            continue
-        if power_sum is None:
-            power_sum = profile.power.copy()
-            count_sum = profile.counts.copy()
-            radii = profile.radii.copy()
-        else:
-            power_sum += profile.power
-            count_sum += profile.counts
+    stream = iter_samples(records, profile_of, threads, loader)
+    for profile in successes(stream, failed, "RAPSD analysis"):
+        power_sum = power_sum + profile.power
+        count_sum = count_sum + profile.counts
         n_used += 1
-    if n_used == 0 or power_sum is None:
-        raise AllSamplesFailedError(
-            f"all {len(failed)} samples failed RAPSD analysis"
-        )
-    profile = RadialProfile(radii=radii, power=power_sum / n_used, counts=count_sum)
+    profile = RadialProfile(
+        radii=profile.radii, power=power_sum / n_used, counts=count_sum
+    )
     return DatasetRapsd(
         n_used=n_used, n_failed=len(failed), failed_ids=tuple(failed), profile=profile
     )
@@ -310,8 +283,10 @@ def detect_tv_range(hist: Histogram) -> tuple[TvRangeVerdict, TvRangeEvidence]:
 
     tail_mass is the mass at codes [0,15] and [236,255]. comb_score is the
     fraction of empty bins inside the central mass window (5th..95th mass
-    percentile codes, clipped to [16,235]): rescaling limited-range codes
-    over 256 slots leaves periodic gaps across the whole support, whereas
+    percentile codes, clipped to the first and last occupied codes within
+    [16,235], so black bars or an unused tonal range are not read as gaps):
+    rescaling limited-range codes over 256 slots leaves periodic gaps
+    across the whole support, whereas
     natural sparse histograms only thin out at the support edges. A comb
     outranks tail evidence; content that never exercises the tails and
     shows no comb stays indeterminate (e.g. a constant image).
@@ -326,8 +301,9 @@ def detect_tv_range(hist: Histogram) -> tuple[TvRangeVerdict, TvRangeEvidence]:
     cumulative = np.cumsum(counts)
     lo = int(np.searchsorted(cumulative, 0.05 * total))
     hi = int(np.searchsorted(cumulative, 0.95 * total))
-    lo = max(lo, 16)
-    hi = min(hi, 235)
+    occupied = np.flatnonzero(counts[16:236]) + 16
+    lo = max(lo, int(occupied.min(initial=236)))
+    hi = min(hi, int(occupied.max(initial=15)))
     if hi > lo:
         window = counts[lo : hi + 1]
         comb_score = float(np.count_nonzero(window == 0) / len(window))
@@ -362,43 +338,38 @@ def _fit_to_square(plane: np.ndarray, size: int) -> np.ndarray:
 
 
 def residual_spectrum(
-    manifest: Manifest,
+    records: Iterable[SampleRecord],
     denoise_sigma: float = 1.0,
     size: int = 64,
-    limit: Optional[int] = None,
     loader: Callable[[str], ImageBuffer] = load_image,
+    threads: int = 1,
 ) -> DatasetSpectrum:
     """Mean 2D power spectrum of high-pass residuals, log-scaled, DC centered.
 
     The residual is image minus its Gaussian blur (a denoiser stand-in);
-    the per-image |FFT|^2 spectra are averaged and reported as
-    log10(1 + mean_power) with the DC bin shifted to the center.
+    the per-image |FFT|^2 spectra are computed on ``threads`` workers,
+    averaged in record order and reported as log10(1 + mean_power) with the
+    DC bin shifted to the center.
     """
     if denoise_sigma <= 0:
         raise ValueError("denoise_sigma must be > 0")
     if size < 8:
         raise ValueError("size must be >= 8")
+
+    def power_of(rec: SampleRecord, img: ImageBuffer) -> np.ndarray:
+        luma = _fit_to_square(_luma_plane(img), size)
+        buf = ImageBuffer(luma[None, :, :])
+        blurred = gaussian_blur(buf, denoise_sigma, Boundary.REFLECT)
+        spectrum = np.fft.fft2(luma - blurred.data[0])
+        return spectrum.real**2 + spectrum.imag**2
+
     acc = np.zeros((size, size))
     n_used = 0
     failed: list[str] = []
-    records = manifest.records[: limit if limit else None]
-    for rec in records:
-        try:
-            img = loader(rec.path)
-            luma = _fit_to_square(_luma_plane(img), size)
-            buf = ImageBuffer(luma[None, :, :])
-            blurred = gaussian_blur(buf, denoise_sigma, Boundary.REFLECT)
-            residual = luma - blurred.data[0]
-            spectrum = np.fft.fft2(residual)
-            acc += spectrum.real**2 + spectrum.imag**2
-        except (XmodalError, OSError):
-            failed.append(rec.id)
-            continue
+    stream = iter_samples(records, power_of, threads, loader)
+    for power in successes(stream, failed, "spectrum analysis"):
+        acc += power
         n_used += 1
-    if n_used == 0:
-        raise AllSamplesFailedError(
-            f"all {len(failed)} samples failed spectrum analysis"
-        )
     mean_power = acc / n_used
     values = np.fft.fftshift(np.log10(1.0 + mean_power))
     return DatasetSpectrum(

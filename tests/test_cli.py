@@ -75,6 +75,29 @@ class TestAnalyze:
         summary = json.loads((out / "dct.summary.json").read_text())
         assert summary["n_images"] == 3
 
+    @pytest.mark.parametrize("kind", ["rapsd", "spectrum"])
+    def test_limit_respected_by_streaming_kinds(self, corpus, tmp_path, kind):
+        root, manifest = corpus
+        out = tmp_path / "limited"
+        assert run_cli("analyze", kind, "--manifest", manifest, "--out", out,
+                       "--limit", 2, "--size", 32) == 0
+        summary = json.loads((out / f"{kind}.summary.json").read_text())
+        assert summary["n_used"] == 2
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--limit", 0), ("--limit", -1), ("--threads", 0), ("--threads", -2),
+        ("--limit", "x"),
+    ])
+    def test_non_positive_counts_exit_2(self, corpus, tmp_path, capsys, flag, value):
+        root, manifest = corpus
+        with pytest.raises(SystemExit) as exc:
+            run_cli("analyze", "luma", "--manifest", manifest, "--out",
+                    tmp_path / "out", flag, value)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_constant_image_zero_fraction(self, tmp_path):
         img_path = tmp_path / "c.pgm"
         save_image(textured_image(0, h=16, w=16, noise_sigma=0.0), img_path)
@@ -155,6 +178,16 @@ class TestDegrade:
         a = {k: v for k, v in dir_snapshot(serial).items() if k.endswith(".pgm")}
         b = {k: v for k, v in dir_snapshot(threaded).items() if k.endswith(".pgm")}
         assert a == b
+
+    @pytest.mark.parametrize("flag", ["--limit", "--threads"])
+    def test_non_positive_counts_exit_2(self, corpus, tmp_path, flag):
+        root, manifest = corpus
+        chain = tmp_path / "chain.json"
+        chain.write_text(ChainSpec((JpegSimStep(90),)).to_json())
+        with pytest.raises(SystemExit) as exc:
+            run_cli("degrade", "--manifest", manifest, "--chain", chain,
+                    "--out", tmp_path / "deg", flag, 0)
+        assert exc.value.code == 2
 
     def test_unknown_step_exits_2_naming_step(self, corpus, tmp_path, capsys):
         root, manifest = corpus
@@ -306,6 +339,19 @@ class TestEvaluateCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["headline"] == "overall"
 
+    def test_features_required_and_manifest_gone(self, tmp_path):
+        for extra in ((), ("--manifest", tmp_path / "m.jsonl")):
+            with pytest.raises(SystemExit) as exc:
+                run_cli("evaluate", "--checkpoint", tmp_path / "c.json",
+                        "--out", tmp_path / "eval", *extra)
+            assert exc.value.code == 2
+
+    def test_non_positive_limit_exits_2(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("evaluate", "--checkpoint", tmp_path / "c.json", "--features",
+                    tmp_path / "f.json", "--out", tmp_path / "eval", "--limit", 0)
+        assert exc.value.code == 2
+
     def test_unloadable_checkpoint_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
@@ -451,13 +497,38 @@ class TestPartialFailures:
 
 
 class TestAnalyzeThreads:
-    def test_threaded_load_matches_serial(self, corpus, tmp_path):
+    @pytest.mark.parametrize("kind", ["dct", "rapsd", "luma", "spectrum"])
+    def test_threaded_load_matches_serial(self, corpus, tmp_path, kind):
         root, manifest = corpus
         serial, threaded = tmp_path / "ser", tmp_path / "thr"
         for out, threads in ((serial, 1), (threaded, 4)):
-            assert run_cli("analyze", "luma", "--manifest", manifest, "--out", out,
-                           "--threads", threads) == 0
-        assert (serial / "luma.csv").read_bytes() == (threaded / "luma.csv").read_bytes()
-        a = json.loads((serial / "luma.summary.json").read_text())
-        b = json.loads((threaded / "luma.summary.json").read_text())
-        assert a == b
+            assert run_cli("analyze", kind, "--manifest", manifest, "--out", out,
+                           "--threads", threads, "--size", 32) == 0
+        for name in (f"{kind}.csv", f"{kind}.summary.json"):
+            assert (serial / name).read_bytes() == (threaded / name).read_bytes()
+
+    @pytest.mark.parametrize("kind", ["dct", "rapsd", "luma", "spectrum"])
+    def test_threaded_failures_in_manifest_order(self, tmp_path, kind):
+        entries = []
+        for i in range(9):
+            p = tmp_path / f"img_{i}.pgm"
+            if i not in (1, 6):
+                save_image(textured_image(seed=400 + i, h=32, w=32), p)
+            entries.append({"id": f"s{i}", "path": str(p), "label": "real",
+                            "modality": "image", "subset": "s"})
+        manifest = write_manifest_file(tmp_path / "m.jsonl", entries)
+        out = tmp_path / "out"
+        assert run_cli("analyze", kind, "--manifest", manifest, "--out", out,
+                       "--threads", 3, "--size", 32) == 0
+        summary = json.loads((out / f"{kind}.summary.json").read_text())
+        assert summary["failed_ids"] == ["s1", "s6"]
+
+    def test_all_failed_exits_2(self, tmp_path, capsys):
+        entries = [{"id": f"s{i}", "path": str(tmp_path / f"gone_{i}.pgm"),
+                    "label": "real", "modality": "image", "subset": "s"}
+                   for i in range(3)]
+        manifest = write_manifest_file(tmp_path / "m.jsonl", entries)
+        code = run_cli("analyze", "dct", "--manifest", manifest,
+                       "--out", tmp_path / "out", "--threads", 2)
+        assert code == 2
+        assert "all 3 samples failed" in capsys.readouterr().err

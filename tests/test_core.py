@@ -1,22 +1,28 @@
-"""Manifest parsing, PPM/PGM IO, and shared-type invariants."""
+"""Manifest parsing, PPM/PGM IO, the per-sample loop, and shared-type invariants."""
 
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from xmodal.core import (
+    IN_FLIGHT_PER_THREAD,
     ImageBuffer,
     Label,
     Manifest,
     Modality,
     SampleRecord,
+    iter_samples,
     load_image,
     parse_manifest,
     save_image,
+    successes,
     write_manifest,
 )
 from xmodal.errors import (
+    AllSamplesFailedError,
     DuplicateIdError,
     MalformedLineError,
     MissingFileError,
@@ -219,3 +225,90 @@ class TestManifestType:
             for i, subset in enumerate(["b", "a", "b", "c"])
         )
         assert Manifest(recs).subsets() == ["b", "a", "c"]
+
+
+def sample_records(n: int) -> list[SampleRecord]:
+    return [
+        SampleRecord(id=f"r{i}", path=f"p{i}", label=Label.REAL,
+                     modality=Modality.IMAGE, subset="s")
+        for i in range(n)
+    ]
+
+
+def memory_loader(missing=()):
+    """Loader serving a 1x1 image whose value encodes the record number."""
+
+    def loader(path: str) -> ImageBuffer:
+        if path in missing:
+            raise MissingFileError(f"image not found: {path}")
+        return ImageBuffer(np.full((1, 1, 1), int(path[1:]) / 100.0))
+
+    return loader
+
+
+class TestIterSamples:
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_order_and_failures(self, threads):
+        records = sample_records(12)
+
+        def fn(rec, img):
+            n = int(rec.id[1:])
+            time.sleep(0.001 * ((12 - n) % 4))  # finish out of submission order
+            if n == 7:
+                raise TruncatedDataError("bad payload")
+            return rec.id, img.data[0, 0, 0]
+
+        stream = iter_samples(records, fn, threads, memory_loader({"p2", "p9"}))
+        out = list(stream)
+        assert [rec.id for rec, _ in out] == [rec.id for rec in records]
+        failed = [rec.id for rec, res in out if isinstance(res, Exception)]
+        assert failed == ["r2", "r7", "r9"]
+        assert isinstance(out[2][1], MissingFileError)
+        for rec, res in out:
+            if not isinstance(res, Exception):
+                assert res == (rec.id, int(rec.id[1:]) / 100.0)
+
+    def test_results_held_never_exceed_window(self):
+        threads = 2
+        window = IN_FLIGHT_PER_THREAD * threads
+        lock = threading.Lock()
+        live = peak = 0
+
+        def fn(rec, img):
+            nonlocal live, peak
+            with lock:
+                live += 1
+                peak = max(peak, live)
+            return rec.id
+
+        consumed = []
+        for rec, _ in iter_samples(sample_records(40), fn, threads, memory_loader()):
+            time.sleep(0.002)  # a slow consumer lets unbounded workers run ahead
+            with lock:
+                live -= 1
+            consumed.append(rec.id)
+        assert len(consumed) == 40
+        assert 1 <= peak <= window
+
+    def test_unexpected_errors_propagate(self):
+        def fn(rec, img):
+            raise RuntimeError("bug")
+
+        for threads in (1, 2):
+            with pytest.raises(RuntimeError):
+                list(iter_samples(sample_records(3), fn, threads, memory_loader()))
+
+    def test_successes_collects_failed_ids(self):
+        failed = []
+        stream = iter_samples(
+            sample_records(4), lambda rec, img: rec.id, 1, memory_loader({"p1"})
+        )
+        assert list(successes(stream, failed, "to load")) == ["r0", "r2", "r3"]
+        assert failed == ["r1"]
+
+    def test_successes_raises_when_all_fail(self):
+        stream = iter_samples(
+            sample_records(2), lambda rec, img: img, 2, memory_loader({"p0", "p1"})
+        )
+        with pytest.raises(AllSamplesFailedError, match="all 2 samples failed"):
+            list(successes(stream, [], "to load"))
