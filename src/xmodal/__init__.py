@@ -10,7 +10,6 @@ result.
 __version__ = "0.1.0"
 
 from .core import (
-    EmbeddedSample,
     ImageBuffer,
     Label,
     Manifest,
@@ -78,12 +77,10 @@ from .cmsupcon import (
     BatchFeatures,
     LossConfig,
     LossVariant,
-    PositiveSets,
     cm_supcon_grad,
     cm_supcon_loss,
     joint_loss,
     l2_normalize,
-    positive_sets,
     vanilla_supcon_loss,
 )
 from .trainer import (

@@ -416,23 +416,70 @@ def cmd_train(args: argparse.Namespace) -> int:
 # --- evaluate ---------------------------------------------------------------------
 
 
+# Records scored per forward call: large enough to amortize the per-call cost,
+# small enough that the stacked block stays a few hundred kB.
+SCORE_BLOCK = 2048
+
+
+def _record_name(rec, index: int) -> str:
+    rec_id = rec.get("id") if isinstance(rec, dict) else None
+    return f"feature record {index}" + (f" ({rec_id!r})" if rec_id is not None else "")
+
+
+def _feature_problem(rec, d_in: int) -> Optional[str]:
+    """Why ``rec`` has no usable feature vector, or None when it has one."""
+    if not isinstance(rec, dict) or "x" not in rec:
+        return "has no 'x' feature vector"
+    try:
+        x = np.asarray(rec["x"], dtype=np.float64)
+    except (TypeError, ValueError):
+        return "'x' is not a flat list of numbers"
+    if x.shape != (d_in,):
+        return f"'x' has shape {x.shape}, the model expects ({d_in},)"
+    if not np.isfinite(x).all():
+        return "'x' has non-finite values"
+    return None
+
+
+def _feature_rows(block: list, first: int, d_in: int) -> np.ndarray:
+    """Stack a block's ``x`` vectors into an (n, d_in) finite float array."""
+    try:
+        x = np.array([rec["x"] for rec in block], dtype=np.float64)
+    except (KeyError, TypeError, ValueError):
+        x = None
+    if x is None or x.shape != (len(block), d_in) or not np.isfinite(x).all():
+        for i, rec in enumerate(block):
+            problem = _feature_problem(rec, d_in)
+            if problem is not None:
+                raise XmodalError(f"{_record_name(rec, first + i)} {problem}")
+    return x
+
+
 def _score_feature_records(
     model: ToyModel, feature_layer: str, records: list[dict], t: int
 ) -> list[ScoredPrediction]:
     singles: list[FrameScore] = []
-    for i, rec in enumerate(records):
-        x = np.asarray(rec["x"], dtype=np.float64)[None, :]
-        logit = float(forward(model, x, feature_layer).logits[0])
-        singles.append(
-            FrameScore(
-                video_id=str(rec.get("video_id") or f"__single_{i}"),
-                frame_index=int(rec.get("frame_index") or 0),
-                score=float(expit(logit)),
-                label=Label.from_string(rec["label"]),
-                subset=rec["subset"],
-                logit=logit,
+    for first in range(0, len(records), SCORE_BLOCK):
+        block = records[first : first + SCORE_BLOCK]
+        x = _feature_rows(block, first, model.d_in)
+        logits = forward(model, x, feature_layer).logits
+        for i, (rec, logit, score) in enumerate(
+            zip(block, logits.tolist(), expit(logits).tolist()), start=first
+        ):
+            try:
+                label, subset = rec["label"], rec["subset"]
+            except KeyError as exc:
+                raise XmodalError(f"{_record_name(rec, i)} has no {exc} key") from None
+            singles.append(
+                FrameScore(
+                    video_id=str(rec.get("video_id") or f"__single_{i}"),
+                    frame_index=int(rec.get("frame_index") or 0),
+                    score=score,
+                    label=Label.from_string(label),
+                    subset=subset,
+                    logit=logit,
+                )
             )
-        )
     preds = []
     for _, frames in group_frames(singles).items():
         preds.append(multi_frame_average(frames, t=t))

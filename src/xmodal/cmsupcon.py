@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.special import expit
 
-from .core import EmbeddedSample, Label, Modality
+from .core import Label, Modality
 from .errors import LengthMismatchError, ZeroNormRowError
 
 DEFAULT_TAU = 0.07
@@ -38,6 +38,10 @@ class LossConfig:
     def __post_init__(self):
         if not self.tau > 0:
             raise ValueError(f"tau must be > 0, got {self.tau}")
+
+    @property
+    def cross_modal(self) -> bool:
+        return self.variant is LossVariant.CROSS_MODAL
 
 
 def _as_binary_array(values, what: str) -> np.ndarray:
@@ -91,53 +95,23 @@ class BatchFeatures:
     def n(self) -> int:
         return self.z.shape[0]
 
-    @classmethod
-    def from_samples(cls, samples: Sequence[EmbeddedSample]) -> "BatchFeatures":
-        if not samples:
-            raise ValueError("need at least one sample")
-        return cls(
-            z=np.stack([s.feature for s in samples]),
-            y=[s.label for s in samples],
-            m=[s.modality for s in samples],
-        )
 
-
-@dataclass(frozen=True)
-class PositiveSets:
-    """Per-anchor positive index lists and the valid-anchor set."""
-
-    positives: tuple[np.ndarray, ...]
-    valid: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "valid", np.asarray(self.valid, dtype=np.int64))
+def _row_norms(z: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(z, axis=1)
+    bad = np.flatnonzero(norms <= _NORM_FLOOR)
+    if bad.size:
+        raise ZeroNormRowError(int(bad[0]))
+    return norms
 
 
 def l2_normalize(z: np.ndarray) -> np.ndarray:
     """Divide each row by its Euclidean norm; rows must not be (near) zero."""
     z = np.asarray(z, dtype=np.float64)
-    norms = np.linalg.norm(z, axis=1)
-    bad = np.flatnonzero(norms <= _NORM_FLOOR)
-    if bad.size:
-        raise ZeroNormRowError(int(bad[0]))
-    return z / norms[:, None]
-
-
-def positive_sets(y, m) -> PositiveSets:
-    """Cross-modal positive sets: P(i) = {j != i : y_j == y_i and m_j != m_i}."""
-    y = _as_binary_array(y, "labels")
-    m = _as_binary_array(m, "modalities")
-    if len(y) != len(m):
-        raise LengthMismatchError(f"{len(y)} labels vs {len(m)} modalities")
-    mask = _positive_mask(y, m, cross_modal=True)
-    positives = tuple(np.flatnonzero(row) for row in mask)
-    valid = np.flatnonzero([len(p) > 0 for p in positives])
-    return PositiveSets(positives=positives, valid=valid)
+    return z / _row_norms(z)[:, None]
 
 
 def _positive_mask(y: np.ndarray, m: np.ndarray, cross_modal: bool) -> np.ndarray:
-    same_label = y[:, None] == y[None, :]
-    mask = same_label.copy()
+    mask = y[:, None] == y[None, :]
     if cross_modal:
         mask &= m[:, None] != m[None, :]
     np.fill_diagonal(mask, False)
@@ -149,29 +123,61 @@ class ContrastiveResult:
     loss: float
     per_anchor: np.ndarray  # length n; zero for anchors outside the valid set
     valid: np.ndarray
+    grad: Optional[np.ndarray] = None  # dL/dz, when the kernel was asked for it
 
 
 def _contrastive(
-    z: np.ndarray, y: np.ndarray, m: np.ndarray, tau: float, cross_modal: bool
+    z: np.ndarray,
+    y: np.ndarray,
+    m: np.ndarray,
+    tau: float,
+    cross_modal: bool,
+    with_grad: bool = False,
 ) -> ContrastiveResult:
-    zhat = l2_normalize(z)
-    n = zhat.shape[0]
+    """The one contrastive kernel: loss, per-anchor terms and, on request, dL/dz.
+
+    Normalization, the positive mask and the row softmax are computed once
+    and shared by loss and gradient. Only valid-anchor rows get logits: the
+    other rows add nothing to either.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    norms = _row_norms(z)
+    zhat = z / norms[:, None]
+    n = z.shape[0]
     mask = _positive_mask(y, m, cross_modal)
     pos_counts = mask.sum(axis=1)
     valid = np.flatnonzero(pos_counts > 0)
     per_anchor = np.zeros(n)
     if valid.size == 0:
-        return ContrastiveResult(loss=0.0, per_anchor=per_anchor, valid=valid)
-    sims = zhat @ zhat.T / tau
-    logits = sims.copy()
-    np.fill_diagonal(logits, -np.inf)
-    row_max = logits.max(axis=1)
-    lse = row_max + np.log(np.exp(logits - row_max[:, None]).sum(axis=1))
-    log_prob = sims - lse[:, None]
-    for i in valid:
-        per_anchor[i] = -log_prob[i, mask[i]].mean()
+        grad = np.zeros_like(z) if with_grad else None
+        return ContrastiveResult(loss=0.0, per_anchor=per_anchor, valid=valid, grad=grad)
+    # the gradient takes rows of the full (symmetric) product, the same BLAS call
+    # as the per-anchor reference, so it stays bit-identical; the loss alone
+    # needs only the valid rows
+    logits = (zhat @ zhat.T)[valid] if with_grad else zhat[valid] @ zhat.T
+    logits /= tau
+    logits[np.arange(valid.size), valid] = -np.inf  # an anchor is not its own candidate
+    mask, pos_counts = mask[valid], pos_counts[valid]
+    logits -= logits.max(axis=1)[:, None]  # now every entry is <= 0
+    # -mean log-prob over positives = log(denom) - mean shifted positive logit;
+    # log(denom) >= 0 and the positive logits are <= 0, so the loss is exactly >= 0
+    pos_mean = np.where(mask, logits, 0.0).sum(axis=1) / pos_counts
+    softmax = np.exp(logits, out=logits)
+    denom = softmax.sum(axis=1)
+    per_anchor[valid] = np.log(denom) - pos_mean
     loss = float(per_anchor[valid].mean())
-    return ContrastiveResult(loss=loss, per_anchor=per_anchor, valid=valid)
+    grad = None
+    if with_grad:
+        # dL/ds[i, j]: softmax minus the positive-indicator average, per valid anchor
+        grad_s = np.zeros((n, n))
+        softmax /= denom[:, None]
+        grad_s[valid] = (1.0 / valid.size) * (softmax - mask / pos_counts[:, None])
+        grad_s[valid, valid] = 0.0
+        grad_zhat = (grad_s + grad_s.T) @ zhat / tau
+        # chain rule through row normalization
+        inner = np.sum(grad_zhat * zhat, axis=1, keepdims=True)
+        grad = (grad_zhat - inner * zhat) / norms[:, None]
+    return ContrastiveResult(loss=loss, per_anchor=per_anchor, valid=valid, grad=grad)
 
 
 def cm_supcon_loss(batch: BatchFeatures, cfg: LossConfig) -> ContrastiveResult:
@@ -190,20 +196,12 @@ def vanilla_supcon_loss(batch: BatchFeatures, cfg: LossConfig) -> float:
 
 def contrastive_loss(batch: BatchFeatures, cfg: LossConfig) -> float:
     """Dispatch on cfg.variant."""
-    return _contrastive(
-        batch.z, batch.y, batch.m, cfg.tau, cross_modal=cfg.variant is LossVariant.CROSS_MODAL
-    ).loss
+    return _contrastive(batch.z, batch.y, batch.m, cfg.tau, cfg.cross_modal).loss
 
 
 def contrastive_grad(batch: BatchFeatures, cfg: LossConfig) -> np.ndarray:
     """Gradient of the configured variant w.r.t. the pre-normalization z."""
-    return _contrastive_grad(
-        batch.z,
-        batch.y,
-        batch.m,
-        cfg.tau,
-        cross_modal=cfg.variant is LossVariant.CROSS_MODAL,
-    )
+    return _contrastive(batch.z, batch.y, batch.m, cfg.tau, cfg.cross_modal, True).grad
 
 
 def cm_supcon_grad(batch: BatchFeatures, cfg: LossConfig) -> np.ndarray:
@@ -214,40 +212,7 @@ def cm_supcon_grad(batch: BatchFeatures, cfg: LossConfig) -> np.ndarray:
     """
     if cfg.variant is not LossVariant.CROSS_MODAL:
         raise ValueError("cm_supcon_grad requires the CROSS_MODAL variant")
-    return _contrastive_grad(batch.z, batch.y, batch.m, cfg.tau, cross_modal=True)
-
-
-def _contrastive_grad(
-    z: np.ndarray, y: np.ndarray, m: np.ndarray, tau: float, cross_modal: bool
-) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    norms = np.linalg.norm(z, axis=1)
-    bad = np.flatnonzero(norms <= _NORM_FLOOR)
-    if bad.size:
-        raise ZeroNormRowError(int(bad[0]))
-    zhat = z / norms[:, None]
-    n = z.shape[0]
-    mask = _positive_mask(y, m, cross_modal)
-    pos_counts = mask.sum(axis=1)
-    valid = np.flatnonzero(pos_counts > 0)
-    if valid.size == 0:
-        return np.zeros_like(z)
-    sims = zhat @ zhat.T / tau
-    logits = sims.copy()
-    np.fill_diagonal(logits, -np.inf)
-    row_max = logits.max(axis=1)
-    softmax = np.exp(logits - row_max[:, None])
-    softmax /= softmax.sum(axis=1, keepdims=True)
-    # dL/ds[i, j]: softmax minus the positive-indicator average, per valid anchor
-    grad_s = np.zeros((n, n))
-    inv_v = 1.0 / valid.size
-    for i in valid:
-        grad_s[i] = inv_v * (softmax[i] - mask[i] / pos_counts[i])
-        grad_s[i, i] = 0.0
-    grad_zhat = (grad_s + grad_s.T) @ zhat / tau
-    # chain rule through row normalization
-    inner = np.sum(grad_zhat * zhat, axis=1, keepdims=True)
-    return (grad_zhat - inner * zhat) / norms[:, None]
+    return _contrastive(batch.z, batch.y, batch.m, cfg.tau, True, True).grad
 
 
 @dataclass(frozen=True)

@@ -41,9 +41,11 @@ class Modality(Enum):
 
     @classmethod
     def from_string(cls, value: str) -> "Modality":
-        for member in cls:
-            if member.value == value:
-                return member
+        if isinstance(value, str):
+            try:
+                return cls(value)
+            except ValueError:
+                pass
         raise UnknownModalityError(value)
 
 
@@ -59,9 +61,11 @@ class Label(Enum):
 
     @classmethod
     def from_string(cls, value: str) -> "Label":
-        for member in cls:
-            if member.value == value:
-                return member
+        if isinstance(value, str):
+            try:
+                return cls(value)
+            except ValueError:
+                pass
         raise UnknownLabelError(value)
 
 
@@ -164,24 +168,6 @@ class ImageBuffer:
     @property
     def width(self) -> int:
         return self.data.shape[2]
-
-
-@dataclass(frozen=True)
-class EmbeddedSample:
-    """A pre-normalization feature vector with its class and modality tags."""
-
-    feature: np.ndarray
-    label: Label
-    modality: Modality
-
-    def __post_init__(self):
-        vec = np.ascontiguousarray(self.feature, dtype=np.float64)
-        if vec.ndim != 1 or vec.shape[0] < 2:
-            raise ValueError("feature must be a vector with at least 2 entries")
-        if not np.all(np.isfinite(vec)):
-            raise ValueError("feature values must be finite")
-        vec.setflags(write=False)
-        object.__setattr__(self, "feature", vec)
 
 
 @dataclass(frozen=True)

@@ -14,20 +14,17 @@ import json
 import warnings
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import Mapping, Optional, Union
 
 import numpy as np
 
 from .cmsupcon import (
     DEFAULT_LAMBDA,
     DEFAULT_TAU,
-    BatchFeatures,
-    LossConfig,
     LossVariant,
+    _contrastive,
     bce_grad,
     binary_cross_entropy,
-    contrastive_grad,
-    contrastive_loss,
 )
 from .core import Label, Modality
 from .errors import (
@@ -104,6 +101,14 @@ class ToyModel:
         return cls(**{name: params[name] for name in PARAM_NAMES})
 
 
+# A model, or the bare parameter dict the training loop carries between steps.
+Params = Union[ToyModel, Mapping[str, np.ndarray]]
+
+
+def _param_arrays(model: Params) -> Mapping[str, np.ndarray]:
+    return model.params() if isinstance(model, ToyModel) else model
+
+
 @dataclass(frozen=True)
 class ForwardResult:
     logits: np.ndarray
@@ -113,23 +118,23 @@ class ForwardResult:
 
 
 def forward(
-    model: ToyModel, x: np.ndarray, feature_layer: str = "projection"
+    model: Params, x: np.ndarray, feature_layer: str = "projection"
 ) -> ForwardResult:
     """Batched forward pass; z is the contrastive feature (pre-normalization)."""
+    p = _param_arrays(model)
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.d_in:
-        raise DimMismatchError(
-            f"expected input (n, {model.d_in}), got {x.shape}"
-        )
-    pre = x @ model.w1 + model.b1
+    d_in = p["w1"].shape[0]
+    if x.ndim != 2 or x.shape[1] != d_in:
+        raise DimMismatchError(f"expected input (n, {d_in}), got {x.shape}")
+    pre = x @ p["w1"] + p["b1"]
     h = np.maximum(pre, 0.0)
     if feature_layer == "projection":
-        z = h @ model.wp
+        z = h @ p["wp"]
     elif feature_layer == "hidden":
         z = h
     else:
         raise ValueError(f"unknown feature_layer {feature_layer!r}")
-    logits = h @ model.wc + model.bc[0]
+    logits = h @ p["wc"] + p["bc"][0]
     return ForwardResult(logits=logits, z=z, h=h, pre_activation=pre)
 
 
@@ -147,12 +152,12 @@ def contrastive_term(
     live = _live_rows(z)
     if live.size < 2:
         return 0.0
-    batch = BatchFeatures(z[live], np.asarray(y)[live], np.asarray(m)[live])
-    return contrastive_loss(batch, LossConfig(tau=tau, variant=variant))
+    y, m = np.asarray(y)[live], np.asarray(m)[live]
+    return _contrastive(z[live], y, m, tau, variant is LossVariant.CROSS_MODAL).loss
 
 
 def backward(
-    model: ToyModel,
+    model: Params,
     x: np.ndarray,
     targets: np.ndarray,
     lam: float,
@@ -167,31 +172,35 @@ def backward(
     run is bit-identical to setting lam to zero. Samples whose feature row
     is dead (zero norm, all ReLUs off) sit out the contrastive term.
     """
-    out = forward(model, x, feature_layer)
+    p = _param_arrays(model)
+    x = np.asarray(x, dtype=np.float64)
+    out = forward(p, x, feature_layer)
     targets = np.asarray(targets, dtype=np.float64)
     modalities = np.asarray(modalities)
     g_logit = bce_grad(out.logits, targets)
-    grads = {name: np.zeros_like(getattr(model, name)) for name in PARAM_NAMES}
-    g_h = g_logit[:, None] * model.wc[None, :]
+    grads = {name: np.zeros_like(p[name]) for name in PARAM_NAMES}
+    g_h = g_logit[:, None] * p["wc"][None, :]
     grads["wc"] = out.h.T @ g_logit
     grads["bc"] = np.array([g_logit.sum()])
     if lam > 0:
         live = _live_rows(out.z)
         if live.size >= 2:
-            batch = BatchFeatures(
-                out.z[live], targets[live].astype(np.int8), modalities[live]
-            )
             g_z = np.zeros_like(out.z)
-            g_z[live] = lam * contrastive_grad(
-                batch, LossConfig(tau=tau, variant=variant)
-            )
+            g_z[live] = lam * _contrastive(
+                out.z[live],
+                targets[live],
+                modalities[live],
+                tau,
+                variant is LossVariant.CROSS_MODAL,
+                with_grad=True,
+            ).grad
             if feature_layer == "projection":
                 grads["wp"] = out.h.T @ g_z
-                g_h = g_h + g_z @ model.wp.T
+                g_h = g_h + g_z @ p["wp"].T
             else:
                 g_h = g_h + g_z
     g_pre = g_h * (out.pre_activation > 0)
-    grads["w1"] = np.asarray(x, dtype=np.float64).T @ g_pre
+    grads["w1"] = x.T @ g_pre
     grads["b1"] = g_pre.sum(axis=0)
     return grads
 
@@ -346,6 +355,12 @@ class FeatureDataset:
             raise InvalidSpecError("x must be a 2-d array")
         if not (x.shape[0] == len(y) == len(m)):
             raise InvalidSpecError("x, y, m must agree in length")
+        if not np.isfinite(x).all():
+            row = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])
+            raise InvalidSpecError(f"feature row {row} has non-finite values")
+        for name, arr in (("labels", y), ("modalities", m)):
+            if not np.isin(arr, (0, 1)).all():
+                raise InvalidSpecError(f"{name} must be 0 or 1")
         for arr in (x, y, m):
             arr.setflags(write=False)
         object.__setattr__(self, "x", x)
@@ -426,7 +441,7 @@ class TrainResult:
 
 
 def _dataset_stats(
-    model: ToyModel, data: FeatureDataset, config: TrainConfig
+    model: Params, data: FeatureDataset, config: TrainConfig
 ) -> tuple[float, float, float, float]:
     """(bce, cm, total, accuracy) of the full dataset under the model."""
     out = forward(model, data.x, config.feature_layer)
@@ -441,6 +456,15 @@ def _dataset_stats(
     return bce, cm, total, acc
 
 
+def _check_finite(params: dict[str, np.ndarray], epoch: int) -> None:
+    for name, p in params.items():
+        if not np.isfinite(p).all():
+            raise NonFiniteLossError(
+                f"parameter {name} became non-finite at epoch {epoch}; "
+                "the run diverged (try a smaller lr)"
+            )
+
+
 def train(
     model: ToyModel,
     train_data: FeatureDataset,
@@ -451,9 +475,18 @@ def train(
 
     Returns the checkpoint with the best validation loss seen, plus the
     per-epoch history. Deterministic given (data, config, seed).
+
+    Inputs are checked once, here; the step loop then carries the bare
+    parameter dict and only checks that every update stayed finite.
     """
     if len(val_data) == 0:
         raise InvalidSpecError("validation set must be non-empty")
+    for name, data in (("training", train_data), ("validation", val_data)):
+        if data.x.shape[1] != model.d_in:
+            raise DimMismatchError(
+                f"{name} features have {data.x.shape[1]} columns, model expects {model.d_in}"
+            )
+    train_y = train_data.y.astype(np.float64)
     rng = np.random.default_rng(config.seed)
     params = model.params()
     state = OptimState.init(
@@ -488,11 +521,10 @@ def train(
                     image_pool, video_pool, config.batch_size, policy, rng
                 )
         for batch_idx in batches:
-            current = ToyModel.from_params(params)
             grads = backward(
-                current,
+                params,
                 train_data.x[batch_idx],
-                train_data.y[batch_idx].astype(np.float64),
+                train_y[batch_idx],
                 config.lam,
                 config.tau,
                 train_data.m[batch_idx],
@@ -500,9 +532,9 @@ def train(
                 config.variant,
             )
             params, state = optimizer_step(params, grads, state)
-        current = ToyModel.from_params(params)
-        tr_bce, tr_cm, tr_total, tr_acc = _dataset_stats(current, train_data, config)
-        _, _, val_total, val_acc = _dataset_stats(current, val_data, config)
+            _check_finite(params, epoch)
+        tr_bce, tr_cm, tr_total, tr_acc = _dataset_stats(params, train_data, config)
+        _, _, val_total, val_acc = _dataset_stats(params, val_data, config)
         if not (np.isfinite(tr_total) and np.isfinite(val_total)):
             raise NonFiniteLossError(
                 f"non-finite loss at epoch {epoch}: "

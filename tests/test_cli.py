@@ -263,6 +263,18 @@ class TestTrainCommand:
         assert run_cli("train", "--config", tmp_path / "missing.json",
                        "--out", tmp_path / "o") == 2
 
+    def test_diverging_run_exits_3_without_traceback(self, tmp_path, capsys):
+        path = tmp_path / "hot.json"
+        path.write_text(json.dumps({"data": {"synthetic": {"seed": 3}},
+                                    "train": {"epochs": 5, "lr": 1e300, "seed": 3}}))
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert run_cli("train", "--config", path, "--out", tmp_path / "o") == 3
+        err = capsys.readouterr().err
+        assert "non-finite" in err and "Traceback" not in err
+
 
 def feature_file(tmp_path, records):
     path = tmp_path / "features.json"
@@ -358,6 +370,48 @@ class TestEvaluateCommand:
         assert run_cli("evaluate", "--checkpoint", bad,
                        "--features", tmp_path / "f.json",
                        "--out", tmp_path / "o") == 2
+
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            (None, "has no 'x' feature vector"),
+            ([0.5] * 7, "'x' has shape (7,), the model expects (6,)"),
+            ([[0.5, 0.5], 0.5, 0.5, 0.5, 0.5, 0.5], "'x' is not a flat list of numbers"),
+            ([0.5, float("nan"), 0.5, 0.5, 0.5, 0.5], "'x' has non-finite values"),
+        ],
+        ids=["missing", "ragged", "nested", "nan"],
+    )
+    def test_bad_feature_record_exits_2_naming_it(
+        self, train_setup, tmp_path, capsys, monkeypatch, x, message
+    ):
+        checkpoint = self.make_checkpoint(train_setup, tmp_path)
+        # small blocks put the bad record in the second block
+        monkeypatch.setattr("xmodal.cli.SCORE_BLOCK", 4, raising=False)
+        rng = np.random.default_rng(4)
+        records = [
+            {"id": f"r{i}", "x": rng.normal(size=6).tolist(),
+             "label": "fake" if i % 2 else "real", "modality": "image", "subset": "s"}
+            for i in range(10)
+        ]
+        records[6].pop("x")
+        if x is not None:
+            records[6]["x"] = x
+        features = feature_file(tmp_path, records)
+        capsys.readouterr()
+        assert run_cli("evaluate", "--checkpoint", checkpoint, "--features",
+                       features, "--out", tmp_path / "eval") == 2
+        err = capsys.readouterr().err
+        assert f"feature record 6 ('r6') {message}" in err
+        assert "Traceback" not in err
+
+    def test_wrong_feature_length_everywhere_exits_2(self, train_setup, tmp_path, capsys):
+        checkpoint = self.make_checkpoint(train_setup, tmp_path)
+        records = [{"id": f"r{i}", "x": [0.5] * 5, "label": "real", "modality": "image",
+                    "subset": "s"} for i in range(3)]
+        features = feature_file(tmp_path, records)
+        assert run_cli("evaluate", "--checkpoint", checkpoint, "--features",
+                       features, "--out", tmp_path / "eval") == 2
+        assert "feature record 0 ('r0') 'x' has shape (5,)" in capsys.readouterr().err
 
     def test_rerun_byte_identical(self, train_setup, tmp_path):
         checkpoint = self.make_checkpoint(train_setup, tmp_path)

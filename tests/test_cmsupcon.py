@@ -11,15 +11,15 @@ from xmodal.cmsupcon import (
     BatchFeatures,
     LossConfig,
     LossVariant,
+    _contrastive,
     binary_cross_entropy,
     cm_supcon_grad,
     cm_supcon_loss,
+    contrastive_grad,
     joint_loss,
     l2_normalize,
-    positive_sets,
     vanilla_supcon_loss,
 )
-from xmodal.core import Label, Modality
 from xmodal.errors import LengthMismatchError, ZeroNormRowError
 
 CM = LossConfig(tau=1.0)
@@ -67,31 +67,6 @@ class TestL2Normalize:
         rng = np.random.default_rng(0)
         out = l2_normalize(rng.normal(size=(20, 6)))
         assert np.allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-9)
-
-
-class TestPositiveSets:
-    def test_cross_modal_definition(self):
-        sets = positive_sets(
-            [Label.FAKE, Label.FAKE, Label.REAL],
-            [Modality.IMAGE, Modality.VIDEO, Modality.VIDEO],
-        )
-        assert sets.positives[0].tolist() == [1]
-        assert sets.positives[1].tolist() == [0]
-        assert sets.positives[2].tolist() == []
-        assert sets.valid.tolist() == [0, 1]
-
-    def test_single_modality_all_empty(self):
-        sets = positive_sets([0, 0, 1, 1], [0, 0, 0, 0])
-        assert all(len(p) == 0 for p in sets.positives)
-        assert sets.valid.size == 0
-
-    def test_singleton(self):
-        sets = positive_sets([1], [0])
-        assert sets.positives[0].size == 0 and sets.valid.size == 0
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
-            positive_sets([0, 1], [0])
 
 
 class TestCmSupconLoss:
@@ -298,14 +273,104 @@ def test_property_single_modality_zero_vs_vanilla(batch):
 
 class TestFromSamples:
     def test_embedded_samples_round_trip(self):
-        from xmodal.core import EmbeddedSample
-
-        samples = [
-            EmbeddedSample(np.array([1.0, 0.0]), Label.REAL, Modality.IMAGE),
-            EmbeddedSample(np.array([1.0, 0.0]), Label.REAL, Modality.VIDEO),
-            EmbeddedSample(np.array([0.0, 1.0]), Label.FAKE, Modality.VIDEO),
-        ]
-        batch = BatchFeatures.from_samples(samples)
+        batch = BatchFeatures(
+            np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), [0, 0, 1], [0, 1, 1]
+        )
         assert batch.y.tolist() == [0, 0, 1]
         assert batch.m.tolist() == [0, 1, 1]
         assert cm_supcon_loss(batch, CM).loss == pytest.approx(0.313262, abs=1e-6)
+
+    def test_label_modality_length_mismatch(self):
+        with pytest.raises(LengthMismatchError):
+            BatchFeatures(np.ones((2, 2)), [0, 1], [0])
+
+
+# --- reference forms: the per-anchor loops the vectorized kernel replaced ----------
+
+
+def reference_loss(z, y, m, tau, cross_modal):
+    """Brute force: for each anchor, -mean log-softmax over its positives."""
+    zhat = z / np.linalg.norm(z, axis=1)[:, None]
+    n = z.shape[0]
+    per_anchor = np.zeros(n)
+    valid = []
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        positives = [
+            j for j in others if y[j] == y[i] and (not cross_modal or m[j] != m[i])
+        ]
+        if not positives:
+            continue
+        sims = {j: float(zhat[i] @ zhat[j]) / tau for j in others}
+        top = max(sims.values())
+        lse = top + math.log(sum(math.exp(s - top) for s in sims.values()))
+        per_anchor[i] = -sum(sims[j] - lse for j in positives) / len(positives)
+        valid.append(i)
+    loss = float(per_anchor[valid].mean()) if valid else 0.0
+    return loss, per_anchor, np.asarray(valid, dtype=np.int64)
+
+
+def reference_grad(z, y, m, tau, cross_modal):
+    """The per-anchor gradient loop, kept verbatim as the bit-exact reference."""
+    norms = np.linalg.norm(z, axis=1)
+    zhat = z / norms[:, None]
+    n = z.shape[0]
+    mask = y[:, None] == y[None, :]
+    if cross_modal:
+        mask &= m[:, None] != m[None, :]
+    np.fill_diagonal(mask, False)
+    pos_counts = mask.sum(axis=1)
+    valid = np.flatnonzero(pos_counts > 0)
+    if valid.size == 0:
+        return np.zeros_like(z)
+    sims = zhat @ zhat.T / tau
+    logits = sims.copy()
+    np.fill_diagonal(logits, -np.inf)
+    row_max = logits.max(axis=1)
+    softmax = np.exp(logits - row_max[:, None])
+    softmax /= softmax.sum(axis=1, keepdims=True)
+    grad_s = np.zeros((n, n))
+    inv_v = 1.0 / valid.size
+    for i in valid:
+        grad_s[i] = inv_v * (softmax[i] - mask[i] / pos_counts[i])
+        grad_s[i, i] = 0.0
+    grad_zhat = (grad_s + grad_s.T) @ zhat / tau
+    inner = np.sum(grad_zhat * zhat, axis=1, keepdims=True)
+    return (grad_zhat - inner * zhat) / norms[:, None]
+
+
+def reference_batches(seed, count=40):
+    """Random batches plus ones with invalid anchors and with no valid anchor."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield random_batch(rng, n=int(rng.integers(2, 40)))
+    yield BatchFeatures(rng.normal(size=(7, 5)), [0, 0, 0, 1, 1, 1, 1], [0, 1, 0, 0, 0, 0, 0])
+    yield BatchFeatures(rng.normal(size=(6, 3)), [0, 0, 1, 1, 0, 1], np.zeros(6))
+    yield BatchFeatures(rng.normal(size=(4, 3)), [0, 1, 0, 1], [0, 0, 1, 1])
+    yield BatchFeatures(rng.normal(size=(1, 4)), [1], [0])
+
+
+class TestKernelAgainstReference:
+    @pytest.mark.parametrize("variant", list(LossVariant))
+    @pytest.mark.parametrize("tau", [0.07, 0.5])
+    def test_loss_per_anchor_and_valid_match_brute_force(self, variant, tau):
+        cross_modal = variant is LossVariant.CROSS_MODAL
+        seen_invalid = seen_empty = False
+        for batch in reference_batches(seed=11):
+            expected = reference_loss(batch.z, batch.y, batch.m, tau, cross_modal)
+            loss, per_anchor, valid = expected
+            result = _contrastive(batch.z, batch.y, batch.m, tau, cross_modal)
+            assert result.valid.tolist() == valid.tolist()
+            assert np.abs(result.per_anchor - per_anchor).max() <= 1e-12
+            assert abs(result.loss - loss) <= 1e-12
+            seen_invalid |= 0 < valid.size < batch.n
+            seen_empty |= valid.size == 0
+        assert seen_invalid and seen_empty
+
+    @pytest.mark.parametrize("variant", list(LossVariant))
+    @pytest.mark.parametrize("tau", [0.07, 0.5, 1.0])
+    def test_gradient_bit_identical_to_loop_form(self, variant, tau):
+        cfg = LossConfig(tau=tau, variant=variant)
+        for batch in reference_batches(seed=12):
+            expected = reference_grad(batch.z, batch.y, batch.m, tau, cfg.cross_modal)
+            assert np.array_equal(contrastive_grad(batch, cfg), expected)

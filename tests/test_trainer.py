@@ -329,6 +329,20 @@ class TestTrainLoop:
         with pytest.raises(InvalidSpecError):
             train(model, data, empty, config)
 
+    def test_inputs_checked_once_on_entry(self):
+        x = np.ones((4, 2))
+        x[2, 1] = np.nan
+        with pytest.raises(InvalidSpecError, match="feature row 2"):
+            FeatureDataset(x, np.zeros(4), np.zeros(4))
+        with pytest.raises(InvalidSpecError, match="labels"):
+            FeatureDataset(np.ones((2, 2)), [0, 2], [0, 1])
+        data = separable_dataset(9, n=8)
+        config = TrainConfig(epochs=1, batch_size=8, lam=0.05, seed=0)
+        model = ToyModel.init(3, config.hidden_dim, config.feature_dim,
+                              np.random.default_rng(0))
+        with pytest.raises(DimMismatchError, match="training features have 2 columns"):
+            train(model, data, data, config)
+
 
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):
