@@ -24,11 +24,8 @@ from .core import (
 from .pixelops import (
     Boundary,
     ColorRange,
-    CropPolicy,
     Window,
-    crop,
     gaussian_blur,
-    horizontal_flip,
     motion_blur,
     quantize_8bit,
     rgb_to_ycbcr,
@@ -38,7 +35,6 @@ from .pixelops import (
     ycbcr_to_rgb,
 )
 from .codecsim import (
-    ChainSamplerConfig,
     ChainSpec,
     ColorJitterStep,
     GaussianBlurStep,
@@ -56,7 +52,6 @@ from .codecsim import (
     derive_sample_seed,
     jpeg_simulate,
     quant_table_from_quality,
-    sample_random_chain,
     tv_range_squeeze,
     video_codec_simulate,
 )
@@ -79,8 +74,6 @@ from .cmsupcon import (
     LossVariant,
     cm_supcon_grad,
     cm_supcon_loss,
-    joint_loss,
-    l2_normalize,
     vanilla_supcon_loss,
 )
 from .trainer import (

@@ -15,10 +15,9 @@ import io
 import json
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from . import __version__
 from .cmsupcon import LossVariant
@@ -42,11 +41,11 @@ from .forensics import (
     dct_ac_histogram,
     detect_tv_range,
     luminance_histogram,
+    require_dct_block,
     residual_spectrum,
 )
 from .metrics import (
     Aggregation,
-    EvalReport,
     FrameScore,
     ScoredPrediction,
     group_frames,
@@ -104,6 +103,10 @@ def _loaded_image(rec: SampleRecord, img: ImageBuffer) -> ImageBuffer:
     return img
 
 
+def _dct_image(rec: SampleRecord, img: ImageBuffer) -> ImageBuffer:
+    return require_dct_block(img)
+
+
 # --- analyze ----------------------------------------------------------------
 
 
@@ -112,12 +115,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     records = manifest.records[: args.limit]
-    # dct and luma reduce images as they stream in; ``failed`` fills as they do
-    failed: list[str] = []
-    images = successes(
-        iter_samples(records, _loaded_image, args.threads), failed, "to load"
-    )
     kind = args.kind
+    # dct and luma reduce images as they stream in; ``failed`` fills as they do,
+    # and a frame too small for one DCT block fails alone, like a bad file
+    failed: list[str] = []
+    per_sample = _dct_image if kind == "dct" else _loaded_image
+    images = successes(
+        iter_samples(records, per_sample, args.threads), failed, "to load"
+    )
     inputs = {"manifest": Path(args.manifest)}
     config = {
         "kind": kind,
@@ -307,39 +312,62 @@ def cmd_degrade(args: argparse.Namespace) -> int:
 # --- train ---------------------------------------------------------------------
 
 
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise XmodalError(f"{what} must be a JSON object")
+    return value
+
+
 def _train_config_from_doc(doc: dict, seed_override: Optional[int]) -> TrainConfig:
-    train_doc = dict(doc.get("train", {}))
+    train_doc = dict(_json_object(doc.get("train", {}), "'train'"))
     if "lambda" in train_doc:
         train_doc["lam"] = train_doc.pop("lambda")
     if "variant" in train_doc:
         train_doc["variant"] = LossVariant(train_doc["variant"])
     if seed_override is not None:
         train_doc["seed"] = seed_override
-    return TrainConfig(**train_doc)
+    try:
+        return TrainConfig(**train_doc)
+    except TypeError as exc:
+        raise XmodalError(f"'train': {exc}") from None
 
 
 def _synthetic_spec_from_doc(doc: dict) -> SyntheticSpec:
-    kwargs = dict(doc)
-    for key in ("train_counts", "val_counts", "test_counts"):
-        if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
-    if "video_shift" in kwargs and kwargs["video_shift"] is not None:
-        kwargs["video_shift"] = tuple(kwargs["video_shift"])
-    return SyntheticSpec.default(**kwargs)
+    kwargs = dict(_json_object(doc, "'data.synthetic'"))
+    try:
+        for key in ("train_counts", "val_counts", "test_counts"):
+            if key in kwargs:
+                kwargs[key] = tuple(kwargs[key])
+        if "video_shift" in kwargs and kwargs["video_shift"] is not None:
+            kwargs["video_shift"] = tuple(kwargs["video_shift"])
+        return SyntheticSpec.default(**kwargs)
+    except TypeError as exc:
+        raise XmodalError(f"'data.synthetic': {exc}") from None
 
 
-def load_feature_file(path: str | Path) -> list[dict]:
+def load_feature_file(path: str | Path) -> list:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(doc, dict) or "records" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("records"), list):
         raise XmodalError(f"{path}: feature file must be {{'records': [...]}}")
+    if not doc["records"]:
+        raise XmodalError(f"{path}: feature file has no records")
     return doc["records"]
 
 
-def _records_to_dataset(records: list[dict]) -> FeatureDataset:
-    xs = [rec["x"] for rec in records]
-    ys = [Label.from_string(rec["label"]).numeric for rec in records]
-    ms = [Modality.from_string(rec["modality"]).numeric for rec in records]
-    return FeatureDataset(np.asarray(xs, dtype=np.float64), ys, ms)
+def _records_to_dataset(path: Path) -> FeatureDataset:
+    """Read a training feature file with the record checks ``evaluate`` uses."""
+    records = load_feature_file(path)
+    first_x = records[0].get("x") if isinstance(records[0], dict) else None
+    d_in = len(first_x) if isinstance(first_x, list) else 0
+    try:
+        x = _feature_rows(records, 0, d_in)
+        ys = [_record_field(rec, i, "label", Label.from_string).numeric
+              for i, rec in enumerate(records)]
+        ms = [_record_field(rec, i, "modality", Modality.from_string).numeric
+              for i, rec in enumerate(records)]
+    except XmodalError as exc:
+        raise XmodalError(f"{path}: {exc}") from None
+    return FeatureDataset(x, ys, ms)
 
 
 def _history_csv(history) -> str:
@@ -374,22 +402,28 @@ def cmd_train(args: argparse.Namespace) -> int:
     if not config_path.is_file():
         raise XmodalError(f"config not found: {config_path}")
     doc = json.loads(config_path.read_text(encoding="utf-8"))
-    config = _train_config_from_doc(doc, args.seed)
+    try:
+        config = _train_config_from_doc(_json_object(doc, "the config"), args.seed)
+        data_doc = _json_object(doc.get("data", {"synthetic": {}}), "'data'")
+        if "synthetic" in data_doc:
+            spec = _synthetic_spec_from_doc(data_doc["synthetic"])
+        elif not {"train_features", "val_features"} <= data_doc.keys():
+            raise XmodalError(
+                "'data' must name 'synthetic', or 'train_features' and 'val_features'"
+            )
+    except XmodalError as exc:
+        raise XmodalError(f"{config_path}: {exc}") from None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    data_doc = doc.get("data", {"synthetic": {}})
     inputs = {"config": config_path}
     if "synthetic" in data_doc:
-        spec = _synthetic_spec_from_doc(data_doc["synthetic"])
         data = generate_synthetic(spec)
         train_data, val_data = data.train, data.val
     else:
-        train_records = load_feature_file(data_doc["train_features"])
-        val_records = load_feature_file(data_doc["val_features"])
-        train_data = _records_to_dataset(train_records)
-        val_data = _records_to_dataset(val_records)
         inputs["train_features"] = Path(data_doc["train_features"])
         inputs["val_features"] = Path(data_doc["val_features"])
+        train_data = _records_to_dataset(inputs["train_features"])
+        val_data = _records_to_dataset(inputs["val_features"])
     rng = np.random.default_rng(config.seed)
     model = ToyModel.init(
         train_data.x.shape[1], config.hidden_dim, config.feature_dim, rng
@@ -455,6 +489,22 @@ def _feature_rows(block: list, first: int, d_in: int) -> np.ndarray:
     return x
 
 
+def _record_field(rec: dict, index: int, key: str, parse: Callable):
+    """``parse(rec[key])``, or an XmodalError naming the record and the key."""
+    if key not in rec:
+        raise XmodalError(f"{_record_name(rec, index)} has no {key!r} key")
+    try:
+        return parse(rec[key])
+    except XmodalError as exc:
+        raise XmodalError(f"{_record_name(rec, index)} {key!r}: {exc}") from None
+
+
+def _subset_tag(value) -> str:
+    if not isinstance(value, str):
+        raise XmodalError(f"must be a string, got {value!r}")
+    return value
+
+
 def _score_feature_records(
     model: ToyModel, feature_layer: str, records: list[dict], t: int
 ) -> list[ScoredPrediction]:
@@ -463,20 +513,13 @@ def _score_feature_records(
         block = records[first : first + SCORE_BLOCK]
         x = _feature_rows(block, first, model.d_in)
         logits = forward(model, x, feature_layer).logits
-        for i, (rec, logit, score) in enumerate(
-            zip(block, logits.tolist(), expit(logits).tolist()), start=first
-        ):
-            try:
-                label, subset = rec["label"], rec["subset"]
-            except KeyError as exc:
-                raise XmodalError(f"{_record_name(rec, i)} has no {exc} key") from None
+        for i, (rec, logit) in enumerate(zip(block, logits.tolist()), start=first):
             singles.append(
                 FrameScore(
                     video_id=str(rec.get("video_id") or f"__single_{i}"),
                     frame_index=int(rec.get("frame_index") or 0),
-                    score=score,
-                    label=Label.from_string(label),
-                    subset=subset,
+                    label=_record_field(rec, i, "label", Label.from_string),
+                    subset=_record_field(rec, i, "subset", _subset_tag),
                     logit=logit,
                 )
             )
@@ -491,7 +534,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     records = load_feature_file(args.features)[: args.limit]
-    preds = _score_feature_records(model, config.feature_layer, records, args.frames)
+    try:
+        preds = _score_feature_records(model, config.feature_layer, records, args.frames)
+    except XmodalError as exc:
+        raise XmodalError(f"{args.features}: {exc}") from None
     inputs = {"checkpoint": Path(args.checkpoint), "features": Path(args.features)}
     headline = (
         Aggregation.OVERALL_POOLED
@@ -576,7 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--out", required=True)
     evaluate.add_argument("--aggregation", choices=("subset-mean", "overall"),
                           default="subset-mean")
-    evaluate.add_argument("--frames", type=int, default=1,
+    evaluate.add_argument("--frames", type=_positive_int, default=1,
                           help="frames per video for logit averaging")
     evaluate.add_argument("--threshold", type=float, default=0.5)
     evaluate.add_argument("--limit", type=_positive_int, default=None)

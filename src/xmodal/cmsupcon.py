@@ -3,8 +3,8 @@
 Positives for an anchor are the opposite-modality samples with the same
 real/fake label; anchors with no such positive are excluded from the
 loss. The vanilla variant ignores modality and serves as the ablation
-baseline. The joint objective adds the contrastive term to mean binary
-cross-entropy with a configurable weight.
+baseline. The BCE term and its gradient live here too; ``trainer`` assembles
+the joint objective, mean BCE + lambda * contrastive term, from them.
 """
 
 from __future__ import annotations
@@ -102,12 +102,6 @@ def _row_norms(z: np.ndarray) -> np.ndarray:
     if bad.size:
         raise ZeroNormRowError(int(bad[0]))
     return norms
-
-
-def l2_normalize(z: np.ndarray) -> np.ndarray:
-    """Divide each row by its Euclidean norm; rows must not be (near) zero."""
-    z = np.asarray(z, dtype=np.float64)
-    return z / _row_norms(z)[:, None]
 
 
 def _positive_mask(y: np.ndarray, m: np.ndarray, cross_modal: bool) -> np.ndarray:
@@ -215,13 +209,6 @@ def cm_supcon_grad(batch: BatchFeatures, cfg: LossConfig) -> np.ndarray:
     return _contrastive(batch.z, batch.y, batch.m, cfg.tau, True, True).grad
 
 
-@dataclass(frozen=True)
-class JointLossResult:
-    bce: float
-    contrastive: float
-    total: float
-
-
 def binary_cross_entropy(logits: np.ndarray, targets: np.ndarray) -> float:
     """Mean BCE of sigmoid(logit) vs 0/1 targets, in the stable logit form."""
     logits = np.asarray(logits, dtype=np.float64)
@@ -235,27 +222,3 @@ def bce_grad(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
     logits = np.asarray(logits, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     return (expit(logits) - targets) / logits.shape[0]
-
-
-def joint_loss(
-    logits: np.ndarray,
-    targets,
-    batch: BatchFeatures,
-    lam: float,
-    cfg: LossConfig,
-) -> JointLossResult:
-    """total = mean BCE + lam * contrastive term of the configured variant."""
-    if lam < 0:
-        raise ValueError(f"lambda must be >= 0, got {lam}")
-    logits = np.asarray(logits, dtype=np.float64)
-    target_arr = _as_binary_array(targets, "targets")
-    if logits.ndim != 1 or len(logits) != len(target_arr):
-        raise LengthMismatchError(
-            f"{len(logits)} logits vs {len(target_arr)} targets"
-        )
-    if len(logits) != batch.n:
-        raise LengthMismatchError(f"{len(logits)} logits vs batch of {batch.n}")
-    bce = binary_cross_entropy(logits, target_arr.astype(np.float64))
-    cm = contrastive_loss(batch, cfg)
-    total = bce + lam * cm
-    return JointLossResult(bce=bce, contrastive=cm, total=total)

@@ -29,7 +29,6 @@ from .errors import (
     UnknownStepError,
 )
 from .pixelops import (
-    Boundary,
     ColorRange,
     gaussian_blur,
     motion_blur,
@@ -502,120 +501,3 @@ def derive_sample_seed(master_seed: int, sample_id: str) -> int:
     """Stable per-sample seed, so parallel corpus order cannot change outputs."""
     digest = hashlib.sha256(f"{master_seed}:{sample_id}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-@dataclass(frozen=True)
-class ChainSamplerConfig:
-    """Per-step inclusion probabilities and parameter ranges for random chains.
-
-    Ranges are inclusive; integer parameters are drawn uniformly over the
-    integer range, floats uniformly over the interval. HEIF/WebP-style
-    compression is covered by the video_codec (deadzone quantizer) entry.
-    """
-
-    p_motion_blur: float = 0.5
-    motion_blur_length: tuple[int, int] = (3, 9)
-    motion_blur_angle: tuple[float, float] = (0.0, 180.0)
-    p_gaussian_blur: float = 0.3
-    gaussian_sigma: tuple[float, float] = (0.5, 2.0)
-    p_resize: float = 0.5
-    resize_target: tuple[int, int] = (128, 256)
-    p_jpeg: float = 0.5
-    jpeg_quality: tuple[int, int] = (30, 95)
-    p_video_codec: float = 0.5
-    video_qstep: tuple[float, float] = (4.0, 32.0)
-    video_deadzone: tuple[float, float] = (0.0, 0.9)
-    p_color_jitter: float = 0.5
-    brightness: tuple[float, float] = (0.8, 1.2)
-    contrast: tuple[float, float] = (0.8, 1.2)
-    saturation: tuple[float, float] = (0.8, 1.2)
-    allow_identity: bool = False
-
-    def __post_init__(self):
-        for name in (
-            "p_motion_blur",
-            "p_gaussian_blur",
-            "p_resize",
-            "p_jpeg",
-            "p_video_codec",
-            "p_color_jitter",
-        ):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise InvalidRangeError(f"{name} must lie in [0, 1], got {p}")
-        for name in (
-            "motion_blur_length",
-            "motion_blur_angle",
-            "gaussian_sigma",
-            "resize_target",
-            "jpeg_quality",
-            "video_qstep",
-            "video_deadzone",
-            "brightness",
-            "contrast",
-            "saturation",
-        ):
-            lo, hi = getattr(self, name)
-            if lo > hi:
-                raise InvalidRangeError(f"{name} range {lo}..{hi} is empty")
-        if self.motion_blur_length[0] < 1:
-            raise InvalidRangeError("motion_blur_length must be >= 1")
-        if self.resize_target[0] < 1:
-            raise InvalidRangeError("resize_target must be >= 1")
-        if not 1 <= self.jpeg_quality[0] <= self.jpeg_quality[1] <= 100:
-            raise InvalidRangeError("jpeg_quality must lie within [1, 100]")
-        if self.video_qstep[0] <= 0:
-            raise InvalidRangeError("video_qstep must be > 0")
-        if not 0.0 <= self.video_deadzone[0] <= self.video_deadzone[1] < 1.0:
-            raise InvalidRangeError("video_deadzone must lie within [0, 1)")
-
-
-def _draw_int(rng: np.random.Generator, lo: int, hi: int) -> int:
-    return int(rng.integers(lo, hi + 1))
-
-
-def _draw_float(rng: np.random.Generator, lo: float, hi: float) -> float:
-    return float(rng.uniform(lo, hi)) if lo < hi else float(lo)
-
-
-def sample_random_chain(
-    config: ChainSamplerConfig, rng: np.random.Generator
-) -> ChainSpec:
-    """Draw a chain; step order is fixed as blur -> resize -> codec -> color."""
-    steps: list[ChainStep] = []
-    if rng.random() < config.p_motion_blur:
-        steps.append(
-            MotionBlurStep(
-                length=_draw_int(rng, *config.motion_blur_length),
-                angle_deg=_draw_float(rng, *config.motion_blur_angle),
-            )
-        )
-    if rng.random() < config.p_gaussian_blur:
-        steps.append(GaussianBlurStep(sigma=_draw_float(rng, *config.gaussian_sigma)))
-    if rng.random() < config.p_resize:
-        steps.append(ResizeStep(shorter_side=_draw_int(rng, *config.resize_target)))
-    if rng.random() < config.p_jpeg:
-        steps.append(JpegSimStep(quality=_draw_int(rng, *config.jpeg_quality)))
-    if rng.random() < config.p_video_codec:
-        steps.append(
-            VideoCodecSimStep(
-                qstep=_draw_float(rng, *config.video_qstep),
-                deadzone=_draw_float(rng, *config.video_deadzone),
-            )
-        )
-    if rng.random() < config.p_color_jitter:
-        steps.append(
-            ColorJitterStep(
-                brightness=config.brightness,
-                contrast=config.contrast,
-                saturation=config.saturation,
-            )
-        )
-    if not steps:
-        if config.allow_identity:
-            steps.append(MotionBlurStep(length=1))  # exact identity
-        else:
-            raise EmptyChainDrawnError(
-                "random draw produced an empty chain (set allow_identity to permit)"
-            )
-    return ChainSpec(tuple(steps))

@@ -123,14 +123,6 @@ class Manifest:
     def __iter__(self):
         return iter(self.records)
 
-    def subsets(self) -> list[str]:
-        """Distinct subset tags in first-appearance order."""
-        out: list[str] = []
-        for rec in self.records:
-            if rec.subset not in out:
-                out.append(rec.subset)
-        return out
-
 
 @dataclass(frozen=True)
 class ImageBuffer:

@@ -60,10 +60,6 @@ class EmptyImageError(XmodalError):
     pass
 
 
-class CropLargerThanImageError(XmodalError):
-    pass
-
-
 class ImageTooSmallError(XmodalError):
     pass
 

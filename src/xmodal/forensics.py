@@ -100,17 +100,25 @@ def _luma_plane(img: ImageBuffer) -> np.ndarray:
     return to_luma(img).data[0]
 
 
+def require_dct_block(img: ImageBuffer) -> ImageBuffer:
+    """Return ``img`` if it holds at least one whole 8x8 block, else raise."""
+    if img.height < BLOCK or img.width < BLOCK:
+        raise ImageTooSmallError(
+            f"need at least {BLOCK}x{BLOCK} pixels, got {img.width}x{img.height}"
+        )
+    return img
+
+
 def dct_ac_histogram(
     images: Iterable[ImageBuffer],
     value_range: float = 64.0,
     nbins: int = 129,
-    zero_eps: float = ZERO_EPS,
 ) -> DctAcResult:
     """Pool the 63 AC coefficients of every 8x8 luma block.
 
     Coefficients are at 8-bit scale (luma*255 - 128 before the DCT). Bins
     are symmetric around zero over [-value_range, value_range];
-    zero_fraction counts |a| < zero_eps over all coefficients, in or out
+    zero_fraction counts |a| < ZERO_EPS over all coefficients, in or out
     of the histogram range.
     """
     if value_range <= 0:
@@ -123,10 +131,7 @@ def dct_ac_histogram(
     ac_mask = np.ones((BLOCK, BLOCK), dtype=bool)
     ac_mask[0, 0] = False
     for img in images:
-        if img.height < BLOCK or img.width < BLOCK:
-            raise ImageTooSmallError(
-                f"need at least {BLOCK}x{BLOCK} pixels, got {img.width}x{img.height}"
-            )
+        require_dct_block(img)
         plane = _luma_plane(img) * 255.0 - 128.0
         h8 = (img.height // BLOCK) * BLOCK
         w8 = (img.width // BLOCK) * BLOCK
@@ -135,7 +140,7 @@ def dct_ac_histogram(
         hist, _ = np.histogram(ac, bins=edges)
         counts += hist
         total_ac += ac.size
-        n_zero += int(np.count_nonzero(np.abs(ac) < zero_eps))
+        n_zero += int(np.count_nonzero(np.abs(ac) < ZERO_EPS))
         n_images += 1
     if n_images == 0:
         raise EmptyInputError("dct_ac_histogram needs at least one image")
@@ -204,7 +209,7 @@ class DatasetSpectrum(DatasetAnalysis):
 
 def dataset_mean_rapsd(
     records: Iterable[SampleRecord],
-    preprocess: Optional[ChainSpec | Callable[[ImageBuffer, str], ImageBuffer]] = None,
+    preprocess: Optional[ChainSpec] = None,
     nbins: int = 32,
     window: Window = Window.NONE,
     loader: Callable[[str], ImageBuffer] = load_image,
@@ -214,21 +219,16 @@ def dataset_mean_rapsd(
     """Arithmetic mean of per-image RAPSD profiles over the records.
 
     Samples that fail to load or analyze are counted and skipped; only a
-    fully failing corpus raises. ``preprocess`` is either a degradation
-    ChainSpec (applied with a per-sample generator derived from ``seed`` and
-    the sample id) or a callable receiving (image, id). Profiles are computed
-    on ``threads`` workers and summed in record order.
+    fully failing corpus raises. ``preprocess`` is a degradation chain,
+    applied with a per-sample generator derived from ``seed`` and the sample
+    id. Profiles are computed on ``threads`` workers and summed in record
+    order.
     """
-    if isinstance(preprocess, ChainSpec):
-        chain = preprocess
-
-        def preprocess(img: ImageBuffer, sample_id: str) -> ImageBuffer:
-            rng = np.random.default_rng(derive_sample_seed(seed, sample_id))
-            return apply_chain(img, chain, rng)
 
     def profile_of(rec: SampleRecord, img: ImageBuffer) -> RadialProfile:
         if preprocess is not None:
-            img = preprocess(img, rec.id)
+            rng = np.random.default_rng(derive_sample_seed(seed, rec.id))
+            img = apply_chain(img, preprocess, rng)
         return rapsd(img, window=window, nbins=nbins)
 
     power_sum = count_sum = 0

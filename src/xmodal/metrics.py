@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -299,10 +298,9 @@ class FrameScore:
 
     video_id: str
     frame_index: int
-    score: float
     label: Label
     subset: str
-    logit: Optional[float] = None
+    logit: float
 
 
 def _sigmoid(x: float) -> float:
@@ -326,11 +324,7 @@ def select_frame_indices(n_frames: int, t: int) -> list[int]:
 
 
 def multi_frame_average(frames: Sequence[FrameScore], t: int = 1) -> ScoredPrediction:
-    """Average the logits of T uniformly spaced frames into one video score.
-
-    Falls back to averaging probabilities (with a warning) when any
-    selected frame lacks a logit.
-    """
+    """Average the logits of T uniformly spaced frames into one video score."""
     if not frames:
         raise EmptyVideoError("video has no frames")
     ordered = sorted(frames, key=lambda f: f.frame_index)
@@ -341,15 +335,7 @@ def multi_frame_average(frames: Sequence[FrameScore], t: int = 1) -> ScoredPredi
             f"video {ordered[0].video_id!r} has inconsistent label or subset tags"
         )
     picked = [ordered[i] for i in select_frame_indices(len(ordered), t)]
-    if all(f.logit is not None for f in picked):
-        score = _sigmoid(sum(f.logit for f in picked) / len(picked))
-    else:
-        warnings.warn(
-            f"video {ordered[0].video_id!r}: missing logits, averaging "
-            "probabilities instead (approximation)",
-            stacklevel=2,
-        )
-        score = sum(f.score for f in picked) / len(picked)
+    score = _sigmoid(sum(f.logit for f in picked) / len(picked))
     return ScoredPrediction(
         score=min(1.0, max(0.0, score)),
         label=ordered[0].label,

@@ -1,7 +1,8 @@
 """Pixel-level preprocessing and degradation primitives.
 
-Color conversion, resize, crop, blur and flip: the building blocks the
-degradation chains and the preprocessing pipeline are assembled from.
+Color conversion, 8-bit quantization, resize, blur and luma extraction: the
+building blocks the degradation chains and the forensic analyses are
+assembled from.
 All functions are pure; rounding everywhere is half-away-from-zero.
 """
 
@@ -14,7 +15,7 @@ import numpy as np
 from scipy import ndimage
 
 from .core import ImageBuffer
-from .errors import CropLargerThanImageError, EmptyImageError, WrongChannelCountError
+from .errors import EmptyImageError, WrongChannelCountError
 
 # BT.601 luma coefficients
 KR = 0.299
@@ -25,11 +26,6 @@ KB = 0.114
 class ColorRange(Enum):
     FULL = "full"
     LIMITED = "limited"  # 8-bit luma codes 16..235, chroma 16..240
-
-
-class CropPolicy(Enum):
-    CENTER = "center"
-    RANDOM = "random"
 
 
 class Boundary(Enum):
@@ -131,29 +127,6 @@ def shorter_side_resize(img: ImageBuffer, target: int) -> ImageBuffer:
     return ImageBuffer(_bilinear_resize(img.data, out_h, out_w))
 
 
-def crop(
-    img: ImageBuffer,
-    size: int,
-    policy: CropPolicy = CropPolicy.CENTER,
-    rng: np.random.Generator | None = None,
-) -> ImageBuffer:
-    """Take a size x size window; center or seeded-random offset."""
-    w, h = img.width, img.height
-    if size < 1 or size > min(w, h):
-        raise CropLargerThanImageError(
-            f"crop size {size} does not fit a {w}x{h} image"
-        )
-    if policy is CropPolicy.CENTER:
-        x0 = (w - size) // 2
-        y0 = (h - size) // 2
-    else:
-        if rng is None:
-            raise ValueError("random crop requires a seeded generator")
-        x0 = int(rng.integers(0, w - size + 1))
-        y0 = int(rng.integers(0, h - size + 1))
-    return ImageBuffer(img.data[:, y0 : y0 + size, x0 : x0 + size])
-
-
 _SCIPY_MODE = {Boundary.REFLECT: "reflect", Boundary.CIRCULAR: "wrap"}
 
 
@@ -209,10 +182,6 @@ def motion_blur(
         [ndimage.convolve(plane, kernel, mode=mode) for plane in img.data]
     )
     return ImageBuffer(out)
-
-
-def horizontal_flip(img: ImageBuffer) -> ImageBuffer:
-    return ImageBuffer(img.data[:, :, ::-1])
 
 
 def to_luma(img: ImageBuffer) -> ImageBuffer:

@@ -412,6 +412,10 @@ class TrainConfig:
             raise InvalidSpecError("epochs must be >= 1")
         if self.lam < 0:
             raise InvalidSpecError("lambda must be >= 0")
+        if not self.tau > 0:
+            raise InvalidSpecError("tau must be > 0")
+        if self.hidden_dim < 1 or self.feature_dim < 1:
+            raise InvalidSpecError("hidden_dim and feature_dim must be >= 1")
         if self.lam > 0 and self.batch_size < 2:
             raise InvalidSpecError("batch_size must be >= 2 when lambda > 0")
         if self.patience < 0:
@@ -734,17 +738,22 @@ def save_checkpoint(
 
 def load_checkpoint(path: str | Path) -> tuple[ToyModel, TrainConfig]:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise InvalidSpecError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise InvalidSpecError(f"{path}: unsupported version {doc.get('version')}")
-    params = {}
-    for name in PARAM_NAMES:
-        entry = doc["params"][name]
-        params[name] = np.asarray(entry["data"], dtype=np.float64).reshape(
-            entry["shape"]
-        )
-    cfg_doc = dict(doc["config"])
-    cfg_doc["variant"] = LossVariant(cfg_doc["variant"])
-    config = TrainConfig(**cfg_doc)
+    try:
+        params = {}
+        for name in PARAM_NAMES:
+            entry = doc["params"][name]
+            params[name] = np.asarray(entry["data"], dtype=np.float64).reshape(
+                entry["shape"]
+            )
+        cfg_doc = dict(doc["config"])
+        cfg_doc["variant"] = LossVariant(cfg_doc["variant"])
+        config = TrainConfig(**cfg_doc)
+    except KeyError as exc:
+        raise InvalidSpecError(f"{path}: checkpoint has no {exc} entry") from None
+    except TypeError as exc:
+        raise InvalidSpecError(f"{path}: {exc}") from None
     return ToyModel.from_params(params), config

@@ -9,6 +9,7 @@ import pytest
 from xmodal.cli import derive_sample_seed, main
 from xmodal.codecsim import ChainSpec, JpegSimStep, MotionBlurStep
 from xmodal.core import load_image, parse_manifest
+from xmodal.trainer import ToyModel, TrainConfig, save_checkpoint
 
 from conftest import textured_image, write_manifest_file
 from xmodal.core import save_image
@@ -263,6 +264,17 @@ class TestTrainCommand:
         assert run_cli("train", "--config", tmp_path / "missing.json",
                        "--out", tmp_path / "o") == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("tau", -1.0), ("tau", 0.0), ("hidden_dim", 0), ("feature_dim", 0),
+    ])
+    def test_bad_model_setting_exits_2(self, tmp_path, capsys, key, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"data": {"synthetic": {"seed": 1}},
+                                    "train": {"epochs": 2, key: value}}))
+        assert run_cli("train", "--config", path, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err and "Traceback" not in err
+
     def test_diverging_run_exits_3_without_traceback(self, tmp_path, capsys):
         path = tmp_path / "hot.json"
         path.write_text(json.dumps({"data": {"synthetic": {"seed": 3}},
@@ -359,10 +371,11 @@ class TestEvaluateCommand:
             assert exc.value.code == 2
 
     def test_non_positive_limit_exits_2(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            run_cli("evaluate", "--checkpoint", tmp_path / "c.json", "--features",
-                    tmp_path / "f.json", "--out", tmp_path / "eval", "--limit", 0)
-        assert exc.value.code == 2
+        for flag, value in (("--limit", 0), ("--frames", 0), ("--frames", -1)):
+            with pytest.raises(SystemExit) as exc:
+                run_cli("evaluate", "--checkpoint", tmp_path / "c.json", "--features",
+                        tmp_path / "f.json", "--out", tmp_path / "eval", flag, value)
+            assert exc.value.code == 2
 
     def test_unloadable_checkpoint_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -429,6 +442,88 @@ class TestEvaluateCommand:
                            features, "--out", out) == 0
         assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+
+
+def _write_json(path, doc):
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _feature_doc(**record_1):
+    """Four valid 6-d feature records; ``record_1`` edits the second (None drops a key)."""
+    records = [{"id": f"r{i}", "x": [0.1 * i] * 6, "label": "fake" if i % 2 else "real",
+                "modality": "image", "subset": "s"} for i in range(4)]
+    for key, value in record_1.items():
+        if value is None:
+            records[1].pop(key)
+        else:
+            records[1][key] = value
+    return {"records": records}
+
+
+def _train_argv(tmp_path, config):
+    return ["train", "--config", _write_json(tmp_path / "cfg.json", config),
+            "--out", tmp_path / "out"]
+
+
+def _train_on_features_argv(tmp_path, feature_doc):
+    features = str(_write_json(tmp_path / "f.json", feature_doc))
+    return _train_argv(tmp_path, {"data": {"train_features": features,
+                                           "val_features": features},
+                                  "train": {"epochs": 1}})
+
+
+def _evaluate_argv(tmp_path, feature_doc=None, edit_checkpoint=None):
+    checkpoint = tmp_path / "checkpoint.json"
+    save_checkpoint(ToyModel.init(6, 16, 8, np.random.default_rng(0)), TrainConfig(),
+                    checkpoint)
+    if edit_checkpoint is not None:
+        doc = json.loads(checkpoint.read_text())
+        edit_checkpoint(doc)
+        _write_json(checkpoint, doc)
+    features = _write_json(tmp_path / "f.json", feature_doc or _feature_doc())
+    return ["evaluate", "--checkpoint", checkpoint, "--features", features,
+            "--out", tmp_path / "eval"]
+
+
+# case -> (argv builder, text the error line must contain)
+MALFORMED_INPUTS = {
+    "train-unknown-key": (lambda p: _train_argv(p, {"train": {"epochz": 3}}), "epochz"),
+    "synthetic-unknown-key": (
+        lambda p: _train_argv(p, {"data": {"synthetic": {"sead": 1}}}), "sead"),
+    "data-names-no-source": (
+        lambda p: _train_argv(p, {"data": {"features": "f.json"}}), "'data' must name"),
+    "config-is-a-list": (lambda p: _train_argv(p, [1, 2]), "must be a JSON object"),
+    "train-record-without-x": (
+        lambda p: _train_on_features_argv(p, _feature_doc(x=None)),
+        "feature record 1 ('r1') has no 'x'"),
+    "train-record-without-modality": (
+        lambda p: _train_on_features_argv(p, _feature_doc(modality=None)),
+        "feature record 1 ('r1') has no 'modality' key"),
+    "checkpoint-missing-parameter": (
+        lambda p: _evaluate_argv(p, edit_checkpoint=lambda d: d["params"].pop("wp")), "'wp'"),
+    "checkpoint-extra-config-key": (
+        lambda p: _evaluate_argv(p, edit_checkpoint=lambda d: d["config"].update(bogus=1)),
+        "bogus"),
+    "records-not-a-list": (
+        lambda p: _evaluate_argv(p, feature_doc={"records": {"r0": [0.5] * 6}}),
+        "feature file must be"),
+    "subset-not-a-string": (
+        lambda p: _evaluate_argv(p, feature_doc=_feature_doc(subset=3)),
+        "feature record 1 ('r1') 'subset'"),
+}
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+    def test_exits_2_with_error_line_and_no_traceback(self, tmp_path, capsys, case):
+        build, expected = MALFORMED_INPUTS[case]
+        argv = build(tmp_path)
+        capsys.readouterr()
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and expected in err
+        assert "Traceback" not in err
 
 
 class TestFeatureFileTraining:
@@ -533,6 +628,20 @@ class TestPartialFailures:
         assert summary["n_failed"] == 1
         assert summary["failed_ids"] == ["gone"]
         assert summary["n_images"] == 4
+
+    def test_dct_counts_frame_below_one_block_as_failed(self, tmp_path):
+        entries = []
+        for i, side in enumerate((32, 6, 32)):
+            p = tmp_path / f"f{i}.pgm"
+            save_image(textured_image(seed=400 + i, h=side, w=side), p)
+            entries.append({"id": f"f{i}", "path": str(p), "label": "real",
+                            "modality": "image", "subset": "s"})
+        manifest = write_manifest_file(tmp_path / "m.jsonl", entries)
+        out = tmp_path / "out"
+        assert run_cli("analyze", "dct", "--manifest", manifest, "--out", out) == 0
+        summary = json.loads((out / "dct.summary.json").read_text())
+        assert summary["failed_ids"] == ["f1"]
+        assert summary["n_images"] == 2
 
     def test_degrade_lists_failures_and_exits_zero(self, tmp_path):
         manifest = self.broken_corpus(tmp_path)

@@ -1,4 +1,4 @@
-"""Cross-modal contrastive loss semantics, gradients, and the joint objective."""
+"""Cross-modal contrastive loss semantics, gradients, and binary cross-entropy."""
 
 import math
 
@@ -16,11 +16,9 @@ from xmodal.cmsupcon import (
     cm_supcon_grad,
     cm_supcon_loss,
     contrastive_grad,
-    joint_loss,
-    l2_normalize,
     vanilla_supcon_loss,
 )
-from xmodal.errors import LengthMismatchError, ZeroNormRowError
+from xmodal.errors import LengthMismatchError
 
 CM = LossConfig(tau=1.0)
 VAN = LossConfig(tau=1.0, variant=LossVariant.VANILLA)
@@ -47,26 +45,6 @@ def fd_gradient(z, y, m, cfg, step=1e-5):
             lm = cm_supcon_loss(BatchFeatures(zm, y, m), cfg).loss
             grad[i, j] = (lp - lm) / (2 * step)
     return grad
-
-
-class TestL2Normalize:
-    def test_three_four_five(self):
-        out = l2_normalize(np.array([[3.0, 4.0]]))
-        assert np.allclose(out, [[0.6, 0.8]], atol=1e-12)
-
-    def test_unit_row_unchanged(self):
-        row = np.array([[1.0, 0.0, 0.0]])
-        assert np.allclose(l2_normalize(row), row, atol=1e-12)
-
-    def test_zero_row_rejected(self):
-        with pytest.raises(ZeroNormRowError) as err:
-            l2_normalize(np.array([[1.0, 0.0], [0.0, 0.0]]))
-        assert err.value.index == 1
-
-    def test_output_unit_norm(self):
-        rng = np.random.default_rng(0)
-        out = l2_normalize(rng.normal(size=(20, 6)))
-        assert np.allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-9)
 
 
 class TestCmSupconLoss:
@@ -197,35 +175,11 @@ class TestGradient:
             assert rel.max() <= 1e-5
 
 
-class TestJointLoss:
-    def test_lambda_zero_is_pure_bce(self):
-        rng = np.random.default_rng(10)
-        batch = random_batch(rng, n=6, d=4)
-        logits = rng.normal(size=6)
-        result = joint_loss(logits, batch.y, batch, 0.0, LossConfig(tau=0.07))
-        assert result.total == result.bce
-
+class TestBinaryCrossEntropy:
     def test_logit_zero_fake_target_is_ln2(self):
         assert binary_cross_entropy(np.array([0.0]), np.array([1.0])) == pytest.approx(
             math.log(2.0), abs=1e-12
         )
-
-    def test_component_arithmetic(self):
-        z = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        batch = BatchFeatures(z, [0, 0, 1], [0, 1, 1])
-        logits = np.zeros(3)
-        targets = np.array([1, 1, 1])
-        result = joint_loss(logits, targets, batch, 0.05, CM)
-        assert result.bce == pytest.approx(math.log(2.0), abs=1e-12)
-        assert result.contrastive == pytest.approx(0.313262, abs=1e-6)
-        assert result.total == pytest.approx(
-            math.log(2.0) + 0.05 * 0.313262, abs=1e-6
-        )
-
-    def test_length_mismatch(self):
-        batch = random_batch(np.random.default_rng(0), n=4, d=3)
-        with pytest.raises(LengthMismatchError):
-            joint_loss(np.zeros(3), batch.y, batch, 0.0, CM)
 
     def test_extreme_logits_stay_finite(self):
         logits = np.array([1000.0, -1000.0])

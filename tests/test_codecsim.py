@@ -6,7 +6,6 @@ from scipy import fft as sp_fft
 
 from xmodal.codecsim import (
     JPEG_LUMA_BASE,
-    ChainSamplerConfig,
     ChainSpec,
     ColorJitterStep,
     GaussianBlurStep,
@@ -24,13 +23,11 @@ from xmodal.codecsim import (
     jpeg_simulate,
     quant_table_from_quality,
     quantize_coefficients,
-    sample_random_chain,
     tv_range_squeeze,
     video_codec_simulate,
 )
 from xmodal.errors import (
     EmptyChainDrawnError,
-    InvalidRangeError,
     QualityOutOfRangeError,
     UnknownStepError,
 )
@@ -309,56 +306,3 @@ class TestChains:
     def test_empty_chain_rejected(self):
         with pytest.raises(EmptyChainDrawnError):
             ChainSpec(tuple())
-
-
-class TestChainSampler:
-    def test_zero_probabilities_raise(self):
-        config = ChainSamplerConfig(
-            p_motion_blur=0.0, p_gaussian_blur=0.0, p_resize=0.0,
-            p_jpeg=0.0, p_video_codec=0.0, p_color_jitter=0.0,
-        )
-        with pytest.raises(EmptyChainDrawnError):
-            sample_random_chain(config, np.random.default_rng(0))
-
-    def test_zero_probabilities_with_identity_allowed(self):
-        config = ChainSamplerConfig(
-            p_motion_blur=0.0, p_gaussian_blur=0.0, p_resize=0.0,
-            p_jpeg=0.0, p_video_codec=0.0, p_color_jitter=0.0,
-            allow_identity=True,
-        )
-        chain = sample_random_chain(config, np.random.default_rng(0))
-        img = noise_image(0)
-        out = apply_chain(img, chain, np.random.default_rng(0))
-        assert np.array_equal(out.data, img.data)
-
-    def test_all_on_point_ranges_deterministic(self):
-        config = ChainSamplerConfig(
-            p_motion_blur=1.0, motion_blur_length=(5, 5), motion_blur_angle=(0.0, 0.0),
-            p_gaussian_blur=1.0, gaussian_sigma=(1.0, 1.0),
-            p_resize=1.0, resize_target=(32, 32),
-            p_jpeg=1.0, jpeg_quality=(75, 75),
-            p_video_codec=1.0, video_qstep=(8.0, 8.0), video_deadzone=(0.5, 0.5),
-            p_color_jitter=1.0, brightness=(1.0, 1.0), contrast=(1.0, 1.0),
-            saturation=(1.0, 1.0),
-        )
-        a = sample_random_chain(config, np.random.default_rng(0))
-        b = sample_random_chain(config, np.random.default_rng(123))
-        assert a == b
-        assert [type(s).__name__ for s in a.steps] == [
-            "MotionBlurStep", "GaussianBlurStep", "ResizeStep",
-            "JpegSimStep", "VideoCodecSimStep", "ColorJitterStep",
-        ]
-
-    def test_same_seed_same_chain(self):
-        config = ChainSamplerConfig()
-        a = sample_random_chain(config, np.random.default_rng(7))
-        b = sample_random_chain(config, np.random.default_rng(7))
-        assert a == b
-
-    def test_bad_ranges_rejected(self):
-        with pytest.raises(InvalidRangeError):
-            ChainSamplerConfig(jpeg_quality=(90, 30))
-        with pytest.raises(InvalidRangeError):
-            ChainSamplerConfig(p_jpeg=1.5)
-        with pytest.raises(InvalidRangeError):
-            ChainSamplerConfig(video_deadzone=(0.5, 1.0))

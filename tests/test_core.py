@@ -219,13 +219,6 @@ class TestManifestType:
         with pytest.raises(ValueError):
             Manifest(records=tuple())
 
-    def test_subsets_in_order(self):
-        recs = tuple(
-            SampleRecord(f"i{i}", "p", Label.REAL, Modality.IMAGE, subset)
-            for i, subset in enumerate(["b", "a", "b", "c"])
-        )
-        assert Manifest(recs).subsets() == ["b", "a", "c"]
-
 
 def sample_records(n: int) -> list[SampleRecord]:
     return [

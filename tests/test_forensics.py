@@ -30,7 +30,7 @@ from xmodal.forensics import (
     rapsd,
     residual_spectrum,
 )
-from xmodal.pixelops import Boundary, gaussian_blur, horizontal_flip
+from xmodal.pixelops import Boundary, gaussian_blur
 
 from conftest import constant_rgb, gray_image, noise_image, textured_image
 
@@ -120,7 +120,7 @@ class TestRapsd:
     def test_flip_invariance(self):
         img = noise_image(1, h=48, w=48)
         a = rapsd(img, nbins=12).power
-        b = rapsd(horizontal_flip(img), nbins=12).power
+        b = rapsd(ImageBuffer(img.data[:, :, ::-1]), nbins=12).power
         assert np.allclose(a, b, atol=1e-9)
 
     def test_hann_window_accepted(self):

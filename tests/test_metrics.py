@@ -290,7 +290,6 @@ class TestMultiFrameAverage:
             FrameScore(
                 video_id=video_id,
                 frame_index=i,
-                score=1.0 / (1.0 + math.exp(-lg)),
                 label=label,
                 subset=subset,
                 logit=lg,
@@ -322,17 +321,6 @@ class TestMultiFrameAverage:
         frames = self.frames([0.7] * 6)
         scores = {t: multi_frame_average(frames, t=t).score for t in (1, 2, 4, 6)}
         assert len(set(scores.values())) == 1
-
-    def test_probability_fallback_warns(self):
-        frames = self.frames([0.2, 0.4])
-        frames[1] = FrameScore(
-            video_id="v", frame_index=1, score=0.6, label=Label.FAKE, subset="s"
-        )
-        with pytest.warns(UserWarning, match="probabilities"):
-            out = multi_frame_average(frames, t=2)
-        assert out.score == pytest.approx(
-            (frames[0].score + 0.6) / 2.0, abs=1e-12
-        )
 
     def test_empty_video(self):
         with pytest.raises(EmptyVideoError):

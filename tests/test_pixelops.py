@@ -1,16 +1,13 @@
-"""Color conversion, resize, crop, blur, and flip behavior."""
+"""Color conversion, resize, blur, and luma behavior."""
 
 import numpy as np
 import pytest
 
-from xmodal.errors import CropLargerThanImageError, WrongChannelCountError
+from xmodal.errors import WrongChannelCountError
 from xmodal.pixelops import (
     Boundary,
     ColorRange,
-    CropPolicy,
-    crop,
     gaussian_blur,
-    horizontal_flip,
     motion_blur,
     motion_blur_kernel,
     quantize_8bit,
@@ -123,35 +120,6 @@ class TestResize:
         assert np.allclose(out.data, 0.37, atol=1e-12)
 
 
-class TestCrop:
-    def test_center_offsets(self):
-        img = gray_image(np.arange(512 * 256, dtype=np.float64).reshape(256, 512) / (512 * 256))
-        out = crop(img, 256, CropPolicy.CENTER)
-        assert np.array_equal(out.data, img.data[:, 0:256, 128:384])
-
-    def test_exact_size_is_identity(self):
-        img = noise_image(0, h=16, w=16)
-        for policy in (CropPolicy.CENTER, CropPolicy.RANDOM):
-            out = crop(img, 16, policy, np.random.default_rng(0))
-            assert np.array_equal(out.data, img.data)
-
-    def test_random_crop_domain_and_determinism(self):
-        img = noise_image(1, h=256, w=257)
-        seen = set()
-        for seed in range(20):
-            out = crop(img, 256, CropPolicy.RANDOM, np.random.default_rng(seed))
-            again = crop(img, 256, CropPolicy.RANDOM, np.random.default_rng(seed))
-            assert np.array_equal(out.data, again.data)
-            offset = 0 if np.array_equal(out.data, img.data[:, :, 0:256]) else 1
-            assert np.array_equal(out.data, img.data[:, :, offset : offset + 256])
-            seen.add(offset)
-        assert seen == {0, 1}
-
-    def test_too_large(self):
-        with pytest.raises(CropLargerThanImageError):
-            crop(noise_image(0, h=8, w=8), 9)
-
-
 class TestGaussianBlur:
     def test_sigma_zero_identity(self):
         img = noise_image(0)
@@ -225,20 +193,6 @@ class TestMotionBlur:
 
 
 class TestFlipAndLuma:
-    def test_row_reversal(self):
-        img = gray_image(np.array([[1.0, 2.0, 3.0]]) / 3.0)
-        out = horizontal_flip(img)
-        assert np.allclose(out.data[0, 0], np.array([3.0, 2.0, 1.0]) / 3.0)
-
-    def test_involution(self):
-        img = noise_image(0, channels=3)
-        assert np.array_equal(horizontal_flip(horizontal_flip(img)).data, img.data)
-
-    def test_symmetric_unchanged(self):
-        plane = np.array([[0.1, 0.2, 0.1], [0.4, 0.5, 0.4]])
-        img = gray_image(plane)
-        assert np.array_equal(horizontal_flip(img).data, img.data)
-
     def test_luma_passthrough_for_gray(self):
         img = noise_image(0)
         assert np.array_equal(to_luma(img).data, img.data)
