@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -107,6 +108,34 @@ def _dct_image(rec: SampleRecord, img: ImageBuffer) -> ImageBuffer:
     return require_dct_block(img)
 
 
+# glibc mallopt parameters, and the values the corpus commands give them
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_KEEP_FREED_BYTES = 1 << 30
+_HEAP_ARRAY_BYTES = 32 << 20  # the largest mmap threshold glibc accepts on 64-bit
+
+
+def _keep_freed_heap() -> None:
+    """Keep freed heap mapped for the next sample, where glibc is the allocator.
+
+    By default glibc hands freed heap back to the kernel once a few MiB sit
+    free at its top, and gives large arrays fresh ``mmap`` pages each time,
+    so every frame's temporaries fault in newly zeroed memory. This keeps up
+    to 1 GiB of freed heap and serves arrays up to 32 MiB from the heap.
+    Without glibc's ``mallopt`` it does nothing.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, _KEEP_FREED_BYTES)
+    mallopt(_M_MMAP_THRESHOLD, _HEAP_ARRAY_BYTES)
+
+
 # --- analyze ----------------------------------------------------------------
 
 
@@ -116,6 +145,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     records = manifest.records[: args.limit]
     kind = args.kind
+    _keep_freed_heap()
     # dct and luma reduce images as they stream in; ``failed`` fills as they do,
     # and a frame too small for one DCT block fails alone, like a bad file
     failed: list[str] = []
@@ -254,6 +284,7 @@ def cmd_degrade(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     records = manifest.records[: args.limit]
     position = {rec.id: i for i, rec in enumerate(records)}
+    _keep_freed_heap()
 
     def degrade_one(rec: SampleRecord, img: ImageBuffer) -> str:
         rng = np.random.default_rng(derive_sample_seed(args.seed, rec.id))
@@ -318,18 +349,41 @@ def _json_object(value, what: str) -> dict:
     return value
 
 
+_TRAIN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
+
+
+def _train_value(key: str, value):
+    """A ``train`` setting checked against its default's type, or XmodalError."""
+    name = "lam" if key == "lambda" else key
+    if name not in _TRAIN_DEFAULTS:
+        raise XmodalError(f"'train.{key}': unknown key")
+    default = _TRAIN_DEFAULTS[name]
+    if isinstance(default, LossVariant):
+        try:
+            return LossVariant(value)
+        except ValueError:
+            choices = ", ".join(repr(v.value) for v in LossVariant)
+            raise XmodalError(
+                f"'train.{key}': {value!r} is not one of {choices}"
+            ) from None
+    kinds = (int, float) if isinstance(default, float) else (type(default),)
+    if isinstance(value, bool) != isinstance(default, bool) or not isinstance(value, kinds):
+        raise XmodalError(
+            f"'train.{key}': expected {type(default).__name__}, got {value!r}"
+        )
+    return value
+
+
 def _train_config_from_doc(doc: dict, seed_override: Optional[int]) -> TrainConfig:
-    train_doc = dict(_json_object(doc.get("train", {}), "'train'"))
+    train_doc = {
+        key: _train_value(key, value)
+        for key, value in _json_object(doc.get("train", {}), "'train'").items()
+    }
     if "lambda" in train_doc:
         train_doc["lam"] = train_doc.pop("lambda")
-    if "variant" in train_doc:
-        train_doc["variant"] = LossVariant(train_doc["variant"])
     if seed_override is not None:
         train_doc["seed"] = seed_override
-    try:
-        return TrainConfig(**train_doc)
-    except TypeError as exc:
-        raise XmodalError(f"'train': {exc}") from None
+    return TrainConfig(**train_doc)
 
 
 def _synthetic_spec_from_doc(doc: dict) -> SyntheticSpec:
@@ -505,6 +559,12 @@ def _subset_tag(value) -> str:
     return value
 
 
+def _frame_index(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise XmodalError(f"must be a non-negative integer, got {value!r}")
+    return value
+
+
 def _score_feature_records(
     model: ToyModel, feature_layer: str, records: list[dict], t: int
 ) -> list[ScoredPrediction]:
@@ -517,7 +577,10 @@ def _score_feature_records(
             singles.append(
                 FrameScore(
                     video_id=str(rec.get("video_id") or f"__single_{i}"),
-                    frame_index=int(rec.get("frame_index") or 0),
+                    frame_index=(
+                        _record_field(rec, i, "frame_index", _frame_index)
+                        if "frame_index" in rec else 0
+                    ),
                     label=_record_field(rec, i, "label", Label.from_string),
                     subset=_record_field(rec, i, "subset", _subset_tag),
                     logit=logit,

@@ -30,6 +30,7 @@ from .errors import (
 )
 from .pixelops import (
     ColorRange,
+    _round_half_away_inplace,
     gaussian_blur,
     motion_blur,
     quantize_8bit,
@@ -173,7 +174,7 @@ def quant_table_from_quality(quality: int, channel: str = "luma") -> QuantTable:
 
 def quantize_coefficients(coeffs: np.ndarray, table: QuantTable) -> np.ndarray:
     """Divide by the table and round half-away-from-zero to integer indices."""
-    return round_half_away(np.asarray(coeffs, dtype=np.float64) / table.table)
+    return _round_half_away_inplace(np.asarray(coeffs, dtype=np.float64) / table.table)
 
 
 def dequantize_coefficients(indices: np.ndarray, table: QuantTable) -> np.ndarray:
@@ -204,15 +205,19 @@ def deadzone_quantize_block(coeffs: np.ndarray, model: VideoQuantModel) -> np.nd
     DC gets a plain round; AC is zeroed inside deadzone*qstep, otherwise
     rounded to the nearest multiple of qstep.
     """
-    coeffs = np.asarray(coeffs, dtype=np.float64)
+    return _deadzone_quantize_inplace(np.array(coeffs, dtype=np.float64), model)
+
+
+def _deadzone_quantize_inplace(coeffs: np.ndarray, model: VideoQuantModel) -> np.ndarray:
+    """deadzone_quantize_block written over a float64 ``coeffs``; returns it."""
     q = model.qstep
-    rec = round_half_away(coeffs / q) * q
-    ac_dead = np.abs(coeffs) < model.deadzone * q
-    rec = np.where(ac_dead, 0.0, rec)
-    # DC is exempt from the deadzone
-    rec_dc = round_half_away(coeffs[..., 0, 0] / q) * q
-    rec[..., 0, 0] = rec_dc
-    return rec
+    dead = np.abs(coeffs) < model.deadzone * q
+    dead[..., 0, 0] = False  # DC is exempt from the deadzone
+    coeffs /= q
+    _round_half_away_inplace(coeffs)
+    coeffs *= q
+    np.copyto(coeffs, 0.0, where=dead)
+    return coeffs
 
 
 # --- image-level simulators -----------------------------------------------------
@@ -222,27 +227,19 @@ LUMA_OFFSET = 128.0
 CHROMA_OFFSET = 127.5  # chroma neutral is 0.5 in float, i.e. 127.5 at 8-bit scale
 
 
-def _codec_channels(img: ImageBuffer) -> tuple[list[tuple[np.ndarray, float]], bool]:
-    """Split into codec channels with their centering offsets.
-
-    Color input goes through YCbCr; chroma is centered on its neutral so a
-    neutral-gray image has exactly-zero chroma coefficients.
-    """
-    if img.channels == 3:
-        ycbcr = rgb_to_ycbcr(img, ColorRange.FULL)
-        return [
-            (ycbcr.data[0], LUMA_OFFSET),
-            (ycbcr.data[1], CHROMA_OFFSET),
-            (ycbcr.data[2], CHROMA_OFFSET),
-        ], True
-    return [(img.data[0], LUMA_OFFSET)], False
+def _centered_coeffs(plane: np.ndarray, offset: float) -> tuple[np.ndarray, tuple[int, int]]:
+    """Block DCT of one channel at 8-bit scale, centered on ``offset``."""
+    centered = plane * 255.0
+    centered -= offset
+    return _blocks_forward(centered)
 
 
-def _reassemble(channels: list[np.ndarray], was_color: bool) -> ImageBuffer:
-    if was_color:
-        ycbcr = ImageBuffer(np.stack(channels))
-        return ycbcr_to_rgb(ycbcr, ColorRange.FULL)
-    return ImageBuffer(np.clip(np.stack(channels), 0.0, 1.0))
+def _reconstruct(
+    coeffs: np.ndarray, size: tuple[int, int], offset: float, out: np.ndarray
+) -> None:
+    """Inverse of _centered_coeffs, written into the [0, 1]-scale plane ``out``."""
+    np.add(_blocks_inverse(coeffs, size), offset, out=out)
+    out /= 255.0
 
 
 def jpeg_simulate(
@@ -256,17 +253,24 @@ def jpeg_simulate(
     decoded file; pass False to keep the float reconstruction, which
     preserves exactly-zero AC coefficients for analysis.
     """
-    channels, was_color = _codec_channels(img)
-    tables = [quant_table_from_quality(quality, "luma")]
+    # color input goes through full-range YCbCr; chroma is centered on its
+    # neutral so a neutral-gray image has exactly-zero chroma coefficients
+    was_color = img.channels == 3
+    planes = rgb_to_ycbcr(img, ColorRange.FULL).data if was_color else img.data
+    luma = quant_table_from_quality(quality, "luma").table
+    chroma = quant_table_from_quality(quality, "chroma").table
+    offsets = (LUMA_OFFSET, CHROMA_OFFSET, CHROMA_OFFSET)
+    out = np.empty_like(planes)
+    for plane, offset, table, dst in zip(planes, offsets, (luma, chroma, chroma), out):
+        coeffs, size = _centered_coeffs(plane, offset)
+        coeffs /= table
+        _round_half_away_inplace(coeffs)
+        coeffs *= table
+        _reconstruct(coeffs, size, offset, dst)
     if was_color:
-        chroma = quant_table_from_quality(quality, "chroma")
-        tables += [chroma, chroma]
-    out_channels = []
-    for (plane, offset), table in zip(channels, tables):
-        coeffs, size = _blocks_forward(plane * 255.0 - offset)
-        rec = dequantize_coefficients(quantize_coefficients(coeffs, table), table)
-        out_channels.append((_blocks_inverse(rec, size) + offset) / 255.0)
-    result = _reassemble(out_channels, was_color)
+        result = ycbcr_to_rgb(ImageBuffer(out), ColorRange.FULL)
+    else:
+        result = ImageBuffer(np.clip(out, 0.0, 1.0, out=out))
     if quantize_output:
         result = quantize_8bit(result)
     return result
@@ -279,12 +283,11 @@ def video_codec_simulate(img: ImageBuffer, model: VideoQuantModel) -> ImageBuffe
     skips the final 8-bit snap, approximating a codec's internal
     reconstruction rather than a decoded file.
     """
-    out_channels = []
-    for plane in img.data:
-        coeffs, size = _blocks_forward(plane * 255.0 - 128.0)
-        rec = deadzone_quantize_block(coeffs, model)
-        out_channels.append((_blocks_inverse(rec, size) + 128.0) / 255.0)
-    return ImageBuffer(np.clip(np.stack(out_channels), 0.0, 1.0))
+    out = np.empty_like(img.data)
+    for plane, dst in zip(img.data, out):
+        coeffs, size = _centered_coeffs(plane, 128.0)
+        _reconstruct(_deadzone_quantize_inplace(coeffs, model), size, 128.0, dst)
+    return ImageBuffer(np.clip(out, 0.0, 1.0, out=out))
 
 
 def tv_range_squeeze(img: ImageBuffer) -> ImageBuffer:

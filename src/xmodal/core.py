@@ -332,7 +332,9 @@ def load_image(path: str | Path) -> ImageBuffer:
         planar = raw.reshape(1, height, width)
     else:
         planar = raw.reshape(height, width, 3).transpose(2, 0, 1)
-    return ImageBuffer(planar.astype(np.float64) / 255.0)
+    data = np.empty((channels, height, width))
+    np.divide(planar, 255.0, out=data)
+    return ImageBuffer(data)
 
 
 def save_image(img: ImageBuffer, path: str | Path) -> None:
@@ -342,13 +344,17 @@ def save_image(img: ImageBuffer, path: str | Path) -> None:
     load -> save round trip of an 8-bit file is byte-identical.
     """
     path = Path(path)
-    codes = np.floor(np.clip(img.data, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
-    if img.channels == 1:
-        magic, payload = b"P5", codes[0].tobytes()
-    else:
-        magic, payload = b"P6", codes.transpose(1, 2, 0).tobytes()
-    header = b"%s\n%d %d\n255\n" % (magic, img.width, img.height)
-    path.write_bytes(header + payload)
+    scaled = np.clip(img.data, 0.0, 1.0)
+    scaled *= 255.0
+    scaled += 0.5
+    np.floor(scaled, out=scaled)
+    # interleaved (height, width, channels) codes, cast straight from the planes
+    codes = np.empty((img.height, img.width, img.channels), dtype=np.uint8)
+    np.copyto(codes, scaled.transpose(1, 2, 0), casting="unsafe")
+    magic = b"P5" if img.channels == 1 else b"P6"
+    with path.open("wb") as fh:
+        fh.write(b"%s\n%d %d\n255\n" % (magic, img.width, img.height))
+        fh.write(codes.data)
 
 
 T = TypeVar("T")

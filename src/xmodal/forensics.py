@@ -8,6 +8,7 @@ comb-patterned luminance histograms.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Optional
@@ -174,18 +175,30 @@ def rapsd(
         plane = plane * np.outer(np.hanning(img.height), np.hanning(img.width))
     spectrum = np.fft.fft2(plane)
     power = (spectrum.real**2 + spectrum.imag**2) / (img.width * img.height)
-    fy = np.fft.fftfreq(img.height)[:, None]
-    fx = np.fft.fftfreq(img.width)[None, :]
+    mask, idx, counts = _radial_bins(img.height, img.width, nbins)
+    sums = np.bincount(idx, weights=power[mask], minlength=nbins)
+    mean_power = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
+    radii = (np.arange(nbins) + 0.5) * (0.5 / nbins)
+    return RadialProfile(radii=radii, power=mean_power, counts=counts)
+
+
+@functools.lru_cache(maxsize=4)
+def _radial_bins(height: int, width: int, nbins: int) -> tuple[np.ndarray, ...]:
+    """rapsd's frequency mask, per-frequency bin index and per-bin counts.
+
+    They depend only on the shape and ``nbins``, so a corpus of equal-size
+    frames builds them once. The arrays are shared, hence read-only.
+    """
+    fy = np.fft.fftfreq(height)[:, None]
+    fx = np.fft.fftfreq(width)[None, :]
     radius = np.sqrt(fx * fx + fy * fy)
     mask = (radius > 0.0) & (radius <= 0.5)
-    bin_width = 0.5 / nbins
-    idx = np.ceil(radius[mask] / bin_width).astype(int) - 1
+    idx = np.ceil(radius[mask] / (0.5 / nbins)).astype(int) - 1
     idx = np.clip(idx, 0, nbins - 1)
-    sums = np.bincount(idx, weights=power[mask], minlength=nbins)
     counts = np.bincount(idx, minlength=nbins).astype(np.int64)
-    mean_power = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
-    radii = (np.arange(nbins) + 0.5) * bin_width
-    return RadialProfile(radii=radii, power=mean_power, counts=counts)
+    for arr in (mask, idx, counts):
+        arr.setflags(write=False)
+    return mask, idx, counts
 
 
 @dataclass(frozen=True)

@@ -44,8 +44,22 @@ def round_half_away(x: np.ndarray | float) -> np.ndarray:
     return np.copysign(np.floor(np.abs(x) + 0.5), x)
 
 
-def _clamp01(arr: np.ndarray) -> np.ndarray:
-    return np.clip(arr, 0.0, 1.0)
+def _round_half_away_inplace(x: np.ndarray) -> np.ndarray:
+    """round_half_away of a float64 array, written over ``x``; returns ``x``."""
+    mag = np.abs(x)
+    mag += 0.5
+    np.floor(mag, out=mag)
+    return np.copysign(mag, x, out=x)
+
+
+def _bt601_luma(r: np.ndarray, g: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """KR*r + KG*g + KB*b, summed left to right, written into ``out``."""
+    np.multiply(r, KR, out=out)
+    term = np.multiply(g, KG)
+    out += term
+    np.multiply(b, KB, out=term)
+    out += term
+    return out
 
 
 def rgb_to_ycbcr(img: ImageBuffer, color_range: ColorRange = ColorRange.FULL) -> ImageBuffer:
@@ -57,35 +71,63 @@ def rgb_to_ycbcr(img: ImageBuffer, color_range: ColorRange = ColorRange.FULL) ->
     """
     if img.channels != 3:
         raise WrongChannelCountError(f"expected 3 channels, got {img.channels}")
-    r, g, b = _clamp01(img.data)
-    y = KR * r + KG * g + KB * b
-    cb = (b - y) * (0.5 / (1.0 - KB)) + 0.5
-    cr = (r - y) * (0.5 / (1.0 - KR)) + 0.5
+    out = np.clip(img.data, 0.0, 1.0)
+    r, g, b = out
+    y = _bt601_luma(r, g, b, np.empty_like(r))
+    # Cb takes G's plane and Cr takes B's once each is spent; Y takes R's last
+    for plane, rgb, scale in ((out[1], b, 0.5 / (1.0 - KB)), (out[2], r, 0.5 / (1.0 - KR))):
+        np.subtract(rgb, y, out=plane)
+        plane *= scale
+        plane += 0.5
+    out[0] = y
     if color_range is ColorRange.LIMITED:
-        y = (16.0 + 219.0 * y) / 255.0
-        cb = (128.0 + 224.0 * (cb - 0.5)) / 255.0
-        cr = (128.0 + 224.0 * (cr - 0.5)) / 255.0
-    return ImageBuffer(_clamp01(np.stack([y, cb, cr])))
+        out[0] *= 219.0
+        out[0] += 16.0
+        out[1:] -= 0.5
+        out[1:] *= 224.0
+        out[1:] += 128.0
+        out /= 255.0
+    return ImageBuffer(np.clip(out, 0.0, 1.0, out=out))
 
 
 def ycbcr_to_rgb(img: ImageBuffer, color_range: ColorRange = ColorRange.FULL) -> ImageBuffer:
     """Exact algebraic inverse of rgb_to_ycbcr, then clamped to [0, 1]."""
     if img.channels != 3:
         raise WrongChannelCountError(f"expected 3 channels, got {img.channels}")
+    out = np.empty_like(img.data)
     y, cb, cr = img.data
     if color_range is ColorRange.LIMITED:
-        y = (255.0 * y - 16.0) / 219.0
-        cb = (255.0 * cb - 128.0) / 224.0 + 0.5
-        cr = (255.0 * cr - 128.0) / 224.0 + 0.5
-    r = y + (cr - 0.5) * ((1.0 - KR) / 0.5)
-    b = y + (cb - 0.5) * ((1.0 - KB) / 0.5)
-    g = (y - KR * r - KB * b) / KG
-    return ImageBuffer(_clamp01(np.stack([r, g, b])))
+        # limited-to-full affine maps into ``out``, which then holds Y, Cb, Cr
+        np.multiply(img.data, 255.0, out=out)
+        out[0] -= 16.0
+        out[0] /= 219.0
+        out[1:] -= 128.0
+        out[1:] /= 224.0
+        out[1:] += 0.5
+        y, cb, cr = out
+    r = np.subtract(cr, 0.5)
+    r *= (1.0 - KR) / 0.5
+    r += y
+    b = np.subtract(cb, 0.5)
+    b *= (1.0 - KB) / 0.5
+    b += y
+    # Cb and Cr are spent, so their planes take G and a scratch term
+    g, term = out[1], out[2]
+    np.multiply(r, KR, out=g)
+    np.subtract(y, g, out=g)
+    np.multiply(b, KB, out=term)
+    g -= term
+    g /= KG
+    out[0] = r
+    out[2] = b
+    return ImageBuffer(np.clip(out, 0.0, 1.0, out=out))
 
 
 def quantize_8bit(img: ImageBuffer) -> ImageBuffer:
     """Snap every sample to the 8-bit grid: u -> round(255*u)/255."""
-    return ImageBuffer(round_half_away(img.data * 255.0) / 255.0)
+    out = _round_half_away_inplace(img.data * 255.0)
+    out /= 255.0
+    return ImageBuffer(out)
 
 
 def _bilinear_resize(data: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -102,12 +144,18 @@ def _bilinear_resize(data: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     y1 = np.clip(y0 + 1, 0, in_h - 1)
     fy = np.clip(ys - y0, 0.0, 1.0)
 
-    rows0 = data[:, y0, :]
-    rows1 = data[:, y1, :]
-    mixed_rows = rows0 * (1.0 - fy)[None, :, None] + rows1 * fy[None, :, None]
-    cols0 = mixed_rows[:, :, x0]
-    cols1 = mixed_rows[:, :, x1]
-    return cols0 * (1.0 - fx)[None, None, :] + cols1 * fx[None, None, :]
+    # np.take keeps the gathered arrays C-contiguous, unlike fancy indexing
+    mixed = np.take(data, y0, axis=1)
+    mixed *= (1.0 - fy)[None, :, None]
+    far = np.take(data, y1, axis=1)
+    far *= fy[None, :, None]
+    mixed += far
+    out = np.take(mixed, x0, axis=2)
+    out *= (1.0 - fx)[None, None, :]
+    far = np.take(mixed, x1, axis=2)
+    far *= fx[None, None, :]
+    out += far
+    return out
 
 
 def shorter_side_resize(img: ImageBuffer, target: int) -> ImageBuffer:
@@ -178,9 +226,9 @@ def motion_blur(
         return ImageBuffer(img.data)
     kernel = motion_blur_kernel(length, angle_deg)
     mode = _SCIPY_MODE[boundary]
-    out = np.stack(
-        [ndimage.convolve(plane, kernel, mode=mode) for plane in img.data]
-    )
+    out = np.empty_like(img.data)
+    for plane, dst in zip(img.data, out):
+        ndimage.convolve(plane, kernel, output=dst, mode=mode)
     return ImageBuffer(out)
 
 
@@ -189,4 +237,6 @@ def to_luma(img: ImageBuffer) -> ImageBuffer:
     if img.channels == 1:
         return ImageBuffer(img.data)
     r, g, b = img.data
-    return ImageBuffer((KR * r + KG * g + KB * b)[None, :, :])
+    out = np.empty((1, img.height, img.width))
+    _bt601_luma(r, g, b, out[0])
+    return ImageBuffer(out)

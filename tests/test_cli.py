@@ -417,6 +417,16 @@ class TestEvaluateCommand:
         assert f"feature record 6 ('r6') {message}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("frame_index", [[1], 1.5], ids=["list", "float"])
+    def test_bad_frame_index_exits_2_naming_it(self, tmp_path, capsys, frame_index):
+        argv = _evaluate_argv(tmp_path, _feature_doc(video_id="v", frame_index=frame_index))
+        capsys.readouterr()
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert ("feature record 1 ('r1') 'frame_index': must be a non-negative "
+                f"integer, got {frame_index!r}") in err
+        assert "Traceback" not in err
+
     def test_wrong_feature_length_everywhere_exits_2(self, train_setup, tmp_path, capsys):
         checkpoint = self.make_checkpoint(train_setup, tmp_path)
         records = [{"id": f"r{i}", "x": [0.5] * 5, "label": "real", "modality": "image",
@@ -511,6 +521,12 @@ MALFORMED_INPUTS = {
     "subset-not-a-string": (
         lambda p: _evaluate_argv(p, feature_doc=_feature_doc(subset=3)),
         "feature record 1 ('r1') 'subset'"),
+    "train-value-of-wrong-type": (
+        lambda p: _train_argv(p, {"train": {"epochs": "5"}}),
+        "cfg.json: 'train.epochs': expected int, got '5'"),
+    "train-unknown-variant": (
+        lambda p: _train_argv(p, {"train": {"variant": "bogus"}}),
+        "cfg.json: 'train.variant': 'bogus' is not one of"),
 }
 
 
