@@ -127,8 +127,9 @@ def _keep_freed_heap() -> None:
     import ctypes
 
     try:
+        # CDLL(None) raises TypeError where there is no process-wide handle
         mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
+    except (OSError, AttributeError, TypeError):
         return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
@@ -578,8 +579,8 @@ def _score_feature_records(
                 FrameScore(
                     video_id=str(rec.get("video_id") or f"__single_{i}"),
                     frame_index=(
-                        _record_field(rec, i, "frame_index", _frame_index)
-                        if "frame_index" in rec else 0
+                        0 if rec.get("frame_index") is None
+                        else _record_field(rec, i, "frame_index", _frame_index)
                     ),
                     label=_record_field(rec, i, "label", Label.from_string),
                     subset=_record_field(rec, i, "subset", _subset_tag),

@@ -174,11 +174,23 @@ def quant_table_from_quality(quality: int, channel: str = "luma") -> QuantTable:
 
 def quantize_coefficients(coeffs: np.ndarray, table: QuantTable) -> np.ndarray:
     """Divide by the table and round half-away-from-zero to integer indices."""
-    return _round_half_away_inplace(np.asarray(coeffs, dtype=np.float64) / table.table)
+    return _quantize_inplace(np.array(coeffs, dtype=np.float64), table)
 
 
 def dequantize_coefficients(indices: np.ndarray, table: QuantTable) -> np.ndarray:
-    return np.asarray(indices, dtype=np.float64) * table.table
+    return _dequantize_inplace(np.array(indices, dtype=np.float64), table)
+
+
+def _quantize_inplace(coeffs: np.ndarray, table: QuantTable) -> np.ndarray:
+    """quantize_coefficients written over a float64 ``coeffs``; returns it."""
+    coeffs /= table.table
+    return _round_half_away_inplace(coeffs)
+
+
+def _dequantize_inplace(indices: np.ndarray, table: QuantTable) -> np.ndarray:
+    """dequantize_coefficients written over a float64 ``indices``; returns it."""
+    indices *= table.table
+    return indices
 
 
 @dataclass(frozen=True)
@@ -257,16 +269,14 @@ def jpeg_simulate(
     # neutral so a neutral-gray image has exactly-zero chroma coefficients
     was_color = img.channels == 3
     planes = rgb_to_ycbcr(img, ColorRange.FULL).data if was_color else img.data
-    luma = quant_table_from_quality(quality, "luma").table
-    chroma = quant_table_from_quality(quality, "chroma").table
+    luma = quant_table_from_quality(quality, "luma")
+    chroma = quant_table_from_quality(quality, "chroma")
     offsets = (LUMA_OFFSET, CHROMA_OFFSET, CHROMA_OFFSET)
     out = np.empty_like(planes)
     for plane, offset, table, dst in zip(planes, offsets, (luma, chroma, chroma), out):
         coeffs, size = _centered_coeffs(plane, offset)
-        coeffs /= table
-        _round_half_away_inplace(coeffs)
-        coeffs *= table
-        _reconstruct(coeffs, size, offset, dst)
+        indices = _quantize_inplace(coeffs, table)
+        _reconstruct(_dequantize_inplace(indices, table), size, offset, dst)
     if was_color:
         result = ycbcr_to_rgb(ImageBuffer(out), ColorRange.FULL)
     else:

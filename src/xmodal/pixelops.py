@@ -40,13 +40,12 @@ class Window(Enum):
 
 def round_half_away(x: np.ndarray | float) -> np.ndarray:
     """Round to nearest integer, halves away from zero (codec convention)."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.copysign(np.floor(np.abs(x) + 0.5), x)
+    return _round_half_away_inplace(np.array(x, dtype=np.float64))[()]
 
 
 def _round_half_away_inplace(x: np.ndarray) -> np.ndarray:
     """round_half_away of a float64 array, written over ``x``; returns ``x``."""
-    mag = np.abs(x)
+    mag = np.abs(x, out=np.empty_like(x))  # an array even when ``x`` is 0-d
     mag += 0.5
     np.floor(mag, out=mag)
     return np.copysign(mag, x, out=x)

@@ -427,6 +427,17 @@ class TestEvaluateCommand:
                 f"integer, got {frame_index!r}") in err
         assert "Traceback" not in err
 
+    def test_null_frame_index_scores_as_frame_0(self, tmp_path):
+        reports = []
+        for name, frame_index in (("null", None), ("zero", 0)):
+            doc = _feature_doc(video_id="v")
+            doc["records"][1]["frame_index"] = frame_index
+            (tmp_path / name).mkdir()
+            argv = _evaluate_argv(tmp_path / name, doc)
+            assert run_cli(*argv) == 0
+            reports.append((tmp_path / name / "eval" / "report.json").read_text())
+        assert reports[0] == reports[1]
+
     def test_wrong_feature_length_everywhere_exits_2(self, train_setup, tmp_path, capsys):
         checkpoint = self.make_checkpoint(train_setup, tmp_path)
         records = [{"id": f"r{i}", "x": [0.5] * 5, "label": "real", "modality": "image",

@@ -333,12 +333,14 @@ class TestKeepFreedHeap:
         cli._keep_freed_heap()
         assert calls == [(-1, 1 << 30), (-3, 32 << 20)]
 
-    @pytest.mark.parametrize("missing", [AttributeError, OSError])
+    # OSError: no C library; TypeError: CDLL(None) where there is no
+    # process-wide handle (Windows); AttributeError: a library without mallopt
+    @pytest.mark.parametrize("missing", [AttributeError, OSError, TypeError])
     def test_no_op_without_mallopt(self, monkeypatch, tmp_path, missing):
         def cdll(name):
-            if missing is OSError:
-                raise OSError("no C library")
-            return object()  # a library without ``mallopt``
+            if missing is AttributeError:
+                return object()
+            raise missing("no mallopt")
 
         monkeypatch.setattr("ctypes.CDLL", cdll)
         cli._keep_freed_heap()
