@@ -66,6 +66,7 @@ from .forensics import (
     detect_tv_range,
     luminance_histogram,
     rapsd,
+    residual_power,
     residual_spectrum,
 )
 from .cmsupcon import (

@@ -11,9 +11,11 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -42,7 +44,9 @@ from .forensics import (
     dct_ac_histogram,
     detect_tv_range,
     luminance_histogram,
+    rapsd,
     require_dct_block,
+    residual_power,
     residual_spectrum,
 )
 from .metrics import (
@@ -71,7 +75,8 @@ def _sha256_file(path: Path) -> str:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _write_run_manifest(
@@ -100,12 +105,11 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     return buf.getvalue()
 
 
-def _loaded_image(rec: SampleRecord, img: ImageBuffer) -> ImageBuffer:
-    return img
-
-
-def _dct_image(rec: SampleRecord, img: ImageBuffer) -> ImageBuffer:
-    return require_dct_block(img)
+def _seeded_chain(
+    img: ImageBuffer, chain: ChainSpec, seed: int, rec: SampleRecord
+) -> ImageBuffer:
+    """``img`` through ``chain``, drawing from a generator seeded per sample id."""
+    return apply_chain(img, chain, np.random.default_rng(derive_sample_seed(seed, rec.id)))
 
 
 # glibc mallopt parameters, and the values the corpus commands give them
@@ -146,14 +150,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     records = manifest.records[: args.limit]
     kind = args.kind
-    _keep_freed_heap()
-    # dct and luma reduce images as they stream in; ``failed`` fills as they do,
-    # and a frame too small for one DCT block fails alone, like a bad file
-    failed: list[str] = []
-    per_sample = _dct_image if kind == "dct" else _loaded_image
-    images = successes(
-        iter_samples(records, per_sample, args.threads), failed, "to load"
-    )
     inputs = {"manifest": Path(args.manifest)}
     config = {
         "kind": kind,
@@ -163,17 +159,39 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "threads": args.threads,
     }
+    chain = None
+    if kind == "rapsd" and args.chain:
+        chain = ChainSpec.load(args.chain)
+        inputs["chain"] = Path(args.chain)
+        config["chain"] = str(args.chain)
+
+    def per_sample(rec: SampleRecord, img: ImageBuffer):
+        if kind == "dct":
+            # a frame too small for one DCT block fails alone, like a bad file
+            return require_dct_block(img)
+        if kind == "rapsd":
+            if chain is not None:
+                img = _seeded_chain(img, chain, args.seed, rec)
+            return rapsd(img, window=Window(args.window), nbins=args.bins)
+        if kind == "spectrum":
+            return residual_power(img, args.sigma, args.size)
+        return img
+
+    _keep_freed_heap()
+    # each reducer folds the results as they stream in; ``failed`` fills as it does
+    failed: list[tuple[str, str]] = []
+    results = successes(
+        iter_samples(records, per_sample, args.threads), failed, f"{kind} analysis"
+    )
 
     if kind == "dct":
-        result = dct_ac_histogram(images, value_range=args.range, nbins=args.bins)
+        result = dct_ac_histogram(results, value_range=args.range, nbins=args.bins)
         hist = result.histogram
+        header = ("bin_lo", "bin_hi", "count")
         rows = [
             (repr(float(hist.bin_edges[i])), repr(float(hist.bin_edges[i + 1])), int(c))
             for i, c in enumerate(hist.counts)
         ]
-        (out_dir / "dct.csv").write_text(
-            _csv_text(("bin_lo", "bin_hi", "count"), rows), encoding="utf-8"
-        )
         center = np.abs(hist.bin_edges[:-1] + np.diff(hist.bin_edges) / 2.0)
         near_zero = float(hist.counts[center < 0.5].sum() / max(hist.total, 1))
         summary = {
@@ -181,47 +199,27 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "near_zero_mass": near_zero,
             "total_ac": result.total_ac,
             "n_images": result.n_images,
-            "n_failed": len(failed),
-            "failed_ids": failed,
         }
-        _write_json(out_dir / "dct.summary.json", summary)
 
     elif kind == "rapsd":
-        preprocess = None
-        if args.chain:
-            preprocess = ChainSpec.load(args.chain)
-            inputs["chain"] = Path(args.chain)
-            config["chain"] = str(args.chain)
-        window = Window.HANN if args.window == "hann" else Window.NONE
-        result = dataset_mean_rapsd(
-            records, preprocess=preprocess, nbins=args.bins, window=window,
-            seed=args.seed, threads=args.threads,
-        )
-        profile = result.profile
+        profile = dataset_mean_rapsd(results)
+        header = ("radius", "power", "count")
         rows = [
             (repr(float(r)), repr(float(p)), int(c))
             for r, p, c in zip(profile.radii, profile.power, profile.counts)
         ]
-        (out_dir / "rapsd.csv").write_text(
-            _csv_text(("radius", "power", "count"), rows), encoding="utf-8"
-        )
-        third = max(len(profile.power) // 3, 1)
+        third = len(profile.power) // 3
         summary = {
             "low_band_power": float(profile.power[:third].mean()),
             "mid_band_power": float(profile.power[third : 2 * third].mean()),
             "high_band_power": float(profile.power[2 * third :].mean()),
-            "n_used": result.n_used,
-            "n_failed": result.n_failed,
-            "failed_ids": list(result.failed_ids),
+            "n_used": len(records) - len(failed),
         }
-        _write_json(out_dir / "rapsd.summary.json", summary)
 
     elif kind == "luma":
-        hist = luminance_histogram(images)
+        hist = luminance_histogram(results)
+        header = ("code", "count")
         rows = [(code, int(count)) for code, count in enumerate(hist.counts)]
-        (out_dir / "luma.csv").write_text(
-            _csv_text(("code", "count"), rows), encoding="utf-8"
-        )
         verdict, evidence = detect_tv_range(hist)
         summary = {
             "verdict": verdict.value,
@@ -229,24 +227,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "comb_score": evidence.comb_score,
             "total_pixels": hist.total,
             "n_images": len(records) - len(failed),
-            "n_failed": len(failed),
-            "failed_ids": failed,
         }
-        _write_json(out_dir / "luma.summary.json", summary)
 
-    elif kind == "spectrum":
-        result = residual_spectrum(
-            records, denoise_sigma=args.sigma, size=args.size, threads=args.threads
-        )
-        spec = result.spectrum
+    else:  # spectrum; argparse restricts the kinds
+        spec = residual_spectrum(results)
+        header = ("row", "col", "log10_power")
         rows = [
             (y, x, repr(float(spec.values[y, x])))
             for y in range(spec.height)
             for x in range(spec.width)
         ]
-        (out_dir / "spectrum.csv").write_text(
-            _csv_text(("row", "col", "log10_power"), rows), encoding="utf-8"
-        )
         cy, cx = spec.height // 2, spec.width // 2
         quarter = max(spec.height // 4, 1)
         lf = spec.values[cy - quarter : cy + quarter, cx - quarter : cx + quarter]
@@ -258,15 +248,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "high_freq_mean": float((total_sum - lf_sum) / max(hf_cells, 1)),
             "size": spec.width,
             "denoise_sigma": args.sigma,
-            "n_used": result.n_used,
-            "n_failed": result.n_failed,
-            "failed_ids": list(result.failed_ids),
+            "n_used": len(records) - len(failed),
         }
-        _write_json(out_dir / "spectrum.summary.json", summary)
 
-    else:  # pragma: no cover - argparse restricts choices
-        raise XmodalError(f"unknown analysis kind {kind!r}")
-
+    summary["n_failed"] = len(failed)
+    summary["failed_ids"] = [rec_id for rec_id, _ in failed]
+    (out_dir / f"{kind}.csv").write_text(_csv_text(header, rows), encoding="utf-8")
+    _write_json(out_dir / f"{kind}.summary.json", summary)
     _write_run_manifest(out_dir, f"analyze {kind}", config, inputs)
     return 0
 
@@ -287,41 +275,23 @@ def cmd_degrade(args: argparse.Namespace) -> int:
     position = {rec.id: i for i, rec in enumerate(records)}
     _keep_freed_heap()
 
-    def degrade_one(rec: SampleRecord, img: ImageBuffer) -> str:
-        rng = np.random.default_rng(derive_sample_seed(args.seed, rec.id))
-        degraded = apply_chain(img, chain, rng)
+    def degrade_one(rec: SampleRecord, img: ImageBuffer) -> SampleRecord:
+        degraded = _seeded_chain(img, chain, args.seed, rec)
         ext = "pgm" if degraded.channels == 1 else "ppm"
         out_path = out_dir / f"{position[rec.id]:06d}_{_safe_filename(rec.id)}.{ext}"
         save_image(degraded, out_path)
-        return str(out_path)
+        return dataclasses.replace(rec, path=str(out_path))
 
-    new_records = []
-    failures = []
-    for rec, out_path in iter_samples(records, degrade_one, args.threads):
-        if isinstance(out_path, Exception):
-            failures.append({"id": rec.id, "error": str(out_path)})
-        else:
-            new_records.append(
-                SampleRecord(
-                    id=rec.id,
-                    path=out_path,
-                    label=rec.label,
-                    modality=rec.modality,
-                    subset=rec.subset,
-                    frame_index=rec.frame_index,
-                    frame_count=rec.frame_count,
-                )
-            )
-    if not new_records:
-        raise XmodalError("every sample failed degradation")
-    write_manifest(
-        Manifest(tuple(new_records), str(out_dir / "manifest.jsonl")),
-        out_dir / "manifest.jsonl",
+    failed: list[tuple[str, str]] = []
+    new_records = tuple(
+        successes(iter_samples(records, degrade_one, args.threads), failed, "degradation")
     )
+    manifest_path = out_dir / "manifest.jsonl"
+    write_manifest(Manifest(new_records, str(manifest_path)), manifest_path)
     summary = {
         "n_ok": len(new_records),
-        "n_failed": len(failures),
-        "failures": failures,
+        "n_failed": len(failed),
+        "failures": [{"id": rec_id, "error": error} for rec_id, error in failed],
     }
     _write_json(out_dir / "degrade.summary.json", summary)
     config = {
@@ -627,14 +597,36 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 # --- argument parsing ------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
+def _positive_int(text: str, least: int = 1) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
     return value
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return value
+
+
+# analyze --bins per kind: (default, least accepted). The rapsd summary splits
+# the profile into three bands, and each needs at least one bin.
+_BINS = {"dct": (129, 1), "rapsd": (32, 3)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -653,16 +645,17 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--seed", type=int, default=0)
     analyze.add_argument("--threads", type=_positive_int, default=1)
     analyze.add_argument("--bins", type=int, default=None)
-    analyze.add_argument("--range", type=float, default=64.0,
+    analyze.add_argument("--range", type=_positive_float, default=64.0,
                          help="dct: half-width of the coefficient histogram")
     analyze.add_argument("--window", choices=("none", "hann"), default="none")
     analyze.add_argument("--chain", default=None,
                          help="rapsd: degradation chain applied before analysis")
-    analyze.add_argument("--sigma", type=float, default=1.0,
+    analyze.add_argument("--sigma", type=_positive_float, default=1.0,
                          help="spectrum: residual blur sigma")
-    analyze.add_argument("--size", type=int, default=64,
+    analyze.add_argument("--size", type=functools.partial(_positive_int, least=8),
+                         default=64,
                          help="spectrum: transform size")
-    analyze.set_defaults(func=cmd_analyze)
+    analyze.set_defaults(func=cmd_analyze, usage_error=analyze.error)
 
     degrade = sub.add_parser("degrade", help="apply a degradation chain to a corpus")
     degrade.add_argument("--manifest", required=True)
@@ -688,7 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
                           default="subset-mean")
     evaluate.add_argument("--frames", type=_positive_int, default=1,
                           help="frames per video for logit averaging")
-    evaluate.add_argument("--threshold", type=float, default=0.5)
+    evaluate.add_argument("--threshold", type=_finite_float, default=0.5)
     evaluate.add_argument("--limit", type=_positive_int, default=None)
     evaluate.set_defaults(func=cmd_evaluate)
 
@@ -700,10 +693,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "kind", None) == "dct" and args.bins is None:
-        args.bins = 129
-    elif getattr(args, "kind", None) == "rapsd" and args.bins is None:
-        args.bins = 32
+    if getattr(args, "kind", None) in _BINS:
+        default, least = _BINS[args.kind]
+        if args.bins is None:
+            args.bins = default
+        elif args.bins < least:
+            args.usage_error(f"argument --bins: must be >= {least} for {args.kind}, "
+                             f"got {args.bins}")
     try:
         return args.func(args)
     except NonFiniteLossError as exc:

@@ -417,17 +417,18 @@ def iter_samples(
 
 def successes(
     stream: Iterable[tuple[SampleRecord, Union[T, Exception]]],
-    failed: list[str],
+    failed: list[tuple[str, str]],
     what: str,
 ) -> Iterator[T]:
-    """Yield the results of ``iter_samples``, appending failed ids to ``failed``.
+    """Yield the results of ``iter_samples``: the one failure ledger, appending
+    each failed sample's ``(id, error text)`` to ``failed``.
 
     Raises AllSamplesFailedError once the stream ends if no sample succeeded.
     """
     n_ok = 0
     for rec, result in stream:
         if isinstance(result, Exception):
-            failed.append(rec.id)
+            failed.append((rec.id, str(result)))
         else:
             n_ok += 1
             yield result

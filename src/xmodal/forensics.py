@@ -4,6 +4,12 @@ and mean residual power spectra.
 These are the measurement tools that expose what video pipelines do to
 image statistics: sharper near-zero AC peaks, high-frequency decay, and
 comb-patterned luminance histograms.
+
+The dataset reducers (``dct_ac_histogram``, ``dataset_mean_rapsd``,
+``luminance_histogram``, ``residual_spectrum``) are plain folds that consume
+per-image inputs once, in order; ``rapsd`` and ``residual_power`` are the
+per-image steps of the two spectral folds. Loading a corpus, parallelism and
+failure accounting belong to the CLI (``core.iter_samples``, ``core.successes``).
 """
 
 from __future__ import annotations
@@ -11,12 +17,12 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
-from .codecsim import BLOCK, ChainSpec, _blocks_forward, apply_chain, derive_sample_seed
-from .core import ImageBuffer, SampleRecord, iter_samples, load_image, successes
+from .codecsim import BLOCK, _blocks_forward
+from .core import ImageBuffer
 from .errors import EmptyInputError, ImageTooSmallError, WrongBinCountError
 from .pixelops import Boundary, Window, gaussian_blur, round_half_away, to_luma
 
@@ -36,7 +42,7 @@ class Histogram:
         counts = np.ascontiguousarray(self.counts, dtype=np.int64)
         if edges.ndim != 1 or counts.ndim != 1 or len(edges) != len(counts) + 1:
             raise ValueError("need n+1 edges for n counts")
-        if np.any(np.diff(edges) <= 0):
+        if not np.all(np.diff(edges) > 0):
             raise ValueError("bin edges must be strictly ascending")
         if counts.min(initial=0) < 0:
             raise ValueError("counts must be non-negative")
@@ -62,7 +68,7 @@ class RadialProfile:
         counts = np.ascontiguousarray(self.counts, dtype=np.int64)
         if not (len(radii) == len(power) == len(counts)):
             raise ValueError("radii, power, counts must have equal length")
-        if np.any(np.diff(radii) <= 0):
+        if not np.all(np.diff(radii) > 0):
             raise ValueError("radii must be strictly ascending")
         if not np.all(np.isfinite(power)) or power.min(initial=0.0) < 0:
             raise ValueError("power must be finite and non-negative")
@@ -122,8 +128,8 @@ def dct_ac_histogram(
     zero_fraction counts |a| < ZERO_EPS over all coefficients, in or out
     of the histogram range.
     """
-    if value_range <= 0:
-        raise ValueError("value_range must be positive")
+    if not value_range > 0:
+        raise ValueError(f"value_range must be positive, got {value_range}")
     edges = np.linspace(-value_range, value_range, nbins + 1)
     counts = np.zeros(nbins, dtype=np.int64)
     total_ac = 0
@@ -201,63 +207,19 @@ def _radial_bins(height: int, width: int, nbins: int) -> tuple[np.ndarray, ...]:
     return mask, idx, counts
 
 
-@dataclass(frozen=True)
-class DatasetAnalysis:
-    """Aggregate result plus the bookkeeping of skipped samples."""
+def dataset_mean_rapsd(profiles: Iterable[RadialProfile]) -> RadialProfile:
+    """Arithmetic mean of per-image RAPSD profiles, with their bin counts summed.
 
-    n_used: int
-    n_failed: int
-    failed_ids: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class DatasetRapsd(DatasetAnalysis):
-    profile: RadialProfile
-
-
-@dataclass(frozen=True)
-class DatasetSpectrum(DatasetAnalysis):
-    spectrum: SpectrumImage
-
-
-def dataset_mean_rapsd(
-    records: Iterable[SampleRecord],
-    preprocess: Optional[ChainSpec] = None,
-    nbins: int = 32,
-    window: Window = Window.NONE,
-    loader: Callable[[str], ImageBuffer] = load_image,
-    seed: int = 0,
-    threads: int = 1,
-) -> DatasetRapsd:
-    """Arithmetic mean of per-image RAPSD profiles over the records.
-
-    Samples that fail to load or analyze are counted and skipped; only a
-    fully failing corpus raises. ``preprocess`` is a degradation chain,
-    applied with a per-sample generator derived from ``seed`` and the sample
-    id. Profiles are computed on ``threads`` workers and summed in record
-    order.
+    The profiles must share radii; they are summed in iteration order.
     """
-
-    def profile_of(rec: SampleRecord, img: ImageBuffer) -> RadialProfile:
-        if preprocess is not None:
-            rng = np.random.default_rng(derive_sample_seed(seed, rec.id))
-            img = apply_chain(img, preprocess, rng)
-        return rapsd(img, window=window, nbins=nbins)
-
     power_sum = count_sum = 0
     n_used = 0
-    failed: list[str] = []
-    stream = iter_samples(records, profile_of, threads, loader)
-    for profile in successes(stream, failed, "RAPSD analysis"):
+    for n_used, profile in enumerate(profiles, start=1):
         power_sum = power_sum + profile.power
         count_sum = count_sum + profile.counts
-        n_used += 1
-    profile = RadialProfile(
-        radii=profile.radii, power=power_sum / n_used, counts=count_sum
-    )
-    return DatasetRapsd(
-        n_used=n_used, n_failed=len(failed), failed_ids=tuple(failed), profile=profile
-    )
+    if n_used == 0:
+        raise EmptyInputError("dataset_mean_rapsd needs at least one profile")
+    return RadialProfile(radii=profile.radii, power=power_sum / n_used, counts=count_sum)
 
 
 def luminance_histogram(images: Iterable[ImageBuffer]) -> Histogram:
@@ -350,44 +312,32 @@ def _fit_to_square(plane: np.ndarray, size: int) -> np.ndarray:
     return plane[y0 : y0 + size, x0 : x0 + size]
 
 
-def residual_spectrum(
-    records: Iterable[SampleRecord],
-    denoise_sigma: float = 1.0,
-    size: int = 64,
-    loader: Callable[[str], ImageBuffer] = load_image,
-    threads: int = 1,
-) -> DatasetSpectrum:
-    """Mean 2D power spectrum of high-pass residuals, log-scaled, DC centered.
+def residual_power(
+    img: ImageBuffer, denoise_sigma: float = 1.0, size: int = 64
+) -> np.ndarray:
+    """|FFT|^2 of one image's high-pass luma residual, as a (size, size) array.
 
-    The residual is image minus its Gaussian blur (a denoiser stand-in);
-    the per-image |FFT|^2 spectra are computed on ``threads`` workers,
-    averaged in record order and reported as log10(1 + mean_power) with the
-    DC bin shifted to the center.
+    The luma plane is center-cropped to size x size (edge-padded first if
+    smaller); the residual is that plane minus its Gaussian blur, a denoiser
+    stand-in.
     """
-    if denoise_sigma <= 0:
-        raise ValueError("denoise_sigma must be > 0")
-    if size < 8:
-        raise ValueError("size must be >= 8")
+    luma = _fit_to_square(_luma_plane(img), size)
+    blurred = gaussian_blur(ImageBuffer(luma[None, :, :]), denoise_sigma, Boundary.REFLECT)
+    spectrum = np.fft.fft2(luma - blurred.data[0])
+    return spectrum.real**2 + spectrum.imag**2
 
-    def power_of(rec: SampleRecord, img: ImageBuffer) -> np.ndarray:
-        luma = _fit_to_square(_luma_plane(img), size)
-        buf = ImageBuffer(luma[None, :, :])
-        blurred = gaussian_blur(buf, denoise_sigma, Boundary.REFLECT)
-        spectrum = np.fft.fft2(luma - blurred.data[0])
-        return spectrum.real**2 + spectrum.imag**2
 
-    acc = np.zeros((size, size))
+def residual_spectrum(powers: Iterable[np.ndarray]) -> SpectrumImage:
+    """Mean of ``residual_power`` spectra, log-scaled, DC shifted to the center.
+
+    The spectra are summed in iteration order and reported as
+    log10(1 + mean_power).
+    """
+    acc = 0  # 0 + the first spectrum is a new array; the rest add into it in place
     n_used = 0
-    failed: list[str] = []
-    stream = iter_samples(records, power_of, threads, loader)
-    for power in successes(stream, failed, "spectrum analysis"):
+    for n_used, power in enumerate(powers, start=1):
         acc += power
-        n_used += 1
-    mean_power = acc / n_used
-    values = np.fft.fftshift(np.log10(1.0 + mean_power))
-    return DatasetSpectrum(
-        n_used=n_used,
-        n_failed=len(failed),
-        failed_ids=tuple(failed),
-        spectrum=SpectrumImage(width=size, height=size, values=values),
-    )
+    if n_used == 0:
+        raise EmptyInputError("residual_spectrum needs at least one spectrum")
+    values = np.fft.fftshift(np.log10(1.0 + acc / n_used))
+    return SpectrumImage(width=values.shape[1], height=values.shape[0], values=values)

@@ -99,6 +99,34 @@ class TestAnalyze:
         assert flag in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("kind,flag,value", [
+        ("spectrum", "--sigma", "inf"), ("spectrum", "--sigma", 0),
+        ("dct", "--range", "nan"), ("dct", "--range", "inf"), ("dct", "--range", -1),
+        ("dct", "--bins", 0), ("rapsd", "--bins", 1), ("rapsd", "--bins", 2),
+        ("spectrum", "--size", 7),
+    ])
+    def test_bad_numeric_options_exit_2(self, corpus, tmp_path, capsys, kind, flag, value):
+        root, manifest = corpus
+        with pytest.raises(SystemExit) as exc:
+            run_cli("analyze", kind, "--manifest", manifest, "--out", tmp_path / "out",
+                    flag, value)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: xmodal analyze") and flag in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind,flag,value", [
+        ("rapsd", "--bins", 3), ("dct", "--bins", 1), ("spectrum", "--size", 8),
+    ])
+    def test_smallest_numeric_options_accepted(self, corpus, tmp_path, kind, flag, value):
+        root, manifest = corpus
+        out = tmp_path / "out"
+        assert run_cli("analyze", kind, "--manifest", manifest, "--out", out,
+                       flag, value) == 0
+        summary = json.loads((out / f"{kind}.summary.json").read_text())
+        assert all(np.isfinite(v) for v in summary.values() if isinstance(v, float))
+
     def test_constant_image_zero_fraction(self, tmp_path):
         img_path = tmp_path / "c.pgm"
         save_image(textured_image(0, h=16, w=16, noise_sigma=0.0), img_path)
@@ -377,6 +405,15 @@ class TestEvaluateCommand:
                         tmp_path / "f.json", "--out", tmp_path / "eval", flag, value)
             assert exc.value.code == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_exits_2(self, tmp_path, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("evaluate", "--checkpoint", tmp_path / "c.json", "--features",
+                    tmp_path / "f.json", "--out", tmp_path / "eval", "--threshold", value)
+        assert exc.value.code == 2
+        assert "--threshold" in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
+
     def test_unloadable_checkpoint_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
@@ -541,6 +578,16 @@ MALFORMED_INPUTS = {
 }
 
 
+def test_write_json_rejects_non_finite(tmp_path):
+    from xmodal import cli
+
+    path = tmp_path / "summary.json"
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            cli._write_json(path, {"power": value})
+    assert not path.exists()
+
+
 class TestMalformedInputs:
     @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
     def test_exits_2_with_error_line_and_no_traceback(self, tmp_path, capsys, case):
@@ -683,7 +730,36 @@ class TestPartialFailures:
         assert summary["n_ok"] == 4
         assert summary["n_failed"] == 1
         assert summary["failures"][0]["id"] == "gone"
+        assert "missing.pgm" in summary["failures"][0]["error"]
         assert len(parse_manifest(out / "manifest.jsonl")) == 4
+
+    @pytest.mark.parametrize("kind", ["rapsd", "spectrum"])
+    def test_partial_failures_counted(self, tmp_path, kind):
+        manifest = self.broken_corpus(tmp_path)
+        out = tmp_path / "out"
+        assert run_cli("analyze", kind, "--manifest", manifest, "--out", out,
+                       "--size", 32) == 0
+        summary = json.loads((out / f"{kind}.summary.json").read_text())
+        assert summary["n_used"] == 4
+        assert summary["n_failed"] == 1
+        assert summary["failed_ids"] == ["gone"]
+
+    @pytest.mark.parametrize("command", ["rapsd", "spectrum", "degrade"])
+    def test_all_failures_exit_2(self, tmp_path, capsys, command):
+        entries = [{"id": f"s{i}", "path": str(tmp_path / f"gone_{i}.pgm"),
+                    "label": "real", "modality": "image", "subset": "s"}
+                   for i in range(3)]
+        manifest = write_manifest_file(tmp_path / "m.jsonl", entries)
+        if command == "degrade":
+            chain_path = tmp_path / "chain.json"
+            chain_path.write_text(ChainSpec((JpegSimStep(90),)).to_json())
+            argv = ("degrade", "--chain", chain_path)
+        else:
+            argv = ("analyze", command)
+        code = run_cli(*argv, "--manifest", manifest, "--out", tmp_path / "out")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "all 3 samples failed" in err and "Traceback" not in err
 
 
 class TestAnalyzeThreads:

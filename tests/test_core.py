@@ -297,7 +297,19 @@ class TestIterSamples:
             sample_records(4), lambda rec, img: rec.id, 1, memory_loader({"p1"})
         )
         assert list(successes(stream, failed, "to load")) == ["r0", "r2", "r3"]
-        assert failed == ["r1"]
+        assert [rec_id for rec_id, _ in failed] == ["r1"]
+
+    def test_successes_records_error_text(self):
+        def fn(rec, img):
+            if rec.id == "r2":
+                raise TruncatedDataError("bad payload in r2")
+            return rec.id
+
+        failed = []
+        stream = iter_samples(sample_records(4), fn, 2, memory_loader({"p0"}))
+        assert list(successes(stream, failed, "to load")) == ["r1", "r3"]
+        assert failed[0][0] == "r0" and "p0" in failed[0][1]
+        assert failed[1] == ("r2", "bad payload in r2")
 
     def test_successes_raises_when_all_fail(self):
         stream = iter_samples(

@@ -12,15 +12,11 @@ from xmodal.codecsim import (
     jpeg_simulate,
     tv_range_squeeze,
 )
-from xmodal.core import ImageBuffer, Label, Manifest, Modality, SampleRecord
-from xmodal.errors import (
-    AllSamplesFailedError,
-    EmptyInputError,
-    ImageTooSmallError,
-    WrongBinCountError,
-)
+from xmodal.core import ImageBuffer
+from xmodal.errors import EmptyInputError, ImageTooSmallError, WrongBinCountError
 from xmodal.forensics import (
     Histogram,
+    RadialProfile,
     TvRangeVerdict,
     Window,
     dataset_mean_rapsd,
@@ -28,26 +24,12 @@ from xmodal.forensics import (
     detect_tv_range,
     luminance_histogram,
     rapsd,
+    residual_power,
     residual_spectrum,
 )
 from xmodal.pixelops import Boundary, gaussian_blur
 
 from conftest import constant_rgb, gray_image, noise_image, textured_image
-
-
-def memory_manifest(images: dict[str, ImageBuffer]):
-    """(manifest, loader) pair serving in-memory buffers by record path."""
-    records = tuple(
-        SampleRecord(name, name, Label.REAL, Modality.IMAGE, "mem")
-        for name in images
-    )
-
-    def loader(path: str) -> ImageBuffer:
-        if path not in images:
-            raise OSError(f"missing {path}")
-        return images[path]
-
-    return Manifest(records, "memory"), loader
 
 
 class TestDctAcHistogram:
@@ -134,71 +116,36 @@ class TestRapsd:
 
 class TestDatasetMeanRapsd:
     def test_single_image_equals_rapsd(self):
-        img = textured_image(0, h=32, w=32)
-        manifest, loader = memory_manifest({"a": img})
-        result = dataset_mean_rapsd(manifest, nbins=8, loader=loader)
-        direct = rapsd(img, nbins=8)
-        assert np.array_equal(result.profile.power, direct.power)
+        direct = rapsd(textured_image(0, h=32, w=32), nbins=8)
+        assert np.array_equal(dataset_mean_rapsd([direct]).power, direct.power)
 
     @pytest.mark.parametrize("copies", [2, 4])
     def test_identical_copies_mean_exact(self, copies):
-        img = textured_image(1, h=32, w=32)
-        manifest, loader = memory_manifest({f"c{i}": img for i in range(copies)})
-        result = dataset_mean_rapsd(manifest, nbins=8, loader=loader)
-        direct = rapsd(img, nbins=8)
-        assert np.array_equal(result.profile.power, direct.power)
+        direct = rapsd(textured_image(1, h=32, w=32), nbins=8)
+        mean = dataset_mean_rapsd(iter([direct] * copies))
+        assert np.array_equal(mean.power, direct.power)
+        assert np.array_equal(mean.counts, copies * direct.counts)
 
     def test_three_copies_near_exact(self):
-        img = textured_image(2, h=32, w=32)
-        manifest, loader = memory_manifest({f"c{i}": img for i in range(3)})
-        result = dataset_mean_rapsd(manifest, nbins=8, loader=loader)
-        direct = rapsd(img, nbins=8)
-        assert np.allclose(result.profile.power, direct.power, rtol=1e-14)
+        direct = rapsd(textured_image(2, h=32, w=32), nbins=8)
+        mean = dataset_mean_rapsd([direct] * 3)
+        assert np.allclose(mean.power, direct.power, rtol=1e-14)
 
     def test_degraded_set_loses_high_band(self):
-        originals = {f"o{i}": noise_image(i, h=48, w=48) for i in range(10)}
+        originals = [noise_image(i, h=48, w=48) for i in range(10)]
         chain = ChainSpec(
             (MotionBlurStep(5, 0.0), ResizeStep(32), VideoCodecSimStep(16.0, 0.5))
         )
-        degraded = {
-            k: apply_chain(img, chain, np.random.default_rng(7))
-            for k, img in originals.items()
-        }
-        m1, l1 = memory_manifest(originals)
-        m2, l2 = memory_manifest(degraded)
+        degraded = [apply_chain(img, chain, np.random.default_rng(7)) for img in originals]
         nbins = 12
-        orig = dataset_mean_rapsd(m1, nbins=nbins, loader=l1).profile
-        degr = dataset_mean_rapsd(m2, nbins=nbins, loader=l2).profile
+        orig = dataset_mean_rapsd(rapsd(img, nbins=nbins) for img in originals)
+        degr = dataset_mean_rapsd(rapsd(img, nbins=nbins) for img in degraded)
         top = slice(2 * nbins // 3, nbins)
         assert degr.power[top].mean() < orig.power[top].mean()
 
-    def test_partial_failures_counted(self):
-        images = {"good": textured_image(0, h=32, w=32)}
-        records = (
-            SampleRecord("good", "good", Label.REAL, Modality.IMAGE, "s"),
-            SampleRecord("bad", "missing", Label.REAL, Modality.IMAGE, "s"),
-        )
-        manifest = Manifest(records, "memory")
-
-        def loader(path):
-            if path != "good":
-                raise OSError("nope")
-            return images["good"]
-
-        result = dataset_mean_rapsd(manifest, nbins=8, loader=loader)
-        assert result.n_used == 1
-        assert result.n_failed == 1
-        assert result.failed_ids == ("bad",)
-
-    def test_all_failures_raise(self):
-        records = (SampleRecord("x", "x", Label.REAL, Modality.IMAGE, "s"),)
-        manifest = Manifest(records, "memory")
-
-        def loader(path):
-            raise OSError("nope")
-
-        with pytest.raises(AllSamplesFailedError):
-            dataset_mean_rapsd(manifest, nbins=8, loader=loader)
+    def test_empty_input(self):
+        with pytest.raises(EmptyInputError):
+            dataset_mean_rapsd(iter(()))
 
 
 def ramp_image() -> ImageBuffer:
@@ -268,20 +215,18 @@ class TestDetectTvRange:
             detect_tv_range(hist)
 
 
+def mean_residual_spectrum(images, denoise_sigma=1.0, size=64):
+    return residual_spectrum(residual_power(img, denoise_sigma, size) for img in images)
+
+
 class TestResidualSpectrum:
     def test_constant_dataset_zero_spectrum(self):
-        manifest, loader = memory_manifest(
-            {f"c{i}": constant_rgb(0.4, h=64, w=64) for i in range(3)}
-        )
-        result = residual_spectrum(manifest, denoise_sigma=1.0, size=64, loader=loader)
-        assert np.all(np.abs(result.spectrum.values) < 1e-12)
+        spec = mean_residual_spectrum([constant_rgb(0.4, h=64, w=64) for _ in range(3)])
+        assert np.all(np.abs(spec.values) < 1e-12)
 
     def test_noise_residual_is_high_pass(self):
-        manifest, loader = memory_manifest(
-            {f"n{i}": noise_image(i, h=64, w=64) for i in range(5)}
-        )
-        result = residual_spectrum(manifest, denoise_sigma=1.0, size=64, loader=loader)
-        values = result.spectrum.values
+        spec = mean_residual_spectrum([noise_image(i, h=64, w=64) for i in range(5)])
+        values = spec.values
         cy, cx = 32, 32
         lf = values[cy - 8 : cy + 8, cx - 8 : cx + 8].mean()
         mask = np.ones_like(values, dtype=bool)
@@ -293,9 +238,8 @@ class TestResidualSpectrum:
         size = 64
         xx = np.tile(np.arange(size), (size, 1))
         stripes = 0.5 + 0.3 * np.sin(2 * np.pi * xx / 8.0)  # vertical stripes, period 8
-        manifest, loader = memory_manifest({"s": gray_image(stripes)})
-        result = residual_spectrum(manifest, denoise_sigma=1.0, size=size, loader=loader)
-        values = result.spectrum.values.copy()
+        spec = mean_residual_spectrum([gray_image(stripes)], size=size)
+        values = spec.values.copy()
         cy, cx = size // 2, size // 2
         k = size // 8
         peak_bins = {(cy, cx - k), (cy, cx + k)}
@@ -305,14 +249,22 @@ class TestResidualSpectrum:
         assert top2 == peak_bins
 
     def test_nonnegative_everywhere(self):
-        manifest, loader = memory_manifest({"t": textured_image(0, h=48, w=48)})
-        result = residual_spectrum(manifest, size=32, loader=loader)
-        assert result.spectrum.values.min() >= 0.0
+        spec = mean_residual_spectrum([textured_image(0, h=48, w=48)], size=32)
+        assert spec.values.min() >= 0.0
 
     def test_small_images_padded(self):
-        manifest, loader = memory_manifest({"small": textured_image(1, h=20, w=24)})
-        result = residual_spectrum(manifest, size=32, loader=loader)
-        assert result.spectrum.values.shape == (32, 32)
+        spec = mean_residual_spectrum([textured_image(1, h=20, w=24)], size=32)
+        assert spec.values.shape == (32, 32)
+        assert (spec.width, spec.height) == (32, 32)
+
+    def test_mean_is_log_of_mean_power(self):
+        powers = [residual_power(noise_image(i, h=32, w=32), 1.0, 16) for i in range(3)]
+        expected = np.fft.fftshift(np.log10(1.0 + sum(powers) / 3))
+        assert np.allclose(residual_spectrum(powers).values, expected, rtol=1e-14)
+
+    def test_empty_input(self):
+        with pytest.raises(EmptyInputError):
+            residual_spectrum(iter(()))
 
 
 class TestColorInputsAndLimits:
@@ -321,14 +273,16 @@ class TestColorInputsAndLimits:
         profile = rapsd(img, nbins=8)
         assert np.all(np.isfinite(profile.power))
 
-    def test_dataset_mean_rapsd_chain_preprocessing(self):
-        from xmodal.codecsim import ChainSpec, GaussianBlurStep
 
-        images = {f"i{k}": noise_image(k, h=32, w=32) for k in range(4)}
-        manifest, loader = memory_manifest(images)
-        plain = dataset_mean_rapsd(manifest, nbins=8, loader=loader)
-        chained = dataset_mean_rapsd(
-            manifest, preprocess=ChainSpec((GaussianBlurStep(2.0),)),
-            nbins=8, loader=loader, seed=1,
-        )
-        assert chained.profile.power[-1] < plain.profile.power[-1]
+class TestValidatorsRejectNan:
+    def test_histogram_nan_edge(self):
+        with pytest.raises(ValueError, match="ascending"):
+            Histogram(np.array([0.0, np.nan, 2.0]), np.zeros(2, dtype=np.int64), 0)
+
+    def test_radial_profile_nan_radius(self):
+        with pytest.raises(ValueError, match="ascending"):
+            RadialProfile(np.array([0.1, np.nan]), np.zeros(2), np.ones(2, dtype=np.int64))
+
+    def test_dct_histogram_nan_range(self):
+        with pytest.raises(ValueError, match="value_range"):
+            dct_ac_histogram([constant_rgb(0.3, h=16, w=16)], value_range=float("nan"))
