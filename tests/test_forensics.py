@@ -273,6 +273,18 @@ class TestColorInputsAndLimits:
         profile = rapsd(img, nbins=8)
         assert np.all(np.isfinite(profile.power))
 
+    def test_dataset_mean_rapsd_chain_preprocessing(self):
+        from xmodal.codecsim import GaussianBlurStep
+
+        images = [noise_image(k, h=32, w=32) for k in range(4)]
+        chain = ChainSpec((GaussianBlurStep(2.0),))
+        rng = np.random.default_rng(1)
+        plain = dataset_mean_rapsd(rapsd(img, nbins=8) for img in images)
+        chained = dataset_mean_rapsd(
+            rapsd(apply_chain(img, chain, rng), nbins=8) for img in images
+        )
+        assert chained.power[-1] < plain.power[-1]
+
 
 class TestValidatorsRejectNan:
     def test_histogram_nan_edge(self):
