@@ -22,7 +22,6 @@ from .core import (
     write_manifest,
 )
 from .pixelops import (
-    Boundary,
     ColorRange,
     Window,
     gaussian_blur,
@@ -79,7 +78,6 @@ from .cmsupcon import (
 )
 from .trainer import (
     FeatureDataset,
-    MixPolicy,
     OptimState,
     SyntheticSpec,
     ToyModel,

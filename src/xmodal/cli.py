@@ -58,6 +58,7 @@ from .metrics import (
     per_subset_report,
 )
 from .trainer import (
+    EpochStats,
     FeatureDataset,
     SyntheticSpec,
     ToyModel,
@@ -158,20 +159,25 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "limit": args.limit,
         "seed": args.seed,
         "threads": args.threads,
+        "chain": args.chain,
+        "bins": args.bins,
+        "range": args.range,
+        "window": args.window,
+        "sigma": args.sigma,
+        "size": args.size,
     }
     chain = None
-    if kind == "rapsd" and args.chain:
+    if args.chain:
         chain = ChainSpec.load(args.chain)
         inputs["chain"] = Path(args.chain)
-        config["chain"] = str(args.chain)
 
     def per_sample(rec: SampleRecord, img: ImageBuffer):
+        if chain is not None:
+            img = _seeded_chain(img, chain, args.seed, rec)
         if kind == "dct":
             # a frame too small for one DCT block fails alone, like a bad file
             return require_dct_block(img)
         if kind == "rapsd":
-            if chain is not None:
-                img = _seeded_chain(img, chain, args.seed, rec)
             return rapsd(img, window=Window(args.window), nbins=args.bins)
         if kind == "spectrum":
             return residual_power(img, args.sigma, args.size)
@@ -337,8 +343,9 @@ def _train_value(key: str, value):
             raise XmodalError(
                 f"'train.{key}': {value!r} is not one of {choices}"
             ) from None
+    # no setting is boolean, and JSON true/false would pass as the ints 1/0
     kinds = (int, float) if isinstance(default, float) else (type(default),)
-    if isinstance(value, bool) != isinstance(default, bool) or not isinstance(value, kinds):
+    if isinstance(value, bool) or not isinstance(value, kinds):
         raise XmodalError(
             f"'train.{key}': expected {type(default).__name__}, got {value!r}"
         )
@@ -395,31 +402,9 @@ def _records_to_dataset(path: Path) -> FeatureDataset:
     return FeatureDataset(x, ys, ms)
 
 
-def _history_csv(history) -> str:
-    rows = [
-        (
-            h.epoch,
-            repr(h.train_bce),
-            repr(h.train_cm),
-            repr(h.train_total),
-            repr(h.val_total),
-            repr(h.train_acc),
-            repr(h.val_acc),
-        )
-        for h in history
-    ]
-    return _csv_text(
-        (
-            "epoch",
-            "train_bce",
-            "train_cm",
-            "train_total",
-            "val_total",
-            "train_acc",
-            "val_acc",
-        ),
-        rows,
-    )
+def _history_csv(history: Sequence[EpochStats]) -> str:
+    header = [f.name for f in dataclasses.fields(EpochStats)]
+    return _csv_text(header, [dataclasses.astuple(h) for h in history])
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -649,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="dct: half-width of the coefficient histogram")
     analyze.add_argument("--window", choices=("none", "hann"), default="none")
     analyze.add_argument("--chain", default=None,
-                         help="rapsd: degradation chain applied before analysis")
+                         help="degradation chain applied to every frame before analysis")
     analyze.add_argument("--sigma", type=_positive_float, default=1.0,
                          help="spectrum: residual blur sigma")
     analyze.add_argument("--size", type=functools.partial(_positive_int, least=8),

@@ -57,29 +57,20 @@ def _dct_matrix() -> np.ndarray:
 _DCT = _dct_matrix()
 
 
-def dct8x8_forward(pixels: np.ndarray, centered: bool = False) -> np.ndarray:
-    """Orthonormal 2D DCT-II of one 8x8 block.
-
-    With ``centered`` the block is shifted by -0.5 first (the [0,1]-domain
-    analog of the -128 shift at 8-bit scale).
-    """
+def dct8x8_forward(pixels: np.ndarray) -> np.ndarray:
+    """Orthonormal 2D DCT-II of one 8x8 block."""
     block = np.asarray(pixels, dtype=np.float64)
     if block.shape != (BLOCK, BLOCK):
         raise ValueError(f"expected an 8x8 block, got shape {block.shape}")
-    if centered:
-        block = block - 0.5
     return _DCT @ block @ _DCT.T
 
 
-def dct8x8_inverse(coeffs: np.ndarray, centered: bool = False) -> np.ndarray:
+def dct8x8_inverse(coeffs: np.ndarray) -> np.ndarray:
     """Exact inverse of dct8x8_forward (round trip error <= 1e-10)."""
     block = np.asarray(coeffs, dtype=np.float64)
     if block.shape != (BLOCK, BLOCK):
         raise ValueError(f"expected an 8x8 block, got shape {block.shape}")
-    out = _DCT.T @ block @ _DCT
-    if centered:
-        out = out + 0.5
-    return out
+    return _DCT.T @ block @ _DCT
 
 
 def _blocks_forward(plane: np.ndarray) -> tuple[np.ndarray, tuple[int, int]]:
@@ -239,17 +230,17 @@ LUMA_OFFSET = 128.0
 CHROMA_OFFSET = 127.5  # chroma neutral is 0.5 in float, i.e. 127.5 at 8-bit scale
 
 
-def _centered_coeffs(plane: np.ndarray, offset: float) -> tuple[np.ndarray, tuple[int, int]]:
-    """Block DCT of one channel at 8-bit scale, centered on ``offset``."""
-    centered = plane * 255.0
-    centered -= offset
-    return _blocks_forward(centered)
+def _shifted_coeffs(plane: np.ndarray, offset: float) -> tuple[np.ndarray, tuple[int, int]]:
+    """Block DCT of one channel at 8-bit scale, level-shifted by ``-offset``."""
+    shifted = plane * 255.0
+    shifted -= offset
+    return _blocks_forward(shifted)
 
 
 def _reconstruct(
     coeffs: np.ndarray, size: tuple[int, int], offset: float, out: np.ndarray
 ) -> None:
-    """Inverse of _centered_coeffs, written into the [0, 1]-scale plane ``out``."""
+    """Inverse of _shifted_coeffs, written into the [0, 1]-scale plane ``out``."""
     np.add(_blocks_inverse(coeffs, size), offset, out=out)
     out /= 255.0
 
@@ -259,13 +250,13 @@ def jpeg_simulate(
 ) -> ImageBuffer:
     """JPEG-style transform coding round trip at the given quality.
 
-    Full-range YCbCr, 4:4:4 (no chroma subsampling), blockwise centered
+    Full-range YCbCr, 4:4:4 (no chroma subsampling), blockwise level-shifted
     DCT, integer-table quantization, inverse, back to RGB. With
     ``quantize_output`` the result is snapped to the 8-bit grid like a
     decoded file; pass False to keep the float reconstruction, which
     preserves exactly-zero AC coefficients for analysis.
     """
-    # color input goes through full-range YCbCr; chroma is centered on its
+    # color input goes through full-range YCbCr; chroma is shifted by its
     # neutral so a neutral-gray image has exactly-zero chroma coefficients
     was_color = img.channels == 3
     planes = rgb_to_ycbcr(img, ColorRange.FULL).data if was_color else img.data
@@ -274,7 +265,7 @@ def jpeg_simulate(
     offsets = (LUMA_OFFSET, CHROMA_OFFSET, CHROMA_OFFSET)
     out = np.empty_like(planes)
     for plane, offset, table, dst in zip(planes, offsets, (luma, chroma, chroma), out):
-        coeffs, size = _centered_coeffs(plane, offset)
+        coeffs, size = _shifted_coeffs(plane, offset)
         indices = _quantize_inplace(coeffs, table)
         _reconstruct(_dequantize_inplace(indices, table), size, offset, dst)
     if was_color:
@@ -295,7 +286,7 @@ def video_codec_simulate(img: ImageBuffer, model: VideoQuantModel) -> ImageBuffe
     """
     out = np.empty_like(img.data)
     for plane, dst in zip(img.data, out):
-        coeffs, size = _centered_coeffs(plane, 128.0)
+        coeffs, size = _shifted_coeffs(plane, 128.0)
         _reconstruct(_deadzone_quantize_inplace(coeffs, model), size, 128.0, dst)
     return ImageBuffer(np.clip(out, 0.0, 1.0, out=out))
 

@@ -24,7 +24,7 @@ import numpy as np
 from .codecsim import BLOCK, _blocks_forward
 from .core import ImageBuffer
 from .errors import EmptyInputError, ImageTooSmallError, WrongBinCountError
-from .pixelops import Boundary, Window, gaussian_blur, round_half_away, to_luma
+from .pixelops import Window, gaussian_blur, round_half_away, to_luma
 
 ZERO_EPS = 1e-6  # |coefficient| below this counts as an exact post-quantization zero
 
@@ -322,7 +322,7 @@ def residual_power(
     stand-in.
     """
     luma = _fit_to_square(_luma_plane(img), size)
-    blurred = gaussian_blur(ImageBuffer(luma[None, :, :]), denoise_sigma, Boundary.REFLECT)
+    blurred = gaussian_blur(ImageBuffer(luma[None, :, :]), denoise_sigma)
     spectrum = np.fft.fft2(luma - blurred.data[0])
     return spectrum.real**2 + spectrum.imag**2
 

@@ -22,6 +22,7 @@ from .core import Label, ScoredPrediction
 from .errors import (
     EmptyInputError,
     EmptyVideoError,
+    InvalidSpecError,
     NoPositivesError,
     SingleClassInputError,
 )
@@ -331,7 +332,7 @@ def multi_frame_average(frames: Sequence[FrameScore], t: int = 1) -> ScoredPredi
     labels = {f.label for f in ordered}
     subsets = {f.subset for f in ordered}
     if len(labels) != 1 or len(subsets) != 1:
-        raise ValueError(
+        raise InvalidSpecError(
             f"video {ordered[0].video_id!r} has inconsistent label or subset tags"
         )
     picked = [ordered[i] for i in select_frame_indices(len(ordered), t)]

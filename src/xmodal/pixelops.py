@@ -28,11 +28,6 @@ class ColorRange(Enum):
     LIMITED = "limited"  # 8-bit luma codes 16..235, chroma 16..240
 
 
-class Boundary(Enum):
-    REFLECT = "reflect"
-    CIRCULAR = "circular"
-
-
 class Window(Enum):
     NONE = "none"
     HANN = "hann"
@@ -174,13 +169,11 @@ def shorter_side_resize(img: ImageBuffer, target: int) -> ImageBuffer:
     return ImageBuffer(_bilinear_resize(img.data, out_h, out_w))
 
 
-_SCIPY_MODE = {Boundary.REFLECT: "reflect", Boundary.CIRCULAR: "wrap"}
+def gaussian_blur(img: ImageBuffer, sigma: float) -> ImageBuffer:
+    """Separable Gaussian blur, kernel truncated at 3*sigma and renormalized.
 
-
-def gaussian_blur(
-    img: ImageBuffer, sigma: float, boundary: Boundary = Boundary.REFLECT
-) -> ImageBuffer:
-    """Separable Gaussian blur, kernel truncated at 3*sigma and renormalized."""
+    Borders are mirror-reflected (scipy's ``reflect``: the edge pixel repeats).
+    """
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     if sigma == 0:
@@ -188,9 +181,8 @@ def gaussian_blur(
     radius = int(math.ceil(3.0 * sigma))
     taps = np.exp(-0.5 * (np.arange(-radius, radius + 1) / sigma) ** 2)
     taps /= taps.sum()
-    mode = _SCIPY_MODE[boundary]
-    out = ndimage.convolve1d(img.data, taps, axis=1, mode=mode)
-    out = ndimage.convolve1d(out, taps, axis=2, mode=mode)
+    out = ndimage.convolve1d(img.data, taps, axis=1, mode="reflect")
+    out = ndimage.convolve1d(out, taps, axis=2, mode="reflect")
     return ImageBuffer(out)
 
 
@@ -214,20 +206,17 @@ def motion_blur_kernel(length: int, angle_deg: float) -> np.ndarray:
     return kernel
 
 
-def motion_blur(
-    img: ImageBuffer,
-    length: int,
-    angle_deg: float = 0.0,
-    boundary: Boundary = Boundary.REFLECT,
-) -> ImageBuffer:
-    """Convolve with a straight-line kernel; length 1 is the identity."""
+def motion_blur(img: ImageBuffer, length: int, angle_deg: float = 0.0) -> ImageBuffer:
+    """Convolve with a straight-line kernel; length 1 is the identity.
+
+    Borders are mirror-reflected, as in gaussian_blur.
+    """
     if length == 1:
         return ImageBuffer(img.data)
     kernel = motion_blur_kernel(length, angle_deg)
-    mode = _SCIPY_MODE[boundary]
     out = np.empty_like(img.data)
     for plane, dst in zip(img.data, out):
-        ndimage.convolve(plane, kernel, output=dst, mode=mode)
+        ndimage.convolve(plane, kernel, output=dst, mode="reflect")
     return ImageBuffer(out)
 
 

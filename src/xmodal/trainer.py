@@ -36,7 +36,7 @@ from .errors import (
 )
 
 CHECKPOINT_FORMAT = "xmodal-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 PARAM_NAMES = ("w1", "b1", "wp", "wc", "bc")
 
@@ -205,6 +205,12 @@ def backward(
     return grads
 
 
+# AdamW moment decay rates and denominator floor, at their usual values
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass(frozen=True)
 class OptimState:
     """AdamW accumulator state: bias-corrected moments, decoupled decay."""
@@ -213,28 +219,15 @@ class OptimState:
     v: dict[str, np.ndarray]
     step: int
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
 
     def __post_init__(self):
         if not self.lr > 0:
             raise ValueError("lr must be > 0")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("betas must lie in [0, 1)")
-        if not self.eps > 0:
-            raise ValueError("eps must be > 0")
 
     @classmethod
     def init(
-        cls,
-        params: dict[str, np.ndarray],
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
+        cls, params: dict[str, np.ndarray], lr: float, weight_decay: float = 0.0
     ) -> "OptimState":
         zeros = {k: np.zeros_like(p) for k, p in params.items()}
         return cls(
@@ -242,9 +235,6 @@ class OptimState:
             v={k: np.zeros_like(p) for k, p in params.items()},
             step=0,
             lr=lr,
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
             weight_decay=weight_decay,
         )
 
@@ -261,19 +251,19 @@ def optimizer_step(
     new_params: dict[str, np.ndarray] = {}
     new_m: dict[str, np.ndarray] = {}
     new_v: dict[str, np.ndarray] = {}
-    bc1 = 1.0 - state.beta1**step
-    bc2 = 1.0 - state.beta2**step
+    bc1 = 1.0 - ADAM_BETA1**step
+    bc2 = 1.0 - ADAM_BETA2**step
     for key, p in params.items():
         g = grads[key]
         if g.shape != p.shape:
             raise ShapeMismatchError(
                 f"{key}: gradient shape {g.shape} != parameter shape {p.shape}"
             )
-        m = state.beta1 * state.m[key] + (1.0 - state.beta1) * g
-        v = state.beta2 * state.v[key] + (1.0 - state.beta2) * g * g
+        m = ADAM_BETA1 * state.m[key] + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * state.v[key] + (1.0 - ADAM_BETA2) * g * g
         m_hat = m / bc1
         v_hat = v / bc2
-        updated = p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        updated = p - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         if state.weight_decay:
             updated = updated - state.lr * state.weight_decay * p
         new_params[key] = updated
@@ -282,30 +272,21 @@ def optimizer_step(
     return new_params, replace(state, m=new_m, v=new_v, step=step)
 
 
-@dataclass(frozen=True)
-class MixPolicy:
-    """How mixed-modality batches are assembled."""
-
-    video_fraction: float = 0.5
-    guarantee_both: bool = True
-
-    def __post_init__(self):
-        if not 0.0 <= self.video_fraction <= 1.0:
-            raise ValueError("video_fraction must lie in [0, 1]")
+# probability that a batch slot not reserved for either modality draws video
+VIDEO_FRACTION = 0.5
 
 
 def mixed_batch_sampler(
     image_pool: np.ndarray,
     video_pool: np.ndarray,
     batch_size: int,
-    policy: MixPolicy,
     rng: np.random.Generator,
 ) -> list[np.ndarray]:
     """One epoch of index batches covering both pools without replacement.
 
-    Each slot draws its modality Bernoulli(video_fraction); with
-    guarantee_both, every full batch contains at least one sample of each
-    modality while both pools still have samples left.
+    Every batch holds at least one sample of each modality while both pools
+    still have samples left; each remaining slot draws video with
+    probability VIDEO_FRACTION.
     """
     image_pool = np.asarray(image_pool, dtype=np.int64)
     video_pool = np.asarray(video_pool, dtype=np.int64)
@@ -326,11 +307,11 @@ def mixed_batch_sampler(
     while img_queue or vid_queue:
         take = min(batch_size, len(img_queue) + len(vid_queue))
         batch: list[int] = []
-        if policy.guarantee_both and img_queue and vid_queue and take >= 2:
+        if img_queue and vid_queue and take >= 2:
             batch.append(int(img_queue.pop()))
             batch.append(int(vid_queue.pop()))
         while len(batch) < take:
-            want_video = rng.random() < policy.video_fraction
+            want_video = rng.random() < VIDEO_FRACTION
             queue = vid_queue if want_video else img_queue
             if not queue:
                 queue = img_queue if want_video else vid_queue
@@ -396,12 +377,7 @@ class TrainConfig:
     seed: int = 0
     patience: int = 20
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.01
-    video_fraction: float = 0.5
-    guarantee_both: bool = True
     feature_layer: str = "hidden"
     variant: LossVariant = LossVariant.CROSS_MODAL
     hidden_dim: int = 16
@@ -493,17 +469,7 @@ def train(
     train_y = train_data.y.astype(np.float64)
     rng = np.random.default_rng(config.seed)
     params = model.params()
-    state = OptimState.init(
-        params,
-        lr=config.lr,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        eps=config.eps,
-        weight_decay=config.weight_decay,
-    )
-    policy = MixPolicy(
-        video_fraction=config.video_fraction, guarantee_both=config.guarantee_both
-    )
+    state = OptimState.init(params, lr=config.lr, weight_decay=config.weight_decay)
     image_pool = np.flatnonzero(train_data.m == 0)
     video_pool = np.flatnonzero(train_data.m == 1)
     history: list[EpochStats] = []
@@ -514,15 +480,13 @@ def train(
     stopped_early = False
     for epoch in range(config.epochs):
         if epoch == 0:
-            batches = mixed_batch_sampler(
-                image_pool, video_pool, config.batch_size, policy, rng
-            )
+            batches = mixed_batch_sampler(image_pool, video_pool, config.batch_size, rng)
         else:
             # the single-modality warning, if any, was surfaced on epoch 0
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 batches = mixed_batch_sampler(
-                    image_pool, video_pool, config.batch_size, policy, rng
+                    image_pool, video_pool, config.batch_size, rng
                 )
         for batch_idx in batches:
             grads = backward(
@@ -710,20 +674,14 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticData:
 # --- checkpoint serialization ------------------------------------------------------
 
 
-def save_checkpoint(
-    model: ToyModel, config: TrainConfig, path: str | Path, seed: Optional[int] = None
-) -> None:
-    """Versioned JSON checkpoint: shapes, row-major values, config, seed."""
+def save_checkpoint(model: ToyModel, config: TrainConfig, path: str | Path) -> None:
+    """Versioned JSON checkpoint: shapes, row-major values and the config."""
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "seed": config.seed if seed is None else seed,
-        "feature_layer": config.feature_layer,
         "config": {
-            **{
-                k: (v.value if isinstance(v, LossVariant) else v)
-                for k, v in asdict(config).items()
-            }
+            k: (v.value if isinstance(v, LossVariant) else v)
+            for k, v in asdict(config).items()
         },
         "params": {
             name: {
@@ -741,7 +699,10 @@ def load_checkpoint(path: str | Path) -> tuple[ToyModel, TrainConfig]:
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise InvalidSpecError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     if doc.get("version") != CHECKPOINT_VERSION:
-        raise InvalidSpecError(f"{path}: unsupported version {doc.get('version')}")
+        raise InvalidSpecError(
+            f"{path}: unsupported version {doc.get('version')!r}, "
+            f"this build reads version {CHECKPOINT_VERSION}"
+        )
     try:
         params = {}
         for name in PARAM_NAMES:

@@ -303,6 +303,17 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "key", ["beta1", "beta2", "eps", "video_fraction", "guarantee_both"]
+    )
+    def test_removed_setting_exits_2_naming_it(self, tmp_path, capsys, key):
+        # AdamW's betas and epsilon and the batch mix are constants, not settings
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"train": {"epochs": 2, key: 0.5}}))
+        assert run_cli("train", "--config", path, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert f"'train.{key}': unknown key" in err and "Traceback" not in err
+
     def test_diverging_run_exits_3_without_traceback(self, tmp_path, capsys):
         path = tmp_path / "hot.json"
         path.write_text(json.dumps({"data": {"synthetic": {"seed": 3}},
@@ -572,6 +583,13 @@ MALFORMED_INPUTS = {
     "train-value-of-wrong-type": (
         lambda p: _train_argv(p, {"train": {"epochs": "5"}}),
         "cfg.json: 'train.epochs': expected int, got '5'"),
+    "checkpoint-version-1": (
+        lambda p: _evaluate_argv(p, edit_checkpoint=lambda d: d.update(version=1)),
+        "checkpoint.json: unsupported version 1"),
+    "video-frames-disagree-on-label": (
+        lambda p: _evaluate_argv(p, feature_doc={"records": [
+            {**rec, "video_id": "v"} for rec in _feature_doc()["records"]]}),
+        "f.json: video 'v' has inconsistent label or subset tags"),
     "train-unknown-variant": (
         lambda p: _train_argv(p, {"train": {"variant": "bogus"}}),
         "cfg.json: 'train.variant': 'bogus' is not one of"),
@@ -675,6 +693,41 @@ class TestAnalyzeWithChain:
         plain = json.loads((plain_out / "rapsd.summary.json").read_text())
         chained = json.loads((chain_out / "rapsd.summary.json").read_text())
         assert chained["high_band_power"] < plain["high_band_power"]
+
+
+    def test_missing_chain_exits_2_for_every_kind(self, corpus, tmp_path, capsys):
+        root, manifest = corpus
+        assert run_cli("analyze", "spectrum", "--manifest", manifest, "--out",
+                       tmp_path / "out", "--chain", tmp_path / "no_such.json") == 2
+        err = capsys.readouterr().err
+        assert "no_such.json" in err and "Traceback" not in err
+
+    def test_dct_chain_preprocessing(self, corpus, tmp_path):
+        root, manifest = corpus
+        chain_path = tmp_path / "chain.json"
+        chain_path.write_text(ChainSpec((JpegSimStep(30),)).to_json())
+        plain_out, chain_out = tmp_path / "plain", tmp_path / "chained"
+        assert run_cli("analyze", "dct", "--manifest", manifest, "--out", plain_out) == 0
+        assert run_cli("analyze", "dct", "--manifest", manifest, "--out", chain_out,
+                       "--chain", chain_path) == 0
+        plain = json.loads((plain_out / "dct.summary.json").read_text())
+        chained = json.loads((chain_out / "dct.summary.json").read_text())
+        assert chained["zero_fraction"] != plain["zero_fraction"]
+        run = json.loads((chain_out / "run.json").read_text())
+        assert run["config"]["chain"] == str(chain_path)
+        assert run["inputs"]["chain"]["path"] == str(chain_path)
+
+    def test_run_json_records_analysis_options(self, corpus, tmp_path):
+        root, manifest = corpus
+        configs = []
+        for bins in (8, 16):
+            out = tmp_path / f"bins{bins}"
+            assert run_cli("analyze", "rapsd", "--manifest", manifest, "--out", out,
+                           "--bins", bins, "--window", "hann") == 0
+            config = json.loads((out / "run.json").read_text())["config"]
+            assert (config["bins"], config["window"]) == (bins, "hann")
+            configs.append({k: v for k, v in config.items() if k != "out"})
+        assert configs[0] != configs[1]
 
 
 class TestPartialFailures:

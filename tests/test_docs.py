@@ -1,0 +1,41 @@
+"""The README's lists of chain step names and train settings match the code."""
+
+import dataclasses
+import enum
+import json
+import re
+from pathlib import Path
+
+from xmodal.codecsim import _STEP_NAMES
+from xmodal.trainer import TrainConfig
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def _paragraph(opening: str) -> str:
+    """The README paragraph that begins with ``opening``, joined onto one line."""
+    start = README.index("\n" + opening) + 1
+    end = README.find("\n\n", start)
+    return " ".join(README[start : end if end != -1 else None].split())
+
+
+def test_step_names_match_chain_steps():
+    names = re.findall(r"`(\w+)`", _paragraph("Step names:"))
+    assert names == list(_STEP_NAMES.values())
+
+
+def test_train_keys_and_defaults_match_train_config():
+    documented = {
+        key: json.loads(value)
+        for key, value in re.findall(
+            r'`(\w+)` ("[^"]*"|-?\d+(?:\.\d+)?(?:e-?\d+)?)',
+            _paragraph("`train` keys and defaults:"),
+        )
+    }
+    fields = {
+        "lambda" if f.name == "lam" else f.name: (
+            f.default.value if isinstance(f.default, enum.Enum) else f.default
+        )
+        for f in dataclasses.fields(TrainConfig)
+    }
+    assert documented == fields

@@ -20,7 +20,6 @@ from xmodal.errors import (
 )
 from xmodal.trainer import (
     FeatureDataset,
-    MixPolicy,
     OptimState,
     SyntheticSpec,
     ToyModel,
@@ -184,13 +183,13 @@ class TestMixedBatchSampler:
     def test_both_pools_empty(self):
         with pytest.raises(BothPoolsEmptyError):
             mixed_batch_sampler(
-                np.array([]), np.array([]), 4, MixPolicy(), np.random.default_rng(0)
+                np.array([]), np.array([]), 4, np.random.default_rng(0)
             )
 
     def test_empty_video_pool_warns(self):
         with pytest.warns(UserWarning, match="inert"):
             batches = mixed_batch_sampler(
-                np.arange(10), np.array([]), 4, MixPolicy(), np.random.default_rng(0)
+                np.arange(10), np.array([]), 4, np.random.default_rng(0)
             )
         assert sorted(np.concatenate(batches).tolist()) == list(range(10))
 
@@ -198,8 +197,7 @@ class TestMixedBatchSampler:
         image_pool = np.arange(0, 8)
         video_pool = np.arange(100, 108)
         batches = mixed_batch_sampler(
-            image_pool, video_pool, 2, MixPolicy(guarantee_both=True),
-            np.random.default_rng(1),
+            image_pool, video_pool, 2, np.random.default_rng(1)
         )
         for batch in batches:
             assert len(batch) == 2
@@ -210,7 +208,7 @@ class TestMixedBatchSampler:
         image_pool = np.arange(0, 13)
         video_pool = np.arange(50, 57)
         batches = mixed_batch_sampler(
-            image_pool, video_pool, 5, MixPolicy(), np.random.default_rng(2)
+            image_pool, video_pool, 5, np.random.default_rng(2)
         )
         flat = np.concatenate(batches)
         assert sorted(flat.tolist()) == sorted(
@@ -219,10 +217,10 @@ class TestMixedBatchSampler:
 
     def test_deterministic_per_seed(self):
         a = mixed_batch_sampler(
-            np.arange(20), np.arange(100, 110), 6, MixPolicy(), np.random.default_rng(3)
+            np.arange(20), np.arange(100, 110), 6, np.random.default_rng(3)
         )
         b = mixed_batch_sampler(
-            np.arange(20), np.arange(100, 110), 6, MixPolicy(), np.random.default_rng(3)
+            np.arange(20), np.arange(100, 110), 6, np.random.default_rng(3)
         )
         assert len(a) == len(b)
         for x, y in zip(a, b):
