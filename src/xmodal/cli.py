@@ -63,6 +63,7 @@ from .trainer import (
     SyntheticSpec,
     ToyModel,
     TrainConfig,
+    config_key,
     forward,
     generate_synthetic,
     load_checkpoint,
@@ -326,15 +327,15 @@ def _json_object(value, what: str) -> dict:
     return value
 
 
-_TRAIN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
+# TrainConfig's fields by the key a config file gives them under
+_TRAIN_FIELDS = {config_key(f.name): f for f in dataclasses.fields(TrainConfig)}
 
 
 def _train_value(key: str, value):
     """A ``train`` setting checked against its default's type, or XmodalError."""
-    name = "lam" if key == "lambda" else key
-    if name not in _TRAIN_DEFAULTS:
+    if key not in _TRAIN_FIELDS:
         raise XmodalError(f"'train.{key}': unknown key")
-    default = _TRAIN_DEFAULTS[name]
+    default = _TRAIN_FIELDS[key].default
     if isinstance(default, LossVariant):
         try:
             return LossVariant(value)
@@ -353,12 +354,11 @@ def _train_value(key: str, value):
 
 
 def _train_config_from_doc(doc: dict, seed_override: Optional[int]) -> TrainConfig:
-    train_doc = {
+    checked = {
         key: _train_value(key, value)
         for key, value in _json_object(doc.get("train", {}), "'train'").items()
     }
-    if "lambda" in train_doc:
-        train_doc["lam"] = train_doc.pop("lambda")
+    train_doc = {_TRAIN_FIELDS[key].name: value for key, value in checked.items()}
     if seed_override is not None:
         train_doc["seed"] = seed_override
     return TrainConfig(**train_doc)

@@ -12,7 +12,6 @@ import math
 from enum import Enum
 
 import numpy as np
-from scipy import ndimage
 
 from .core import ImageBuffer
 from .errors import EmptyImageError, WrongChannelCountError
@@ -169,10 +168,37 @@ def shorter_side_resize(img: ImageBuffer, target: int) -> ImageBuffer:
     return ImageBuffer(_bilinear_resize(img.data, out_h, out_w))
 
 
+
+
+def _fold(x: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
+    """Valid convolution of ``x`` along ``axis`` with symmetric odd-length ``taps``.
+
+    out[i] = x[i]*w[c] + (x[i-j] + x[i+j])*w[c-j] for j = r down to 1, summed
+    in that order: the folded form ndimage.convolve1d uses for a symmetric
+    kernel, so the two agree bit for bit. The output is 2r shorter on ``axis``.
+    """
+    radius = len(taps) // 2
+    n = x.shape[axis] - 2 * radius
+
+    def shifted(offset: int) -> np.ndarray:
+        index = [slice(None)] * x.ndim
+        index[axis] = slice(radius + offset, radius + offset + n)
+        return x[tuple(index)]
+
+    out = np.multiply(shifted(0), taps[radius])
+    pair = np.empty_like(out)
+    for j in range(radius, 0, -1):
+        np.add(shifted(-j), shifted(j), out=pair)
+        pair *= taps[radius - j]
+        out += pair
+    return out
+
+
 def gaussian_blur(img: ImageBuffer, sigma: float) -> ImageBuffer:
     """Separable Gaussian blur, kernel truncated at 3*sigma and renormalized.
 
-    Borders are mirror-reflected (scipy's ``reflect``: the edge pixel repeats).
+    Borders are mirror-reflected (the edge pixel repeats); a plane narrower
+    than the kernel radius is reflected back and forth.
     """
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
@@ -181,8 +207,12 @@ def gaussian_blur(img: ImageBuffer, sigma: float) -> ImageBuffer:
     radius = int(math.ceil(3.0 * sigma))
     taps = np.exp(-0.5 * (np.arange(-radius, radius + 1) / sigma) ** 2)
     taps /= taps.sum()
-    out = ndimage.convolve1d(img.data, taps, axis=1, mode="reflect")
-    out = ndimage.convolve1d(out, taps, axis=2, mode="reflect")
+    out = np.empty_like(img.data)
+    for plane, dst in zip(img.data, out):
+        # the column pass also blurs the reflected margin columns, which equals
+        # reflecting the column-blurred plane, so one pad serves both passes
+        padded = np.pad(plane, radius, mode="symmetric")
+        dst[...] = _fold(_fold(padded, taps, axis=0), taps, axis=1)
     return ImageBuffer(out)
 
 
@@ -206,17 +236,46 @@ def motion_blur_kernel(length: int, angle_deg: float) -> np.ndarray:
     return kernel
 
 
+# motion_blur works through a plane in blocks of rows of about 32k samples, so
+# a block, its source rows and a scratch term (about 0.75 MB) stay in a core's
+# L2 cache; on a Xeon with 2 MB of L2 per core, whole 360x640 planes made it
+# about 2x slower.
+_BLOCK_SAMPLES = 1 << 15
+
+
 def motion_blur(img: ImageBuffer, length: int, angle_deg: float = 0.0) -> ImageBuffer:
     """Convolve with a straight-line kernel; length 1 is the identity.
 
-    Borders are mirror-reflected, as in gaussian_blur.
+    Borders are mirror-reflected, as in gaussian_blur. Each output pixel sums
+    its nonzero taps in raveled order of the flipped kernel, the order
+    ndimage.convolve uses, so the two agree bit for bit.
     """
     if length == 1:
         return ImageBuffer(img.data)
-    kernel = motion_blur_kernel(length, angle_deg)
+    kernel = motion_blur_kernel(length, angle_deg)[::-1, ::-1]
+    radius = kernel.shape[0] // 2
+    rows, cols = np.nonzero(kernel)
+    # pad only the axes the taps span: a horizontal kernel needs no row margin
+    ry = int(np.max(np.abs(rows - radius)))
+    rx = int(np.max(np.abs(cols - radius)))
+    # (row, column) of each tap's window in the padded plane, and its weight
+    taps = [(r - radius + ry, c - radius + rx, kernel[r, c]) for r, c in zip(rows, cols)]
+    _, h, w = img.data.shape
+    step = max(1, _BLOCK_SAMPLES // w)
     out = np.empty_like(img.data)
+    term = np.empty_like(out[0, :step])
     for plane, dst in zip(img.data, out):
-        ndimage.convolve(plane, kernel, output=dst, mode="reflect")
+        padded = np.pad(plane, ((ry, ry), (rx, rx)), mode="symmetric")
+        for start in range(0, h, step):
+            acc = dst[start : start + step]
+            scratch = term[: len(acc)]
+            for k, (y, x, weight) in enumerate(taps):
+                window = padded[start + y : start + y + len(acc), x : x + w]
+                if k == 0:
+                    np.multiply(window, weight, out=acc)
+                else:
+                    np.multiply(window, weight, out=scratch)
+                    acc += scratch
     return ImageBuffer(out)
 
 

@@ -11,6 +11,7 @@ training fails on the video domain.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -358,6 +359,11 @@ class FeatureDataset:
         return FeatureDataset(self.x[keep], self.y[keep], self.m[keep])
 
 
+def config_key(field: str) -> str:
+    """The key a config file gives ``TrainConfig.<field>``; ``lam`` is spelled ``lambda``."""
+    return "lambda" if field == "lam" else field
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Training hyperparameters.
@@ -384,20 +390,27 @@ class TrainConfig:
     feature_dim: int = 8
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise InvalidSpecError("epochs must be >= 1")
-        if self.lam < 0:
-            raise InvalidSpecError("lambda must be >= 0")
-        if not self.tau > 0:
-            raise InvalidSpecError("tau must be > 0")
-        if self.hidden_dim < 1 or self.feature_dim < 1:
-            raise InvalidSpecError("hidden_dim and feature_dim must be >= 1")
-        if self.lam > 0 and self.batch_size < 2:
-            raise InvalidSpecError("batch_size must be >= 2 when lambda > 0")
-        if self.patience < 0:
-            raise InvalidSpecError("patience must be >= 0")
-        if self.feature_layer not in ("projection", "hidden"):
-            raise InvalidSpecError("feature_layer must be 'projection' or 'hidden'")
+        # (field, holds, rule); every batch mixes both modalities, so
+        # batch_size >= 2 holds whether or not the contrastive term is on
+        checks = (
+            ("epochs", self.epochs >= 1, "must be >= 1"),
+            ("batch_size", self.batch_size >= 2, "must be >= 2"),
+            ("lam", self.lam >= 0, "must be >= 0"),
+            ("tau", self.tau > 0, "must be > 0"),
+            ("patience", self.patience >= 0, "must be >= 0"),
+            ("lr", math.isfinite(self.lr) and self.lr > 0, "must be finite and > 0"),
+            ("weight_decay", math.isfinite(self.weight_decay) and self.weight_decay >= 0,
+             "must be finite and >= 0"),
+            ("feature_layer", self.feature_layer in ("projection", "hidden"),
+             "must be 'projection' or 'hidden'"),
+            ("hidden_dim", self.hidden_dim >= 1, "must be >= 1"),
+            ("feature_dim", self.feature_dim >= 1, "must be >= 1"),
+        )
+        for field, holds, rule in checks:
+            if not holds:
+                raise InvalidSpecError(
+                    f"'train.{config_key(field)}': {rule}, got {getattr(self, field)!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -715,6 +728,6 @@ def load_checkpoint(path: str | Path) -> tuple[ToyModel, TrainConfig]:
         config = TrainConfig(**cfg_doc)
     except KeyError as exc:
         raise InvalidSpecError(f"{path}: checkpoint has no {exc} entry") from None
-    except TypeError as exc:
+    except (TypeError, InvalidSpecError) as exc:
         raise InvalidSpecError(f"{path}: {exc}") from None
     return ToyModel.from_params(params), config

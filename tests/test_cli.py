@@ -1,13 +1,17 @@
 """End-to-end CLI behavior: outputs, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import xmodal
 from xmodal.cli import derive_sample_seed, main
-from xmodal.codecsim import ChainSpec, JpegSimStep, MotionBlurStep
+from xmodal.codecsim import ChainSpec, GaussianBlurStep, JpegSimStep, MotionBlurStep
 from xmodal.core import load_image, parse_manifest
 from xmodal.trainer import ToyModel, TrainConfig, save_checkpoint
 
@@ -583,6 +587,9 @@ MALFORMED_INPUTS = {
     "train-value-of-wrong-type": (
         lambda p: _train_argv(p, {"train": {"epochs": "5"}}),
         "cfg.json: 'train.epochs': expected int, got '5'"),
+    "checkpoint-config-value-out-of-range": (
+        lambda p: _evaluate_argv(p, edit_checkpoint=lambda d: d["config"].update(lr=-1)),
+        "checkpoint.json: 'train.lr': must be finite and > 0, got -1"),
     "checkpoint-version-1": (
         lambda p: _evaluate_argv(p, edit_checkpoint=lambda d: d.update(version=1)),
         "checkpoint.json: unsupported version 1"),
@@ -593,6 +600,21 @@ MALFORMED_INPUTS = {
     "train-unknown-variant": (
         lambda p: _train_argv(p, {"train": {"variant": "bogus"}}),
         "cfg.json: 'train.variant': 'bogus' is not one of"),
+    "train-negative-lr": (
+        lambda p: _train_argv(p, {"train": {"lr": -1}}),
+        "cfg.json: 'train.lr': must be finite and > 0, got -1"),
+    "train-infinite-lr": (
+        lambda p: _train_argv(p, {"train": {"lr": float("inf")}}),
+        "cfg.json: 'train.lr': must be finite and > 0, got inf"),
+    "train-negative-weight-decay": (
+        lambda p: _train_argv(p, {"train": {"weight_decay": -5}}),
+        "cfg.json: 'train.weight_decay': must be finite and >= 0, got -5"),
+    "train-batch-size-1-without-contrastive-term": (
+        lambda p: _train_argv(p, {"train": {"lambda": 0, "batch_size": 1}}),
+        "cfg.json: 'train.batch_size': must be >= 2, got 1"),
+    "train-lam-is-not-a-key": (
+        lambda p: _train_argv(p, {"train": {"lam": 0}}),
+        "cfg.json: 'train.lam': unknown key"),
 }
 
 
@@ -679,8 +701,6 @@ class TestFeatureFileTraining:
 class TestAnalyzeWithChain:
     def test_rapsd_chain_preprocessing(self, corpus, tmp_path):
         root, manifest = corpus
-        from xmodal.codecsim import ChainSpec, GaussianBlurStep
-
         chain_path = tmp_path / "chain.json"
         chain_path.write_text(ChainSpec((GaussianBlurStep(2.0),)).to_json())
         plain_out = tmp_path / "plain"
@@ -851,3 +871,52 @@ class TestAnalyzeThreads:
                        "--out", tmp_path / "out", "--threads", 2)
         assert code == 2
         assert "all 3 samples failed" in capsys.readouterr().err
+
+
+# Runs in a fresh interpreter in which ``import scipy`` fails, so any SciPy
+# use left in a CLI path raises instead of passing unnoticed.
+_WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None
+from xmodal.cli import main
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    assert code == 0, (argv, code)
+"""
+
+
+def _python(tmp_path, *args):
+    env = dict(os.environ, PYTHONPATH=str(Path(xmodal.__file__).parents[1]))
+    return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+class TestRuntimeWithoutScipy:
+    def test_import_loads_no_scipy_module(self, tmp_path):
+        done = _python(tmp_path, "-c", "import sys, xmodal.cli; "
+                       "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_degrade_analyze_and_train_run(self, corpus, tmp_path):
+        root, manifest = corpus
+        chain = tmp_path / "chain.json"
+        chain.write_text(ChainSpec((MotionBlurStep(5, 30.0), GaussianBlurStep(1.5),
+                                    JpegSimStep(80))).to_json())
+        config = _write_json(tmp_path / "cfg.json", {
+            "data": {"synthetic": {"train_counts": [8, 8, 4, 4], "val_counts": [4, 4, 4, 4],
+                                   "test_counts": [4, 4, 4, 4], "seed": 0}},
+            "train": {"epochs": 2, "batch_size": 8},
+        })
+        jobs = [
+            ["degrade", "--manifest", manifest, "--chain", chain, "--out", tmp_path / "d"],
+            ["analyze", "spectrum", "--manifest", manifest, "--out", tmp_path / "s",
+             "--size", 16],
+            ["train", "--config", config, "--out", tmp_path / "t"],
+        ]
+        argvs = json.dumps([[str(arg) for arg in argv] for argv in jobs])
+        done = _python(tmp_path, "-c", _WITHOUT_SCIPY, argvs)
+        assert done.returncode == 0, done.stderr
+        assert len(list((tmp_path / "d").glob("*.pgm"))) == 8
+        assert (tmp_path / "s" / "spectrum.csv").is_file()
+        assert (tmp_path / "t" / "checkpoint.json").is_file()

@@ -7,7 +7,7 @@ import re
 from pathlib import Path
 
 from xmodal.codecsim import _STEP_NAMES
-from xmodal.trainer import TrainConfig
+from xmodal.trainer import TrainConfig, config_key
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -33,7 +33,7 @@ def test_train_keys_and_defaults_match_train_config():
         )
     }
     fields = {
-        "lambda" if f.name == "lam" else f.name: (
+        config_key(f.name): (
             f.default.value if isinstance(f.default, enum.Enum) else f.default
         )
         for f in dataclasses.fields(TrainConfig)

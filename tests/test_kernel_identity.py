@@ -1,13 +1,17 @@
 """The pixel kernels that write into their outputs match their allocating forms bit for bit.
 
 Each ``ref_*`` function below is the earlier, allocating expression of a kernel,
-kept verbatim as the reference. Every comparison is ``np.array_equal`` on
-seeded random frames, at odd sizes, with 1 and 3 channels.
+kept verbatim as the reference; the blurs and the BCE gradient, which once
+called SciPy, keep those SciPy calls as theirs. Every comparison is
+``np.array_equal`` on seeded random frames, at odd sizes, with 1 and 3 channels.
 """
+
+import math
 
 import numpy as np
 import pytest
 from scipy import ndimage
+from scipy.special import expit
 
 from xmodal import cli
 from xmodal.codecsim import (
@@ -21,6 +25,7 @@ from xmodal.codecsim import (
     tv_range_squeeze,
     video_codec_simulate,
 )
+from xmodal.cmsupcon import bce_grad
 from xmodal.core import ImageBuffer, load_image, save_image
 from xmodal.forensics import rapsd
 from xmodal.pixelops import (
@@ -29,6 +34,7 @@ from xmodal.pixelops import (
     KR,
     ColorRange,
     Window,
+    gaussian_blur,
     motion_blur,
     motion_blur_kernel,
     quantize_8bit,
@@ -106,6 +112,18 @@ def ref_motion_blur(data, length, angle_deg):
     return np.stack(
         [ndimage.convolve(plane, kernel, mode="reflect") for plane in data]
     )
+
+
+def ref_gaussian_blur(data, sigma):
+    radius = int(math.ceil(3.0 * sigma))
+    taps = np.exp(-0.5 * (np.arange(-radius, radius + 1) / sigma) ** 2)
+    taps /= taps.sum()
+    out = ndimage.convolve1d(data, taps, axis=1, mode="reflect")
+    return ndimage.convolve1d(out, taps, axis=2, mode="reflect")
+
+
+def ref_bce_grad(logits, targets):
+    return (expit(logits) - targets) / logits.shape[0]
 
 
 def ref_to_luma(data):
@@ -315,6 +333,45 @@ def test_rapsd_with_cached_bins(h, w, window):
         assert np.array_equal(profile.power, power)
         assert np.array_equal(profile.counts, counts)
         assert not profile.counts.flags.writeable
+
+
+# planes wider and narrower than the kernels, down to a single row
+BLUR_PLANES = [(360, 640), (37, 53), (2, 2), (1, 9)]
+
+
+@pytest.mark.parametrize("h, w", BLUR_PLANES)
+@pytest.mark.parametrize("angle", [0.0, 30.0, 45.0, 90.0, 135.0])
+def test_motion_blur_matches_ndimage_convolve(h, w, angle):
+    img = frame(15, 1, h, w)
+    for length in range(1, 16):
+        expected = ref_motion_blur(img.data, length, angle)
+        assert np.array_equal(motion_blur(img, length, angle).data, expected), length
+
+
+@pytest.mark.parametrize("h, w", [(360, 640), (37, 53), (6, 5), (2, 9), (1, 1)])
+@pytest.mark.parametrize("channels", [1, 3])
+def test_gaussian_blur_matches_ndimage_convolve1d(h, w, channels):
+    img = frame(16, channels, h, w)
+    # radius 1 to 10: the small planes are narrower than most of these kernels
+    for sigma in np.arange(0.3, 3.31, 0.1):
+        expected = ref_gaussian_blur(img.data, sigma)
+        assert np.array_equal(gaussian_blur(img, sigma).data, expected), sigma
+
+
+def test_bce_grad_matches_expit():
+    rng = np.random.default_rng(17)
+    # libm's exp overflows below about -709.78, where expit is exactly 0.0;
+    # expit(-709.5) is still a subnormal 7.4e-309
+    edges = [0.0, 700.0, -700.0, 709.5, -709.5, 745.0, -745.0, 1000.0, -1000.0]
+    logits = np.concatenate(
+        [rng.normal(scale=scale, size=5000) for scale in (0.1, 1.0, 10.0, 300.0)] + [edges]
+    )
+    targets = (rng.random(logits.size) < 0.5).astype(np.float64)
+    assert np.array_equal(bce_grad(logits, targets), ref_bce_grad(logits, targets))
+    # one logit with target 0: the gradient is the sigmoid itself, unscaled
+    for v in edges:
+        one, zero = np.array([v]), np.zeros(1)
+        assert np.array_equal(bce_grad(one, zero), ref_bce_grad(one, zero)), v
 
 
 class TestKeepFreedHeap:
