@@ -32,6 +32,8 @@ from .core import (
     Modality,
     SampleRecord,
     iter_samples,
+    load_image,
+    load_luma,
     parse_manifest,
     save_image,
     successes,
@@ -167,10 +169,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "sigma": args.sigma,
         "size": args.size,
     }
+    # every kind reduces luma, so without a chain (which needs RGB) frames are
+    # decoded straight to luma, and spectrum decodes only its window
     chain = None
+    loader = load_luma
     if args.chain:
         chain = ChainSpec.load(args.chain)
         inputs["chain"] = Path(args.chain)
+        loader = load_image
+    elif kind == "spectrum":
+        loader = functools.partial(load_luma, size=args.size)
 
     def per_sample(rec: SampleRecord, img: ImageBuffer):
         if chain is not None:
@@ -188,7 +196,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     # each reducer folds the results as they stream in; ``failed`` fills as it does
     failed: list[tuple[str, str]] = []
     results = successes(
-        iter_samples(records, per_sample, args.threads), failed, f"{kind} analysis"
+        iter_samples(records, per_sample, args.threads, loader),
+        failed,
+        f"{kind} analysis",
     )
 
     if kind == "dct":
@@ -685,6 +695,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elif args.bins < least:
             args.usage_error(f"argument --bins: must be >= {least} for {args.kind}, "
                              f"got {args.bins}")
+    elif getattr(args, "bins", None) is not None:
+        args.usage_error(f"argument --bins: does not apply to {args.kind}")
     try:
         return args.func(args)
     except NonFiniteLossError as exc:

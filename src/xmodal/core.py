@@ -28,6 +28,11 @@ from .errors import (
     XmodalError,
 )
 
+# BT.601 luma coefficients
+KR = 0.299
+KG = 0.587
+KB = 0.114
+
 
 class Modality(Enum):
     """Input modality of a sample. Numeric codes: image=0, video=1."""
@@ -305,13 +310,12 @@ def _read_pnm_header(blob: bytes, path: Path) -> tuple[bytes, int, int, int, int
     return magic, width, height, maxval, pos
 
 
-def load_image(path: str | Path) -> ImageBuffer:
-    """Load a binary PGM (P5) or PPM (P6) file with maxval 255.
+def _read_pnm(path: Path) -> np.ndarray:
+    """Read a binary PGM (P5) or PPM (P6) file with maxval 255.
 
-    Pixel value u maps to u/255; P6 payload is interleaved RGB and is
-    returned planar.
+    Returns its codes as a (channels, height, width) uint8 view; P6's
+    interleaved RGB is returned planar.
     """
-    path = Path(path)
     if not path.is_file():
         raise MissingFileError(f"image not found: {path}")
     blob = path.read_bytes()
@@ -329,12 +333,57 @@ def load_image(path: str | Path) -> ImageBuffer:
         )
     raw = np.frombuffer(payload, dtype=np.uint8)
     if channels == 1:
-        planar = raw.reshape(1, height, width)
-    else:
-        planar = raw.reshape(height, width, 3).transpose(2, 0, 1)
-    data = np.empty((channels, height, width))
+        return raw.reshape(1, height, width)
+    return raw.reshape(height, width, 3).transpose(2, 0, 1)
+
+
+def load_image(path: str | Path) -> ImageBuffer:
+    """Load a binary PGM (P5) or PPM (P6) file with maxval 255.
+
+    Pixel value u maps to u/255; P6 payload is interleaved RGB and is
+    returned planar.
+    """
+    planar = _read_pnm(Path(path))
+    data = np.empty(planar.shape)
     np.divide(planar, 255.0, out=data)
     return ImageBuffer(data)
+
+
+def _fit_to_square(planes: np.ndarray, size: int) -> np.ndarray:
+    """Center-crop the last two axes to size, edge-padding first where smaller."""
+    h, w = planes.shape[-2:]
+    pad_h = max(size - h, 0)
+    pad_w = max(size - w, 0)
+    if pad_h or pad_w:
+        margins = ((pad_h // 2, pad_h - pad_h // 2), (pad_w // 2, pad_w - pad_w // 2))
+        planes = np.pad(planes, ((0, 0),) * (planes.ndim - 2) + margins, mode="edge")
+        h, w = planes.shape[-2:]
+    y0 = (h - size) // 2
+    x0 = (w - size) // 2
+    return planes[..., y0 : y0 + size, x0 : x0 + size]
+
+
+def load_luma(path: str | Path, size: Optional[int] = None) -> ImageBuffer:
+    """Load a PGM/PPM file straight to its 1-channel BT.601 luma.
+
+    Bit for bit ``pixelops.to_luma(load_image(path))``: each code plane is
+    divided by 255, weighted by KR, KG, KB and summed left to right, without
+    building the RGB planes. With ``size``, only the ``_fit_to_square`` window
+    of the codes is converted.
+    """
+    codes = _read_pnm(Path(path))
+    if size is not None:
+        codes = _fit_to_square(codes, size)
+    luma = np.empty((1,) + codes.shape[1:])
+    np.divide(codes[0], 255.0, out=luma[0])
+    if len(codes) == 3:
+        luma[0] *= KR
+        term = np.empty_like(luma[0])
+        for plane, weight in zip(codes[1:], (KG, KB)):
+            np.divide(plane, 255.0, out=term)
+            term *= weight
+            luma[0] += term
+    return ImageBuffer(luma)
 
 
 def save_image(img: ImageBuffer, path: str | Path) -> None:

@@ -22,7 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from .codecsim import BLOCK, _blocks_forward
-from .core import ImageBuffer
+from .core import ImageBuffer, _fit_to_square
 from .errors import EmptyInputError, ImageTooSmallError, WrongBinCountError
 from .pixelops import Window, gaussian_blur, round_half_away, to_luma
 
@@ -290,26 +290,6 @@ def detect_tv_range(hist: Histogram) -> tuple[TvRangeVerdict, TvRangeEvidence]:
     if tail_mass > TAIL_FULL_THRESHOLD:
         return TvRangeVerdict.FULL, evidence
     return TvRangeVerdict.INDETERMINATE, evidence
-
-
-def _fit_to_square(plane: np.ndarray, size: int) -> np.ndarray:
-    """Center-crop to size, edge-padding first if the plane is smaller."""
-    h, w = plane.shape
-    pad_h = max(size - h, 0)
-    pad_w = max(size - w, 0)
-    if pad_h or pad_w:
-        plane = np.pad(
-            plane,
-            (
-                (pad_h // 2, pad_h - pad_h // 2),
-                (pad_w // 2, pad_w - pad_w // 2),
-            ),
-            mode="edge",
-        )
-        h, w = plane.shape
-    y0 = (h - size) // 2
-    x0 = (w - size) // 2
-    return plane[y0 : y0 + size, x0 : x0 + size]
 
 
 def residual_power(

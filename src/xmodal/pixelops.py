@@ -13,13 +13,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import ImageBuffer
+from .core import KB, KG, KR, ImageBuffer
 from .errors import EmptyImageError, WrongChannelCountError
-
-# BT.601 luma coefficients
-KR = 0.299
-KG = 0.587
-KB = 0.114
 
 
 class ColorRange(Enum):
@@ -157,7 +152,7 @@ def shorter_side_resize(img: ImageBuffer, target: int) -> ImageBuffer:
         raise EmptyImageError(f"target side must be >= 1, got {target}")
     w, h = img.width, img.height
     if min(w, h) == target:
-        return ImageBuffer(img.data)
+        return img
     s = target / min(w, h)
     out_w = int(round_half_away(w * s))
     out_h = int(round_half_away(h * s))
@@ -203,7 +198,7 @@ def gaussian_blur(img: ImageBuffer, sigma: float) -> ImageBuffer:
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     if sigma == 0:
-        return ImageBuffer(img.data)
+        return img
     radius = int(math.ceil(3.0 * sigma))
     taps = np.exp(-0.5 * (np.arange(-radius, radius + 1) / sigma) ** 2)
     taps /= taps.sum()
@@ -251,7 +246,7 @@ def motion_blur(img: ImageBuffer, length: int, angle_deg: float = 0.0) -> ImageB
     ndimage.convolve uses, so the two agree bit for bit.
     """
     if length == 1:
-        return ImageBuffer(img.data)
+        return img
     kernel = motion_blur_kernel(length, angle_deg)[::-1, ::-1]
     radius = kernel.shape[0] // 2
     rows, cols = np.nonzero(kernel)
@@ -282,7 +277,7 @@ def motion_blur(img: ImageBuffer, length: int, angle_deg: float = 0.0) -> ImageB
 def to_luma(img: ImageBuffer) -> ImageBuffer:
     """BT.601 full-range luma; grayscale input passes through unchanged."""
     if img.channels == 1:
-        return ImageBuffer(img.data)
+        return img
     r, g, b = img.data
     out = np.empty((1, img.height, img.width))
     _bt601_luma(r, g, b, out[0])

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: outputs, determinism, exit codes."""
 
+import csv
 import json
 import os
 import subprocess
@@ -11,8 +12,23 @@ import pytest
 
 import xmodal
 from xmodal.cli import derive_sample_seed, main
-from xmodal.codecsim import ChainSpec, GaussianBlurStep, JpegSimStep, MotionBlurStep
+from xmodal.codecsim import (
+    ChainSpec,
+    ColorJitterStep,
+    GaussianBlurStep,
+    JpegSimStep,
+    MotionBlurStep,
+    apply_chain,
+)
 from xmodal.core import load_image, parse_manifest
+from xmodal.forensics import (
+    dataset_mean_rapsd,
+    dct_ac_histogram,
+    luminance_histogram,
+    rapsd,
+    residual_power,
+    residual_spectrum,
+)
 from xmodal.trainer import ToyModel, TrainConfig, save_checkpoint
 
 from conftest import textured_image, write_manifest_file
@@ -118,6 +134,19 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("usage: xmodal analyze") and flag in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind,value", [("luma", -3), ("spectrum", 0), ("luma", 32)])
+    def test_bins_exits_2_where_it_does_not_apply(self, corpus, tmp_path, capsys, kind,
+                                                  value):
+        root, manifest = corpus
+        with pytest.raises(SystemExit) as exc:
+            run_cli("analyze", kind, "--manifest", manifest, "--out", tmp_path / "out",
+                    "--bins", value)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: xmodal analyze")
+        assert f"argument --bins: does not apply to {kind}" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("kind,flag,value", [
@@ -714,6 +743,43 @@ class TestAnalyzeWithChain:
         chained = json.loads((chain_out / "rapsd.summary.json").read_text())
         assert chained["high_band_power"] < plain["high_band_power"]
 
+
+    @pytest.mark.parametrize("kind", ["dct", "rapsd", "luma", "spectrum"])
+    def test_chain_output_matches_library_fold(self, tmp_path, kind):
+        # colour frames: a chain run on RGB and one run on luma give different luma
+        entries = []
+        for i in range(3):
+            path = tmp_path / f"c{i}.ppm"
+            save_image(textured_image(seed=400 + i, h=24, w=40, channels=3), path)
+            entries.append({"id": f"c{i}", "path": str(path), "label": "real",
+                            "modality": "image", "subset": "s"})
+        manifest = write_manifest_file(tmp_path / "m.jsonl", entries)
+        chain = ChainSpec((ColorJitterStep(brightness=(0.7, 1.3)), JpegSimStep(30)))
+        chain_path = tmp_path / "chain.json"
+        chain_path.write_text(chain.to_json())
+        out = tmp_path / "out"
+        assert run_cli("analyze", kind, "--manifest", manifest, "--out", out,
+                       "--chain", chain_path, "--seed", 5, "--size", 16) == 0
+        with (out / f"{kind}.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        images = [
+            apply_chain(load_image(e["path"]), chain,
+                        np.random.default_rng(derive_sample_seed(5, e["id"])))
+            for e in entries
+        ]
+        if kind == "dct":
+            column, expected = "count", dct_ac_histogram(images).histogram.counts
+        elif kind == "rapsd":
+            column = "power"
+            expected = dataset_mean_rapsd(rapsd(img) for img in images).power
+        elif kind == "luma":
+            column, expected = "count", luminance_histogram(images).counts
+        else:
+            column = "log10_power"
+            powers = (residual_power(img, 1.0, 16) for img in images)
+            expected = residual_spectrum(powers).values.ravel()
+        written = np.array([float(row[column]) for row in rows])
+        assert np.array_equal(written, expected)
 
     def test_missing_chain_exits_2_for_every_kind(self, corpus, tmp_path, capsys):
         root, manifest = corpus

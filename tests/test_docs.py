@@ -1,11 +1,15 @@
-"""The README's lists of chain step names and train settings match the code."""
+"""The README's commands, chain step names and train settings match the code."""
 
 import dataclasses
 import enum
 import json
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+
+from xmodal.cli import build_parser
 from xmodal.codecsim import _STEP_NAMES
 from xmodal.trainer import TrainConfig, config_key
 
@@ -39,3 +43,23 @@ def test_train_keys_and_defaults_match_train_config():
         for f in dataclasses.fields(TrainConfig)
     }
     assert documented == fields
+
+
+def _readme_commands() -> list[str]:
+    """Every ``xmodal ...`` command in the README's shell blocks, one line each."""
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", README, flags=re.DOTALL):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("xmodal "):
+                commands.append(line)
+    return commands
+
+
+@pytest.mark.parametrize("command", _readme_commands())
+def test_readme_command_parses(command):
+    # once with the bracketed options and once without them
+    for line in (re.sub(r"[\[\]]", "", command), re.sub(r"\[[^\]]*\]", "", command)):
+        try:
+            build_parser().parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")

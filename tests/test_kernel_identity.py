@@ -13,7 +13,7 @@ import pytest
 from scipy import ndimage
 from scipy.special import expit
 
-from xmodal import cli
+from xmodal import cli, forensics
 from xmodal.codecsim import (
     VideoQuantModel,
     _blocks_forward,
@@ -26,8 +26,14 @@ from xmodal.codecsim import (
     video_codec_simulate,
 )
 from xmodal.cmsupcon import bce_grad
-from xmodal.core import ImageBuffer, load_image, save_image
-from xmodal.forensics import rapsd
+from xmodal.core import ImageBuffer, _fit_to_square, load_image, load_luma, save_image
+from xmodal.errors import (
+    MissingFileError,
+    TruncatedDataError,
+    UnsupportedFormatError,
+    XmodalError,
+)
+from xmodal.forensics import dct_ac_histogram, rapsd
 from xmodal.pixelops import (
     KB,
     KG,
@@ -333,6 +339,63 @@ def test_rapsd_with_cached_bins(h, w, window):
         assert np.array_equal(profile.power, power)
         assert np.array_equal(profile.counts, counts)
         assert not profile.counts.flags.writeable
+
+
+@pytest.mark.parametrize("h, w", [(360, 640), (37, 53), (1, 1)])
+@pytest.mark.parametrize("channels", [1, 3])
+def test_load_luma_matches_to_luma_of_load_image(tmp_path, h, w, channels):
+    path = tmp_path / ("f.ppm" if channels == 3 else "f.pgm")
+    save_image(codes_frame(18, channels, h, w), path)
+    expected = to_luma(load_image(path)).data
+    assert np.array_equal(load_luma(path).data, expected)
+    # windows narrower than both sides, between the two, and wider than both
+    for size in (1, 8, 40, 64, 1000):
+        window = load_luma(path, size).data
+        assert window.shape == (1, size, size)
+        assert np.array_equal(window[0], _fit_to_square(expected[0], size)), size
+
+
+@pytest.mark.parametrize("blob, error", [
+    (None, MissingFileError),
+    (b"P3\n2 2\n255\n" + bytes(12), UnsupportedFormatError),
+    (b"P6\n2 2\n65535\n" + bytes(24), UnsupportedFormatError),
+    (b"P6\n2 2\n255\n" + bytes(11), TruncatedDataError),
+], ids=["missing", "bad-magic", "maxval-65535", "truncated"])
+def test_load_luma_fails_as_load_image(tmp_path, blob, error):
+    path = tmp_path / "f.ppm"
+    if blob is not None:
+        path.write_bytes(blob)
+    with pytest.raises(XmodalError) as luma_error:
+        load_luma(path, 8)
+    with pytest.raises(XmodalError) as image_error:
+        load_image(path)
+    assert type(luma_error.value) is type(image_error.value) is error
+    assert str(luma_error.value) == str(image_error.value)
+
+
+@pytest.mark.parametrize("nbins", [1, 2, 129])
+@pytest.mark.parametrize("value_range", [64.0, 1.3])
+def test_dct_ac_histogram_counts_match_explicit_edges(monkeypatch, nbins, value_range):
+    # the binning any faster path must keep: bins closed on the left, the last
+    # one on both sides, values outside the range dropped
+    edges = np.linspace(-value_range, value_range, nbins + 1)
+    values = np.concatenate([
+        edges,
+        np.nextafter(edges, -np.inf),
+        np.nextafter(edges, np.inf),
+        [value_range, -value_range, -0.0, 0.0, 2.0 * value_range, -np.inf, np.inf],
+        np.random.default_rng(19).uniform(-1.5 * value_range, 1.5 * value_range, 500),
+    ])
+    # feed ``values`` to the histogram as the AC coefficients of a run of blocks
+    ac = np.zeros(-(-values.size // 63) * 63)
+    ac[: values.size] = values
+    coeffs = np.zeros((1, ac.size // 63, 8, 8))
+    coeffs.reshape(-1, 64)[:, 1:] = ac.reshape(-1, 63)
+    monkeypatch.setattr(forensics, "_blocks_forward", lambda plane: (coeffs, plane.shape))
+    result = dct_ac_histogram([frame(20, 1, 8, 8)], value_range, nbins)
+    expected, _ = np.histogram(ac, bins=edges)
+    assert np.array_equal(result.histogram.counts, expected)
+    assert np.array_equal(result.histogram.bin_edges, edges)
 
 
 # planes wider and narrower than the kernels, down to a single row
