@@ -150,8 +150,6 @@ def _keep_freed_heap() -> None:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     manifest = parse_manifest(args.manifest)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     records = manifest.records[: args.limit]
     kind = args.kind
     inputs = {"manifest": Path(args.manifest)}
@@ -179,6 +177,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         loader = load_image
     elif kind == "spectrum":
         loader = functools.partial(load_luma, size=args.size)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     def per_sample(rec: SampleRecord, img: ImageBuffer):
         if chain is not None:

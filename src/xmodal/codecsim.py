@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Union
 
@@ -27,6 +27,7 @@ from .errors import (
     InvalidRangeError,
     QualityOutOfRangeError,
     UnknownStepError,
+    XmodalError,
 )
 from .pixelops import (
     ColorRange,
@@ -71,31 +72,6 @@ def dct8x8_inverse(coeffs: np.ndarray) -> np.ndarray:
     if block.shape != (BLOCK, BLOCK):
         raise ValueError(f"expected an 8x8 block, got shape {block.shape}")
     return _DCT.T @ block @ _DCT
-
-
-def _blocks_forward(plane: np.ndarray) -> tuple[np.ndarray, tuple[int, int]]:
-    """Edge-pad a 2D plane to a multiple of 8 and DCT every block.
-
-    Returns (coeffs with shape (nby, nbx, 8, 8), original (h, w)).
-    """
-    h, w = plane.shape
-    pad_h = (-h) % BLOCK
-    pad_w = (-w) % BLOCK
-    if pad_h or pad_w:
-        plane = np.pad(plane, ((0, pad_h), (0, pad_w)), mode="edge")
-    ph, pw = plane.shape
-    tiles = plane.reshape(ph // BLOCK, BLOCK, pw // BLOCK, BLOCK).transpose(0, 2, 1, 3)
-    coeffs = np.einsum("ij,abjk,lk->abil", _DCT, tiles, _DCT, optimize=True)
-    return coeffs, (h, w)
-
-
-def _blocks_inverse(coeffs: np.ndarray, size: tuple[int, int]) -> np.ndarray:
-    """Inverse of _blocks_forward, cropping back to the original size."""
-    tiles = np.einsum("ji,abjk,kl->abil", _DCT, coeffs, _DCT, optimize=True)
-    nby, nbx = tiles.shape[:2]
-    plane = tiles.transpose(0, 2, 1, 3).reshape(nby * BLOCK, nbx * BLOCK)
-    h, w = size
-    return plane[:h, :w]
 
 
 # --- quantizers ---------------------------------------------------------------
@@ -163,24 +139,26 @@ def quant_table_from_quality(quality: int, channel: str = "luma") -> QuantTable:
     return QuantTable(np.clip(scaled, 1, 255), quality=quality)
 
 
+# the public quantizers view their (..., 8, 8) blocks as (..., 8, 1, 8): a
+# plane one block wide, in the (nby, 8, nbx, 8) layout of the block DCT
 def quantize_coefficients(coeffs: np.ndarray, table: QuantTable) -> np.ndarray:
-    """Divide by the table and round half-away-from-zero to integer indices."""
-    return _quantize_inplace(np.array(coeffs, dtype=np.float64), table)
+    """Divide (..., 8, 8) blocks by the table and round half-away-from-zero."""
+    return _quantize_inplace(np.array(coeffs, dtype=np.float64)[..., None, :], table)[..., 0, :]
 
 
 def dequantize_coefficients(indices: np.ndarray, table: QuantTable) -> np.ndarray:
-    return _dequantize_inplace(np.array(indices, dtype=np.float64), table)
+    return _dequantize_inplace(np.array(indices, dtype=np.float64)[..., None, :], table)[..., 0, :]
 
 
 def _quantize_inplace(coeffs: np.ndarray, table: QuantTable) -> np.ndarray:
-    """quantize_coefficients written over a float64 ``coeffs``; returns it."""
-    coeffs /= table.table
+    """quantize_coefficients written over (nby, 8, nbx, 8) float64 ``coeffs``."""
+    coeffs /= table.table[:, None, :]
     return _round_half_away_inplace(coeffs)
 
 
 def _dequantize_inplace(indices: np.ndarray, table: QuantTable) -> np.ndarray:
-    """dequantize_coefficients written over a float64 ``indices``; returns it."""
-    indices *= table.table
+    """dequantize_coefficients written over (nby, 8, nbx, 8) float64 ``indices``."""
+    indices *= table.table[:, None, :]
     return indices
 
 
@@ -208,14 +186,15 @@ def deadzone_quantize_block(coeffs: np.ndarray, model: VideoQuantModel) -> np.nd
     DC gets a plain round; AC is zeroed inside deadzone*qstep, otherwise
     rounded to the nearest multiple of qstep.
     """
-    return _deadzone_quantize_inplace(np.array(coeffs, dtype=np.float64), model)
+    rec = _deadzone_quantize_inplace(np.array(coeffs, dtype=np.float64)[..., None, :], model)
+    return rec[..., 0, :]
 
 
 def _deadzone_quantize_inplace(coeffs: np.ndarray, model: VideoQuantModel) -> np.ndarray:
-    """deadzone_quantize_block written over a float64 ``coeffs``; returns it."""
+    """deadzone_quantize_block written over (nby, 8, nbx, 8) float64 ``coeffs``."""
     q = model.qstep
     dead = np.abs(coeffs) < model.deadzone * q
-    dead[..., 0, 0] = False  # DC is exempt from the deadzone
+    dead[..., 0, :, 0] = False  # DC is exempt from the deadzone
     coeffs /= q
     _round_half_away_inplace(coeffs)
     coeffs *= q
@@ -230,18 +209,36 @@ LUMA_OFFSET = 128.0
 CHROMA_OFFSET = 127.5  # chroma neutral is 0.5 in float, i.e. 127.5 at 8-bit scale
 
 
-def _shifted_coeffs(plane: np.ndarray, offset: float) -> tuple[np.ndarray, tuple[int, int]]:
-    """Block DCT of one channel at 8-bit scale, level-shifted by ``-offset``."""
-    shifted = plane * 255.0
+def _shifted_coeffs(plane: np.ndarray, offset: float) -> np.ndarray:
+    """Block DCT of one channel at 8-bit scale, level-shifted by ``-offset``.
+
+    The shifted plane is written into a buffer edge-padded to a multiple of 8.
+    Its coefficients keep that buffer's layout, shape (nby, 8, nbx, 8):
+    coefficient (u, v) of block (a, b) sits at [a, u, b, v]. One matmul sums
+    over the rows of each block, a second over its columns, in that order:
+    the other order differs in the last bit.
+    """
+    h, w = plane.shape
+    nby, nbx = -(-h // BLOCK), -(-w // BLOCK)
+    padded = np.empty((nby * BLOCK, nbx * BLOCK))
+    shifted = np.multiply(plane, 255.0, out=padded[:h, :w])
     shifted -= offset
-    return _blocks_forward(shifted)
+    padded[:h, w:] = shifted[:, -1:]
+    padded[h:] = padded[h - 1]
+    coeffs = np.matmul(_DCT, padded.reshape(nby, BLOCK, nbx * BLOCK))
+    flat = coeffs.reshape(-1, BLOCK)
+    np.matmul(flat, _DCT.T, out=flat)
+    return coeffs.reshape(nby, BLOCK, nbx, BLOCK)
 
 
-def _reconstruct(
-    coeffs: np.ndarray, size: tuple[int, int], offset: float, out: np.ndarray
-) -> None:
-    """Inverse of _shifted_coeffs, written into the [0, 1]-scale plane ``out``."""
-    np.add(_blocks_inverse(coeffs, size), offset, out=out)
+def _reconstruct(coeffs: np.ndarray, offset: float, out: np.ndarray) -> None:
+    """Inverse of _shifted_coeffs (rows, then columns) into the [0, 1]-scale plane ``out``."""
+    nby, _, nbx, _ = coeffs.shape
+    plane = np.matmul(_DCT.T, coeffs.reshape(nby, BLOCK, nbx * BLOCK))
+    flat = plane.reshape(-1, BLOCK)
+    np.matmul(flat, _DCT, out=flat)
+    h, w = out.shape
+    np.add(plane.reshape(nby * BLOCK, nbx * BLOCK)[:h, :w], offset, out=out)
     out /= 255.0
 
 
@@ -265,9 +262,8 @@ def jpeg_simulate(
     offsets = (LUMA_OFFSET, CHROMA_OFFSET, CHROMA_OFFSET)
     out = np.empty_like(planes)
     for plane, offset, table, dst in zip(planes, offsets, (luma, chroma, chroma), out):
-        coeffs, size = _shifted_coeffs(plane, offset)
-        indices = _quantize_inplace(coeffs, table)
-        _reconstruct(_dequantize_inplace(indices, table), size, offset, dst)
+        indices = _quantize_inplace(_shifted_coeffs(plane, offset), table)
+        _reconstruct(_dequantize_inplace(indices, table), offset, dst)
     if was_color:
         result = ycbcr_to_rgb(ImageBuffer(out), ColorRange.FULL)
     else:
@@ -286,8 +282,8 @@ def video_codec_simulate(img: ImageBuffer, model: VideoQuantModel) -> ImageBuffe
     """
     out = np.empty_like(img.data)
     for plane, dst in zip(img.data, out):
-        coeffs, size = _shifted_coeffs(plane, 128.0)
-        _reconstruct(_deadzone_quantize_inplace(coeffs, model), size, 128.0, dst)
+        coeffs = _deadzone_quantize_inplace(_shifted_coeffs(plane, 128.0), model)
+        _reconstruct(coeffs, 128.0, dst)
     return ImageBuffer(np.clip(out, 0.0, 1.0, out=out))
 
 
@@ -385,12 +381,6 @@ class Quantize8BitStep:
         return quantize_8bit(img)
 
 
-def _check_factor_range(name: str, rng_pair: tuple[float, float]) -> None:
-    lo, hi = rng_pair
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi or lo < 0:
-        raise InvalidRangeError(f"{name} range must satisfy 0 <= lo <= hi, got {rng_pair}")
-
-
 @dataclass(frozen=True)
 class ColorJitterStep:
     """Random brightness/contrast/saturation factors, each uniform in range."""
@@ -400,12 +390,11 @@ class ColorJitterStep:
     saturation: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "brightness", tuple(self.brightness))
-        object.__setattr__(self, "contrast", tuple(self.contrast))
-        object.__setattr__(self, "saturation", tuple(self.saturation))
-        _check_factor_range("brightness", self.brightness)
-        _check_factor_range("contrast", self.contrast)
-        _check_factor_range("saturation", self.saturation)
+        for name in ("brightness", "contrast", "saturation"):
+            lo, hi = pair = tuple(getattr(self, name))
+            object.__setattr__(self, name, pair)
+            if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi or lo < 0:
+                raise InvalidRangeError(f"{name} range must satisfy 0 <= lo <= hi, got {pair}")
 
     def apply(self, img: ImageBuffer, rng: np.random.Generator) -> ImageBuffer:
         b = float(rng.uniform(*self.brightness))
@@ -420,17 +409,6 @@ class ColorJitterStep:
         return ImageBuffer(np.clip(data, 0.0, 1.0))
 
 
-ChainStep = Union[
-    MotionBlurStep,
-    GaussianBlurStep,
-    ResizeStep,
-    JpegSimStep,
-    VideoCodecSimStep,
-    TvRangeSqueezeStep,
-    ColorJitterStep,
-    Quantize8BitStep,
-]
-
 _STEP_NAMES: dict[type, str] = {
     MotionBlurStep: "motion_blur",
     GaussianBlurStep: "gaussian_blur",
@@ -442,6 +420,21 @@ _STEP_NAMES: dict[type, str] = {
     Quantize8BitStep: "quantize_8bit",
 }
 _STEP_TYPES = {name: cls for cls, name in _STEP_NAMES.items()}
+ChainStep = Union[tuple(_STEP_NAMES)]
+
+
+_KIND_TEXT = {"int": "an integer", "float": "a number", "tuple[float, float]": "a pair of numbers"}
+
+
+def _json_fits(value, kind: str) -> bool:
+    """Whether a chain-file value fits a step field annotated ``kind``. JSON
+    true/false would pass as the ints 1/0, and Python's JSON reader takes NaN."""
+    if kind == "tuple[float, float]":
+        return isinstance(value, list) and len(value) == 2 and all(
+            _json_fits(v, "float") for v in value
+        )
+    number = (int,) if kind == "int" else (int, float)
+    return isinstance(value, number) and not isinstance(value, bool) and abs(value) < math.inf
 
 
 @dataclass(frozen=True)
@@ -467,28 +460,34 @@ class ChainSpec:
     @classmethod
     def from_json(cls, text: str) -> "ChainSpec":
         doc = json.loads(text)
-        if not isinstance(doc, dict) or "steps" not in doc:
+        if not isinstance(doc, dict) or not isinstance(doc.get("steps"), list):
             raise InvalidRangeError("chain document must be {'steps': [...]}")
         steps = []
-        for entry in doc["steps"]:
+        for i, entry in enumerate(doc["steps"]):
             if not isinstance(entry, dict) or "step" not in entry:
-                raise InvalidRangeError(f"bad chain step entry: {entry!r}")
+                raise InvalidRangeError(f"step {i}: bad chain step entry: {entry!r}")
             name = entry["step"]
             if name not in _STEP_TYPES:
                 raise UnknownStepError(name)
             kwargs = {k: v for k, v in entry.items() if k != "step"}
-            for key, value in kwargs.items():
-                if isinstance(value, list):
-                    kwargs[key] = tuple(value)
             try:
+                for field in fields(_STEP_TYPES[name]):
+                    value = kwargs.get(field.name)
+                    if field.name in kwargs and not _json_fits(value, field.type):
+                        what = _KIND_TEXT[field.type]
+                        raise InvalidRangeError(f"{field.name!r} must be {what}, got {value!r}")
                 steps.append(_STEP_TYPES[name](**kwargs))
-            except TypeError as exc:
-                raise InvalidRangeError(f"step {name!r}: {exc}") from None
+            # a missing or unknown key is a TypeError of the constructor
+            except (XmodalError, ValueError, TypeError) as exc:
+                raise InvalidRangeError(f"step {i} {name!r}: {exc}") from None
         return cls(tuple(steps))
 
     @classmethod
     def load(cls, path: str | Path) -> "ChainSpec":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        try:
+            return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        except (XmodalError, ValueError) as exc:
+            raise XmodalError(f"{path}: {exc}") from None
 
 
 def apply_chain(

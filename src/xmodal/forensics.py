@@ -21,10 +21,10 @@ from typing import Iterable
 
 import numpy as np
 
-from .codecsim import BLOCK, _blocks_forward
+from .codecsim import BLOCK, _shifted_coeffs
 from .core import ImageBuffer, _fit_to_square
 from .errors import EmptyInputError, ImageTooSmallError, WrongBinCountError
-from .pixelops import Window, gaussian_blur, round_half_away, to_luma
+from .pixelops import Window, gaussian_blur, to_luma
 
 ZERO_EPS = 1e-6  # |coefficient| below this counts as an exact post-quantization zero
 
@@ -139,11 +139,10 @@ def dct_ac_histogram(
     ac_mask[0, 0] = False
     for img in images:
         require_dct_block(img)
-        plane = _luma_plane(img) * 255.0 - 128.0
         h8 = (img.height // BLOCK) * BLOCK
         w8 = (img.width // BLOCK) * BLOCK
-        coeffs, _ = _blocks_forward(plane[:h8, :w8])
-        ac = coeffs[:, :, ac_mask].ravel()
+        coeffs = _shifted_coeffs(_luma_plane(img)[:h8, :w8], 128.0)
+        ac = coeffs.transpose(0, 2, 1, 3)[:, :, ac_mask].ravel()
         hist, _ = np.histogram(ac, bins=edges)
         counts += hist
         total_ac += ac.size
@@ -227,9 +226,11 @@ def luminance_histogram(images: Iterable[ImageBuffer]) -> Histogram:
     counts = np.zeros(256, dtype=np.int64)
     n_images = 0
     for img in images:
-        luma = np.clip(_luma_plane(img), 0.0, 1.0)
-        codes = round_half_away(luma * 255.0).astype(np.int64)
-        counts += np.bincount(codes.ravel(), minlength=256)
+        # after the clip, round_half_away(luma*255) is floor(luma*255 + 0.5), an int cast
+        codes = np.clip(_luma_plane(img), 0.0, 1.0)
+        codes *= 255.0
+        codes += 0.5
+        counts += np.bincount(codes.astype(np.intp).ravel(), minlength=256)
         n_images += 1
     if n_images == 0:
         raise EmptyInputError("luminance_histogram needs at least one image")

@@ -260,6 +260,29 @@ class TestDegrade:
         assert code == 2
         assert "h265" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["degrade", "analyze"])
+    @pytest.mark.parametrize("doc, where", [
+        ({"steps": 5}, "chain document must be"),
+        ({"steps": [{"step": "motion_blur", "length": 3, "angle_deg": "x"}]},
+         "step 0 'motion_blur': 'angle_deg'"),
+        ({"steps": [{"step": "jpeg", "quality": True}]}, "step 0 'jpeg': 'quality'"),
+        ({"steps": [{"step": "jpeg", "quality": 90}, {"step": "resize", "shorter_side": 1.5}]},
+         "step 1 'resize': 'shorter_side'"),
+        ({"steps": [{"step": "color_jitter", "contrast": [0.9]}]},
+         "step 0 'color_jitter': 'contrast'"),
+    ])
+    def test_mistyped_chain_exits_2_naming_step(self, corpus, tmp_path, capsys, command, doc,
+                                                where):
+        root, manifest = corpus
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        kind = ("dct",) if command == "analyze" else ()
+        code = run_cli(command, *kind, "--manifest", manifest, "--chain", bad,
+                       "--out", tmp_path / "x")
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: {where}")
+        assert not (tmp_path / "x").exists()
+
     def test_sample_seed_derivation_stable(self):
         assert derive_sample_seed(1, "a") == derive_sample_seed(1, "a")
         assert derive_sample_seed(1, "a") != derive_sample_seed(2, "a")

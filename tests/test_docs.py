@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from xmodal.cli import build_parser
-from xmodal.codecsim import _STEP_NAMES
+from xmodal.codecsim import _STEP_NAMES, _STEP_TYPES
 from xmodal.trainer import TrainConfig, config_key
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -26,6 +26,26 @@ def _paragraph(opening: str) -> str:
 def test_step_names_match_chain_steps():
     names = re.findall(r"`(\w+)`", _paragraph("Step names:"))
     assert names == list(_STEP_NAMES.values())
+
+
+def test_step_keys_and_types_match_step_fields():
+    kinds = {"integer": "int", "number": "float", "pair": "tuple[float, float]"}
+    documented = {}
+    for item in re.split(r"(?:^| )- (?=`)", _paragraph("- `motion_blur`:"))[1:]:
+        name, rest = re.match(r"`(\w+)`:(.*)", item).groups()
+        keys, pending = {}, []
+        for key, kind in re.findall(r"`(\w+)`|\b(integer|number|pair)\b", rest):
+            if key:
+                pending.append(key)
+            else:
+                keys.update((k, kinds[kind]) for k in pending)
+                pending = []
+        documented[name] = keys
+    fields = {
+        name: {f.name: f.type for f in dataclasses.fields(step_type)}
+        for name, step_type in _STEP_TYPES.items()
+    }
+    assert documented == fields
 
 
 def test_train_keys_and_defaults_match_train_config():

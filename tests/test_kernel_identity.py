@@ -2,8 +2,9 @@
 
 Each ``ref_*`` function below is the earlier, allocating expression of a kernel,
 kept verbatim as the reference; the blurs and the BCE gradient, which once
-called SciPy, keep those SciPy calls as theirs. Every comparison is
-``np.array_equal`` on seeded random frames, at odd sizes, with 1 and 3 channels.
+called SciPy, keep those SciPy calls as theirs, and the block DCT keeps its
+einsum form. Every comparison is ``np.array_equal`` on seeded random frames,
+at odd sizes, with 1 and 3 channels.
 """
 
 import math
@@ -16,8 +17,9 @@ from scipy.special import expit
 from xmodal import cli, forensics
 from xmodal.codecsim import (
     VideoQuantModel,
-    _blocks_forward,
-    _blocks_inverse,
+    _DCT,
+    _reconstruct,
+    _shifted_coeffs,
     deadzone_quantize_block,
     jpeg_simulate,
     quant_table_from_quality,
@@ -33,7 +35,7 @@ from xmodal.errors import (
     UnsupportedFormatError,
     XmodalError,
 )
-from xmodal.forensics import dct_ac_histogram, rapsd
+from xmodal.forensics import dct_ac_histogram, luminance_histogram, rapsd
 from xmodal.pixelops import (
     KB,
     KG,
@@ -137,6 +139,27 @@ def ref_to_luma(data):
     return (KR * r + KG * g + KB * b)[None, :, :]
 
 
+def ref_blocks_forward(plane):
+    # coefficients of block (a, b) at [a, b, :, :]
+    h, w = plane.shape
+    pad_h = (-h) % 8
+    pad_w = (-w) % 8
+    if pad_h or pad_w:
+        plane = np.pad(plane, ((0, pad_h), (0, pad_w)), mode="edge")
+    ph, pw = plane.shape
+    tiles = plane.reshape(ph // 8, 8, pw // 8, 8).transpose(0, 2, 1, 3)
+    coeffs = np.einsum("ij,abjk,lk->abil", _DCT, tiles, _DCT, optimize=True)
+    return coeffs, (h, w)
+
+
+def ref_blocks_inverse(coeffs, size):
+    tiles = np.einsum("ji,abjk,kl->abil", _DCT, coeffs, _DCT, optimize=True)
+    nby, nbx = tiles.shape[:2]
+    plane = tiles.transpose(0, 2, 1, 3).reshape(nby * 8, nbx * 8)
+    h, w = size
+    return plane[:h, :w]
+
+
 def ref_quantize_coefficients(coeffs, table):
     return ref_round_half_away(np.asarray(coeffs, dtype=np.float64) / table.table)
 
@@ -165,9 +188,9 @@ def ref_jpeg_simulate(data, quality):
         tables += [chroma, chroma]
     out_channels = []
     for (plane, offset), table in zip(channels, tables):
-        coeffs, size = _blocks_forward(plane * 255.0 - offset)
+        coeffs, size = ref_blocks_forward(plane * 255.0 - offset)
         rec = np.asarray(ref_quantize_coefficients(coeffs, table), dtype=np.float64) * table.table
-        out_channels.append((_blocks_inverse(rec, size) + offset) / 255.0)
+        out_channels.append((ref_blocks_inverse(rec, size) + offset) / 255.0)
     if was_color:
         result = ref_ycbcr_to_rgb(np.stack(out_channels), ColorRange.FULL)
     else:
@@ -178,15 +201,19 @@ def ref_jpeg_simulate(data, quality):
 def ref_video_codec_simulate(data, model):
     out_channels = []
     for plane in data:
-        coeffs, size = _blocks_forward(plane * 255.0 - 128.0)
+        coeffs, size = ref_blocks_forward(plane * 255.0 - 128.0)
         rec = ref_deadzone_quantize_block(coeffs, model)
-        out_channels.append((_blocks_inverse(rec, size) + 128.0) / 255.0)
+        out_channels.append((ref_blocks_inverse(rec, size) + 128.0) / 255.0)
     return np.clip(np.stack(out_channels), 0.0, 1.0)
 
 
 def ref_tv_range_squeeze_rgb(data):
     limited = ref_quantize_8bit(ref_rgb_to_ycbcr(data, ColorRange.LIMITED))
     return ref_quantize_8bit(ref_ycbcr_to_rgb(limited, ColorRange.LIMITED))
+
+
+def ref_luma_codes(luma):
+    return ref_round_half_away(np.clip(luma, 0.0, 1.0) * 255.0).astype(np.int64)
 
 
 def ref_rapsd(img, window, nbins):
@@ -212,7 +239,9 @@ def ref_rapsd(img, window, nbins):
 
 # --- seeded frames -------------------------------------------------------------
 
-SIZES = [(37, 53), (8, 8), (64, 96)]
+# the codecs pad planes whose sides are not multiples of 8: both sides, rows
+# only, columns only, and a single row
+SIZES = [(37, 53), (8, 8), (64, 96), (16, 13), (13, 16), (1, 9)]
 
 
 def frame(seed, channels, h, w, lo=-0.05, hi=1.05):
@@ -293,6 +322,26 @@ class TestPixelKernels:
         assert np.array_equal(load_image(path).data, codes.astype(np.float64) / 255.0)
 
 
+# planes with both, one or no sides a multiple of 8, down to a single row
+DCT_PLANES = [(256, 455), (360, 640), (37, 53), (9, 17), (8, 8), (1, 9), (1080, 1920)]
+
+
+@pytest.mark.parametrize("h, w", DCT_PLANES)
+@pytest.mark.parametrize("on_grid", [False, True])
+def test_block_dct_matches_einsum(h, w, on_grid):
+    img = codes_frame(21, 1, h, w) if on_grid else frame(21, 1, h, w)
+    plane = img.data[0]
+    expected, size = ref_blocks_forward(plane * 255.0 - 128.0)
+    coeffs = _shifted_coeffs(plane, 128.0)
+    assert coeffs.shape == (-(-h // 8), 8, -(-w // 8), 8)
+    assert np.array_equal(coeffs.transpose(0, 2, 1, 3), expected)
+    rounded = np.round(expected)  # quantized values, as the codecs invert them
+    for ref_coeffs in (expected, rounded):
+        out = np.empty((h, w))
+        _reconstruct(np.ascontiguousarray(ref_coeffs.transpose(0, 2, 1, 3)), 128.0, out)
+        assert np.array_equal(out, (ref_blocks_inverse(ref_coeffs, size) + 128.0) / 255.0)
+
+
 @pytest.mark.parametrize("h, w, target", [(37, 53, 20), (37, 53, 81), (64, 96, 40), (9, 200, 16)])
 @pytest.mark.parametrize("channels", [1, 3])
 def test_resize_up_and_down(h, w, target, channels):
@@ -339,6 +388,24 @@ def test_rapsd_with_cached_bins(h, w, window):
         assert np.array_equal(profile.power, power)
         assert np.array_equal(profile.counts, counts)
         assert not profile.counts.flags.writeable
+
+
+def test_luminance_histogram_codes_at_rounding_edges():
+    # every code, every halfway point between codes, their neighbouring
+    # doubles, and values the clip moves onto 0 and 1
+    k = np.arange(256.0)
+    luma = np.concatenate([k, k - 0.5, k + 0.5]) / 255.0
+    luma = np.concatenate([
+        luma, np.nextafter(luma, -np.inf), np.nextafter(luma, np.inf), [-0.3, -0.0, 1.2]
+    ])
+    codes = [
+        int(np.flatnonzero(luminance_histogram([ImageBuffer(np.full((1, 1, 1), v))]).counts)[0])
+        for v in luma
+    ]
+    assert codes == ref_luma_codes(luma).tolist()
+    img = frame(22, 3, 37, 53, lo=-0.2, hi=1.2)
+    expected = np.bincount(ref_luma_codes(ref_to_luma(img.data)).ravel(), minlength=256)
+    assert np.array_equal(luminance_histogram([img, img]).counts, 2 * expected)
 
 
 @pytest.mark.parametrize("h, w", [(360, 640), (37, 53), (1, 1)])
@@ -391,7 +458,9 @@ def test_dct_ac_histogram_counts_match_explicit_edges(monkeypatch, nbins, value_
     ac[: values.size] = values
     coeffs = np.zeros((1, ac.size // 63, 8, 8))
     coeffs.reshape(-1, 64)[:, 1:] = ac.reshape(-1, 63)
-    monkeypatch.setattr(forensics, "_blocks_forward", lambda plane: (coeffs, plane.shape))
+    # the same blocks in the block DCT's (nby, 8, nbx, 8) layout
+    plane_coeffs = coeffs.transpose(0, 2, 1, 3)
+    monkeypatch.setattr(forensics, "_shifted_coeffs", lambda plane, offset: plane_coeffs)
     result = dct_ac_histogram([frame(20, 1, 8, 8)], value_range, nbins)
     expected, _ = np.histogram(ac, bins=edges)
     assert np.array_equal(result.histogram.counts, expected)
