@@ -104,12 +104,13 @@ def _row_norms(z: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _positive_mask(y: np.ndarray, m: np.ndarray, cross_modal: bool) -> np.ndarray:
+def _positives(y: np.ndarray, m: np.ndarray, cross_modal: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The positive mask of a batch and each anchor's positive count."""
     mask = y[:, None] == y[None, :]
     if cross_modal:
         mask &= m[:, None] != m[None, :]
     np.fill_diagonal(mask, False)
-    return mask
+    return mask, mask.sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -122,24 +123,22 @@ class ContrastiveResult:
 
 def _contrastive(
     z: np.ndarray,
-    y: np.ndarray,
-    m: np.ndarray,
+    positives: tuple[np.ndarray, np.ndarray],
     tau: float,
-    cross_modal: bool,
     with_grad: bool = False,
 ) -> ContrastiveResult:
     """The one contrastive kernel: loss, per-anchor terms and, on request, dL/dz.
 
-    Normalization, the positive mask and the row softmax are computed once
-    and shared by loss and gradient. Only valid-anchor rows get logits: the
-    other rows add nothing to either.
+    ``positives`` is ``_positives`` of the rows' labels and modalities.
+    Normalization and the row softmax are computed once and shared by loss
+    and gradient. Only valid-anchor rows get logits: the other rows add
+    nothing to either.
     """
     z = np.asarray(z, dtype=np.float64)
     norms = _row_norms(z)
     zhat = z / norms[:, None]
     n = z.shape[0]
-    mask = _positive_mask(y, m, cross_modal)
-    pos_counts = mask.sum(axis=1)
+    mask, pos_counts = positives
     valid = np.flatnonzero(pos_counts > 0)
     per_anchor = np.zeros(n)
     if valid.size == 0:
@@ -178,24 +177,24 @@ def cm_supcon_loss(batch: BatchFeatures, cfg: LossConfig) -> ContrastiveResult:
     """Cross-modal supervised contrastive loss; 0 when no anchor is valid."""
     if cfg.variant is not LossVariant.CROSS_MODAL:
         raise ValueError("cm_supcon_loss requires the CROSS_MODAL variant")
-    return _contrastive(batch.z, batch.y, batch.m, cfg.tau, cross_modal=True)
+    return _contrastive(batch.z, _positives(batch.y, batch.m, True), cfg.tau)
 
 
 def vanilla_supcon_loss(batch: BatchFeatures, cfg: LossConfig) -> float:
     """Ablation variant: all same-label samples are positives, modality ignored."""
     if cfg.variant is not LossVariant.VANILLA:
         raise ValueError("vanilla_supcon_loss requires the VANILLA variant")
-    return _contrastive(batch.z, batch.y, batch.m, cfg.tau, cross_modal=False).loss
+    return _contrastive(batch.z, _positives(batch.y, batch.m, False), cfg.tau).loss
 
 
 def contrastive_loss(batch: BatchFeatures, cfg: LossConfig) -> float:
     """Dispatch on cfg.variant."""
-    return _contrastive(batch.z, batch.y, batch.m, cfg.tau, cfg.cross_modal).loss
+    return _contrastive(batch.z, _positives(batch.y, batch.m, cfg.cross_modal), cfg.tau).loss
 
 
 def contrastive_grad(batch: BatchFeatures, cfg: LossConfig) -> np.ndarray:
     """Gradient of the configured variant w.r.t. the pre-normalization z."""
-    return _contrastive(batch.z, batch.y, batch.m, cfg.tau, cfg.cross_modal, True).grad
+    return _contrastive(batch.z, _positives(batch.y, batch.m, cfg.cross_modal), cfg.tau, True).grad
 
 
 def cm_supcon_grad(batch: BatchFeatures, cfg: LossConfig) -> np.ndarray:
@@ -206,7 +205,7 @@ def cm_supcon_grad(batch: BatchFeatures, cfg: LossConfig) -> np.ndarray:
     """
     if cfg.variant is not LossVariant.CROSS_MODAL:
         raise ValueError("cm_supcon_grad requires the CROSS_MODAL variant")
-    return _contrastive(batch.z, batch.y, batch.m, cfg.tau, True, True).grad
+    return _contrastive(batch.z, _positives(batch.y, batch.m, True), cfg.tau, True).grad
 
 
 def binary_cross_entropy(logits: np.ndarray, targets: np.ndarray) -> float:

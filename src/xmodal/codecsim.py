@@ -305,6 +305,12 @@ def tv_range_squeeze(img: ImageBuffer) -> ImageBuffer:
 
 # --- declarative degradation chains ----------------------------------------------
 
+# The size budget of a chain step: no step makes an image side, or a blur
+# kernel's side, longer than MAX_SIDE pixels. A line kernel of `length` samples
+# spans at most `length` pixels, and a Gaussian one 2*ceil(3*sigma) + 1.
+MAX_SIDE = 1 << 12
+MAX_SIGMA = (MAX_SIDE - 1) // 6
+
 
 @dataclass(frozen=True)
 class MotionBlurStep:
@@ -312,8 +318,8 @@ class MotionBlurStep:
     angle_deg: float = 0.0
 
     def __post_init__(self):
-        if self.length < 1:
-            raise InvalidRangeError(f"motion blur length must be >= 1, got {self.length}")
+        if not 1 <= self.length <= MAX_SIDE:
+            raise InvalidRangeError(f"length must lie in [1, {MAX_SIDE}], got {self.length}")
 
     def apply(self, img: ImageBuffer, rng: np.random.Generator) -> ImageBuffer:
         return motion_blur(img, self.length, self.angle_deg)
@@ -324,8 +330,8 @@ class GaussianBlurStep:
     sigma: float
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise InvalidRangeError(f"sigma must be >= 0, got {self.sigma}")
+        if not 0 <= self.sigma <= MAX_SIGMA:
+            raise InvalidRangeError(f"sigma must lie in [0, {MAX_SIGMA}], got {self.sigma}")
 
     def apply(self, img: ImageBuffer, rng: np.random.Generator) -> ImageBuffer:
         return gaussian_blur(img, self.sigma)
@@ -336,9 +342,9 @@ class ResizeStep:
     shorter_side: int
 
     def __post_init__(self):
-        if self.shorter_side < 1:
+        if not 1 <= self.shorter_side <= MAX_SIDE:
             raise InvalidRangeError(
-                f"shorter_side must be >= 1, got {self.shorter_side}"
+                f"shorter_side must lie in [1, {MAX_SIDE}], got {self.shorter_side}"
             )
 
     def apply(self, img: ImageBuffer, rng: np.random.Generator) -> ImageBuffer:

@@ -24,6 +24,7 @@ from .cmsupcon import (
     DEFAULT_TAU,
     LossVariant,
     _contrastive,
+    _positives,
     bce_grad,
     binary_cross_entropy,
 )
@@ -42,6 +43,19 @@ CHECKPOINT_VERSION = 2
 PARAM_NAMES = ("w1", "b1", "wp", "wc", "bc")
 
 
+def _param_shapes(d_in: int, d_h: int, d_z: int) -> dict[str, tuple[int, ...]]:
+    return {"w1": (d_in, d_h), "b1": (d_h,), "wp": (d_h, d_z), "wc": (d_h,), "bc": (1,)}
+
+
+def _check_params(arrays: Mapping[str, np.ndarray], shapes: Mapping[str, tuple]) -> None:
+    """Raise an error naming the first parameter off its shape or not finite."""
+    for name, arr in arrays.items():
+        if arr.shape != shapes[name]:
+            raise ShapeMismatchError(f"{name}: shape {arr.shape}, expected {shapes[name]}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name}: non-finite value")
+
+
 @dataclass(frozen=True)
 class ToyModel:
     """relu MLP: h = relu(x W1 + b1); z = h Wp (projection); logit = h wc + bc."""
@@ -53,19 +67,11 @@ class ToyModel:
     bc: np.ndarray  # shape (1,)
 
     def __post_init__(self):
-        arrays = {}
-        for name in PARAM_NAMES:
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"parameter {name} contains non-finite values")
-            arrays[name] = arr
-        w1, b1, wp, wc, bc = (arrays[n] for n in PARAM_NAMES)
-        if w1.ndim != 2 or b1.shape != (w1.shape[1],):
-            raise ShapeMismatchError("w1 must be (d_in, d_h) with b1 (d_h,)")
-        if wp.ndim != 2 or wp.shape[0] != w1.shape[1]:
-            raise ShapeMismatchError("wp must be (d_h, d_z)")
-        if wc.shape != (w1.shape[1],) or bc.shape != (1,):
-            raise ShapeMismatchError("wc must be (d_h,) and bc (1,)")
+        arrays = {n: np.ascontiguousarray(getattr(self, n), dtype=np.float64)
+                  for n in PARAM_NAMES}
+        if arrays["w1"].ndim != 2 or arrays["wp"].ndim != 2:
+            raise ShapeMismatchError("w1 must be (d_in, d_h) and wp (d_h, d_z)")
+        _check_params(arrays, _param_shapes(*arrays["w1"].shape, arrays["wp"].shape[1]))
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -74,18 +80,8 @@ class ToyModel:
     def d_in(self) -> int:
         return self.w1.shape[0]
 
-    @property
-    def d_h(self) -> int:
-        return self.w1.shape[1]
-
-    @property
-    def d_z(self) -> int:
-        return self.wp.shape[1]
-
     @classmethod
-    def init(
-        cls, d_in: int, d_h: int, d_z: int, rng: np.random.Generator
-    ) -> "ToyModel":
+    def init(cls, d_in: int, d_h: int, d_z: int, rng: np.random.Generator) -> "ToyModel":
         return cls(
             w1=rng.normal(0.0, 1.0 / np.sqrt(d_in), size=(d_in, d_h)),
             b1=np.zeros(d_h),
@@ -147,27 +143,31 @@ def _live_rows(z: np.ndarray) -> np.ndarray:
 
 
 def contrastive_term(
-    z: np.ndarray, y: np.ndarray, m: np.ndarray, tau: float, variant: LossVariant
+    z: np.ndarray, y: np.ndarray, m: np.ndarray, tau: float, variant: LossVariant,
+    positives: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> float:
-    """Contrastive loss over the live-feature subbatch (dead rows excluded)."""
+    """Contrastive loss over the live-feature subbatch (dead rows excluded).
+    ``positives``, if given, is ``_positives`` of all of y and m."""
     live = _live_rows(z)
     if live.size < 2:
         return 0.0
-    y, m = np.asarray(y)[live], np.asarray(m)[live]
-    return _contrastive(z[live], y, m, tau, variant is LossVariant.CROSS_MODAL).loss
+    if positives is None:
+        cross_modal = variant is LossVariant.CROSS_MODAL
+        positives = _positives(np.asarray(y)[live], np.asarray(m)[live], cross_modal)
+    elif live.size < len(z):
+        mask = positives[0][np.ix_(live, live)]
+        positives = mask, mask.sum(axis=1)
+    return _contrastive(z[live], positives, tau).loss
 
 
 def backward(
-    model: Params,
-    x: np.ndarray,
-    targets: np.ndarray,
-    lam: float,
-    tau: float,
-    modalities: np.ndarray,
-    feature_layer: str = "projection",
+    model: Params, x: np.ndarray, targets: np.ndarray, lam: float, tau: float,
+    modalities: np.ndarray, feature_layer: str = "projection",
     variant: LossVariant = LossVariant.CROSS_MODAL,
+    grads: Optional[dict[str, np.ndarray]] = None,
 ) -> dict[str, np.ndarray]:
-    """Analytic gradients of the joint objective w.r.t. every parameter.
+    """Analytic gradients of the joint objective w.r.t. every parameter,
+    written into ``grads`` when it is given, else into new arrays.
 
     The contrastive path is skipped entirely when lam == 0 so a pure-BCE
     run is bit-identical to setting lam to zero. Samples whose feature row
@@ -178,31 +178,28 @@ def backward(
     out = forward(p, x, feature_layer)
     targets = np.asarray(targets, dtype=np.float64)
     modalities = np.asarray(modalities)
+    if grads is None:
+        grads = {name: np.empty_like(p[name]) for name in PARAM_NAMES}
     g_logit = bce_grad(out.logits, targets)
-    grads = {name: np.zeros_like(p[name]) for name in PARAM_NAMES}
     g_h = g_logit[:, None] * p["wc"][None, :]
-    grads["wc"] = out.h.T @ g_logit
-    grads["bc"] = np.array([g_logit.sum()])
+    np.matmul(out.h.T, g_logit, out=grads["wc"])
+    grads["bc"][0] = g_logit.sum()
+    grads["wp"].fill(0.0)
     if lam > 0:
         live = _live_rows(out.z)
         if live.size >= 2:
+            cross_modal = variant is LossVariant.CROSS_MODAL
+            positives = _positives(targets[live], modalities[live], cross_modal)
             g_z = np.zeros_like(out.z)
-            g_z[live] = lam * _contrastive(
-                out.z[live],
-                targets[live],
-                modalities[live],
-                tau,
-                variant is LossVariant.CROSS_MODAL,
-                with_grad=True,
-            ).grad
+            g_z[live] = lam * _contrastive(out.z[live], positives, tau, True).grad
             if feature_layer == "projection":
-                grads["wp"] = out.h.T @ g_z
+                np.matmul(out.h.T, g_z, out=grads["wp"])
                 g_h = g_h + g_z @ p["wp"].T
             else:
                 g_h = g_h + g_z
     g_pre = g_h * (out.pre_activation > 0)
-    grads["w1"] = x.T @ g_pre
-    grads["b1"] = g_pre.sum(axis=0)
+    np.matmul(x.T, g_pre, out=grads["w1"])
+    np.sum(g_pre, axis=0, out=grads["b1"])
     return grads
 
 
@@ -230,46 +227,55 @@ class OptimState:
     def init(
         cls, params: dict[str, np.ndarray], lr: float, weight_decay: float = 0.0
     ) -> "OptimState":
-        zeros = {k: np.zeros_like(p) for k, p in params.items()}
-        return cls(
-            m=zeros,
-            v={k: np.zeros_like(p) for k, p in params.items()},
-            step=0,
-            lr=lr,
-            weight_decay=weight_decay,
-        )
+        def zeros():
+            return {k: np.zeros_like(p) for k, p in params.items()}
+
+        return cls(m=zeros(), v=zeros(), step=0, lr=lr, weight_decay=weight_decay)
+
+
+def adamw_inplace(p, g, m, v, step: int, lr: float, weight_decay: float, work=None) -> None:
+    """AdamW update number ``step`` of the arrays p, m and v, in place.
+
+    Each element goes through the textbook form's operations in its order:
+    m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g, then p - (lr*m_hat) /
+    (sqrt(v_hat) + eps) - (lr*wd)*p_old. ``work`` is two scratch arrays shaped like p.
+    """
+    t, u = np.empty((2, *p.shape)) if work is None else work
+    m *= ADAM_BETA1
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=t)
+    v *= ADAM_BETA2
+    np.multiply(g, 1.0 - ADAM_BETA2, out=t)
+    v += np.multiply(t, g, out=t)
+    np.divide(m, 1.0 - ADAM_BETA1**step, out=t)
+    t *= lr
+    np.divide(v, 1.0 - ADAM_BETA2**step, out=u)
+    np.sqrt(u, out=u)
+    u += ADAM_EPS
+    t /= u
+    if weight_decay:
+        np.multiply(p, lr * weight_decay, out=u)
+        p -= t
+        p -= u
+    else:
+        p -= t
 
 
 def optimizer_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: OptimState,
+    params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state: OptimState
 ) -> tuple[dict[str, np.ndarray], OptimState]:
-    """One AdamW update. Pure: returns new parameter and state dicts."""
+    """One AdamW update. Pure: ``adamw_inplace`` on copies of the inputs."""
     if set(params) != set(grads):
         raise ShapeMismatchError("params and grads must share keys")
     step = state.step + 1
-    new_params: dict[str, np.ndarray] = {}
-    new_m: dict[str, np.ndarray] = {}
-    new_v: dict[str, np.ndarray] = {}
-    bc1 = 1.0 - ADAM_BETA1**step
-    bc2 = 1.0 - ADAM_BETA2**step
-    for key, p in params.items():
-        g = grads[key]
-        if g.shape != p.shape:
+    new_params = {key: np.array(p, dtype=np.float64) for key, p in params.items()}
+    new_m = {key: m.copy() for key, m in state.m.items()}
+    new_v = {key: v.copy() for key, v in state.v.items()}
+    for key, p in new_params.items():
+        if grads[key].shape != p.shape:
             raise ShapeMismatchError(
-                f"{key}: gradient shape {g.shape} != parameter shape {p.shape}"
+                f"{key}: gradient shape {grads[key].shape} != parameter shape {p.shape}"
             )
-        m = ADAM_BETA1 * state.m[key] + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * state.v[key] + (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / bc1
-        v_hat = v / bc2
-        updated = p - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        if state.weight_decay:
-            updated = updated - state.lr * state.weight_decay * p
-        new_params[key] = updated
-        new_m[key] = m
-        new_v[key] = v
+        adamw_inplace(p, grads[key], new_m[key], new_v[key], step, state.lr, state.weight_decay)
     return new_params, replace(state, m=new_m, v=new_v, step=step)
 
 
@@ -278,10 +284,7 @@ VIDEO_FRACTION = 0.5
 
 
 def mixed_batch_sampler(
-    image_pool: np.ndarray,
-    video_pool: np.ndarray,
-    batch_size: int,
-    rng: np.random.Generator,
+    image_pool: np.ndarray, video_pool: np.ndarray, batch_size: int, rng: np.random.Generator
 ) -> list[np.ndarray]:
     """One epoch of index batches covering both pools without replacement.
 
@@ -302,22 +305,28 @@ def mixed_batch_sampler(
             "cross-modal contrastive term will be inert",
             stacklevel=2,
         )
-    img_queue = list(rng.permutation(image_pool))
-    vid_queue = list(rng.permutation(video_pool))
+    # each permuted pool is a queue taken from its end; ni and nv count what is left
+    img, vid = rng.permutation(image_pool), rng.permutation(video_pool)
+    ni, nv = img.size, vid.size
     batches: list[np.ndarray] = []
-    while img_queue or vid_queue:
-        take = min(batch_size, len(img_queue) + len(vid_queue))
-        batch: list[int] = []
-        if img_queue and vid_queue and take >= 2:
-            batch.append(int(img_queue.pop()))
-            batch.append(int(vid_queue.pop()))
-        while len(batch) < take:
-            want_video = rng.random() < VIDEO_FRACTION
-            queue = vid_queue if want_video else img_queue
-            if not queue:
-                queue = img_queue if want_video else vid_queue
-            batch.append(int(queue.pop()))
-        batches.append(np.asarray(batch, dtype=np.int64))
+    while ni or nv:
+        take = min(batch_size, ni + nv)
+        head = int(ni > 0 and nv > 0 and take >= 2)
+        first = (img[ni - head : ni], vid[nv - head : nv])
+        ni, nv = ni - head, nv - head
+        # one draw per remaining slot; a slot whose wanted queue has run dry
+        # takes from the other one. Only one queue can run dry in a batch,
+        # since take <= ni + nv, so the counts of earlier wishes decide.
+        want_video = rng.random(take - 2 * head) < VIDEO_FRACTION
+        videos_wanted = np.cumsum(want_video)
+        images_wanted = np.arange(1, want_video.size + 1) - videos_wanted
+        is_video = np.where(want_video, videos_wanted <= nv, images_wanted > ni)
+        n_vid = int(np.count_nonzero(is_video))
+        rest = np.empty(want_video.size, dtype=np.int64)
+        rest[is_video] = vid[nv - n_vid : nv][::-1]
+        rest[~is_video] = img[ni - (rest.size - n_vid) : ni][::-1]
+        ni, nv = ni - (rest.size - n_vid), nv - n_vid
+        batches.append(np.concatenate((*first, rest)))
     return batches
 
 
@@ -343,11 +352,9 @@ class FeatureDataset:
         for name, arr in (("labels", y), ("modalities", m)):
             if not np.isin(arr, (0, 1)).all():
                 raise InvalidSpecError(f"{name} must be 0 or 1")
-        for arr in (x, y, m):
+        for name, arr in (("x", x), ("y", y), ("m", m)):
             arr.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "m", m)
+            object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
         return self.x.shape[0]
@@ -362,6 +369,11 @@ class FeatureDataset:
 def config_key(field: str) -> str:
     """The key a config file gives ``TrainConfig.<field>``; ``lam`` is spelled ``lambda``."""
     return "lambda" if field == "lam" else field
+
+
+# The parameter budget: hidden_dim and feature_dim are each at most MAX_WIDTH,
+# so wp holds at most 2**20 values (8 MiB of float64)
+MAX_WIDTH = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -403,8 +415,8 @@ class TrainConfig:
              "must be finite and >= 0"),
             ("feature_layer", self.feature_layer in ("projection", "hidden"),
              "must be 'projection' or 'hidden'"),
-            ("hidden_dim", self.hidden_dim >= 1, "must be >= 1"),
-            ("feature_dim", self.feature_dim >= 1, "must be >= 1"),
+            ("hidden_dim", 1 <= self.hidden_dim <= MAX_WIDTH, f"must be in [1, {MAX_WIDTH}]"),
+            ("feature_dim", 1 <= self.feature_dim <= MAX_WIDTH, f"must be in [1, {MAX_WIDTH}]"),
         )
         for field, holds, rule in checks:
             if not holds:
@@ -433,44 +445,46 @@ class TrainResult:
     stopped_early: bool
 
 
-def _dataset_stats(
-    model: Params, data: FeatureDataset, config: TrainConfig
-) -> tuple[float, float, float, float]:
+def _stats_inputs(data: FeatureDataset, config: TrainConfig) -> tuple:
+    """The dataset, its float targets and, when the contrastive term is on, its
+    positives: what ``_dataset_stats`` needs of a dataset that no epoch changes."""
+    cross_modal = config.variant is LossVariant.CROSS_MODAL
+    return data, data.y.astype(np.float64), (
+        _positives(data.y, data.m, cross_modal) if config.lam > 0 else None)
+
+
+def _dataset_stats(model: Params, inputs: tuple, config: TrainConfig) -> tuple[float, ...]:
     """(bce, cm, total, accuracy) of the full dataset under the model."""
+    data, targets, positives = inputs
     out = forward(model, data.x, config.feature_layer)
-    bce = binary_cross_entropy(out.logits, data.y.astype(np.float64))
-    cm = (
-        contrastive_term(out.z, data.y, data.m, config.tau, config.variant)
-        if config.lam > 0
-        else 0.0
-    )
+    bce = binary_cross_entropy(out.logits, targets)
+    cm = 0.0
+    if config.lam > 0:
+        cm = contrastive_term(out.z, data.y, data.m, config.tau, config.variant, positives)
     total = bce + config.lam * cm
     acc = float(((out.logits >= 0.0).astype(np.int8) == data.y).mean())
     return bce, cm, total, acc
 
 
-def _check_finite(params: dict[str, np.ndarray], epoch: int) -> None:
-    for name, p in params.items():
-        if not np.isfinite(p).all():
-            raise NonFiniteLossError(
-                f"parameter {name} became non-finite at epoch {epoch}; "
-                "the run diverged (try a smaller lr)"
-            )
+def _flat_views(flat: np.ndarray, shapes: Mapping[str, tuple]) -> dict[str, np.ndarray]:
+    """Consecutive views of ``flat`` with the given shapes, by name."""
+    ends = np.cumsum([math.prod(shape) for shape in shapes.values()])
+    parts = np.split(flat, ends[:-1])
+    return {name: part.reshape(shape) for (name, shape), part in zip(shapes.items(), parts)}
 
 
 def train(
-    model: ToyModel,
-    train_data: FeatureDataset,
-    val_data: FeatureDataset,
-    config: TrainConfig,
+    model: ToyModel, train_data: FeatureDataset, val_data: FeatureDataset, config: TrainConfig
 ) -> TrainResult:
     """Mini-batch AdamW training with early stopping on validation loss.
 
     Returns the checkpoint with the best validation loss seen, plus the
     per-epoch history. Deterministic given (data, config, seed).
 
-    Inputs are checked once, here; the step loop then carries the bare
-    parameter dict and only checks that every update stayed finite.
+    Inputs are checked once, here. The step loop then runs on four flat
+    vectors, the parameters, their gradients and AdamW's two moments, with a
+    view per parameter into each, and only checks that every update stayed
+    finite.
     """
     if len(val_data) == 0:
         raise InvalidSpecError("validation set must be non-empty")
@@ -479,75 +493,55 @@ def train(
             raise DimMismatchError(
                 f"{name} features have {data.x.shape[1]} columns, model expects {model.d_in}"
             )
-    train_y = train_data.y.astype(np.float64)
     rng = np.random.default_rng(config.seed)
-    params = model.params()
-    state = OptimState.init(params, lr=config.lr, weight_decay=config.weight_decay)
-    image_pool = np.flatnonzero(train_data.m == 0)
-    video_pool = np.flatnonzero(train_data.m == 1)
+    shapes = {name: arr.shape for name, arr in model.params().items()}
+    theta = np.concatenate([arr.ravel() for arr in model.params().values()])
+    grad, m, v, *work = np.zeros((5, theta.size))  # work: AdamW's two scratch vectors
+    params, grads = _flat_views(theta, shapes), _flat_views(grad, shapes)
+    train_stats, val_stats = (_stats_inputs(d, config) for d in (train_data, val_data))
+    train_y = train_stats[1]
+    image_pool, video_pool = np.flatnonzero(train_data.m == 0), np.flatnonzero(train_data.m == 1)
     history: list[EpochStats] = []
-    best_val = np.inf
-    best_params = {k: p.copy() for k, p in params.items()}
-    best_epoch = -1
-    bad_epochs = 0
-    stopped_early = False
+    best_val, best_theta, best_epoch = np.inf, theta.copy(), -1
+    step = bad_epochs = 0
     for epoch in range(config.epochs):
-        if epoch == 0:
-            batches = mixed_batch_sampler(image_pool, video_pool, config.batch_size, rng)
-        else:
-            # the single-modality warning, if any, was surfaced on epoch 0
-            with warnings.catch_warnings():
+        with warnings.catch_warnings():
+            if epoch > 0:  # the single-modality warning, if any, was surfaced on epoch 0
                 warnings.simplefilter("ignore")
-                batches = mixed_batch_sampler(
-                    image_pool, video_pool, config.batch_size, rng
+            batches = mixed_batch_sampler(image_pool, video_pool, config.batch_size, rng)
+        for idx in batches:
+            backward(params, train_data.x[idx], train_y[idx], config.lam, config.tau,
+                     train_data.m[idx], config.feature_layer, config.variant, grads)
+            step += 1
+            adamw_inplace(theta, grad, m, v, step, config.lr, config.weight_decay, work)
+            if not np.isfinite(theta).all():
+                name = next(n for n, p in params.items() if not np.isfinite(p).all())
+                raise NonFiniteLossError(
+                    f"parameter {name} became non-finite at epoch {epoch}; "
+                    "the run diverged (try a smaller lr)"
                 )
-        for batch_idx in batches:
-            grads = backward(
-                params,
-                train_data.x[batch_idx],
-                train_y[batch_idx],
-                config.lam,
-                config.tau,
-                train_data.m[batch_idx],
-                config.feature_layer,
-                config.variant,
-            )
-            params, state = optimizer_step(params, grads, state)
-            _check_finite(params, epoch)
-        tr_bce, tr_cm, tr_total, tr_acc = _dataset_stats(params, train_data, config)
-        _, _, val_total, val_acc = _dataset_stats(params, val_data, config)
+        tr_bce, tr_cm, tr_total, tr_acc = _dataset_stats(params, train_stats, config)
+        _, _, val_total, val_acc = _dataset_stats(params, val_stats, config)
         if not (np.isfinite(tr_total) and np.isfinite(val_total)):
             raise NonFiniteLossError(
-                f"non-finite loss at epoch {epoch}: "
-                f"train={tr_total}, val={val_total}"
+                f"non-finite loss at epoch {epoch}: train={tr_total}, val={val_total}"
             )
-        history.append(
-            EpochStats(
-                epoch=epoch,
-                train_bce=tr_bce,
-                train_cm=tr_cm,
-                train_total=tr_total,
-                val_total=val_total,
-                train_acc=tr_acc,
-                val_acc=val_acc,
-            )
-        )
+        history.append(EpochStats(epoch, tr_bce, tr_cm, tr_total, val_total, tr_acc, val_acc))
         if val_total < best_val:
             best_val = val_total
-            best_params = {k: p.copy() for k, p in params.items()}
+            best_theta = theta.copy()
             best_epoch = epoch
             bad_epochs = 0
         else:
             bad_epochs += 1
             if bad_epochs > config.patience:
-                stopped_early = True
                 break
     return TrainResult(
-        model=ToyModel.from_params(best_params),
+        model=ToyModel.from_params(_flat_views(best_theta, shapes)),
         history=tuple(history),
         best_epoch=best_epoch,
         best_val=float(best_val),
-        stopped_early=stopped_early,
+        stopped_early=bad_epochs > config.patience,
     )
 
 
@@ -595,13 +589,11 @@ class SyntheticSpec:
         for counts in (self.train_counts, self.val_counts, self.test_counts):
             if len(counts) != 4 or any(c < 0 for c in counts):
                 raise InvalidSpecError("counts must be four non-negative integers")
-        means.setflags(write=False)
-        stds.setflags(write=False)
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "stds", stds)
-        object.__setattr__(self, "train_counts", tuple(self.train_counts))
-        object.__setattr__(self, "val_counts", tuple(self.val_counts))
-        object.__setattr__(self, "test_counts", tuple(self.test_counts))
+        for name, arr in (("means", means), ("stds", stds)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        for name in ("train_counts", "val_counts", "test_counts"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
 
     @property
     def dim(self) -> int:
@@ -642,14 +634,7 @@ class SyntheticSpec:
             else:
                 means[g] += shift
         stds = np.full((4, dim), noise_std)
-        return cls(
-            means=means,
-            stds=stds,
-            train_counts=train_counts,
-            val_counts=val_counts,
-            test_counts=test_counts,
-            seed=seed,
-        )
+        return cls(means, stds, train_counts, val_counts, test_counts, seed)
 
 
 @dataclass(frozen=True)
@@ -717,17 +702,26 @@ def load_checkpoint(path: str | Path) -> tuple[ToyModel, TrainConfig]:
             f"this build reads version {CHECKPOINT_VERSION}"
         )
     try:
-        params = {}
-        for name in PARAM_NAMES:
-            entry = doc["params"][name]
-            params[name] = np.asarray(entry["data"], dtype=np.float64).reshape(
-                entry["shape"]
-            )
+        entries = {name: doc["params"][name] for name in PARAM_NAMES}
         cfg_doc = dict(doc["config"])
         cfg_doc["variant"] = LossVariant(cfg_doc["variant"])
         config = TrainConfig(**cfg_doc)
     except KeyError as exc:
         raise InvalidSpecError(f"{path}: checkpoint has no {exc} entry") from None
-    except (TypeError, InvalidSpecError) as exc:
+    except (TypeError, ValueError, InvalidSpecError) as exc:
         raise InvalidSpecError(f"{path}: {exc}") from None
+    params = {}
+    for name, entry in entries.items():
+        try:
+            params[name] = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        except KeyError as exc:
+            raise InvalidSpecError(f"{path}: params.{name}: no {exc} entry") from None
+        except (TypeError, ValueError) as exc:
+            raise InvalidSpecError(f"{path}: params.{name}: {exc}") from None
+    # w1's row count is the model's input width, which only the data fixes
+    d_in = params["w1"].shape[0] if params["w1"].ndim else 0
+    try:
+        _check_params(params, _param_shapes(d_in, config.hidden_dim, config.feature_dim))
+    except (ShapeMismatchError, ValueError) as exc:
+        raise InvalidSpecError(f"{path}: params.{exc}") from None
     return ToyModel.from_params(params), config

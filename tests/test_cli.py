@@ -283,6 +283,26 @@ class TestDegrade:
         assert capsys.readouterr().err.startswith(f"error: {bad}: {where}")
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("step, where", [
+        ({"step": "gaussian_blur", "sigma": 1e308}, "'gaussian_blur': sigma must lie in [0, 682]"),
+        ({"step": "gaussian_blur", "sigma": 10**400}, "'gaussian_blur': sigma must lie in"),
+        ({"step": "resize", "shorter_side": 100000},
+         "'resize': shorter_side must lie in [1, 4096]"),
+        ({"step": "motion_blur", "length": 100000},
+         "'motion_blur': length must lie in [1, 4096]"),
+    ], ids=["sigma-1e308", "sigma-400-digits", "shorter-side-100000", "length-100000"])
+    def test_absurd_chain_value_exits_2_naming_step(self, corpus, tmp_path, capsys, step,
+                                                    where):
+        root, manifest = corpus
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"steps": [{"step": "jpeg", "quality": 90}, step]}))
+        code = run_cli("degrade", "--manifest", manifest, "--chain", bad,
+                       "--out", tmp_path / "x")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: step 1 {where}") and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
     def test_sample_seed_derivation_stable(self):
         assert derive_sample_seed(1, "a") == derive_sample_seed(1, "a")
         assert derive_sample_seed(1, "a") != derive_sample_seed(2, "a")
@@ -381,6 +401,7 @@ class TestTrainCommand:
             assert run_cli("train", "--config", path, "--out", tmp_path / "o") == 3
         err = capsys.readouterr().err
         assert "non-finite" in err and "Traceback" not in err
+        assert "parameter w1" in err and "at epoch 0" in err
 
 
 def feature_file(tmp_path, records):
@@ -664,6 +685,16 @@ MALFORMED_INPUTS = {
     "train-batch-size-1-without-contrastive-term": (
         lambda p: _train_argv(p, {"train": {"lambda": 0, "batch_size": 1}}),
         "cfg.json: 'train.batch_size': must be >= 2, got 1"),
+    "train-absurd-hidden-dim": (
+        lambda p: _train_argv(p, {"train": {"hidden_dim": 10**12}}),
+        "cfg.json: 'train.hidden_dim': must be in [1, 1024], got 1000000000000"),
+    "train-feature-dim-over-budget": (
+        lambda p: _train_argv(p, {"train": {"feature_dim": 1025}}),
+        "cfg.json: 'train.feature_dim': must be in [1, 1024], got 1025"),
+    "checkpoint-config-absurd-hidden-dim": (
+        lambda p: _evaluate_argv(
+            p, edit_checkpoint=lambda d: d["config"].update(hidden_dim=10**12)),
+        "checkpoint.json: 'train.hidden_dim': must be in [1, 1024]"),
     "train-lam-is-not-a-key": (
         lambda p: _train_argv(p, {"train": {"lam": 0}}),
         "cfg.json: 'train.lam': unknown key"),
@@ -690,6 +721,24 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and expected in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, edit, problem", [
+    ("w1", lambda e: e["data"].pop(), "cannot reshape array of size 95 into shape (6,16)"),
+    ("wp", lambda e: e["data"].__setitem__(3, "x"), "could not convert string to float: 'x'"),
+    ("wc", lambda e: e["data"].__setitem__(0, float("nan")), "non-finite value"),
+    ("b1", lambda e: e.update(shape=[4, 4]), "shape (4, 4), expected (16,)"),
+    ("w1", lambda e: e.update(shape=[16, 6]), "shape (16, 6), expected (16, 16)"),
+    ("bc", lambda e: e.pop("data"), "no 'data' entry"),
+], ids=["short-data", "string-value", "nan-value", "b1-shape", "w1-shape", "no-data"])
+def test_malformed_checkpoint_parameter_exits_2_naming_it(tmp_path, capsys, name, edit,
+                                                          problem):
+    argv = _evaluate_argv(tmp_path, edit_checkpoint=lambda doc: edit(doc["params"][name]))
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'checkpoint.json'}: params.{name}: ")
+    assert problem in err and "Traceback" not in err
 
 
 class TestFeatureFileTraining:

@@ -12,6 +12,7 @@ from xmodal.cmsupcon import (
     LossConfig,
     LossVariant,
     _contrastive,
+    _positives,
     binary_cross_entropy,
     cm_supcon_grad,
     cm_supcon_loss,
@@ -313,7 +314,7 @@ class TestKernelAgainstReference:
         for batch in reference_batches(seed=11):
             expected = reference_loss(batch.z, batch.y, batch.m, tau, cross_modal)
             loss, per_anchor, valid = expected
-            result = _contrastive(batch.z, batch.y, batch.m, tau, cross_modal)
+            result = _contrastive(batch.z, _positives(batch.y, batch.m, cross_modal), tau)
             assert result.valid.tolist() == valid.tolist()
             assert np.abs(result.per_anchor - per_anchor).max() <= 1e-12
             assert abs(result.loss - loss) <= 1e-12

@@ -1,11 +1,16 @@
 """DCT kernels, quantizers, codec simulators, and degradation chains."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 from scipy import fft as sp_fft
 
 from xmodal.codecsim import (
     JPEG_LUMA_BASE,
+    MAX_SIDE,
+    MAX_SIGMA,
     ChainSpec,
     ColorJitterStep,
     GaussianBlurStep,
@@ -28,6 +33,7 @@ from xmodal.codecsim import (
 )
 from xmodal.errors import (
     EmptyChainDrawnError,
+    InvalidRangeError,
     QualityOutOfRangeError,
     UnknownStepError,
 )
@@ -300,6 +306,19 @@ class TestChains:
         with pytest.raises(UnknownStepError) as err:
             ChainSpec.from_json('{"steps": [{"step": "h264"}]}')
         assert "h264" in str(err.value)
+
+    @pytest.mark.parametrize("step, key, largest", [
+        ("motion_blur", "length", MAX_SIDE),
+        ("gaussian_blur", "sigma", MAX_SIGMA),
+        ("resize", "shorter_side", MAX_SIDE),
+    ])
+    def test_size_budget_is_the_largest_accepted_value(self, step, key, largest):
+        parse = lambda v: ChainSpec.from_json(json.dumps({"steps": [{"step": step, key: v}]}))
+        assert getattr(parse(largest).steps[0], key) == largest
+        with pytest.raises(InvalidRangeError, match=f"step 0 '{step}': .*{key}"):
+            parse(largest + 1)
+        if step == "gaussian_blur":  # the kernel spans 2*ceil(3*sigma) + 1 pixels
+            assert 2 * math.ceil(3 * largest) + 1 <= MAX_SIDE < 2 * math.ceil(3 * (largest + 1))
 
     def test_empty_chain_rejected(self):
         with pytest.raises(EmptyChainDrawnError):

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 from xmodal.cli import build_parser
-from xmodal.codecsim import _STEP_NAMES, _STEP_TYPES
-from xmodal.trainer import TrainConfig, config_key
+from xmodal.codecsim import _STEP_NAMES, _STEP_TYPES, MAX_SIDE, MAX_SIGMA
+from xmodal.trainer import MAX_WIDTH, TrainConfig, config_key
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -46,6 +46,14 @@ def test_step_keys_and_types_match_step_fields():
         for name, step_type in _STEP_TYPES.items()
     }
     assert documented == fields
+
+
+def test_size_bounds_match_the_budgets():
+    steps = _paragraph("- `motion_blur`:")
+    assert f"`length` integer in [1, {MAX_SIDE}]" in steps
+    assert f"`sigma` number in [0, {MAX_SIGMA}]" in steps
+    assert f"`shorter_side` integer in [1, {MAX_SIDE}]" in steps
+    assert f"`hidden_dim`/`feature_dim` outside [1, {MAX_WIDTH}]" in " ".join(README.split())
 
 
 def test_train_keys_and_defaults_match_train_config():

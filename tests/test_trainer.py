@@ -19,12 +19,21 @@ from xmodal.errors import (
     ShapeMismatchError,
 )
 from xmodal.trainer import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    PARAM_NAMES,
+    VIDEO_FRACTION,
     FeatureDataset,
     OptimState,
     SyntheticSpec,
     ToyModel,
     TrainConfig,
+    _dataset_stats,
+    _stats_inputs,
+    adamw_inplace,
     backward,
+    contrastive_term,
     forward,
     generate_synthetic,
     load_checkpoint,
@@ -178,8 +187,82 @@ class TestOptimizer:
         with pytest.raises(ShapeMismatchError):
             optimizer_step(params, grads, state)
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_inplace_kernel_matches_textbook_update_bit_for_bit(self, weight_decay):
+        rng = np.random.default_rng(21)
+        p = rng.normal(size=257)
+        m, v = np.zeros(257), np.zeros(257)
+        ref_p, ref_m, ref_v = p.copy(), m.copy(), v.copy()
+        work = np.empty((2, 257))
+        for step in range(1, 51):
+            g = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=257)
+            adamw_inplace(p, g, m, v, step, 1e-3, weight_decay, work)
+            # the per-array form the kernel replaced
+            ref_m = ADAM_BETA1 * ref_m + (1.0 - ADAM_BETA1) * g
+            ref_v = ADAM_BETA2 * ref_v + (1.0 - ADAM_BETA2) * g * g
+            m_hat = ref_m / (1.0 - ADAM_BETA1**step)
+            v_hat = ref_v / (1.0 - ADAM_BETA2**step)
+            updated = ref_p - 1e-3 * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            if weight_decay:
+                updated = updated - 1e-3 * weight_decay * ref_p
+            ref_p = updated
+            assert np.array_equal(p, ref_p)
+            assert np.array_equal(m, ref_m) and np.array_equal(v, ref_v)
+
+    def test_pure_step_leaves_its_inputs_alone(self):
+        rng = np.random.default_rng(22)
+        params = {"a": rng.normal(size=(3, 2)), "b": rng.normal(size=2)}
+        grads = {k: rng.normal(size=p.shape) for k, p in params.items()}
+        state = OptimState.init(params, lr=0.1, weight_decay=0.1)
+        _, state = optimizer_step(params, grads, state)  # non-zero moments
+        before = [{k: a.copy() for k, a in d.items()} for d in (params, grads, state.m, state.v)]
+        new_params, new_state = optimizer_step(params, grads, state)
+        for kept, now in zip(before, (params, grads, state.m, state.v)):
+            assert all(np.array_equal(kept[k], now[k]) for k in kept)
+        assert state.step == 1 and new_state.step == 2
+        assert not np.array_equal(new_params["a"], params["a"])
+
+
+def reference_mixed_batch_sampler(image_pool, video_pool, batch_size, rng):
+    """The list-pop sampler the array form replaced, kept as its oracle."""
+    img_queue = list(rng.permutation(np.asarray(image_pool, dtype=np.int64)))
+    vid_queue = list(rng.permutation(np.asarray(video_pool, dtype=np.int64)))
+    batches = []
+    while img_queue or vid_queue:
+        take = min(batch_size, len(img_queue) + len(vid_queue))
+        batch = []
+        if img_queue and vid_queue and take >= 2:
+            batch.append(int(img_queue.pop()))
+            batch.append(int(vid_queue.pop()))
+        while len(batch) < take:
+            want_video = rng.random() < VIDEO_FRACTION
+            queue = vid_queue if want_video else img_queue
+            if not queue:
+                queue = img_queue if want_video else vid_queue
+            batch.append(int(queue.pop()))
+        batches.append(np.asarray(batch, dtype=np.int64))
+    return batches
+
 
 class TestMixedBatchSampler:
+    @pytest.mark.parametrize("n_img, n_vid", [
+        (0, 1), (1, 0), (1, 1), (0, 9), (5, 0), (3, 4), (2, 17), (40, 3), (200, 80),
+    ])
+    @pytest.mark.parametrize("batch_size", [2, 3, 7, 32, 500])
+    def test_matches_list_pop_reference(self, n_img, n_vid, batch_size):
+        image_pool, video_pool = np.arange(n_img), np.arange(1000, 1000 + n_vid)
+        for seed in range(4):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                got = mixed_batch_sampler(image_pool, video_pool, batch_size, rng)
+            want = reference_mixed_batch_sampler(image_pool, video_pool, batch_size, ref_rng)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            # same draws in the same order: the generators are in the same state
+            assert rng.random() == ref_rng.random()
+
     def test_both_pools_empty(self):
         with pytest.raises(BothPoolsEmptyError):
             mixed_batch_sampler(
@@ -225,6 +308,65 @@ class TestMixedBatchSampler:
         assert len(a) == len(b)
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
+
+
+def dead_row_dataset(seed, n=30, dead=(3, 17)):
+    """Data and a model under which rows ``dead`` have every ReLU off."""
+    rng = np.random.default_rng(seed)
+    x = np.abs(rng.normal(size=(n, 4))) + 0.1
+    x[list(dead)] *= -1.0
+    model = ToyModel(w1=np.abs(rng.normal(size=(4, 6))), b1=np.zeros(6),
+                     wp=rng.normal(size=(6, 3)), wc=rng.normal(size=6), bc=np.zeros(1))
+    return FeatureDataset(x, rng.integers(0, 2, n), rng.integers(0, 2, n)), model
+
+
+class TestCachedStats:
+    @pytest.mark.parametrize("variant", list(LossVariant))
+    @pytest.mark.parametrize("layer", ["hidden", "projection"])
+    @pytest.mark.parametrize("dead", [(), (3,), (3, 17)])
+    def test_cached_positives_match_uncached_term_bit_for_bit(self, variant, layer, dead):
+        data, model = dead_row_dataset(30, dead=dead)
+        config = TrainConfig(lam=0.05, feature_layer=layer, variant=variant)
+        out = forward(model, data.x, layer)
+        assert np.count_nonzero(np.linalg.norm(out.z, axis=1) <= 1e-12) == len(dead)
+        bce = binary_cross_entropy(out.logits, data.y.astype(np.float64))
+        cm = contrastive_term(out.z, data.y, data.m, config.tau, variant)
+        acc = float(((out.logits >= 0.0).astype(np.int8) == data.y).mean())
+        stats = _dataset_stats(model, _stats_inputs(data, config), config)
+        assert stats == (bce, cm, bce + config.lam * cm, acc)
+        assert cm > 0.0
+
+    @pytest.mark.parametrize("layer", ["hidden", "projection"])
+    def test_backward_into_given_arrays_matches_fresh_ones(self, layer):
+        data, model = dead_row_dataset(31)
+        y = data.y.astype(np.float64)
+        fresh = backward(model, data.x, y, 0.05, 0.07, data.m, layer)
+        flat = np.full(sum(p.size for p in model.params().values()), np.nan)
+        views, start = {}, 0
+        for name in PARAM_NAMES:
+            size = getattr(model, name).size
+            views[name] = flat[start : start + size].reshape(getattr(model, name).shape)
+            start += size
+        assert backward(model, data.x, y, 0.05, 0.07, data.m, layer, grads=views) is views
+        for name in PARAM_NAMES:
+            assert np.array_equal(views[name], fresh[name])
+
+
+def reference_train_params(model, data, config):
+    """Parameters after each epoch of the dict-and-pure-step loop that train replaced."""
+    rng = np.random.default_rng(config.seed)
+    params = model.params()
+    state = OptimState.init(params, lr=config.lr, weight_decay=config.weight_decay)
+    y = data.y.astype(np.float64)
+    per_epoch = []
+    for _ in range(config.epochs):
+        pools = np.flatnonzero(data.m == 0), np.flatnonzero(data.m == 1)
+        for idx in reference_mixed_batch_sampler(*pools, config.batch_size, rng):
+            grads = backward(params, data.x[idx], y[idx], config.lam, config.tau,
+                             data.m[idx], config.feature_layer, config.variant)
+            params, state = optimizer_step(params, grads, state)
+        per_epoch.append(params)
+    return per_epoch
 
 
 def separable_dataset(seed, n=60):
@@ -293,6 +435,19 @@ class TestTrainLoop:
         assert a.history == b.history
         for name in ("w1", "b1", "wp", "wc", "bc"):
             assert np.array_equal(getattr(a.model, name), getattr(b.model, name))
+
+    @pytest.mark.parametrize("layer, lam", [("hidden", 0.05), ("projection", 0.05),
+                                            ("hidden", 0.0)])
+    def test_flat_loop_matches_reference_loop(self, layer, lam):
+        data, val = separable_dataset(12, n=40), separable_dataset(13, n=12)
+        config = TrainConfig(epochs=12, batch_size=7, lam=lam, seed=5, patience=50,
+                             feature_layer=layer)
+        model = ToyModel.init(2, config.hidden_dim, config.feature_dim,
+                              np.random.default_rng(5))
+        result = train(model, data, val, config)
+        expected = reference_train_params(model, data, config)[result.best_epoch]
+        for name in PARAM_NAMES:
+            assert np.array_equal(getattr(result.model, name), expected[name])
 
     def test_lambda_zero_trajectory_matches_inert_contrastive(self):
         # all-image data: the CM term is identically zero, so lam=0 and
