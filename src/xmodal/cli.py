@@ -51,14 +51,7 @@ from .forensics import (
     residual_power,
     residual_spectrum,
 )
-from .metrics import (
-    Aggregation,
-    FrameScore,
-    ScoredPrediction,
-    group_frames,
-    multi_frame_average,
-    per_subset_report,
-)
+from .metrics import Aggregation, subset_report, video_scores
 from .trainer import (
     EpochStats,
     FeatureDataset,
@@ -402,7 +395,7 @@ def _records_to_dataset(path: Path) -> FeatureDataset:
     first_x = records[0].get("x") if isinstance(records[0], dict) else None
     d_in = len(first_x) if isinstance(first_x, list) else 0
     try:
-        x = _feature_rows(records, 0, d_in)
+        x = _feature_rows(records, d_in)
         ys = [_record_field(rec, i, "label", Label.from_string).numeric
               for i, rec in enumerate(records)]
         ms = [_record_field(rec, i, "modality", Modality.from_string).numeric
@@ -472,7 +465,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 # Records scored per forward call: large enough to amortize the per-call cost,
-# small enough that the stacked block stays a few hundred kB.
+# small enough that a block's hidden activations stay a few hundred kB.
 SCORE_BLOCK = 2048
 
 
@@ -496,17 +489,17 @@ def _feature_problem(rec, d_in: int) -> Optional[str]:
     return None
 
 
-def _feature_rows(block: list, first: int, d_in: int) -> np.ndarray:
-    """Stack a block's ``x`` vectors into an (n, d_in) finite float array."""
+def _feature_rows(records: list, d_in: int) -> np.ndarray:
+    """Stack the records' ``x`` vectors into an (n, d_in) finite float array."""
     try:
-        x = np.array([rec["x"] for rec in block], dtype=np.float64)
+        x = np.array([rec["x"] for rec in records], dtype=np.float64)
     except (KeyError, TypeError, ValueError):
         x = None
-    if x is None or x.shape != (len(block), d_in) or not np.isfinite(x).all():
-        for i, rec in enumerate(block):
+    if x is None or x.shape != (len(records), d_in) or not np.isfinite(x).all():
+        for i, rec in enumerate(records):
             problem = _feature_problem(rec, d_in)
             if problem is not None:
-                raise XmodalError(f"{_record_name(rec, first + i)} {problem}")
+                raise XmodalError(f"{_record_name(rec, i)} {problem}")
     return x
 
 
@@ -526,37 +519,79 @@ def _subset_tag(value) -> str:
     return value
 
 
+def _video_id(value) -> str:
+    if not isinstance(value, str) or not value:
+        raise XmodalError(f"must be a non-empty string or null, got {value!r}")
+    return value
+
+
 def _frame_index(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise XmodalError(f"must be a non-negative integer, got {value!r}")
+    if value >= 2**63:
+        raise XmodalError(f"must be below 2**63, got {value!r}")
     return value
+
+
+_LABEL_CODES = {label.value: label.numeric for label in Label}
+
+
+def _record_tags(records: list[dict]) -> tuple[np.ndarray, list, list, np.ndarray]:
+    """Label codes, subsets, video ids and frame indices (null as 0) of all records,
+    checked in bulk; only on a failure do per-record checks name the first bad one."""
+    try:
+        labels = np.array([_LABEL_CODES[rec["label"]] for rec in records], dtype=np.int8)
+        subsets = [rec["subset"] for rec in records]
+        videos = [rec.get("video_id") for rec in records]
+        indices = [rec.get("frame_index") for rec in records]
+        frames = np.array([f or 0 for f in indices], dtype=np.int64)
+        ok = (set(map(type, subsets)) <= {str}
+              and set(map(type, videos)) <= {str, type(None)} and "" not in videos
+              and set(map(type, indices)) <= {int, type(None)} and frames.min() >= 0)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        ok = False
+    for i, rec in enumerate(() if ok else records):
+        for key, parse in (("frame_index", _frame_index), ("video_id", _video_id)):
+            if rec.get(key) is not None:
+                _record_field(rec, i, key, parse)
+        _record_field(rec, i, "label", Label.from_string)
+        _record_field(rec, i, "subset", _subset_tag)
+    return labels, subsets, videos, frames
 
 
 def _score_feature_records(
     model: ToyModel, feature_layer: str, records: list[dict], t: int
-) -> list[ScoredPrediction]:
-    singles: list[FrameScore] = []
-    for first in range(0, len(records), SCORE_BLOCK):
-        block = records[first : first + SCORE_BLOCK]
-        x = _feature_rows(block, first, model.d_in)
-        logits = forward(model, x, feature_layer).logits
-        for i, (rec, logit) in enumerate(zip(block, logits.tolist()), start=first):
-            singles.append(
-                FrameScore(
-                    video_id=str(rec.get("video_id") or f"__single_{i}"),
-                    frame_index=(
-                        0 if rec.get("frame_index") is None
-                        else _record_field(rec, i, "frame_index", _frame_index)
-                    ),
-                    label=_record_field(rec, i, "label", Label.from_string),
-                    subset=_record_field(rec, i, "subset", _subset_tag),
-                    logit=logit,
-                )
-            )
-    preds = []
-    for _, frames in group_frames(singles).items():
-        preds.append(multi_frame_average(frames, t=t))
-    return preds
+) -> tuple[np.ndarray, np.ndarray, list]:
+    """Score, label code and subset of each video, all checked before any scoring.
+    Videos come in the order of their first records; an image is a video of its own."""
+    x = _feature_rows(records, model.d_in)
+    labels, subsets, videos, frames = _record_tags(records)
+    seen: dict[str, int] = {}
+    head = np.array([i if v is None else seen.setdefault(v, i)  # the video's first record
+                     for i, v in enumerate(videos)], dtype=np.intp)
+    subset_code = {name: c for c, name in enumerate(dict.fromkeys(subsets))}
+    codes = np.fromiter(map(subset_code.__getitem__, subsets), np.intp, len(subsets))
+    disagree = np.flatnonzero((labels != labels[head]) | (codes != codes[head]))
+    if disagree.size:
+        i = disagree[np.argmin(head[disagree])]
+        raise XmodalError(f"video {videos[i]!r} has inconsistent label or subset tags: "
+                          f"{_record_name(records[i], i)} disagrees with "
+                          f"{_record_name(records[head[i]], head[i])}")
+    order = np.lexsort((frames, head))
+    head, frames = head[order], frames[order]
+    repeated = np.flatnonzero((head[1:] == head[:-1]) & (frames[1:] == frames[:-1]))
+    if repeated.size:
+        i, j = order[repeated[0]], order[repeated[0] + 1]
+        raise XmodalError(f"video {videos[i]!r} has two frames with frame_index "
+                          f"{frames[repeated[0]]}: {_record_name(records[i], i)} and "
+                          f"{_record_name(records[j], j)}")
+    starts = np.flatnonzero(np.append(True, head[1:] != head[:-1]))
+    logits = np.concatenate([
+        forward(model, x[first : first + SCORE_BLOCK], feature_layer).logits
+        for first in range(0, len(records), SCORE_BLOCK)
+    ])
+    heads = head[starts].tolist()
+    return video_scores(logits[order], starts, t), labels[heads], [subsets[i] for i in heads]
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -565,16 +600,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     records = load_feature_file(args.features)[: args.limit]
     try:
-        preds = _score_feature_records(model, config.feature_layer, records, args.frames)
+        scores, labels, subsets = _score_feature_records(
+            model, config.feature_layer, records, args.frames
+        )
     except XmodalError as exc:
         raise XmodalError(f"{args.features}: {exc}") from None
     inputs = {"checkpoint": Path(args.checkpoint), "features": Path(args.features)}
-    headline = (
-        Aggregation.OVERALL_POOLED
-        if args.aggregation == "overall"
-        else Aggregation.MEAN_OVER_SUBSETS
-    )
-    report = per_subset_report(preds, threshold=args.threshold, headline=headline)
+    report = subset_report(scores, labels, subsets, args.threshold,
+                           Aggregation(args.aggregation))
     (out_dir / "report.csv").write_text(report.to_csv_text(), encoding="utf-8")
     _write_json(out_dir / "report.json", report.to_json_dict())
     config_doc = {

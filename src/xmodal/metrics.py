@@ -12,7 +12,7 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -38,13 +38,23 @@ def _scores_labels(preds: Sequence[ScoredPrediction]) -> tuple[np.ndarray, np.nd
     return scores, labels
 
 
+@dataclass(frozen=True)
+class PrfResult:
+    precision: float
+    recall: float
+    f1: float
+    precision_defined: bool
+    recall_defined: bool
+
+
+# Each metric is a one-line adapter over kernels on the columns ``_scores_labels`` makes.
+
+
 def accuracy(
     preds: Sequence[ScoredPrediction], threshold: float = DEFAULT_THRESHOLD
 ) -> float:
     """Fraction classified correctly; score >= threshold predicts fake."""
-    scores, labels = _scores_labels(preds)
-    predicted = (scores >= threshold).astype(np.int8)
-    return float((predicted == labels).mean())
+    return _accuracy(*_confusion(*_scores_labels(preds), threshold))
 
 
 def balanced_accuracy(
@@ -55,80 +65,65 @@ def balanced_accuracy(
     Computed with a single division over integer counts so that on a
     class-balanced input it equals plain accuracy bit-for-bit.
     """
-    scores, labels = _scores_labels(preds)
-    if labels.min() == labels.max():
-        raise SingleClassInputError("balanced accuracy needs both classes")
-    predicted = (scores >= threshold).astype(np.int8)
-    n_fake = int(np.sum(labels == 1))
-    n_real = int(np.sum(labels == 0))
-    tp = int(np.sum((predicted == 1) & (labels == 1)))
-    tn = int(np.sum((predicted == 0) & (labels == 0)))
-    return (tp * n_real + tn * n_fake) / (2 * n_fake * n_real)
+    return _balanced_accuracy(*_confusion(*_scores_labels(preds), threshold))
 
 
 def average_precision(preds: Sequence[ScoredPrediction]) -> float:
     """Step-sum AP over distinct score thresholds, ties entering together."""
-    scores, labels = _scores_labels(preds)
-    n_pos = int(labels.sum())
-    if n_pos == 0:
-        raise NoPositivesError("average precision needs at least one fake sample")
-    order = np.argsort(-scores, kind="stable")
-    scores = scores[order]
-    labels = labels[order]
-    ap = 0.0
-    tp = 0
-    seen = 0
-    prev_recall = 0.0
-    i = 0
-    n = len(scores)
-    while i < n:
-        j = i
-        while j < n and scores[j] == scores[i]:
-            j += 1
-        tp += int(labels[i:j].sum())
-        seen += j - i
-        recall = tp / n_pos
-        precision = tp / seen
-        ap += (recall - prev_recall) * precision
-        prev_recall = recall
-        i = j
-    return float(ap)
-
-
-@dataclass(frozen=True)
-class PrfResult:
-    precision: float
-    recall: float
-    f1: float
-    precision_defined: bool
-    recall_defined: bool
+    return _average_precision(*_scores_labels(preds))
 
 
 def precision_recall_f1(
     preds: Sequence[ScoredPrediction], threshold: float = DEFAULT_THRESHOLD
 ) -> PrfResult:
     """Precision/recall/F1 on the fake class; zero denominators flag as 0."""
-    scores, labels = _scores_labels(preds)
-    predicted = (scores >= threshold).astype(np.int8)
-    tp = int(np.sum((predicted == 1) & (labels == 1)))
-    fp = int(np.sum((predicted == 1) & (labels == 0)))
-    fn = int(np.sum((predicted == 0) & (labels == 1)))
-    precision_defined = (tp + fp) > 0
-    recall_defined = (tp + fn) > 0
-    precision = tp / (tp + fp) if precision_defined else 0.0
-    recall = tp / (tp + fn) if recall_defined else 0.0
-    f1 = (
-        2.0 * precision * recall / (precision + recall)
-        if (precision + recall) > 0
-        else 0.0
-    )
-    return PrfResult(
-        precision=float(precision),
-        recall=float(recall),
-        f1=float(f1),
-        precision_defined=precision_defined,
-        recall_defined=recall_defined,
-    )
+    return _precision_recall_f1(*_confusion(*_scores_labels(preds), threshold))
+
+
+def _confusion(
+    scores: np.ndarray, labels: np.ndarray, threshold: float
+) -> tuple[int, int, int, int]:
+    """(tp, fp, fn, tn) for the fake class; score >= threshold predicts fake."""
+    flagged = scores >= threshold
+    fake = labels == 1
+    tp = int(np.count_nonzero(flagged & fake))
+    fp = int(np.count_nonzero(flagged)) - tp
+    fn = int(np.count_nonzero(fake)) - tp
+    return tp, fp, fn, len(labels) - tp - fp - fn
+
+
+def _accuracy(tp: int, fp: int, fn: int, tn: int) -> float:
+    return (tp + tn) / (tp + fp + fn + tn)
+
+
+def _balanced_accuracy(tp: int, fp: int, fn: int, tn: int) -> float:
+    n_fake, n_real = tp + fn, tn + fp
+    if not n_fake or not n_real:
+        raise SingleClassInputError("balanced accuracy needs both classes")
+    return (tp * n_real + tn * n_fake) / (2 * n_fake * n_real)
+
+
+def _average_precision(scores: np.ndarray, labels: np.ndarray) -> float:
+    n_pos = int(np.count_nonzero(labels))
+    if n_pos == 0:
+        raise NoPositivesError("average precision needs at least one fake sample")
+    order = np.argsort(-scores, kind="stable")
+    scores = scores[order]
+    # the last position of each run of tied scores is one threshold
+    ends = np.flatnonzero(np.append(scores[1:] != scores[:-1], True))
+    tp = np.cumsum(labels[order], dtype=np.int64)[ends]
+    recall = tp / n_pos
+    precision = tp / (ends + 1)
+    terms = (recall - np.append(0.0, recall[:-1])) * precision
+    # cumsum adds left to right, as the step sum is defined; np.sum adds pairwise
+    return float(np.cumsum(terms)[-1])
+
+
+def _precision_recall_f1(tp: int, fp: int, fn: int, tn: int) -> PrfResult:
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return PrfResult(float(precision), float(recall), float(f1), tp + fp > 0, tp + fn > 0)
 
 
 class Aggregation(Enum):
@@ -159,35 +154,12 @@ class EvalReport:
     threshold: float
     headline: Aggregation
 
-    COLUMNS = (
-        "subset",
-        "n_real",
-        "n_fake",
-        "acc",
-        "balanced_acc",
-        "ap",
-        "precision",
-        "recall",
-        "f1",
-    )
+    COLUMNS = tuple(f.name for f in fields(MetricRow))
 
     def headline_row(self) -> MetricRow:
         if self.headline is Aggregation.MEAN_OVER_SUBSETS:
             return self.mean_over_subsets
         return self.overall_pooled
-
-    def _row_values(self, row: MetricRow) -> list:
-        return [
-            row.subset,
-            row.n_real,
-            row.n_fake,
-            row.acc,
-            row.balanced_acc,
-            row.ap,
-            row.precision,
-            row.recall,
-            row.f1,
-        ]
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()
@@ -196,49 +168,30 @@ class EvalReport:
         for row in self.rows + (self.mean_over_subsets, self.overall_pooled):
             writer.writerow(
                 ["" if v is None else repr(v) if isinstance(v, float) else v
-                 for v in self._row_values(row)]
+                 for v in astuple(row)]
             )
         return buf.getvalue()
 
     def to_json_dict(self) -> dict:
-        def row_doc(row: MetricRow) -> dict:
-            return {col: getattr(row, col) for col in self.COLUMNS}
-
         return {
             "threshold": self.threshold,
             "headline": self.headline.value,
-            "subsets": [row_doc(r) for r in self.rows],
-            "mean_over_subsets": row_doc(self.mean_over_subsets),
-            "overall_pooled": row_doc(self.overall_pooled),
+            "subsets": [asdict(r) for r in self.rows],
+            "mean_over_subsets": asdict(self.mean_over_subsets),
+            "overall_pooled": asdict(self.overall_pooled),
         }
 
 
 def _subset_row(
-    subset: str, preds: list[ScoredPrediction], threshold: float
+    subset: str, scores: np.ndarray, labels: np.ndarray, threshold: float
 ) -> MetricRow:
-    labels = np.asarray([p.label.numeric for p in preds], dtype=np.int8)
-    n_fake = int(labels.sum())
-    n_real = len(preds) - n_fake
-    try:
-        bal = balanced_accuracy(preds, threshold)
-    except SingleClassInputError:
-        bal = None
-    try:
-        ap = average_precision(preds)
-    except NoPositivesError:
-        ap = None
-    prf = precision_recall_f1(preds, threshold)
-    return MetricRow(
-        subset=subset,
-        n_real=n_real,
-        n_fake=n_fake,
-        acc=accuracy(preds, threshold),
-        balanced_acc=bal,
-        ap=ap,
-        precision=prf.precision,
-        recall=prf.recall,
-        f1=prf.f1,
-    )
+    counts = _confusion(scores, labels, threshold)
+    tp, fp, fn, tn = counts
+    prf = _precision_recall_f1(*counts)
+    return MetricRow(subset, tn + fp, tp + fn, _accuracy(*counts),
+                     _balanced_accuracy(*counts) if tp + fn and tn + fp else None,
+                     _average_precision(scores, labels) if tp + fn else None,
+                     prf.precision, prf.recall, prf.f1)
 
 
 def _mean_or_none(values: list[Optional[float]], what: str) -> Optional[float]:
@@ -249,9 +202,7 @@ def _mean_or_none(values: list[Optional[float]], what: str) -> Optional[float]:
             "excluded from the subset mean",
             stacklevel=3,
         )
-    if not present:
-        return None
-    return float(sum(present) / len(present))
+    return float(sum(present) / len(present)) if present else None
 
 
 def per_subset_report(
@@ -260,14 +211,26 @@ def per_subset_report(
     headline: Aggregation = Aggregation.MEAN_OVER_SUBSETS,
 ) -> EvalReport:
     """Every subset row plus the mean-over-subsets and pooled aggregates."""
-    if not preds:
+    return subset_report(*_scores_labels(preds), [p.subset for p in preds], threshold, headline)
+
+
+def subset_report(
+    scores: np.ndarray,
+    labels: np.ndarray,
+    subsets: Sequence[str],
+    threshold: float,
+    headline: Aggregation,
+) -> EvalReport:
+    """``per_subset_report`` of the predictions in columns: float64 scores in
+    [0, 1], int8 label codes (real 0, fake 1) and each one's subset name."""
+    if len(scores) == 0:
         raise EmptyInputError("need at least one prediction")
-    by_subset: dict[str, list[ScoredPrediction]] = {}
-    for p in preds:
-        by_subset.setdefault(p.subset, []).append(p)
+    names = sorted(set(subsets))
+    code = {name: c for c, name in enumerate(names)}
+    codes = np.fromiter((code[s] for s in subsets), dtype=np.intp, count=len(subsets))
     rows = tuple(
-        _subset_row(name, group, threshold)
-        for name, group in sorted(by_subset.items())
+        _subset_row(name, scores[codes == c], labels[codes == c], threshold)
+        for c, name in enumerate(names)
     )
     mean_row = MetricRow(
         subset="mean_over_subsets",
@@ -280,14 +243,8 @@ def per_subset_report(
         recall=float(sum(r.recall for r in rows) / len(rows)),
         f1=float(sum(r.f1 for r in rows) / len(rows)),
     )
-    pooled = _subset_row("overall_pooled", list(preds), threshold)
-    return EvalReport(
-        rows=rows,
-        mean_over_subsets=mean_row,
-        overall_pooled=pooled,
-        threshold=threshold,
-        headline=headline,
-    )
+    pooled = _subset_row("overall_pooled", scores, labels, threshold)
+    return EvalReport(rows, mean_row, pooled, threshold, headline)
 
 
 # --- multi-frame video scoring ------------------------------------------------------
@@ -320,8 +277,20 @@ def select_frame_indices(n_frames: int, t: int) -> list[int]:
     t = min(t, n_frames)
     raw = [(j + 0.5) * n_frames / t - 0.5 for j in range(t)]
     # raw is >= 0 here, so floor(r + 0.5) is round-half-away-from-zero
-    picked = sorted({min(n_frames - 1, int(math.floor(r + 0.5))) for r in raw})
-    return picked
+    return sorted({min(n_frames - 1, int(math.floor(r + 0.5))) for r in raw})
+
+
+def video_scores(logits: np.ndarray, starts: np.ndarray, t: int) -> np.ndarray:
+    """Each video's score: the clamped sigmoid of the mean logit of T uniformly spaced
+    frames. ``logits`` holds video ``v``'s frames in order from ``starts[v]`` on."""
+    counts = np.diff(np.append(starts, len(logits)))
+    scores = np.empty(len(starts))
+    for n in set(counts.tolist()):
+        videos = np.flatnonzero(counts == n)
+        picked = logits[starts[videos, None] + np.array(select_frame_indices(n, t))]
+        scores[videos] = [min(1.0, max(0.0, _sigmoid(sum(row) / len(row))))
+                          for row in picked.tolist()]
+    return scores
 
 
 def multi_frame_average(frames: Sequence[FrameScore], t: int = 1) -> ScoredPrediction:
@@ -329,19 +298,13 @@ def multi_frame_average(frames: Sequence[FrameScore], t: int = 1) -> ScoredPredi
     if not frames:
         raise EmptyVideoError("video has no frames")
     ordered = sorted(frames, key=lambda f: f.frame_index)
-    labels = {f.label for f in ordered}
-    subsets = {f.subset for f in ordered}
-    if len(labels) != 1 or len(subsets) != 1:
+    if len({(f.label, f.subset) for f in ordered}) != 1:
         raise InvalidSpecError(
             f"video {ordered[0].video_id!r} has inconsistent label or subset tags"
         )
-    picked = [ordered[i] for i in select_frame_indices(len(ordered), t)]
-    score = _sigmoid(sum(f.logit for f in picked) / len(picked))
-    return ScoredPrediction(
-        score=min(1.0, max(0.0, score)),
-        label=ordered[0].label,
-        subset=ordered[0].subset,
-    )
+    logits = np.array([f.logit for f in ordered], dtype=np.float64)
+    score = float(video_scores(logits, np.zeros(1, dtype=np.intp), t)[0])
+    return ScoredPrediction(score, ordered[0].label, ordered[0].subset)
 
 
 def group_frames(frames: Sequence[FrameScore]) -> dict[str, list[FrameScore]]:

@@ -714,6 +714,9 @@ def load_checkpoint(path: str | Path) -> tuple[ToyModel, TrainConfig]:
     for name, entry in entries.items():
         try:
             params[name] = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+            # NumPy would read JSON true/false as 1/0
+            if any(isinstance(v, bool) for v in np.asarray(entry["data"], dtype=object).flat):
+                raise ValueError("expected numbers, got a JSON boolean")
         except KeyError as exc:
             raise InvalidSpecError(f"{path}: params.{name}: no {exc} entry") from None
         except (TypeError, ValueError) as exc:

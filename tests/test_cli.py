@@ -563,6 +563,26 @@ class TestEvaluateCommand:
             reports.append((tmp_path / name / "eval" / "report.json").read_text())
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("label", ["fake", "real"], ids=["other-label", "same-label"])
+    def test_single_images_are_keyed_by_position(self, tmp_path, label):
+        # a video id spelling the name single images were once keyed by
+        argv = _evaluate_argv(tmp_path, _feature_doc(video_id="__single_0", label=label))
+        assert run_cli(*argv) == 0
+        pooled = json.loads((tmp_path / "eval" / "report.json").read_text())["overall_pooled"]
+        assert pooled["n_real"] + pooled["n_fake"] == 4
+
+    def test_video_tags_are_checked_before_scoring(self, tmp_path, capsys, monkeypatch):
+        def no_scoring(*args, **kwargs):
+            raise AssertionError("scored a file with a bad video")
+
+        monkeypatch.setattr("xmodal.cli.forward", no_scoring)
+        doc = _video_doc({"frame_index": 0}, {"frame_index": 1, "subset": "t"})
+        argv = _evaluate_argv(tmp_path, doc)
+        capsys.readouterr()
+        assert run_cli(*argv) == 2
+        assert ("video 'v' has inconsistent label or subset tags: feature record 1 ('r1') "
+                "disagrees with feature record 0 ('r0')") in capsys.readouterr().err
+
     def test_wrong_feature_length_everywhere_exits_2(self, train_setup, tmp_path, capsys):
         checkpoint = self.make_checkpoint(train_setup, tmp_path)
         records = [{"id": f"r{i}", "x": [0.5] * 5, "label": "real", "modality": "image",
@@ -604,6 +624,13 @@ def _feature_doc(**record_1):
             records[1].pop(key)
         else:
             records[1][key] = value
+    return {"records": records}
+
+
+def _video_doc(*frames):
+    """One real video 'v' whose i-th record takes the edits ``frames[i]``."""
+    records = [{"id": f"r{i}", "x": [0.1 * i] * 6, "label": "real", "modality": "video",
+                "subset": "s", "video_id": "v", **edits} for i, edits in enumerate(frames)]
     return {"records": records}
 
 
@@ -670,6 +697,33 @@ MALFORMED_INPUTS = {
         lambda p: _evaluate_argv(p, feature_doc={"records": [
             {**rec, "video_id": "v"} for rec in _feature_doc()["records"]]}),
         "f.json: video 'v' has inconsistent label or subset tags"),
+    "video-id-zero": (
+        lambda p: _evaluate_argv(p, feature_doc=_feature_doc(video_id=0)),
+        "f.json: feature record 1 ('r1') 'video_id': must be a non-empty string or null, "
+        "got 0"),
+    "video-id-number-beside-its-string": (
+        lambda p: _evaluate_argv(p, feature_doc=_video_doc(
+            {"video_id": "5"}, {"video_id": 5, "frame_index": 1})),
+        "feature record 1 ('r1') 'video_id': must be a non-empty string or null, got 5"),
+    "video-id-list": (
+        lambda p: _evaluate_argv(p, feature_doc=_feature_doc(video_id=[1])),
+        "feature record 1 ('r1') 'video_id': must be a non-empty string or null, got [1]"),
+    "video-id-empty": (
+        lambda p: _evaluate_argv(p, feature_doc=_feature_doc(video_id="")),
+        "feature record 1 ('r1') 'video_id': must be a non-empty string or null, got ''"),
+    "video-frames-repeat-an-index": (
+        lambda p: _evaluate_argv(p, feature_doc=_video_doc(
+            {"frame_index": 0}, {"frame_index": 2}, {"frame_index": 2})),
+        "f.json: video 'v' has two frames with frame_index 2: feature record 1 ('r1') "
+        "and feature record 2 ('r2')"),
+    "video-frames-null-and-0": (
+        lambda p: _evaluate_argv(p, feature_doc=_video_doc(
+            {"frame_index": 1}, {"frame_index": None}, {"frame_index": 0})),
+        "video 'v' has two frames with frame_index 0"),
+    "frame-index-beyond-int64": (
+        lambda p: _evaluate_argv(p, feature_doc=_feature_doc(video_id="v",
+                                                             frame_index=2**63)),
+        "feature record 1 ('r1') 'frame_index': must be below 2**63, got 9223372036854775808"),
     "train-unknown-variant": (
         lambda p: _train_argv(p, {"train": {"variant": "bogus"}}),
         "cfg.json: 'train.variant': 'bogus' is not one of"),
@@ -730,7 +784,9 @@ class TestMalformedInputs:
     ("b1", lambda e: e.update(shape=[4, 4]), "shape (4, 4), expected (16,)"),
     ("w1", lambda e: e.update(shape=[16, 6]), "shape (16, 6), expected (16, 16)"),
     ("bc", lambda e: e.pop("data"), "no 'data' entry"),
-], ids=["short-data", "string-value", "nan-value", "b1-shape", "w1-shape", "no-data"])
+    ("bc", lambda e: e["data"].__setitem__(0, True), "expected numbers, got a JSON boolean"),
+], ids=["short-data", "string-value", "nan-value", "b1-shape", "w1-shape", "no-data",
+        "bool-value"])
 def test_malformed_checkpoint_parameter_exits_2_naming_it(tmp_path, capsys, name, edit,
                                                           problem):
     argv = _evaluate_argv(tmp_path, edit_checkpoint=lambda doc: edit(doc["params"][name]))
