@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .cmsupcon import LossVariant
-from .codecsim import ChainSpec, apply_chain, derive_sample_seed
+from .codecsim import MAX_SIDE, MAX_SIGMA, ChainSpec, apply_chain, derive_sample_seed
 from .core import (
     ImageBuffer,
     Label,
@@ -41,6 +41,7 @@ from .core import (
 )
 from .errors import NonFiniteLossError, XmodalError
 from .forensics import (
+    ZERO_EPS,
     Window,
     dataset_mean_rapsd,
     dct_ac_histogram,
@@ -626,13 +627,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 # --- argument parsing ------------------------------------------------------------
 
 
-def _positive_int(text: str, least: int = 1) -> int:
+def _positive_int(text: str, least: int = 1, most: Optional[int] = None) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < least:
         raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+    if most is not None and value > most:
+        raise argparse.ArgumentTypeError(f"must be <= {most}, got {value}")
     return value
 
 
@@ -646,16 +649,23 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _positive_float(text: str) -> float:
+def _positive_float(text: str, above: float = 0.0, most: float = math.inf) -> float:
     value = _finite_float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    if value <= above:
+        raise argparse.ArgumentTypeError(f"must be > {above:g}, got {value}")
+    if value > most:
+        raise argparse.ArgumentTypeError(f"must be <= {most:g}, got {value}")
     return value
 
 
-# analyze --bins per kind: (default, least accepted). The rapsd summary splits
-# the profile into three bands, and each needs at least one bin.
-_BINS = {"dct": (129, 1), "rapsd": (32, 3)}
+# analyze --bins per kind: (default, least, most accepted). The rapsd summary
+# splits the profile into three bands, and each needs at least one bin. 2**16
+# dct bins cut the +-1024 of 8-bit AC coefficients into 1/32 steps; MAX_SIDE
+# rapsd bins are finer than the frequency step of any side a chain step makes.
+_BINS = {"dct": (129, 1, 1 << 16), "rapsd": (32, 3, MAX_SIDE)}
+# analyze --range lies in (ZERO_EPS, MAX_RANGE], where every bin count gives
+# finite, strictly ascending edges.
+MAX_RANGE = 1e6
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -674,14 +684,18 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--seed", type=int, default=0)
     analyze.add_argument("--threads", type=_positive_int, default=1)
     analyze.add_argument("--bins", type=int, default=None)
-    analyze.add_argument("--range", type=_positive_float, default=64.0,
+    analyze.add_argument("--range", default=64.0,
+                         type=functools.partial(_positive_float, above=ZERO_EPS,
+                                                most=MAX_RANGE),
                          help="dct: half-width of the coefficient histogram")
     analyze.add_argument("--window", choices=("none", "hann"), default="none")
     analyze.add_argument("--chain", default=None,
                          help="degradation chain applied to every frame before analysis")
-    analyze.add_argument("--sigma", type=_positive_float, default=1.0,
+    analyze.add_argument("--sigma", type=functools.partial(_positive_float, most=MAX_SIGMA),
+                         default=1.0,
                          help="spectrum: residual blur sigma")
-    analyze.add_argument("--size", type=functools.partial(_positive_int, least=8),
+    analyze.add_argument("--size",
+                         type=functools.partial(_positive_int, least=8, most=MAX_SIDE),
                          default=64,
                          help="spectrum: transform size")
     analyze.set_defaults(func=cmd_analyze, usage_error=analyze.error)
@@ -723,12 +737,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "kind", None) in _BINS:
-        default, least = _BINS[args.kind]
+        default, least, most = _BINS[args.kind]
         if args.bins is None:
             args.bins = default
-        elif args.bins < least:
-            args.usage_error(f"argument --bins: must be >= {least} for {args.kind}, "
-                             f"got {args.bins}")
+        elif not least <= args.bins <= most:
+            args.usage_error(f"argument --bins: must lie in [{least}, {most}] for "
+                             f"{args.kind}, got {args.bins}")
     elif getattr(args, "bins", None) is not None:
         args.usage_error(f"argument --bins: does not apply to {args.kind}")
     try:

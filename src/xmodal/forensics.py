@@ -167,6 +167,11 @@ def rapsd(
     Mean-subtracted, optionally Hann-windowed; power = |FFT|^2 / (W*H),
     binned by normalized radial frequency into nbins equal-width bins over
     (0, 0.5]. DC and corner frequencies beyond 0.5 are excluded.
+
+    The plane is real, so only the ``rfft2`` half of its conjugate-symmetric
+    spectrum is transformed, each frequency weighted for its mirror (see
+    ``_radial_bins``). The counts equal the full plane's exactly; the power
+    matches the full-plane form to about 1e-14 relative, not bit for bit.
     """
     if img.height < 16 or img.width < 16:
         raise ImageTooSmallError(
@@ -178,10 +183,10 @@ def rapsd(
     plane = plane - plane.mean()
     if window is Window.HANN:
         plane = plane * np.outer(np.hanning(img.height), np.hanning(img.width))
-    spectrum = np.fft.fft2(plane)
+    spectrum = np.fft.rfft2(plane)
     power = (spectrum.real**2 + spectrum.imag**2) / (img.width * img.height)
-    mask, idx, counts = _radial_bins(img.height, img.width, nbins)
-    sums = np.bincount(idx, weights=power[mask], minlength=nbins)
+    mask, idx, weight, counts = _radial_bins(img.height, img.width, nbins)
+    sums = np.bincount(idx, weights=power[mask] * weight, minlength=nbins)
     mean_power = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
     radii = (np.arange(nbins) + 0.5) * (0.5 / nbins)
     return RadialProfile(radii=radii, power=mean_power, counts=counts)
@@ -189,21 +194,30 @@ def rapsd(
 
 @functools.lru_cache(maxsize=4)
 def _radial_bins(height: int, width: int, nbins: int) -> tuple[np.ndarray, ...]:
-    """rapsd's frequency mask, per-frequency bin index and per-bin counts.
+    """rapsd's half-plane mask, per-frequency bin index and weight, and per-bin counts.
 
-    They depend only on the shape and ``nbins``, so a corpus of equal-size
-    frames builds them once. The arrays are shared, hence read-only.
+    The geometry is ``fftfreq(height)`` x ``rfftfreq(width)``, the frequencies
+    of ``rfft2``. The weight is 1 in column 0 and, for an even width, in the
+    Nyquist column, which hold their own mirrors, and 2 elsewhere, so the
+    weighted ``counts`` equal the full plane's. They depend only on the shape
+    and ``nbins``, so a corpus of equal-size frames builds them once. The
+    arrays are shared, hence read-only.
     """
     fy = np.fft.fftfreq(height)[:, None]
-    fx = np.fft.fftfreq(width)[None, :]
+    fx = np.fft.rfftfreq(width)[None, :]
     radius = np.sqrt(fx * fx + fy * fy)
     mask = (radius > 0.0) & (radius <= 0.5)
     idx = np.ceil(radius[mask] / (0.5 / nbins)).astype(int) - 1
     idx = np.clip(idx, 0, nbins - 1)
-    counts = np.bincount(idx, minlength=nbins).astype(np.int64)
-    for arr in (mask, idx, counts):
+    columns = np.full(fx.shape[1], 2.0)
+    columns[0] = 1.0
+    if width % 2 == 0:
+        columns[-1] = 1.0
+    weight = np.broadcast_to(columns, mask.shape)[mask]
+    counts = np.bincount(idx, weights=weight, minlength=nbins).astype(np.int64)
+    for arr in (mask, idx, weight, counts):
         arr.setflags(write=False)
-    return mask, idx, counts
+    return mask, idx, weight, counts
 
 
 def dataset_mean_rapsd(profiles: Iterable[RadialProfile]) -> RadialProfile:

@@ -5,14 +5,17 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import xmodal
-from xmodal.cli import derive_sample_seed, main
+from xmodal.cli import MAX_RANGE, derive_sample_seed, main
 from xmodal.codecsim import (
+    MAX_SIDE,
+    MAX_SIGMA,
     ChainSpec,
     ColorJitterStep,
     GaussianBlurStep,
@@ -22,6 +25,7 @@ from xmodal.codecsim import (
 )
 from xmodal.core import load_image, parse_manifest
 from xmodal.forensics import (
+    ZERO_EPS,
     dataset_mean_rapsd,
     dct_ac_histogram,
     luminance_histogram,
@@ -124,10 +128,19 @@ class TestAnalyze:
         ("dct", "--range", "nan"), ("dct", "--range", "inf"), ("dct", "--range", -1),
         ("dct", "--bins", 0), ("rapsd", "--bins", 1), ("rapsd", "--bins", 2),
         ("spectrum", "--size", 7),
+        # past the upper bounds, and --range at its floor: unchecked, these run
+        # out of memory, overflow, fail inside NumPy or pad frames past the budget
+        ("dct", "--bins", 10**12), ("rapsd", "--bins", 10**12), ("rapsd", "--bins", 10**23),
+        ("dct", "--bins", (1 << 16) + 1), ("rapsd", "--bins", MAX_SIDE + 1),
+        ("spectrum", "--sigma", "1e308"), ("spectrum", "--sigma", MAX_SIGMA + 0.5),
+        ("spectrum", "--size", MAX_SIDE + 1), ("spectrum", "--size", 100000),
+        ("dct", "--range", "1e308"), ("dct", "--range", MAX_RANGE * 1.5),
+        ("dct", "--range", "5e-324"), ("dct", "--range", ZERO_EPS),
     ])
     def test_bad_numeric_options_exit_2(self, corpus, tmp_path, capsys, kind, flag, value):
         root, manifest = corpus
-        with pytest.raises(SystemExit) as exc:
+        with pytest.raises(SystemExit) as exc, warnings.catch_warnings():
+            warnings.simplefilter("error")
             run_cli("analyze", kind, "--manifest", manifest, "--out", tmp_path / "out",
                     flag, value)
         assert exc.value.code == 2
@@ -151,8 +164,9 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("kind,flag,value", [
         ("rapsd", "--bins", 3), ("dct", "--bins", 1), ("spectrum", "--size", 8),
+        ("rapsd", "--bins", MAX_SIDE), ("dct", "--bins", 1 << 16),
     ])
-    def test_smallest_numeric_options_accepted(self, corpus, tmp_path, kind, flag, value):
+    def test_boundary_numeric_options_accepted(self, corpus, tmp_path, kind, flag, value):
         root, manifest = corpus
         out = tmp_path / "out"
         assert run_cli("analyze", kind, "--manifest", manifest, "--out", out,

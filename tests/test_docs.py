@@ -9,9 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from xmodal.cli import build_parser
+from xmodal.cli import _BINS, MAX_RANGE, build_parser
 from xmodal.codecsim import _STEP_NAMES, _STEP_TYPES, MAX_SIDE, MAX_SIGMA
+from xmodal.forensics import ZERO_EPS
 from xmodal.trainer import MAX_WIDTH, TrainConfig, config_key
+
+from test_kernel_identity import RAPSD_RTOL
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -54,6 +57,17 @@ def test_size_bounds_match_the_budgets():
     assert f"`sigma` number in [0, {MAX_SIGMA}]" in steps
     assert f"`shorter_side` integer in [1, {MAX_SIDE}]" in steps
     assert f"`hidden_dim`/`feature_dim` outside [1, {MAX_WIDTH}]" in " ".join(README.split())
+
+
+def test_analyze_bounds_match_the_constants():
+    bounds = _paragraph("- `--bins`:")
+    (_, dct_least, dct_most), (_, rapsd_least, rapsd_most) = _BINS["dct"], _BINS["rapsd"]
+    assert f"`dct` in [{dct_least}, {dct_most}]" in bounds
+    assert f"`rapsd` in [{rapsd_least}, {rapsd_most}]" in bounds
+    assert f"`--range`: above {ZERO_EPS:g} and at most {MAX_RANGE:g}," in bounds
+    assert f"`--sigma`: above 0 and at most {MAX_SIGMA}." in bounds
+    assert f"`--size`: in [8, {MAX_SIDE}]." in bounds
+    assert f"within a relative {RAPSD_RTOL:g} per bin" in _paragraph("`rapsd` transforms")
 
 
 def test_train_keys_and_defaults_match_train_config():
