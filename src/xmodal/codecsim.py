@@ -3,7 +3,10 @@
 Two quantizers are modeled on top of a shared orthonormal 8x8 DCT: a
 JPEG-style integer-table quantizer and a video-codec-style uniform deadzone
 quantizer. ChainSpec composes them with the pixel primitives into a
-blur -> resize -> codec -> color pipeline.
+blur -> resize -> codec -> color pipeline. apply_chain runs the steps' plane
+kernels on raw (c, h, w) planes and checks the result once, at the end. The
+codecs walk a frame in bands of whole block rows, all channels at once, so a
+band stays in L2 from colour conversion to the 8-bit snap, with the same bits.
 
 The simulators are approximations: no entropy coding, no chroma
 subsampling, no inter-frame prediction. HEIF/WebP-style compression is
@@ -12,6 +15,7 @@ represented by deadzone-quantizer presets, not real encoders.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -31,15 +35,17 @@ from .errors import (
 )
 from .pixelops import (
     ColorRange,
+    _as_image,
+    _bands,
+    _color_jitter,
+    _gaussian_blur,
+    _motion_blur,
+    _quantize_8bit,
+    _rgb_to_ycbcr,
     _round_half_away_inplace,
-    gaussian_blur,
-    motion_blur,
-    quantize_8bit,
-    rgb_to_ycbcr,
+    _shorter_side_resize,
+    _ycbcr_to_rgb,
     round_half_away,
-    shorter_side_resize,
-    to_luma,
-    ycbcr_to_rgb,
 )
 
 # --- 8x8 orthonormal DCT-II ---------------------------------------------------
@@ -139,27 +145,24 @@ def quant_table_from_quality(quality: int, channel: str = "luma") -> QuantTable:
     return QuantTable(np.clip(scaled, 1, 255), quality=quality)
 
 
-# the public quantizers view their (..., 8, 8) blocks as (..., 8, 1, 8): a
-# plane one block wide, in the (nby, 8, nbx, 8) layout of the block DCT
 def quantize_coefficients(coeffs: np.ndarray, table: QuantTable) -> np.ndarray:
     """Divide (..., 8, 8) blocks by the table and round half-away-from-zero."""
-    return _quantize_inplace(np.array(coeffs, dtype=np.float64)[..., None, :], table)[..., 0, :]
+    return _round_half_away_inplace(np.divide(coeffs, table.table, dtype=np.float64))
 
 
 def dequantize_coefficients(indices: np.ndarray, table: QuantTable) -> np.ndarray:
-    return _dequantize_inplace(np.array(indices, dtype=np.float64)[..., None, :], table)[..., 0, :]
+    return np.multiply(indices, table.table, dtype=np.float64)
 
 
-def _quantize_inplace(coeffs: np.ndarray, table: QuantTable) -> np.ndarray:
-    """quantize_coefficients written over (nby, 8, nbx, 8) float64 ``coeffs``."""
-    coeffs /= table.table[:, None, :]
-    return _round_half_away_inplace(coeffs)
-
-
-def _dequantize_inplace(indices: np.ndarray, table: QuantTable) -> np.ndarray:
-    """dequantize_coefficients written over (nby, 8, nbx, 8) float64 ``indices``."""
-    indices *= table.table[:, None, :]
-    return indices
+@functools.lru_cache(maxsize=8)
+def _jpeg_tables(quality: int, channels: int, nbx: int) -> np.ndarray:
+    """The luma table, then chroma for each further channel, tiled along a row of
+    ``nbx`` blocks as read-only float64 in _shifted_coeffs' (c, 1, 8, nbx, 8) layout."""
+    kinds = ("luma", "chroma", "chroma")[:channels]
+    tables = [np.tile(quant_table_from_quality(quality, kind).table, nbx) for kind in kinds]
+    tiled = np.array(tables, dtype=np.float64).reshape(channels, 1, BLOCK, nbx, BLOCK)
+    tiled.setflags(write=False)
+    return tiled
 
 
 @dataclass(frozen=True)
@@ -186,12 +189,13 @@ def deadzone_quantize_block(coeffs: np.ndarray, model: VideoQuantModel) -> np.nd
     DC gets a plain round; AC is zeroed inside deadzone*qstep, otherwise
     rounded to the nearest multiple of qstep.
     """
+    # viewed as (..., 8, 1, 8): a plane one block wide, in _shifted_coeffs' layout
     rec = _deadzone_quantize_inplace(np.array(coeffs, dtype=np.float64)[..., None, :], model)
     return rec[..., 0, :]
 
 
 def _deadzone_quantize_inplace(coeffs: np.ndarray, model: VideoQuantModel) -> np.ndarray:
-    """deadzone_quantize_block written over (nby, 8, nbx, 8) float64 ``coeffs``."""
+    """deadzone_quantize_block written over (..., nby, 8, nbx, 8) float64 ``coeffs``."""
     q = model.qstep
     dead = np.abs(coeffs) < model.deadzone * q
     dead[..., 0, :, 0] = False  # DC is exempt from the deadzone
@@ -207,38 +211,39 @@ def _deadzone_quantize_inplace(coeffs: np.ndarray, model: VideoQuantModel) -> np
 
 LUMA_OFFSET = 128.0
 CHROMA_OFFSET = 127.5  # chroma neutral is 0.5 in float, i.e. 127.5 at 8-bit scale
+_YCC_OFFSETS = np.array([LUMA_OFFSET, CHROMA_OFFSET, CHROMA_OFFSET])[:, None, None]
 
 
-def _shifted_coeffs(plane: np.ndarray, offset: float) -> np.ndarray:
-    """Block DCT of one channel at 8-bit scale, level-shifted by ``-offset``.
+def _shifted_coeffs(plane: np.ndarray, offset) -> np.ndarray:
+    """Block DCT of (..., h, w) planes at 8-bit scale, level-shifted by ``-offset``.
 
-    The shifted plane is written into a buffer edge-padded to a multiple of 8.
-    Its coefficients keep that buffer's layout, shape (nby, 8, nbx, 8):
-    coefficient (u, v) of block (a, b) sits at [a, u, b, v]. One matmul sums
-    over the rows of each block, a second over its columns, in that order:
-    the other order differs in the last bit.
+    The shifted planes are written into a buffer edge-padded to a multiple of 8.
+    Their coefficients keep that buffer's layout, shape (..., nby, 8, nbx, 8):
+    coefficient (u, v) of block (a, b) sits at [..., a, u, b, v]. One matmul
+    sums over the rows of each block, a second over its columns, in that
+    order: the other order differs in the last bit.
     """
-    h, w = plane.shape
+    *lead, h, w = plane.shape
     nby, nbx = -(-h // BLOCK), -(-w // BLOCK)
-    padded = np.empty((nby * BLOCK, nbx * BLOCK))
-    shifted = np.multiply(plane, 255.0, out=padded[:h, :w])
+    padded = np.empty((*lead, nby * BLOCK, nbx * BLOCK))
+    shifted = np.multiply(plane, 255.0, out=padded[..., :h, :w])
     shifted -= offset
-    padded[:h, w:] = shifted[:, -1:]
-    padded[h:] = padded[h - 1]
-    coeffs = np.matmul(_DCT, padded.reshape(nby, BLOCK, nbx * BLOCK))
+    padded[..., :h, w:] = shifted[..., -1:]
+    padded[..., h:, :] = padded[..., h - 1 : h, :]
+    coeffs = np.matmul(_DCT, padded.reshape(-1, BLOCK, nbx * BLOCK))
     flat = coeffs.reshape(-1, BLOCK)
     np.matmul(flat, _DCT.T, out=flat)
-    return coeffs.reshape(nby, BLOCK, nbx, BLOCK)
+    return coeffs.reshape(*lead, nby, BLOCK, nbx, BLOCK)
 
 
-def _reconstruct(coeffs: np.ndarray, offset: float, out: np.ndarray) -> None:
-    """Inverse of _shifted_coeffs (rows, then columns) into the [0, 1]-scale plane ``out``."""
-    nby, _, nbx, _ = coeffs.shape
-    plane = np.matmul(_DCT.T, coeffs.reshape(nby, BLOCK, nbx * BLOCK))
+def _reconstruct(coeffs: np.ndarray, offset, out: np.ndarray) -> None:
+    """Inverse of _shifted_coeffs (rows, then columns) into the [0, 1]-scale planes ``out``."""
+    *lead, nby, _, nbx, _ = coeffs.shape
+    plane = np.matmul(_DCT.T, coeffs.reshape(-1, BLOCK, nbx * BLOCK))
     flat = plane.reshape(-1, BLOCK)
     np.matmul(flat, _DCT, out=flat)
-    h, w = out.shape
-    np.add(plane.reshape(nby * BLOCK, nbx * BLOCK)[:h, :w], offset, out=out)
+    h, w = out.shape[-2:]
+    np.add(plane.reshape(*lead, nby * BLOCK, nbx * BLOCK)[..., :h, :w], offset, out=out)
     out /= 255.0
 
 
@@ -253,24 +258,31 @@ def jpeg_simulate(
     decoded file; pass False to keep the float reconstruction, which
     preserves exactly-zero AC coefficients for analysis.
     """
+    return _as_image(img, _jpeg_simulate(img.data, quality, quantize_output))
+
+
+def _jpeg_simulate(data: np.ndarray, quality: int, quantize_output: bool = True) -> np.ndarray:
     # color input goes through full-range YCbCr; chroma is shifted by its
     # neutral so a neutral-gray image has exactly-zero chroma coefficients
-    was_color = img.channels == 3
-    planes = rgb_to_ycbcr(img, ColorRange.FULL).data if was_color else img.data
-    luma = quant_table_from_quality(quality, "luma")
-    chroma = quant_table_from_quality(quality, "chroma")
-    offsets = (LUMA_OFFSET, CHROMA_OFFSET, CHROMA_OFFSET)
-    out = np.empty_like(planes)
-    for plane, offset, table, dst in zip(planes, offsets, (luma, chroma, chroma), out):
-        indices = _quantize_inplace(_shifted_coeffs(plane, offset), table)
-        _reconstruct(_dequantize_inplace(indices, table), offset, dst)
-    if was_color:
-        result = ycbcr_to_rgb(ImageBuffer(out), ColorRange.FULL)
-    else:
-        result = ImageBuffer(np.clip(out, 0.0, 1.0, out=out))
-    if quantize_output:
-        result = quantize_8bit(result)
-    return result
+    c, h, w = data.shape
+    tables = _jpeg_tables(quality, c, -(-w // BLOCK))
+    offsets = _YCC_OFFSETS[:c]
+    out = np.empty_like(data)
+    # a band of whole block rows, all channels, from colour conversion to the snap
+    for rows in _bands(h, w, BLOCK):
+        src, dst = data[:, rows], out[:, rows]
+        coeffs = _shifted_coeffs(_rgb_to_ycbcr(src, ColorRange.FULL) if c == 3 else src, offsets)
+        coeffs /= tables
+        _round_half_away_inplace(coeffs)
+        coeffs *= tables
+        _reconstruct(coeffs, offsets, dst)
+        if c == 3:
+            _ycbcr_to_rgb(dst, ColorRange.FULL, dst)
+        else:
+            np.clip(dst, 0.0, 1.0, out=dst)
+        if quantize_output:
+            _quantize_8bit(dst, out=dst)
+    return out
 
 
 def video_codec_simulate(img: ImageBuffer, model: VideoQuantModel) -> ImageBuffer:
@@ -280,11 +292,17 @@ def video_codec_simulate(img: ImageBuffer, model: VideoQuantModel) -> ImageBuffe
     skips the final 8-bit snap, approximating a codec's internal
     reconstruction rather than a decoded file.
     """
-    out = np.empty_like(img.data)
-    for plane, dst in zip(img.data, out):
-        coeffs = _deadzone_quantize_inplace(_shifted_coeffs(plane, 128.0), model)
+    return _as_image(img, _video_codec_simulate(img.data, model))
+
+
+def _video_codec_simulate(data: np.ndarray, model: VideoQuantModel) -> np.ndarray:
+    out = np.empty_like(data)
+    for rows in _bands(data.shape[1], data.shape[2], BLOCK):
+        coeffs = _deadzone_quantize_inplace(_shifted_coeffs(data[:, rows], 128.0), model)
+        dst = out[:, rows]
         _reconstruct(coeffs, 128.0, dst)
-    return ImageBuffer(np.clip(out, 0.0, 1.0, out=out))
+        np.clip(dst, 0.0, 1.0, out=dst)
+    return out
 
 
 def tv_range_squeeze(img: ImageBuffer) -> ImageBuffer:
@@ -293,14 +311,17 @@ def tv_range_squeeze(img: ImageBuffer) -> ImageBuffer:
     Stretching the 219 limited luma codes back over 256 slots leaves
     periodic empty histogram bins: the comb signature of TV-range video.
     """
-    if img.channels == 3:
-        limited = quantize_8bit(rgb_to_ycbcr(img, ColorRange.LIMITED))
-        return quantize_8bit(ycbcr_to_rgb(limited, ColorRange.LIMITED))
-    y = np.clip(img.data, 0.0, 1.0)
+    return _as_image(img, _tv_range_squeeze(img.data))
+
+
+def _tv_range_squeeze(data: np.ndarray) -> np.ndarray:
+    if data.shape[0] == 3:
+        limited = _quantize_8bit(_rgb_to_ycbcr(data, ColorRange.LIMITED))
+        return _quantize_8bit(_ycbcr_to_rgb(limited, ColorRange.LIMITED))
+    y = np.clip(data, 0.0, 1.0)
     y = round_half_away(((16.0 + 219.0 * y) / 255.0) * 255.0) / 255.0
     y = np.clip((255.0 * y - 16.0) / 219.0, 0.0, 1.0)
-    y = round_half_away(y * 255.0) / 255.0
-    return ImageBuffer(y)
+    return round_half_away(y * 255.0) / 255.0
 
 
 # --- declarative degradation chains ----------------------------------------------
@@ -310,6 +331,7 @@ def tv_range_squeeze(img: ImageBuffer) -> ImageBuffer:
 # spans at most `length` pixels, and a Gaussian one 2*ceil(3*sigma) + 1.
 MAX_SIDE = 1 << 12
 MAX_SIGMA = (MAX_SIDE - 1) // 6
+MAX_JITTER = 255.0  # a larger color_jitter factor takes the faintest 8-bit step past white
 
 
 @dataclass(frozen=True)
@@ -321,8 +343,8 @@ class MotionBlurStep:
         if not 1 <= self.length <= MAX_SIDE:
             raise InvalidRangeError(f"length must lie in [1, {MAX_SIDE}], got {self.length}")
 
-    def apply(self, img: ImageBuffer, rng: np.random.Generator) -> ImageBuffer:
-        return motion_blur(img, self.length, self.angle_deg)
+    def planes(self, data: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return _motion_blur(data, self.length, self.angle_deg)
 
 
 @dataclass(frozen=True)
@@ -333,8 +355,8 @@ class GaussianBlurStep:
         if not 0 <= self.sigma <= MAX_SIGMA:
             raise InvalidRangeError(f"sigma must lie in [0, {MAX_SIGMA}], got {self.sigma}")
 
-    def apply(self, img: ImageBuffer, rng: np.random.Generator) -> ImageBuffer:
-        return gaussian_blur(img, self.sigma)
+    def planes(self, data: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return _gaussian_blur(data, self.sigma)
 
 
 @dataclass(frozen=True)
@@ -347,8 +369,8 @@ class ResizeStep:
                 f"shorter_side must lie in [1, {MAX_SIDE}], got {self.shorter_side}"
             )
 
-    def apply(self, img: ImageBuffer, rng: np.random.Generator) -> ImageBuffer:
-        return shorter_side_resize(img, self.shorter_side)
+    def planes(self, data: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return _shorter_side_resize(data, self.shorter_side)
 
 
 @dataclass(frozen=True)
@@ -359,8 +381,8 @@ class JpegSimStep:
         if not 1 <= self.quality <= 100:
             raise InvalidRangeError(f"quality must lie in [1, 100], got {self.quality}")
 
-    def apply(self, img: ImageBuffer, rng: np.random.Generator) -> ImageBuffer:
-        return jpeg_simulate(img, self.quality)
+    def planes(self, data: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return _jpeg_simulate(data, self.quality)
 
 
 @dataclass(frozen=True)
@@ -371,20 +393,20 @@ class VideoCodecSimStep:
     def __post_init__(self):
         VideoQuantModel(self.qstep, self.deadzone)  # domain check
 
-    def apply(self, img: ImageBuffer, rng: np.random.Generator) -> ImageBuffer:
-        return video_codec_simulate(img, VideoQuantModel(self.qstep, self.deadzone))
+    def planes(self, data: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return _video_codec_simulate(data, VideoQuantModel(self.qstep, self.deadzone))
 
 
 @dataclass(frozen=True)
 class TvRangeSqueezeStep:
-    def apply(self, img: ImageBuffer, rng: np.random.Generator) -> ImageBuffer:
-        return tv_range_squeeze(img)
+    def planes(self, data: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return _tv_range_squeeze(data)
 
 
 @dataclass(frozen=True)
 class Quantize8BitStep:
-    def apply(self, img: ImageBuffer, rng: np.random.Generator) -> ImageBuffer:
-        return quantize_8bit(img)
+    def planes(self, data: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return _quantize_8bit(data)
 
 
 @dataclass(frozen=True)
@@ -399,20 +421,14 @@ class ColorJitterStep:
         for name in ("brightness", "contrast", "saturation"):
             lo, hi = pair = tuple(getattr(self, name))
             object.__setattr__(self, name, pair)
-            if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi or lo < 0:
-                raise InvalidRangeError(f"{name} range must satisfy 0 <= lo <= hi, got {pair}")
+            if not 0 <= lo <= hi <= MAX_JITTER:
+                raise InvalidRangeError(
+                    f"{name} range must satisfy 0 <= lo <= hi <= {MAX_JITTER:g}, got {pair}"
+                )
 
-    def apply(self, img: ImageBuffer, rng: np.random.Generator) -> ImageBuffer:
-        b = float(rng.uniform(*self.brightness))
-        c = float(rng.uniform(*self.contrast))
-        s = float(rng.uniform(*self.saturation))
-        data = img.data * b
-        mean = float(to_luma(ImageBuffer(np.clip(data, 0.0, 1.0))).data.mean())
-        data = data * c + (1.0 - c) * mean
-        if img.channels == 3:
-            luma = to_luma(ImageBuffer(np.clip(data, 0.0, 1.0))).data
-            data = data * s + (1.0 - s) * luma
-        return ImageBuffer(np.clip(data, 0.0, 1.0))
+    def planes(self, data: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        pairs = (self.brightness, self.contrast, self.saturation)
+        return _color_jitter(data, *[float(rng.uniform(*pair)) for pair in pairs])
 
 
 _STEP_NAMES: dict[type, str] = {
@@ -499,11 +515,15 @@ class ChainSpec:
 def apply_chain(
     img: ImageBuffer, chain: ChainSpec, rng: np.random.Generator
 ) -> ImageBuffer:
-    """Apply the steps in order; randomized steps draw from rng."""
-    out = img
+    """Apply the steps in order; randomized steps draw from rng.
+
+    The steps pass raw (c, h, w) float64 planes from one plane kernel to the
+    next; only the result is checked, once, as it becomes an image.
+    """
+    data = img.data
     for step in chain.steps:
-        out = step.apply(out, rng)
-    return out
+        data = step.planes(data, rng)
+    return _as_image(img, data)
 
 
 def derive_sample_seed(master_seed: int, sample_id: str) -> int:

@@ -21,6 +21,7 @@ from .errors import (
     DuplicateIdError,
     MalformedLineError,
     MissingFileError,
+    NonFiniteImageError,
     TruncatedDataError,
     UnknownLabelError,
     UnknownModalityError,
@@ -150,7 +151,7 @@ class ImageBuffer:
         if h < 1 or w < 1:
             raise ValueError("image dimensions must be positive")
         if not np.all(np.isfinite(arr)):
-            raise ValueError("image data must be finite")
+            raise NonFiniteImageError("image data must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 

@@ -64,6 +64,10 @@ class ImageTooSmallError(XmodalError):
     pass
 
 
+class NonFiniteImageError(XmodalError, ValueError):
+    pass
+
+
 # --- codec simulators / degradation chains ----------------------------------
 
 class QualityOutOfRangeError(XmodalError):

@@ -182,7 +182,7 @@ def rapsd(
     plane = _luma_plane(img)
     plane = plane - plane.mean()
     if window is Window.HANN:
-        plane = plane * np.outer(np.hanning(img.height), np.hanning(img.width))
+        plane = plane * _hann_window(img.height, img.width)
     spectrum = np.fft.rfft2(plane)
     power = (spectrum.real**2 + spectrum.imag**2) / (img.width * img.height)
     mask, idx, weight, counts = _radial_bins(img.height, img.width, nbins)
@@ -218,6 +218,14 @@ def _radial_bins(height: int, width: int, nbins: int) -> tuple[np.ndarray, ...]:
     for arr in (mask, idx, weight, counts):
         arr.setflags(write=False)
     return mask, idx, weight, counts
+
+
+@functools.lru_cache(maxsize=4)
+def _hann_window(height: int, width: int) -> np.ndarray:
+    """rapsd's 2D Hann window, built once per shape like ``_radial_bins``; read-only."""
+    window = np.outer(np.hanning(height), np.hanning(width))
+    window.setflags(write=False)
+    return window
 
 
 def dataset_mean_rapsd(profiles: Iterable[RadialProfile]) -> RadialProfile:

@@ -2,7 +2,8 @@
 
 Color conversion, 8-bit quantization, resize, blur and luma extraction: the
 building blocks the degradation chains and the forensic analyses are
-assembled from.
+assembled from. Each public function wraps a private kernel on raw (c, h, w)
+float64 planes, which codecsim.apply_chain calls directly.
 All functions are pure; rounding everywhere is half-away-from-zero.
 """
 
@@ -50,6 +51,12 @@ def _bt601_luma(r: np.ndarray, g: np.ndarray, b: np.ndarray, out: np.ndarray) ->
     return out
 
 
+def _as_image(img: ImageBuffer, data: np.ndarray) -> ImageBuffer:
+    """A plane kernel's result on ``img`` as an image: ``img`` itself when the kernel
+    returned ``img``'s own planes (images are immutable, so no copy or re-check)."""
+    return img if data is img.data else ImageBuffer(data)
+
+
 def rgb_to_ycbcr(img: ImageBuffer, color_range: ColorRange = ColorRange.FULL) -> ImageBuffer:
     """BT.601 RGB -> YCbCr; neutral gray maps to Cb = Cr = 0.5.
 
@@ -57,9 +64,13 @@ def rgb_to_ycbcr(img: ImageBuffer, color_range: ColorRange = ColorRange.FULL) ->
     C' = (128 + 224*(C - 0.5))/255, so limited luma stays within
     [16/255, 235/255]. Output clamped to [0, 1].
     """
-    if img.channels != 3:
-        raise WrongChannelCountError(f"expected 3 channels, got {img.channels}")
-    out = np.clip(img.data, 0.0, 1.0)
+    return _as_image(img, _rgb_to_ycbcr(img.data, color_range))
+
+
+def _rgb_to_ycbcr(data: np.ndarray, color_range: ColorRange) -> np.ndarray:
+    if data.shape[0] != 3:
+        raise WrongChannelCountError(f"expected 3 channels, got {data.shape[0]}")
+    out = np.clip(data, 0.0, 1.0)
     r, g, b = out
     y = _bt601_luma(r, g, b, np.empty_like(r))
     # Cb takes G's plane and Cr takes B's once each is spent; Y takes R's last
@@ -75,18 +86,23 @@ def rgb_to_ycbcr(img: ImageBuffer, color_range: ColorRange = ColorRange.FULL) ->
         out[1:] *= 224.0
         out[1:] += 128.0
         out /= 255.0
-    return ImageBuffer(np.clip(out, 0.0, 1.0, out=out))
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def ycbcr_to_rgb(img: ImageBuffer, color_range: ColorRange = ColorRange.FULL) -> ImageBuffer:
     """Exact algebraic inverse of rgb_to_ycbcr, then clamped to [0, 1]."""
-    if img.channels != 3:
-        raise WrongChannelCountError(f"expected 3 channels, got {img.channels}")
-    out = np.empty_like(img.data)
-    y, cb, cr = img.data
+    return _as_image(img, _ycbcr_to_rgb(img.data, color_range))
+
+
+def _ycbcr_to_rgb(data: np.ndarray, color_range: ColorRange, out=None) -> np.ndarray:
+    """ycbcr_to_rgb's planes, written into ``out``, which may be ``data``."""
+    if data.shape[0] != 3:
+        raise WrongChannelCountError(f"expected 3 channels, got {data.shape[0]}")
+    out = np.empty_like(data) if out is None else out
+    y, cb, cr = data
     if color_range is ColorRange.LIMITED:
         # limited-to-full affine maps into ``out``, which then holds Y, Cb, Cr
-        np.multiply(img.data, 255.0, out=out)
+        np.multiply(data, 255.0, out=out)
         out[0] -= 16.0
         out[0] /= 219.0
         out[1:] -= 128.0
@@ -108,61 +124,71 @@ def ycbcr_to_rgb(img: ImageBuffer, color_range: ColorRange = ColorRange.FULL) ->
     g /= KG
     out[0] = r
     out[2] = b
-    return ImageBuffer(np.clip(out, 0.0, 1.0, out=out))
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def quantize_8bit(img: ImageBuffer) -> ImageBuffer:
     """Snap every sample to the 8-bit grid: u -> round(255*u)/255."""
-    out = _round_half_away_inplace(img.data * 255.0)
+    return _as_image(img, _quantize_8bit(img.data))
+
+
+def _quantize_8bit(data: np.ndarray, out=None) -> np.ndarray:
+    """quantize_8bit's planes, written into ``out``, which may be ``data``."""
+    out = _round_half_away_inplace(np.multiply(data, 255.0, out=out))
     out /= 255.0
-    return ImageBuffer(out)
+    return out
 
 
-def _bilinear_resize(data: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Separable bilinear resample with half-pixel center alignment."""
+# Kernels that stream whole frames take bands of rows of about 32k samples per
+# plane, which stay in a core's L2 cache with their temporaries (2 MiB per core
+# on the Xeon this was tuned on; whole frames made the codecs ~2x slower). Smaller
+# bands mean more NumPy calls, which were slower at 2 threads.
+_BAND_SAMPLES = 1 << 15
+
+
+def _bands(rows: int, width: int, multiple: int = 1) -> list[slice]:
+    """Slices of ``rows`` rows of ``width`` samples, each a whole number of ``multiple`` rows."""
+    step = multiple * max(1, _BAND_SAMPLES // (multiple * width))
+    return [slice(top, top + step) for top in range(0, rows, step)]
+
+
+def shorter_side_resize(img: ImageBuffer, target: int) -> ImageBuffer:
+    """Aspect-preserving resize so that min(width, height) == target."""
+    return _as_image(img, _shorter_side_resize(img.data, target))
+
+
+def _shorter_side_resize(data: np.ndarray, target: int) -> np.ndarray:
+    """Separable bilinear resample with half-pixel center alignment, by bands of output rows."""
+    if target < 1:
+        raise EmptyImageError(f"target side must be >= 1, got {target}")
     c, in_h, in_w = data.shape
-    sx = in_w / out_w
-    sy = in_h / out_h
-    xs = (np.arange(out_w) + 0.5) * sx - 0.5
-    ys = (np.arange(out_h) + 0.5) * sy - 0.5
+    if min(in_w, in_h) == target:
+        return data
+    s = target / min(in_w, in_h)
+    out_w = target if in_w <= in_h else int(round_half_away(in_w * s))
+    out_h = target if in_h <= in_w else int(round_half_away(in_h * s))
+    xs = (np.arange(out_w) + 0.5) * (in_w / out_w) - 0.5
+    ys = (np.arange(out_h) + 0.5) * (in_h / out_h) - 0.5
     x0 = np.clip(np.floor(xs).astype(int), 0, in_w - 1)
     x1 = np.clip(x0 + 1, 0, in_w - 1)
     fx = np.clip(xs - x0, 0.0, 1.0)
     y0 = np.clip(np.floor(ys).astype(int), 0, in_h - 1)
     y1 = np.clip(y0 + 1, 0, in_h - 1)
-    fy = np.clip(ys - y0, 0.0, 1.0)
-
-    # np.take keeps the gathered arrays C-contiguous, unlike fancy indexing
-    mixed = np.take(data, y0, axis=1)
-    mixed *= (1.0 - fy)[None, :, None]
-    far = np.take(data, y1, axis=1)
-    far *= fy[None, :, None]
-    mixed += far
-    out = np.take(mixed, x0, axis=2)
-    out *= (1.0 - fx)[None, None, :]
-    far = np.take(mixed, x1, axis=2)
-    far *= fx[None, None, :]
-    out += far
+    fy = np.clip(ys - y0, 0.0, 1.0)[None, :, None]
+    out = np.empty((c, out_h, out_w))
+    for band in _bands(out_h, out_w):
+        # np.take keeps the gathered arrays C-contiguous, unlike fancy indexing
+        mixed = np.take(data, y0[band], axis=1)
+        mixed *= 1.0 - fy[:, band]
+        far = np.take(data, y1[band], axis=1)
+        far *= fy[:, band]
+        mixed += far
+        dst = out[:, band]
+        np.multiply(np.take(mixed, x0, axis=2), 1.0 - fx, out=dst)
+        far = np.take(mixed, x1, axis=2)
+        far *= fx
+        dst += far
     return out
-
-
-def shorter_side_resize(img: ImageBuffer, target: int) -> ImageBuffer:
-    """Aspect-preserving resize so that min(width, height) == target."""
-    if target < 1:
-        raise EmptyImageError(f"target side must be >= 1, got {target}")
-    w, h = img.width, img.height
-    if min(w, h) == target:
-        return img
-    s = target / min(w, h)
-    out_w = int(round_half_away(w * s))
-    out_h = int(round_half_away(h * s))
-    if w <= h:
-        out_w = target
-    if h <= w:
-        out_h = target
-    return ImageBuffer(_bilinear_resize(img.data, out_h, out_w))
-
-
 
 
 def _fold(x: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
@@ -195,20 +221,21 @@ def gaussian_blur(img: ImageBuffer, sigma: float) -> ImageBuffer:
     Borders are mirror-reflected (the edge pixel repeats); a plane narrower
     than the kernel radius is reflected back and forth.
     """
+    return _as_image(img, _gaussian_blur(img.data, sigma))
+
+
+def _gaussian_blur(data: np.ndarray, sigma: float) -> np.ndarray:
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     if sigma == 0:
-        return img
+        return data
     radius = int(math.ceil(3.0 * sigma))
     taps = np.exp(-0.5 * (np.arange(-radius, radius + 1) / sigma) ** 2)
     taps /= taps.sum()
-    out = np.empty_like(img.data)
-    for plane, dst in zip(img.data, out):
-        # the column pass also blurs the reflected margin columns, which equals
-        # reflecting the column-blurred plane, so one pad serves both passes
-        padded = np.pad(plane, radius, mode="symmetric")
-        dst[...] = _fold(_fold(padded, taps, axis=0), taps, axis=1)
-    return ImageBuffer(out)
+    # the column pass also blurs the reflected margin columns, which equals
+    # reflecting the column-blurred plane, so one pad serves both passes
+    padded = np.pad(data, ((0, 0), (radius, radius), (radius, radius)), mode="symmetric")
+    return _fold(_fold(padded, taps, axis=1), taps, axis=2)
 
 
 def motion_blur_kernel(length: int, angle_deg: float) -> np.ndarray:
@@ -231,13 +258,6 @@ def motion_blur_kernel(length: int, angle_deg: float) -> np.ndarray:
     return kernel
 
 
-# motion_blur works through a plane in blocks of rows of about 32k samples, so
-# a block, its source rows and a scratch term (about 0.75 MB) stay in a core's
-# L2 cache; on a Xeon with 2 MB of L2 per core, whole 360x640 planes made it
-# about 2x slower.
-_BLOCK_SAMPLES = 1 << 15
-
-
 def motion_blur(img: ImageBuffer, length: int, angle_deg: float = 0.0) -> ImageBuffer:
     """Convolve with a straight-line kernel; length 1 is the identity.
 
@@ -245,8 +265,12 @@ def motion_blur(img: ImageBuffer, length: int, angle_deg: float = 0.0) -> ImageB
     its nonzero taps in raveled order of the flipped kernel, the order
     ndimage.convolve uses, so the two agree bit for bit.
     """
+    return _as_image(img, _motion_blur(img.data, length, angle_deg))
+
+
+def _motion_blur(data: np.ndarray, length: int, angle_deg: float = 0.0) -> np.ndarray:
     if length == 1:
-        return img
+        return data
     kernel = motion_blur_kernel(length, angle_deg)[::-1, ::-1]
     radius = kernel.shape[0] // 2
     rows, cols = np.nonzero(kernel)
@@ -255,30 +279,51 @@ def motion_blur(img: ImageBuffer, length: int, angle_deg: float = 0.0) -> ImageB
     rx = int(np.max(np.abs(cols - radius)))
     # (row, column) of each tap's window in the padded plane, and its weight
     taps = [(r - radius + ry, c - radius + rx, kernel[r, c]) for r, c in zip(rows, cols)]
-    _, h, w = img.data.shape
-    step = max(1, _BLOCK_SAMPLES // w)
-    out = np.empty_like(img.data)
-    term = np.empty_like(out[0, :step])
-    for plane, dst in zip(img.data, out):
-        padded = np.pad(plane, ((ry, ry), (rx, rx)), mode="symmetric")
-        for start in range(0, h, step):
-            acc = dst[start : start + step]
-            scratch = term[: len(acc)]
+    _, h, w = data.shape
+    stride = w + 2 * rx  # of the padded plane's rows
+    bands = _bands(h, w)
+    out = np.empty_like(data)
+    acc, term = np.empty((2, min(h, bands[0].stop) * stride))
+    # One plane at a time, so its padded copy stays in cache while its bands
+    # read it. A band's taps and sums run over whole padded rows as one flat
+    # run, which NumPy streams about 2x faster than (rows, w) views; the
+    # 2*rx sums past each row's end are dropped.
+    for plane, dst in zip(data, out):
+        flat = np.pad(plane, ((ry, ry), (rx, rx)), mode="symmetric").ravel()
+        for band in bands:
+            n = min(band.stop, h) - band.start
+            size = n * stride - 2 * rx
             for k, (y, x, weight) in enumerate(taps):
-                window = padded[start + y : start + y + len(acc), x : x + w]
+                window = flat[(band.start + y) * stride + x :][:size]
                 if k == 0:
-                    np.multiply(window, weight, out=acc)
+                    np.multiply(window, weight, out=acc[:size])
                 else:
-                    np.multiply(window, weight, out=scratch)
-                    acc += scratch
-    return ImageBuffer(out)
+                    np.multiply(window, weight, out=term[:size])
+                    acc[:size] += term[:size]
+            dst[band] = acc[: n * stride].reshape(n, stride)[:, :w]
+    return out
 
 
 def to_luma(img: ImageBuffer) -> ImageBuffer:
     """BT.601 full-range luma; grayscale input passes through unchanged."""
-    if img.channels == 1:
-        return img
-    r, g, b = img.data
-    out = np.empty((1, img.height, img.width))
-    _bt601_luma(r, g, b, out[0])
-    return ImageBuffer(out)
+    return _as_image(img, _to_luma(img.data))
+
+
+def _to_luma(data: np.ndarray) -> np.ndarray:
+    if data.shape[0] == 1:
+        return data
+    out = np.empty((1,) + data.shape[1:])
+    _bt601_luma(*data, out[0])
+    return out
+
+
+def _color_jitter(data: np.ndarray, b: float, c: float, s: float) -> np.ndarray:
+    """Scale by ``b``, then pull toward the clamped image's mean luma by ``c`` and
+    (color only) toward its clamped luma by ``s``; clamped to [0, 1]."""
+    data = data * b
+    mean = float(_to_luma(np.clip(data, 0.0, 1.0)).mean())
+    data = data * c + (1.0 - c) * mean
+    if data.shape[0] == 3:
+        data = data * s + (1.0 - s) * _to_luma(np.clip(data, 0.0, 1.0))
+    return np.clip(data, 0.0, 1.0)
+

@@ -304,7 +304,13 @@ class TestDegrade:
          "'resize': shorter_side must lie in [1, 4096]"),
         ({"step": "motion_blur", "length": 100000},
          "'motion_blur': length must lie in [1, 4096]"),
-    ], ids=["sigma-1e308", "sigma-400-digits", "shorter-side-100000", "length-100000"])
+        ({"step": "color_jitter", "brightness": [1e308, 1e308], "contrast": [1e308, 1e308],
+          "saturation": [0, 0]},
+         "'color_jitter': brightness range must satisfy 0 <= lo <= hi <= 255, got"),
+        ({"step": "color_jitter", "saturation": [1, 256]},
+         "'color_jitter': saturation range must satisfy 0 <= lo <= hi <= 255, got"),
+    ], ids=["sigma-1e308", "sigma-400-digits", "shorter-side-100000", "length-100000",
+            "jitter-1e308", "saturation-256"])
     def test_absurd_chain_value_exits_2_naming_step(self, corpus, tmp_path, capsys, step,
                                                     where):
         root, manifest = corpus

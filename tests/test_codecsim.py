@@ -9,6 +9,7 @@ from scipy import fft as sp_fft
 
 from xmodal.codecsim import (
     JPEG_LUMA_BASE,
+    MAX_JITTER,
     MAX_SIDE,
     MAX_SIGMA,
     ChainSpec,
@@ -31,11 +32,14 @@ from xmodal.codecsim import (
     tv_range_squeeze,
     video_codec_simulate,
 )
+from xmodal.core import ImageBuffer
 from xmodal.errors import (
     EmptyChainDrawnError,
     InvalidRangeError,
+    NonFiniteImageError,
     QualityOutOfRangeError,
     UnknownStepError,
+    XmodalError,
 )
 from xmodal.forensics import dct_ac_histogram, luminance_histogram, rapsd
 
@@ -319,6 +323,31 @@ class TestChains:
             parse(largest + 1)
         if step == "gaussian_blur":  # the kernel spans 2*ceil(3*sigma) + 1 pixels
             assert 2 * math.ceil(3 * largest) + 1 <= MAX_SIDE < 2 * math.ceil(3 * (largest + 1))
+
+    @pytest.mark.parametrize("key", ["brightness", "contrast", "saturation"])
+    def test_color_jitter_factors_are_bounded(self, key):
+        parse = lambda pair: ChainSpec.from_json(
+            json.dumps({"steps": [{"step": "color_jitter", key: pair}]}))
+        assert getattr(parse([0, MAX_JITTER]).steps[0], key) == (0, MAX_JITTER)
+        for pair in ([0, MAX_JITTER + 1], [1e308, 1e308]):
+            with pytest.raises(InvalidRangeError, match=f"step 0 'color_jitter': {key} range"):
+                parse(pair)
+
+    def test_largest_color_jitter_stays_finite(self):
+        # the largest brightness and contrast with no saturation: 1e308 made NaN
+        img = noise_image(0, h=16, w=16, channels=3)
+        step = ColorJitterStep(*[(MAX_JITTER, MAX_JITTER)] * 2, (0.0, 0.0))
+        out = apply_chain(img, ChainSpec((step,)), np.random.default_rng(0))
+        assert np.all((out.data >= 0.0) & (out.data <= 1.0))
+
+    def test_non_finite_chain_result_is_an_xmodal_error(self):
+        # a gray JPEG round trip of 1e308 samples overflows to NaN; the check
+        # at the chain's end raises an error the corpus loop counts
+        img = ImageBuffer(np.full((1, 8, 8), 1e308))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteImageError, match="must be finite") as err:
+                apply_chain(img, ChainSpec((JpegSimStep(75),)), np.random.default_rng(0))
+        assert isinstance(err.value, XmodalError)
 
     def test_empty_chain_rejected(self):
         with pytest.raises(EmptyChainDrawnError):

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from xmodal.codecsim import ChainSpec, JpegSimStep, apply_chain
 from xmodal.core import (
     IN_FLIGHT_PER_THREAD,
     ImageBuffer,
@@ -310,6 +311,23 @@ class TestIterSamples:
         assert list(successes(stream, failed, "to load")) == ["r1", "r3"]
         assert failed[0][0] == "r0" and "p0" in failed[0][1]
         assert failed[1] == ("r2", "bad payload in r2")
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_non_finite_chain_result_is_a_failure(self, threads):
+        # a gray JPEG round trip of 1e308 samples overflows to NaN
+        chain = ChainSpec((JpegSimStep(75),))
+
+        def loader(path: str) -> ImageBuffer:
+            return ImageBuffer(np.full((1, 8, 8), 1e308 if path == "p1" else 0.5))
+
+        def fn(rec, img):
+            with np.errstate(over="ignore", invalid="ignore"):
+                return apply_chain(img, chain, np.random.default_rng(0))
+
+        failed = []
+        stream = iter_samples(sample_records(3), fn, threads, loader)
+        assert len(list(successes(stream, failed, "degradation"))) == 2
+        assert failed == [("r1", "image data must be finite")]
 
     def test_successes_raises_when_all_fail(self):
         stream = iter_samples(

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from xmodal.cli import _BINS, MAX_RANGE, build_parser
-from xmodal.codecsim import _STEP_NAMES, _STEP_TYPES, MAX_SIDE, MAX_SIGMA
+from xmodal.codecsim import _STEP_NAMES, _STEP_TYPES, MAX_JITTER, MAX_SIDE, MAX_SIGMA
 from xmodal.forensics import ZERO_EPS
 from xmodal.trainer import MAX_WIDTH, TrainConfig, config_key
 
@@ -56,6 +56,8 @@ def test_size_bounds_match_the_budgets():
     assert f"`length` integer in [1, {MAX_SIDE}]" in steps
     assert f"`sigma` number in [0, {MAX_SIGMA}]" in steps
     assert f"`shorter_side` integer in [1, {MAX_SIDE}]" in steps
+    assert f"pair `[lo, hi]` with 0 ≤ lo ≤ hi ≤ {MAX_JITTER:g}," in steps
+    assert f"A `color_jitter` factor of {MAX_JITTER:g} already" in _paragraph("The upper bounds")
     assert f"`hidden_dim`/`feature_dim` outside [1, {MAX_WIDTH}]" in " ".join(README.split())
 
 

@@ -18,10 +18,21 @@ from scipy.special import expit
 
 from xmodal import cli, forensics
 from xmodal.codecsim import (
+    _STEP_NAMES,
+    ChainSpec,
+    ColorJitterStep,
+    GaussianBlurStep,
+    JpegSimStep,
+    MotionBlurStep,
+    Quantize8BitStep,
+    ResizeStep,
+    TvRangeSqueezeStep,
+    VideoCodecSimStep,
     VideoQuantModel,
     _DCT,
     _reconstruct,
     _shifted_coeffs,
+    apply_chain,
     deadzone_quantize_block,
     jpeg_simulate,
     quant_table_from_quality,
@@ -44,6 +55,7 @@ from xmodal.pixelops import (
     KR,
     ColorRange,
     Window,
+    _bands,
     gaussian_blur,
     motion_blur,
     motion_blur_kernel,
@@ -177,7 +189,7 @@ def ref_deadzone_quantize_block(coeffs, model):
     return rec
 
 
-def ref_jpeg_simulate(data, quality):
+def ref_jpeg_simulate(data, quality, quantize_output=True):
     was_color = data.shape[0] == 3
     if was_color:
         ycbcr = ref_rgb_to_ycbcr(data, ColorRange.FULL)
@@ -197,7 +209,7 @@ def ref_jpeg_simulate(data, quality):
         result = ref_ycbcr_to_rgb(np.stack(out_channels), ColorRange.FULL)
     else:
         result = np.clip(np.stack(out_channels), 0.0, 1.0)
-    return ref_quantize_8bit(result)
+    return ref_quantize_8bit(result) if quantize_output else result
 
 
 def ref_video_codec_simulate(data, model):
@@ -344,7 +356,53 @@ def test_block_dct_matches_einsum(h, w, on_grid):
         assert np.array_equal(out, (ref_blocks_inverse(ref_coeffs, size) + 128.0) / 255.0)
 
 
-@pytest.mark.parametrize("h, w, target", [(37, 53, 20), (37, 53, 81), (64, 96, 40), (9, 200, 16)])
+# Frames that span several of the kernels' row bands, with a partial last band,
+# widths that are not multiples of 8 and, at 137 rows, a partial last block
+# row; 8x4096 is a single block row.
+BAND_FRAMES = [(256, 455), (360, 640), (137, 1001), (8, 4096)]
+
+
+@pytest.mark.parametrize("h, w", BAND_FRAMES)
+@pytest.mark.parametrize("channels", [1, 3])
+def test_kernels_across_band_edges(h, w, channels):
+    if h > 8:  # the frames really are cut into several bands
+        assert len(_bands(h, w, 8)) > 1 and len(_bands(h, w)) > 1
+    img = codes_frame(23, channels, h, w)
+    for quantize_output in (True, False):
+        assert np.array_equal(jpeg_simulate(img, 75, quantize_output).data,
+                              ref_jpeg_simulate(img.data, 75, quantize_output))
+    model = VideoQuantModel(16.0, 0.5)
+    assert np.array_equal(video_codec_simulate(img, model).data,
+                          ref_video_codec_simulate(img.data, model))
+    for length, angle in ((5, 0.0), (7, 30.0)):
+        assert np.array_equal(motion_blur(img, length, angle).data,
+                              ref_motion_blur(img.data, length, angle))
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_chain_equals_its_public_functions_in_turn(channels):
+    # color_jitter has no public function, so its step is applied on its own,
+    # with a fresh generator: no other step draws from the chain's
+    jitter = ColorJitterStep((0.8, 1.2), (0.7, 1.3), (0.5, 1.5))
+    steps = (MotionBlurStep(5, 30.0), GaussianBlurStep(1.2), ResizeStep(40), JpegSimStep(60),
+             VideoCodecSimStep(12.0, 0.3), TvRangeSqueezeStep(), jitter, Quantize8BitStep())
+    assert {type(step) for step in steps} == set(_STEP_NAMES)
+    img = frame(24, channels, 53, 77)
+    out = apply_chain(img, ChainSpec(steps), np.random.default_rng(5))
+    expected = motion_blur(img, 5, 30.0)
+    expected = shorter_side_resize(gaussian_blur(expected, 1.2), 40)
+    expected = video_codec_simulate(jpeg_simulate(expected, 60), VideoQuantModel(12.0, 0.3))
+    expected = tv_range_squeeze(expected)
+    expected = ImageBuffer(jitter.planes(expected.data, np.random.default_rng(5)))
+    assert np.array_equal(out.data, quantize_8bit(expected).data)
+
+
+# the BAND_FRAMES sizes, smaller and larger, give outputs of several row bands
+@pytest.mark.parametrize("h, w, target", [
+    (37, 53, 20), (37, 53, 81), (64, 96, 40), (9, 200, 16), (256, 455, 144), (256, 455, 360),
+    (360, 640, 256), (360, 640, 480), (137, 1001, 100), (137, 1001, 200), (8, 4096, 3),
+    (8, 4096, 16),
+])
 @pytest.mark.parametrize("channels", [1, 3])
 def test_resize_up_and_down(h, w, target, channels):
     img = frame(9, channels, h, w)
