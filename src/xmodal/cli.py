@@ -18,7 +18,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -26,20 +26,23 @@ from . import __version__
 from .cmsupcon import LossVariant
 from .codecsim import MAX_SIDE, MAX_SIGMA, ChainSpec, apply_chain, derive_sample_seed
 from .core import (
+    Field,
     ImageBuffer,
     Label,
     Manifest,
     Modality,
     SampleRecord,
+    check_fields,
     iter_samples,
     load_image,
     load_luma,
     parse_manifest,
+    read_json,
     save_image,
     successes,
     write_manifest,
 )
-from .errors import NonFiniteLossError, XmodalError
+from .errors import InputError, NumericalError
 from .forensics import (
     ZERO_EPS,
     Window,
@@ -54,16 +57,16 @@ from .forensics import (
 )
 from .metrics import Aggregation, subset_report, video_scores
 from .trainer import (
+    MAX_SPLIT,
     EpochStats,
     FeatureDataset,
-    SyntheticSpec,
     ToyModel,
     TrainConfig,
-    config_key,
     forward,
     generate_synthetic,
     load_checkpoint,
     save_checkpoint,
+    synthetic_spec,
     train,
 )
 
@@ -73,7 +76,10 @@ def _sha256_file(path: Path) -> str:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # a NaN or infinity
+        raise NumericalError(f"{path}: {exc}") from None
     path.write_text(text + "\n", encoding="utf-8")
 
 
@@ -325,85 +331,32 @@ def cmd_degrade(args: argparse.Namespace) -> int:
 # --- train ---------------------------------------------------------------------
 
 
-def _json_object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise XmodalError(f"{what} must be a JSON object")
-    return value
-
-
-# TrainConfig's fields by the key a config file gives them under
-_TRAIN_FIELDS = {config_key(f.name): f for f in dataclasses.fields(TrainConfig)}
-
-
-def _train_value(key: str, value):
-    """A ``train`` setting checked against its default's type, or XmodalError."""
-    if key not in _TRAIN_FIELDS:
-        raise XmodalError(f"'train.{key}': unknown key")
-    default = _TRAIN_FIELDS[key].default
-    if isinstance(default, LossVariant):
-        try:
-            return LossVariant(value)
-        except ValueError:
-            choices = ", ".join(repr(v.value) for v in LossVariant)
-            raise XmodalError(
-                f"'train.{key}': {value!r} is not one of {choices}"
-            ) from None
-    # no setting is boolean, and JSON true/false would pass as the ints 1/0
-    kinds = (int, float) if isinstance(default, float) else (type(default),)
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise XmodalError(
-            f"'train.{key}': expected {type(default).__name__}, got {value!r}"
-        )
-    return value
-
-
-def _train_config_from_doc(doc: dict, seed_override: Optional[int]) -> TrainConfig:
-    checked = {
-        key: _train_value(key, value)
-        for key, value in _json_object(doc.get("train", {}), "'train'").items()
-    }
-    train_doc = {_TRAIN_FIELDS[key].name: value for key, value in checked.items()}
-    if seed_override is not None:
-        train_doc["seed"] = seed_override
-    return TrainConfig(**train_doc)
-
-
-def _synthetic_spec_from_doc(doc: dict) -> SyntheticSpec:
-    kwargs = dict(_json_object(doc, "'data.synthetic'"))
-    try:
-        for key in ("train_counts", "val_counts", "test_counts"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        if "video_shift" in kwargs and kwargs["video_shift"] is not None:
-            kwargs["video_shift"] = tuple(kwargs["video_shift"])
-        return SyntheticSpec.default(**kwargs)
-    except TypeError as exc:
-        raise XmodalError(f"'data.synthetic': {exc}") from None
+# A training config file, and its `data` section: the synthetic task, or
+# both feature files
+CONFIG_FIELDS = (Field("train", "object"), Field("data", "object"))
+DATA_FIELDS = (Field("synthetic", "object"), Field("train_features", "string", lo=1),
+               Field("val_features", "string", lo=1))
 
 
 def load_feature_file(path: str | Path) -> list:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(doc, dict) or not isinstance(doc.get("records"), list):
-        raise XmodalError(f"{path}: feature file must be {{'records': [...]}}")
-    if not doc["records"]:
-        raise XmodalError(f"{path}: feature file has no records")
+    doc = read_json(path)
+    if not isinstance(doc, dict) or not isinstance(doc.get("records"), list) or not doc["records"]:
+        raise InputError(
+            f"{path}: feature file must be {{'records': [...]}} with at least one record")
     return doc["records"]
 
 
 def _records_to_dataset(path: Path) -> FeatureDataset:
     """Read a training feature file with the record checks ``evaluate`` uses."""
     records = load_feature_file(path)
+    if len(records) > MAX_SPLIT:
+        raise InputError(f"{path}: {len(records)} records, more than a training split's "
+                         f"{MAX_SPLIT}")
     first_x = records[0].get("x") if isinstance(records[0], dict) else None
-    d_in = len(first_x) if isinstance(first_x, list) else 0
-    try:
-        x = _feature_rows(records, d_in)
-        ys = [_record_field(rec, i, "label", Label.from_string).numeric
-              for i, rec in enumerate(records)]
-        ms = [_record_field(rec, i, "modality", Modality.from_string).numeric
-              for i, rec in enumerate(records)]
-    except XmodalError as exc:
-        raise XmodalError(f"{path}: {exc}") from None
-    return FeatureDataset(x, ys, ms)
+    x = _feature_rows(records, len(first_x) if isinstance(first_x, list) else 0, path)
+    _check_records(records, path, TRAINING_FIELDS)
+    return FeatureDataset(x, [_LABEL_CODES[rec["label"]] for rec in records],
+                          [_MODALITY_CODES[rec["modality"]] for rec in records])
 
 
 def _history_csv(history: Sequence[EpochStats]) -> str:
@@ -411,26 +364,30 @@ def _history_csv(history: Sequence[EpochStats]) -> str:
     return _csv_text(header, [dataclasses.astuple(h) for h in history])
 
 
+def load_train_config(path: Path, seed: Optional[int] = None) -> tuple:
+    """A config file's checked settings, with ``seed`` over its own, its ``data``
+    section and, when that asks for the synthetic task, the task's spec."""
+    where = f"{path}: "
+    doc = check_fields(read_json(path), CONFIG_FIELDS, where)
+    overrides = {} if seed is None else {"seed": seed}
+    config = TrainConfig.from_doc(doc.get("train", {}), where, **overrides)
+    data_doc = check_fields(doc.get("data", {"synthetic": {}}), DATA_FIELDS, where, "data.")
+    if "synthetic" in data_doc:
+        return config, data_doc, synthetic_spec(data_doc["synthetic"], where)
+    if not {"train_features", "val_features"} <= data_doc.keys():
+        raise InputError(
+            f"{where}'data' must name 'synthetic', or 'train_features' and 'val_features'"
+        )
+    return config, data_doc, None
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     config_path = Path(args.config)
-    if not config_path.is_file():
-        raise XmodalError(f"config not found: {config_path}")
-    doc = json.loads(config_path.read_text(encoding="utf-8"))
-    try:
-        config = _train_config_from_doc(_json_object(doc, "the config"), args.seed)
-        data_doc = _json_object(doc.get("data", {"synthetic": {}}), "'data'")
-        if "synthetic" in data_doc:
-            spec = _synthetic_spec_from_doc(data_doc["synthetic"])
-        elif not {"train_features", "val_features"} <= data_doc.keys():
-            raise XmodalError(
-                "'data' must name 'synthetic', or 'train_features' and 'val_features'"
-            )
-    except XmodalError as exc:
-        raise XmodalError(f"{config_path}: {exc}") from None
+    config, data_doc, spec = load_train_config(config_path, args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     inputs = {"config": config_path}
-    if "synthetic" in data_doc:
+    if spec is not None:
         data = generate_synthetic(spec)
         train_data, val_data = data.train, data.val
     else:
@@ -490,7 +447,7 @@ def _feature_problem(rec, d_in: int) -> Optional[str]:
     return None
 
 
-def _feature_rows(records: list, d_in: int) -> np.ndarray:
+def _feature_rows(records: list, d_in: int, path) -> np.ndarray:
     """Stack the records' ``x`` vectors into an (n, d_in) finite float array."""
     try:
         x = np.array([rec["x"] for rec in records], dtype=np.float64)
@@ -500,46 +457,36 @@ def _feature_rows(records: list, d_in: int) -> np.ndarray:
         for i, rec in enumerate(records):
             problem = _feature_problem(rec, d_in)
             if problem is not None:
-                raise XmodalError(f"{_record_name(rec, i)} {problem}")
+                raise InputError(f"{path}: {_record_name(rec, i)} {problem}")
     return x
 
 
-def _record_field(rec: dict, index: int, key: str, parse: Callable):
-    """``parse(rec[key])``, or an XmodalError naming the record and the key."""
-    if key not in rec:
-        raise XmodalError(f"{_record_name(rec, index)} has no {key!r} key")
-    try:
-        return parse(rec[key])
-    except XmodalError as exc:
-        raise XmodalError(f"{_record_name(rec, index)} {key!r}: {exc}") from None
-
-
-def _subset_tag(value) -> str:
-    if not isinstance(value, str):
-        raise XmodalError(f"must be a string, got {value!r}")
-    return value
-
-
-def _video_id(value) -> str:
-    if not isinstance(value, str) or not value:
-        raise XmodalError(f"must be a non-empty string or null, got {value!r}")
-    return value
-
-
-def _frame_index(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise XmodalError(f"must be a non-negative integer, got {value!r}")
-    if value >= 2**63:
-        raise XmodalError(f"must be below 2**63, got {value!r}")
-    return value
-
-
 _LABEL_CODES = {label.value: label.numeric for label in Label}
+_MODALITY_CODES = {modality.value: modality.numeric for modality in Modality}
+
+# One record of a feature file. Its `x` is checked with the other records'
+# vectors, and keys off the table, such as `id`, pass unchecked.
+FEATURE_FIELDS = (
+    Field("label", "choice", choices=tuple(_LABEL_CODES), required=True),
+    Field("subset", "string", required=True),
+    Field("video_id", "string", lo=1, null=True),
+    Field("frame_index", "int", 0, 2**63 - 1, null=True),
+    Field("modality", "choice", choices=tuple(_MODALITY_CODES)),
+)
+# training also reads every record's modality
+TRAINING_FIELDS = (*FEATURE_FIELDS[:-1], dataclasses.replace(FEATURE_FIELDS[-1], required=True))
 
 
-def _record_tags(records: list[dict]) -> tuple[np.ndarray, list, list, np.ndarray]:
+def _check_records(records: list, path, table=FEATURE_FIELDS) -> None:
+    """Raise an error naming the file, the first record off ``table`` and its key."""
+    for i, rec in enumerate(records):
+        check_fields(rec, table, f"{path}: {_record_name(rec, i)} ", extra=True)
+
+
+def _record_tags(records: list[dict], path) -> tuple[np.ndarray, list, list, np.ndarray]:
     """Label codes, subsets, video ids and frame indices (null as 0) of all records,
-    checked in bulk; only on a failure do per-record checks name the first bad one."""
+    checked in bulk against FEATURE_FIELDS; only on a failure do per-record
+    checks name the first bad one."""
     try:
         labels = np.array([_LABEL_CODES[rec["label"]] for rec in records], dtype=np.int8)
         subsets = [rec["subset"] for rec in records]
@@ -548,25 +495,23 @@ def _record_tags(records: list[dict]) -> tuple[np.ndarray, list, list, np.ndarra
         frames = np.array([f or 0 for f in indices], dtype=np.int64)
         ok = (set(map(type, subsets)) <= {str}
               and set(map(type, videos)) <= {str, type(None)} and "" not in videos
-              and set(map(type, indices)) <= {int, type(None)} and frames.min() >= 0)
+              and set(map(type, indices)) <= {int, type(None)} and frames.min() >= 0
+              and {rec.get("modality", "image") for rec in records} <= _MODALITY_CODES.keys())
     except (KeyError, TypeError, ValueError, OverflowError):
         ok = False
-    for i, rec in enumerate(() if ok else records):
-        for key, parse in (("frame_index", _frame_index), ("video_id", _video_id)):
-            if rec.get(key) is not None:
-                _record_field(rec, i, key, parse)
-        _record_field(rec, i, "label", Label.from_string)
-        _record_field(rec, i, "subset", _subset_tag)
+    if not ok:
+        _check_records(records, path)
     return labels, subsets, videos, frames
 
 
 def _score_feature_records(
-    model: ToyModel, feature_layer: str, records: list[dict], t: int
+    model: ToyModel, feature_layer: str, records: list[dict], t: int, path="features"
 ) -> tuple[np.ndarray, np.ndarray, list]:
-    """Score, label code and subset of each video, all checked before any scoring.
-    Videos come in the order of their first records; an image is a video of its own."""
-    x = _feature_rows(records, model.d_in)
-    labels, subsets, videos, frames = _record_tags(records)
+    """Score, label code and subset of each video, all checked before any scoring;
+    errors name ``path``. Videos come in the order of their first records; an
+    image is a video of its own."""
+    x = _feature_rows(records, model.d_in, path)
+    labels, subsets, videos, frames = _record_tags(records, path)
     seen: dict[str, int] = {}
     head = np.array([i if v is None else seen.setdefault(v, i)  # the video's first record
                      for i, v in enumerate(videos)], dtype=np.intp)
@@ -575,17 +520,17 @@ def _score_feature_records(
     disagree = np.flatnonzero((labels != labels[head]) | (codes != codes[head]))
     if disagree.size:
         i = disagree[np.argmin(head[disagree])]
-        raise XmodalError(f"video {videos[i]!r} has inconsistent label or subset tags: "
+        raise InputError(f"{path}: video {videos[i]!r} has inconsistent label or subset tags: "
                           f"{_record_name(records[i], i)} disagrees with "
-                          f"{_record_name(records[head[i]], head[i])}")
+                         f"{_record_name(records[head[i]], head[i])}")
     order = np.lexsort((frames, head))
     head, frames = head[order], frames[order]
     repeated = np.flatnonzero((head[1:] == head[:-1]) & (frames[1:] == frames[:-1]))
     if repeated.size:
         i, j = order[repeated[0]], order[repeated[0] + 1]
-        raise XmodalError(f"video {videos[i]!r} has two frames with frame_index "
+        raise InputError(f"{path}: video {videos[i]!r} has two frames with frame_index "
                           f"{frames[repeated[0]]}: {_record_name(records[i], i)} and "
-                          f"{_record_name(records[j], j)}")
+                         f"{_record_name(records[j], j)}")
     starts = np.flatnonzero(np.append(True, head[1:] != head[:-1]))
     logits = np.concatenate([
         forward(model, x[first : first + SCORE_BLOCK], feature_layer).logits
@@ -600,12 +545,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     records = load_feature_file(args.features)[: args.limit]
-    try:
-        scores, labels, subsets = _score_feature_records(
-            model, config.feature_layer, records, args.frames
-        )
-    except XmodalError as exc:
-        raise XmodalError(f"{args.features}: {exc}") from None
+    scores, labels, subsets = _score_feature_records(
+        model, config.feature_layer, records, args.frames, args.features
+    )
     inputs = {"checkpoint": Path(args.checkpoint), "features": Path(args.features)}
     report = subset_report(scores, labels, subsets, args.threshold,
                            Aggregation(args.aggregation))
@@ -712,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
     train_p = sub.add_parser("train", help="train the desk-scale model")
     train_p.add_argument("--config", required=True)
     train_p.add_argument("--out", required=True)
-    train_p.add_argument("--seed", type=int, default=None,
+    train_p.add_argument("--seed", type=functools.partial(_positive_int, least=0), default=None,
                          help="override the seed in the config file")
     train_p.set_defaults(func=cmd_train)
 
@@ -747,10 +689,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args.usage_error(f"argument --bins: does not apply to {args.kind}")
     try:
         return args.func(args)
-    except NonFiniteLossError as exc:
+    except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (XmodalError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .core import Label, Modality
-from .errors import LengthMismatchError, ZeroNormRowError
+from .errors import InputError
 
 DEFAULT_TAU = 0.07
 DEFAULT_LAMBDA = 0.05
@@ -78,7 +78,7 @@ class BatchFeatures:
         if z.ndim != 2 or z.shape[0] < 1 or z.shape[1] < 2:
             raise ValueError("z must be (n, d) with n >= 1 and d >= 2")
         if not (len(y) == len(m) == z.shape[0]):
-            raise LengthMismatchError(
+            raise InputError(
                 f"z has {z.shape[0]} rows but got {len(y)} labels, {len(m)} modalities"
             )
         if not np.all(np.isfinite(z)):
@@ -100,7 +100,7 @@ def _row_norms(z: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(z, axis=1)
     bad = np.flatnonzero(norms <= _NORM_FLOOR)
     if bad.size:
-        raise ZeroNormRowError(int(bad[0]))
+        raise InputError(f"feature row {int(bad[0])} has (near-)zero norm")
     return norms
 
 

@@ -19,20 +19,15 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass, fields
+import reprlib
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
-from .core import ImageBuffer
-from .errors import (
-    EmptyChainDrawnError,
-    InvalidRangeError,
-    QualityOutOfRangeError,
-    UnknownStepError,
-    XmodalError,
-)
+from .core import Field, ImageBuffer, check_fields, parse_json, read_text
+from .errors import InputError
 from .pixelops import (
     ColorRange,
     _as_image,
@@ -136,7 +131,7 @@ def quant_table_from_quality(quality: int, channel: str = "luma") -> QuantTable:
     entry = clamp(floor((base*scale + 50)/100), 1, 255).
     """
     if not 1 <= quality <= 100:
-        raise QualityOutOfRangeError(f"quality must lie in [1, 100], got {quality}")
+        raise InputError(f"quality must lie in [1, 100], got {quality}")
     if channel not in ("luma", "chroma"):
         raise ValueError(f"channel must be 'luma' or 'chroma', got {channel!r}")
     base = JPEG_LUMA_BASE if channel == "luma" else JPEG_CHROMA_BASE
@@ -334,97 +329,94 @@ MAX_SIGMA = (MAX_SIDE - 1) // 6
 MAX_JITTER = 255.0  # a larger color_jitter factor takes the faintest 8-bit step past white
 
 
-@dataclass(frozen=True)
-class MotionBlurStep:
-    length: int
-    angle_deg: float = 0.0
+# Each chain step's keys, by the step's name in a chain file
+STEP_FIELDS = {
+    "motion_blur": (Field("length", "int", 1, MAX_SIDE, required=True),
+                    Field("angle_deg", "number")),
+    "gaussian_blur": (Field("sigma", "number", 0, MAX_SIGMA, required=True),),
+    "resize": (Field("shorter_side", "int", 1, MAX_SIDE, required=True),),
+    "jpeg": (Field("quality", "int", 1, 100, required=True),),
+    "video_codec": (Field("qstep", "number", 0, ends="(]", required=True),
+                    Field("deadzone", "number", 0, 1, ends="[)")),
+    "tv_range_squeeze": (),
+    "color_jitter": tuple(Field(key, "pair", 0, MAX_JITTER)
+                          for key in ("brightness", "contrast", "saturation")),
+    "quantize_8bit": (),
+}
+
+
+class _Step:
+    """A chain step, checked against its STEP_FIELDS row when it is made."""
 
     def __post_init__(self):
-        if not 1 <= self.length <= MAX_SIDE:
-            raise InvalidRangeError(f"length must lie in [1, {MAX_SIDE}], got {self.length}")
+        name = _STEP_NAMES[type(self)]
+        check_fields(vars(self), STEP_FIELDS[name], f"step {name!r}: ")
+        for key, value in vars(self).items():
+            if isinstance(value, list):  # a JSON pair arrives as a list
+                object.__setattr__(self, key, tuple(value))
+
+
+@dataclass(frozen=True)
+class MotionBlurStep(_Step):
+    length: int
+    angle_deg: float = 0.0
 
     def planes(self, data: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return _motion_blur(data, self.length, self.angle_deg)
 
 
 @dataclass(frozen=True)
-class GaussianBlurStep:
+class GaussianBlurStep(_Step):
     sigma: float
-
-    def __post_init__(self):
-        if not 0 <= self.sigma <= MAX_SIGMA:
-            raise InvalidRangeError(f"sigma must lie in [0, {MAX_SIGMA}], got {self.sigma}")
 
     def planes(self, data: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return _gaussian_blur(data, self.sigma)
 
 
 @dataclass(frozen=True)
-class ResizeStep:
+class ResizeStep(_Step):
     shorter_side: int
-
-    def __post_init__(self):
-        if not 1 <= self.shorter_side <= MAX_SIDE:
-            raise InvalidRangeError(
-                f"shorter_side must lie in [1, {MAX_SIDE}], got {self.shorter_side}"
-            )
 
     def planes(self, data: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return _shorter_side_resize(data, self.shorter_side)
 
 
 @dataclass(frozen=True)
-class JpegSimStep:
+class JpegSimStep(_Step):
     quality: int
-
-    def __post_init__(self):
-        if not 1 <= self.quality <= 100:
-            raise InvalidRangeError(f"quality must lie in [1, 100], got {self.quality}")
 
     def planes(self, data: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return _jpeg_simulate(data, self.quality)
 
 
 @dataclass(frozen=True)
-class VideoCodecSimStep:
+class VideoCodecSimStep(_Step):
     qstep: float
     deadzone: float = 0.0
-
-    def __post_init__(self):
-        VideoQuantModel(self.qstep, self.deadzone)  # domain check
 
     def planes(self, data: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return _video_codec_simulate(data, VideoQuantModel(self.qstep, self.deadzone))
 
 
 @dataclass(frozen=True)
-class TvRangeSqueezeStep:
+class TvRangeSqueezeStep(_Step):
     def planes(self, data: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return _tv_range_squeeze(data)
 
 
 @dataclass(frozen=True)
-class Quantize8BitStep:
+class Quantize8BitStep(_Step):
     def planes(self, data: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return _quantize_8bit(data)
 
 
 @dataclass(frozen=True)
-class ColorJitterStep:
+class ColorJitterStep(_Step):
     """Random brightness/contrast/saturation factors, each uniform in range."""
 
     brightness: tuple[float, float] = (1.0, 1.0)
     contrast: tuple[float, float] = (1.0, 1.0)
     saturation: tuple[float, float] = (1.0, 1.0)
-
-    def __post_init__(self):
-        for name in ("brightness", "contrast", "saturation"):
-            lo, hi = pair = tuple(getattr(self, name))
-            object.__setattr__(self, name, pair)
-            if not 0 <= lo <= hi <= MAX_JITTER:
-                raise InvalidRangeError(
-                    f"{name} range must satisfy 0 <= lo <= hi <= {MAX_JITTER:g}, got {pair}"
-                )
 
     def planes(self, data: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         pairs = (self.brightness, self.contrast, self.saturation)
@@ -445,20 +437,6 @@ _STEP_TYPES = {name: cls for cls, name in _STEP_NAMES.items()}
 ChainStep = Union[tuple(_STEP_NAMES)]
 
 
-_KIND_TEXT = {"int": "an integer", "float": "a number", "tuple[float, float]": "a pair of numbers"}
-
-
-def _json_fits(value, kind: str) -> bool:
-    """Whether a chain-file value fits a step field annotated ``kind``. JSON
-    true/false would pass as the ints 1/0, and Python's JSON reader takes NaN."""
-    if kind == "tuple[float, float]":
-        return isinstance(value, list) and len(value) == 2 and all(
-            _json_fits(v, "float") for v in value
-        )
-    number = (int,) if kind == "int" else (int, float)
-    return isinstance(value, number) and not isinstance(value, bool) and abs(value) < math.inf
-
-
 @dataclass(frozen=True)
 class ChainSpec:
     """Ordered, validated list of degradation steps."""
@@ -468,7 +446,7 @@ class ChainSpec:
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
         if not self.steps:
-            raise EmptyChainDrawnError("chain must contain at least one step")
+            raise InputError("chain must contain at least one step")
 
     def to_json(self) -> str:
         docs = []
@@ -480,36 +458,27 @@ class ChainSpec:
         return json.dumps({"steps": docs}, indent=2, sort_keys=False)
 
     @classmethod
-    def from_json(cls, text: str) -> "ChainSpec":
-        doc = json.loads(text)
-        if not isinstance(doc, dict) or not isinstance(doc.get("steps"), list):
-            raise InvalidRangeError("chain document must be {'steps': [...]}")
+    def from_json(cls, text: str, path: str | Path = "chain") -> "ChainSpec":
+        """The chain in ``text``, read from ``path``, which errors name."""
+        doc = parse_json(text, path)
+        if not isinstance(doc, dict) or not isinstance(doc.get("steps"), list) or not doc["steps"]:
+            raise InputError(f"{path}: chain document must be {{'steps': [...]}} "
+                             "with at least one step")
         steps = []
         for i, entry in enumerate(doc["steps"]):
             if not isinstance(entry, dict) or "step" not in entry:
-                raise InvalidRangeError(f"step {i}: bad chain step entry: {entry!r}")
+                raise InputError(f"{path}: step {i}: bad chain step entry: {reprlib.repr(entry)}")
             name = entry["step"]
-            if name not in _STEP_TYPES:
-                raise UnknownStepError(name)
-            kwargs = {k: v for k, v in entry.items() if k != "step"}
-            try:
-                for field in fields(_STEP_TYPES[name]):
-                    value = kwargs.get(field.name)
-                    if field.name in kwargs and not _json_fits(value, field.type):
-                        what = _KIND_TEXT[field.type]
-                        raise InvalidRangeError(f"{field.name!r} must be {what}, got {value!r}")
-                steps.append(_STEP_TYPES[name](**kwargs))
-            # a missing or unknown key is a TypeError of the constructor
-            except (XmodalError, ValueError, TypeError) as exc:
-                raise InvalidRangeError(f"step {i} {name!r}: {exc}") from None
+            if not isinstance(name, str) or name not in STEP_FIELDS:
+                raise InputError(f"{path}: step {i}: unknown chain step {reprlib.repr(name)}")
+            kwargs = {key: value for key, value in entry.items() if key != "step"}
+            check_fields(kwargs, STEP_FIELDS[name], f"{path}: step {i} {name!r}: ")
+            steps.append(_STEP_TYPES[name](**kwargs))
         return cls(tuple(steps))
 
     @classmethod
     def load(cls, path: str | Path) -> "ChainSpec":
-        try:
-            return cls.from_json(Path(path).read_text(encoding="utf-8"))
-        except (XmodalError, ValueError) as exc:
-            raise XmodalError(f"{path}: {exc}") from None
+        return cls.from_json(read_text(path), path)
 
 
 def apply_chain(

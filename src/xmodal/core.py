@@ -1,33 +1,27 @@
 """Shared data model: labels, modalities, sample manifests, images, features.
 
 All types are immutable after construction; every operation here is a pure
-function of its inputs.
+function of its inputs. Every input file is read by ``read_json`` (manifests
+line by line through ``parse_json``) and checked by ``check_fields`` against
+its kind's field table.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import reprlib
+import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, TypeVar, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
-from .errors import (
-    AllSamplesFailedError,
-    DuplicateIdError,
-    MalformedLineError,
-    MissingFileError,
-    NonFiniteImageError,
-    TruncatedDataError,
-    UnknownLabelError,
-    UnknownModalityError,
-    UnsupportedFormatError,
-    XmodalError,
-)
+from .errors import InputError, NumericalError, XmodalError
 
 # BT.601 luma coefficients
 KR = 0.299
@@ -45,15 +39,6 @@ class Modality(Enum):
     def numeric(self) -> int:
         return 0 if self is Modality.IMAGE else 1
 
-    @classmethod
-    def from_string(cls, value: str) -> "Modality":
-        if isinstance(value, str):
-            try:
-                return cls(value)
-            except ValueError:
-                pass
-        raise UnknownModalityError(value)
-
 
 class Label(Enum):
     """Ground-truth class of a sample. Numeric codes: real=0, fake=1."""
@@ -64,15 +49,6 @@ class Label(Enum):
     @property
     def numeric(self) -> int:
         return 0 if self is Label.REAL else 1
-
-    @classmethod
-    def from_string(cls, value: str) -> "Label":
-        if isinstance(value, str):
-            try:
-                return cls(value)
-            except ValueError:
-                pass
-        raise UnknownLabelError(value)
 
 
 @dataclass(frozen=True)
@@ -88,23 +64,9 @@ class SampleRecord:
     frame_count: Optional[int] = None
 
     def __post_init__(self):
-        if not self.id:
-            raise ValueError("sample id must be non-empty")
-        if not self.subset:
-            raise ValueError(f"sample {self.id!r}: subset must be non-empty")
-        if self.frame_index is not None and self.frame_index < 0:
-            raise ValueError(f"sample {self.id!r}: frame_index must be >= 0")
-        if self.frame_count is not None and self.frame_count <= 0:
-            raise ValueError(f"sample {self.id!r}: frame_count must be > 0")
-        if (
-            self.frame_index is not None
-            and self.frame_count is not None
-            and self.frame_index >= self.frame_count
-        ):
-            raise ValueError(
-                f"sample {self.id!r}: frame_index {self.frame_index} "
-                f"out of range for frame_count {self.frame_count}"
-            )
+        doc = {key: value for key, value in vars(self).items() if value is not None}
+        _check_record({**doc, "label": self.label.value, "modality": self.modality.value},
+                      f"sample {self.id!r}: ")
 
 
 @dataclass(frozen=True)
@@ -120,7 +82,7 @@ class Manifest:
         seen: set[str] = set()
         for rec in self.records:
             if rec.id in seen:
-                raise DuplicateIdError(rec.id)
+                raise InputError(f"duplicate sample id {rec.id!r}")
             seen.add(rec.id)
 
     def __len__(self) -> int:
@@ -151,7 +113,7 @@ class ImageBuffer:
         if h < 1 or w < 1:
             raise ValueError("image dimensions must be positive")
         if not np.all(np.isfinite(arr)):
-            raise NonFiniteImageError("image data must be finite")
+            raise NumericalError("image data must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
@@ -181,50 +143,161 @@ class ScoredPrediction:
             raise ValueError(f"score must lie in [0, 1], got {self.score}")
 
 
-_REQUIRED_KEYS = {"id", "path", "label", "modality", "subset"}
-_OPTIONAL_KEYS = {"frame_index", "frame_count"}
+# --- input files: one reader, one field checker ------------------------------
 
 
-def _record_from_json(obj: dict, line_no: int) -> SampleRecord:
-    if not isinstance(obj, dict):
-        raise MalformedLineError(line_no, "record must be a JSON object")
-    keys = set(obj)
-    unknown = keys - _REQUIRED_KEYS - _OPTIONAL_KEYS
-    if unknown:
-        raise MalformedLineError(line_no, f"unknown keys: {sorted(unknown)}")
-    missing = _REQUIRED_KEYS - keys
-    if missing:
-        raise MalformedLineError(line_no, f"missing keys: {sorted(missing)}")
-    for key in ("id", "path", "subset"):
-        if not isinstance(obj[key], str):
-            raise MalformedLineError(line_no, f"{key!r} must be a string")
-    if not isinstance(obj["label"], str):
-        raise MalformedLineError(line_no, "'label' must be a string")
-    if not isinstance(obj["modality"], str):
-        raise MalformedLineError(line_no, "'modality' must be a string")
-    for key in _OPTIONAL_KEYS:
-        if key in obj and (isinstance(obj[key], bool) or not isinstance(obj[key], int)):
-            raise MalformedLineError(line_no, f"{key!r} must be an integer")
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file; InputError naming the path and line if it is not UTF-8."""
+    blob = Path(path).read_bytes()
     try:
-        label = Label.from_string(obj["label"])
-    except UnknownLabelError:
-        raise UnknownLabelError(obj["label"], line_no) from None
+        return blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = blob.count(b"\n", 0, exc.start) + 1
+        raise InputError(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from None
+
+
+def parse_json(text: str, path: str | Path, line: int = 1):
+    """The JSON value of ``text``, which starts on ``line`` of ``path``.
+
+    Raises InputError naming both where ``text`` is not JSON, nests too deeply
+    or holds an integer longer than Python converts.
+    """
     try:
-        modality = Modality.from_string(obj["modality"])
-    except UnknownModalityError:
-        raise UnknownModalityError(obj["modality"], line_no) from None
-    try:
-        return SampleRecord(
-            id=obj["id"],
-            path=obj["path"],
-            label=label,
-            modality=modality,
-            subset=obj["subset"],
-            frame_index=obj.get("frame_index"),
-            frame_count=obj.get("frame_count"),
-        )
-    except ValueError as exc:
-        raise MalformedLineError(line_no, str(exc)) from None
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        line, reason = line + exc.lineno - 1, f"{exc.msg} (column {exc.colno})"
+    except (ValueError, RecursionError) as exc:
+        reason = str(exc)
+    raise InputError(f"{path}: line {line}: invalid JSON: {reason}")
+
+
+def read_json(path: str | Path):
+    """The JSON document in a config, chain, checkpoint or feature file."""
+    return parse_json(read_text(path), path)
+
+
+@dataclass(frozen=True)
+class Field:
+    """One key of a JSON object in an input file, and the values it takes.
+
+    ``kind`` is "int" (a JSON integer, never true/false), "number" (a finite
+    integer or float), "string" (at least ``lo`` characters), "choice" (one of
+    ``choices``), "pair" (numbers ``[a, b]`` with a <= b) or "object". Numbers
+    lie between ``lo`` and ``hi``, each bound closed or open as ``ends`` says
+    ("[]", "(]", "[)" or "()"). With ``length``, the value is a list of that
+    many numbers (0: any number of them).
+    """
+
+    key: str
+    kind: str
+    lo: float = -math.inf
+    hi: float = math.inf
+    ends: str = "[]"
+    choices: tuple = ()
+    required: bool = False
+    null: bool = False  # JSON null passes too
+    length: Optional[int] = None
+
+
+def describe(field: Field) -> str:
+    """What a value of ``field`` must be, in the words of the errors and the README."""
+    lo, hi = (f"{v:g}" if isinstance(v, float) else str(v) for v in (field.lo, field.hi))
+    if field.kind == "choice":
+        text = "one of " + ", ".join(map(repr, field.choices))
+    elif field.kind == "string":
+        text = "a non-empty string" if field.lo > 0 else "a string"
+    elif field.kind == "object":
+        text = "a JSON object"
+    elif field.kind == "pair":
+        text = f"a pair [a, b] of numbers with {lo} <= a <= b <= {hi}"
+    else:
+        one, many = ("an integer", "integers") if field.kind == "int" else (
+            "a finite number", "finite numbers")
+        count = field.length or "any number of"
+        text = one if field.length is None else f"a list of {count} {many}"
+        if field.lo > -math.inf and field.hi < math.inf:
+            text += f" in {field.ends[0]}{lo}, {hi}{field.ends[1]}"
+        elif field.lo > -math.inf:
+            text += f" {'>' if field.ends[0] == '(' else '>='} {lo}"
+        elif field.hi < math.inf:
+            text += f" {'<' if field.ends[1] == ')' else '<='} {hi}"
+    return text + (" or null" if field.null else "")
+
+
+def _number_fits(field: Field, value, integer: bool) -> bool:
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        return False
+    # a number is neither NaN nor beyond float64's range (an integer may be)
+    if not (integer or abs(value) <= sys.float_info.max):
+        return False
+    lo_ok = field.lo < value if field.ends[0] == "(" else field.lo <= value
+    return lo_ok and (value < field.hi if field.ends[1] == ")" else value <= field.hi)
+
+
+def _fits(field: Field, value) -> bool:
+    if value is None:
+        return field.null
+    if field.kind == "choice":
+        return value in field.choices
+    if field.kind == "string":
+        return isinstance(value, str) and len(value) >= field.lo
+    if field.kind == "object":
+        return isinstance(value, dict)
+    if field.kind == "pair":
+        return (isinstance(value, (list, tuple)) and len(value) == 2
+                and all(_number_fits(field, v, False) for v in value) and value[0] <= value[1])
+    integer = field.kind == "int"
+    if field.length is None:
+        return _number_fits(field, value, integer)
+    return (isinstance(value, (list, tuple)) and len(value) == (field.length or len(value))
+            and all(_number_fits(field, v, integer) for v in value))
+
+
+def check_fields(doc, table: Sequence[Field], where: str, prefix: str = "",
+                 extra: bool = False) -> dict:
+    """``doc``, checked to be a JSON object whose keys are ``table``'s and whose
+    values fit their fields. With ``extra``, keys off the table pass unchecked.
+
+    Raises InputError naming ``where`` (the file, and the line, record or step
+    in it) and the key, spelled ``prefix + key``.
+    """
+    if not isinstance(doc, dict):
+        what = f"{prefix[:-1]!r} " if prefix else ""
+        raise InputError(f"{where}{what}must be a JSON object, got {reprlib.repr(doc)}")
+    fields = {field.key: field for field in table}
+    for key, value in doc.items():
+        if key not in fields:
+            if not extra:
+                raise InputError(f"{where}{prefix + key!r}: unknown key")
+        elif not _fits(fields[key], value):
+            raise InputError(f"{where}{prefix + key!r}: must be {describe(fields[key])}, "
+                             f"got {reprlib.repr(value)}")
+    for field in table:
+        if field.required and field.key not in doc:
+            raise InputError(f"{where}{prefix + field.key!r}: missing key")
+    return doc
+
+
+# one line of a manifest
+MANIFEST_FIELDS = (
+    Field("id", "string", lo=1, required=True),
+    Field("path", "string", required=True),
+    Field("label", "choice", choices=tuple(label.value for label in Label), required=True),
+    Field("modality", "choice", choices=tuple(m.value for m in Modality), required=True),
+    Field("subset", "string", lo=1, required=True),
+    Field("frame_index", "int", 0),
+    Field("frame_count", "int", 1),
+)
+
+
+def _check_record(doc, where: str) -> dict:
+    """A manifest line's object, checked against MANIFEST_FIELDS and its frame count."""
+    check_fields(doc, MANIFEST_FIELDS, where)
+    frame_index, frame_count = doc.get("frame_index"), doc.get("frame_count")
+    if None not in (frame_index, frame_count) and frame_index >= frame_count:
+        raise InputError(f"{where}'frame_index': must be below frame_count {frame_count}, "
+                         f"got {frame_index}")
+    return doc
 
 
 def parse_manifest(path: str | Path) -> Manifest:
@@ -235,25 +308,22 @@ def parse_manifest(path: str | Path) -> Manifest:
     """
     path = Path(path)
     if not path.is_file():
-        raise MissingFileError(f"manifest not found: {path}")
+        raise InputError(f"manifest not found: {path}")
     records: list[SampleRecord] = []
-    seen: dict[str, int] = {}
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                obj = json.loads(stripped)
-            except json.JSONDecodeError as exc:
-                raise MalformedLineError(line_no, f"invalid JSON: {exc.msg}") from None
-            rec = _record_from_json(obj, line_no)
-            if rec.id in seen:
-                raise DuplicateIdError(rec.id, line_no)
-            seen[rec.id] = line_no
-            records.append(rec)
+    seen: set[str] = set()
+    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        obj = _check_record(parse_json(line, path, line_no), f"{path}: line {line_no}: ")
+        rec = SampleRecord(id=obj["id"], path=obj["path"], label=Label(obj["label"]),
+                           modality=Modality(obj["modality"]), subset=obj["subset"],
+                           frame_index=obj.get("frame_index"), frame_count=obj.get("frame_count"))
+        if rec.id in seen:
+            raise InputError(f"{path}: duplicate sample id {rec.id!r} (line {line_no})")
+        seen.add(rec.id)
+        records.append(rec)
     if not records:
-        raise MalformedLineError(0, f"manifest {path} contains no records")
+        raise InputError(f"{path}: manifest contains no records")
     return Manifest(records=tuple(records), source_path=str(path))
 
 
@@ -276,18 +346,21 @@ def write_manifest(manifest: Manifest, path: str | Path) -> None:
             fh.write(json.dumps(obj, sort_keys=False) + "\n")
 
 
+PNM_DIGITS = 9  # a width, height or maxval below a billion: no frame is that large
+
+
 def _read_pnm_header(blob: bytes, path: Path) -> tuple[bytes, int, int, int, int]:
     """Return (magic, width, height, maxval, payload_offset)."""
     if len(blob) < 2:
-        raise UnsupportedFormatError(f"{path}: not a PPM/PGM file")
+        raise InputError(f"{path}: not a PPM/PGM file")
     magic = blob[:2]
     if magic not in (b"P5", b"P6"):
-        raise UnsupportedFormatError(f"{path}: unsupported magic {magic!r}")
+        raise InputError(f"{path}: unsupported magic {magic!r}")
     pos = 2
     fields: list[int] = []
     while len(fields) < 3:
         if pos >= len(blob):
-            raise TruncatedDataError(f"{path}: header ended early")
+            raise InputError(f"{path}: header ended early")
         ch = blob[pos : pos + 1]
         if ch in b" \t\r\n":
             pos += 1
@@ -298,14 +371,16 @@ def _read_pnm_header(blob: bytes, path: Path) -> tuple[bytes, int, int, int, int
             start = pos
             while pos < len(blob) and blob[pos : pos + 1].isdigit():
                 pos += 1
+            if pos - start > PNM_DIGITS:
+                raise InputError(f"{path}: header number longer than {PNM_DIGITS} digits")
             fields.append(int(blob[start:pos]))
         else:
-            raise UnsupportedFormatError(f"{path}: bad header byte {ch!r}")
+            raise InputError(f"{path}: bad header byte {ch!r}")
     if pos >= len(blob):
-        raise TruncatedDataError(f"{path}: missing payload")
+        raise InputError(f"{path}: missing payload")
     # exactly one whitespace byte separates maxval from the payload
     if blob[pos : pos + 1] not in b" \t\r\n":
-        raise UnsupportedFormatError(f"{path}: malformed header terminator")
+        raise InputError(f"{path}: malformed header terminator")
     pos += 1
     width, height, maxval = fields
     return magic, width, height, maxval, pos
@@ -318,18 +393,18 @@ def _read_pnm(path: Path) -> np.ndarray:
     interleaved RGB is returned planar.
     """
     if not path.is_file():
-        raise MissingFileError(f"image not found: {path}")
+        raise InputError(f"image not found: {path}")
     blob = path.read_bytes()
     magic, width, height, maxval, offset = _read_pnm_header(blob, path)
     if maxval != 255:
-        raise UnsupportedFormatError(f"{path}: only maxval 255 supported, got {maxval}")
+        raise InputError(f"{path}: only maxval 255 supported, got {maxval}")
     if width < 1 or height < 1:
-        raise UnsupportedFormatError(f"{path}: bad dimensions {width}x{height}")
+        raise InputError(f"{path}: bad dimensions {width}x{height}")
     channels = 1 if magic == b"P5" else 3
     expected = width * height * channels
     payload = blob[offset : offset + expected]
     if len(payload) < expected:
-        raise TruncatedDataError(
+        raise InputError(
             f"{path}: expected {expected} payload bytes, got {len(payload)}"
         )
     raw = np.frombuffer(payload, dtype=np.uint8)
@@ -473,7 +548,7 @@ def successes(
     """Yield the results of ``iter_samples``: the one failure ledger, appending
     each failed sample's ``(id, error text)`` to ``failed``.
 
-    Raises AllSamplesFailedError once the stream ends if no sample succeeded.
+    Raises InputError once the stream ends if no sample succeeded.
     """
     n_ok = 0
     for rec, result in stream:
@@ -483,4 +558,4 @@ def successes(
             n_ok += 1
             yield result
     if n_ok == 0:
-        raise AllSamplesFailedError(f"all {len(failed)} samples failed {what}")
+        raise InputError(f"all {len(failed)} samples failed {what}")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .codecsim import BLOCK, _shifted_coeffs
 from .core import ImageBuffer, _fit_to_square
-from .errors import EmptyInputError, ImageTooSmallError, WrongBinCountError
+from .errors import InputError
 from .pixelops import Window, gaussian_blur, to_luma
 
 ZERO_EPS = 1e-6  # |coefficient| below this counts as an exact post-quantization zero
@@ -110,7 +110,7 @@ def _luma_plane(img: ImageBuffer) -> np.ndarray:
 def require_dct_block(img: ImageBuffer) -> ImageBuffer:
     """Return ``img`` if it holds at least one whole 8x8 block, else raise."""
     if img.height < BLOCK or img.width < BLOCK:
-        raise ImageTooSmallError(
+        raise InputError(
             f"need at least {BLOCK}x{BLOCK} pixels, got {img.width}x{img.height}"
         )
     return img
@@ -149,7 +149,7 @@ def dct_ac_histogram(
         n_zero += int(np.count_nonzero(np.abs(ac) < ZERO_EPS))
         n_images += 1
     if n_images == 0:
-        raise EmptyInputError("dct_ac_histogram needs at least one image")
+        raise InputError("dct_ac_histogram needs at least one image")
     histogram = Histogram(edges, counts, int(counts.sum()))
     return DctAcResult(
         histogram=histogram,
@@ -174,7 +174,7 @@ def rapsd(
     matches the full-plane form to about 1e-14 relative, not bit for bit.
     """
     if img.height < 16 or img.width < 16:
-        raise ImageTooSmallError(
+        raise InputError(
             f"rapsd needs at least 16x16 pixels, got {img.width}x{img.height}"
         )
     if nbins < 1:
@@ -239,7 +239,7 @@ def dataset_mean_rapsd(profiles: Iterable[RadialProfile]) -> RadialProfile:
         power_sum = power_sum + profile.power
         count_sum = count_sum + profile.counts
     if n_used == 0:
-        raise EmptyInputError("dataset_mean_rapsd needs at least one profile")
+        raise InputError("dataset_mean_rapsd needs at least one profile")
     return RadialProfile(radii=profile.radii, power=power_sum / n_used, counts=count_sum)
 
 
@@ -255,7 +255,7 @@ def luminance_histogram(images: Iterable[ImageBuffer]) -> Histogram:
         counts += np.bincount(codes.astype(np.intp).ravel(), minlength=256)
         n_images += 1
     if n_images == 0:
-        raise EmptyInputError("luminance_histogram needs at least one image")
+        raise InputError("luminance_histogram needs at least one image")
     edges = (np.arange(257) - 0.5) / 255.0
     return Histogram(edges, counts, int(counts.sum()))
 
@@ -290,11 +290,11 @@ def detect_tv_range(hist: Histogram) -> tuple[TvRangeVerdict, TvRangeEvidence]:
     shows no comb stays indeterminate (e.g. a constant image).
     """
     if len(hist.counts) != 256:
-        raise WrongBinCountError(f"expected 256 bins, got {len(hist.counts)}")
+        raise InputError(f"expected 256 bins, got {len(hist.counts)}")
     counts = hist.counts
     total = int(counts.sum())
     if total == 0:
-        raise EmptyInputError("histogram is empty")
+        raise InputError("histogram is empty")
     tail_mass = float((counts[:16].sum() + counts[236:].sum()) / total)
     cumulative = np.cumsum(counts)
     lo = int(np.searchsorted(cumulative, 0.05 * total))
@@ -341,6 +341,6 @@ def residual_spectrum(powers: Iterable[np.ndarray]) -> SpectrumImage:
     for n_used, power in enumerate(powers, start=1):
         acc += power
     if n_used == 0:
-        raise EmptyInputError("residual_spectrum needs at least one spectrum")
+        raise InputError("residual_spectrum needs at least one spectrum")
     values = np.fft.fftshift(np.log10(1.0 + acc / n_used))
     return SpectrumImage(width=values.shape[1], height=values.shape[0], values=values)

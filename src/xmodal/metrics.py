@@ -19,20 +19,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import Label, ScoredPrediction
-from .errors import (
-    EmptyInputError,
-    EmptyVideoError,
-    InvalidSpecError,
-    NoPositivesError,
-    SingleClassInputError,
-)
+from .errors import InputError
 
 DEFAULT_THRESHOLD = 0.5
 
 
 def _scores_labels(preds: Sequence[ScoredPrediction]) -> tuple[np.ndarray, np.ndarray]:
     if not preds:
-        raise EmptyInputError("need at least one prediction")
+        raise InputError("need at least one prediction")
     scores = np.asarray([p.score for p in preds], dtype=np.float64)
     labels = np.asarray([p.label.numeric for p in preds], dtype=np.int8)
     return scores, labels
@@ -99,14 +93,14 @@ def _accuracy(tp: int, fp: int, fn: int, tn: int) -> float:
 def _balanced_accuracy(tp: int, fp: int, fn: int, tn: int) -> float:
     n_fake, n_real = tp + fn, tn + fp
     if not n_fake or not n_real:
-        raise SingleClassInputError("balanced accuracy needs both classes")
+        raise InputError("balanced accuracy needs both classes")
     return (tp * n_real + tn * n_fake) / (2 * n_fake * n_real)
 
 
 def _average_precision(scores: np.ndarray, labels: np.ndarray) -> float:
     n_pos = int(np.count_nonzero(labels))
     if n_pos == 0:
-        raise NoPositivesError("average precision needs at least one fake sample")
+        raise InputError("average precision needs at least one fake sample")
     order = np.argsort(-scores, kind="stable")
     scores = scores[order]
     # the last position of each run of tied scores is one threshold
@@ -224,7 +218,7 @@ def subset_report(
     """``per_subset_report`` of the predictions in columns: float64 scores in
     [0, 1], int8 label codes (real 0, fake 1) and each one's subset name."""
     if len(scores) == 0:
-        raise EmptyInputError("need at least one prediction")
+        raise InputError("need at least one prediction")
     names = sorted(set(subsets))
     code = {name: c for c, name in enumerate(names)}
     codes = np.fromiter((code[s] for s in subsets), dtype=np.intp, count=len(subsets))
@@ -271,7 +265,7 @@ def _sigmoid(x: float) -> float:
 def select_frame_indices(n_frames: int, t: int) -> list[int]:
     """T uniformly spaced frame positions; T=1 picks the middle frame."""
     if n_frames < 1:
-        raise EmptyVideoError("video has no frames")
+        raise InputError("video has no frames")
     if t < 1:
         raise ValueError("t must be >= 1")
     t = min(t, n_frames)
@@ -296,10 +290,10 @@ def video_scores(logits: np.ndarray, starts: np.ndarray, t: int) -> np.ndarray:
 def multi_frame_average(frames: Sequence[FrameScore], t: int = 1) -> ScoredPrediction:
     """Average the logits of T uniformly spaced frames into one video score."""
     if not frames:
-        raise EmptyVideoError("video has no frames")
+        raise InputError("video has no frames")
     ordered = sorted(frames, key=lambda f: f.frame_index)
     if len({(f.label, f.subset) for f in ordered}) != 1:
-        raise InvalidSpecError(
+        raise InputError(
             f"video {ordered[0].video_id!r} has inconsistent label or subset tags"
         )
     logits = np.array([f.logit for f in ordered], dtype=np.float64)

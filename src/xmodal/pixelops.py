@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .core import KB, KG, KR, ImageBuffer
-from .errors import EmptyImageError, WrongChannelCountError
+from .errors import InputError
 
 
 class ColorRange(Enum):
@@ -69,7 +69,7 @@ def rgb_to_ycbcr(img: ImageBuffer, color_range: ColorRange = ColorRange.FULL) ->
 
 def _rgb_to_ycbcr(data: np.ndarray, color_range: ColorRange) -> np.ndarray:
     if data.shape[0] != 3:
-        raise WrongChannelCountError(f"expected 3 channels, got {data.shape[0]}")
+        raise InputError(f"expected 3 channels, got {data.shape[0]}")
     out = np.clip(data, 0.0, 1.0)
     r, g, b = out
     y = _bt601_luma(r, g, b, np.empty_like(r))
@@ -97,7 +97,7 @@ def ycbcr_to_rgb(img: ImageBuffer, color_range: ColorRange = ColorRange.FULL) ->
 def _ycbcr_to_rgb(data: np.ndarray, color_range: ColorRange, out=None) -> np.ndarray:
     """ycbcr_to_rgb's planes, written into ``out``, which may be ``data``."""
     if data.shape[0] != 3:
-        raise WrongChannelCountError(f"expected 3 channels, got {data.shape[0]}")
+        raise InputError(f"expected 3 channels, got {data.shape[0]}")
     out = np.empty_like(data) if out is None else out
     y, cb, cr = data
     if color_range is ColorRange.LIMITED:
@@ -160,7 +160,7 @@ def shorter_side_resize(img: ImageBuffer, target: int) -> ImageBuffer:
 def _shorter_side_resize(data: np.ndarray, target: int) -> np.ndarray:
     """Separable bilinear resample with half-pixel center alignment, by bands of output rows."""
     if target < 1:
-        raise EmptyImageError(f"target side must be >= 1, got {target}")
+        raise InputError(f"target side must be >= 1, got {target}")
     c, in_h, in_w = data.shape
     if min(in_w, in_h) == target:
         return data

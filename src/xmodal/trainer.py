@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Mapping, Optional, Union
 
@@ -28,14 +28,8 @@ from .cmsupcon import (
     bce_grad,
     binary_cross_entropy,
 )
-from .core import Label, Modality
-from .errors import (
-    BothPoolsEmptyError,
-    DimMismatchError,
-    InvalidSpecError,
-    NonFiniteLossError,
-    ShapeMismatchError,
-)
+from .core import Field, Label, Modality, check_fields, read_json
+from .errors import InputError, NumericalError
 
 CHECKPOINT_FORMAT = "xmodal-checkpoint"
 CHECKPOINT_VERSION = 2
@@ -47,11 +41,12 @@ def _param_shapes(d_in: int, d_h: int, d_z: int) -> dict[str, tuple[int, ...]]:
     return {"w1": (d_in, d_h), "b1": (d_h,), "wp": (d_h, d_z), "wc": (d_h,), "bc": (1,)}
 
 
-def _check_params(arrays: Mapping[str, np.ndarray], shapes: Mapping[str, tuple]) -> None:
-    """Raise an error naming the first parameter off its shape or not finite."""
+def _check_params(arrays: Mapping[str, np.ndarray], shapes: Mapping[str, tuple],
+                  where: str = "") -> None:
+    """Raise an error naming ``where`` and the first parameter off its shape or not finite."""
     for name, arr in arrays.items():
         if arr.shape != shapes[name]:
-            raise ShapeMismatchError(f"{name}: shape {arr.shape}, expected {shapes[name]}")
+            raise InputError(f"{where}{name}: shape {arr.shape}, expected {shapes[name]}")
         if not np.isfinite(arr).all():
             raise ValueError(f"{name}: non-finite value")
 
@@ -70,7 +65,7 @@ class ToyModel:
         arrays = {n: np.ascontiguousarray(getattr(self, n), dtype=np.float64)
                   for n in PARAM_NAMES}
         if arrays["w1"].ndim != 2 or arrays["wp"].ndim != 2:
-            raise ShapeMismatchError("w1 must be (d_in, d_h) and wp (d_h, d_z)")
+            raise InputError("w1 must be (d_in, d_h) and wp (d_h, d_z)")
         _check_params(arrays, _param_shapes(*arrays["w1"].shape, arrays["wp"].shape[1]))
         for name, arr in arrays.items():
             arr.setflags(write=False)
@@ -122,7 +117,7 @@ def forward(
     x = np.asarray(x, dtype=np.float64)
     d_in = p["w1"].shape[0]
     if x.ndim != 2 or x.shape[1] != d_in:
-        raise DimMismatchError(f"expected input (n, {d_in}), got {x.shape}")
+        raise InputError(f"expected input (n, {d_in}), got {x.shape}")
     pre = x @ p["w1"] + p["b1"]
     h = np.maximum(pre, 0.0)
     if feature_layer == "projection":
@@ -265,14 +260,14 @@ def optimizer_step(
 ) -> tuple[dict[str, np.ndarray], OptimState]:
     """One AdamW update. Pure: ``adamw_inplace`` on copies of the inputs."""
     if set(params) != set(grads):
-        raise ShapeMismatchError("params and grads must share keys")
+        raise InputError("params and grads must share keys")
     step = state.step + 1
     new_params = {key: np.array(p, dtype=np.float64) for key, p in params.items()}
     new_m = {key: m.copy() for key, m in state.m.items()}
     new_v = {key: v.copy() for key, v in state.v.items()}
     for key, p in new_params.items():
         if grads[key].shape != p.shape:
-            raise ShapeMismatchError(
+            raise InputError(
                 f"{key}: gradient shape {grads[key].shape} != parameter shape {p.shape}"
             )
         adamw_inplace(p, grads[key], new_m[key], new_v[key], step, state.lr, state.weight_decay)
@@ -297,7 +292,7 @@ def mixed_batch_sampler(
     if batch_size < 2:
         raise ValueError("batch_size must be >= 2")
     if image_pool.size == 0 and video_pool.size == 0:
-        raise BothPoolsEmptyError("need at least one non-empty pool")
+        raise InputError("need at least one non-empty pool")
     if image_pool.size == 0 or video_pool.size == 0:
         missing = "video" if video_pool.size == 0 else "image"
         warnings.warn(
@@ -343,15 +338,15 @@ class FeatureDataset:
         y = np.ascontiguousarray(self.y, dtype=np.int8)
         m = np.ascontiguousarray(self.m, dtype=np.int8)
         if x.ndim != 2:
-            raise InvalidSpecError("x must be a 2-d array")
+            raise InputError("x must be a 2-d array")
         if not (x.shape[0] == len(y) == len(m)):
-            raise InvalidSpecError("x, y, m must agree in length")
+            raise InputError("x, y, m must agree in length")
         if not np.isfinite(x).all():
             row = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])
-            raise InvalidSpecError(f"feature row {row} has non-finite values")
+            raise InputError(f"feature row {row} has non-finite values")
         for name, arr in (("labels", y), ("modalities", m)):
             if not np.isin(arr, (0, 1)).all():
-                raise InvalidSpecError(f"{name} must be 0 or 1")
+                raise InputError(f"{name} must be 0 or 1")
         for name, arr in (("x", x), ("y", y), ("m", m)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -362,7 +357,7 @@ class FeatureDataset:
     def restrict_modality(self, modality: Modality) -> "FeatureDataset":
         keep = self.m == modality.numeric
         if not keep.any():
-            raise InvalidSpecError(f"no {modality.value} samples to restrict to")
+            raise InputError(f"no {modality.value} samples to restrict to")
         return FeatureDataset(self.x[keep], self.y[keep], self.m[keep])
 
 
@@ -375,10 +370,27 @@ def config_key(field: str) -> str:
 # so wp holds at most 2**20 values (8 MiB of float64)
 MAX_WIDTH = 1 << 10
 
+# The `train` section of a config file, and the `config` of a checkpoint
+TRAIN_FIELDS = (
+    Field("epochs", "int", 1),
+    # every batch mixes both modalities, with or without the contrastive term
+    Field("batch_size", "int", 2),
+    Field("lambda", "number", 0),
+    Field("tau", "number", 0, ends="(]"),
+    Field("seed", "int", 0),
+    Field("patience", "int", 0),
+    Field("lr", "number", 0, ends="(]"),
+    Field("weight_decay", "number", 0),
+    Field("feature_layer", "choice", choices=("projection", "hidden")),
+    Field("variant", "choice", choices=tuple(v.value for v in LossVariant)),
+    Field("hidden_dim", "int", 1, MAX_WIDTH),
+    Field("feature_dim", "int", 1, MAX_WIDTH),
+)
+
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Training hyperparameters.
+    """Training hyperparameters, checked against TRAIN_FIELDS.
 
     The toy-scale optimizer defaults (lr 1e-3) are deliberately hotter than
     a fine-tuning setup for a large backbone would use. feature_layer
@@ -402,27 +414,18 @@ class TrainConfig:
     feature_dim: int = 8
 
     def __post_init__(self):
-        # (field, holds, rule); every batch mixes both modalities, so
-        # batch_size >= 2 holds whether or not the contrastive term is on
-        checks = (
-            ("epochs", self.epochs >= 1, "must be >= 1"),
-            ("batch_size", self.batch_size >= 2, "must be >= 2"),
-            ("lam", self.lam >= 0, "must be >= 0"),
-            ("tau", self.tau > 0, "must be > 0"),
-            ("patience", self.patience >= 0, "must be >= 0"),
-            ("lr", math.isfinite(self.lr) and self.lr > 0, "must be finite and > 0"),
-            ("weight_decay", math.isfinite(self.weight_decay) and self.weight_decay >= 0,
-             "must be finite and >= 0"),
-            ("feature_layer", self.feature_layer in ("projection", "hidden"),
-             "must be 'projection' or 'hidden'"),
-            ("hidden_dim", 1 <= self.hidden_dim <= MAX_WIDTH, f"must be in [1, {MAX_WIDTH}]"),
-            ("feature_dim", 1 <= self.feature_dim <= MAX_WIDTH, f"must be in [1, {MAX_WIDTH}]"),
-        )
-        for field, holds, rule in checks:
-            if not holds:
-                raise InvalidSpecError(
-                    f"'train.{config_key(field)}': {rule}, got {getattr(self, field)!r}"
-                )
+        doc = {config_key(f.name): getattr(self, f.name) for f in fields(self)}
+        doc["variant"] = getattr(self.variant, "value", self.variant)
+        check_fields(doc, TRAIN_FIELDS, "", "train.")
+        object.__setattr__(self, "variant", LossVariant(doc["variant"]))
+
+    @classmethod
+    def from_doc(cls, doc, where: str, prefix: str = "train.", **overrides) -> "TrainConfig":
+        """The config a JSON object of TRAIN_FIELDS keys gives, with ``overrides``
+        on top; errors name ``where`` and the key as ``prefix + key``."""
+        check_fields(doc, TRAIN_FIELDS, where, prefix)
+        settings = {("lam" if key == "lambda" else key): value for key, value in doc.items()}
+        return cls(**{**settings, **overrides})
 
 
 @dataclass(frozen=True)
@@ -487,10 +490,10 @@ def train(
     finite.
     """
     if len(val_data) == 0:
-        raise InvalidSpecError("validation set must be non-empty")
+        raise InputError("validation set must be non-empty")
     for name, data in (("training", train_data), ("validation", val_data)):
         if data.x.shape[1] != model.d_in:
-            raise DimMismatchError(
+            raise InputError(
                 f"{name} features have {data.x.shape[1]} columns, model expects {model.d_in}"
             )
     rng = np.random.default_rng(config.seed)
@@ -516,14 +519,14 @@ def train(
             adamw_inplace(theta, grad, m, v, step, config.lr, config.weight_decay, work)
             if not np.isfinite(theta).all():
                 name = next(n for n, p in params.items() if not np.isfinite(p).all())
-                raise NonFiniteLossError(
+                raise NumericalError(
                     f"parameter {name} became non-finite at epoch {epoch}; "
                     "the run diverged (try a smaller lr)"
                 )
         tr_bce, tr_cm, tr_total, tr_acc = _dataset_stats(params, train_stats, config)
         _, _, val_total, val_acc = _dataset_stats(params, val_stats, config)
         if not (np.isfinite(tr_total) and np.isfinite(val_total)):
-            raise NonFiniteLossError(
+            raise NumericalError(
                 f"non-finite loss at epoch {epoch}: train={tr_total}, val={val_total}"
             )
         history.append(EpochStats(epoch, tr_bce, tr_cm, tr_total, val_total, tr_acc, val_acc))
@@ -555,6 +558,28 @@ GROUP_ORDER: tuple[tuple[Label, Modality], ...] = (
 )
 
 
+# The memory budget of a training split: each epoch computes n x n float64
+# statistics of a whole split, whose features are n x dim float64. At most
+# MAX_SPLIT samples and MAX_SPLIT coordinates keep each such array to 128 MiB.
+MAX_SPLIT = 1 << 12
+# Synthetic separations, shifts and spreads stay this close to 0, so every
+# drawn feature is finite
+MAX_SCALE = 10**6
+SYNTHETIC_DIM = 6
+COUNT_KEYS = ("train_counts", "val_counts", "test_counts")
+
+# `data.synthetic` of a config file: the arguments of SyntheticSpec.default
+SYNTHETIC_FIELDS = (
+    Field("dim", "int", 4, MAX_SPLIT),
+    Field("signal_sep", "number", -MAX_SCALE, MAX_SCALE),
+    Field("shortcut_sep", "number", -MAX_SCALE, MAX_SCALE),
+    Field("noise_std", "number", 0, MAX_SCALE, ends="(]"),
+    Field("video_shift", "number", -MAX_SCALE, MAX_SCALE, null=True, length=0),
+    *(Field(key, "int", 0, MAX_SPLIT, length=4) for key in COUNT_KEYS),
+    Field("seed", "int", 0),
+)
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Gaussian cluster layout for the four (label, modality) groups.
@@ -581,14 +606,14 @@ class SyntheticSpec:
         means = np.ascontiguousarray(self.means, dtype=np.float64)
         stds = np.ascontiguousarray(self.stds, dtype=np.float64)
         if means.ndim != 2 or means.shape[0] != 4 or means.shape[1] < 2:
-            raise InvalidSpecError("means must have shape (4, dim) with dim >= 2")
+            raise InputError("means must have shape (4, dim) with dim >= 2")
         if stds.shape != means.shape:
-            raise InvalidSpecError("stds must match means in shape")
+            raise InputError("stds must match means in shape")
         if np.any(stds <= 0):
-            raise InvalidSpecError("stds must be positive")
+            raise InputError("stds must be positive")
         for counts in (self.train_counts, self.val_counts, self.test_counts):
             if len(counts) != 4 or any(c < 0 for c in counts):
-                raise InvalidSpecError("counts must be four non-negative integers")
+                raise InputError("counts must be four non-negative integers")
         for name, arr in (("means", means), ("stds", stds)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -602,7 +627,7 @@ class SyntheticSpec:
     @classmethod
     def default(
         cls,
-        dim: int = 6,
+        dim: int = SYNTHETIC_DIM,
         signal_sep: float = 5.0,
         shortcut_sep: float = 7.0,
         noise_std: float = 1.0,
@@ -613,7 +638,7 @@ class SyntheticSpec:
         seed: int = 0,
     ) -> "SyntheticSpec":
         if dim < 4:
-            raise InvalidSpecError("default layout needs dim >= 4")
+            raise InputError("default layout needs dim >= 4")
         if video_shift is None:
             # shift the shortcut axis (class-blind in video) plus two
             # modality-marker coordinates
@@ -624,7 +649,7 @@ class SyntheticSpec:
         else:
             shift = np.asarray(video_shift, dtype=np.float64)
             if shift.shape != (dim,):
-                raise InvalidSpecError(f"video_shift must have length {dim}")
+                raise InputError(f"video_shift must have length {dim}")
         means = np.zeros((4, dim))
         for g, (label, modality) in enumerate(GROUP_ORDER):
             sign = 1.0 if label is Label.FAKE else -1.0
@@ -635,6 +660,20 @@ class SyntheticSpec:
                 means[g] += shift
         stds = np.full((4, dim), noise_std)
         return cls(means, stds, train_counts, val_counts, test_counts, seed)
+
+
+def synthetic_spec(doc, where: str) -> SyntheticSpec:
+    """The spec a config file's ``data.synthetic`` asks for; errors name ``where``."""
+    kwargs = check_fields(doc, SYNTHETIC_FIELDS, where, "data.synthetic.")
+    for key in COUNT_KEYS:
+        if key in kwargs and not 1 <= sum(kwargs[key]) <= MAX_SPLIT:
+            raise InputError(f"{where}'data.synthetic.{key}': must hold 1 to {MAX_SPLIT} "
+                             f"samples in all, got {kwargs[key]}")
+    shift, dim = kwargs.get("video_shift"), kwargs.get("dim", SYNTHETIC_DIM)
+    if shift is not None and len(shift) != dim:
+        raise InputError(f"{where}'data.synthetic.video_shift': must hold dim = {dim} "
+                         f"numbers, got {len(shift)}")
+    return SyntheticSpec.default(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -656,7 +695,7 @@ def _sample_split(
         ys.append(np.full(n, label.numeric, dtype=np.int8))
         ms.append(np.full(n, modality.numeric, dtype=np.int8))
     if not xs:
-        raise InvalidSpecError("split has zero samples")
+        raise InputError("split has zero samples")
     return FeatureDataset(np.vstack(xs), np.concatenate(ys), np.concatenate(ms))
 
 
@@ -692,39 +731,36 @@ def save_checkpoint(model: ToyModel, config: TrainConfig, path: str | Path) -> N
     Path(path).write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
 
 
+# A checkpoint's `params`, and each parameter's shape and row-major values
+PARAMS_FIELDS = tuple(Field(name, "object", required=True) for name in PARAM_NAMES)
+PARAM_FIELDS = (Field("shape", "int", 0, 2**31 - 1, required=True, length=0),
+                Field("data", "number", required=True, length=0))
+
+
 def load_checkpoint(path: str | Path) -> tuple[ToyModel, TrainConfig]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
-        raise InvalidSpecError(f"{path}: not a {CHECKPOINT_FORMAT} file")
+        raise InputError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     if doc.get("version") != CHECKPOINT_VERSION:
-        raise InvalidSpecError(
+        raise InputError(
             f"{path}: unsupported version {doc.get('version')!r}, "
             f"this build reads version {CHECKPOINT_VERSION}"
         )
-    try:
-        entries = {name: doc["params"][name] for name in PARAM_NAMES}
-        cfg_doc = dict(doc["config"])
-        cfg_doc["variant"] = LossVariant(cfg_doc["variant"])
-        config = TrainConfig(**cfg_doc)
-    except KeyError as exc:
-        raise InvalidSpecError(f"{path}: checkpoint has no {exc} entry") from None
-    except (TypeError, ValueError, InvalidSpecError) as exc:
-        raise InvalidSpecError(f"{path}: {exc}") from None
+    config = doc.get("config")
+    if isinstance(config, dict):  # a checkpoint keys lambda by its field name
+        config = {config_key(key): value for key, value in config.items()}
+    config = TrainConfig.from_doc(config, f"{path}: ", "config.")
+    entries = check_fields(doc.get("params"), PARAMS_FIELDS, f"{path}: ", "params.")
     params = {}
     for name, entry in entries.items():
-        try:
-            params[name] = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-            # NumPy would read JSON true/false as 1/0
-            if any(isinstance(v, bool) for v in np.asarray(entry["data"], dtype=object).flat):
-                raise ValueError("expected numbers, got a JSON boolean")
-        except KeyError as exc:
-            raise InvalidSpecError(f"{path}: params.{name}: no {exc} entry") from None
-        except (TypeError, ValueError) as exc:
-            raise InvalidSpecError(f"{path}: params.{name}: {exc}") from None
+        where = f"{path}: params.{name}: "
+        check_fields(entry, PARAM_FIELDS, where)
+        if math.prod(entry["shape"]) != len(entry["data"]):
+            raise InputError(f"{where}{len(entry['data'])} values do not fill shape "
+                             f"{entry['shape']}")
+        params[name] = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
     # w1's row count is the model's input width, which only the data fixes
     d_in = params["w1"].shape[0] if params["w1"].ndim else 0
-    try:
-        _check_params(params, _param_shapes(d_in, config.hidden_dim, config.feature_dim))
-    except (ShapeMismatchError, ValueError) as exc:
-        raise InvalidSpecError(f"{path}: params.{exc}") from None
+    shapes = _param_shapes(d_in, config.hidden_dim, config.feature_dim)
+    _check_params(params, shapes, f"{path}: params.")
     return ToyModel.from_params(params), config

@@ -298,17 +298,21 @@ class TestDegrade:
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("step, where", [
-        ({"step": "gaussian_blur", "sigma": 1e308}, "'gaussian_blur': sigma must lie in [0, 682]"),
-        ({"step": "gaussian_blur", "sigma": 10**400}, "'gaussian_blur': sigma must lie in"),
+        ({"step": "gaussian_blur", "sigma": 1e308},
+         "'gaussian_blur': 'sigma': must be a finite number in [0, 682], got 1e+308"),
+        ({"step": "gaussian_blur", "sigma": 10**400},
+         "'gaussian_blur': 'sigma': must be a finite number in [0, 682], got 1000"),
         ({"step": "resize", "shorter_side": 100000},
-         "'resize': shorter_side must lie in [1, 4096]"),
+         "'resize': 'shorter_side': must be an integer in [1, 4096], got 100000"),
         ({"step": "motion_blur", "length": 100000},
-         "'motion_blur': length must lie in [1, 4096]"),
+         "'motion_blur': 'length': must be an integer in [1, 4096], got 100000"),
         ({"step": "color_jitter", "brightness": [1e308, 1e308], "contrast": [1e308, 1e308],
           "saturation": [0, 0]},
-         "'color_jitter': brightness range must satisfy 0 <= lo <= hi <= 255, got"),
+         "'color_jitter': 'brightness': must be a pair [a, b] of numbers with "
+         "0 <= a <= b <= 255, got [1e+308, 1e+308]"),
         ({"step": "color_jitter", "saturation": [1, 256]},
-         "'color_jitter': saturation range must satisfy 0 <= lo <= hi <= 255, got"),
+         "'color_jitter': 'saturation': must be a pair [a, b] of numbers with "
+         "0 <= a <= b <= 255, got [1, 256]"),
     ], ids=["sigma-1e308", "sigma-400-digits", "shorter-side-100000", "length-100000",
             "jitter-1e308", "saturation-256"])
     def test_absurd_chain_value_exits_2_naming_step(self, corpus, tmp_path, capsys, step,
@@ -409,6 +413,12 @@ class TestTrainCommand:
         assert run_cli("train", "--config", path, "--out", tmp_path / "o") == 2
         err = capsys.readouterr().err
         assert f"'train.{key}': unknown key" in err and "Traceback" not in err
+
+    def test_negative_seed_option_exits_2(self, train_setup, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("train", "--config", train_setup, "--out", tmp_path / "o", "--seed", -1)
+        assert exc.value.code == 2
+        assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
 
     def test_diverging_run_exits_3_without_traceback(self, tmp_path, capsys):
         path = tmp_path / "hot.json"
@@ -568,8 +578,8 @@ class TestEvaluateCommand:
         capsys.readouterr()
         assert run_cli(*argv) == 2
         err = capsys.readouterr().err
-        assert ("feature record 1 ('r1') 'frame_index': must be a non-negative "
-                f"integer, got {frame_index!r}") in err
+        assert ("f.json: feature record 1 ('r1') 'frame_index': must be an integer in "
+                f"[0, 9223372036854775807] or null, got {frame_index!r}") in err
         assert "Traceback" not in err
 
     def test_null_frame_index_scores_as_frame_0(self, tmp_path):
@@ -659,6 +669,15 @@ def _train_argv(tmp_path, config):
             "--out", tmp_path / "out"]
 
 
+def _synthetic_argv(tmp_path, **synthetic):
+    return _train_argv(tmp_path, {"data": {"synthetic": synthetic}})
+
+
+def _bytes_file(path, blob):
+    path.write_bytes(blob)
+    return path
+
+
 def _train_on_features_argv(tmp_path, feature_doc):
     features = str(_write_json(tmp_path / "f.json", feature_doc))
     return _train_argv(tmp_path, {"data": {"train_features": features,
@@ -685,16 +704,21 @@ MALFORMED_INPUTS = {
     "synthetic-unknown-key": (
         lambda p: _train_argv(p, {"data": {"synthetic": {"sead": 1}}}), "sead"),
     "data-names-no-source": (
-        lambda p: _train_argv(p, {"data": {"features": "f.json"}}), "'data' must name"),
+        lambda p: _train_argv(p, {"data": {"features": "f.json"}}),
+        "cfg.json: 'data.features': unknown key"),
+    "data-names-one-feature-file": (
+        lambda p: _train_argv(p, {"data": {"train_features": "f.json"}}),
+        "cfg.json: 'data' must name 'synthetic', or 'train_features' and 'val_features'"),
     "config-is-a-list": (lambda p: _train_argv(p, [1, 2]), "must be a JSON object"),
     "train-record-without-x": (
         lambda p: _train_on_features_argv(p, _feature_doc(x=None)),
         "feature record 1 ('r1') has no 'x'"),
     "train-record-without-modality": (
         lambda p: _train_on_features_argv(p, _feature_doc(modality=None)),
-        "feature record 1 ('r1') has no 'modality' key"),
+        "f.json: feature record 1 ('r1') 'modality': missing key"),
     "checkpoint-missing-parameter": (
-        lambda p: _evaluate_argv(p, edit_checkpoint=lambda d: d["params"].pop("wp")), "'wp'"),
+        lambda p: _evaluate_argv(p, edit_checkpoint=lambda d: d["params"].pop("wp")),
+        "checkpoint.json: 'params.wp': missing key"),
     "checkpoint-extra-config-key": (
         lambda p: _evaluate_argv(p, edit_checkpoint=lambda d: d["config"].update(bogus=1)),
         "bogus"),
@@ -706,10 +730,10 @@ MALFORMED_INPUTS = {
         "feature record 1 ('r1') 'subset'"),
     "train-value-of-wrong-type": (
         lambda p: _train_argv(p, {"train": {"epochs": "5"}}),
-        "cfg.json: 'train.epochs': expected int, got '5'"),
+        "cfg.json: 'train.epochs': must be an integer >= 1, got '5'"),
     "checkpoint-config-value-out-of-range": (
         lambda p: _evaluate_argv(p, edit_checkpoint=lambda d: d["config"].update(lr=-1)),
-        "checkpoint.json: 'train.lr': must be finite and > 0, got -1"),
+        "checkpoint.json: 'config.lr': must be a finite number > 0, got -1"),
     "checkpoint-version-1": (
         lambda p: _evaluate_argv(p, edit_checkpoint=lambda d: d.update(version=1)),
         "checkpoint.json: unsupported version 1"),
@@ -743,35 +767,99 @@ MALFORMED_INPUTS = {
     "frame-index-beyond-int64": (
         lambda p: _evaluate_argv(p, feature_doc=_feature_doc(video_id="v",
                                                              frame_index=2**63)),
-        "feature record 1 ('r1') 'frame_index': must be below 2**63, got 9223372036854775808"),
+        "feature record 1 ('r1') 'frame_index': must be an integer in [0, 9223372036854775807] "
+        "or null, got 9223372036854775808"),
     "train-unknown-variant": (
         lambda p: _train_argv(p, {"train": {"variant": "bogus"}}),
-        "cfg.json: 'train.variant': 'bogus' is not one of"),
+        "cfg.json: 'train.variant': must be one of 'cross_modal', 'vanilla', got 'bogus'"),
     "train-negative-lr": (
         lambda p: _train_argv(p, {"train": {"lr": -1}}),
-        "cfg.json: 'train.lr': must be finite and > 0, got -1"),
+        "cfg.json: 'train.lr': must be a finite number > 0, got -1"),
     "train-infinite-lr": (
         lambda p: _train_argv(p, {"train": {"lr": float("inf")}}),
-        "cfg.json: 'train.lr': must be finite and > 0, got inf"),
+        "cfg.json: 'train.lr': must be a finite number > 0, got inf"),
     "train-negative-weight-decay": (
         lambda p: _train_argv(p, {"train": {"weight_decay": -5}}),
-        "cfg.json: 'train.weight_decay': must be finite and >= 0, got -5"),
+        "cfg.json: 'train.weight_decay': must be a finite number >= 0, got -5"),
     "train-batch-size-1-without-contrastive-term": (
         lambda p: _train_argv(p, {"train": {"lambda": 0, "batch_size": 1}}),
-        "cfg.json: 'train.batch_size': must be >= 2, got 1"),
+        "cfg.json: 'train.batch_size': must be an integer >= 2, got 1"),
     "train-absurd-hidden-dim": (
         lambda p: _train_argv(p, {"train": {"hidden_dim": 10**12}}),
-        "cfg.json: 'train.hidden_dim': must be in [1, 1024], got 1000000000000"),
+        "cfg.json: 'train.hidden_dim': must be an integer in [1, 1024], got 1000000000000"),
     "train-feature-dim-over-budget": (
         lambda p: _train_argv(p, {"train": {"feature_dim": 1025}}),
-        "cfg.json: 'train.feature_dim': must be in [1, 1024], got 1025"),
+        "cfg.json: 'train.feature_dim': must be an integer in [1, 1024], got 1025"),
     "checkpoint-config-absurd-hidden-dim": (
         lambda p: _evaluate_argv(
             p, edit_checkpoint=lambda d: d["config"].update(hidden_dim=10**12)),
-        "checkpoint.json: 'train.hidden_dim': must be in [1, 1024]"),
+        "checkpoint.json: 'config.hidden_dim': must be an integer in [1, 1024]"),
     "train-lam-is-not-a-key": (
         lambda p: _train_argv(p, {"train": {"lam": 0}}),
         "cfg.json: 'train.lam': unknown key"),
+    "train-negative-seed": (
+        lambda p: _train_argv(p, {"train": {"seed": -1}}),
+        "cfg.json: 'train.seed': must be an integer >= 0, got -1"),
+    "synthetic-count-bool": (
+        lambda p: _synthetic_argv(p, train_counts=[True, 1, 1, 1]),
+        "cfg.json: 'data.synthetic.train_counts': must be a list of 4 integers in [0, 4096], "
+        "got [True, 1, 1, 1]"),
+    "synthetic-count-float": (
+        lambda p: _synthetic_argv(p, train_counts=[1.5, 1, 1, 1]),
+        "cfg.json: 'data.synthetic.train_counts': must be a list of 4 integers"),
+    "synthetic-count-1e11": (
+        lambda p: _synthetic_argv(p, train_counts=[100000000000, 0, 0, 0]),
+        "cfg.json: 'data.synthetic.train_counts': must be a list of 4 integers in [0, 4096]"),
+    "synthetic-counts-all-0": (
+        lambda p: _synthetic_argv(p, train_counts=[0, 0, 0, 0]),
+        "cfg.json: 'data.synthetic.train_counts': must hold 1 to 4096 samples in all"),
+    "synthetic-split-over-budget": (
+        lambda p: _synthetic_argv(p, val_counts=[4096, 1, 0, 0]),
+        "cfg.json: 'data.synthetic.val_counts': must hold 1 to 4096 samples in all"),
+    "synthetic-noise-nan": (
+        lambda p: _synthetic_argv(p, noise_std=float("nan")),
+        "cfg.json: 'data.synthetic.noise_std': must be a finite number in (0, 1000000], "
+        "got nan"),
+    "synthetic-negative-seed": (
+        lambda p: _synthetic_argv(p, seed=-1),
+        "cfg.json: 'data.synthetic.seed': must be an integer >= 0, got -1"),
+    "synthetic-dim-over-budget": (
+        lambda p: _synthetic_argv(p, dim=4097),
+        "cfg.json: 'data.synthetic.dim': must be an integer in [4, 4096], got 4097"),
+    "synthetic-video-shift-short": (
+        lambda p: _synthetic_argv(p, video_shift=[1.0, 2.0]),
+        "cfg.json: 'data.synthetic.video_shift': must hold dim = 6 numbers, got 2"),
+    "feature-file-path-not-a-string": (
+        lambda p: _train_argv(p, {"data": {"train_features": 3, "val_features": "v.json"}}),
+        "cfg.json: 'data.train_features': must be a non-empty string, got 3"),
+    "training-feature-file-over-budget": (
+        lambda p: _train_on_features_argv(p, {"records": _feature_doc()["records"] * 1025}),
+        "f.json: 4100 records, more than a training split's 4096"),
+    "checkpoint-config-lr-bool": (
+        lambda p: _evaluate_argv(p, edit_checkpoint=lambda d: d["config"].update(lr=True)),
+        "checkpoint.json: 'config.lr': must be a finite number > 0, got True"),
+    "checkpoint-config-epochs-float": (
+        lambda p: _evaluate_argv(p, edit_checkpoint=lambda d: d["config"].update(epochs=2.5)),
+        "checkpoint.json: 'config.epochs': must be an integer >= 1, got 2.5"),
+    "checkpoint-config-negative-seed": (
+        lambda p: _evaluate_argv(p, edit_checkpoint=lambda d: d["config"].update(seed=-1)),
+        "checkpoint.json: 'config.seed': must be an integer >= 0, got -1"),
+    "checkpoint-config-hidden-dim-bool": (
+        lambda p: _evaluate_argv(
+            p, edit_checkpoint=lambda d: d["config"].update(hidden_dim=True)),
+        "checkpoint.json: 'config.hidden_dim': must be an integer in [1, 1024], got True"),
+    "checkpoint-config-variant-number": (
+        lambda p: _evaluate_argv(p, edit_checkpoint=lambda d: d["config"].update(variant=3)),
+        "checkpoint.json: 'config.variant': must be one of 'cross_modal', 'vanilla', got 3"),
+    "config-not-utf8": (
+        lambda p: ["train", "--config", _bytes_file(p / "cfg.json", b'{"train": {}}\n{"\xff"}'),
+                   "--out", p / "out"],
+        "cfg.json: line 2: not UTF-8 text"),
+    "manifest-not-utf8": (
+        lambda p: ["analyze", "luma", "--manifest",
+                   _bytes_file(p / "m.jsonl", b'{"id": "a"}\n\n{"id": "\xe9"}\n'),
+                   "--out", p / "out"],
+        "m.jsonl: line 3: not UTF-8 text"),
 }
 
 
@@ -794,17 +882,20 @@ class TestMalformedInputs:
         assert run_cli(*argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and expected in err
-        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("name, edit, problem", [
-    ("w1", lambda e: e["data"].pop(), "cannot reshape array of size 95 into shape (6,16)"),
-    ("wp", lambda e: e["data"].__setitem__(3, "x"), "could not convert string to float: 'x'"),
-    ("wc", lambda e: e["data"].__setitem__(0, float("nan")), "non-finite value"),
+    ("w1", lambda e: e["data"].pop(), "95 values do not fill shape [6, 16]"),
+    ("wp", lambda e: e["data"].__setitem__(3, "x"),
+     "'data': must be a list of any number of finite numbers, got ["),
+    ("wc", lambda e: e["data"].__setitem__(0, float("nan")),
+     "'data': must be a list of any number of finite numbers, got [nan, "),
     ("b1", lambda e: e.update(shape=[4, 4]), "shape (4, 4), expected (16,)"),
     ("w1", lambda e: e.update(shape=[16, 6]), "shape (16, 6), expected (16, 16)"),
-    ("bc", lambda e: e.pop("data"), "no 'data' entry"),
-    ("bc", lambda e: e["data"].__setitem__(0, True), "expected numbers, got a JSON boolean"),
+    ("bc", lambda e: e.pop("data"), "'data': missing key"),
+    ("bc", lambda e: e["data"].__setitem__(0, True),
+     "'data': must be a list of any number of finite numbers, got [True]"),
 ], ids=["short-data", "string-value", "nan-value", "b1-shape", "w1-shape", "no-data",
         "bool-value"])
 def test_malformed_checkpoint_parameter_exits_2_naming_it(tmp_path, capsys, name, edit,
@@ -1019,6 +1110,23 @@ class TestPartialFailures:
         assert summary["failures"][0]["id"] == "gone"
         assert "missing.pgm" in summary["failures"][0]["error"]
         assert len(parse_manifest(out / "manifest.jsonl")) == 4
+
+    @pytest.mark.parametrize("command", ["analyze", "degrade"])
+    def test_header_number_too_long_is_one_failed_frame(self, tmp_path, command):
+        # Python will not convert a 5,000-digit integer string
+        manifest = self.broken_corpus(tmp_path)
+        (tmp_path / "ok_1.pgm").write_bytes(b"P5\n" + b"9" * 5000 + b" 32\n255\n" + bytes(64))
+        chain = tmp_path / "chain.json"
+        chain.write_text(ChainSpec((JpegSimStep(90),)).to_json())
+        argv = ["analyze", "luma"] if command == "analyze" else ["degrade", "--chain", chain]
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--manifest", manifest, "--out", out) == 0
+        summary = json.loads(next(out.glob("*.summary.json")).read_text())
+        if command == "analyze":
+            assert summary["failed_ids"] == ["ok1", "gone"]
+        else:
+            assert [f["id"] for f in summary["failures"]] == ["ok1", "gone"]
+            assert "header number longer than 9 digits" in summary["failures"][0]["error"]
 
     @pytest.mark.parametrize("kind", ["rapsd", "spectrum"])
     def test_partial_failures_counted(self, tmp_path, kind):

@@ -19,7 +19,7 @@ from xmodal.cmsupcon import (
     contrastive_grad,
     vanilla_supcon_loss,
 )
-from xmodal.errors import LengthMismatchError
+from xmodal.errors import InputError
 
 CM = LossConfig(tau=1.0)
 VAN = LossConfig(tau=1.0, variant=LossVariant.VANILLA)
@@ -236,7 +236,7 @@ class TestFromSamples:
         assert cm_supcon_loss(batch, CM).loss == pytest.approx(0.313262, abs=1e-6)
 
     def test_label_modality_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(InputError, match="2 rows but got 2 labels, 1 modalities"):
             BatchFeatures(np.ones((2, 2)), [0, 1], [0])
 
 

@@ -33,14 +33,7 @@ from xmodal.codecsim import (
     video_codec_simulate,
 )
 from xmodal.core import ImageBuffer
-from xmodal.errors import (
-    EmptyChainDrawnError,
-    InvalidRangeError,
-    NonFiniteImageError,
-    QualityOutOfRangeError,
-    UnknownStepError,
-    XmodalError,
-)
+from xmodal.errors import InputError, NumericalError, XmodalError
 from xmodal.forensics import dct_ac_histogram, luminance_histogram, rapsd
 
 from conftest import constant_rgb, gray_image, noise_image, textured_image
@@ -103,7 +96,7 @@ class TestQuantTables:
 
     def test_out_of_range(self):
         for q in (0, 101, -5):
-            with pytest.raises(QualityOutOfRangeError):
+            with pytest.raises(InputError, match=rf"quality must lie in \[1, 100\], got {q}"):
                 quant_table_from_quality(q)
 
     def test_table_domain_validation(self):
@@ -307,9 +300,8 @@ class TestChains:
         assert out.channels == 3
 
     def test_unknown_step_name(self):
-        with pytest.raises(UnknownStepError) as err:
+        with pytest.raises(InputError, match="step 0: unknown chain step 'h264'"):
             ChainSpec.from_json('{"steps": [{"step": "h264"}]}')
-        assert "h264" in str(err.value)
 
     @pytest.mark.parametrize("step, key, largest", [
         ("motion_blur", "length", MAX_SIDE),
@@ -319,7 +311,7 @@ class TestChains:
     def test_size_budget_is_the_largest_accepted_value(self, step, key, largest):
         parse = lambda v: ChainSpec.from_json(json.dumps({"steps": [{"step": step, key: v}]}))
         assert getattr(parse(largest).steps[0], key) == largest
-        with pytest.raises(InvalidRangeError, match=f"step 0 '{step}': .*{key}"):
+        with pytest.raises(InputError, match=f"step 0 '{step}': '{key}': must be"):
             parse(largest + 1)
         if step == "gaussian_blur":  # the kernel spans 2*ceil(3*sigma) + 1 pixels
             assert 2 * math.ceil(3 * largest) + 1 <= MAX_SIDE < 2 * math.ceil(3 * (largest + 1))
@@ -330,7 +322,7 @@ class TestChains:
             json.dumps({"steps": [{"step": "color_jitter", key: pair}]}))
         assert getattr(parse([0, MAX_JITTER]).steps[0], key) == (0, MAX_JITTER)
         for pair in ([0, MAX_JITTER + 1], [1e308, 1e308]):
-            with pytest.raises(InvalidRangeError, match=f"step 0 'color_jitter': {key} range"):
+            with pytest.raises(InputError, match=f"step 0 'color_jitter': '{key}': must be a pair"):
                 parse(pair)
 
     def test_largest_color_jitter_stays_finite(self):
@@ -345,10 +337,10 @@ class TestChains:
         # at the chain's end raises an error the corpus loop counts
         img = ImageBuffer(np.full((1, 8, 8), 1e308))
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonFiniteImageError, match="must be finite") as err:
+            with pytest.raises(NumericalError, match="must be finite") as err:
                 apply_chain(img, ChainSpec((JpegSimStep(75),)), np.random.default_rng(0))
         assert isinstance(err.value, XmodalError)
 
     def test_empty_chain_rejected(self):
-        with pytest.raises(EmptyChainDrawnError):
+        with pytest.raises(InputError, match="chain must contain at least one step"):
             ChainSpec(tuple())

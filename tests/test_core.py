@@ -10,11 +10,13 @@ import pytest
 from xmodal.codecsim import ChainSpec, JpegSimStep, apply_chain
 from xmodal.core import (
     IN_FLIGHT_PER_THREAD,
+    MANIFEST_FIELDS,
     ImageBuffer,
     Label,
     Manifest,
     Modality,
     SampleRecord,
+    check_fields,
     iter_samples,
     load_image,
     parse_manifest,
@@ -22,16 +24,7 @@ from xmodal.core import (
     successes,
     write_manifest,
 )
-from xmodal.errors import (
-    AllSamplesFailedError,
-    DuplicateIdError,
-    MalformedLineError,
-    MissingFileError,
-    TruncatedDataError,
-    UnknownLabelError,
-    UnknownModalityError,
-    UnsupportedFormatError,
-)
+from xmodal.errors import InputError
 
 from conftest import write_manifest_file
 
@@ -51,16 +44,17 @@ class TestEnums:
         assert (Label.REAL.numeric, Label.FAKE.numeric) == (0, 1)
 
     def test_round_trip_through_strings(self):
-        for m in Modality:
-            assert Modality.from_string(m.value) is m
-        for l in Label:
-            assert Label.from_string(l.value) is l
+        # a manifest line's label and modality are exactly the enums' values
+        fields = {field.key: field for field in MANIFEST_FIELDS}
+        assert [Modality(v) for v in fields["modality"].choices] == list(Modality)
+        assert [Label(v) for v in fields["label"].choices] == list(Label)
 
     def test_unknown_strings(self):
-        with pytest.raises(UnknownLabelError):
-            Label.from_string("genuine")
-        with pytest.raises(UnknownModalityError):
-            Modality.from_string("audio")
+        fields = {field.key: field for field in MANIFEST_FIELDS}
+        with pytest.raises(InputError, match="'label': must be one of 'real', 'fake', got 'genuine'"):
+            check_fields({"label": "genuine"}, [fields["label"]], "")
+        with pytest.raises(InputError, match="'modality': .* got 'audio'"):
+            check_fields({"modality": "audio"}, [fields["modality"]], "")
 
 
 class TestParseManifest:
@@ -80,37 +74,35 @@ class TestParseManifest:
 
     def test_duplicate_id(self, tmp_path):
         path = write_manifest_file(tmp_path / "m.jsonl", [VALID, dict(VALID)])
-        with pytest.raises(DuplicateIdError) as err:
+        with pytest.raises(InputError, match=r"duplicate sample id 'a' \(line 2\)"):
             parse_manifest(path)
-        assert err.value.sample_id == "a"
 
     def test_unknown_label_reports_line(self, tmp_path):
         path = write_manifest_file(
             tmp_path / "m.jsonl", [VALID, dict(VALID, id="b", label="genuine")]
         )
-        with pytest.raises(UnknownLabelError) as err:
+        with pytest.raises(InputError, match="line 2: 'label': must be one of 'real', 'fake', "
+                                             "got 'genuine'"):
             parse_manifest(path)
-        assert err.value.line_number == 2
 
     def test_unknown_modality(self, tmp_path):
         path = write_manifest_file(tmp_path / "m.jsonl", [dict(VALID, modality="audio")])
-        with pytest.raises(UnknownModalityError):
+        with pytest.raises(InputError, match="line 1: 'modality': .* got 'audio'"):
             parse_manifest(path)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(MissingFileError):
+        with pytest.raises(InputError, match="manifest not found: .*nope.jsonl"):
             parse_manifest(tmp_path / "nope.jsonl")
 
     def test_malformed_json_line(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_text(json.dumps(VALID) + "\nnot json\n")
-        with pytest.raises(MalformedLineError) as err:
+        with pytest.raises(InputError, match="m.jsonl: line 2: invalid JSON"):
             parse_manifest(path)
-        assert err.value.line_number == 2
 
     def test_unknown_key_rejected(self, tmp_path):
         path = write_manifest_file(tmp_path / "m.jsonl", [dict(VALID, labl="real")])
-        with pytest.raises(MalformedLineError):
+        with pytest.raises(InputError, match="line 1: 'labl': unknown key"):
             parse_manifest(path)
 
     def test_frame_index_bounds(self, tmp_path):
@@ -119,7 +111,7 @@ class TestParseManifest:
         assert parse_manifest(path).records[0].frame_index == 2
         bad = dict(VALID, frame_index=3, frame_count=3)
         path = write_manifest_file(tmp_path / "m2.jsonl", [bad])
-        with pytest.raises(MalformedLineError):
+        with pytest.raises(InputError, match="'frame_index': must be below frame_count 3, got 3"):
             parse_manifest(path)
 
     def test_write_then_parse_round_trip(self, tmp_path):
@@ -174,23 +166,23 @@ class TestImageIO:
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "t.ppm"
         path.write_bytes(b"P6\n4 4\n255\n" + bytes(10))
-        with pytest.raises(TruncatedDataError):
+        with pytest.raises(InputError, match="expected 48 payload bytes, got 10"):
             load_image(path)
 
     def test_unsupported_magic(self, tmp_path):
         path = tmp_path / "t.pbm"
         path.write_bytes(b"P4\n4 4\n" + bytes(4))
-        with pytest.raises(UnsupportedFormatError):
+        with pytest.raises(InputError, match="unsupported magic b'P4'"):
             load_image(path)
 
     def test_unsupported_maxval(self, tmp_path):
         path = tmp_path / "t.pgm"
         path.write_bytes(b"P5\n1 1\n65535\n\x00\x00")
-        with pytest.raises(UnsupportedFormatError):
+        with pytest.raises(InputError, match="only maxval 255 supported, got 65535"):
             load_image(path)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(MissingFileError):
+        with pytest.raises(InputError, match="image not found: .*nope.pgm"):
             load_image(tmp_path / "nope.pgm")
 
     def test_header_comments_accepted(self, tmp_path):
@@ -234,7 +226,7 @@ def memory_loader(missing=()):
 
     def loader(path: str) -> ImageBuffer:
         if path in missing:
-            raise MissingFileError(f"image not found: {path}")
+            raise InputError(f"image not found: {path}")
         return ImageBuffer(np.full((1, 1, 1), int(path[1:]) / 100.0))
 
     return loader
@@ -249,7 +241,7 @@ class TestIterSamples:
             n = int(rec.id[1:])
             time.sleep(0.001 * ((12 - n) % 4))  # finish out of submission order
             if n == 7:
-                raise TruncatedDataError("bad payload")
+                raise InputError("bad payload")
             return rec.id, img.data[0, 0, 0]
 
         stream = iter_samples(records, fn, threads, memory_loader({"p2", "p9"}))
@@ -257,7 +249,7 @@ class TestIterSamples:
         assert [rec.id for rec, _ in out] == [rec.id for rec in records]
         failed = [rec.id for rec, res in out if isinstance(res, Exception)]
         assert failed == ["r2", "r7", "r9"]
-        assert isinstance(out[2][1], MissingFileError)
+        assert isinstance(out[2][1], InputError) and str(out[2][1]) == "image not found: p2"
         for rec, res in out:
             if not isinstance(res, Exception):
                 assert res == (rec.id, int(rec.id[1:]) / 100.0)
@@ -303,7 +295,7 @@ class TestIterSamples:
     def test_successes_records_error_text(self):
         def fn(rec, img):
             if rec.id == "r2":
-                raise TruncatedDataError("bad payload in r2")
+                raise InputError("bad payload in r2")
             return rec.id
 
         failed = []
@@ -333,5 +325,5 @@ class TestIterSamples:
         stream = iter_samples(
             sample_records(2), lambda rec, img: img, 2, memory_loader({"p0", "p1"})
         )
-        with pytest.raises(AllSamplesFailedError, match="all 2 samples failed"):
+        with pytest.raises(InputError, match="all 2 samples failed"):
             list(successes(stream, [], "to load"))

@@ -1,4 +1,4 @@
-"""The README's commands, chain step names and train settings match the code."""
+"""The README's commands, chain step names, field tables and train settings match the code."""
 
 import dataclasses
 import enum
@@ -9,14 +9,26 @@ from pathlib import Path
 
 import pytest
 
-from xmodal.cli import _BINS, MAX_RANGE, build_parser
-from xmodal.codecsim import _STEP_NAMES, _STEP_TYPES, MAX_JITTER, MAX_SIDE, MAX_SIGMA
+from xmodal.cli import _BINS, CONFIG_FIELDS, DATA_FIELDS, FEATURE_FIELDS, MAX_RANGE, build_parser
+from xmodal.codecsim import _STEP_NAMES, MAX_JITTER, MAX_SIDE, MAX_SIGMA, STEP_FIELDS
+from xmodal.core import MANIFEST_FIELDS, PNM_DIGITS, describe
 from xmodal.forensics import ZERO_EPS
-from xmodal.trainer import MAX_WIDTH, TrainConfig, config_key
+from xmodal.trainer import (
+    MAX_SCALE,
+    MAX_SPLIT,
+    MAX_WIDTH,
+    PARAM_FIELDS,
+    PARAMS_FIELDS,
+    SYNTHETIC_FIELDS,
+    TRAIN_FIELDS,
+    TrainConfig,
+    config_key,
+)
 
 from test_kernel_identity import RAPSD_RTOL
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+FLAT_README = " ".join(README.split())
 
 
 def _paragraph(opening: str) -> str:
@@ -31,34 +43,42 @@ def test_step_names_match_chain_steps():
     assert names == list(_STEP_NAMES.values())
 
 
+def _item(field) -> str:
+    return f"`{field.key}`{' (required)' if field.required else ''}: {describe(field)}"
+
+
 def test_step_keys_and_types_match_step_fields():
-    kinds = {"integer": "int", "number": "float", "pair": "tuple[float, float]"}
-    documented = {}
-    for item in re.split(r"(?:^| )- (?=`)", _paragraph("- `motion_blur`:"))[1:]:
-        name, rest = re.match(r"`(\w+)`:(.*)", item).groups()
-        keys, pending = {}, []
-        for key, kind in re.findall(r"`(\w+)`|\b(integer|number|pair)\b", rest):
-            if key:
-                pending.append(key)
-            else:
-                keys.update((k, kinds[kind]) for k in pending)
-                pending = []
-        documented[name] = keys
-    fields = {
-        name: {f.name: f.type for f in dataclasses.fields(step_type)}
-        for name, step_type in _STEP_TYPES.items()
-    }
-    assert documented == fields
+    for name, table in STEP_FIELDS.items():
+        keys = "; ".join(_item(field) for field in table) or "no keys"
+        assert f"- `{name}`: {keys}." in FLAT_README
+
+
+@pytest.mark.parametrize("table", [
+    MANIFEST_FIELDS, CONFIG_FIELDS, TRAIN_FIELDS, DATA_FIELDS, SYNTHETIC_FIELDS,
+    PARAMS_FIELDS, PARAM_FIELDS, FEATURE_FIELDS,
+], ids=["manifest", "config", "train", "data", "synthetic", "params", "param", "feature"])
+def test_input_tables_match_the_readme(table):
+    listing = " ".join(f"- {_item(field)}." for field in table)
+    assert listing in FLAT_README
 
 
 def test_size_bounds_match_the_budgets():
-    steps = _paragraph("- `motion_blur`:")
-    assert f"`length` integer in [1, {MAX_SIDE}]" in steps
-    assert f"`sigma` number in [0, {MAX_SIGMA}]" in steps
-    assert f"`shorter_side` integer in [1, {MAX_SIDE}]" in steps
-    assert f"pair `[lo, hi]` with 0 ≤ lo ≤ hi ≤ {MAX_JITTER:g}," in steps
+    assert f"`length` (required): an integer in [1, {MAX_SIDE}]" in FLAT_README
+    assert f"`sigma` (required): a finite number in [0, {MAX_SIGMA}]" in FLAT_README
+    assert f"`shorter_side` (required): an integer in [1, {MAX_SIDE}]" in FLAT_README
+    assert f"0 <= a <= b <= {MAX_JITTER:g};" in FLAT_README
     assert f"A `color_jitter` factor of {MAX_JITTER:g} already" in _paragraph("The upper bounds")
-    assert f"`hidden_dim`/`feature_dim` outside [1, {MAX_WIDTH}]" in " ".join(README.split())
+    assert f"`hidden_dim` and `feature_dim` are at most {MAX_WIDTH}" in FLAT_README
+    budget = _paragraph("Each split's counts sum to")
+    assert f"sum to 1 to {MAX_SPLIT} samples" in budget and f"at most {MAX_SPLIT} records" in budget
+    assert f"The 10^{len(str(MAX_SCALE)) - 1} bound" in budget and MAX_SCALE == 10**6
+    assert f"longer than {PNM_DIGITS} digits" in FLAT_README
+
+
+def test_exit_codes_are_documented():
+    codes = _paragraph("Exit codes:")
+    assert "2 is an `InputError`" in codes and "3 is a `NumericalError`" in codes
+    assert "Any other exception is a bug: it exits 1 with a traceback." in codes
 
 
 def test_analyze_bounds_match_the_constants():

@@ -68,7 +68,7 @@ def ref_score_feature_records(model, feature_layer, records, t, block=cli.SCORE_
             singles.append(RefFrame(
                 video_id=str(rec.get("video_id") or f"__single_{i}"),
                 frame_index=rec.get("frame_index") or 0,
-                label=Label.from_string(rec["label"]),
+                label=Label(rec["label"]),
                 subset=rec["subset"],
                 logit=logit,
             ))

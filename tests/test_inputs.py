@@ -1,0 +1,222 @@
+"""A property suite over the input files: documents drawn from the field tables.
+
+Every loader reads through ``core.read_json``/``parse_json`` and checks through
+``core.check_fields``, so on any document each returns a result or raises
+InputError, never anything else. The CLI maps InputError to exit 2 and
+NumericalError to exit 3; anything else is a bug that exits 1 with a traceback.
+The regression cases for single inputs live in ``test_cli.py``.
+"""
+
+import json
+import math
+import string
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from xmodal import cli
+from xmodal.cli import DATA_FIELDS, FEATURE_FIELDS, load_train_config, main
+from xmodal.codecsim import STEP_FIELDS, ChainSpec
+from xmodal.core import MANIFEST_FIELDS, Field, parse_manifest, save_image
+from xmodal.errors import InputError
+from xmodal.trainer import (
+    PARAM_FIELDS,
+    SYNTHETIC_FIELDS,
+    TRAIN_FIELDS,
+    ToyModel,
+    TrainConfig,
+    load_checkpoint,
+    save_checkpoint,
+)
+
+from conftest import textured_image
+
+D_IN = 6
+
+
+def run(capsys, *argv):
+    """main's exit code and stderr; the exit code of an argparse error counts too."""
+    capsys.readouterr()
+    try:
+        code = main([str(a) for a in argv])
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=None,
+                    suppress_health_check=list(HealthCheck))
+
+
+def _number(field: Field, integer: bool):
+    lo = None if field.lo == -math.inf else field.lo
+    hi = None if field.hi == math.inf else field.hi
+    if integer:
+        # unbounded ends stay near the bound so the loaders' work stays small
+        lo, hi = (math.ceil(lo) if lo is not None else -5), (int(hi) if hi is not None else 50)
+        if field.ends[0] == "(":
+            lo += 1
+        return st.integers(lo, hi)
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False,
+                     exclude_min=field.ends[0] == "(" and lo is not None,
+                     exclude_max=field.ends[1] == ")" and hi is not None)
+
+
+def valid_value(field: Field):
+    if field.kind == "choice":
+        return st.sampled_from(field.choices)
+    if field.kind == "string":
+        return st.text(string.ascii_letters, min_size=1 if field.lo > 0 else 0, max_size=6)
+    if field.kind == "object":
+        return st.just({})
+    if field.kind == "pair":
+        return st.lists(_number(field, False), min_size=2, max_size=2).map(sorted)
+    element = _number(field, field.kind == "int")
+    if field.length is not None:
+        size = field.length or 3
+        element = st.lists(element, min_size=size, max_size=size)
+    return st.one_of(element, st.none()) if field.null else element
+
+
+def past_bounds(field: Field) -> list:
+    """Values one past each finite bound of a number field."""
+    if field.kind not in ("int", "number", "pair"):
+        return []
+    values = []
+    for bound, side in ((field.lo, -1), (field.hi, 1)):
+        if abs(bound) == math.inf:
+            continue
+        if field.kind == "int":
+            values.append(bound + side)
+        elif field.ends[0 if side < 0 else 1] in "()":
+            values.append(float(bound))
+        else:
+            values.append(math.nextafter(float(bound), side * math.inf))
+    if field.kind == "pair":
+        return [[v, v] for v in values] + [[1.0, 0.5]]
+    if field.length is not None:
+        return [[v] * (field.length or 1) for v in values]
+    return values
+
+
+WRONG = [True, False, "1", [], {}, None, float("nan"), float("inf"), -float("inf"),
+         10**400, -10**400, [1.5], [[1]], ""]
+
+
+def document(table):
+    """A JSON object drawn from ``table``: valid values, then at most one fault."""
+
+    @st.composite
+    def build(draw):
+        doc = {}
+        for field in table:
+            if field.required or draw(st.booleans()):
+                doc[field.key] = draw(valid_value(field))
+        fault = draw(st.sampled_from(["none", "value", "missing", "unknown"]))
+        if fault == "value" and table:
+            field = draw(st.sampled_from(table))
+            doc[field.key] = draw(st.sampled_from(WRONG + past_bounds(field)))
+        elif fault == "missing" and doc:
+            doc.pop(draw(st.sampled_from(sorted(doc))))
+        elif fault == "unknown":
+            doc["zz_unknown"] = 1
+        return doc
+
+    return build()
+
+
+def returns_or_input_error(load, *args):
+    try:
+        return load(*args)
+    except InputError as exc:
+        assert "\n" not in str(exc)
+        return None
+
+
+@PROPERTY
+@given(doc=document(MANIFEST_FIELDS))
+def test_manifest_lines(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("m") / "m.jsonl"
+    path.write_text(json.dumps(doc) + "\n")
+    returns_or_input_error(parse_manifest, path)
+
+
+@PROPERTY
+@given(name=st.sampled_from(sorted(STEP_FIELDS)), data=st.data())
+def test_chain_steps(name, data):
+    doc = data.draw(document(STEP_FIELDS[name]))
+    returns_or_input_error(ChainSpec.from_json, json.dumps({"steps": [{"step": name, **doc}]}))
+
+
+@PROPERTY
+@given(train=document(TRAIN_FIELDS), data=document(DATA_FIELDS),
+       synthetic=document(SYNTHETIC_FIELDS))
+def test_config_files(tmp_path_factory, train, data, synthetic):
+    if data.get("synthetic") == {}:
+        data["synthetic"] = synthetic
+    path = tmp_path_factory.mktemp("c") / "cfg.json"
+    path.write_text(json.dumps({"train": train, "data": data}))
+    returns_or_input_error(load_train_config, path)
+
+
+@PROPERTY
+@given(config=document(TRAIN_FIELDS), entry=document(PARAM_FIELDS),
+       name=st.sampled_from(["w1", "b1", "wp", "wc", "bc"]))
+def test_checkpoints(tmp_path_factory, config, entry, name):
+    path = tmp_path_factory.mktemp("k") / "checkpoint.json"
+    save_checkpoint(ToyModel.init(D_IN, 16, 8, np.random.default_rng(0)), TrainConfig(), path)
+    doc = json.loads(path.read_text())
+    doc["config"] = {("lam" if key == "lambda" else key): value for key, value in config.items()}
+    doc["params"][name] = entry
+    path.write_text(json.dumps(doc))
+    returns_or_input_error(load_checkpoint, path)
+
+
+@PROPERTY
+@given(record=document(FEATURE_FIELDS), at=st.integers(0, 3),
+       x=st.sampled_from([[0.5] * D_IN, [0.5] * (D_IN - 1), None, [float("nan")] * D_IN]))
+def test_feature_records(tmp_path_factory, record, at, x):
+    records = [{"id": f"r{i}", "x": [0.1 * i] * D_IN, "label": "real", "modality": "image",
+                "subset": "s"} for i in range(4)]
+    records[at] = dict(record, **({} if x is None else {"x": x}))
+    path = tmp_path_factory.mktemp("f") / "f.json"
+    path.write_text(json.dumps({"records": records}))
+    model = ToyModel.init(D_IN, 16, 8, np.random.default_rng(0))
+    returns_or_input_error(cli._score_feature_records, model, "hidden", records, 2, path)
+    returns_or_input_error(cli._records_to_dataset, path)
+
+
+@PROPERTY
+@given(blob=st.one_of(
+    st.binary(max_size=40),
+    st.sampled_from([b"[" * 100000, b"9" * 5000, b'{"train": {"seed": ' + b"9" * 5000 + b"}}",
+                     b'{"train": \xff}', b"NaN", b'{"data": {"synthetic": {"dim": 1e999}}}'])))
+def test_raw_bytes(tmp_path_factory, blob):
+    path = tmp_path_factory.mktemp("b") / "in.json"
+    path.write_bytes(blob)
+    for load in (load_train_config, load_checkpoint, cli.load_feature_file, ChainSpec.load,
+                 parse_manifest):
+        returns_or_input_error(load, path)
+
+
+@settings(PROPERTY, max_examples=8)
+# a blur or resize at the top of its budget takes seconds and hundreds of MB
+@given(step=st.sampled_from(sorted(set(STEP_FIELDS) - {"gaussian_blur", "resize"})),
+       data=st.data())
+def test_main_exit_codes(tmp_path_factory, capsys, step, data):
+    tmp = tmp_path_factory.mktemp("main")
+    image = tmp / "f.pgm"
+    save_image(textured_image(seed=0, h=16, w=16), image)
+    line = data.draw(document(MANIFEST_FIELDS))
+    manifest = tmp / "m.jsonl"
+    manifest.write_text(json.dumps({**line, "path": str(image)}) + "\n")
+    chain = tmp / "chain.json"
+    chain.write_text(json.dumps(
+        {"steps": [{"step": step, **data.draw(document(STEP_FIELDS[step]))}]}))
+    for argv in (["degrade", "--chain", chain], ["analyze", "dct", "--chain", chain],
+                 ["analyze", "luma"]):
+        code, err = run(capsys, *argv, "--manifest", manifest, "--out", tmp / "out")
+        assert code in (0, 2, 3) and "Traceback" not in err
+        if code:
+            assert err.startswith("error: ") and len(err.splitlines()) == 1

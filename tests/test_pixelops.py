@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from xmodal.errors import WrongChannelCountError
+from xmodal.errors import InputError
 from xmodal.pixelops import (
     ColorRange,
     gaussian_blur,
@@ -69,9 +69,9 @@ class TestColorConversion:
             assert y.max() <= 235 / 255 + 1e-12
 
     def test_wrong_channel_count(self):
-        with pytest.raises(WrongChannelCountError):
+        with pytest.raises(InputError, match="expected 3 channels, got 1"):
             rgb_to_ycbcr(gray_image(np.zeros((4, 4))))
-        with pytest.raises(WrongChannelCountError):
+        with pytest.raises(InputError, match="expected 3 channels, got 1"):
             ycbcr_to_rgb(gray_image(np.zeros((4, 4))))
 
 

@@ -12,12 +12,7 @@ from xmodal.cmsupcon import (
     binary_cross_entropy,
     contrastive_loss,
 )
-from xmodal.errors import (
-    BothPoolsEmptyError,
-    DimMismatchError,
-    InvalidSpecError,
-    ShapeMismatchError,
-)
+from xmodal.errors import InputError
 from xmodal.trainer import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -97,7 +92,7 @@ class TestForward:
         assert np.allclose(both.z, np.vstack([one.z, two.z]), atol=1e-12)
 
     def test_dim_mismatch(self):
-        with pytest.raises(DimMismatchError):
+        with pytest.raises(InputError, match=r"expected input \(n, 4\), got \(2, 5\)"):
             forward(zero_model(d_in=4), np.zeros((2, 5)))
 
 
@@ -184,7 +179,7 @@ class TestOptimizer:
         params = {"p": np.zeros(3)}
         grads = {"p": np.zeros(4)}
         state = OptimState.init(params, lr=0.1)
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(InputError, match=r"p: gradient shape \(4,\) != parameter shape"):
             optimizer_step(params, grads, state)
 
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
@@ -264,7 +259,7 @@ class TestMixedBatchSampler:
             assert rng.random() == ref_rng.random()
 
     def test_both_pools_empty(self):
-        with pytest.raises(BothPoolsEmptyError):
+        with pytest.raises(InputError, match="need at least one non-empty pool"):
             mixed_batch_sampler(
                 np.array([]), np.array([]), 4, np.random.default_rng(0)
             )
@@ -473,27 +468,27 @@ class TestTrainLoop:
 
     def test_empty_validation_rejected(self):
         data = separable_dataset(9, n=8)
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(InputError, match="'train.batch_size': must be an integer >= 2, got 1"):
             TrainConfig(epochs=1, batch_size=1, lam=0.05)
         config = TrainConfig(epochs=1, batch_size=8, lam=0.0, seed=0)
         model = ToyModel.init(2, config.hidden_dim, config.feature_dim,
                               np.random.default_rng(0))
         empty = FeatureDataset(np.zeros((0, 2)), np.zeros(0), np.zeros(0))
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(InputError, match="validation set must be non-empty"):
             train(model, data, empty, config)
 
     def test_inputs_checked_once_on_entry(self):
         x = np.ones((4, 2))
         x[2, 1] = np.nan
-        with pytest.raises(InvalidSpecError, match="feature row 2"):
+        with pytest.raises(InputError, match="feature row 2 has non-finite values"):
             FeatureDataset(x, np.zeros(4), np.zeros(4))
-        with pytest.raises(InvalidSpecError, match="labels"):
+        with pytest.raises(InputError, match="labels must be 0 or 1"):
             FeatureDataset(np.ones((2, 2)), [0, 2], [0, 1])
         data = separable_dataset(9, n=8)
         config = TrainConfig(epochs=1, batch_size=8, lam=0.05, seed=0)
         model = ToyModel.init(3, config.hidden_dim, config.feature_dim,
                               np.random.default_rng(0))
-        with pytest.raises(DimMismatchError, match="training features have 2 columns"):
+        with pytest.raises(InputError, match="training features have 2 columns"):
             train(model, data, data, config)
 
 
@@ -512,7 +507,7 @@ class TestCheckpoint:
     def test_rejects_wrong_format(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text('{"format": "other"}')
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(InputError, match="junk.json: not a xmodal-checkpoint file"):
             load_checkpoint(path)
 
 
@@ -540,10 +535,10 @@ class TestSyntheticData:
         assert not np.array_equal(data.train.x[:n], data.val.x[:n])
 
     def test_invalid_spec(self):
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(InputError, match="default layout needs dim >= 4"):
             SyntheticSpec.default(dim=2)
         spec = SyntheticSpec.default()
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(InputError, match="stds must be positive"):
             SyntheticSpec(spec.means, -spec.stds, spec.train_counts,
                           spec.val_counts, spec.test_counts)
 
