@@ -15,7 +15,6 @@ import functools
 import hashlib
 import io
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -23,7 +22,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .cmsupcon import LossVariant
 from .codecsim import MAX_SIDE, MAX_SIGMA, ChainSpec, apply_chain, derive_sample_seed
 from .core import (
     Field,
@@ -58,6 +56,7 @@ from .forensics import (
 from .metrics import Aggregation, subset_report, video_scores
 from .trainer import (
     MAX_SPLIT,
+    TRAIN_FIELDS,
     EpochStats,
     FeatureDataset,
     ToyModel,
@@ -384,8 +383,6 @@ def load_train_config(path: Path, seed: Optional[int] = None) -> tuple:
 def cmd_train(args: argparse.Namespace) -> int:
     config_path = Path(args.config)
     config, data_doc, spec = load_train_config(config_path, args.seed)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     inputs = {"config": config_path}
     if spec is not None:
         data = generate_synthetic(spec)
@@ -399,6 +396,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     model = ToyModel.init(
         train_data.x.shape[1], config.hidden_dim, config.feature_dim, rng
     )
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _keep_freed_heap()  # every epoch's statistics allocate the same n x n temporaries
     result = train(model, train_data, val_data, config)
     save_checkpoint(result.model, config, out_dir / "checkpoint.json")
@@ -407,10 +406,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         "config_file": str(config_path),
         "out": str(args.out),
         "data": data_doc,
-        "train": {
-            **{k: (v.value if isinstance(v, LossVariant) else v)
-               for k, v in vars(config).items()}
-        },
+        "train": config.to_doc(),
         "best_epoch": result.best_epoch,
         "best_val": result.best_val,
         "stopped_early": result.stopped_early,
@@ -542,8 +538,6 @@ def _score_feature_records(
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     model, config = load_checkpoint(args.checkpoint)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     records = load_feature_file(args.features)[: args.limit]
     scores, labels, subsets = _score_feature_records(
         model, config.feature_layer, records, args.frames, args.features
@@ -551,6 +545,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     inputs = {"checkpoint": Path(args.checkpoint), "features": Path(args.features)}
     report = subset_report(scores, labels, subsets, args.threshold,
                            Aggregation(args.aggregation))
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.csv").write_text(report.to_csv_text(), encoding="utf-8")
     _write_json(out_dir / "report.json", report.to_json_dict())
     config_doc = {
@@ -569,45 +565,48 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 # --- argument parsing ------------------------------------------------------------
 
 
-def _positive_int(text: str, least: int = 1, most: Optional[int] = None) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < least:
-        raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
-    if most is not None and value > most:
-        raise argparse.ArgumentTypeError(f"must be <= {most}, got {value}")
-    return value
-
-
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
-
-
-def _positive_float(text: str, above: float = 0.0, most: float = math.inf) -> float:
-    value = _finite_float(text)
-    if value <= above:
-        raise argparse.ArgumentTypeError(f"must be > {above:g}, got {value}")
-    if value > most:
-        raise argparse.ArgumentTypeError(f"must be <= {most:g}, got {value}")
-    return value
-
-
-# analyze --bins per kind: (default, least, most accepted). The rapsd summary
-# splits the profile into three bands, and each needs at least one bin. 2**16
-# dct bins cut the +-1024 of 8-bit AC coefficients into 1/32 steps; MAX_SIDE
-# rapsd bins are finer than the frequency step of any side a chain step makes.
-_BINS = {"dct": (129, 1, 1 << 16), "rapsd": (32, 3, MAX_SIDE)}
-# analyze --range lies in (ZERO_EPS, MAX_RANGE], where every bin count gives
-# finite, strictly ascending edges.
+# --threads is at most MAX_THREADS, above any core count: the corpus loop's pool
+# starts an OS thread per worker, and one the OS refuses ends the run in a traceback.
+MAX_THREADS = 1024
+# --range lies in (ZERO_EPS, MAX_RANGE], where every bin count gives finite,
+# strictly ascending edges.
 MAX_RANGE = 1e6
+# Each subcommand's numeric options, checked once parsed by the checker of the
+# input files. A row's key is the option's name without its dashes.
+_LIMIT = Field("limit", "int", 1)
+_THREADS = Field("threads", "int", 1, MAX_THREADS)
+FLAG_FIELDS = {
+    "analyze": (_LIMIT, Field("seed", "int"), _THREADS,
+                Field("range", "number", ZERO_EPS, MAX_RANGE, ends="(]"),
+                Field("sigma", "number", 0, MAX_SIGMA, ends="(]"),
+                Field("size", "int", 8, MAX_SIDE)),
+    "degrade": (Field("seed", "int"), _LIMIT, _THREADS),
+    "train": tuple(field for field in TRAIN_FIELDS if field.key == "seed"),
+    "evaluate": (Field("frames", "int", 1), Field("threshold", "number"), _LIMIT),
+}
+# analyze --bins for each kind that bins its values: (default, row). The rapsd
+# summary splits the profile into three bands, and each needs at least one bin.
+# 2**16 dct bins cut the +-1024 of 8-bit AC coefficients into 1/32 steps;
+# MAX_SIDE rapsd bins are finer than the frequency step of any side a chain
+# step makes.
+BINS = {"dct": (129, Field("bins", "int", 1, 1 << 16)),
+        "rapsd": (32, Field("bins", "int", 3, MAX_SIDE))}
+
+
+def check_flags(args: argparse.Namespace) -> None:
+    """Check the numeric options in ``args`` against their command's rows, after
+    giving ``--bins`` its kind's default. Raises InputError naming the option."""
+    table = FLAG_FIELDS.get(args.command, ())
+    if args.command == "analyze":
+        if args.kind in BINS:
+            default, row = BINS[args.kind]
+            table += (row,)
+            args.bins = default if args.bins is None else args.bins
+        elif args.bins is not None:
+            raise InputError(f"argument '--bins': does not apply to {args.kind}")
+    flags = vars(args)
+    check_fields({f.key: flags[f.key] for f in table if flags[f.key] is not None},
+                 table, "argument ", "--")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -622,39 +621,33 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("kind", choices=("dct", "rapsd", "luma", "spectrum"))
     analyze.add_argument("--manifest", required=True)
     analyze.add_argument("--out", required=True)
-    analyze.add_argument("--limit", type=_positive_int, default=None)
+    analyze.add_argument("--limit", type=int, default=None)
     analyze.add_argument("--seed", type=int, default=0)
-    analyze.add_argument("--threads", type=_positive_int, default=1)
+    analyze.add_argument("--threads", type=int, default=1)
     analyze.add_argument("--bins", type=int, default=None)
-    analyze.add_argument("--range", default=64.0,
-                         type=functools.partial(_positive_float, above=ZERO_EPS,
-                                                most=MAX_RANGE),
+    analyze.add_argument("--range", type=float, default=64.0,
                          help="dct: half-width of the coefficient histogram")
     analyze.add_argument("--window", choices=("none", "hann"), default="none")
     analyze.add_argument("--chain", default=None,
                          help="degradation chain applied to every frame before analysis")
-    analyze.add_argument("--sigma", type=functools.partial(_positive_float, most=MAX_SIGMA),
-                         default=1.0,
+    analyze.add_argument("--sigma", type=float, default=1.0,
                          help="spectrum: residual blur sigma")
-    analyze.add_argument("--size",
-                         type=functools.partial(_positive_int, least=8, most=MAX_SIDE),
-                         default=64,
-                         help="spectrum: transform size")
-    analyze.set_defaults(func=cmd_analyze, usage_error=analyze.error)
+    analyze.add_argument("--size", type=int, default=64, help="spectrum: transform size")
+    analyze.set_defaults(func=cmd_analyze)
 
     degrade = sub.add_parser("degrade", help="apply a degradation chain to a corpus")
     degrade.add_argument("--manifest", required=True)
     degrade.add_argument("--chain", required=True)
     degrade.add_argument("--out", required=True)
     degrade.add_argument("--seed", type=int, default=0)
-    degrade.add_argument("--limit", type=_positive_int, default=None)
-    degrade.add_argument("--threads", type=_positive_int, default=1)
+    degrade.add_argument("--limit", type=int, default=None)
+    degrade.add_argument("--threads", type=int, default=1)
     degrade.set_defaults(func=cmd_degrade)
 
     train_p = sub.add_parser("train", help="train the desk-scale model")
     train_p.add_argument("--config", required=True)
     train_p.add_argument("--out", required=True)
-    train_p.add_argument("--seed", type=functools.partial(_positive_int, least=0), default=None,
+    train_p.add_argument("--seed", type=int, default=None,
                          help="override the seed in the config file")
     train_p.set_defaults(func=cmd_train)
 
@@ -664,29 +657,25 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--out", required=True)
     evaluate.add_argument("--aggregation", choices=("subset-mean", "overall"),
                           default="subset-mean")
-    evaluate.add_argument("--frames", type=_positive_int, default=1,
+    evaluate.add_argument("--frames", type=int, default=1,
                           help="frames per video for logit averaging")
-    evaluate.add_argument("--threshold", type=_finite_float, default=0.5)
-    evaluate.add_argument("--limit", type=_positive_int, default=None)
+    evaluate.add_argument("--threshold", type=float, default=0.5)
+    evaluate.add_argument("--limit", type=int, default=None)
     evaluate.set_defaults(func=cmd_evaluate)
 
     version = sub.add_parser("version", help="print the tool version")
     version.set_defaults(func=lambda args: print(__version__) or 0)
+    for command in sub.choices.values():
+        command.set_defaults(usage_error=command.error)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "kind", None) in _BINS:
-        default, least, most = _BINS[args.kind]
-        if args.bins is None:
-            args.bins = default
-        elif not least <= args.bins <= most:
-            args.usage_error(f"argument --bins: must lie in [{least}, {most}] for "
-                             f"{args.kind}, got {args.bins}")
-    elif getattr(args, "bins", None) is not None:
-        args.usage_error(f"argument --bins: does not apply to {args.kind}")
+    args = build_parser().parse_args(argv)
+    try:
+        check_flags(args)
+    except InputError as exc:  # a usage error: exit 2 with the command's usage line
+        args.usage_error(str(exc))
     try:
         return args.func(args)
     except NumericalError as exc:

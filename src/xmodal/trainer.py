@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Mapping, Optional, Union
 
@@ -32,7 +32,7 @@ from .core import Field, Label, Modality, check_fields, read_json
 from .errors import InputError, NumericalError
 
 CHECKPOINT_FORMAT = "xmodal-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 PARAM_NAMES = ("w1", "b1", "wp", "wc", "bc")
 
@@ -361,16 +361,12 @@ class FeatureDataset:
         return FeatureDataset(self.x[keep], self.y[keep], self.m[keep])
 
 
-def config_key(field: str) -> str:
-    """The key a config file gives ``TrainConfig.<field>``; ``lam`` is spelled ``lambda``."""
-    return "lambda" if field == "lam" else field
-
-
 # The parameter budget: hidden_dim and feature_dim are each at most MAX_WIDTH,
 # so wp holds at most 2**20 values (8 MiB of float64)
 MAX_WIDTH = 1 << 10
 
-# The `train` section of a config file, and the `config` of a checkpoint
+# The `train` section of a config file and of `train`'s run.json, and the
+# `config` of a checkpoint
 TRAIN_FIELDS = (
     Field("epochs", "int", 1),
     # every batch mixes both modalities, with or without the contrastive term
@@ -414,10 +410,18 @@ class TrainConfig:
     feature_dim: int = 8
 
     def __post_init__(self):
-        doc = {config_key(f.name): getattr(self, f.name) for f in fields(self)}
-        doc["variant"] = getattr(self.variant, "value", self.variant)
-        check_fields(doc, TRAIN_FIELDS, "", "train.")
+        doc = check_fields(self.to_doc(), TRAIN_FIELDS, "", "train.")
         object.__setattr__(self, "variant", LossVariant(doc["variant"]))
+
+    def to_doc(self) -> dict:
+        """The config as a JSON object of TRAIN_FIELDS keys, as every file holds it.
+
+        Files spell ``lam`` as ``lambda``, which cannot name a field: it is a
+        Python keyword. This method and ``from_doc`` are the only translations.
+        """
+        doc = {("lambda" if key == "lam" else key): value for key, value in asdict(self).items()}
+        doc["variant"] = getattr(self.variant, "value", self.variant)
+        return doc
 
     @classmethod
     def from_doc(cls, doc, where: str, prefix: str = "train.", **overrides) -> "TrainConfig":
@@ -716,10 +720,7 @@ def save_checkpoint(model: ToyModel, config: TrainConfig, path: str | Path) -> N
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "config": {
-            k: (v.value if isinstance(v, LossVariant) else v)
-            for k, v in asdict(config).items()
-        },
+        "config": config.to_doc(),
         "params": {
             name: {
                 "shape": list(getattr(model, name).shape),
@@ -746,10 +747,7 @@ def load_checkpoint(path: str | Path) -> tuple[ToyModel, TrainConfig]:
             f"{path}: unsupported version {doc.get('version')!r}, "
             f"this build reads version {CHECKPOINT_VERSION}"
         )
-    config = doc.get("config")
-    if isinstance(config, dict):  # a checkpoint keys lambda by its field name
-        config = {config_key(key): value for key, value in config.items()}
-    config = TrainConfig.from_doc(config, f"{path}: ", "config.")
+    config = TrainConfig.from_doc(doc.get("config"), f"{path}: ", "config.")
     entries = check_fields(doc.get("params"), PARAMS_FIELDS, f"{path}: ", "params.")
     params = {}
     for name, entry in entries.items():

@@ -12,7 +12,15 @@ import numpy as np
 import pytest
 
 import xmodal
-from xmodal.cli import MAX_RANGE, derive_sample_seed, main
+from xmodal.cli import (
+    BINS,
+    FLAG_FIELDS,
+    MAX_RANGE,
+    MAX_THREADS,
+    build_parser,
+    derive_sample_seed,
+    main,
+)
 from xmodal.codecsim import (
     MAX_SIDE,
     MAX_SIGMA,
@@ -33,7 +41,7 @@ from xmodal.forensics import (
     residual_power,
     residual_spectrum,
 )
-from xmodal.trainer import ToyModel, TrainConfig, save_checkpoint
+from xmodal.trainer import TRAIN_FIELDS, ToyModel, TrainConfig, save_checkpoint
 
 from conftest import textured_image, write_manifest_file
 from xmodal.core import save_image
@@ -159,7 +167,7 @@ class TestAnalyze:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: xmodal analyze")
-        assert f"argument --bins: does not apply to {kind}" in err
+        assert f"argument '--bins': does not apply to {kind}" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("kind,flag,value", [
@@ -361,6 +369,10 @@ class TestTrainCommand:
         assert history[0] == "epoch,train_bce,train_cm,train_total,val_total,train_acc,val_acc"
         run_doc = json.loads((out / "run.json").read_text())
         best_epoch = run_doc["config"]["best_epoch"]
+        # the config file's keys, lambda included, in run.json and the checkpoint
+        keys = {field.key for field in TRAIN_FIELDS}
+        assert set(run_doc["config"]["train"]) == keys
+        assert set(json.loads((out / "checkpoint.json").read_text())["config"]) == keys
         vals = [float(line.split(",")[4]) for line in history[1:]]
         assert min(vals) == vals[best_epoch]
 
@@ -418,7 +430,7 @@ class TestTrainCommand:
         with pytest.raises(SystemExit) as exc:
             run_cli("train", "--config", train_setup, "--out", tmp_path / "o", "--seed", -1)
         assert exc.value.code == 2
-        assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+        assert "argument '--seed': must be an integer >= 0, got -1" in capsys.readouterr().err
 
     def test_diverging_run_exits_3_without_traceback(self, tmp_path, capsys):
         path = tmp_path / "hot.json"
@@ -571,6 +583,7 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert f"feature record 6 ('r6') {message}" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "eval").exists()
 
     @pytest.mark.parametrize("frame_index", [[1], 1.5], ids=["list", "float"])
     def test_bad_frame_index_exits_2_naming_it(self, tmp_path, capsys, frame_index):
@@ -621,6 +634,7 @@ class TestEvaluateCommand:
         assert run_cli("evaluate", "--checkpoint", checkpoint, "--features",
                        features, "--out", tmp_path / "eval") == 2
         assert "feature record 0 ('r0') 'x' has shape (5,)" in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
 
     def test_rerun_byte_identical(self, train_setup, tmp_path):
         checkpoint = self.make_checkpoint(train_setup, tmp_path)
@@ -722,6 +736,10 @@ MALFORMED_INPUTS = {
     "checkpoint-extra-config-key": (
         lambda p: _evaluate_argv(p, edit_checkpoint=lambda d: d["config"].update(bogus=1)),
         "bogus"),
+    "records-a-number": (
+        lambda p: _evaluate_argv(p, feature_doc={"records": 5}), "feature file must be"),
+    "train-records-a-number": (
+        lambda p: _train_on_features_argv(p, {"records": 5}), "feature file must be"),
     "records-not-a-list": (
         lambda p: _evaluate_argv(p, feature_doc={"records": {"r0": [0.5] * 6}}),
         "feature file must be"),
@@ -737,6 +755,9 @@ MALFORMED_INPUTS = {
     "checkpoint-version-1": (
         lambda p: _evaluate_argv(p, edit_checkpoint=lambda d: d.update(version=1)),
         "checkpoint.json: unsupported version 1"),
+    "checkpoint-version-2": (
+        lambda p: _evaluate_argv(p, edit_checkpoint=lambda d: d.update(version=2)),
+        "checkpoint.json: unsupported version 2, this build reads version 3"),
     "video-frames-disagree-on-label": (
         lambda p: _evaluate_argv(p, feature_doc={"records": [
             {**rec, "video_id": "v"} for rec in _feature_doc()["records"]]}),
@@ -883,6 +904,39 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and expected in err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
+        # every input is read and checked before --out is created
+        assert not (tmp_path / "out").exists() and not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize("command", [["analyze", "luma"], ["degrade", "--chain", "c.json"]])
+def test_threads_above_the_bound_exit_2_before_any_pool(tmp_path, capsys, monkeypatch,
+                                                        command):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("started a thread pool")
+
+    monkeypatch.setattr("xmodal.core.ThreadPoolExecutor", no_pool)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*command, "--manifest", tmp_path / "m.jsonl", "--out", tmp_path / "out",
+                "--threads", MAX_THREADS + 1)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert (f"argument '--threads': must be an integer in [1, {MAX_THREADS}], "
+            f"got {MAX_THREADS + 1}") in err
+    assert not (tmp_path / "out").exists()
+
+
+def _subcommands() -> dict:
+    """Each subcommand's parser, by name."""
+    return next(a for a in build_parser()._actions if a.dest == "command").choices
+
+
+@pytest.mark.parametrize("name", sorted(_subcommands()))
+def test_every_numeric_option_has_a_flag_row(name):
+    rows = {field.key for field in FLAG_FIELDS.get(name, ())}
+    if name == "analyze":
+        rows |= {row.key for _, row in BINS.values()}
+    numeric = {a.dest for a in _subcommands()[name]._actions if a.type in (int, float)}
+    assert numeric <= rows
 
 
 @pytest.mark.parametrize("name, edit, problem", [

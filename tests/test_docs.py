@@ -1,7 +1,5 @@
 """The README's commands, chain step names, field tables and train settings match the code."""
 
-import dataclasses
-import enum
 import json
 import re
 import shlex
@@ -9,7 +7,16 @@ from pathlib import Path
 
 import pytest
 
-from xmodal.cli import _BINS, CONFIG_FIELDS, DATA_FIELDS, FEATURE_FIELDS, MAX_RANGE, build_parser
+from xmodal.cli import (
+    BINS,
+    CONFIG_FIELDS,
+    DATA_FIELDS,
+    FEATURE_FIELDS,
+    FLAG_FIELDS,
+    MAX_RANGE,
+    MAX_THREADS,
+    build_parser,
+)
 from xmodal.codecsim import _STEP_NAMES, MAX_JITTER, MAX_SIDE, MAX_SIGMA, STEP_FIELDS
 from xmodal.core import MANIFEST_FIELDS, PNM_DIGITS, describe
 from xmodal.forensics import ZERO_EPS
@@ -22,7 +29,6 @@ from xmodal.trainer import (
     SYNTHETIC_FIELDS,
     TRAIN_FIELDS,
     TrainConfig,
-    config_key,
 )
 
 from test_kernel_identity import RAPSD_RTOL
@@ -81,14 +87,28 @@ def test_exit_codes_are_documented():
     assert "Any other exception is a bug: it exits 1 with a traceback." in codes
 
 
+@pytest.mark.parametrize("command", sorted(FLAG_FIELDS))
+def test_flag_tables_match_the_readme(command):
+    listing = " ".join(f"- `--{field.key}`: {describe(field)}." for field in FLAG_FIELDS[command])
+    assert listing in FLAT_README
+
+
+def test_bins_rows_match_the_readme():
+    listing = " ".join(f"- `--bins` with `{kind}` (default {default}): {describe(row)}."
+                       for kind, (default, row) in BINS.items())
+    assert listing in FLAT_README
+
+
 def test_analyze_bounds_match_the_constants():
-    bounds = _paragraph("- `--bins`:")
-    (_, dct_least, dct_most), (_, rapsd_least, rapsd_most) = _BINS["dct"], _BINS["rapsd"]
-    assert f"`dct` in [{dct_least}, {dct_most}]" in bounds
-    assert f"`rapsd` in [{rapsd_least}, {rapsd_most}]" in bounds
-    assert f"`--range`: above {ZERO_EPS:g} and at most {MAX_RANGE:g}," in bounds
-    assert f"`--sigma`: above 0 and at most {MAX_SIGMA}." in bounds
-    assert f"`--size`: in [8, {MAX_SIDE}]." in bounds
+    rows = {field.key: field for field in FLAG_FIELDS["analyze"]}
+    bounds = {key: (rows[key].ends[0], rows[key].lo, rows[key].hi, rows[key].ends[1])
+              for key in ("threads", "range", "sigma", "size")}
+    assert bounds == {"threads": ("[", 1, MAX_THREADS, "]"),
+                      "range": ("(", ZERO_EPS, MAX_RANGE, "]"),
+                      "sigma": ("(", 0, MAX_SIGMA, "]"), "size": ("[", 8, MAX_SIDE, "]")}
+    assert {kind: (row.lo, row.hi) for kind, (_, row) in BINS.items()} == {
+        "dct": (1, 1 << 16), "rapsd": (3, MAX_SIDE)}
+    assert f"`--threads` stops at {MAX_THREADS}" in FLAT_README
     assert f"within a relative {RAPSD_RTOL:g} per bin" in _paragraph("`rapsd` transforms")
 
 
@@ -100,13 +120,7 @@ def test_train_keys_and_defaults_match_train_config():
             _paragraph("`train` keys and defaults:"),
         )
     }
-    fields = {
-        config_key(f.name): (
-            f.default.value if isinstance(f.default, enum.Enum) else f.default
-        )
-        for f in dataclasses.fields(TrainConfig)
-    }
-    assert documented == fields
+    assert documented == TrainConfig().to_doc()
 
 
 def _readme_commands() -> list[str]:

@@ -1,4 +1,5 @@
-"""A property suite over the input files: documents drawn from the field tables.
+"""A property suite over the input files and the numeric options: documents and
+flag values drawn from the field tables.
 
 Every loader reads through ``core.read_json``/``parse_json`` and checks through
 ``core.check_fields``, so on any document each returns a result or raises
@@ -12,6 +13,7 @@ import math
 import string
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -167,7 +169,7 @@ def test_checkpoints(tmp_path_factory, config, entry, name):
     path = tmp_path_factory.mktemp("k") / "checkpoint.json"
     save_checkpoint(ToyModel.init(D_IN, 16, 8, np.random.default_rng(0)), TrainConfig(), path)
     doc = json.loads(path.read_text())
-    doc["config"] = {("lam" if key == "lambda" else key): value for key, value in config.items()}
+    doc["config"] = config
     doc["params"][name] = entry
     path.write_text(json.dumps(doc))
     returns_or_input_error(load_checkpoint, path)
@@ -198,6 +200,46 @@ def test_raw_bytes(tmp_path_factory, blob):
     for load in (load_train_config, load_checkpoint, cli.load_feature_file, ChainSpec.load,
                  parse_manifest):
         returns_or_input_error(load, path)
+
+
+# Each subcommand with placeholders for its required arguments: the flag tests
+# run only the parser and the flag check, never a job.
+COMMANDS = [*(["analyze", kind, "--manifest", "m", "--out", "o"]
+              for kind in ("dct", "rapsd", "luma", "spectrum")),
+            ["degrade", "--manifest", "m", "--chain", "c", "--out", "o"],
+            ["train", "--config", "c", "--out", "o"],
+            ["evaluate", "--checkpoint", "c", "--features", "f", "--out", "o"]]
+
+
+def flag_rows(command) -> tuple:
+    """The rows of ``command``'s numeric options, its kind's ``--bins`` included."""
+    bins = cli.BINS.get(command[1])
+    return cli.FLAG_FIELDS[command[0]] + ((bins[1],) if bins else ())
+
+
+@pytest.fixture
+def no_jobs(monkeypatch):
+    for name in ("cmd_analyze", "cmd_degrade", "cmd_train", "cmd_evaluate"):
+        monkeypatch.setattr(cli, name, lambda args: 0)
+
+
+@PROPERTY
+@given(command=st.sampled_from(COMMANDS), data=st.data())
+def test_flags_in_range_pass(no_jobs, capsys, command, data):
+    flags = [f"--{field.key}={data.draw(_number(field, field.kind == 'int'))}"
+             for field in flag_rows(command) if data.draw(st.booleans())]
+    code, err = run(capsys, *command, *flags)
+    assert code == 0, err
+
+
+@PROPERTY
+@given(command=st.sampled_from(COMMANDS), data=st.data())
+def test_flags_out_of_range_exit_2(no_jobs, capsys, command, data):
+    field = data.draw(st.sampled_from(flag_rows(command)))
+    value = data.draw(st.sampled_from(past_bounds(field) + ["nan", "inf", "-inf"]))
+    code, err = run(capsys, *command, f"--{field.key}={value}")
+    assert code == 2 and err.startswith(f"usage: xmodal {command[0]}")
+    assert f"--{field.key}" in err.splitlines()[-1] and "Traceback" not in err
 
 
 @settings(PROPERTY, max_examples=8)
