@@ -396,10 +396,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     model = ToyModel.init(
         train_data.x.shape[1], config.hidden_dim, config.feature_dim, rng
     )
+    _keep_freed_heap()  # each epoch's validation statistics allocate the same n x n temporaries
+    result = train(model, train_data, val_data, config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _keep_freed_heap()  # every epoch's statistics allocate the same n x n temporaries
-    result = train(model, train_data, val_data, config)
     save_checkpoint(result.model, config, out_dir / "checkpoint.json")
     (out_dir / "history.csv").write_text(_history_csv(result.history), encoding="utf-8")
     resolved = {

@@ -159,14 +159,16 @@ def backward(
     model: Params, x: np.ndarray, targets: np.ndarray, lam: float, tau: float,
     modalities: np.ndarray, feature_layer: str = "projection",
     variant: LossVariant = LossVariant.CROSS_MODAL,
-    grads: Optional[dict[str, np.ndarray]] = None,
+    grads: Optional[dict[str, np.ndarray]] = None, steps: Optional[list] = None,
 ) -> dict[str, np.ndarray]:
     """Analytic gradients of the joint objective w.r.t. every parameter,
     written into ``grads`` when it is given, else into new arrays.
 
     The contrastive path is skipped entirely when lam == 0 so a pure-BCE
     run is bit-identical to setting lam to zero. Samples whose feature row
-    is dead (zero norm, all ReLUs off) sit out the contrastive term.
+    is dead (zero norm, all ReLUs off) sit out the contrastive term. When
+    ``steps`` is given, the batch's (logits, contrastive loss, valid anchors,
+    dead rows) are appended to it.
     """
     p = _param_arrays(model)
     x = np.asarray(x, dtype=np.float64)
@@ -180,13 +182,17 @@ def backward(
     np.matmul(out.h.T, g_logit, out=grads["wc"])
     grads["bc"][0] = g_logit.sum()
     grads["wp"].fill(0.0)
+    cm, valid, dead = 0.0, 0, 0
     if lam > 0:
         live = _live_rows(out.z)
+        dead = len(out.z) - live.size
         if live.size >= 2:
             cross_modal = variant is LossVariant.CROSS_MODAL
             positives = _positives(targets[live], modalities[live], cross_modal)
+            term = _contrastive(out.z[live], positives, tau, True)
+            cm, valid = term.loss, term.valid.size
             g_z = np.zeros_like(out.z)
-            g_z[live] = lam * _contrastive(out.z[live], positives, tau, True).grad
+            g_z[live] = lam * term.grad
             if feature_layer == "projection":
                 np.matmul(out.h.T, g_z, out=grads["wp"])
                 g_h = g_h + g_z @ p["wp"].T
@@ -195,6 +201,8 @@ def backward(
     g_pre = g_h * (out.pre_activation > 0)
     np.matmul(x.T, g_pre, out=grads["w1"])
     np.sum(g_pre, axis=0, out=grads["b1"])
+    if steps is not None:
+        steps.append((out.logits, cm, valid, dead))
     return grads
 
 
@@ -434,6 +442,10 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class EpochStats:
+    """One epoch's row of history.csv. The train_* columns and the counters
+    cover the epoch's batches as they were stepped, train_cm as the mean over
+    their valid anchors; val_* cover the whole validation set after the epoch."""
+
     epoch: int
     train_bce: float
     train_cm: float
@@ -441,6 +453,9 @@ class EpochStats:
     val_total: float
     train_acc: float
     val_acc: float
+    valid_anchors: int  # anchors with a positive
+    dead_rows: int  # feature rows the contrastive term dropped
+    grad_norm: float  # the mean L2 norm of a step's gradient
 
 
 @dataclass(frozen=True)
@@ -453,24 +468,26 @@ class TrainResult:
 
 
 def _stats_inputs(data: FeatureDataset, config: TrainConfig) -> tuple:
-    """The dataset, its float targets and, when the contrastive term is on, its
-    positives: what ``_dataset_stats`` needs of a dataset that no epoch changes."""
+    """The dataset and, when the contrastive term is on, its positives: what
+    ``_dataset_stats`` needs of a dataset that no epoch changes."""
     cross_modal = config.variant is LossVariant.CROSS_MODAL
-    return data, data.y.astype(np.float64), (
-        _positives(data.y, data.m, cross_modal) if config.lam > 0 else None)
+    return data, _positives(data.y, data.m, cross_modal) if config.lam > 0 else None
+
+
+def _loss_stats(logits: np.ndarray, y: np.ndarray, cm: float, lam: float) -> tuple[float, ...]:
+    """(bce, cm, total, accuracy) of the logits against the 0/1 labels y."""
+    bce = binary_cross_entropy(logits, y)
+    return bce, cm, bce + lam * cm, float(((logits >= 0.0).astype(np.int8) == y).mean())
 
 
 def _dataset_stats(model: Params, inputs: tuple, config: TrainConfig) -> tuple[float, ...]:
     """(bce, cm, total, accuracy) of the full dataset under the model."""
-    data, targets, positives = inputs
+    data, positives = inputs
     out = forward(model, data.x, config.feature_layer)
-    bce = binary_cross_entropy(out.logits, targets)
     cm = 0.0
     if config.lam > 0:
         cm = contrastive_term(out.z, data.y, data.m, config.tau, config.variant, positives)
-    total = bce + config.lam * cm
-    acc = float(((out.logits >= 0.0).astype(np.int8) == data.y).mean())
-    return bce, cm, total, acc
+    return _loss_stats(out.logits, data.y, cm, config.lam)
 
 
 def _flat_views(flat: np.ndarray, shapes: Mapping[str, tuple]) -> dict[str, np.ndarray]:
@@ -505,8 +522,8 @@ def train(
     theta = np.concatenate([arr.ravel() for arr in model.params().values()])
     grad, m, v, *work = np.zeros((5, theta.size))  # work: AdamW's two scratch vectors
     params, grads = _flat_views(theta, shapes), _flat_views(grad, shapes)
-    train_stats, val_stats = (_stats_inputs(d, config) for d in (train_data, val_data))
-    train_y = train_stats[1]
+    val_stats = _stats_inputs(val_data, config)
+    train_y = train_data.y.astype(np.float64)
     image_pool, video_pool = np.flatnonzero(train_data.m == 0), np.flatnonzero(train_data.m == 1)
     history: list[EpochStats] = []
     best_val, best_theta, best_epoch = np.inf, theta.copy(), -1
@@ -516,9 +533,11 @@ def train(
             if epoch > 0:  # the single-modality warning, if any, was surfaced on epoch 0
                 warnings.simplefilter("ignore")
             batches = mixed_batch_sampler(image_pool, video_pool, config.batch_size, rng)
+        steps, norm_sum = [], 0.0
         for idx in batches:
             backward(params, train_data.x[idx], train_y[idx], config.lam, config.tau,
-                     train_data.m[idx], config.feature_layer, config.variant, grads)
+                     train_data.m[idx], config.feature_layer, config.variant, grads, steps)
+            norm_sum += math.sqrt(grad @ grad)
             step += 1
             adamw_inplace(theta, grad, m, v, step, config.lr, config.weight_decay, work)
             if not np.isfinite(theta).all():
@@ -527,13 +546,18 @@ def train(
                     f"parameter {name} became non-finite at epoch {epoch}; "
                     "the run diverged (try a smaller lr)"
                 )
-        tr_bce, tr_cm, tr_total, tr_acc = _dataset_stats(params, train_stats, config)
+        logits, cms, valid, dead = zip(*steps)
+        anchors = sum(valid)
+        cm = sum(c * n for c, n in zip(cms, valid)) / anchors if anchors else 0.0
+        tr_bce, tr_cm, tr_total, tr_acc = _loss_stats(
+            np.concatenate(logits), train_data.y[np.concatenate(batches)], cm, config.lam)
         _, _, val_total, val_acc = _dataset_stats(params, val_stats, config)
         if not (np.isfinite(tr_total) and np.isfinite(val_total)):
             raise NumericalError(
                 f"non-finite loss at epoch {epoch}: train={tr_total}, val={val_total}"
             )
-        history.append(EpochStats(epoch, tr_bce, tr_cm, tr_total, val_total, tr_acc, val_acc))
+        history.append(EpochStats(epoch, tr_bce, tr_cm, tr_total, val_total, tr_acc, val_acc,
+                                  anchors, sum(dead), norm_sum / len(batches)))
         if val_total < best_val:
             best_val = val_total
             best_theta = theta.copy()
@@ -562,8 +586,8 @@ GROUP_ORDER: tuple[tuple[Label, Modality], ...] = (
 )
 
 
-# The memory budget of a training split: each epoch computes n x n float64
-# statistics of a whole split, whose features are n x dim float64. At most
+# The memory budget of a split: each epoch computes n x n float64 statistics
+# of the whole validation split, and features are n x dim float64. At most
 # MAX_SPLIT samples and MAX_SPLIT coordinates keep each such array to 128 MiB.
 MAX_SPLIT = 1 << 12
 # Synthetic separations, shifts and spreads stay this close to 0, so every

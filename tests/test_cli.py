@@ -366,7 +366,8 @@ class TestTrainCommand:
         assert run_cli("train", "--config", train_setup, "--out", out) == 0
         assert (out / "checkpoint.json").is_file()
         history = (out / "history.csv").read_text().strip().splitlines()
-        assert history[0] == "epoch,train_bce,train_cm,train_total,val_total,train_acc,val_acc"
+        assert history[0] == ("epoch,train_bce,train_cm,train_total,val_total,train_acc,val_acc,"
+                              "valid_anchors,dead_rows,grad_norm")
         run_doc = json.loads((out / "run.json").read_text())
         best_epoch = run_doc["config"]["best_epoch"]
         # the config file's keys, lambda included, in run.json and the checkpoint
@@ -444,6 +445,7 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "non-finite" in err and "Traceback" not in err
         assert "parameter w1" in err and "at epoch 0" in err
+        assert not (tmp_path / "o").exists()
 
 
 def feature_file(tmp_path, records):
@@ -1018,6 +1020,7 @@ class TestFeatureFileTraining:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             assert run_cli("train", "--config", cfg_path, "--out", tmp_path / "o") == 3
+        assert not (tmp_path / "o").exists()
 
 
 class TestAnalyzeWithChain:

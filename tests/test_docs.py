@@ -15,6 +15,7 @@ from xmodal.cli import (
     FLAG_FIELDS,
     MAX_RANGE,
     MAX_THREADS,
+    _history_csv,
     build_parser,
 )
 from xmodal.codecsim import _STEP_NAMES, MAX_JITTER, MAX_SIDE, MAX_SIGMA, STEP_FIELDS
@@ -121,6 +122,11 @@ def test_train_keys_and_defaults_match_train_config():
         )
     }
     assert documented == TrainConfig().to_doc()
+
+
+def test_history_columns_match_history_csv():
+    listed = _paragraph("`history.csv` has one row per epoch").split(" The ")[0]
+    assert re.findall(r"`(\w+)`", listed) == _history_csv(()).strip().split(",")
 
 
 def _readme_commands() -> list[str]:

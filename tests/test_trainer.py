@@ -347,21 +347,55 @@ class TestCachedStats:
             assert np.array_equal(views[name], fresh[name])
 
 
+def reference_batch_terms(params, x, y, m, config):
+    """A batch's logits, contrastive loss, valid anchors and dead rows, from
+    forward, contrastive_term and a positive mask built here."""
+    out = forward(params, x, config.feature_layer)
+    if config.lam == 0:
+        return out.logits, 0.0, 0, 0
+    live = np.linalg.norm(out.z, axis=1) > 1e-12
+    pos = y[live][:, None] == y[live][None, :]
+    if config.variant is LossVariant.CROSS_MODAL:
+        pos &= m[live][:, None] != m[live][None, :]
+    np.fill_diagonal(pos, False)
+    cm = contrastive_term(out.z, y, m, config.tau, config.variant)
+    return out.logits, cm, int(pos.any(axis=1).sum()), int((~live).sum())
+
+
 def reference_train_params(model, data, config):
-    """Parameters after each epoch of the dict-and-pure-step loop that train replaced."""
+    """Parameters after each epoch of the dict-and-pure-step loop that train
+    replaced, and each epoch's training columns of the history from the logits,
+    contrastive loss and counters of its batches and the norm of each gradient."""
     rng = np.random.default_rng(config.seed)
     params = model.params()
     state = OptimState.init(params, lr=config.lr, weight_decay=config.weight_decay)
     y = data.y.astype(np.float64)
-    per_epoch = []
+    per_epoch, columns = [], []
     for _ in range(config.epochs):
         pools = np.flatnonzero(data.m == 0), np.flatnonzero(data.m == 1)
+        terms, labels, norms = [], [], []
         for idx in reference_mixed_batch_sampler(*pools, config.batch_size, rng):
+            terms.append(reference_batch_terms(params, data.x[idx], data.y[idx], data.m[idx],
+                                               config))
+            labels.append(y[idx])
             grads = backward(params, data.x[idx], y[idx], config.lam, config.tau,
                              data.m[idx], config.feature_layer, config.variant)
+            norms.append(np.linalg.norm(np.concatenate([grads[n].ravel() for n in PARAM_NAMES])))
             params, state = optimizer_step(params, grads, state)
         per_epoch.append(params)
-    return per_epoch
+        logits, cms, anchors, dead = zip(*terms)
+        logits, labels = np.concatenate(logits), np.concatenate(labels)
+        bce = binary_cross_entropy(logits, labels)
+        cm = sum(c * a for c, a in zip(cms, anchors)) / sum(anchors) if sum(anchors) else 0.0
+        columns.append((bce, cm, bce + config.lam * cm, float(((logits >= 0) == labels).mean()),
+                        sum(anchors), sum(dead), float(sum(norms)) / len(norms)))
+    return per_epoch, columns
+
+
+def training_columns(h):
+    """The history columns ``reference_train_params`` recomputes, in its order."""
+    return (h.train_bce, h.train_cm, h.train_total, h.train_acc, h.valid_anchors, h.dead_rows,
+            h.grad_norm)
 
 
 def separable_dataset(seed, n=60):
@@ -432,7 +466,7 @@ class TestTrainLoop:
             assert np.array_equal(getattr(a.model, name), getattr(b.model, name))
 
     @pytest.mark.parametrize("layer, lam", [("hidden", 0.05), ("projection", 0.05),
-                                            ("hidden", 0.0)])
+                                            ("hidden", 0.0), ("projection", 0.0)])
     def test_flat_loop_matches_reference_loop(self, layer, lam):
         data, val = separable_dataset(12, n=40), separable_dataset(13, n=12)
         config = TrainConfig(epochs=12, batch_size=7, lam=lam, seed=5, patience=50,
@@ -440,9 +474,21 @@ class TestTrainLoop:
         model = ToyModel.init(2, config.hidden_dim, config.feature_dim,
                               np.random.default_rng(5))
         result = train(model, data, val, config)
-        expected = reference_train_params(model, data, config)[result.best_epoch]
+        per_epoch, columns = reference_train_params(model, data, config)
         for name in PARAM_NAMES:
-            assert np.array_equal(getattr(result.model, name), expected[name])
+            assert np.array_equal(getattr(result.model, name), per_epoch[result.best_epoch][name])
+        # the training columns of history.csv, bit for bit
+        assert [training_columns(h) for h in result.history] == columns
+        assert all(h.valid_anchors > 0 and h.train_cm > 0 for h in result.history) == (lam > 0)
+
+    def test_dead_rows_match_reference_loop(self):
+        data, model = dead_row_dataset(32)
+        config = TrainConfig(epochs=3, batch_size=8, lam=0.05, seed=6, patience=50,
+                             hidden_dim=6, feature_dim=3)
+        result = train(model, data, data, config)
+        _, columns = reference_train_params(model, data, config)
+        assert [training_columns(h) for h in result.history] == columns
+        assert result.history[0].dead_rows == 2
 
     def test_lambda_zero_trajectory_matches_inert_contrastive(self):
         # all-image data: the CM term is identically zero, so lam=0 and
