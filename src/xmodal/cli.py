@@ -17,13 +17,16 @@ import io
 import json
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from . import __version__
-from .codecsim import MAX_SIDE, MAX_SIGMA, ChainSpec, apply_chain, derive_sample_seed
 from .core import (
+    MAX_SIDE,
+    MAX_SIGMA,
+    SEED_ROW,
+    ZERO_EPS,
     Field,
     ImageBuffer,
     Label,
@@ -41,33 +44,12 @@ from .core import (
     write_manifest,
 )
 from .errors import InputError, NumericalError
-from .forensics import (
-    ZERO_EPS,
-    Window,
-    dataset_mean_rapsd,
-    dct_ac_histogram,
-    detect_tv_range,
-    luminance_histogram,
-    rapsd,
-    require_dct_block,
-    residual_power,
-    residual_spectrum,
-)
-from .metrics import Aggregation, subset_report, video_scores
-from .trainer import (
-    MAX_SPLIT,
-    TRAIN_FIELDS,
-    EpochStats,
-    FeatureDataset,
-    ToyModel,
-    TrainConfig,
-    forward,
-    generate_synthetic,
-    load_checkpoint,
-    save_checkpoint,
-    synthetic_spec,
-    train,
-)
+
+# Each command imports its own stack when it runs: the pixel stack (pixelops,
+# codecsim, forensics) or the learning one (cmsupcon, trainer, metrics).
+if TYPE_CHECKING:
+    from .codecsim import ChainSpec
+    from .trainer import EpochStats, FeatureDataset, ToyModel
 
 
 def _sha256_file(path: Path) -> str:
@@ -112,7 +94,10 @@ def _seeded_chain(
     img: ImageBuffer, chain: ChainSpec, seed: int, rec: SampleRecord
 ) -> ImageBuffer:
     """``img`` through ``chain``, drawing from a generator seeded per sample id."""
-    return apply_chain(img, chain, np.random.default_rng(derive_sample_seed(seed, rec.id)))
+    from . import codecsim
+
+    rng = np.random.default_rng(codecsim.derive_sample_seed(seed, rec.id))
+    return codecsim.apply_chain(img, chain, rng)
 
 
 # glibc mallopt parameters, and the values the corpus commands give them
@@ -148,6 +133,8 @@ def _keep_freed_heap() -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from . import codecsim, forensics
+
     manifest = parse_manifest(args.manifest)
     records = manifest.records[: args.limit]
     kind = args.kind
@@ -171,7 +158,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     chain = None
     loader = load_luma
     if args.chain:
-        chain = ChainSpec.load(args.chain)
+        chain = codecsim.ChainSpec.load(args.chain)
         inputs["chain"] = Path(args.chain)
         loader = load_image
     elif kind == "spectrum":
@@ -184,11 +171,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             img = _seeded_chain(img, chain, args.seed, rec)
         if kind == "dct":
             # a frame too small for one DCT block fails alone, like a bad file
-            return require_dct_block(img)
+            return forensics.require_dct_block(img)
         if kind == "rapsd":
-            return rapsd(img, window=Window(args.window), nbins=args.bins)
+            return forensics.rapsd(img, window=forensics.Window(args.window), nbins=args.bins)
         if kind == "spectrum":
-            return residual_power(img, args.sigma, args.size)
+            return forensics.residual_power(img, args.sigma, args.size)
         return img
 
     _keep_freed_heap()
@@ -201,7 +188,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     )
 
     if kind == "dct":
-        result = dct_ac_histogram(results, value_range=args.range, nbins=args.bins)
+        result = forensics.dct_ac_histogram(results, value_range=args.range, nbins=args.bins)
         hist = result.histogram
         header = ("bin_lo", "bin_hi", "count")
         rows = [
@@ -218,7 +205,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         }
 
     elif kind == "rapsd":
-        profile = dataset_mean_rapsd(results)
+        profile = forensics.dataset_mean_rapsd(results)
         header = ("radius", "power", "count")
         rows = [
             (repr(float(r)), repr(float(p)), int(c))
@@ -233,10 +220,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         }
 
     elif kind == "luma":
-        hist = luminance_histogram(results)
+        hist = forensics.luminance_histogram(results)
         header = ("code", "count")
         rows = [(code, int(count)) for code, count in enumerate(hist.counts)]
-        verdict, evidence = detect_tv_range(hist)
+        verdict, evidence = forensics.detect_tv_range(hist)
         summary = {
             "verdict": verdict.value,
             "tail_mass": evidence.tail_mass,
@@ -246,7 +233,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         }
 
     else:  # spectrum; argparse restricts the kinds
-        spec = residual_spectrum(results)
+        spec = forensics.residual_spectrum(results)
         header = ("row", "col", "log10_power")
         rows = [
             (y, x, repr(float(spec.values[y, x])))
@@ -283,8 +270,10 @@ def _safe_filename(sample_id: str) -> str:
 
 
 def cmd_degrade(args: argparse.Namespace) -> int:
+    from . import codecsim
+
     manifest = parse_manifest(args.manifest)
-    chain = ChainSpec.load(args.chain)
+    chain = codecsim.ChainSpec.load(args.chain)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     records = manifest.records[: args.limit]
@@ -347,32 +336,38 @@ def load_feature_file(path: str | Path) -> list:
 
 def _records_to_dataset(path: Path) -> FeatureDataset:
     """Read a training feature file with the record checks ``evaluate`` uses."""
+    from . import trainer
+
     records = load_feature_file(path)
-    if len(records) > MAX_SPLIT:
+    if len(records) > trainer.MAX_SPLIT:
         raise InputError(f"{path}: {len(records)} records, more than a training split's "
-                         f"{MAX_SPLIT}")
+                         f"{trainer.MAX_SPLIT}")
     first_x = records[0].get("x") if isinstance(records[0], dict) else None
     x = _feature_rows(records, len(first_x) if isinstance(first_x, list) else 0, path)
     _check_records(records, path, TRAINING_FIELDS)
-    return FeatureDataset(x, [_LABEL_CODES[rec["label"]] for rec in records],
-                          [_MODALITY_CODES[rec["modality"]] for rec in records])
+    return trainer.FeatureDataset(x, [_LABEL_CODES[rec["label"]] for rec in records],
+                                  [_MODALITY_CODES[rec["modality"]] for rec in records])
 
 
 def _history_csv(history: Sequence[EpochStats]) -> str:
-    header = [f.name for f in dataclasses.fields(EpochStats)]
+    from . import trainer
+
+    header = [f.name for f in dataclasses.fields(trainer.EpochStats)]
     return _csv_text(header, [dataclasses.astuple(h) for h in history])
 
 
 def load_train_config(path: Path, seed: Optional[int] = None) -> tuple:
     """A config file's checked settings, with ``seed`` over its own, its ``data``
     section and, when that asks for the synthetic task, the task's spec."""
+    from . import trainer
+
     where = f"{path}: "
     doc = check_fields(read_json(path), CONFIG_FIELDS, where)
     overrides = {} if seed is None else {"seed": seed}
-    config = TrainConfig.from_doc(doc.get("train", {}), where, **overrides)
+    config = trainer.TrainConfig.from_doc(doc.get("train", {}), where, **overrides)
     data_doc = check_fields(doc.get("data", {"synthetic": {}}), DATA_FIELDS, where, "data.")
     if "synthetic" in data_doc:
-        return config, data_doc, synthetic_spec(data_doc["synthetic"], where)
+        return config, data_doc, trainer.synthetic_spec(data_doc["synthetic"], where)
     if not {"train_features", "val_features"} <= data_doc.keys():
         raise InputError(
             f"{where}'data' must name 'synthetic', or 'train_features' and 'val_features'"
@@ -381,11 +376,13 @@ def load_train_config(path: Path, seed: Optional[int] = None) -> tuple:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    from . import trainer
+
     config_path = Path(args.config)
     config, data_doc, spec = load_train_config(config_path, args.seed)
     inputs = {"config": config_path}
     if spec is not None:
-        data = generate_synthetic(spec)
+        data = trainer.generate_synthetic(spec)
         train_data, val_data = data.train, data.val
     else:
         inputs["train_features"] = Path(data_doc["train_features"])
@@ -393,14 +390,14 @@ def cmd_train(args: argparse.Namespace) -> int:
         train_data = _records_to_dataset(inputs["train_features"])
         val_data = _records_to_dataset(inputs["val_features"])
     rng = np.random.default_rng(config.seed)
-    model = ToyModel.init(
+    model = trainer.ToyModel.init(
         train_data.x.shape[1], config.hidden_dim, config.feature_dim, rng
     )
     _keep_freed_heap()  # each epoch's validation statistics allocate the same n x n temporaries
-    result = train(model, train_data, val_data, config)
+    result = trainer.train(model, train_data, val_data, config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(result.model, config, out_dir / "checkpoint.json")
+    trainer.save_checkpoint(result.model, config, out_dir / "checkpoint.json")
     (out_dir / "history.csv").write_text(_history_csv(result.history), encoding="utf-8")
     resolved = {
         "config_file": str(config_path),
@@ -506,6 +503,8 @@ def _score_feature_records(
     """Score, label code and subset of each video, all checked before any scoring;
     errors name ``path``. Videos come in the order of their first records; an
     image is a video of its own."""
+    from . import metrics, trainer
+
     x = _feature_rows(records, model.d_in, path)
     labels, subsets, videos, frames = _record_tags(records, path)
     seen: dict[str, int] = {}
@@ -529,22 +528,25 @@ def _score_feature_records(
                          f"{_record_name(records[j], j)}")
     starts = np.flatnonzero(np.append(True, head[1:] != head[:-1]))
     logits = np.concatenate([
-        forward(model, x[first : first + SCORE_BLOCK], feature_layer).logits
+        trainer.forward(model, x[first : first + SCORE_BLOCK], feature_layer).logits
         for first in range(0, len(records), SCORE_BLOCK)
     ])
     heads = head[starts].tolist()
-    return video_scores(logits[order], starts, t), labels[heads], [subsets[i] for i in heads]
+    scores = metrics.video_scores(logits[order], starts, t)
+    return scores, labels[heads], [subsets[i] for i in heads]
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    model, config = load_checkpoint(args.checkpoint)
+    from . import metrics, trainer
+
+    model, config = trainer.load_checkpoint(args.checkpoint)
     records = load_feature_file(args.features)[: args.limit]
     scores, labels, subsets = _score_feature_records(
         model, config.feature_layer, records, args.frames, args.features
     )
     inputs = {"checkpoint": Path(args.checkpoint), "features": Path(args.features)}
-    report = subset_report(scores, labels, subsets, args.threshold,
-                           Aggregation(args.aggregation))
+    report = metrics.subset_report(scores, labels, subsets, args.threshold,
+                                   metrics.Aggregation(args.aggregation))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.csv").write_text(report.to_csv_text(), encoding="utf-8")
@@ -581,7 +583,7 @@ FLAG_FIELDS = {
                 Field("sigma", "number", 0, MAX_SIGMA, ends="(]"),
                 Field("size", "int", 8, MAX_SIDE)),
     "degrade": (Field("seed", "int"), _LIMIT, _THREADS),
-    "train": tuple(field for field in TRAIN_FIELDS if field.key == "seed"),
+    "train": (SEED_ROW,),
     "evaluate": (Field("frames", "int", 1), Field("threshold", "number"), _LIMIT),
 }
 # analyze --bins for each kind that bins its values: (default, row). The rapsd

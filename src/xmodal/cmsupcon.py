@@ -126,16 +126,18 @@ def _contrastive(
     positives: tuple[np.ndarray, np.ndarray],
     tau: float,
     with_grad: bool = False,
+    norms: Optional[np.ndarray] = None,
 ) -> ContrastiveResult:
     """The one contrastive kernel: loss, per-anchor terms and, on request, dL/dz.
 
-    ``positives`` is ``_positives`` of the rows' labels and modalities.
+    ``positives`` is ``_positives`` of the rows' labels and modalities;
+    ``norms``, if given, the rows' L2 norms, each above the zero-norm floor.
     Normalization and the row softmax are computed once and shared by loss
     and gradient. Only valid-anchor rows get logits: the other rows add
     nothing to either.
     """
     z = np.asarray(z, dtype=np.float64)
-    norms = _row_norms(z)
+    norms = _row_norms(z) if norms is None else norms
     zhat = z / norms[:, None]
     n = z.shape[0]
     mask, pos_counts = positives
@@ -217,10 +219,21 @@ def binary_cross_entropy(logits: np.ndarray, targets: np.ndarray) -> float:
 
 
 def bce_grad(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """d(mean BCE)/d(logits) = (sigmoid(logits) - targets) / n."""
+    """d(mean BCE)/d(logits) = (sigmoid(logits) - targets) / n.
+
+    The sigmoid is ``_sigmoid``'s bit for bit: libm's exp in one pass, then
+    NumPy's add and divide, which round as Python's do. Only a batch in which
+    math.exp overflows goes element by element.
+    """
     logits = np.asarray(logits, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    probs = np.fromiter(map(_sigmoid, logits.ravel().tolist()), np.float64, logits.size)
+    try:
+        probs = np.fromiter(map(math.exp, (-logits).ravel().tolist()), np.float64, logits.size)
+    except OverflowError:
+        probs = np.fromiter(map(_sigmoid, logits.ravel().tolist()), np.float64, logits.size)
+    else:
+        probs += 1.0
+        np.divide(1.0, probs, out=probs)
     return (probs.reshape(logits.shape) - targets) / logits.shape[0]
 
 

@@ -26,7 +26,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import Field, ImageBuffer, check_fields, parse_json, read_text
+from .core import MAX_SIDE, MAX_SIGMA, Field, ImageBuffer, check_fields, parse_json, read_text
 from .errors import InputError
 from .pixelops import (
     ColorRange,
@@ -321,11 +321,6 @@ def _tv_range_squeeze(data: np.ndarray) -> np.ndarray:
 
 # --- declarative degradation chains ----------------------------------------------
 
-# The size budget of a chain step: no step makes an image side, or a blur
-# kernel's side, longer than MAX_SIDE pixels. A line kernel of `length` samples
-# spans at most `length` pixels, and a Gaussian one 2*ceil(3*sigma) + 1.
-MAX_SIDE = 1 << 12
-MAX_SIGMA = (MAX_SIDE - 1) // 6
 MAX_JITTER = 255.0  # a larger color_jitter factor takes the faintest 8-bit step past white
 
 

@@ -22,11 +22,9 @@ from typing import Iterable
 import numpy as np
 
 from .codecsim import BLOCK, _shifted_coeffs
-from .core import ImageBuffer, _fit_to_square
+from .core import ZERO_EPS, ImageBuffer, _fit_to_square
 from .errors import InputError
 from .pixelops import Window, gaussian_blur, to_luma
-
-ZERO_EPS = 1e-6  # |coefficient| below this counts as an exact post-quantization zero
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .cmsupcon import (
     bce_grad,
     binary_cross_entropy,
 )
-from .core import Field, Label, Modality, check_fields, read_json
+from .core import SEED_ROW, Field, Label, Modality, check_fields, read_json
 from .errors import InputError, NumericalError
 
 CHECKPOINT_FORMAT = "xmodal-checkpoint"
@@ -133,8 +133,10 @@ def forward(
 _LIVE_NORM = 1e-12  # rows below this are dead (all-ReLU-off) and sit out the CM term
 
 
-def _live_rows(z: np.ndarray) -> np.ndarray:
-    return np.flatnonzero(np.linalg.norm(z, axis=1) > _LIVE_NORM)
+def _live_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The L2 norms of the rows of ``z`` and the indices of the live ones."""
+    norms = np.linalg.norm(z, axis=1)
+    return norms, np.flatnonzero(norms > _LIVE_NORM)
 
 
 def contrastive_term(
@@ -143,7 +145,7 @@ def contrastive_term(
 ) -> float:
     """Contrastive loss over the live-feature subbatch (dead rows excluded).
     ``positives``, if given, is ``_positives`` of all of y and m."""
-    live = _live_rows(z)
+    norms, live = _live_rows(z)
     if live.size < 2:
         return 0.0
     if positives is None:
@@ -152,7 +154,7 @@ def contrastive_term(
     elif live.size < len(z):
         mask = positives[0][np.ix_(live, live)]
         positives = mask, mask.sum(axis=1)
-    return _contrastive(z[live], positives, tau).loss
+    return _contrastive(z[live], positives, tau, norms=norms[live]).loss
 
 
 def backward(
@@ -165,10 +167,11 @@ def backward(
     written into ``grads`` when it is given, else into new arrays.
 
     The contrastive path is skipped entirely when lam == 0 so a pure-BCE
-    run is bit-identical to setting lam to zero. Samples whose feature row
-    is dead (zero norm, all ReLUs off) sit out the contrastive term. When
-    ``steps`` is given, the batch's (logits, contrastive loss, valid anchors,
-    dead rows) are appended to it.
+    run is bit-identical to setting lam to zero, and after the dead-row
+    count when no anchor has a positive: the term and its gradient are then
+    zero. Samples whose feature row is dead (zero norm, all ReLUs off) sit
+    out the contrastive term. When ``steps`` is given, the batch's (logits,
+    contrastive loss, valid anchors, dead rows) are appended to it.
     """
     p = _param_arrays(model)
     x = np.asarray(x, dtype=np.float64)
@@ -184,12 +187,12 @@ def backward(
     grads["wp"].fill(0.0)
     cm, valid, dead = 0.0, 0, 0
     if lam > 0:
-        live = _live_rows(out.z)
+        norms, live = _live_rows(out.z)
         dead = len(out.z) - live.size
-        if live.size >= 2:
-            cross_modal = variant is LossVariant.CROSS_MODAL
-            positives = _positives(targets[live], modalities[live], cross_modal)
-            term = _contrastive(out.z[live], positives, tau, True)
+        cross_modal = variant is LossVariant.CROSS_MODAL
+        positives = _positives(targets[live], modalities[live], cross_modal)
+        if positives[1].any():
+            term = _contrastive(out.z[live], positives, tau, True, norms[live])
             cm, valid = term.loss, term.valid.size
             g_z = np.zeros_like(out.z)
             g_z[live] = lam * term.grad
@@ -319,11 +322,14 @@ def mixed_batch_sampler(
         ni, nv = ni - head, nv - head
         # one draw per remaining slot; a slot whose wanted queue has run dry
         # takes from the other one. Only one queue can run dry in a batch,
-        # since take <= ni + nv, so the counts of earlier wishes decide.
+        # since take <= ni + nv, so the counts of earlier wishes decide. With
+        # each queue holding every remaining slot, none can run dry.
         want_video = rng.random(take - 2 * head) < VIDEO_FRACTION
-        videos_wanted = np.cumsum(want_video)
-        images_wanted = np.arange(1, want_video.size + 1) - videos_wanted
-        is_video = np.where(want_video, videos_wanted <= nv, images_wanted > ni)
+        is_video = want_video
+        if want_video.size > min(ni, nv):
+            videos_wanted = np.cumsum(want_video)
+            images_wanted = np.arange(1, want_video.size + 1) - videos_wanted
+            is_video = np.where(want_video, videos_wanted <= nv, images_wanted > ni)
         n_vid = int(np.count_nonzero(is_video))
         rest = np.empty(want_video.size, dtype=np.int64)
         rest[is_video] = vid[nv - n_vid : nv][::-1]
@@ -377,11 +383,12 @@ MAX_WIDTH = 1 << 10
 # `config` of a checkpoint
 TRAIN_FIELDS = (
     Field("epochs", "int", 1),
-    # every batch mixes both modalities, with or without the contrastive term
+    # a batch mixes both modalities while both pools last, with or without the
+    # contrastive term
     Field("batch_size", "int", 2),
     Field("lambda", "number", 0),
     Field("tau", "number", 0, ends="(]"),
-    Field("seed", "int", 0),
+    SEED_ROW,
     Field("patience", "int", 0),
     Field("lr", "number", 0, ends="(]"),
     Field("weight_decay", "number", 0),

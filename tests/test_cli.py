@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: outputs, determinism, exit codes."""
 
 import csv
+import importlib
 import json
 import os
 import subprocess
@@ -18,7 +19,6 @@ from xmodal.cli import (
     MAX_RANGE,
     MAX_THREADS,
     build_parser,
-    derive_sample_seed,
     main,
 )
 from xmodal.codecsim import (
@@ -30,6 +30,7 @@ from xmodal.codecsim import (
     JpegSimStep,
     MotionBlurStep,
     apply_chain,
+    derive_sample_seed,
 )
 from xmodal.core import load_image, parse_manifest
 from xmodal.forensics import (
@@ -620,7 +621,7 @@ class TestEvaluateCommand:
         def no_scoring(*args, **kwargs):
             raise AssertionError("scored a file with a bad video")
 
-        monkeypatch.setattr("xmodal.cli.forward", no_scoring)
+        monkeypatch.setattr("xmodal.trainer.forward", no_scoring)
         doc = _video_doc({"frame_index": 0}, {"frame_index": 1, "subset": "t"})
         argv = _evaluate_argv(tmp_path, doc)
         capsys.readouterr()
@@ -1299,3 +1300,66 @@ class TestRuntimeWithoutScipy:
         assert len(list((tmp_path / "d").glob("*.pgm"))) == 8
         assert (tmp_path / "s" / "spectrum.csv").is_file()
         assert (tmp_path / "t" / "checkpoint.json").is_file()
+
+
+# Runs one CLI command, if any, in a fresh interpreter and prints the package's
+# modules that were loaded after it.
+_LOADED_MODULES = """
+import json, sys
+from xmodal.cli import main
+argv = json.loads(sys.argv[1])
+assert not argv or main(argv) == 0
+print(json.dumps(sorted(m.partition(".")[2] for m in sys.modules
+                        if m.partition(".")[0] == "xmodal")))
+"""
+_PIXEL_STACK = {"pixelops", "codecsim", "forensics"}
+_LEARNING_STACK = {"cmsupcon", "trainer", "metrics"}
+
+
+class TestEachCommandLoadsItsOwnStack:
+    def loaded(self, tmp_path, argv=()):
+        done = _python(tmp_path, "-c", _LOADED_MODULES, json.dumps([str(a) for a in argv]))
+        assert done.returncode == 0, done.stderr
+        return set(json.loads(done.stdout.splitlines()[-1]))
+
+    @pytest.mark.parametrize("argv", [(), ("version",)], ids=["import", "version"])
+    def test_import_and_version_load_no_stack(self, tmp_path, argv):
+        assert self.loaded(tmp_path, argv) == {"", "errors", "core", "cli"}
+
+    def test_degrade_and_analyze_load_no_learning_stack(self, corpus, tmp_path):
+        root, manifest = corpus
+        chain = tmp_path / "chain.json"
+        chain.write_text(ChainSpec((GaussianBlurStep(1.0), JpegSimStep(80))).to_json())
+        degrade = self.loaded(tmp_path, ["degrade", "--manifest", manifest, "--chain", chain,
+                                         "--out", tmp_path / "d"])
+        assert not degrade & (_LEARNING_STACK | {"forensics"})
+        analyze = self.loaded(tmp_path, ["analyze", "dct", "--manifest", manifest,
+                                         "--out", tmp_path / "a"])
+        assert _PIXEL_STACK <= analyze and not analyze & _LEARNING_STACK
+
+    def test_train_and_evaluate_load_no_pixel_stack(self, tmp_path):
+        config = {"data": {"synthetic": {"train_counts": [8, 8, 4, 4],
+                                         "val_counts": [4, 4, 4, 4], "seed": 0}},
+                  "train": {"epochs": 1, "batch_size": 8}}
+        train = self.loaded(tmp_path, _train_argv(tmp_path, config))
+        assert not train & (_PIXEL_STACK | {"metrics"})
+        evaluate = self.loaded(tmp_path, _evaluate_argv(tmp_path))
+        assert {"trainer", "metrics"} <= evaluate and not evaluate & _PIXEL_STACK
+
+
+class TestLazyPackageNames:
+    def test_every_public_name_resolves_from_its_module(self):
+        for name in xmodal.__all__:
+            module = importlib.import_module(f"xmodal.{xmodal._MODULE_OF[name]}")
+            assert getattr(xmodal, name) is getattr(module, name), name
+        assert set(xmodal.__all__) <= set(dir(xmodal))
+
+    def test_submodules_resolve_as_attributes(self):
+        for name in ("core", "errors", "trainer", "cli"):
+            assert getattr(xmodal, name) is importlib.import_module(f"xmodal.{name}")
+        assert xmodal.__version__ == xmodal.cli.__version__
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="module 'xmodal' has no attribute 'nope'"):
+            xmodal.nope
+        assert not hasattr(xmodal, "MAX_SPLIT")

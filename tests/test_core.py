@@ -1,8 +1,10 @@
 """Manifest parsing, PPM/PGM IO, the per-sample loop, and shared-type invariants."""
 
+import gc
 import json
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from xmodal.core import (
     check_fields,
     iter_samples,
     load_image,
+    parse_json,
     parse_manifest,
     save_image,
     successes,
@@ -125,6 +128,34 @@ class TestParseManifest:
         write_manifest(manifest, out)
         again = parse_manifest(out)
         assert again.records == manifest.records
+
+
+class TestParseJson:
+    @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+    def gc_state(self, request):
+        was_on = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was_on else gc.disable)()
+
+    def test_parses_with_the_gc_off(self, gc_state, monkeypatch):
+        seen = []
+
+        def loads(text):
+            seen.append(gc.isenabled())
+            return json.loads(text)
+
+        spy = types.SimpleNamespace(loads=loads, JSONDecodeError=json.JSONDecodeError)
+        monkeypatch.setattr("xmodal.core.json", spy)
+        assert parse_json('{"a": [1, 2]}', "f.json") == {"a": [1, 2]}
+        assert seen == [False]
+        assert gc.isenabled() is gc_state
+
+    @pytest.mark.parametrize("text", ["{", "[" * 100_000, "1" * 5000])
+    def test_restores_the_gc_after_invalid_json(self, gc_state, text):
+        with pytest.raises(InputError, match="f.json: line 3: invalid JSON"):
+            parse_json(text, "f.json", 3)
+        assert gc.isenabled() is gc_state
 
 
 class TestImageBuffer:

@@ -16,7 +16,7 @@ import pytest
 from scipy import ndimage
 from scipy.special import expit
 
-from xmodal import cli, forensics
+from xmodal import cli, cmsupcon, forensics
 from xmodal.codecsim import (
     _STEP_NAMES,
     ChainSpec,
@@ -558,14 +558,27 @@ def test_gaussian_blur_matches_ndimage_convolve1d(h, w, channels):
         assert np.array_equal(gaussian_blur(img, sigma).data, expected), sigma
 
 
-def test_bce_grad_matches_expit():
+def normal_logits(rng):
+    return np.concatenate(
+        [rng.normal(scale=scale, size=5000) for scale in (0.1, 1.0, 10.0, 300.0)])
+
+
+def test_bce_grad_matches_expit(monkeypatch):
+    # the whole-batch path: the per-element fallback is never called. About 2%
+    # of the scale-300 draws lie past +-709, where libm's exp overflows for -v.
+    monkeypatch.setattr(cmsupcon, "_sigmoid", None)
+    rng = np.random.default_rng(17)
+    logits = np.clip(normal_logits(rng), -709.0, 709.0)
+    targets = (rng.random(logits.size) < 0.5).astype(np.float64)
+    assert np.array_equal(bce_grad(logits, targets), ref_bce_grad(logits, targets))
+
+
+def test_bce_grad_matches_expit_at_the_edges():
     rng = np.random.default_rng(17)
     # libm's exp overflows below about -709.78, where expit is exactly 0.0;
     # expit(-709.5) is still a subnormal 7.4e-309
     edges = [0.0, 700.0, -700.0, 709.5, -709.5, 745.0, -745.0, 1000.0, -1000.0]
-    logits = np.concatenate(
-        [rng.normal(scale=scale, size=5000) for scale in (0.1, 1.0, 10.0, 300.0)] + [edges]
-    )
+    logits = np.concatenate([normal_logits(rng), edges])
     targets = (rng.random(logits.size) < 0.5).astype(np.float64)
     assert np.array_equal(bce_grad(logits, targets), ref_bce_grad(logits, targets))
     # one logit with target 0: the gradient is the sigmoid itself, unscaled

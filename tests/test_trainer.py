@@ -131,10 +131,16 @@ class TestBackward:
         x = rng.normal(size=(6, 4))
         y = rng.integers(0, 2, 6).astype(np.float64)
         m = np.zeros(6, dtype=np.int8)
-        with_cm = backward(model, x, y, 0.05, 0.07, m)
+        x[0] = 0.0  # a dead feature row: b1 is zero, so every ReLU is off
+        steps = []
+        with_cm = backward(model, x, y, 0.05, 0.07, m, steps=steps)
         without = backward(model, x, y, 0.0, 0.07, m)
         for name in with_cm:
-            assert np.abs(with_cm[name] - without[name]).max() <= 1e-12
+            assert np.array_equal(with_cm[name], without[name]), name
+        # no anchor has a positive, and the dead row is still counted
+        [(logits, cm, valid, dead)] = steps
+        assert np.array_equal(logits, forward(model, x).logits)
+        assert (cm, valid, dead) == (0.0, 0, 1)
 
     @pytest.mark.parametrize("layer", ["projection", "hidden"])
     def test_joint_objective_matches_finite_differences(self, layer):
