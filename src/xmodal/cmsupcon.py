@@ -126,18 +126,16 @@ def _contrastive(
     positives: tuple[np.ndarray, np.ndarray],
     tau: float,
     with_grad: bool = False,
-    norms: Optional[np.ndarray] = None,
 ) -> ContrastiveResult:
     """The one contrastive kernel: loss, per-anchor terms and, on request, dL/dz.
 
-    ``positives`` is ``_positives`` of the rows' labels and modalities;
-    ``norms``, if given, the rows' L2 norms, each above the zero-norm floor.
+    ``positives`` is ``_positives`` of the rows' labels and modalities.
     Normalization and the row softmax are computed once and shared by loss
     and gradient. Only valid-anchor rows get logits: the other rows add
     nothing to either.
     """
     z = np.asarray(z, dtype=np.float64)
-    norms = _row_norms(z) if norms is None else norms
+    norms = _row_norms(z)
     zhat = z / norms[:, None]
     n = z.shape[0]
     mask, pos_counts = positives

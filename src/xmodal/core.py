@@ -13,6 +13,7 @@ import json
 import math
 import reprlib
 import sys
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -161,28 +162,39 @@ def parse_json(text: str, path: str | Path, line: int = 1):
     """The JSON value of ``text``, which starts on ``line`` of ``path``.
 
     Raises InputError naming both where ``text`` is not JSON, nests too deeply
-    or holds an integer longer than Python converts. The cyclic GC is off
-    while ``json.loads`` runs: the containers it builds hold no cycles, and
-    the collections they would trigger cost a 30k-record feature file about
-    a quarter of its parse time. The caller's GC state is restored.
+    or holds an integer longer than Python converts.
     """
-    gc_was_on = gc.isenabled()
-    gc.disable()
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         line, reason = line + exc.lineno - 1, f"{exc.msg} (column {exc.colno})"
     except (ValueError, RecursionError) as exc:
         reason = str(exc)
-    finally:
-        if gc_was_on:
-            gc.enable()
     raise InputError(f"{path}: line {line}: invalid JSON: {reason}")
 
 
+_GC_PAUSE = threading.Lock()
+
+
 def read_json(path: str | Path):
-    """The JSON document in a config, chain, checkpoint or feature file."""
-    return parse_json(read_text(path), path)
+    """The JSON document in a config, chain, checkpoint or feature file.
+
+    The cyclic GC is off while the document is parsed: the containers
+    ``json.loads`` builds hold no cycles, and the collections they would
+    trigger cost a 30k-record feature file about a quarter of its parse
+    time. The caller's GC state is restored, and ``_GC_PAUSE`` lets one
+    thread at a time turn it off, so threads reading at once cannot leave
+    it off.
+    """
+    text = read_text(path)
+    with _GC_PAUSE:
+        gc_was_on = gc.isenabled()
+        gc.disable()
+        try:
+            return parse_json(text, path)
+        finally:
+            if gc_was_on:
+                gc.enable()
 
 
 @dataclass(frozen=True)

@@ -133,10 +133,8 @@ def forward(
 _LIVE_NORM = 1e-12  # rows below this are dead (all-ReLU-off) and sit out the CM term
 
 
-def _live_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The L2 norms of the rows of ``z`` and the indices of the live ones."""
-    norms = np.linalg.norm(z, axis=1)
-    return norms, np.flatnonzero(norms > _LIVE_NORM)
+def _live_rows(z: np.ndarray) -> np.ndarray:
+    return np.flatnonzero(np.linalg.norm(z, axis=1) > _LIVE_NORM)
 
 
 def contrastive_term(
@@ -145,7 +143,7 @@ def contrastive_term(
 ) -> float:
     """Contrastive loss over the live-feature subbatch (dead rows excluded).
     ``positives``, if given, is ``_positives`` of all of y and m."""
-    norms, live = _live_rows(z)
+    live = _live_rows(z)
     if live.size < 2:
         return 0.0
     if positives is None:
@@ -154,7 +152,7 @@ def contrastive_term(
     elif live.size < len(z):
         mask = positives[0][np.ix_(live, live)]
         positives = mask, mask.sum(axis=1)
-    return _contrastive(z[live], positives, tau, norms=norms[live]).loss
+    return _contrastive(z[live], positives, tau).loss
 
 
 def backward(
@@ -187,12 +185,12 @@ def backward(
     grads["wp"].fill(0.0)
     cm, valid, dead = 0.0, 0, 0
     if lam > 0:
-        norms, live = _live_rows(out.z)
+        live = _live_rows(out.z)
         dead = len(out.z) - live.size
         cross_modal = variant is LossVariant.CROSS_MODAL
         positives = _positives(targets[live], modalities[live], cross_modal)
         if positives[1].any():
-            term = _contrastive(out.z[live], positives, tau, True, norms[live])
+            term = _contrastive(out.z[live], positives, tau, True)
             cm, valid = term.loss, term.valid.size
             g_z = np.zeros_like(out.z)
             g_z[live] = lam * term.grad
@@ -322,14 +320,11 @@ def mixed_batch_sampler(
         ni, nv = ni - head, nv - head
         # one draw per remaining slot; a slot whose wanted queue has run dry
         # takes from the other one. Only one queue can run dry in a batch,
-        # since take <= ni + nv, so the counts of earlier wishes decide. With
-        # each queue holding every remaining slot, none can run dry.
+        # since take <= ni + nv, so the counts of earlier wishes decide.
         want_video = rng.random(take - 2 * head) < VIDEO_FRACTION
-        is_video = want_video
-        if want_video.size > min(ni, nv):
-            videos_wanted = np.cumsum(want_video)
-            images_wanted = np.arange(1, want_video.size + 1) - videos_wanted
-            is_video = np.where(want_video, videos_wanted <= nv, images_wanted > ni)
+        videos_wanted = np.cumsum(want_video)
+        images_wanted = np.arange(1, want_video.size + 1) - videos_wanted
+        is_video = np.where(want_video, videos_wanted <= nv, images_wanted > ni)
         n_vid = int(np.count_nonzero(is_video))
         rest = np.empty(want_video.size, dtype=np.int64)
         rest[is_video] = vid[nv - n_vid : nv][::-1]

@@ -23,6 +23,7 @@ from xmodal.core import (
     load_image,
     parse_json,
     parse_manifest,
+    read_json,
     save_image,
     successes,
     write_manifest,
@@ -130,7 +131,7 @@ class TestParseManifest:
         assert again.records == manifest.records
 
 
-class TestParseJson:
+class TestReadJsonPausesTheGc:
     @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
     def gc_state(self, request):
         was_on = gc.isenabled()
@@ -138,7 +139,9 @@ class TestParseJson:
         yield request.param
         (gc.enable if was_on else gc.disable)()
 
-    def test_parses_with_the_gc_off(self, gc_state, monkeypatch):
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        """Records the GC state inside each ``json.loads`` call of ``core``."""
         seen = []
 
         def loads(text):
@@ -147,14 +150,51 @@ class TestParseJson:
 
         spy = types.SimpleNamespace(loads=loads, JSONDecodeError=json.JSONDecodeError)
         monkeypatch.setattr("xmodal.core.json", spy)
-        assert parse_json('{"a": [1, 2]}', "f.json") == {"a": [1, 2]}
-        assert seen == [False]
+        return seen
+
+    def test_parses_with_the_gc_off(self, gc_state, spy, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text('{"a": [1, 2]}')
+        assert read_json(path) == {"a": [1, 2]}
+        assert spy == [False]
         assert gc.isenabled() is gc_state
 
+    def test_parse_json_leaves_the_gc_alone(self, gc_state, spy):
+        assert parse_json('{"a": [1, 2]}', "m.jsonl", 3) == {"a": [1, 2]}
+        assert spy == [gc_state]
+
     @pytest.mark.parametrize("text", ["{", "[" * 100_000, "1" * 5000])
-    def test_restores_the_gc_after_invalid_json(self, gc_state, text):
-        with pytest.raises(InputError, match="f.json: line 3: invalid JSON"):
-            parse_json(text, "f.json", 3)
+    def test_restores_the_gc_after_invalid_json(self, gc_state, tmp_path, text):
+        path = tmp_path / "f.json"
+        path.write_text(text)
+        with pytest.raises(InputError, match=r"f\.json: line 1: invalid JSON"):
+            read_json(path)
+        assert gc.isenabled() is gc_state
+
+    def test_threads_reading_at_once_restore_the_gc(self, gc_state, monkeypatch, tmp_path):
+        lock = threading.Lock()
+        live = peak = 0
+
+        def loads(text):
+            nonlocal live, peak
+            with lock:
+                live += 1
+                peak = max(peak, live)
+            time.sleep(0.002)  # a slow parse lets the other threads arrive
+            with lock:
+                live -= 1
+            return json.loads(text)
+
+        spy = types.SimpleNamespace(loads=loads, JSONDecodeError=json.JSONDecodeError)
+        monkeypatch.setattr("xmodal.core.json", spy)
+        path = tmp_path / "f.json"
+        path.write_text("[1]")
+        threads = [threading.Thread(target=read_json, args=(path,)) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert peak == 1
         assert gc.isenabled() is gc_state
 
 
