@@ -22,9 +22,7 @@ _EXPORTS = {
     "pixelops": ("ColorRange", "Window", "gaussian_blur", "motion_blur", "quantize_8bit",
                  "rgb_to_ycbcr", "round_half_away", "shorter_side_resize", "to_luma",
                  "ycbcr_to_rgb"),
-    "codecsim": ("ChainSpec", "ColorJitterStep", "GaussianBlurStep", "JpegSimStep",
-                 "MotionBlurStep", "QuantTable", "Quantize8BitStep", "ResizeStep",
-                 "TvRangeSqueezeStep", "VideoCodecSimStep", "VideoQuantModel", "apply_chain",
+    "codecsim": ("ChainSpec", "QuantTable", "VideoQuantModel", "apply_chain",
                  "dct8x8_forward", "dct8x8_inverse", "derive_sample_seed", "jpeg_simulate",
                  "quant_table_from_quality", "tv_range_squeeze", "video_codec_simulate"),
     "forensics": ("DctAcResult", "Histogram", "RadialProfile", "SpectrumImage",

@@ -9,11 +9,9 @@ configuration/input error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import hashlib
-import io
 import json
 import sys
 from pathlib import Path
@@ -34,6 +32,7 @@ from .core import (
     Modality,
     SampleRecord,
     check_fields,
+    csv_text,
     iter_samples,
     load_image,
     load_luma,
@@ -77,17 +76,6 @@ def _write_run_manifest(
         },
     }
     _write_json(out_dir / "run.json", doc)
-
-
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(
-            ["" if v is None else repr(v) if isinstance(v, float) else v for v in row]
-        )
-    return buf.getvalue()
 
 
 def _seeded_chain(
@@ -256,7 +244,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     summary["n_failed"] = len(failed)
     summary["failed_ids"] = [rec_id for rec_id, _ in failed]
-    (out_dir / f"{kind}.csv").write_text(_csv_text(header, rows), encoding="utf-8")
+    (out_dir / f"{kind}.csv").write_text(csv_text(header, rows), encoding="utf-8")
     _write_json(out_dir / f"{kind}.summary.json", summary)
     _write_run_manifest(out_dir, f"analyze {kind}", config, inputs)
     return 0
@@ -353,7 +341,7 @@ def _history_csv(history: Sequence[EpochStats]) -> str:
     from . import trainer
 
     header = [f.name for f in dataclasses.fields(trainer.EpochStats)]
-    return _csv_text(header, [dataclasses.astuple(h) for h in history])
+    return csv_text(header, [dataclasses.astuple(h) for h in history])
 
 
 def load_train_config(path: Path, seed: Optional[int] = None) -> tuple:

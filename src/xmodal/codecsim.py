@@ -20,9 +20,10 @@ import hashlib
 import json
 import math
 import reprlib
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import InitVar, dataclass
 from pathlib import Path
-from typing import Union
+from types import MappingProxyType
 
 import numpy as np
 
@@ -322,134 +323,82 @@ def _tv_range_squeeze(data: np.ndarray) -> np.ndarray:
 # --- declarative degradation chains ----------------------------------------------
 
 MAX_JITTER = 255.0  # a larger color_jitter factor takes the faintest 8-bit step past white
+_JITTER_KEYS = ("brightness", "contrast", "saturation")
 
 
-# Each chain step's keys, by the step's name in a chain file
+# Each chain step's keys, by the step's name in a chain file. A step that
+# leaves out an optional key takes its default.
 STEP_FIELDS = {
     "motion_blur": (Field("length", "int", 1, MAX_SIDE, required=True),
-                    Field("angle_deg", "number")),
+                    Field("angle_deg", "number", default=0.0)),
     "gaussian_blur": (Field("sigma", "number", 0, MAX_SIGMA, required=True),),
     "resize": (Field("shorter_side", "int", 1, MAX_SIDE, required=True),),
     "jpeg": (Field("quality", "int", 1, 100, required=True),),
     "video_codec": (Field("qstep", "number", 0, ends="(]", required=True),
-                    Field("deadzone", "number", 0, 1, ends="[)")),
+                    Field("deadzone", "number", 0, 1, ends="[)", default=0.0)),
     "tv_range_squeeze": (),
-    "color_jitter": tuple(Field(key, "pair", 0, MAX_JITTER)
-                          for key in ("brightness", "contrast", "saturation")),
+    "color_jitter": tuple(Field(key, "pair", 0, MAX_JITTER, default=(1.0, 1.0))
+                          for key in _JITTER_KEYS),
     "quantize_8bit": (),
 }
 
-
-class _Step:
-    """A chain step, checked against its STEP_FIELDS row when it is made."""
-
-    def __post_init__(self):
-        name = _STEP_NAMES[type(self)]
-        check_fields(vars(self), STEP_FIELDS[name], f"step {name!r}: ")
-        for key, value in vars(self).items():
-            if isinstance(value, list):  # a JSON pair arrives as a list
-                object.__setattr__(self, key, tuple(value))
-
-
-@dataclass(frozen=True)
-class MotionBlurStep(_Step):
-    length: int
-    angle_deg: float = 0.0
-
-    def planes(self, data: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return _motion_blur(data, self.length, self.angle_deg)
-
-
-@dataclass(frozen=True)
-class GaussianBlurStep(_Step):
-    sigma: float
-
-    def planes(self, data: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return _gaussian_blur(data, self.sigma)
-
-
-@dataclass(frozen=True)
-class ResizeStep(_Step):
-    shorter_side: int
-
-    def planes(self, data: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return _shorter_side_resize(data, self.shorter_side)
-
-
-@dataclass(frozen=True)
-class JpegSimStep(_Step):
-    quality: int
-
-    def planes(self, data: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return _jpeg_simulate(data, self.quality)
-
-
-@dataclass(frozen=True)
-class VideoCodecSimStep(_Step):
-    qstep: float
-    deadzone: float = 0.0
-
-    def planes(self, data: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return _video_codec_simulate(data, VideoQuantModel(self.qstep, self.deadzone))
-
-
-@dataclass(frozen=True)
-class TvRangeSqueezeStep(_Step):
-    def planes(self, data: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return _tv_range_squeeze(data)
-
-
-@dataclass(frozen=True)
-class Quantize8BitStep(_Step):
-    def planes(self, data: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return _quantize_8bit(data)
-
-
-@dataclass(frozen=True)
-class ColorJitterStep(_Step):
-    """Random brightness/contrast/saturation factors, each uniform in range."""
-
-    brightness: tuple[float, float] = (1.0, 1.0)
-    contrast: tuple[float, float] = (1.0, 1.0)
-    saturation: tuple[float, float] = (1.0, 1.0)
-
-    def planes(self, data: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        pairs = (self.brightness, self.contrast, self.saturation)
-        return _color_jitter(data, *[float(rng.uniform(*pair)) for pair in pairs])
-
-
-_STEP_NAMES: dict[type, str] = {
-    MotionBlurStep: "motion_blur",
-    GaussianBlurStep: "gaussian_blur",
-    ResizeStep: "resize",
-    JpegSimStep: "jpeg",
-    VideoCodecSimStep: "video_codec",
-    TvRangeSqueezeStep: "tv_range_squeeze",
-    ColorJitterStep: "color_jitter",
-    Quantize8BitStep: "quantize_8bit",
+# Each chain step's plane kernel, kernel(data, step, rng), by the same names.
+# color_jitter draws its factors in _JITTER_KEYS order, each uniform over its
+# pair, a [1.0, 1.0] pair too.
+_KERNELS = {
+    "motion_blur": lambda data, step, rng: _motion_blur(data, step["length"], step["angle_deg"]),
+    "gaussian_blur": lambda data, step, rng: _gaussian_blur(data, step["sigma"]),
+    "resize": lambda data, step, rng: _shorter_side_resize(data, step["shorter_side"]),
+    "jpeg": lambda data, step, rng: _jpeg_simulate(data, step["quality"]),
+    "video_codec": lambda data, step, rng: _video_codec_simulate(
+        data, VideoQuantModel(step["qstep"], step["deadzone"])),
+    "tv_range_squeeze": lambda data, step, rng: _tv_range_squeeze(data),
+    "color_jitter": lambda data, step, rng: _color_jitter(
+        data, *[float(rng.uniform(*step[key])) for key in _JITTER_KEYS]),
+    "quantize_8bit": lambda data, step, rng: _quantize_8bit(data),
 }
-_STEP_TYPES = {name: cls for cls, name in _STEP_NAMES.items()}
-ChainStep = Union[tuple(_STEP_NAMES)]
+
+
+def _check_step(entry, where: str) -> MappingProxyType:
+    """A chain step's document ``{"step": name, **keys}``, checked against its
+    STEP_FIELDS row, as a read-only copy with every key filled in and each pair
+    a tuple. Errors begin with ``where``, which names the step."""
+    if not isinstance(entry, Mapping) or "step" not in entry:
+        raise InputError(f"{where}: bad chain step entry: {reprlib.repr(entry)}")
+    name = entry["step"]
+    if not isinstance(name, str) or name not in STEP_FIELDS:
+        raise InputError(f"{where}: unknown chain step {reprlib.repr(name)}")
+    keys = check_fields({key: value for key, value in entry.items() if key != "step"},
+                        STEP_FIELDS[name], f"{where} {name!r}: ")
+    step = {"step": name}
+    for field in STEP_FIELDS[name]:
+        value = keys.get(field.key, field.default)
+        step[field.key] = tuple(value) if isinstance(value, list) else value
+    return MappingProxyType(step)
 
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """Ordered, validated list of degradation steps."""
+    """Ordered, validated list of degradation steps.
 
-    steps: tuple[ChainStep, ...]
+    Each step is a read-only document ``{"step": name, **keys}`` holding every
+    key of its STEP_FIELDS row. ``where``, the chain file's path, begins the
+    text of any error.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
-        if not self.steps:
-            raise InputError("chain must contain at least one step")
+    steps: tuple[Mapping, ...]
+    where: InitVar[str | Path] = ""
+
+    def __post_init__(self, where):
+        prefix = f"{where}: " if where else ""
+        steps = tuple(_check_step(entry, f"{prefix}step {i}") for i, entry in enumerate(self.steps))
+        if not steps:
+            raise InputError(f"{prefix}chain must contain at least one step")
+        object.__setattr__(self, "steps", steps)
 
     def to_json(self) -> str:
-        docs = []
-        for step in self.steps:
-            doc: dict = {"step": _STEP_NAMES[type(step)]}
-            for key, value in vars(step).items():
-                doc[key] = list(value) if isinstance(value, tuple) else value
-            docs.append(doc)
+        docs = [{key: list(value) if isinstance(value, tuple) else value
+                 for key, value in step.items()} for step in self.steps]
         return json.dumps({"steps": docs}, indent=2, sort_keys=False)
 
     @classmethod
@@ -459,17 +408,10 @@ class ChainSpec:
         if not isinstance(doc, dict) or not isinstance(doc.get("steps"), list) or not doc["steps"]:
             raise InputError(f"{path}: chain document must be {{'steps': [...]}} "
                              "with at least one step")
-        steps = []
-        for i, entry in enumerate(doc["steps"]):
-            if not isinstance(entry, dict) or "step" not in entry:
-                raise InputError(f"{path}: step {i}: bad chain step entry: {reprlib.repr(entry)}")
-            name = entry["step"]
-            if not isinstance(name, str) or name not in STEP_FIELDS:
-                raise InputError(f"{path}: step {i}: unknown chain step {reprlib.repr(name)}")
-            kwargs = {key: value for key, value in entry.items() if key != "step"}
-            check_fields(kwargs, STEP_FIELDS[name], f"{path}: step {i} {name!r}: ")
-            steps.append(_STEP_TYPES[name](**kwargs))
-        return cls(tuple(steps))
+        # every other key is unknown
+        check_fields({key: value for key, value in doc.items() if key != "steps"}, (),
+                     f"{path}: ")
+        return cls(tuple(doc["steps"]), path)
 
     @classmethod
     def load(cls, path: str | Path) -> "ChainSpec":
@@ -486,7 +428,7 @@ def apply_chain(
     """
     data = img.data
     for step in chain.steps:
-        data = step.planes(data, rng)
+        data = _KERNELS[step["step"]](data, step, rng)
     return _as_image(img, data)
 
 

@@ -8,14 +8,15 @@ its kind's field table.
 
 from __future__ import annotations
 
+import csv
 import gc
+import io
 import json
 import math
 import reprlib
 import sys
 import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -206,7 +207,8 @@ class Field:
     ``choices``), "pair" (numbers ``[a, b]`` with a <= b) or "object". Numbers
     lie between ``lo`` and ``hi``, each bound closed or open as ``ends`` says
     ("[]", "(]", "[)" or "()"). With ``length``, the value is a list of that
-    many numbers (0: any number of them).
+    many numbers (0: any number of them). ``default`` stands in for an absent
+    optional key where the table's reader fills one in.
     """
 
     key: str
@@ -218,6 +220,7 @@ class Field:
     required: bool = False
     null: bool = False  # JSON null passes too
     length: Optional[int] = None
+    default: object = None
 
 
 # The bounds below are shared by the pixel and learning modules' field tables
@@ -516,6 +519,17 @@ def save_image(img: ImageBuffer, path: str | Path) -> None:
         fh.write(codes.data)
 
 
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """The CSV file of ``header`` and ``rows``, one line each: None is an empty
+    cell and a float its ``repr``, so a value reads back bit for bit."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(["" if v is None else repr(v) if isinstance(v, float) else v for v in row])
+    return buf.getvalue()
+
+
 T = TypeVar("T")
 
 # Samples submitted but not yet yielded, per worker thread: enough to keep
@@ -558,9 +572,11 @@ def iter_samples(
         except (XmodalError, OSError) as exc:
             return exc
 
+    import concurrent.futures  # only a run with a pool pays for its import
+
     window = IN_FLIGHT_PER_THREAD * threads
     pending: deque = deque()
-    pool = ThreadPoolExecutor(max_workers=threads)
+    pool = concurrent.futures.ThreadPoolExecutor(max_workers=threads)
     try:
         for rec in records:
             if len(pending) == window:

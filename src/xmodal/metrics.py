@@ -8,8 +8,6 @@ imbalanced collections).
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import warnings
 from dataclasses import asdict, astuple, dataclass, fields
@@ -18,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Label, ScoredPrediction
+from .core import Label, ScoredPrediction, csv_text
 from .errors import InputError
 
 DEFAULT_THRESHOLD = 0.5
@@ -156,15 +154,8 @@ class EvalReport:
         return self.overall_pooled
 
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.COLUMNS)
-        for row in self.rows + (self.mean_over_subsets, self.overall_pooled):
-            writer.writerow(
-                ["" if v is None else repr(v) if isinstance(v, float) else v
-                 for v in astuple(row)]
-            )
-        return buf.getvalue()
+        rows = self.rows + (self.mean_over_subsets, self.overall_pooled)
+        return csv_text(self.COLUMNS, map(astuple, rows))
 
     def to_json_dict(self) -> dict:
         return {

@@ -24,10 +24,6 @@ from xmodal.codecsim import (
     ChainSpec,
     JPEG_CHROMA_BASE,
     JPEG_LUMA_BASE,
-    JpegSimStep,
-    MotionBlurStep,
-    ResizeStep,
-    VideoCodecSimStep,
     VideoQuantModel,
     apply_chain,
     dct8x8_forward,
@@ -284,9 +280,11 @@ def test_criterion_4_dct_direction():
 
 @criterion(5, "canonical chain strictly cuts top-third RAPSD power")
 def test_criterion_5_rapsd_direction():
-    chain = ChainSpec(
-        (MotionBlurStep(5, 0.0), ResizeStep(32), VideoCodecSimStep(16.0, 0.5))
-    )
+    chain = ChainSpec((
+        {"step": "motion_blur", "length": 5, "angle_deg": 0.0},
+        {"step": "resize", "shorter_side": 32},
+        {"step": "video_codec", "qstep": 16.0, "deadzone": 0.5},
+    ))
     nbins = 12
     top = slice(2 * nbins // 3, nbins)
     n_batches, per_batch = 5, 20
@@ -501,7 +499,8 @@ def test_criterion_9_cli_determinism(tmp_path):
 
     chain_path = tmp_path / "chain.json"
     chain_path.write_text(
-        ChainSpec((MotionBlurStep(3, 10.0), JpegSimStep(85))).to_json()
+        ChainSpec(({"step": "motion_blur", "length": 3, "angle_deg": 10.0},
+                   {"step": "jpeg", "quality": 85})).to_json()
     )
     out = tmp_path / "degrade"
     run_twice(

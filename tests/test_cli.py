@@ -25,10 +25,6 @@ from xmodal.codecsim import (
     MAX_SIDE,
     MAX_SIGMA,
     ChainSpec,
-    ColorJitterStep,
-    GaussianBlurStep,
-    JpegSimStep,
-    MotionBlurStep,
     apply_chain,
     derive_sample_seed,
 )
@@ -219,7 +215,7 @@ class TestAnalyze:
 
 class TestDegrade:
     def chain_file(self, tmp_path, steps=None) -> Path:
-        chain = ChainSpec(steps or (JpegSimStep(100),))
+        chain = ChainSpec(steps or ({"step": "jpeg", "quality": 100},))
         path = tmp_path / "chain.json"
         path.write_text(chain.to_json())
         return path
@@ -242,7 +238,8 @@ class TestDegrade:
     def test_rerun_byte_identical(self, corpus, tmp_path):
         root, manifest = corpus
         chain = self.chain_file(
-            tmp_path, (MotionBlurStep(3, 15.0), JpegSimStep(80))
+            tmp_path, ({"step": "motion_blur", "length": 3, "angle_deg": 15.0},
+                       {"step": "jpeg", "quality": 80})
         )
         out = tmp_path / "degraded"
         assert run_cli("degrade", "--manifest", manifest, "--chain", chain,
@@ -254,7 +251,7 @@ class TestDegrade:
 
     def test_threads_do_not_change_outputs(self, corpus, tmp_path):
         root, manifest = corpus
-        chain = self.chain_file(tmp_path, (MotionBlurStep(3, 0.0),))
+        chain = self.chain_file(tmp_path, ({"step": "motion_blur", "length": 3, "angle_deg": 0.0},))
         serial, threaded = tmp_path / "ser", tmp_path / "thr"
         assert run_cli("degrade", "--manifest", manifest, "--chain", chain,
                        "--out", serial, "--seed", 3) == 0
@@ -268,7 +265,7 @@ class TestDegrade:
     def test_non_positive_counts_exit_2(self, corpus, tmp_path, flag):
         root, manifest = corpus
         chain = tmp_path / "chain.json"
-        chain.write_text(ChainSpec((JpegSimStep(90),)).to_json())
+        chain.write_text(ChainSpec(({"step": "jpeg", "quality": 90},)).to_json())
         with pytest.raises(SystemExit) as exc:
             run_cli("degrade", "--manifest", manifest, "--chain", chain,
                     "--out", tmp_path / "deg", flag, 0)
@@ -293,6 +290,8 @@ class TestDegrade:
          "step 1 'resize': 'shorter_side'"),
         ({"steps": [{"step": "color_jitter", "contrast": [0.9]}]},
          "step 0 'color_jitter': 'contrast'"),
+        ({"steps": [{"step": "jpeg", "quality": 90}], "stepz": [], "seed": 3},
+         "'stepz': unknown key"),
     ])
     def test_mistyped_chain_exits_2_naming_step(self, corpus, tmp_path, capsys, command, doc,
                                                 where):
@@ -917,7 +916,7 @@ def test_threads_above_the_bound_exit_2_before_any_pool(tmp_path, capsys, monkey
     def no_pool(*args, **kwargs):
         raise AssertionError("started a thread pool")
 
-    monkeypatch.setattr("xmodal.core.ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_pool)
     with pytest.raises(SystemExit) as exc:
         run_cli(*command, "--manifest", tmp_path / "m.jsonl", "--out", tmp_path / "out",
                 "--threads", MAX_THREADS + 1)
@@ -1028,7 +1027,7 @@ class TestAnalyzeWithChain:
     def test_rapsd_chain_preprocessing(self, corpus, tmp_path):
         root, manifest = corpus
         chain_path = tmp_path / "chain.json"
-        chain_path.write_text(ChainSpec((GaussianBlurStep(2.0),)).to_json())
+        chain_path.write_text(ChainSpec(({"step": "gaussian_blur", "sigma": 2.0},)).to_json())
         plain_out = tmp_path / "plain"
         chain_out = tmp_path / "chained"
         assert run_cli("analyze", "rapsd", "--manifest", manifest,
@@ -1051,7 +1050,8 @@ class TestAnalyzeWithChain:
             entries.append({"id": f"c{i}", "path": str(path), "label": "real",
                             "modality": "image", "subset": "s"})
         manifest = write_manifest_file(tmp_path / "m.jsonl", entries)
-        chain = ChainSpec((ColorJitterStep(brightness=(0.7, 1.3)), JpegSimStep(30)))
+        chain = ChainSpec(({"step": "color_jitter", "brightness": (0.7, 1.3)},
+                           {"step": "jpeg", "quality": 30}))
         chain_path = tmp_path / "chain.json"
         chain_path.write_text(chain.to_json())
         out = tmp_path / "out"
@@ -1088,7 +1088,7 @@ class TestAnalyzeWithChain:
     def test_dct_chain_preprocessing(self, corpus, tmp_path):
         root, manifest = corpus
         chain_path = tmp_path / "chain.json"
-        chain_path.write_text(ChainSpec((JpegSimStep(30),)).to_json())
+        chain_path.write_text(ChainSpec(({"step": "jpeg", "quality": 30},)).to_json())
         plain_out, chain_out = tmp_path / "plain", tmp_path / "chained"
         assert run_cli("analyze", "dct", "--manifest", manifest, "--out", plain_out) == 0
         assert run_cli("analyze", "dct", "--manifest", manifest, "--out", chain_out,
@@ -1156,9 +1156,7 @@ class TestPartialFailures:
     def test_degrade_lists_failures_and_exits_zero(self, tmp_path):
         manifest = self.broken_corpus(tmp_path)
         chain_path = tmp_path / "chain.json"
-        from xmodal.codecsim import ChainSpec, JpegSimStep
-
-        chain_path.write_text(ChainSpec((JpegSimStep(90),)).to_json())
+        chain_path.write_text(ChainSpec(({"step": "jpeg", "quality": 90},)).to_json())
         out = tmp_path / "deg"
         assert run_cli("degrade", "--manifest", manifest, "--chain", chain_path,
                        "--out", out, "--seed", 0) == 0
@@ -1175,7 +1173,7 @@ class TestPartialFailures:
         manifest = self.broken_corpus(tmp_path)
         (tmp_path / "ok_1.pgm").write_bytes(b"P5\n" + b"9" * 5000 + b" 32\n255\n" + bytes(64))
         chain = tmp_path / "chain.json"
-        chain.write_text(ChainSpec((JpegSimStep(90),)).to_json())
+        chain.write_text(ChainSpec(({"step": "jpeg", "quality": 90},)).to_json())
         argv = ["analyze", "luma"] if command == "analyze" else ["degrade", "--chain", chain]
         out = tmp_path / "out"
         assert run_cli(*argv, "--manifest", manifest, "--out", out) == 0
@@ -1205,7 +1203,7 @@ class TestPartialFailures:
         manifest = write_manifest_file(tmp_path / "m.jsonl", entries)
         if command == "degrade":
             chain_path = tmp_path / "chain.json"
-            chain_path.write_text(ChainSpec((JpegSimStep(90),)).to_json())
+            chain_path.write_text(ChainSpec(({"step": "jpeg", "quality": 90},)).to_json())
             argv = ("degrade", "--chain", chain_path)
         else:
             argv = ("analyze", command)
@@ -1281,8 +1279,9 @@ class TestRuntimeWithoutScipy:
     def test_degrade_analyze_and_train_run(self, corpus, tmp_path):
         root, manifest = corpus
         chain = tmp_path / "chain.json"
-        chain.write_text(ChainSpec((MotionBlurStep(5, 30.0), GaussianBlurStep(1.5),
-                                    JpegSimStep(80))).to_json())
+        chain.write_text(ChainSpec(({"step": "motion_blur", "length": 5, "angle_deg": 30.0},
+                                    {"step": "gaussian_blur", "sigma": 1.5},
+                                    {"step": "jpeg", "quality": 80})).to_json())
         config = _write_json(tmp_path / "cfg.json", {
             "data": {"synthetic": {"train_counts": [8, 8, 4, 4], "val_counts": [4, 4, 4, 4],
                                    "test_counts": [4, 4, 4, 4], "seed": 0}},
@@ -1304,13 +1303,16 @@ class TestRuntimeWithoutScipy:
 
 # Runs one CLI command, if any, in a fresh interpreter and prints the package's
 # modules that were loaded after it.
+# The xmodal modules a command loaded, by their names in the package, and
+# "concurrent.futures" if it loaded the thread pool's module too
 _LOADED_MODULES = """
 import json, sys
 from xmodal.cli import main
 argv = json.loads(sys.argv[1])
 assert not argv or main(argv) == 0
 print(json.dumps(sorted(m.partition(".")[2] for m in sys.modules
-                        if m.partition(".")[0] == "xmodal")))
+                        if m.partition(".")[0] == "xmodal")
+                 + ["concurrent.futures"] * ("concurrent.futures" in sys.modules)))
 """
 _PIXEL_STACK = {"pixelops", "codecsim", "forensics"}
 _LEARNING_STACK = {"cmsupcon", "trainer", "metrics"}
@@ -1329,20 +1331,22 @@ class TestEachCommandLoadsItsOwnStack:
     def test_degrade_and_analyze_load_no_learning_stack(self, corpus, tmp_path):
         root, manifest = corpus
         chain = tmp_path / "chain.json"
-        chain.write_text(ChainSpec((GaussianBlurStep(1.0), JpegSimStep(80))).to_json())
+        chain.write_text(ChainSpec(({"step": "gaussian_blur", "sigma": 1.0},
+                                    {"step": "jpeg", "quality": 80})).to_json())
         degrade = self.loaded(tmp_path, ["degrade", "--manifest", manifest, "--chain", chain,
                                          "--out", tmp_path / "d"])
         assert not degrade & (_LEARNING_STACK | {"forensics"})
         analyze = self.loaded(tmp_path, ["analyze", "dct", "--manifest", manifest,
-                                         "--out", tmp_path / "a"])
+                                         "--out", tmp_path / "a", "--threads", 1])
         assert _PIXEL_STACK <= analyze and not analyze & _LEARNING_STACK
+        assert "concurrent.futures" not in analyze
 
     def test_train_and_evaluate_load_no_pixel_stack(self, tmp_path):
         config = {"data": {"synthetic": {"train_counts": [8, 8, 4, 4],
                                          "val_counts": [4, 4, 4, 4], "seed": 0}},
                   "train": {"epochs": 1, "batch_size": 8}}
         train = self.loaded(tmp_path, _train_argv(tmp_path, config))
-        assert not train & (_PIXEL_STACK | {"metrics"})
+        assert not train & (_PIXEL_STACK | {"metrics", "concurrent.futures"})
         evaluate = self.loaded(tmp_path, _evaluate_argv(tmp_path))
         assert {"trainer", "metrics"} <= evaluate and not evaluate & _PIXEL_STACK
 

@@ -12,15 +12,11 @@ from xmodal.codecsim import (
     MAX_JITTER,
     MAX_SIDE,
     MAX_SIGMA,
+    STEP_FIELDS,
     ChainSpec,
-    ColorJitterStep,
-    GaussianBlurStep,
-    JpegSimStep,
-    MotionBlurStep,
     QuantTable,
-    ResizeStep,
-    VideoCodecSimStep,
     VideoQuantModel,
+    _KERNELS,
     apply_chain,
     dct8x8_forward,
     dct8x8_inverse,
@@ -241,9 +237,11 @@ class TestTvRangeSqueeze:
 class TestChains:
     def test_identityish_chain_on_midgray(self):
         img = constant_rgb(0.5, h=24, w=24)
-        chain = ChainSpec(
-            (MotionBlurStep(1, 0.0), ResizeStep(24), JpegSimStep(100))
-        )
+        chain = ChainSpec((
+            {"step": "motion_blur", "length": 1, "angle_deg": 0.0},
+            {"step": "resize", "shorter_side": 24},
+            {"step": "jpeg", "quality": 100},
+        ))
         out = apply_chain(img, chain, np.random.default_rng(0))
         assert np.abs(out.data - img.data).max() <= 1 / 255 + 1e-12
 
@@ -251,9 +249,9 @@ class TestChains:
         img = noise_image(0, h=48, w=48)
         chain = ChainSpec(
             (
-                MotionBlurStep(5, 0.0),
-                ResizeStep(32),
-                VideoCodecSimStep(qstep=16.0, deadzone=0.5),
+                {"step": "motion_blur", "length": 5, "angle_deg": 0.0},
+                {"step": "resize", "shorter_side": 32},
+                {"step": "video_codec", "qstep": 16.0, "deadzone": 0.5},
             )
         )
         out = apply_chain(img, chain, np.random.default_rng(0))
@@ -266,9 +264,10 @@ class TestChains:
         img = textured_image(1, h=32, w=32, channels=3)
         chain = ChainSpec(
             (
-                GaussianBlurStep(0.8),
-                ColorJitterStep((0.9, 1.1), (0.9, 1.1), (0.9, 1.1)),
-                JpegSimStep(70),
+                {"step": "gaussian_blur", "sigma": 0.8},
+                {"step": "color_jitter", "brightness": (0.9, 1.1), "contrast": (0.9, 1.1),
+                 "saturation": (0.9, 1.1)},
+                {"step": "jpeg", "quality": 70},
             )
         )
         a = apply_chain(img, chain, np.random.default_rng(42))
@@ -277,22 +276,52 @@ class TestChains:
         c = apply_chain(img, chain, np.random.default_rng(43))
         assert not np.array_equal(a.data, c.data)
 
-    def test_chain_json_round_trip(self):
-        chain = ChainSpec(
-            (
-                MotionBlurStep(5, 12.5),
-                ResizeStep(128),
-                VideoCodecSimStep(8.0, 0.4),
-                ColorJitterStep((0.9, 1.1), (1.0, 1.0), (0.8, 1.2)),
-            )
-        )
+    def test_every_step_has_a_kernel(self):
+        assert list(_KERNELS) == list(STEP_FIELDS)
+
+    def test_chain_json_round_trip_fills_in_omitted_keys(self):
+        chain = ChainSpec([
+            {"step": "motion_blur", "length": 5},
+            {"step": "gaussian_blur", "sigma": 0.5},
+            {"step": "resize", "shorter_side": 128},
+            {"step": "jpeg", "quality": 80},
+            {"step": "video_codec", "qstep": 8.0},
+            {"step": "tv_range_squeeze"},
+            {"step": "color_jitter", "contrast": [0.9, 1.1]},
+            {"step": "quantize_8bit"},
+        ])
+        assert [step["step"] for step in chain.steps] == list(STEP_FIELDS)
         again = ChainSpec.from_json(chain.to_json())
         assert again == chain
+        assert again.steps[0] == {"step": "motion_blur", "length": 5, "angle_deg": 0.0}
+        assert again.steps[4] == {"step": "video_codec", "qstep": 8.0, "deadzone": 0.0}
+        assert again.steps[6] == {"step": "color_jitter", "brightness": (1.0, 1.0),
+                                  "contrast": (0.9, 1.1), "saturation": (1.0, 1.0)}
+
+    def test_bad_step_built_in_code_names_its_index(self):
+        steps = [{"step": "jpeg", "quality": 75}, {"step": "video_codec", "qstep": 0.0}]
+        with pytest.raises(InputError, match=r"^step 1 'video_codec': 'qstep': must be"):
+            ChainSpec(steps)
+        with pytest.raises(InputError, match=r"^step 0 'jpeg': 'qualty': unknown key"):
+            ChainSpec([{"step": "jpeg", "qualty": 75}])
+
+    def test_color_jitter_draws_each_factor_from_default_pairs_too(self):
+        # the three draws keep every later draw of the stream where it was
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        chain = ChainSpec([{"step": "color_jitter", "contrast": [0.9, 1.1]}])
+        apply_chain(noise_image(0, h=8, w=8, channels=3), chain, rng)
+        [ref.uniform(*pair) for pair in ((1.0, 1.0), (0.9, 1.1), (1.0, 1.0))]
+        assert rng.random() == ref.random()
+
+    def test_step_documents_are_read_only(self):
+        step = ChainSpec([{"step": "jpeg", "quality": 75}]).steps[0]
+        with pytest.raises(TypeError):
+            step["quality"] = 5
+        with pytest.raises(AttributeError):
+            step.pop("quality")
 
     def test_parameterless_steps_round_trip(self):
-        from xmodal.codecsim import Quantize8BitStep, TvRangeSqueezeStep
-
-        chain = ChainSpec((TvRangeSqueezeStep(), Quantize8BitStep()))
+        chain = ChainSpec(({"step": "tv_range_squeeze"}, {"step": "quantize_8bit"}))
         again = ChainSpec.from_json(chain.to_json())
         assert again == chain
         img = noise_image(0, h=16, w=16, channels=3)
@@ -310,7 +339,7 @@ class TestChains:
     ])
     def test_size_budget_is_the_largest_accepted_value(self, step, key, largest):
         parse = lambda v: ChainSpec.from_json(json.dumps({"steps": [{"step": step, key: v}]}))
-        assert getattr(parse(largest).steps[0], key) == largest
+        assert parse(largest).steps[0][key] == largest
         with pytest.raises(InputError, match=f"step 0 '{step}': '{key}': must be"):
             parse(largest + 1)
         if step == "gaussian_blur":  # the kernel spans 2*ceil(3*sigma) + 1 pixels
@@ -320,7 +349,7 @@ class TestChains:
     def test_color_jitter_factors_are_bounded(self, key):
         parse = lambda pair: ChainSpec.from_json(
             json.dumps({"steps": [{"step": "color_jitter", key: pair}]}))
-        assert getattr(parse([0, MAX_JITTER]).steps[0], key) == (0, MAX_JITTER)
+        assert parse([0, MAX_JITTER]).steps[0][key] == (0, MAX_JITTER)
         for pair in ([0, MAX_JITTER + 1], [1e308, 1e308]):
             with pytest.raises(InputError, match=f"step 0 'color_jitter': '{key}': must be a pair"):
                 parse(pair)
@@ -328,7 +357,8 @@ class TestChains:
     def test_largest_color_jitter_stays_finite(self):
         # the largest brightness and contrast with no saturation: 1e308 made NaN
         img = noise_image(0, h=16, w=16, channels=3)
-        step = ColorJitterStep(*[(MAX_JITTER, MAX_JITTER)] * 2, (0.0, 0.0))
+        step = {"step": "color_jitter", "brightness": (MAX_JITTER, MAX_JITTER),
+                "contrast": (MAX_JITTER, MAX_JITTER), "saturation": (0.0, 0.0)}
         out = apply_chain(img, ChainSpec((step,)), np.random.default_rng(0))
         assert np.all((out.data >= 0.0) & (out.data <= 1.0))
 
@@ -338,7 +368,8 @@ class TestChains:
         img = ImageBuffer(np.full((1, 8, 8), 1e308))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError, match="must be finite") as err:
-                apply_chain(img, ChainSpec((JpegSimStep(75),)), np.random.default_rng(0))
+                apply_chain(img, ChainSpec(({"step": "jpeg", "quality": 75},)),
+                            np.random.default_rng(0))
         assert isinstance(err.value, XmodalError)
 
     def test_empty_chain_rejected(self):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import xmodal
 from xmodal.cli import (
     BINS,
     CONFIG_FIELDS,
@@ -18,7 +19,7 @@ from xmodal.cli import (
     _history_csv,
     build_parser,
 )
-from xmodal.codecsim import _STEP_NAMES, MAX_JITTER, MAX_SIDE, MAX_SIGMA, STEP_FIELDS
+from xmodal.codecsim import MAX_JITTER, MAX_SIDE, MAX_SIGMA, STEP_FIELDS
 from xmodal.core import MANIFEST_FIELDS, PNM_DIGITS, describe
 from xmodal.forensics import ZERO_EPS
 from xmodal.trainer import (
@@ -47,7 +48,7 @@ def _paragraph(opening: str) -> str:
 
 def test_step_names_match_chain_steps():
     names = re.findall(r"`(\w+)`", _paragraph("Step names:"))
-    assert names == list(_STEP_NAMES.values())
+    assert names == list(STEP_FIELDS)
 
 
 def _item(field) -> str:
@@ -67,6 +68,23 @@ def test_step_keys_and_types_match_step_fields():
 def test_input_tables_match_the_readme(table):
     listing = " ".join(f"- {_item(field)}." for field in table)
     assert listing in FLAT_README
+
+
+def test_absent_step_keys_match_their_defaults():
+    defaults = {field.key: field.default for table in STEP_FIELDS.values() for field in table
+                if not field.required}
+    jitter = ("brightness", "contrast", "saturation")
+    pairs = {json.dumps(list(defaults.pop(key))) for key in jitter}
+    assert set(defaults) == {"angle_deg", "deadzone"} and len(pairs) == 1
+    assert (f"an absent `angle_deg` is {defaults['angle_deg']}, `deadzone` "
+            f"{defaults['deadzone']} and each `color_jitter` pair `{pairs.pop()}`.") in FLAT_README
+
+
+def test_library_example_imports_public_names():
+    example = re.search(r"```python\n(.*?)```", README, flags=re.DOTALL).group(1)
+    names = re.search(r"from xmodal import \((.*?)\)", example, flags=re.DOTALL).group(1)
+    imported = [name.strip() for name in names.split(",") if name.strip()]
+    assert "ChainSpec" in imported and set(imported) <= set(xmodal.__all__)
 
 
 def test_size_bounds_match_the_budgets():

@@ -18,18 +18,11 @@ from scipy.special import expit
 
 from xmodal import cli, cmsupcon, forensics
 from xmodal.codecsim import (
-    _STEP_NAMES,
+    STEP_FIELDS,
     ChainSpec,
-    ColorJitterStep,
-    GaussianBlurStep,
-    JpegSimStep,
-    MotionBlurStep,
-    Quantize8BitStep,
-    ResizeStep,
-    TvRangeSqueezeStep,
-    VideoCodecSimStep,
     VideoQuantModel,
     _DCT,
+    _KERNELS,
     _reconstruct,
     _shifted_coeffs,
     apply_chain,
@@ -376,19 +369,29 @@ def test_kernels_across_band_edges(h, w, channels):
 
 @pytest.mark.parametrize("channels", [1, 3])
 def test_chain_equals_its_public_functions_in_turn(channels):
-    # color_jitter has no public function, so its step is applied on its own,
-    # with a fresh generator: no other step draws from the chain's
-    jitter = ColorJitterStep((0.8, 1.2), (0.7, 1.3), (0.5, 1.5))
-    steps = (MotionBlurStep(5, 30.0), GaussianBlurStep(1.2), ResizeStep(40), JpegSimStep(60),
-             VideoCodecSimStep(12.0, 0.3), TvRangeSqueezeStep(), jitter, Quantize8BitStep())
-    assert {type(step) for step in steps} == set(_STEP_NAMES)
+    # color_jitter has no public function, so its step is applied through its
+    # kernel, with a fresh generator: no other step draws from the chain's
+    jitter = {"step": "color_jitter", "brightness": (0.8, 1.2), "contrast": (0.7, 1.3),
+              "saturation": (0.5, 1.5)}
+    chain = ChainSpec([
+        {"step": "motion_blur", "length": 5, "angle_deg": 30.0},
+        {"step": "gaussian_blur", "sigma": 1.2},
+        {"step": "resize", "shorter_side": 40},
+        {"step": "jpeg", "quality": 60},
+        {"step": "video_codec", "qstep": 12.0, "deadzone": 0.3},
+        {"step": "tv_range_squeeze"},
+        jitter,
+        {"step": "quantize_8bit"},
+    ])
+    assert [step["step"] for step in chain.steps] == list(STEP_FIELDS)
     img = frame(24, channels, 53, 77)
-    out = apply_chain(img, ChainSpec(steps), np.random.default_rng(5))
+    out = apply_chain(img, chain, np.random.default_rng(5))
     expected = motion_blur(img, 5, 30.0)
     expected = shorter_side_resize(gaussian_blur(expected, 1.2), 40)
     expected = video_codec_simulate(jpeg_simulate(expected, 60), VideoQuantModel(12.0, 0.3))
     expected = tv_range_squeeze(expected)
-    expected = ImageBuffer(jitter.planes(expected.data, np.random.default_rng(5)))
+    expected = ImageBuffer(_KERNELS["color_jitter"](expected.data, jitter,
+                                                    np.random.default_rng(5)))
     assert np.array_equal(out.data, quantize_8bit(expected).data)
 
 
