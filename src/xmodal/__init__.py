@@ -29,9 +29,8 @@ _EXPORTS = {
                   "TvRangeVerdict", "dataset_mean_rapsd", "dct_ac_histogram",
                   "detect_tv_range", "luminance_histogram", "rapsd", "residual_power",
                   "residual_spectrum"),
-    "cmsupcon": ("BatchFeatures", "LossConfig", "LossVariant", "cm_supcon_grad",
-                 "cm_supcon_loss", "vanilla_supcon_loss"),
-    "trainer": ("FeatureDataset", "OptimState", "SyntheticSpec", "ToyModel", "TrainConfig",
+    "cmsupcon": ("LossVariant", "contrastive_grad", "contrastive_loss"),
+    "trainer": ("FeatureDataset", "SyntheticSpec", "ToyModel", "TrainConfig",
                 "backward", "forward", "generate_synthetic", "load_checkpoint",
                 "mixed_batch_sampler", "optimizer_step", "save_checkpoint", "train"),
     "metrics": ("Aggregation", "EvalReport", "FrameScore", "accuracy", "average_precision",

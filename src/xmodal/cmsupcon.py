@@ -16,7 +16,6 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Label, Modality
 from .errors import InputError
 
 DEFAULT_TAU = 0.07
@@ -28,72 +27,6 @@ _NORM_FLOOR = 1e-12
 class LossVariant(Enum):
     CROSS_MODAL = "cross_modal"
     VANILLA = "vanilla"
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    tau: float = DEFAULT_TAU
-    variant: LossVariant = LossVariant.CROSS_MODAL
-
-    def __post_init__(self):
-        if not self.tau > 0:
-            raise ValueError(f"tau must be > 0, got {self.tau}")
-
-    @property
-    def cross_modal(self) -> bool:
-        return self.variant is LossVariant.CROSS_MODAL
-
-
-def _as_binary_array(values, what: str) -> np.ndarray:
-    """Accept Label/Modality sequences or 0/1 arrays; return int8 array."""
-    if isinstance(values, np.ndarray):
-        arr = values.astype(np.int8)
-    else:
-        converted = []
-        for v in values:
-            if isinstance(v, (Label, Modality)):
-                converted.append(v.numeric)
-            else:
-                converted.append(int(v))
-        arr = np.asarray(converted, dtype=np.int8)
-    if arr.ndim != 1:
-        raise ValueError(f"{what} must be one-dimensional")
-    if arr.size and not np.all((arr == 0) | (arr == 1)):
-        raise ValueError(f"{what} entries must be 0 or 1")
-    return arr
-
-
-@dataclass(frozen=True)
-class BatchFeatures:
-    """Pre-normalization features z with class labels y and modalities m."""
-
-    z: np.ndarray
-    y: np.ndarray
-    m: np.ndarray
-
-    def __post_init__(self):
-        z = np.ascontiguousarray(self.z, dtype=np.float64)
-        y = _as_binary_array(self.y, "labels")
-        m = _as_binary_array(self.m, "modalities")
-        if z.ndim != 2 or z.shape[0] < 1 or z.shape[1] < 2:
-            raise ValueError("z must be (n, d) with n >= 1 and d >= 2")
-        if not (len(y) == len(m) == z.shape[0]):
-            raise InputError(
-                f"z has {z.shape[0]} rows but got {len(y)} labels, {len(m)} modalities"
-            )
-        if not np.all(np.isfinite(z)):
-            raise ValueError("features must be finite")
-        if np.any(np.all(z == 0.0, axis=1)):
-            raise ValueError("no feature row may be identically zero")
-        for arr in (z, y, m):
-            arr.setflags(write=False)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "m", m)
-
-    @property
-    def n(self) -> int:
-        return self.z.shape[0]
 
 
 def _row_norms(z: np.ndarray) -> np.ndarray:
@@ -173,39 +106,42 @@ def _contrastive(
     return ContrastiveResult(loss=loss, per_anchor=per_anchor, valid=valid, grad=grad)
 
 
-def cm_supcon_loss(batch: BatchFeatures, cfg: LossConfig) -> ContrastiveResult:
-    """Cross-modal supervised contrastive loss; 0 when no anchor is valid."""
-    if cfg.variant is not LossVariant.CROSS_MODAL:
-        raise ValueError("cm_supcon_loss requires the CROSS_MODAL variant")
-    return _contrastive(batch.z, _positives(batch.y, batch.m, True), cfg.tau)
+def _check_batch(z, y, m, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """z, y and m as arrays, once checked with tau: the kernel takes them on trust."""
+    z, y, m = np.asarray(z, dtype=np.float64), np.asarray(y), np.asarray(m)
+    if not tau > 0:
+        raise InputError(f"tau must be > 0, got {tau}")
+    if z.ndim != 2 or z.shape[0] < 1 or z.shape[1] < 2:
+        raise InputError(f"z must be (n, d) with n >= 1 and d >= 2, got shape {z.shape}")
+    if not (y.shape == m.shape == z.shape[:1]):
+        raise InputError(f"z has {z.shape[0]} rows but got {y.size} labels, {m.size} modalities")
+    for what, arr in (("labels", y), ("modalities", m)):
+        if not np.all((arr == 0) | (arr == 1)):
+            raise InputError(f"{what} must be 0 or 1")
+    if not np.isfinite(z).all():
+        raise InputError("features must be finite")
+    return z, y, m
 
 
-def vanilla_supcon_loss(batch: BatchFeatures, cfg: LossConfig) -> float:
-    """Ablation variant: all same-label samples are positives, modality ignored."""
-    if cfg.variant is not LossVariant.VANILLA:
-        raise ValueError("vanilla_supcon_loss requires the VANILLA variant")
-    return _contrastive(batch.z, _positives(batch.y, batch.m, False), cfg.tau).loss
+def contrastive_loss(
+    z, y, m, tau: float = DEFAULT_TAU, variant: LossVariant = LossVariant.CROSS_MODAL
+) -> float:
+    """Supervised contrastive loss of features z with 0/1 labels y and modalities m.
 
-
-def contrastive_loss(batch: BatchFeatures, cfg: LossConfig) -> float:
-    """Dispatch on cfg.variant."""
-    return _contrastive(batch.z, _positives(batch.y, batch.m, cfg.cross_modal), cfg.tau).loss
-
-
-def contrastive_grad(batch: BatchFeatures, cfg: LossConfig) -> np.ndarray:
-    """Gradient of the configured variant w.r.t. the pre-normalization z."""
-    return _contrastive(batch.z, _positives(batch.y, batch.m, cfg.cross_modal), cfg.tau, True).grad
-
-
-def cm_supcon_grad(batch: BatchFeatures, cfg: LossConfig) -> np.ndarray:
-    """Analytic gradient of cm_supcon_loss w.r.t. the pre-normalization z.
-
-    Includes the chain rule through the row normalization; validated
-    against central finite differences in the test suite.
+    The cross-modal variant takes as positives only opposite-modality samples of
+    the anchor's label; the vanilla one ignores modality. 0 when no anchor has a
+    positive.
     """
-    if cfg.variant is not LossVariant.CROSS_MODAL:
-        raise ValueError("cm_supcon_grad requires the CROSS_MODAL variant")
-    return _contrastive(batch.z, _positives(batch.y, batch.m, True), cfg.tau, True).grad
+    z, y, m = _check_batch(z, y, m, tau)
+    return _contrastive(z, _positives(y, m, variant is LossVariant.CROSS_MODAL), tau).loss
+
+
+def contrastive_grad(
+    z, y, m, tau: float = DEFAULT_TAU, variant: LossVariant = LossVariant.CROSS_MODAL
+) -> np.ndarray:
+    """Gradient of ``contrastive_loss`` w.r.t. the pre-normalization z."""
+    z, y, m = _check_batch(z, y, m, tau)
+    return _contrastive(z, _positives(y, m, variant is LossVariant.CROSS_MODAL), tau, True).grad
 
 
 def binary_cross_entropy(logits: np.ndarray, targets: np.ndarray) -> float:

@@ -27,7 +27,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .core import MAX_SIDE, MAX_SIGMA, Field, ImageBuffer, check_fields, parse_json, read_text
+from .core import MAX_SIDE, MAX_SIGMA, Field, ImageBuffer, check_fields, parse_json, read_json
 from .errors import InputError
 from .pixelops import (
     ColorRange,
@@ -404,7 +404,15 @@ class ChainSpec:
     @classmethod
     def from_json(cls, text: str, path: str | Path = "chain") -> "ChainSpec":
         """The chain in ``text``, read from ``path``, which errors name."""
-        doc = parse_json(text, path)
+        return cls._from_doc(parse_json(text, path), path)
+
+    @classmethod
+    def load(cls, path: str | Path) -> "ChainSpec":
+        """The chain in the file at ``path``, read by the one input-file reader."""
+        return cls._from_doc(read_json(path), path)
+
+    @classmethod
+    def _from_doc(cls, doc, path: str | Path) -> "ChainSpec":
         if not isinstance(doc, dict) or not isinstance(doc.get("steps"), list) or not doc["steps"]:
             raise InputError(f"{path}: chain document must be {{'steps': [...]}} "
                              "with at least one step")
@@ -412,10 +420,6 @@ class ChainSpec:
         check_fields({key: value for key, value in doc.items() if key != "steps"}, (),
                      f"{path}: ")
         return cls(tuple(doc["steps"]), path)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ChainSpec":
-        return cls.from_json(read_text(path), path)
 
 
 def apply_chain(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Union
 
@@ -213,37 +213,16 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-@dataclass(frozen=True)
-class OptimState:
-    """AdamW accumulator state: bias-corrected moments, decoupled decay."""
-
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-    step: int
-    lr: float
-    weight_decay: float = 0.0
-
-    def __post_init__(self):
-        if not self.lr > 0:
-            raise ValueError("lr must be > 0")
-
-    @classmethod
-    def init(
-        cls, params: dict[str, np.ndarray], lr: float, weight_decay: float = 0.0
-    ) -> "OptimState":
-        def zeros():
-            return {k: np.zeros_like(p) for k, p in params.items()}
-
-        return cls(m=zeros(), v=zeros(), step=0, lr=lr, weight_decay=weight_decay)
-
-
-def adamw_inplace(p, g, m, v, step: int, lr: float, weight_decay: float, work=None) -> None:
-    """AdamW update number ``step`` of the arrays p, m and v, in place.
+def optimizer_step(p, g, m, v, step: int, lr: float, weight_decay: float, work=None) -> None:
+    """AdamW update number ``step`` (from 1) of the arrays p, m and v, in place.
 
     Each element goes through the textbook form's operations in its order:
     m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g, then p - (lr*m_hat) /
     (sqrt(v_hat) + eps) - (lr*wd)*p_old. ``work`` is two scratch arrays shaped like p.
     """
+    if not g.shape == m.shape == v.shape == p.shape:
+        raise InputError(f"gradient {g.shape} and moments {m.shape}, {v.shape} "
+                         f"must have the parameter shape {p.shape}")
     t, u = np.empty((2, *p.shape)) if work is None else work
     m *= ADAM_BETA1
     m += np.multiply(g, 1.0 - ADAM_BETA1, out=t)
@@ -262,25 +241,6 @@ def adamw_inplace(p, g, m, v, step: int, lr: float, weight_decay: float, work=No
         p -= u
     else:
         p -= t
-
-
-def optimizer_step(
-    params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state: OptimState
-) -> tuple[dict[str, np.ndarray], OptimState]:
-    """One AdamW update. Pure: ``adamw_inplace`` on copies of the inputs."""
-    if set(params) != set(grads):
-        raise InputError("params and grads must share keys")
-    step = state.step + 1
-    new_params = {key: np.array(p, dtype=np.float64) for key, p in params.items()}
-    new_m = {key: m.copy() for key, m in state.m.items()}
-    new_v = {key: v.copy() for key, v in state.v.items()}
-    for key, p in new_params.items():
-        if grads[key].shape != p.shape:
-            raise InputError(
-                f"{key}: gradient shape {grads[key].shape} != parameter shape {p.shape}"
-            )
-        adamw_inplace(p, grads[key], new_m[key], new_v[key], step, state.lr, state.weight_decay)
-    return new_params, replace(state, m=new_m, v=new_v, step=step)
 
 
 # probability that a batch slot not reserved for either modality draws video
@@ -541,7 +501,7 @@ def train(
                      train_data.m[idx], config.feature_layer, config.variant, grads, steps)
             norm_sum += math.sqrt(grad @ grad)
             step += 1
-            adamw_inplace(theta, grad, m, v, step, config.lr, config.weight_decay, work)
+            optimizer_step(theta, grad, m, v, step, config.lr, config.weight_decay, work)
             if not np.isfinite(theta).all():
                 name = next(n for n, p in params.items() if not np.isfinite(p).all())
                 raise NumericalError(

@@ -12,14 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from xmodal.cli import main as cli_main
-from xmodal.cmsupcon import (
-    BatchFeatures,
-    LossConfig,
-    LossVariant,
-    cm_supcon_grad,
-    cm_supcon_loss,
-    vanilla_supcon_loss,
-)
+from xmodal.cmsupcon import LossVariant, contrastive_grad, contrastive_loss
 from xmodal.codecsim import (
     ChainSpec,
     JPEG_CHROMA_BASE,
@@ -87,15 +80,15 @@ def max_rel_error(analytic: np.ndarray, fd: np.ndarray) -> float:
     return float((np.abs(analytic - fd) / np.maximum(REL_FLOOR, np.abs(fd))).max())
 
 
-def loss_fd(z, y, m, cfg, step=1e-5):
+def loss_fd(z, y, m, tau, step=1e-5):
     grad = np.zeros_like(z)
     for i in range(z.shape[0]):
         for j in range(z.shape[1]):
             zp, zm = z.copy(), z.copy()
             zp[i, j] += step
             zm[i, j] -= step
-            lp = cm_supcon_loss(BatchFeatures(zp, y, m), cfg).loss
-            lm = cm_supcon_loss(BatchFeatures(zm, y, m), cfg).loss
+            lp = contrastive_loss(zp, y, m, tau)
+            lm = contrastive_loss(zm, y, m, tau)
             grad[i, j] = (lp - lm) / (2 * step)
     return grad
 
@@ -113,14 +106,13 @@ def test_criterion_1_gradient_correctness():
         z = rng.normal(size=(n, d))
         y = rng.integers(0, 2, n)
         m = rng.integers(0, 2, n)
-        cfg = LossConfig(tau=tau)
-        analytic = cm_supcon_grad(BatchFeatures(z, y, m), cfg)
-        fd = loss_fd(z, y, m, cfg)
+        analytic = contrastive_grad(z, y, m, tau)
+        fd = loss_fd(z, y, m, tau)
         worst = max(worst, max_rel_error(analytic, fd))
     assert worst <= 1e-5, f"loss gradient rel error {worst}"
 
     # full-model gradients through the joint objective
-    from xmodal.cmsupcon import binary_cross_entropy, contrastive_loss
+    from xmodal.cmsupcon import binary_cross_entropy
 
     def joint_value(model, x, y, m, lam, tau, layer):
         out = forward(model, x, layer)
@@ -128,10 +120,7 @@ def test_criterion_1_gradient_correctness():
         live = np.linalg.norm(out.z, axis=1) > 1e-12
         cm = 0.0
         if live.sum() >= 2:
-            cm = contrastive_loss(
-                BatchFeatures(out.z[live], y.astype(np.int8)[live], m[live]),
-                LossConfig(tau=tau),
-            )
+            cm = contrastive_loss(out.z[live], y.astype(np.int8)[live], m[live], tau)
         return bce + lam * cm
 
     worst_model = 0.0
@@ -171,22 +160,18 @@ def test_criterion_2_loss_semantics():
         z = rng.normal(size=(n, d))
         y = rng.integers(0, 2, n)
         m = rng.integers(0, 2, n)
-        cfg = LossConfig(tau=float(rng.choice([0.07, 0.5, 1.0])))
-        batch = BatchFeatures(z, y, m)
-        loss = cm_supcon_loss(batch, cfg).loss
+        tau = float(rng.choice([0.07, 0.5, 1.0]))
+        loss = contrastive_loss(z, y, m, tau)
         # non-negativity
         assert loss >= 0.0
         # permutation invariance
         perm = rng.permutation(n)
-        shuffled = BatchFeatures(z[perm], y[perm], m[perm])
-        assert abs(cm_supcon_loss(shuffled, cfg).loss - loss) <= 1e-12
+        assert abs(contrastive_loss(z[perm], y[perm], m[perm], tau) - loss) <= 1e-12
         # row-scaling invariance
         scales = rng.uniform(0.05, 20.0, size=(n, 1))
-        scaled = BatchFeatures(z * scales, y, m)
-        assert abs(cm_supcon_loss(scaled, cfg).loss - loss) <= 1e-9
+        assert abs(contrastive_loss(z * scales, y, m, tau) - loss) <= 1e-9
         # single-modality batches contribute nothing
-        uni = BatchFeatures(z, y, np.zeros(n, dtype=np.int8))
-        assert cm_supcon_loss(uni, cfg).loss == 0.0
+        assert contrastive_loss(z, y, np.zeros(n, dtype=np.int8), tau) == 0.0
 
     # cross-modal equals vanilla when every same-label pair crosses modality
     for seed in range(10):
@@ -195,16 +180,13 @@ def test_criterion_2_loss_semantics():
         y = np.array([0, 0, 1, 1])
         m = np.array([0, 1, 0, 1])
         tau = float(rng.choice([0.07, 0.5, 1.0]))
-        a = cm_supcon_loss(BatchFeatures(z, y, m), LossConfig(tau=tau)).loss
-        b = vanilla_supcon_loss(
-            BatchFeatures(z, y, m), LossConfig(tau=tau, variant=LossVariant.VANILLA)
-        )
+        a = contrastive_loss(z, y, m, tau)
+        b = contrastive_loss(z, y, m, tau, LossVariant.VANILLA)
         assert abs(a - b) <= 1e-12
 
     # hand-derived n=3 example
     z = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    batch = BatchFeatures(z, [0, 0, 1], [0, 1, 1])
-    value = cm_supcon_loss(batch, LossConfig(tau=1.0)).loss
+    value = contrastive_loss(z, [0, 0, 1], [0, 1, 1], tau=1.0)
     assert abs(value - 0.313262) <= 1e-6
 
 

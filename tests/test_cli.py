@@ -292,12 +292,13 @@ class TestDegrade:
          "step 0 'color_jitter': 'contrast'"),
         ({"steps": [{"step": "jpeg", "quality": 90}], "stepz": [], "seed": 3},
          "'stepz': unknown key"),
+        ('{"steps": [\n  {"step": "jpeg",}\n]}', "line 2: invalid JSON"),  # text, not a doc
     ])
     def test_mistyped_chain_exits_2_naming_step(self, corpus, tmp_path, capsys, command, doc,
                                                 where):
         root, manifest = corpus
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
+        bad.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         kind = ("dct",) if command == "analyze" else ()
         code = run_cli(command, *kind, "--manifest", manifest, "--chain", bad,
                        "--out", tmp_path / "x")
@@ -501,8 +502,10 @@ class TestEvaluateCommand:
             )
         features = feature_file(tmp_path, records)
         out = tmp_path / "eval_video"
-        assert run_cli("evaluate", "--checkpoint", checkpoint, "--features",
-                       features, "--out", out, "--frames", 3) == 0
+        # one video of one label: its subset's balanced accuracy is undefined
+        with pytest.warns(UserWarning, match="1 subset.* undefined balanced_acc"):
+            assert run_cli("evaluate", "--checkpoint", checkpoint, "--features",
+                           features, "--out", out, "--frames", 3) == 0
         report = json.loads((out / "report.json").read_text())
         row = report["subsets"][0]
         assert row["n_fake"] == 1  # five frames, one video
@@ -1367,3 +1370,29 @@ class TestLazyPackageNames:
         with pytest.raises(AttributeError, match="module 'xmodal' has no attribute 'nope'"):
             xmodal.nope
         assert not hasattr(xmodal, "MAX_SPLIT")
+
+
+class TestTracedTrainJob:
+    def test_one_optimizer_span_per_sgd_step_and_no_public_contrastive_call(self, tmp_path):
+        # The benchmark's tracer reads the arguments of the calls it wraps, so a
+        # traced job must call the optimizer it wraps and none of the public
+        # contrastive pair. A subprocess, since installing the tracer rebinds
+        # module globals for the whole process.
+        child = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+        config = _write_json(tmp_path / "cfg.json", {
+            "data": {"synthetic": {"train_counts": [12, 12, 12, 12],
+                                   "val_counts": [4, 4, 4, 4],
+                                   "test_counts": [4, 4, 4, 4], "seed": 0}},
+            "train": {"epochs": 2, "batch_size": 8},
+        })
+        result = tmp_path / "result.json"
+        done = _python(tmp_path, str(child), str(result), "train", "train", "1",
+                       "train", "--config", str(config), "--out", str(tmp_path / "t"))
+        assert done.returncode == 0, done.stderr
+        assert json.loads(result.read_text())["rc"] == 0
+        names = [span[1] for span in json.loads(
+            (tmp_path / "result.spans.json").read_text())["spans"]]
+        steps = 2 * 48 // 8  # two epochs of full batches
+        assert names.count("trainer.optimizer_step") == steps
+        assert names.count("trainer.backward") == steps
+        assert not [name for name in names if name.startswith("cmsupcon.contrastive_")]

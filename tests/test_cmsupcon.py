@@ -8,33 +8,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xmodal.cmsupcon import (
-    BatchFeatures,
-    LossConfig,
     LossVariant,
     _contrastive,
     _positives,
     binary_cross_entropy,
-    cm_supcon_grad,
-    cm_supcon_loss,
     contrastive_grad,
-    vanilla_supcon_loss,
+    contrastive_loss,
 )
 from xmodal.errors import InputError
 
-CM = LossConfig(tau=1.0)
-VAN = LossConfig(tau=1.0, variant=LossVariant.VANILLA)
+VANILLA = LossVariant.VANILLA
 
 
 def random_batch(rng, n=None, d=None):
+    """Features z with 0/1 labels y and modalities m."""
     n = n or int(rng.integers(2, 17))
     d = d or int(rng.integers(2, 9))
     z = rng.normal(size=(n, d))
     y = rng.integers(0, 2, n)
     m = rng.integers(0, 2, n)
-    return BatchFeatures(z, y, m)
+    return z, y, m
 
 
-def fd_gradient(z, y, m, cfg, step=1e-5):
+def fd_gradient(z, y, m, tau, step=1e-5):
     grad = np.zeros_like(z)
     for i in range(z.shape[0]):
         for j in range(z.shape[1]):
@@ -42,8 +38,8 @@ def fd_gradient(z, y, m, cfg, step=1e-5):
             zp[i, j] += step
             zm = z.copy()
             zm[i, j] -= step
-            lp = cm_supcon_loss(BatchFeatures(zp, y, m), cfg).loss
-            lm = cm_supcon_loss(BatchFeatures(zm, y, m), cfg).loss
+            lp = contrastive_loss(zp, y, m, tau)
+            lm = contrastive_loss(zm, y, m, tau)
             grad[i, j] = (lp - lm) / (2 * step)
     return grad
 
@@ -54,88 +50,76 @@ class TestCmSupconLoss:
         rng = np.random.default_rng(0)
         for _ in range(5):
             z = rng.normal(size=(2, 4))
-            batch = BatchFeatures(z, [0, 0], [0, 1])
-            assert cm_supcon_loss(batch, LossConfig(tau=0.3)).loss == pytest.approx(
-                0.0, abs=1e-12
-            )
+            assert contrastive_loss(z, [0, 0], [0, 1], tau=0.3) == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_derived_three_sample_value(self):
         z = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        batch = BatchFeatures(z, [0, 0, 1], [0, 1, 1])
-        result = cm_supcon_loss(batch, CM)
+        loss = contrastive_loss(z, [0, 0, 1], [0, 1, 1], tau=1.0)
         expected = math.log(1.0 + math.exp(-1.0))
-        assert result.loss == pytest.approx(expected, abs=1e-6)
-        assert result.loss == pytest.approx(0.313262, abs=1e-6)
+        assert loss == pytest.approx(expected, abs=1e-6)
+        assert loss == pytest.approx(0.313262, abs=1e-6)
+        result = _contrastive(z, _positives(np.array([0, 0, 1]), np.array([0, 1, 1]), True), 1.0)
+        assert result.loss == loss
         assert result.valid.tolist() == [0, 1]
         assert result.per_anchor[0] == pytest.approx(expected, abs=1e-9)
         assert result.per_anchor[2] == 0.0
 
     def test_all_image_batch_is_exactly_zero(self):
         rng = np.random.default_rng(1)
-        batch = BatchFeatures(rng.normal(size=(6, 4)), rng.integers(0, 2, 6), np.zeros(6))
-        assert cm_supcon_loss(batch, CM).loss == 0.0
+        z, y = rng.normal(size=(6, 4)), rng.integers(0, 2, 6)
+        assert contrastive_loss(z, y, np.zeros(6), tau=1.0) == 0.0
 
     def test_non_negativity_random(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             batch = random_batch(rng)
             for tau in (0.07, 0.5, 1.0):
-                assert cm_supcon_loss(batch, LossConfig(tau=tau)).loss >= 0.0
+                assert contrastive_loss(*batch, tau) >= 0.0
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            batch = random_batch(rng)
-            perm = rng.permutation(batch.n)
-            shuffled = BatchFeatures(batch.z[perm], batch.y[perm], batch.m[perm])
-            a = cm_supcon_loss(batch, LossConfig(tau=0.07)).loss
-            b = cm_supcon_loss(shuffled, LossConfig(tau=0.07)).loss
+            z, y, m = random_batch(rng)
+            perm = rng.permutation(len(z))
+            a = contrastive_loss(z, y, m, tau=0.07)
+            b = contrastive_loss(z[perm], y[perm], m[perm], tau=0.07)
             assert a == pytest.approx(b, abs=1e-12)
 
     def test_row_scaling_invariance(self):
         rng = np.random.default_rng(4)
-        batch = random_batch(rng, n=8, d=5)
+        z, y, m = random_batch(rng, n=8, d=5)
         scales = rng.uniform(0.01, 100.0, size=(8, 1))
-        scaled = BatchFeatures(batch.z * scales, batch.y, batch.m)
-        a = cm_supcon_loss(batch, LossConfig(tau=0.07)).loss
-        b = cm_supcon_loss(scaled, LossConfig(tau=0.07)).loss
+        a = contrastive_loss(z, y, m, tau=0.07)
+        b = contrastive_loss(z * scales, y, m, tau=0.07)
         assert a == pytest.approx(b, abs=1e-9)
 
     def test_tau_stability_and_continuity(self):
         rng = np.random.default_rng(5)
         batch = random_batch(rng, n=10, d=4)
         taus = [1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125]
-        losses = [cm_supcon_loss(batch, LossConfig(tau=t)).loss for t in taus]
+        losses = [contrastive_loss(*batch, t) for t in taus]
         assert all(np.isfinite(losses))
         # continuity probe: nearby taus give nearby losses
         for t in (0.07, 0.5):
-            a = cm_supcon_loss(batch, LossConfig(tau=t)).loss
-            b = cm_supcon_loss(batch, LossConfig(tau=t * (1 + 1e-9))).loss
+            a = contrastive_loss(*batch, t)
+            b = contrastive_loss(*batch, t * (1 + 1e-9))
             assert a == pytest.approx(b, rel=1e-6)
-
-    def test_variant_guard(self):
-        batch = random_batch(np.random.default_rng(0), n=4, d=3)
-        with pytest.raises(ValueError):
-            cm_supcon_loss(batch, VAN)
-        with pytest.raises(ValueError):
-            vanilla_supcon_loss(batch, CM)
 
 
 class TestVanillaSupcon:
     def test_identical_pair_zero(self):
         z = np.array([[0.3, 0.4], [0.3, 0.4]])
-        batch = BatchFeatures(z, [1, 1], [0, 0])
         for tau in (0.07, 1.0):
-            assert vanilla_supcon_loss(batch, LossConfig(tau=tau, variant=LossVariant.VANILLA)) == pytest.approx(0.0, abs=1e-12)
+            loss = contrastive_loss(z, [1, 1], [0, 0], tau, VANILLA)
+            assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_single_modality_can_be_positive(self):
         rng = np.random.default_rng(6)
         z = rng.normal(size=(6, 4))
         y = np.array([0, 0, 0, 1, 1, 1])
         m = np.zeros(6)
-        batch = BatchFeatures(z, y, m)
-        assert vanilla_supcon_loss(batch, VAN) > 0.0
-        assert cm_supcon_loss(batch, CM).loss == 0.0
+        assert contrastive_loss(z, y, m, 1.0, VANILLA) > 0.0
+        assert contrastive_loss(z, y, m, 1.0) == 0.0
 
     def test_equal_when_all_same_label_pairs_cross_modal(self):
         # one sample per (label, modality): every same-label pair crosses modality
@@ -143,35 +127,32 @@ class TestVanillaSupcon:
         z = rng.normal(size=(4, 5))
         y = np.array([0, 0, 1, 1])
         m = np.array([0, 1, 0, 1])
-        batch = BatchFeatures(z, y, m)
-        a = cm_supcon_loss(batch, LossConfig(tau=0.2)).loss
-        b = vanilla_supcon_loss(batch, LossConfig(tau=0.2, variant=LossVariant.VANILLA))
+        a = contrastive_loss(z, y, m, 0.2)
+        b = contrastive_loss(z, y, m, 0.2, VANILLA)
         assert a == pytest.approx(b, abs=1e-12)
 
 
 class TestGradient:
     def test_empty_valid_set_zero_gradient(self):
         rng = np.random.default_rng(8)
-        batch = BatchFeatures(rng.normal(size=(5, 4)), rng.integers(0, 2, 5), np.zeros(5))
-        assert np.all(cm_supcon_grad(batch, CM) == 0.0)
+        z, y = rng.normal(size=(5, 4)), rng.integers(0, 2, 5)
+        assert np.all(contrastive_grad(z, y, np.zeros(5), tau=1.0) == 0.0)
 
     def test_two_sample_zero_loss_has_zero_gradient(self):
         rng = np.random.default_rng(9)
         z = rng.normal(size=(2, 4))
-        batch = BatchFeatures(z, [0, 0], [0, 1])
-        grad = cm_supcon_grad(batch, LossConfig(tau=0.5))
-        fd = fd_gradient(z, np.array([0, 0]), np.array([0, 1]), LossConfig(tau=0.5))
+        grad = contrastive_grad(z, [0, 0], [0, 1], tau=0.5)
+        fd = fd_gradient(z, np.array([0, 0]), np.array([0, 1]), 0.5)
         assert np.abs(grad).max() < 1e-12
         assert np.abs(fd).max() < 1e-6
 
     @pytest.mark.parametrize("tau", [0.07, 0.5, 1.0])
     def test_matches_finite_differences(self, tau):
         rng = np.random.default_rng(int(tau * 1000))
-        cfg = LossConfig(tau=tau)
         for _ in range(10):
-            batch = random_batch(rng)
-            grad = cm_supcon_grad(batch, cfg)
-            fd = fd_gradient(batch.z.copy(), batch.y, batch.m, cfg)
+            z, y, m = random_batch(rng)
+            grad = contrastive_grad(z, y, m, tau)
+            fd = fd_gradient(z.copy(), y, m, tau)
             rel = np.abs(grad - fd) / np.maximum(1.0, np.abs(fd))
             assert rel.max() <= 1e-5
 
@@ -198,46 +179,60 @@ def feature_batches(draw):
     z = rng.normal(size=(n, d))
     y = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     m = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-    return BatchFeatures(z, np.array(y), np.array(m))
+    return z, np.array(y), np.array(m)
 
 
 @given(feature_batches(), st.sampled_from([0.07, 0.5, 1.0]))
 @settings(max_examples=60, deadline=None)
 def test_property_nonneg_and_scale_invariance(batch, tau):
-    cfg = LossConfig(tau=tau)
-    loss = cm_supcon_loss(batch, cfg).loss
+    z, y, m = batch
+    loss = contrastive_loss(z, y, m, tau)
     assert loss >= 0.0
     assert np.isfinite(loss)
-    scaled = BatchFeatures(batch.z * 7.5, batch.y, batch.m)
-    assert cm_supcon_loss(scaled, cfg).loss == pytest.approx(loss, abs=1e-9)
+    assert contrastive_loss(z * 7.5, y, m, tau) == pytest.approx(loss, abs=1e-9)
 
 
 @given(feature_batches())
 @settings(max_examples=40, deadline=None)
 def test_property_single_modality_zero_vs_vanilla(batch):
-    uni = BatchFeatures(batch.z, batch.y, np.zeros(batch.n, dtype=np.int8))
-    assert cm_supcon_loss(uni, LossConfig(tau=0.07)).loss == 0.0
+    z, y, m = batch
+    uni = np.zeros(len(z), dtype=np.int8)
+    assert contrastive_loss(z, y, uni, 0.07) == 0.0
     # vanilla ignores modality entirely
-    a = vanilla_supcon_loss(
-        BatchFeatures(batch.z, batch.y, batch.m),
-        LossConfig(tau=0.5, variant=LossVariant.VANILLA),
-    )
-    b = vanilla_supcon_loss(uni, LossConfig(tau=0.5, variant=LossVariant.VANILLA))
+    a = contrastive_loss(z, y, m, 0.5, VANILLA)
+    b = contrastive_loss(z, y, uni, 0.5, VANILLA)
     assert a == pytest.approx(b, abs=1e-12)
 
 
 class TestFromSamples:
     def test_embedded_samples_round_trip(self):
-        batch = BatchFeatures(
-            np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), [0, 0, 1], [0, 1, 1]
+        # plain lists are taken as the label and modality arrays
+        z = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        assert contrastive_loss(z, [0, 0, 1], [0, 1, 1], tau=1.0) == pytest.approx(
+            0.313262, abs=1e-6
         )
-        assert batch.y.tolist() == [0, 0, 1]
-        assert batch.m.tolist() == [0, 1, 1]
-        assert cm_supcon_loss(batch, CM).loss == pytest.approx(0.313262, abs=1e-6)
 
     def test_label_modality_length_mismatch(self):
+        # a length-1 modality array would broadcast in the positive mask
         with pytest.raises(InputError, match="2 rows but got 2 labels, 1 modalities"):
-            BatchFeatures(np.ones((2, 2)), [0, 1], [0])
+            contrastive_loss(np.ones((2, 2)), [0, 1], [0])
+
+    @pytest.mark.parametrize("z, y, m, tau, match", [
+        (np.ones((2, 1)), [0, 1], [0, 1], 0.07, r"z must be \(n, d\)"),
+        (np.ones((0, 2)), [], [], 0.07, r"z must be \(n, d\)"),
+        (np.ones(4), [0, 1], [0, 1], 0.07, r"z must be \(n, d\)"),
+        (np.ones((2, 2)), [[0, 1]], [0, 1], 0.07, "2 rows but got 2 labels"),
+        (np.ones((2, 2)), [0, 2], [0, 1], 0.07, "labels must be 0 or 1"),
+        (np.ones((2, 2)), [0, 1], [0.5, 1], 0.07, "modalities must be 0 or 1"),
+        (np.array([[1.0, np.nan], [1.0, 0.0]]), [0, 1], [0, 1], 0.07, "finite"),
+        (np.array([[1.0, np.inf], [1.0, 0.0]]), [0, 1], [0, 1], 0.07, "finite"),
+        (np.ones((2, 2)), [0, 1], [0, 1], 0.0, "tau must be > 0"),
+        (np.zeros((2, 2)), [0, 0], [0, 1], 0.07, "zero norm"),
+    ])
+    def test_bad_batch_raises_input_error(self, z, y, m, tau, match):
+        for fn in (contrastive_loss, contrastive_grad):
+            with pytest.raises(InputError, match=match):
+                fn(z, y, m, tau)
 
 
 # --- reference forms: the per-anchor loops the vectorized kernel replaced ----------
@@ -299,10 +294,10 @@ def reference_batches(seed, count=40):
     rng = np.random.default_rng(seed)
     for _ in range(count):
         yield random_batch(rng, n=int(rng.integers(2, 40)))
-    yield BatchFeatures(rng.normal(size=(7, 5)), [0, 0, 0, 1, 1, 1, 1], [0, 1, 0, 0, 0, 0, 0])
-    yield BatchFeatures(rng.normal(size=(6, 3)), [0, 0, 1, 1, 0, 1], np.zeros(6))
-    yield BatchFeatures(rng.normal(size=(4, 3)), [0, 1, 0, 1], [0, 0, 1, 1])
-    yield BatchFeatures(rng.normal(size=(1, 4)), [1], [0])
+    yield rng.normal(size=(7, 5)), np.array([0, 0, 0, 1, 1, 1, 1]), np.array([0, 1, 0, 0, 0, 0, 0])
+    yield rng.normal(size=(6, 3)), np.array([0, 0, 1, 1, 0, 1]), np.zeros(6)
+    yield rng.normal(size=(4, 3)), np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1])
+    yield rng.normal(size=(1, 4)), np.array([1]), np.array([0])
 
 
 class TestKernelAgainstReference:
@@ -311,21 +306,21 @@ class TestKernelAgainstReference:
     def test_loss_per_anchor_and_valid_match_brute_force(self, variant, tau):
         cross_modal = variant is LossVariant.CROSS_MODAL
         seen_invalid = seen_empty = False
-        for batch in reference_batches(seed=11):
-            expected = reference_loss(batch.z, batch.y, batch.m, tau, cross_modal)
-            loss, per_anchor, valid = expected
-            result = _contrastive(batch.z, _positives(batch.y, batch.m, cross_modal), tau)
+        for z, y, m in reference_batches(seed=11):
+            loss, per_anchor, valid = reference_loss(z, y, m, tau, cross_modal)
+            result = _contrastive(z, _positives(y, m, cross_modal), tau)
             assert result.valid.tolist() == valid.tolist()
             assert np.abs(result.per_anchor - per_anchor).max() <= 1e-12
             assert abs(result.loss - loss) <= 1e-12
-            seen_invalid |= 0 < valid.size < batch.n
+            assert contrastive_loss(z, y, m, tau, variant) == result.loss
+            seen_invalid |= 0 < valid.size < len(z)
             seen_empty |= valid.size == 0
         assert seen_invalid and seen_empty
 
     @pytest.mark.parametrize("variant", list(LossVariant))
     @pytest.mark.parametrize("tau", [0.07, 0.5, 1.0])
     def test_gradient_bit_identical_to_loop_form(self, variant, tau):
-        cfg = LossConfig(tau=tau, variant=variant)
-        for batch in reference_batches(seed=12):
-            expected = reference_grad(batch.z, batch.y, batch.m, tau, cfg.cross_modal)
-            assert np.array_equal(contrastive_grad(batch, cfg), expected)
+        cross_modal = variant is LossVariant.CROSS_MODAL
+        for z, y, m in reference_batches(seed=12):
+            expected = reference_grad(z, y, m, tau, cross_modal)
+            assert np.array_equal(contrastive_grad(z, y, m, tau, variant), expected)

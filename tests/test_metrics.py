@@ -246,7 +246,8 @@ class TestPerSubsetReport:
     def test_subset_without_positives_flagged_na(self):
         good = preds([0.9, 0.1], [1, 0], subset="a")
         negatives_only = preds([0.3, 0.2], [0, 0], subset="b")
-        with pytest.warns(UserWarning, match="AP"):
+        with pytest.warns(UserWarning, match="undefined balanced_acc"), \
+                pytest.warns(UserWarning, match="AP"):
             report = per_subset_report(good + negatives_only)
         by_name = {r.subset: r for r in report.rows}
         assert by_name["b"].ap is None

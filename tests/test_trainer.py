@@ -5,13 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from xmodal.cmsupcon import (
-    BatchFeatures,
-    LossConfig,
-    LossVariant,
-    binary_cross_entropy,
-    contrastive_loss,
-)
+from xmodal.cmsupcon import LossVariant, binary_cross_entropy, contrastive_loss
 from xmodal.errors import InputError
 from xmodal.trainer import (
     ADAM_BETA1,
@@ -20,13 +14,11 @@ from xmodal.trainer import (
     PARAM_NAMES,
     VIDEO_FRACTION,
     FeatureDataset,
-    OptimState,
     SyntheticSpec,
     ToyModel,
     TrainConfig,
     _dataset_stats,
     _stats_inputs,
-    adamw_inplace,
     backward,
     contrastive_term,
     forward,
@@ -55,10 +47,8 @@ def joint_value(model, x, y, m, lam, tau, layer, variant=LossVariant.CROSS_MODAL
     live = np.linalg.norm(out.z, axis=1) > 1e-12
     cm = 0.0
     if lam > 0 and live.sum() >= 2:
-        cm = contrastive_loss(
-            BatchFeatures(out.z[live], y.astype(np.int8)[live], np.asarray(m)[live]),
-            LossConfig(tau=tau, variant=variant),
-        )
+        cm = contrastive_loss(out.z[live], y.astype(np.int8)[live], np.asarray(m)[live], tau,
+                              variant)
     return bce + lam * cm
 
 
@@ -155,38 +145,34 @@ class TestBackward:
 
 class TestOptimizer:
     def test_first_step_hand_values(self):
-        params = {"p": np.array([1.0])}
-        grads = {"p": np.array([1.0])}
-        state = OptimState.init(params, lr=0.1)
-        new_params, new_state = optimizer_step(params, grads, state)
-        assert new_state.step == 1
-        assert new_state.m["p"][0] == pytest.approx(0.1, abs=1e-15)
-        assert new_state.v["p"][0] == pytest.approx(0.001, abs=1e-15)
+        p, g, m, v = np.array([1.0]), np.array([1.0]), np.zeros(1), np.zeros(1)
+        optimizer_step(p, g, m, v, 1, 0.1, 0.0)
+        assert m[0] == pytest.approx(0.1, abs=1e-15)
+        assert v[0] == pytest.approx(0.001, abs=1e-15)
         expected = 1.0 - 0.1 * 1.0 / (1.0 + 1e-8)
-        assert new_params["p"][0] == pytest.approx(expected, abs=1e-12)
+        assert p[0] == pytest.approx(expected, abs=1e-12)
 
     def test_zero_gradient_is_identity(self):
         rng = np.random.default_rng(5)
-        params = {"a": rng.normal(size=(3, 2)), "b": rng.normal(size=2)}
-        grads = {k: np.zeros_like(v) for k, v in params.items()}
-        state = OptimState.init(params, lr=0.1)
-        new_params, _ = optimizer_step(params, grads, state)
-        for k in params:
-            assert np.array_equal(new_params[k], params[k])
+        for shape in ((3, 2), (2,)):
+            p = rng.normal(size=shape)
+            before = p.copy()
+            optimizer_step(p, np.zeros(shape), np.zeros(shape), np.zeros(shape), 1, 0.1, 0.0)
+            assert np.array_equal(p, before)
 
     def test_decoupled_decay_only(self):
-        params = {"p": np.array([2.0])}
-        grads = {"p": np.array([0.0])}
-        state = OptimState.init(params, lr=0.1, weight_decay=0.1)
-        new_params, _ = optimizer_step(params, grads, state)
-        assert new_params["p"][0] == pytest.approx(2.0 * (1.0 - 0.01), abs=1e-15)
+        p = np.array([2.0])
+        optimizer_step(p, np.zeros(1), np.zeros(1), np.zeros(1), 1, 0.1, 0.1)
+        assert p[0] == pytest.approx(2.0 * (1.0 - 0.01), abs=1e-15)
 
-    def test_shape_mismatch(self):
-        params = {"p": np.zeros(3)}
-        grads = {"p": np.zeros(4)}
-        state = OptimState.init(params, lr=0.1)
-        with pytest.raises(InputError, match=r"p: gradient shape \(4,\) != parameter shape"):
-            optimizer_step(params, grads, state)
+    @pytest.mark.parametrize("bad", ["g", "m", "v"])
+    def test_shape_mismatch(self, bad):
+        # a (1,) array would broadcast silently
+        arrays = {"p": np.zeros(3), "g": np.zeros(3), "m": np.zeros(3), "v": np.zeros(3)}
+        arrays[bad] = np.zeros(1)
+        with pytest.raises(InputError, match=r"must have the parameter shape \(3,\)"):
+            optimizer_step(*arrays.values(), 1, 0.1, 0.0)
+        assert not arrays["p"].any()
 
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
     def test_inplace_kernel_matches_textbook_update_bit_for_bit(self, weight_decay):
@@ -197,7 +183,7 @@ class TestOptimizer:
         work = np.empty((2, 257))
         for step in range(1, 51):
             g = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=257)
-            adamw_inplace(p, g, m, v, step, 1e-3, weight_decay, work)
+            optimizer_step(p, g, m, v, step, 1e-3, weight_decay, work)
             # the per-array form the kernel replaced
             ref_m = ADAM_BETA1 * ref_m + (1.0 - ADAM_BETA1) * g
             ref_v = ADAM_BETA2 * ref_v + (1.0 - ADAM_BETA2) * g * g
@@ -209,19 +195,6 @@ class TestOptimizer:
             ref_p = updated
             assert np.array_equal(p, ref_p)
             assert np.array_equal(m, ref_m) and np.array_equal(v, ref_v)
-
-    def test_pure_step_leaves_its_inputs_alone(self):
-        rng = np.random.default_rng(22)
-        params = {"a": rng.normal(size=(3, 2)), "b": rng.normal(size=2)}
-        grads = {k: rng.normal(size=p.shape) for k, p in params.items()}
-        state = OptimState.init(params, lr=0.1, weight_decay=0.1)
-        _, state = optimizer_step(params, grads, state)  # non-zero moments
-        before = [{k: a.copy() for k, a in d.items()} for d in (params, grads, state.m, state.v)]
-        new_params, new_state = optimizer_step(params, grads, state)
-        for kept, now in zip(before, (params, grads, state.m, state.v)):
-            assert all(np.array_equal(kept[k], now[k]) for k in kept)
-        assert state.step == 1 and new_state.step == 2
-        assert not np.array_equal(new_params["a"], params["a"])
 
 
 def reference_mixed_batch_sampler(image_pool, video_pool, batch_size, rng):
@@ -369,12 +342,13 @@ def reference_batch_terms(params, x, y, m, config):
 
 
 def reference_train_params(model, data, config):
-    """Parameters after each epoch of the dict-and-pure-step loop that train
-    replaced, and each epoch's training columns of the history from the logits,
-    contrastive loss and counters of its batches and the norm of each gradient."""
+    """Parameters after each epoch of the per-parameter dict loop that train's flat
+    vectors replaced, and each epoch's training columns of the history from the
+    logits, contrastive loss and counters of its batches and the norm of each gradient."""
     rng = np.random.default_rng(config.seed)
-    params = model.params()
-    state = OptimState.init(params, lr=config.lr, weight_decay=config.weight_decay)
+    params = {name: p.copy() for name, p in model.params().items()}
+    moments = {name: (np.zeros_like(p), np.zeros_like(p)) for name, p in params.items()}
+    step = 0
     y = data.y.astype(np.float64)
     per_epoch, columns = [], []
     for _ in range(config.epochs):
@@ -387,8 +361,11 @@ def reference_train_params(model, data, config):
             grads = backward(params, data.x[idx], y[idx], config.lam, config.tau,
                              data.m[idx], config.feature_layer, config.variant)
             norms.append(np.linalg.norm(np.concatenate([grads[n].ravel() for n in PARAM_NAMES])))
-            params, state = optimizer_step(params, grads, state)
-        per_epoch.append(params)
+            step += 1
+            for name, p in params.items():
+                optimizer_step(p, grads[name], *moments[name], step, config.lr,
+                               config.weight_decay)
+        per_epoch.append({name: p.copy() for name, p in params.items()})
         logits, cms, anchors, dead = zip(*terms)
         logits, labels = np.concatenate(logits), np.concatenate(labels)
         bce = binary_cross_entropy(logits, labels)
