@@ -30,9 +30,9 @@ _EXPORTS = {
                   "detect_tv_range", "luminance_histogram", "rapsd", "residual_power",
                   "residual_spectrum"),
     "cmsupcon": ("LossVariant", "contrastive_grad", "contrastive_loss"),
-    "trainer": ("FeatureDataset", "SyntheticSpec", "ToyModel", "TrainConfig",
-                "backward", "forward", "generate_synthetic", "load_checkpoint",
-                "mixed_batch_sampler", "optimizer_step", "save_checkpoint", "train"),
+    "trainer": ("FeatureDataset", "SyntheticSpec", "ToyModel", "backward", "forward",
+                "generate_synthetic", "load_checkpoint", "mixed_batch_sampler",
+                "optimizer_step", "save_checkpoint", "train", "train_config"),
     "metrics": ("Aggregation", "EvalReport", "FrameScore", "accuracy", "average_precision",
                 "balanced_accuracy", "multi_frame_average", "per_subset_report",
                 "precision_recall_f1"),

@@ -12,9 +12,11 @@ import argparse
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import sys
 from pathlib import Path
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
@@ -151,8 +153,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         loader = load_image
     elif kind == "spectrum":
         loader = functools.partial(load_luma, size=args.size)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     def per_sample(rec: SampleRecord, img: ImageBuffer):
         if chain is not None:
@@ -244,6 +244,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     summary["n_failed"] = len(failed)
     summary["failed_ids"] = [rec_id for rec_id, _ in failed]
+    # created only once a sample has reduced, so an all-failing run leaves no --out
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / f"{kind}.csv").write_text(csv_text(header, rows), encoding="utf-8")
     _write_json(out_dir / f"{kind}.summary.json", summary)
     _write_run_manifest(out_dir, f"analyze {kind}", config, inputs)
@@ -346,13 +349,15 @@ def _history_csv(history: Sequence[EpochStats]) -> str:
 
 def load_train_config(path: Path, seed: Optional[int] = None) -> tuple:
     """A config file's checked settings, with ``seed`` over its own, its ``data``
-    section and, when that asks for the synthetic task, the task's spec."""
+    section and, when that asks for the synthetic task, the task's spec.
+    ``seed`` is the already checked ``--seed``."""
     from . import trainer
 
     where = f"{path}: "
     doc = check_fields(read_json(path), CONFIG_FIELDS, where)
-    overrides = {} if seed is None else {"seed": seed}
-    config = trainer.TrainConfig.from_doc(doc.get("train", {}), where, **overrides)
+    config = trainer.train_config(doc.get("train", {}), where)
+    if seed is not None:
+        config = MappingProxyType({**config, "seed": seed})
     data_doc = check_fields(doc.get("data", {"synthetic": {}}), DATA_FIELDS, where, "data.")
     if "synthetic" in data_doc:
         return config, data_doc, trainer.synthetic_spec(data_doc["synthetic"], where)
@@ -377,9 +382,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         inputs["val_features"] = Path(data_doc["val_features"])
         train_data = _records_to_dataset(inputs["train_features"])
         val_data = _records_to_dataset(inputs["val_features"])
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config["seed"])
     model = trainer.ToyModel.init(
-        train_data.x.shape[1], config.hidden_dim, config.feature_dim, rng
+        train_data.x.shape[1], config["hidden_dim"], config["feature_dim"], rng
     )
     _keep_freed_heap()  # each epoch's validation statistics allocate the same n x n temporaries
     result = trainer.train(model, train_data, val_data, config)
@@ -391,7 +396,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         "config_file": str(config_path),
         "out": str(args.out),
         "data": data_doc,
-        "train": config.to_doc(),
+        "train": dict(config),
         "best_epoch": result.best_epoch,
         "best_val": result.best_val,
         "stopped_early": result.stopped_early,
@@ -413,26 +418,37 @@ def _record_name(rec, index: int) -> str:
     return f"feature record {index}" + (f" ({rec_id!r})" if rec_id is not None else "")
 
 
+# the Python types of JSON numbers; bool is neither
+_NUMBER_TYPES = {int, float}
+
+
 def _feature_problem(rec, d_in: int) -> Optional[str]:
     """Why ``rec`` has no usable feature vector, or None when it has one."""
     if not isinstance(rec, dict) or "x" not in rec:
         return "has no 'x' feature vector"
     try:
         x = np.asarray(rec["x"], dtype=np.float64)
+    except OverflowError:  # an integer beyond float64's range
+        return "'x' has non-finite values"
     except (TypeError, ValueError):
         return "'x' is not a flat list of numbers"
     if x.shape != (d_in,):
         return f"'x' has shape {x.shape}, the model expects ({d_in},)"
+    if not set(map(type, rec["x"])) <= _NUMBER_TYPES:
+        return "'x' is not a flat list of numbers"
     if not np.isfinite(x).all():
         return "'x' has non-finite values"
     return None
 
 
 def _feature_rows(records: list, d_in: int, path) -> np.ndarray:
-    """Stack the records' ``x`` vectors into an (n, d_in) finite float array."""
+    """Stack the records' ``x`` vectors into an (n, d_in) finite float array.
+    Only JSON numbers pass: numpy alone would read true/false and numeric strings."""
     try:
-        x = np.array([rec["x"] for rec in records], dtype=np.float64)
-    except (KeyError, TypeError, ValueError):
+        rows = [rec["x"] for rec in records]
+        numbers = set(map(type, itertools.chain.from_iterable(rows))) <= _NUMBER_TYPES
+        x = np.array(rows, dtype=np.float64) if numbers else None
+    except (KeyError, TypeError, ValueError, OverflowError):
         x = None
     if x is None or x.shape != (len(records), d_in) or not np.isfinite(x).all():
         for i, rec in enumerate(records):
@@ -530,7 +546,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     model, config = trainer.load_checkpoint(args.checkpoint)
     records = load_feature_file(args.features)[: args.limit]
     scores, labels, subsets = _score_feature_records(
-        model, config.feature_layer, records, args.frames, args.features
+        model, config["feature_layer"], records, args.frames, args.features
     )
     inputs = {"checkpoint": Path(args.checkpoint), "features": Path(args.features)}
     report = metrics.subset_report(scores, labels, subsets, args.threshold,

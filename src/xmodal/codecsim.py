@@ -27,7 +27,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .core import MAX_SIDE, MAX_SIGMA, Field, ImageBuffer, check_fields, parse_json, read_json
+from .core import (MAX_SIDE, MAX_SIGMA, Field, ImageBuffer, check_fields, parse_json, read_json,
+                   with_defaults)
 from .errors import InputError
 from .pixelops import (
     ColorRange,
@@ -370,11 +371,7 @@ def _check_step(entry, where: str) -> MappingProxyType:
         raise InputError(f"{where}: unknown chain step {reprlib.repr(name)}")
     keys = check_fields({key: value for key, value in entry.items() if key != "step"},
                         STEP_FIELDS[name], f"{where} {name!r}: ")
-    step = {"step": name}
-    for field in STEP_FIELDS[name]:
-        value = keys.get(field.key, field.default)
-        step[field.key] = tuple(value) if isinstance(value, list) else value
-    return MappingProxyType(step)
+    return MappingProxyType({"step": name, **with_defaults(keys, STEP_FIELDS[name])})
 
 
 @dataclass(frozen=True)
@@ -404,15 +401,15 @@ class ChainSpec:
     @classmethod
     def from_json(cls, text: str, path: str | Path = "chain") -> "ChainSpec":
         """The chain in ``text``, read from ``path``, which errors name."""
-        return cls._from_doc(parse_json(text, path), path)
+        return cls._from_json_doc(parse_json(text, path), path)
 
     @classmethod
     def load(cls, path: str | Path) -> "ChainSpec":
         """The chain in the file at ``path``, read by the one input-file reader."""
-        return cls._from_doc(read_json(path), path)
+        return cls._from_json_doc(read_json(path), path)
 
     @classmethod
-    def _from_doc(cls, doc, path: str | Path) -> "ChainSpec":
+    def _from_json_doc(cls, doc, path: str | Path) -> "ChainSpec":
         if not isinstance(doc, dict) or not isinstance(doc.get("steps"), list) or not doc["steps"]:
             raise InputError(f"{path}: chain document must be {{'steps': [...]}} "
                              "with at least one step")

@@ -233,7 +233,7 @@ MAX_SIDE = 1 << 12
 MAX_SIGMA = (MAX_SIDE - 1) // 6
 ZERO_EPS = 1e-6  # |coefficient| below this counts as an exact post-quantization zero
 # a training seed: `train` in a config file and a checkpoint, and `train --seed`
-SEED_ROW = Field("seed", "int", 0)
+SEED_ROW = Field("seed", "int", 0, default=0)
 
 
 def describe(field: Field) -> str:
@@ -313,6 +313,16 @@ def check_fields(doc, table: Sequence[Field], where: str, prefix: str = "",
         if field.required and field.key not in doc:
             raise InputError(f"{where}{prefix + field.key!r}: missing key")
     return doc
+
+
+def with_defaults(doc: dict, table: Sequence[Field]) -> dict:
+    """A checked ``doc`` with every key of ``table`` in table order: an absent
+    key takes its field's default, and a list becomes a tuple."""
+    filled = {}
+    for field in table:
+        value = doc.get(field.key, field.default)
+        filled[field.key] = tuple(value) if isinstance(value, list) else value
+    return filled
 
 
 # one line of a manifest

@@ -13,8 +13,9 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping, Optional, Union
 
 import numpy as np
@@ -28,7 +29,7 @@ from .cmsupcon import (
     bce_grad,
     binary_cross_entropy,
 )
-from .core import SEED_ROW, Field, Label, Modality, check_fields, read_json
+from .core import SEED_ROW, Field, Label, Modality, check_fields, read_json, with_defaults
 from .errors import InputError, NumericalError
 
 CHECKPOINT_FORMAT = "xmodal-checkpoint"
@@ -335,71 +336,37 @@ class FeatureDataset:
 MAX_WIDTH = 1 << 10
 
 # The `train` section of a config file and of `train`'s run.json, and the
-# `config` of a checkpoint
+# `config` of a checkpoint, with each key's default. The toy-scale optimizer
+# defaults (lr 1e-3) are deliberately hotter than a fine-tuning setup for a
+# large backbone would use. feature_layer selects where the contrastive
+# feature comes from: 'hidden' binds the alignment to the representation the
+# classifier reads, which is what makes the cross-modal term effective at this
+# scale; 'projection' routes it through the separate head instead.
 TRAIN_FIELDS = (
-    Field("epochs", "int", 1),
+    Field("epochs", "int", 1, default=150),
     # a batch mixes both modalities while both pools last, with or without the
     # contrastive term
-    Field("batch_size", "int", 2),
-    Field("lambda", "number", 0),
-    Field("tau", "number", 0, ends="(]"),
+    Field("batch_size", "int", 2, default=32),
+    Field("lambda", "number", 0, default=DEFAULT_LAMBDA),
+    Field("tau", "number", 0, ends="(]", default=DEFAULT_TAU),
     SEED_ROW,
-    Field("patience", "int", 0),
-    Field("lr", "number", 0, ends="(]"),
-    Field("weight_decay", "number", 0),
-    Field("feature_layer", "choice", choices=("projection", "hidden")),
-    Field("variant", "choice", choices=tuple(v.value for v in LossVariant)),
-    Field("hidden_dim", "int", 1, MAX_WIDTH),
-    Field("feature_dim", "int", 1, MAX_WIDTH),
+    Field("patience", "int", 0, default=20),
+    Field("lr", "number", 0, ends="(]", default=1e-3),
+    Field("weight_decay", "number", 0, default=0.01),
+    Field("feature_layer", "choice", choices=("projection", "hidden"), default="hidden"),
+    Field("variant", "choice", choices=tuple(v.value for v in LossVariant),
+          default=LossVariant.CROSS_MODAL.value),
+    Field("hidden_dim", "int", 1, MAX_WIDTH, default=16),
+    Field("feature_dim", "int", 1, MAX_WIDTH, default=8),
 )
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    """Training hyperparameters, checked against TRAIN_FIELDS.
-
-    The toy-scale optimizer defaults (lr 1e-3) are deliberately hotter than
-    a fine-tuning setup for a large backbone would use. feature_layer
-    selects where the contrastive feature comes from: 'hidden' binds the
-    alignment to the representation the classifier reads, which is what
-    makes the cross-modal term effective at this scale; 'projection' routes
-    it through the separate head instead.
-    """
-
-    epochs: int = 150
-    batch_size: int = 32
-    lam: float = DEFAULT_LAMBDA
-    tau: float = DEFAULT_TAU
-    seed: int = 0
-    patience: int = 20
-    lr: float = 1e-3
-    weight_decay: float = 0.01
-    feature_layer: str = "hidden"
-    variant: LossVariant = LossVariant.CROSS_MODAL
-    hidden_dim: int = 16
-    feature_dim: int = 8
-
-    def __post_init__(self):
-        doc = check_fields(self.to_doc(), TRAIN_FIELDS, "", "train.")
-        object.__setattr__(self, "variant", LossVariant(doc["variant"]))
-
-    def to_doc(self) -> dict:
-        """The config as a JSON object of TRAIN_FIELDS keys, as every file holds it.
-
-        Files spell ``lam`` as ``lambda``, which cannot name a field: it is a
-        Python keyword. This method and ``from_doc`` are the only translations.
-        """
-        doc = {("lambda" if key == "lam" else key): value for key, value in asdict(self).items()}
-        doc["variant"] = getattr(self.variant, "value", self.variant)
-        return doc
-
-    @classmethod
-    def from_doc(cls, doc, where: str, prefix: str = "train.", **overrides) -> "TrainConfig":
-        """The config a JSON object of TRAIN_FIELDS keys gives, with ``overrides``
-        on top; errors name ``where`` and the key as ``prefix + key``."""
-        check_fields(doc, TRAIN_FIELDS, where, prefix)
-        settings = {("lam" if key == "lambda" else key): value for key, value in doc.items()}
-        return cls(**{**settings, **overrides})
+def train_config(doc, where: str = "", prefix: str = "train.") -> Mapping:
+    """The training config a JSON object of TRAIN_FIELDS keys gives, checked once:
+    a read-only mapping of all of them, an absent key at its default. Errors
+    name ``where`` and the key as ``prefix + key``."""
+    return MappingProxyType(with_defaults(check_fields(doc, TRAIN_FIELDS, where, prefix),
+                                          TRAIN_FIELDS))
 
 
 @dataclass(frozen=True)
@@ -429,11 +396,11 @@ class TrainResult:
     stopped_early: bool
 
 
-def _stats_inputs(data: FeatureDataset, config: TrainConfig) -> tuple:
+def _stats_inputs(data: FeatureDataset, config: Mapping) -> tuple:
     """The dataset and, when the contrastive term is on, its positives: what
     ``_dataset_stats`` needs of a dataset that no epoch changes."""
-    cross_modal = config.variant is LossVariant.CROSS_MODAL
-    return data, _positives(data.y, data.m, cross_modal) if config.lam > 0 else None
+    cross_modal = LossVariant(config["variant"]) is LossVariant.CROSS_MODAL
+    return data, _positives(data.y, data.m, cross_modal) if config["lambda"] > 0 else None
 
 
 def _loss_stats(logits: np.ndarray, y: np.ndarray, cm: float, lam: float) -> tuple[float, ...]:
@@ -442,14 +409,15 @@ def _loss_stats(logits: np.ndarray, y: np.ndarray, cm: float, lam: float) -> tup
     return bce, cm, bce + lam * cm, float(((logits >= 0.0).astype(np.int8) == y).mean())
 
 
-def _dataset_stats(model: Params, inputs: tuple, config: TrainConfig) -> tuple[float, ...]:
+def _dataset_stats(model: Params, inputs: tuple, config: Mapping) -> tuple[float, ...]:
     """(bce, cm, total, accuracy) of the full dataset under the model."""
     data, positives = inputs
-    out = forward(model, data.x, config.feature_layer)
+    out = forward(model, data.x, config["feature_layer"])
     cm = 0.0
-    if config.lam > 0:
-        cm = contrastive_term(out.z, data.y, data.m, config.tau, config.variant, positives)
-    return _loss_stats(out.logits, data.y, cm, config.lam)
+    if config["lambda"] > 0:
+        cm = contrastive_term(out.z, data.y, data.m, config["tau"],
+                              LossVariant(config["variant"]), positives)
+    return _loss_stats(out.logits, data.y, cm, config["lambda"])
 
 
 def _flat_views(flat: np.ndarray, shapes: Mapping[str, tuple]) -> dict[str, np.ndarray]:
@@ -460,12 +428,13 @@ def _flat_views(flat: np.ndarray, shapes: Mapping[str, tuple]) -> dict[str, np.n
 
 
 def train(
-    model: ToyModel, train_data: FeatureDataset, val_data: FeatureDataset, config: TrainConfig
+    model: ToyModel, train_data: FeatureDataset, val_data: FeatureDataset, config: Mapping
 ) -> TrainResult:
     """Mini-batch AdamW training with early stopping on validation loss.
 
     Returns the checkpoint with the best validation loss seen, plus the
-    per-epoch history. Deterministic given (data, config, seed).
+    per-epoch history. Deterministic given (data, config, seed). ``config``
+    holds every TRAIN_FIELDS key, as ``train_config`` returns it.
 
     Inputs are checked once, here. The step loop then runs on four flat
     vectors, the parameters, their gradients and AdamW's two moments, with a
@@ -479,7 +448,9 @@ def train(
             raise InputError(
                 f"{name} features have {data.x.shape[1]} columns, model expects {model.d_in}"
             )
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config["seed"])
+    lam, tau, layer = config["lambda"], config["tau"], config["feature_layer"]
+    variant = LossVariant(config["variant"])
     shapes = {name: arr.shape for name, arr in model.params().items()}
     theta = np.concatenate([arr.ravel() for arr in model.params().values()])
     grad, m, v, *work = np.zeros((5, theta.size))  # work: AdamW's two scratch vectors
@@ -490,18 +461,18 @@ def train(
     history: list[EpochStats] = []
     best_val, best_theta, best_epoch = np.inf, theta.copy(), -1
     step = bad_epochs = 0
-    for epoch in range(config.epochs):
+    for epoch in range(config["epochs"]):
         with warnings.catch_warnings():
             if epoch > 0:  # the single-modality warning, if any, was surfaced on epoch 0
                 warnings.simplefilter("ignore")
-            batches = mixed_batch_sampler(image_pool, video_pool, config.batch_size, rng)
+            batches = mixed_batch_sampler(image_pool, video_pool, config["batch_size"], rng)
         steps, norm_sum = [], 0.0
         for idx in batches:
-            backward(params, train_data.x[idx], train_y[idx], config.lam, config.tau,
-                     train_data.m[idx], config.feature_layer, config.variant, grads, steps)
+            backward(params, train_data.x[idx], train_y[idx], lam, tau, train_data.m[idx],
+                     layer, variant, grads, steps)
             norm_sum += math.sqrt(grad @ grad)
             step += 1
-            optimizer_step(theta, grad, m, v, step, config.lr, config.weight_decay, work)
+            optimizer_step(theta, grad, m, v, step, config["lr"], config["weight_decay"], work)
             if not np.isfinite(theta).all():
                 name = next(n for n, p in params.items() if not np.isfinite(p).all())
                 raise NumericalError(
@@ -512,7 +483,7 @@ def train(
         anchors = sum(valid)
         cm = sum(c * n for c, n in zip(cms, valid)) / anchors if anchors else 0.0
         tr_bce, tr_cm, tr_total, tr_acc = _loss_stats(
-            np.concatenate(logits), train_data.y[np.concatenate(batches)], cm, config.lam)
+            np.concatenate(logits), train_data.y[np.concatenate(batches)], cm, lam)
         _, _, val_total, val_acc = _dataset_stats(params, val_stats, config)
         if not (np.isfinite(tr_total) and np.isfinite(val_total)):
             raise NumericalError(
@@ -527,14 +498,14 @@ def train(
             bad_epochs = 0
         else:
             bad_epochs += 1
-            if bad_epochs > config.patience:
+            if bad_epochs > config["patience"]:
                 break
     return TrainResult(
         model=ToyModel.from_params(_flat_views(best_theta, shapes)),
         history=tuple(history),
         best_epoch=best_epoch,
         best_val=float(best_val),
-        stopped_early=bad_epochs > config.patience,
+        stopped_early=bad_epochs > config["patience"],
     )
 
 
@@ -701,12 +672,12 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticData:
 # --- checkpoint serialization ------------------------------------------------------
 
 
-def save_checkpoint(model: ToyModel, config: TrainConfig, path: str | Path) -> None:
+def save_checkpoint(model: ToyModel, config: Mapping, path: str | Path) -> None:
     """Versioned JSON checkpoint: shapes, row-major values and the config."""
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "config": config.to_doc(),
+        "config": dict(config),
         "params": {
             name: {
                 "shape": list(getattr(model, name).shape),
@@ -724,7 +695,7 @@ PARAM_FIELDS = (Field("shape", "int", 0, 2**31 - 1, required=True, length=0),
                 Field("data", "number", required=True, length=0))
 
 
-def load_checkpoint(path: str | Path) -> tuple[ToyModel, TrainConfig]:
+def load_checkpoint(path: str | Path) -> tuple[ToyModel, Mapping]:
     doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise InputError(f"{path}: not a {CHECKPOINT_FORMAT} file")
@@ -733,7 +704,7 @@ def load_checkpoint(path: str | Path) -> tuple[ToyModel, TrainConfig]:
             f"{path}: unsupported version {doc.get('version')!r}, "
             f"this build reads version {CHECKPOINT_VERSION}"
         )
-    config = TrainConfig.from_doc(doc.get("config"), f"{path}: ", "config.")
+    config = train_config(doc.get("config"), f"{path}: ", "config.")
     entries = check_fields(doc.get("params"), PARAMS_FIELDS, f"{path}: ", "params.")
     params = {}
     for name, entry in entries.items():
@@ -745,6 +716,6 @@ def load_checkpoint(path: str | Path) -> tuple[ToyModel, TrainConfig]:
         params[name] = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
     # w1's row count is the model's input width, which only the data fixes
     d_in = params["w1"].shape[0] if params["w1"].ndim else 0
-    shapes = _param_shapes(d_in, config.hidden_dim, config.feature_dim)
+    shapes = _param_shapes(d_in, config["hidden_dim"], config["feature_dim"])
     _check_params(params, shapes, f"{path}: params.")
     return ToyModel.from_params(params), config

@@ -48,11 +48,11 @@ from xmodal.trainer import (
     FeatureDataset,
     SyntheticSpec,
     ToyModel,
-    TrainConfig,
     backward,
     forward,
     generate_synthetic,
     train,
+    train_config,
 )
 
 from conftest import textured_image, write_manifest_file
@@ -213,16 +213,16 @@ def test_criterion_3_bidirectional_gain():
             "joint_l0": (data.train, data.val, 0.0),
             "joint_cm": (data.train, data.val, 0.05),
         }.items():
-            config = TrainConfig(lam=lam, tau=0.07, seed=seed)
+            config = train_config({"lambda": lam, "tau": 0.07, "seed": seed})
             model = ToyModel.init(
-                spec.dim, config.hidden_dim, config.feature_dim,
-                np.random.default_rng(config.seed),
+                spec.dim, config["hidden_dim"], config["feature_dim"],
+                np.random.default_rng(config["seed"]),
             )
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 result = train(model, tr, va, config)
             runs[name] = result.model
-        layer = TrainConfig().feature_layer
+        layer = train_config({})["feature_layer"]
         io_img.append(_protocol_accuracy(runs["image_only"], data.test, layer, 0))
         io_vid.append(_protocol_accuracy(runs["image_only"], data.test, layer, 1))
         l0_vid.append(_protocol_accuracy(runs["joint_l0"], data.test, layer, 1))

@@ -38,7 +38,7 @@ from xmodal.forensics import (
     residual_power,
     residual_spectrum,
 )
-from xmodal.trainer import TRAIN_FIELDS, ToyModel, TrainConfig, save_checkpoint
+from xmodal.trainer import TRAIN_FIELDS, ToyModel, save_checkpoint, train_config
 
 from conftest import textured_image, write_manifest_file
 from xmodal.core import save_image
@@ -434,6 +434,17 @@ class TestTrainCommand:
         assert exc.value.code == 2
         assert "argument '--seed': must be an integer >= 0, got -1" in capsys.readouterr().err
 
+    def test_seed_option_replaces_the_files_seed(self, train_setup, tmp_path):
+        doc = json.loads(train_setup.read_text())
+        doc["train"]["seed"] = 5
+        seeded = _write_json(tmp_path / "seed5.json", doc)
+        flag, file = tmp_path / "flag", tmp_path / "file"
+        assert run_cli("train", "--config", train_setup, "--out", flag, "--seed", 5) == 0
+        assert run_cli("train", "--config", seeded, "--out", file) == 0
+        assert json.loads((flag / "run.json").read_text())["config"]["train"]["seed"] == 5
+        for name in ("checkpoint.json", "history.csv"):
+            assert (flag / name).read_bytes() == (file / name).read_bytes()
+
     def test_diverging_run_exits_3_without_traceback(self, tmp_path, capsys):
         path = tmp_path / "hot.json"
         path.write_text(json.dumps({"data": {"synthetic": {"seed": 3}},
@@ -563,8 +574,11 @@ class TestEvaluateCommand:
             ([0.5] * 7, "'x' has shape (7,), the model expects (6,)"),
             ([[0.5, 0.5], 0.5, 0.5, 0.5, 0.5, 0.5], "'x' is not a flat list of numbers"),
             ([0.5, float("nan"), 0.5, 0.5, 0.5, 0.5], "'x' has non-finite values"),
+            ([0.5, True, 0.5, 0.5, 0.5, 0.5], "'x' is not a flat list of numbers"),
+            ([0.5, "0.5", 0.5, 0.5, 0.5, 0.5], "'x' is not a flat list of numbers"),
+            ([0.5, 10**400, 0.5, 0.5, 0.5, 0.5], "'x' has non-finite values"),
         ],
-        ids=["missing", "ragged", "nested", "nan"],
+        ids=["missing", "ragged", "nested", "nan", "bool", "numeric-string", "beyond-float64"],
     )
     def test_bad_feature_record_exits_2_naming_it(
         self, train_setup, tmp_path, capsys, monkeypatch, x, message
@@ -706,7 +720,7 @@ def _train_on_features_argv(tmp_path, feature_doc):
 
 def _evaluate_argv(tmp_path, feature_doc=None, edit_checkpoint=None):
     checkpoint = tmp_path / "checkpoint.json"
-    save_checkpoint(ToyModel.init(6, 16, 8, np.random.default_rng(0)), TrainConfig(),
+    save_checkpoint(ToyModel.init(6, 16, 8, np.random.default_rng(0)), train_config({}),
                     checkpoint)
     if edit_checkpoint is not None:
         doc = json.loads(checkpoint.read_text())
@@ -732,6 +746,18 @@ MALFORMED_INPUTS = {
     "train-record-without-x": (
         lambda p: _train_on_features_argv(p, _feature_doc(x=None)),
         "feature record 1 ('r1') has no 'x'"),
+    "train-x-bool": (
+        lambda p: _train_on_features_argv(p, _feature_doc(x=[True] * 6)),
+        "f.json: feature record 1 ('r1') 'x' is not a flat list of numbers"),
+    "train-x-numeric-string": (
+        lambda p: _train_on_features_argv(p, _feature_doc(x=["0.5"] * 6)),
+        "f.json: feature record 1 ('r1') 'x' is not a flat list of numbers"),
+    "x-bool": (
+        lambda p: _evaluate_argv(p, feature_doc=_feature_doc(x=[0.5] * 5 + [False])),
+        "f.json: feature record 1 ('r1') 'x' is not a flat list of numbers"),
+    "x-numeric-string": (
+        lambda p: _evaluate_argv(p, feature_doc=_feature_doc(x=[0.5] * 5 + ["1e3"])),
+        "f.json: feature record 1 ('r1') 'x' is not a flat list of numbers"),
     "train-record-without-modality": (
         lambda p: _train_on_features_argv(p, _feature_doc(modality=None)),
         "f.json: feature record 1 ('r1') 'modality': missing key"),
@@ -757,6 +783,9 @@ MALFORMED_INPUTS = {
     "checkpoint-config-value-out-of-range": (
         lambda p: _evaluate_argv(p, edit_checkpoint=lambda d: d["config"].update(lr=-1)),
         "checkpoint.json: 'config.lr': must be a finite number > 0, got -1"),
+    "checkpoint-without-config": (
+        lambda p: _evaluate_argv(p, edit_checkpoint=lambda d: d.pop("config")),
+        "checkpoint.json: 'config' must be a JSON object, got None"),
     "checkpoint-version-1": (
         lambda p: _evaluate_argv(p, edit_checkpoint=lambda d: d.update(version=1)),
         "checkpoint.json: unsupported version 1"),
@@ -1214,6 +1243,17 @@ class TestPartialFailures:
         assert code == 2
         err = capsys.readouterr().err
         assert "all 3 samples failed" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["dct", "rapsd", "luma", "spectrum"])
+    def test_all_failing_analyze_leaves_no_out(self, tmp_path, capsys, kind):
+        entries = [{"id": f"s{i}", "path": str(tmp_path / f"gone_{i}.pgm"),
+                    "label": "real", "modality": "image", "subset": "s"}
+                   for i in range(2)]
+        manifest = write_manifest_file(tmp_path / "m.jsonl", entries)
+        out = tmp_path / "out"
+        assert run_cli("analyze", kind, "--manifest", manifest, "--out", out) == 2
+        assert f"all 2 samples failed {kind} analysis" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestAnalyzeThreads:

@@ -30,7 +30,7 @@ from xmodal.trainer import (
     PARAMS_FIELDS,
     SYNTHETIC_FIELDS,
     TRAIN_FIELDS,
-    TrainConfig,
+    train_config,
 )
 
 from test_kernel_identity import RAPSD_RTOL
@@ -139,7 +139,7 @@ def test_train_keys_and_defaults_match_train_config():
             _paragraph("`train` keys and defaults:"),
         )
     }
-    assert documented == TrainConfig().to_doc()
+    assert documented == dict(train_config({}))
 
 
 def test_history_columns_match_history_csv():

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from xmodal import cli
 from xmodal.core import Label, ScoredPrediction
 from xmodal.metrics import Aggregation, EvalReport, MetricRow, _average_precision
-from xmodal.trainer import ToyModel, TrainConfig, forward, save_checkpoint
+from xmodal.trainer import ToyModel, forward, save_checkpoint, train_config
 
 # --- reference implementations ----------------------------------------------
 
@@ -200,7 +200,7 @@ def feature_docs(draw):
 def _evaluate_outputs(tmp, doc, argv_extra):
     checkpoint = tmp / "checkpoint.json"
     model = ToyModel.init(D_IN, 16, 8, np.random.default_rng(0))
-    save_checkpoint(model, TrainConfig(), checkpoint)
+    save_checkpoint(model, train_config({}), checkpoint)
     features = tmp / "features.json"
     features.write_text(json.dumps(doc))
     assert cli.main(["evaluate", "--checkpoint", str(checkpoint), "--features",

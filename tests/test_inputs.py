@@ -27,9 +27,9 @@ from xmodal.trainer import (
     SYNTHETIC_FIELDS,
     TRAIN_FIELDS,
     ToyModel,
-    TrainConfig,
     load_checkpoint,
     save_checkpoint,
+    train_config,
 )
 
 from conftest import textured_image
@@ -167,7 +167,7 @@ def test_config_files(tmp_path_factory, train, data, synthetic):
        name=st.sampled_from(["w1", "b1", "wp", "wc", "bc"]))
 def test_checkpoints(tmp_path_factory, config, entry, name):
     path = tmp_path_factory.mktemp("k") / "checkpoint.json"
-    save_checkpoint(ToyModel.init(D_IN, 16, 8, np.random.default_rng(0)), TrainConfig(), path)
+    save_checkpoint(ToyModel.init(D_IN, 16, 8, np.random.default_rng(0)), train_config({}), path)
     doc = json.loads(path.read_text())
     doc["config"] = config
     doc["params"][name] = entry

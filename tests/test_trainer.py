@@ -16,7 +16,6 @@ from xmodal.trainer import (
     FeatureDataset,
     SyntheticSpec,
     ToyModel,
-    TrainConfig,
     _dataset_stats,
     _stats_inputs,
     backward,
@@ -28,6 +27,7 @@ from xmodal.trainer import (
     optimizer_step,
     save_checkpoint,
     train,
+    train_config,
 )
 
 
@@ -283,6 +283,25 @@ class TestMixedBatchSampler:
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
+    def test_default_task_mix_matches_the_readme(self):
+        # The README: on the default synthetic task (400 training images, 80
+        # videos, batches of 32) the videos run out within the first 5 or 6 of
+        # an epoch's 15 batches. default_rng(seed) is the stream `train` hands
+        # the sampler first.
+        data = generate_synthetic(SyntheticSpec.default()).train
+        pools = np.flatnonzero(data.m == 0), np.flatnonzero(data.m == 1)
+        assert (pools[0].size, pools[1].size) == (400, 80)
+
+        def video_counts(seed):
+            batches = mixed_batch_sampler(*pools, 32, np.random.default_rng(seed))
+            return [int(np.isin(idx, pools[1]).sum()) for idx in batches]
+
+        assert video_counts(0) == [14, 19, 11, 13, 15, 8] + [0] * 9
+        for seed in range(5):
+            counts = video_counts(seed)
+            assert len(counts) == 15 and sum(counts) == 80
+            assert 5 <= np.flatnonzero(counts)[-1] + 1 <= 6
+
 
 def dead_row_dataset(seed, n=30, dead=(3, 17)):
     """Data and a model under which rows ``dead`` have every ReLU off."""
@@ -300,14 +319,14 @@ class TestCachedStats:
     @pytest.mark.parametrize("dead", [(), (3,), (3, 17)])
     def test_cached_positives_match_uncached_term_bit_for_bit(self, variant, layer, dead):
         data, model = dead_row_dataset(30, dead=dead)
-        config = TrainConfig(lam=0.05, feature_layer=layer, variant=variant)
+        config = train_config({"lambda": 0.05, "feature_layer": layer, "variant": variant.value})
         out = forward(model, data.x, layer)
         assert np.count_nonzero(np.linalg.norm(out.z, axis=1) <= 1e-12) == len(dead)
         bce = binary_cross_entropy(out.logits, data.y.astype(np.float64))
-        cm = contrastive_term(out.z, data.y, data.m, config.tau, variant)
+        cm = contrastive_term(out.z, data.y, data.m, config["tau"], variant)
         acc = float(((out.logits >= 0.0).astype(np.int8) == data.y).mean())
         stats = _dataset_stats(model, _stats_inputs(data, config), config)
-        assert stats == (bce, cm, bce + config.lam * cm, acc)
+        assert stats == (bce, cm, bce + config["lambda"] * cm, acc)
         assert cm > 0.0
 
     @pytest.mark.parametrize("layer", ["hidden", "projection"])
@@ -329,15 +348,16 @@ class TestCachedStats:
 def reference_batch_terms(params, x, y, m, config):
     """A batch's logits, contrastive loss, valid anchors and dead rows, from
     forward, contrastive_term and a positive mask built here."""
-    out = forward(params, x, config.feature_layer)
-    if config.lam == 0:
+    out = forward(params, x, config["feature_layer"])
+    if config["lambda"] == 0:
         return out.logits, 0.0, 0, 0
     live = np.linalg.norm(out.z, axis=1) > 1e-12
     pos = y[live][:, None] == y[live][None, :]
-    if config.variant is LossVariant.CROSS_MODAL:
+    variant = LossVariant(config["variant"])
+    if variant is LossVariant.CROSS_MODAL:
         pos &= m[live][:, None] != m[live][None, :]
     np.fill_diagonal(pos, False)
-    cm = contrastive_term(out.z, y, m, config.tau, config.variant)
+    cm = contrastive_term(out.z, y, m, config["tau"], variant)
     return out.logits, cm, int(pos.any(axis=1).sum()), int((~live).sum())
 
 
@@ -345,32 +365,32 @@ def reference_train_params(model, data, config):
     """Parameters after each epoch of the per-parameter dict loop that train's flat
     vectors replaced, and each epoch's training columns of the history from the
     logits, contrastive loss and counters of its batches and the norm of each gradient."""
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config["seed"])
     params = {name: p.copy() for name, p in model.params().items()}
     moments = {name: (np.zeros_like(p), np.zeros_like(p)) for name, p in params.items()}
     step = 0
     y = data.y.astype(np.float64)
     per_epoch, columns = [], []
-    for _ in range(config.epochs):
+    for _ in range(config["epochs"]):
         pools = np.flatnonzero(data.m == 0), np.flatnonzero(data.m == 1)
         terms, labels, norms = [], [], []
-        for idx in reference_mixed_batch_sampler(*pools, config.batch_size, rng):
+        for idx in reference_mixed_batch_sampler(*pools, config["batch_size"], rng):
             terms.append(reference_batch_terms(params, data.x[idx], data.y[idx], data.m[idx],
                                                config))
             labels.append(y[idx])
-            grads = backward(params, data.x[idx], y[idx], config.lam, config.tau,
-                             data.m[idx], config.feature_layer, config.variant)
+            grads = backward(params, data.x[idx], y[idx], config["lambda"], config["tau"],
+                             data.m[idx], config["feature_layer"], LossVariant(config["variant"]))
             norms.append(np.linalg.norm(np.concatenate([grads[n].ravel() for n in PARAM_NAMES])))
             step += 1
             for name, p in params.items():
-                optimizer_step(p, grads[name], *moments[name], step, config.lr,
-                               config.weight_decay)
+                optimizer_step(p, grads[name], *moments[name], step, config["lr"],
+                               config["weight_decay"])
         per_epoch.append({name: p.copy() for name, p in params.items()})
         logits, cms, anchors, dead = zip(*terms)
         logits, labels = np.concatenate(logits), np.concatenate(labels)
         bce = binary_cross_entropy(logits, labels)
         cm = sum(c * a for c, a in zip(cms, anchors)) / sum(anchors) if sum(anchors) else 0.0
-        columns.append((bce, cm, bce + config.lam * cm, float(((logits >= 0) == labels).mean()),
+        columns.append((bce, cm, bce + config["lambda"] * cm, float(((logits >= 0) == labels).mean()),
                         sum(anchors), sum(dead), float(sum(norms)) / len(norms)))
     return per_epoch, columns
 
@@ -394,8 +414,9 @@ class TestTrainLoop:
     def test_separable_reaches_full_train_accuracy(self):
         data = separable_dataset(0)
         val = separable_dataset(1, n=20)
-        config = TrainConfig(epochs=200, batch_size=16, lam=0.0, seed=0, patience=1000)
-        model = ToyModel.init(2, config.hidden_dim, config.feature_dim,
+        config = train_config({"epochs": 200, "batch_size": 16, "lambda": 0.0, "seed": 0,
+                               "patience": 1000})
+        model = ToyModel.init(2, config["hidden_dim"], config["feature_dim"],
                               np.random.default_rng(0))
         result = train(model, data, val, config)
         assert max(h.train_acc for h in result.history) == 1.0
@@ -409,8 +430,9 @@ class TestTrainLoop:
         val = FeatureDataset(
             rng.normal(size=(12, 2)), rng.integers(0, 2, 12), rng.integers(0, 2, 12)
         )
-        config = TrainConfig(epochs=300, batch_size=8, lam=0.0, seed=1, patience=0)
-        model = ToyModel.init(2, config.hidden_dim, config.feature_dim,
+        config = train_config({"epochs": 300, "batch_size": 8, "lambda": 0.0, "seed": 1,
+                               "patience": 0})
+        model = ToyModel.init(2, config["hidden_dim"], config["feature_dim"],
                               np.random.default_rng(1))
         result = train(model, data, val, config)
         vals = [h.val_total for h in result.history]
@@ -425,8 +447,9 @@ class TestTrainLoop:
     def test_best_checkpoint_has_min_val_loss(self):
         data = separable_dataset(4, n=40)
         val = separable_dataset(5, n=20)
-        config = TrainConfig(epochs=60, batch_size=8, lam=0.05, seed=2, patience=15)
-        model = ToyModel.init(2, config.hidden_dim, config.feature_dim,
+        config = train_config({"epochs": 60, "batch_size": 8, "lambda": 0.05, "seed": 2,
+                               "patience": 15})
+        model = ToyModel.init(2, config["hidden_dim"], config["feature_dim"],
                               np.random.default_rng(2))
         result = train(model, data, val, config)
         vals = [h.val_total for h in result.history]
@@ -436,10 +459,11 @@ class TestTrainLoop:
     def test_bit_identical_history_per_seed(self):
         data = separable_dataset(6, n=30)
         val = separable_dataset(7, n=10)
-        config = TrainConfig(epochs=20, batch_size=8, lam=0.05, seed=3, patience=50)
+        config = train_config({"epochs": 20, "batch_size": 8, "lambda": 0.05, "seed": 3,
+                               "patience": 50})
 
         def run():
-            model = ToyModel.init(2, config.hidden_dim, config.feature_dim,
+            model = ToyModel.init(2, config["hidden_dim"], config["feature_dim"],
                                   np.random.default_rng(3))
             return train(model, data, val, config)
 
@@ -452,9 +476,9 @@ class TestTrainLoop:
                                             ("hidden", 0.0), ("projection", 0.0)])
     def test_flat_loop_matches_reference_loop(self, layer, lam):
         data, val = separable_dataset(12, n=40), separable_dataset(13, n=12)
-        config = TrainConfig(epochs=12, batch_size=7, lam=lam, seed=5, patience=50,
-                             feature_layer=layer)
-        model = ToyModel.init(2, config.hidden_dim, config.feature_dim,
+        config = train_config({"epochs": 12, "batch_size": 7, "lambda": lam, "seed": 5,
+                               "patience": 50, "feature_layer": layer})
+        model = ToyModel.init(2, config["hidden_dim"], config["feature_dim"],
                               np.random.default_rng(5))
         result = train(model, data, val, config)
         per_epoch, columns = reference_train_params(model, data, config)
@@ -466,8 +490,8 @@ class TestTrainLoop:
 
     def test_dead_rows_match_reference_loop(self):
         data, model = dead_row_dataset(32)
-        config = TrainConfig(epochs=3, batch_size=8, lam=0.05, seed=6, patience=50,
-                             hidden_dim=6, feature_dim=3)
+        config = train_config({"epochs": 3, "batch_size": 8, "lambda": 0.05, "seed": 6,
+                               "patience": 50, "hidden_dim": 6, "feature_dim": 3})
         result = train(model, data, data, config)
         _, columns = reference_train_params(model, data, config)
         assert [training_columns(h) for h in result.history] == columns
@@ -483,8 +507,9 @@ class TestTrainLoop:
         val = FeatureDataset(x[:8], y[:8], np.zeros(8, dtype=np.int8))
 
         def run(lam):
-            config = TrainConfig(epochs=10, batch_size=8, lam=lam, seed=4, patience=50)
-            model = ToyModel.init(3, config.hidden_dim, config.feature_dim,
+            config = train_config({"epochs": 10, "batch_size": 8, "lambda": lam, "seed": 4,
+                                   "patience": 50})
+            model = ToyModel.init(3, config["hidden_dim"], config["feature_dim"],
                                   np.random.default_rng(4))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
@@ -498,9 +523,9 @@ class TestTrainLoop:
     def test_empty_validation_rejected(self):
         data = separable_dataset(9, n=8)
         with pytest.raises(InputError, match="'train.batch_size': must be an integer >= 2, got 1"):
-            TrainConfig(epochs=1, batch_size=1, lam=0.05)
-        config = TrainConfig(epochs=1, batch_size=8, lam=0.0, seed=0)
-        model = ToyModel.init(2, config.hidden_dim, config.feature_dim,
+            train_config({"epochs": 1, "batch_size": 1, "lambda": 0.05})
+        config = train_config({"epochs": 1, "batch_size": 8, "lambda": 0.0, "seed": 0})
+        model = ToyModel.init(2, config["hidden_dim"], config["feature_dim"],
                               np.random.default_rng(0))
         empty = FeatureDataset(np.zeros((0, 2)), np.zeros(0), np.zeros(0))
         with pytest.raises(InputError, match="validation set must be non-empty"):
@@ -514,8 +539,8 @@ class TestTrainLoop:
         with pytest.raises(InputError, match="labels must be 0 or 1"):
             FeatureDataset(np.ones((2, 2)), [0, 2], [0, 1])
         data = separable_dataset(9, n=8)
-        config = TrainConfig(epochs=1, batch_size=8, lam=0.05, seed=0)
-        model = ToyModel.init(3, config.hidden_dim, config.feature_dim,
+        config = train_config({"epochs": 1, "batch_size": 8, "lambda": 0.05, "seed": 0})
+        model = ToyModel.init(3, config["hidden_dim"], config["feature_dim"],
                               np.random.default_rng(0))
         with pytest.raises(InputError, match="training features have 2 columns"):
             train(model, data, data, config)
@@ -525,7 +550,7 @@ class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(10)
         model = ToyModel.init(6, 16, 8, rng)
-        config = TrainConfig(seed=11)
+        config = train_config({"seed": 11})
         path = tmp_path / "ck.json"
         save_checkpoint(model, config, path)
         loaded_model, loaded_config = load_checkpoint(path)
@@ -582,12 +607,12 @@ class TestSyntheticData:
                 seed=seed,
             )
             data = generate_synthetic(spec)
-            config = TrainConfig(epochs=40, batch_size=32, lam=0.05, seed=seed,
-                                 patience=10)
-            model = ToyModel.init(spec.dim, config.hidden_dim, config.feature_dim,
+            config = train_config({"epochs": 40, "batch_size": 32, "lambda": 0.05,
+                                   "seed": seed, "patience": 10})
+            model = ToyModel.init(spec.dim, config["hidden_dim"], config["feature_dim"],
                                   np.random.default_rng(seed))
             result = train(model, data.train, data.val, config)
-            out = forward(result.model, data.test.x, config.feature_layer)
+            out = forward(result.model, data.test.x, config["feature_layer"])
             pred = (out.logits >= 0).astype(np.int8)
             accs = {
                 mod: float((pred[data.test.m == mod] == data.test.y[data.test.m == mod]).mean())
