@@ -14,10 +14,11 @@ import functools
 import hashlib
 import itertools
 import json
+import shutil
 import sys
 from pathlib import Path
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -30,9 +31,7 @@ from .core import (
     Field,
     ImageBuffer,
     Label,
-    Manifest,
     Modality,
-    SampleRecord,
     check_fields,
     csv_text,
     iter_samples,
@@ -80,13 +79,17 @@ def _write_run_manifest(
     _write_json(out_dir / "run.json", doc)
 
 
-def _seeded_chain(
-    img: ImageBuffer, chain: ChainSpec, seed: int, rec: SampleRecord
-) -> ImageBuffer:
+def _flags(args: argparse.Namespace) -> dict:
+    """The command's parsed options, as ``run.json`` records them."""
+    return {key: value for key, value in vars(args).items()
+            if key not in ("command", "func", "usage_error")}
+
+
+def _seeded_chain(img: ImageBuffer, chain: ChainSpec, seed: int, sample_id: str) -> ImageBuffer:
     """``img`` through ``chain``, drawing from a generator seeded per sample id."""
     from . import codecsim
 
-    rng = np.random.default_rng(codecsim.derive_sample_seed(seed, rec.id))
+    rng = np.random.default_rng(codecsim.derive_sample_seed(seed, sample_id))
     return codecsim.apply_chain(img, chain, rng)
 
 
@@ -125,24 +128,9 @@ def _keep_freed_heap() -> None:
 def cmd_analyze(args: argparse.Namespace) -> int:
     from . import codecsim, forensics
 
-    manifest = parse_manifest(args.manifest)
-    records = manifest.records[: args.limit]
+    records = parse_manifest(args.manifest)[: args.limit]
     kind = args.kind
     inputs = {"manifest": Path(args.manifest)}
-    config = {
-        "kind": kind,
-        "manifest": str(args.manifest),
-        "out": str(args.out),
-        "limit": args.limit,
-        "seed": args.seed,
-        "threads": args.threads,
-        "chain": args.chain,
-        "bins": args.bins,
-        "range": args.range,
-        "window": args.window,
-        "sigma": args.sigma,
-        "size": args.size,
-    }
     # every kind reduces luma, so without a chain (which needs RGB) frames are
     # decoded straight to luma, and spectrum decodes only its window
     chain = None
@@ -154,9 +142,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     elif kind == "spectrum":
         loader = functools.partial(load_luma, size=args.size)
 
-    def per_sample(rec: SampleRecord, img: ImageBuffer):
+    def per_sample(rec: Mapping, img: ImageBuffer):
         if chain is not None:
-            img = _seeded_chain(img, chain, args.seed, rec)
+            img = _seeded_chain(img, chain, args.seed, rec["id"])
         if kind == "dct":
             # a frame too small for one DCT block fails alone, like a bad file
             return forensics.require_dct_block(img)
@@ -249,7 +237,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / f"{kind}.csv").write_text(csv_text(header, rows), encoding="utf-8")
     _write_json(out_dir / f"{kind}.summary.json", summary)
-    _write_run_manifest(out_dir, f"analyze {kind}", config, inputs)
+    _write_run_manifest(out_dir, f"analyze {kind}", _flags(args), inputs)
     return 0
 
 
@@ -263,45 +251,42 @@ def _safe_filename(sample_id: str) -> str:
 def cmd_degrade(args: argparse.Namespace) -> int:
     from . import codecsim
 
-    manifest = parse_manifest(args.manifest)
+    records = parse_manifest(args.manifest)[: args.limit]
     chain = codecsim.ChainSpec.load(args.chain)
     out_dir = Path(args.out)
+    # the outermost directory this run creates, removed again if every sample fails
+    created = next((d for d in (*reversed(out_dir.parents), out_dir) if not d.exists()), None)
     out_dir.mkdir(parents=True, exist_ok=True)
-    records = manifest.records[: args.limit]
-    position = {rec.id: i for i, rec in enumerate(records)}
+    position = {rec["id"]: i for i, rec in enumerate(records)}
     _keep_freed_heap()
 
-    def degrade_one(rec: SampleRecord, img: ImageBuffer) -> SampleRecord:
-        degraded = _seeded_chain(img, chain, args.seed, rec)
+    def degrade_one(rec: Mapping, img: ImageBuffer) -> dict:
+        degraded = _seeded_chain(img, chain, args.seed, rec["id"])
         ext = "pgm" if degraded.channels == 1 else "ppm"
-        out_path = out_dir / f"{position[rec.id]:06d}_{_safe_filename(rec.id)}.{ext}"
+        out_path = out_dir / f"{position[rec['id']]:06d}_{_safe_filename(rec['id'])}.{ext}"
         save_image(degraded, out_path)
-        return dataclasses.replace(rec, path=str(out_path))
+        return {**rec, "path": str(out_path)}
 
     failed: list[tuple[str, str]] = []
-    new_records = tuple(
-        successes(iter_samples(records, degrade_one, args.threads), failed, "degradation")
-    )
-    manifest_path = out_dir / "manifest.jsonl"
-    write_manifest(Manifest(new_records, str(manifest_path)), manifest_path)
+    try:
+        new_records = tuple(
+            successes(iter_samples(records, degrade_one, args.threads), failed, "degradation")
+        )
+    except InputError:
+        if created is not None:
+            shutil.rmtree(created)
+        raise
+    write_manifest(new_records, out_dir / "manifest.jsonl")
     summary = {
         "n_ok": len(new_records),
         "n_failed": len(failed),
         "failures": [{"id": rec_id, "error": error} for rec_id, error in failed],
     }
     _write_json(out_dir / "degrade.summary.json", summary)
-    config = {
-        "manifest": str(args.manifest),
-        "chain": str(args.chain),
-        "out": str(args.out),
-        "seed": args.seed,
-        "limit": args.limit,
-        "threads": args.threads,
-    }
     _write_run_manifest(
         out_dir,
         "degrade",
-        config,
+        _flags(args),
         {"manifest": Path(args.manifest), "chain": Path(args.chain)},
     )
     return 0
@@ -555,15 +540,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.csv").write_text(report.to_csv_text(), encoding="utf-8")
     _write_json(out_dir / "report.json", report.to_json_dict())
-    config_doc = {
-        "checkpoint": str(args.checkpoint),
-        "features": args.features,
-        "aggregation": args.aggregation,
-        "frames": args.frames,
-        "threshold": args.threshold,
-        "limit": args.limit,
-        "headline_acc": report.headline_row().acc,
-    }
+    config_doc = {**_flags(args), "headline_acc": report.headline_row().acc}
     _write_run_manifest(out_dir, "evaluate", config_doc, inputs)
     return 0
 

@@ -3,7 +3,8 @@
 All types are immutable after construction; every operation here is a pure
 function of its inputs. Every input file is read by ``read_json`` (manifests
 line by line through ``parse_json``) and checked by ``check_fields`` against
-its kind's field table.
+its kind's field table. A manifest record is the checked object of its line,
+as a read-only mapping.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -52,47 +54,6 @@ class Label(Enum):
     @property
     def numeric(self) -> int:
         return 0 if self is Label.REAL else 1
-
-
-@dataclass(frozen=True)
-class SampleRecord:
-    """One inventory entry: a labeled, modality-tagged media file on disk."""
-
-    id: str
-    path: str
-    label: Label
-    modality: Modality
-    subset: str
-    frame_index: Optional[int] = None
-    frame_count: Optional[int] = None
-
-    def __post_init__(self):
-        doc = {key: value for key, value in vars(self).items() if value is not None}
-        _check_record({**doc, "label": self.label.value, "modality": self.modality.value},
-                      f"sample {self.id!r}: ")
-
-
-@dataclass(frozen=True)
-class Manifest:
-    """Ordered, id-unique collection of sample records."""
-
-    records: tuple[SampleRecord, ...]
-    source_path: str = ""
-
-    def __post_init__(self):
-        if not self.records:
-            raise ValueError("manifest must contain at least one record")
-        seen: set[str] = set()
-        for rec in self.records:
-            if rec.id in seen:
-                raise InputError(f"duplicate sample id {rec.id!r}")
-            seen.add(rec.id)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
 
 
 @dataclass(frozen=True)
@@ -338,59 +299,54 @@ MANIFEST_FIELDS = (
 
 
 def _check_record(doc, where: str) -> dict:
-    """A manifest line's object, checked against MANIFEST_FIELDS and its frame count."""
+    """A manifest record, checked against MANIFEST_FIELDS and its frame count,
+    with its keys in table order."""
     check_fields(doc, MANIFEST_FIELDS, where)
     frame_index, frame_count = doc.get("frame_index"), doc.get("frame_count")
     if None not in (frame_index, frame_count) and frame_index >= frame_count:
         raise InputError(f"{where}'frame_index': must be below frame_count {frame_count}, "
                          f"got {frame_index}")
-    return doc
+    return {field.key: doc[field.key] for field in MANIFEST_FIELDS if field.key in doc}
 
 
-def parse_manifest(path: str | Path) -> Manifest:
-    """Parse a JSON-Lines manifest, preserving record order.
+def _manifest_records(docs: Iterable[tuple[int, object]], path, unit: str) -> list[dict]:
+    """The checked records of a manifest's ``(number, object)`` pairs: each
+    checked by ``_check_record`` and named as ``unit`` and number, their ids
+    unique, and at least one of them."""
+    records: list[dict] = []
+    seen: set[str] = set()
+    for number, doc in docs:
+        rec = _check_record(doc, f"{path}: {unit} {number}: ")
+        if rec["id"] in seen:
+            raise InputError(f"{path}: duplicate sample id {rec['id']!r} ({unit} {number})")
+        seen.add(rec["id"])
+        records.append(rec)
+    if not records:
+        raise InputError(f"{path}: manifest contains no records")
+    return records
 
-    One record per line; unknown keys are rejected so that typos surface
+
+def parse_manifest(path: str | Path) -> tuple[Mapping, ...]:
+    """The records of a JSON-Lines manifest, in file order.
+
+    One record per line, each a read-only mapping with its keys in
+    MANIFEST_FIELDS order; unknown keys are rejected so that typos surface
     immediately. Blank lines are ignored.
     """
     path = Path(path)
     if not path.is_file():
         raise InputError(f"manifest not found: {path}")
-    records: list[SampleRecord] = []
-    seen: set[str] = set()
-    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
-        if not line.strip():
-            continue
-        obj = _check_record(parse_json(line, path, line_no), f"{path}: line {line_no}: ")
-        rec = SampleRecord(id=obj["id"], path=obj["path"], label=Label(obj["label"]),
-                           modality=Modality(obj["modality"]), subset=obj["subset"],
-                           frame_index=obj.get("frame_index"), frame_count=obj.get("frame_count"))
-        if rec.id in seen:
-            raise InputError(f"{path}: duplicate sample id {rec.id!r} (line {line_no})")
-        seen.add(rec.id)
-        records.append(rec)
-    if not records:
-        raise InputError(f"{path}: manifest contains no records")
-    return Manifest(records=tuple(records), source_path=str(path))
+    lines = enumerate(read_text(path).split("\n"), start=1)
+    docs = ((line_no, parse_json(line, path, line_no)) for line_no, line in lines if line.strip())
+    return tuple(map(MappingProxyType, _manifest_records(docs, path, "line")))
 
 
-def write_manifest(manifest: Manifest, path: str | Path) -> None:
-    """Write a manifest back to JSON-Lines with a fixed key order."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for rec in manifest.records:
-            obj = {
-                "id": rec.id,
-                "path": rec.path,
-                "label": rec.label.value,
-                "modality": rec.modality.value,
-                "subset": rec.subset,
-            }
-            if rec.frame_index is not None:
-                obj["frame_index"] = rec.frame_index
-            if rec.frame_count is not None:
-                obj["frame_count"] = rec.frame_count
-            fh.write(json.dumps(obj, sort_keys=False) + "\n")
+def write_manifest(records: Iterable[Mapping], path: str | Path) -> None:
+    """Write manifest records as JSON-Lines, checked as ``parse_manifest`` checks
+    its lines and with their keys in MANIFEST_FIELDS order, so the file parses.
+    Nothing is written unless every record passes."""
+    checked = _manifest_records(enumerate(map(dict, records)), path, "record")
+    Path(path).write_text("".join(json.dumps(rec) + "\n" for rec in checked), encoding="utf-8")
 
 
 PNM_DIGITS = 9  # a width, height or maxval below a billion: no frame is that large
@@ -548,12 +504,13 @@ IN_FLIGHT_PER_THREAD = 2
 
 
 def iter_samples(
-    records: Iterable[SampleRecord],
-    fn: Callable[[SampleRecord, ImageBuffer], T],
+    records: Iterable[Mapping],
+    fn: Callable[[Mapping, ImageBuffer], T],
     threads: int = 1,
     loader: Callable[[str], ImageBuffer] = load_image,
-) -> Iterator[tuple[SampleRecord, Union[T, Exception]]]:
-    """Load each record, apply ``fn(record, image)``, yield in record order.
+) -> Iterator[tuple[Mapping, Union[T, Exception]]]:
+    """Load each manifest record's ``path``, apply ``fn(record, image)``, yield in
+    record order.
 
     This is the one per-sample corpus loop. A sample whose loading or ``fn``
     raises XmodalError or OSError is yielded as ``(record, exception)``
@@ -569,16 +526,16 @@ def iter_samples(
             # next sample's arrays fault in fresh pages: 15x the page faults
             # and +30% wall time for ``analyze rapsd`` on 108 360x640 frames.
             try:
-                img = loader(rec.path)
+                img = loader(rec["path"])
                 result = fn(rec, img)
             except (XmodalError, OSError) as exc:
                 result = exc
             yield rec, result
         return
 
-    def run(rec: SampleRecord):
+    def run(rec: Mapping):
         try:
-            return fn(rec, loader(rec.path))
+            return fn(rec, loader(rec["path"]))
         except (XmodalError, OSError) as exc:
             return exc
 
@@ -601,7 +558,7 @@ def iter_samples(
 
 
 def successes(
-    stream: Iterable[tuple[SampleRecord, Union[T, Exception]]],
+    stream: Iterable[tuple[Mapping, Union[T, Exception]]],
     failed: list[tuple[str, str]],
     what: str,
 ) -> Iterator[T]:
@@ -613,7 +570,7 @@ def successes(
     n_ok = 0
     for rec, result in stream:
         if isinstance(result, Exception):
-            failed.append((rec.id, str(result)))
+            failed.append((rec["id"], str(result)))
         else:
             n_ok += 1
             yield result

@@ -230,9 +230,9 @@ class TestDegrade:
         assert len(new_manifest) == 8
         originals = parse_manifest(manifest)
         for old, new in zip(originals, new_manifest):
-            assert old.id == new.id
-            before = load_image(old.path)
-            after = load_image(new.path)
+            assert old["id"] == new["id"]
+            before = load_image(old["path"])
+            after = load_image(new["path"])
             assert np.abs(before.data - after.data).max() <= 1 / 255 + 1e-12
 
     def test_rerun_byte_identical(self, corpus, tmp_path):
@@ -973,6 +973,23 @@ def test_every_numeric_option_has_a_flag_row(name):
     assert numeric <= rows
 
 
+@pytest.mark.parametrize("name", ["analyze", "degrade", "evaluate"])
+def test_run_json_records_every_option(corpus, tmp_path, name):
+    root, manifest = corpus
+    out = tmp_path / "out"
+    chain = tmp_path / "chain.json"
+    chain.write_text(ChainSpec(({"step": "jpeg", "quality": 90},)).to_json())
+    argv = {"analyze": ["analyze", "luma", "--manifest", manifest, "--out", out],
+            "degrade": ["degrade", "--manifest", manifest, "--chain", chain, "--out", out],
+            "evaluate": _evaluate_argv(tmp_path)}[name]
+    assert run_cli(*argv) == 0
+    out = Path(argv[argv.index("--out") + 1])
+    config = json.loads((out / "run.json").read_text())["config"]
+    options = {a.dest for a in _subcommands()[name]._actions if a.dest != "help"}
+    assert set(config) == options | ({"headline_acc"} if name == "evaluate" else set())
+    assert config["out"] == str(out)
+
+
 @pytest.mark.parametrize("name, edit, problem", [
     ("w1", lambda e: e["data"].pop(), "95 values do not fill shape [6, 16]"),
     ("wp", lambda e: e["data"].__setitem__(3, "x"),
@@ -1244,16 +1261,37 @@ class TestPartialFailures:
         err = capsys.readouterr().err
         assert "all 3 samples failed" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("kind", ["dct", "rapsd", "luma", "spectrum"])
-    def test_all_failing_analyze_leaves_no_out(self, tmp_path, capsys, kind):
+    def all_failing_argv(self, tmp_path, kind, out):
         entries = [{"id": f"s{i}", "path": str(tmp_path / f"gone_{i}.pgm"),
                     "label": "real", "modality": "image", "subset": "s"}
                    for i in range(2)]
         manifest = write_manifest_file(tmp_path / "m.jsonl", entries)
+        if kind != "degrade":
+            return ["analyze", kind, "--manifest", manifest, "--out", out]
+        chain = tmp_path / "chain.json"
+        chain.write_text(ChainSpec(({"step": "jpeg", "quality": 90},)).to_json())
+        return ["degrade", "--chain", chain, "--manifest", manifest, "--out", out]
+
+    @pytest.mark.parametrize("kind", ["dct", "rapsd", "luma", "spectrum", "degrade"])
+    def test_all_failing_analyze_leaves_no_out(self, tmp_path, capsys, kind):
+        out = tmp_path / "new" / "out"
+        assert run_cli(*self.all_failing_argv(tmp_path, kind, out)) == 2
+        what = "degradation" if kind == "degrade" else f"{kind} analysis"
+        assert f"all 2 samples failed {what}" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+
+    def test_all_failing_degrade_keeps_an_out_it_did_not_create(self, tmp_path, capsys):
         out = tmp_path / "out"
-        assert run_cli("analyze", kind, "--manifest", manifest, "--out", out) == 2
-        assert f"all 2 samples failed {kind} analysis" in capsys.readouterr().err
-        assert not out.exists()
+        (out / "keep").mkdir(parents=True)
+        assert run_cli(*self.all_failing_argv(tmp_path, "degrade", out)) == 2
+        assert [p.name for p in out.iterdir()] == ["keep"]
+
+    def test_degrade_out_that_is_a_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("")
+        assert run_cli(*self.all_failing_argv(tmp_path, "degrade", out)) == 2
+        assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{out}'\n"
+        assert out.is_file()
 
 
 class TestAnalyzeThreads:

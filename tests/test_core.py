@@ -15,9 +15,7 @@ from xmodal.core import (
     MANIFEST_FIELDS,
     ImageBuffer,
     Label,
-    Manifest,
     Modality,
-    SampleRecord,
     check_fields,
     iter_samples,
     load_image,
@@ -64,17 +62,15 @@ class TestEnums:
 class TestParseManifest:
     def test_single_valid_line(self, tmp_path):
         path = write_manifest_file(tmp_path / "m.jsonl", [VALID])
-        manifest = parse_manifest(path)
-        assert len(manifest) == 1
-        rec = manifest.records[0]
-        assert rec.id == "a" and rec.label is Label.REAL
-        assert rec.modality is Modality.IMAGE and rec.subset == "s"
+        (rec,) = parse_manifest(path)
+        assert rec == VALID and list(rec) == list(VALID)
+        with pytest.raises(TypeError):
+            rec["id"] = "b"
 
     def test_order_preserved(self, tmp_path):
         entries = [dict(VALID, id=f"r{i}") for i in range(20)]
         path = write_manifest_file(tmp_path / "m.jsonl", entries)
-        manifest = parse_manifest(path)
-        assert [r.id for r in manifest.records] == [f"r{i}" for i in range(20)]
+        assert [r["id"] for r in parse_manifest(path)] == [f"r{i}" for i in range(20)]
 
     def test_duplicate_id(self, tmp_path):
         path = write_manifest_file(tmp_path / "m.jsonl", [VALID, dict(VALID)])
@@ -112,7 +108,7 @@ class TestParseManifest:
     def test_frame_index_bounds(self, tmp_path):
         good = dict(VALID, frame_index=2, frame_count=3)
         path = write_manifest_file(tmp_path / "m.jsonl", [good])
-        assert parse_manifest(path).records[0].frame_index == 2
+        assert parse_manifest(path)[0]["frame_index"] == 2
         bad = dict(VALID, frame_index=3, frame_count=3)
         path = write_manifest_file(tmp_path / "m2.jsonl", [bad])
         with pytest.raises(InputError, match="'frame_index': must be below frame_count 3, got 3"):
@@ -124,11 +120,41 @@ class TestParseManifest:
             dict(VALID, id="y", label="fake", modality="video"),
         ]
         path = write_manifest_file(tmp_path / "m.jsonl", entries)
-        manifest = parse_manifest(path)
+        records = parse_manifest(path)
         out = tmp_path / "copy.jsonl"
-        write_manifest(manifest, out)
-        again = parse_manifest(out)
-        assert again.records == manifest.records
+        write_manifest(records, out)
+        assert parse_manifest(out) == records
+        assert out.read_bytes() == path.read_bytes()
+
+    def test_write_checks_the_whole_manifest_first(self, tmp_path):
+        out = tmp_path / "w.jsonl"
+        with pytest.raises(InputError, match=r"w\.jsonl: duplicate sample id 'a' \(record 1\)"):
+            write_manifest([VALID, VALID], out)
+        with pytest.raises(InputError, match=r"w\.jsonl: manifest contains no records"):
+            write_manifest([], out)
+        assert not out.exists()
+
+    def test_keys_in_table_order_and_absent_keys_left_out(self, tmp_path):
+        line = {"subset": "s", "frame_count": 4, "modality": "video", "label": "fake",
+                "path": "v.ppm", "id": "v"}
+        path = write_manifest_file(tmp_path / "m.jsonl", [line])
+        (rec,) = parse_manifest(path)
+        assert list(rec) == ["id", "path", "label", "modality", "subset", "frame_count"]
+        assert rec == line
+
+    @pytest.mark.parametrize("text", ["", "\n", "  \n\t\n\n"],
+                             ids=["empty", "newline", "blank-lines"])
+    def test_no_records(self, tmp_path, text):
+        path = tmp_path / "m.jsonl"
+        path.write_text(text)
+        with pytest.raises(InputError, match=r"m\.jsonl: manifest contains no records"):
+            parse_manifest(path)
+
+    def test_blank_lines_between_records_are_skipped(self, tmp_path):
+        second = dict(VALID, id="b")
+        path = tmp_path / "m.jsonl"
+        path.write_text(f"\n{json.dumps(VALID)}\n\n  \n{json.dumps(second)}\n\n")
+        assert parse_manifest(path) == (VALID, second)
 
 
 class TestReadJsonPausesTheGc:
@@ -278,18 +304,8 @@ class TestImageIO:
         assert np.array_equal(load_image(copy).data, loaded.data)
 
 
-class TestManifestType:
-    def test_non_empty_required(self):
-        with pytest.raises(ValueError):
-            Manifest(records=tuple())
-
-
-def sample_records(n: int) -> list[SampleRecord]:
-    return [
-        SampleRecord(id=f"r{i}", path=f"p{i}", label=Label.REAL,
-                     modality=Modality.IMAGE, subset="s")
-        for i in range(n)
-    ]
+def sample_records(n: int) -> list[dict]:
+    return [dict(VALID, id=f"r{i}", path=f"p{i}") for i in range(n)]
 
 
 def memory_loader(missing=()):
@@ -309,21 +325,21 @@ class TestIterSamples:
         records = sample_records(12)
 
         def fn(rec, img):
-            n = int(rec.id[1:])
+            n = int(rec["id"][1:])
             time.sleep(0.001 * ((12 - n) % 4))  # finish out of submission order
             if n == 7:
                 raise InputError("bad payload")
-            return rec.id, img.data[0, 0, 0]
+            return rec["id"], img.data[0, 0, 0]
 
         stream = iter_samples(records, fn, threads, memory_loader({"p2", "p9"}))
         out = list(stream)
-        assert [rec.id for rec, _ in out] == [rec.id for rec in records]
-        failed = [rec.id for rec, res in out if isinstance(res, Exception)]
+        assert [rec["id"] for rec, _ in out] == [rec["id"] for rec in records]
+        failed = [rec["id"] for rec, res in out if isinstance(res, Exception)]
         assert failed == ["r2", "r7", "r9"]
         assert isinstance(out[2][1], InputError) and str(out[2][1]) == "image not found: p2"
         for rec, res in out:
             if not isinstance(res, Exception):
-                assert res == (rec.id, int(rec.id[1:]) / 100.0)
+                assert res == (rec["id"], int(rec["id"][1:]) / 100.0)
 
     def test_results_held_never_exceed_window(self):
         threads = 2
@@ -336,14 +352,14 @@ class TestIterSamples:
             with lock:
                 live += 1
                 peak = max(peak, live)
-            return rec.id
+            return rec["id"]
 
         consumed = []
         for rec, _ in iter_samples(sample_records(40), fn, threads, memory_loader()):
             time.sleep(0.002)  # a slow consumer lets unbounded workers run ahead
             with lock:
                 live -= 1
-            consumed.append(rec.id)
+            consumed.append(rec["id"])
         assert len(consumed) == 40
         assert 1 <= peak <= window
 
@@ -358,16 +374,16 @@ class TestIterSamples:
     def test_successes_collects_failed_ids(self):
         failed = []
         stream = iter_samples(
-            sample_records(4), lambda rec, img: rec.id, 1, memory_loader({"p1"})
+            sample_records(4), lambda rec, img: rec["id"], 1, memory_loader({"p1"})
         )
         assert list(successes(stream, failed, "to load")) == ["r0", "r2", "r3"]
         assert [rec_id for rec_id, _ in failed] == ["r1"]
 
     def test_successes_records_error_text(self):
         def fn(rec, img):
-            if rec.id == "r2":
+            if rec["id"] == "r2":
                 raise InputError("bad payload in r2")
-            return rec.id
+            return rec["id"]
 
         failed = []
         stream = iter_samples(sample_records(4), fn, 2, memory_loader({"p0"}))

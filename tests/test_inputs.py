@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from xmodal import cli
 from xmodal.cli import DATA_FIELDS, FEATURE_FIELDS, load_train_config, main
 from xmodal.codecsim import STEP_FIELDS, ChainSpec
-from xmodal.core import MANIFEST_FIELDS, Field, parse_manifest, save_image
+from xmodal.core import MANIFEST_FIELDS, Field, parse_manifest, save_image, write_manifest
 from xmodal.errors import InputError
 from xmodal.trainer import (
     PARAM_FIELDS,
@@ -139,9 +139,28 @@ def returns_or_input_error(load, *args):
 @PROPERTY
 @given(doc=document(MANIFEST_FIELDS))
 def test_manifest_lines(tmp_path_factory, doc):
-    path = tmp_path_factory.mktemp("m") / "m.jsonl"
+    tmp = tmp_path_factory.mktemp("m")
+    path = tmp / "m.jsonl"
     path.write_text(json.dumps(doc) + "\n")
-    returns_or_input_error(parse_manifest, path)
+    records = returns_or_input_error(parse_manifest, path)
+    # write_manifest checks a record as parse_manifest checks its line, and writes
+    # nothing unless every record passes
+    written = tmp / "w.jsonl"
+    try:
+        write_manifest([doc], written)
+        error = None
+    except InputError as exc:
+        error = str(exc)
+    assert (error is None) == (records is not None), error
+    if "zz_unknown" in doc:
+        assert error == f"{written}: record 0: 'zz_unknown': unknown key"
+    assert written.exists() == (error is None)
+    if records is not None:
+        write_manifest(records, written)
+        first = written.read_bytes()
+        assert parse_manifest(written) == records
+        write_manifest(parse_manifest(written), written)
+        assert written.read_bytes() == first
 
 
 @PROPERTY
