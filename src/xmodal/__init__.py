@@ -21,13 +21,12 @@ _EXPORTS = {
     "pixelops": ("ColorRange", "Window", "gaussian_blur", "motion_blur", "quantize_8bit",
                  "rgb_to_ycbcr", "round_half_away", "shorter_side_resize", "to_luma",
                  "ycbcr_to_rgb"),
-    "codecsim": ("ChainSpec", "QuantTable", "VideoQuantModel", "apply_chain",
-                 "dct8x8_forward", "dct8x8_inverse", "derive_sample_seed", "jpeg_simulate",
-                 "quant_table_from_quality", "tv_range_squeeze", "video_codec_simulate"),
-    "forensics": ("DctAcResult", "Histogram", "RadialProfile", "SpectrumImage",
-                  "TvRangeVerdict", "dataset_mean_rapsd", "dct_ac_histogram",
-                  "detect_tv_range", "luminance_histogram", "rapsd", "residual_power",
-                  "residual_spectrum"),
+    "codecsim": ("ChainSpec", "apply_chain", "dct8x8_forward", "dct8x8_inverse",
+                 "derive_sample_seed", "jpeg_simulate", "quant_table_from_quality",
+                 "tv_range_squeeze", "video_codec_simulate"),
+    "forensics": ("DctAcResult", "RadialProfile", "TvRangeVerdict", "dataset_mean_rapsd",
+                  "dct_ac_histogram", "detect_tv_range", "luminance_histogram", "rapsd",
+                  "residual_power", "residual_spectrum"),
     "cmsupcon": ("LossVariant", "contrastive_grad", "contrastive_loss"),
     "trainer": ("FeatureDataset", "SyntheticSpec", "ToyModel", "backward", "forward",
                 "generate_synthetic", "load_checkpoint", "mixed_batch_sampler",

@@ -164,20 +164,20 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     )
 
     if kind == "dct":
-        result = forensics.dct_ac_histogram(results, value_range=args.range, nbins=args.bins)
-        hist = result.histogram
+        edges, counts, zero_fraction, total_ac = forensics.dct_ac_histogram(
+            results, value_range=args.range, nbins=args.bins)
         header = ("bin_lo", "bin_hi", "count")
         rows = [
-            (repr(float(hist.bin_edges[i])), repr(float(hist.bin_edges[i + 1])), int(c))
-            for i, c in enumerate(hist.counts)
+            (repr(float(edges[i])), repr(float(edges[i + 1])), int(c))
+            for i, c in enumerate(counts)
         ]
-        center = np.abs(hist.bin_edges[:-1] + np.diff(hist.bin_edges) / 2.0)
-        near_zero = float(hist.counts[center < 0.5].sum() / max(hist.total, 1))
+        center = np.abs(edges[:-1] + np.diff(edges) / 2.0)
+        near_zero = float(counts[center < 0.5].sum() / max(int(counts.sum()), 1))
         summary = {
-            "zero_fraction": result.zero_fraction,
+            "zero_fraction": zero_fraction,
             "near_zero_mass": near_zero,
-            "total_ac": result.total_ac,
-            "n_images": result.n_images,
+            "total_ac": total_ac,
+            "n_images": len(records) - len(failed),
         }
 
     elif kind == "rapsd":
@@ -196,42 +196,44 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         }
 
     elif kind == "luma":
-        hist = forensics.luminance_histogram(results)
+        counts = forensics.luminance_histogram(results)
         header = ("code", "count")
-        rows = [(code, int(count)) for code, count in enumerate(hist.counts)]
-        verdict, evidence = forensics.detect_tv_range(hist)
+        rows = [(code, int(count)) for code, count in enumerate(counts)]
+        verdict, tail_mass, comb_score = forensics.detect_tv_range(counts)
         summary = {
             "verdict": verdict.value,
-            "tail_mass": evidence.tail_mass,
-            "comb_score": evidence.comb_score,
-            "total_pixels": hist.total,
+            "tail_mass": tail_mass,
+            "comb_score": comb_score,
+            "total_pixels": int(counts.sum()),
             "n_images": len(records) - len(failed),
         }
 
     else:  # spectrum; argparse restricts the kinds
-        spec = forensics.residual_spectrum(results)
+        values = forensics.residual_spectrum(results)
+        height, width = values.shape
         header = ("row", "col", "log10_power")
         rows = [
-            (y, x, repr(float(spec.values[y, x])))
-            for y in range(spec.height)
-            for x in range(spec.width)
+            (y, x, repr(float(values[y, x])))
+            for y in range(height)
+            for x in range(width)
         ]
-        cy, cx = spec.height // 2, spec.width // 2
-        quarter = max(spec.height // 4, 1)
-        lf = spec.values[cy - quarter : cy + quarter, cx - quarter : cx + quarter]
-        total_sum = spec.values.sum()
+        cy, cx = height // 2, width // 2
+        quarter = max(height // 4, 1)
+        lf = values[cy - quarter : cy + quarter, cx - quarter : cx + quarter]
+        total_sum = values.sum()
         lf_sum = lf.sum()
-        hf_cells = spec.values.size - lf.size
+        hf_cells = values.size - lf.size
         summary = {
             "low_freq_mean": float(lf.mean()),
             "high_freq_mean": float((total_sum - lf_sum) / max(hf_cells, 1)),
-            "size": spec.width,
+            "size": width,
             "denoise_sigma": args.sigma,
             "n_used": len(records) - len(failed),
         }
 
     summary["n_failed"] = len(failed)
     summary["failed_ids"] = [rec_id for rec_id, _ in failed]
+    summary["failures"] = [{"id": rec_id, "error": error} for rec_id, error in failed]
     # created only once a sample has reduced, so an all-failing run leaves no --out
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -491,7 +493,8 @@ def _score_feature_records(
 ) -> tuple[np.ndarray, np.ndarray, list]:
     """Score, label code and subset of each video, all checked before any scoring;
     errors name ``path``. Videos come in the order of their first records; an
-    image is a video of its own."""
+    image is a video of its own. A record whose logit is not finite raises
+    NumericalError."""
     from . import metrics, trainer
 
     x = _feature_rows(records, model.d_in, path)
@@ -516,10 +519,17 @@ def _score_feature_records(
                           f"{frames[repeated[0]]}: {_record_name(records[i], i)} and "
                          f"{_record_name(records[j], j)}")
     starts = np.flatnonzero(np.append(True, head[1:] != head[:-1]))
-    logits = np.concatenate([
-        trainer.forward(model, x[first : first + SCORE_BLOCK], feature_layer).logits
-        for first in range(0, len(records), SCORE_BLOCK)
-    ])
+    # finite features can still overflow the network; such a logit is reported, by record
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = np.concatenate([
+            trainer.forward(model, x[first : first + SCORE_BLOCK], feature_layer).logits
+            for first in range(0, len(records), SCORE_BLOCK)
+        ])
+    bad = np.flatnonzero(~np.isfinite(logits))
+    if bad.size:
+        i = int(bad[0])
+        raise NumericalError(f"{path}: {_record_name(records[i], i)} has a non-finite logit "
+                             f"({logits[i]})")
     heads = head[starts].tolist()
     scores = metrics.video_scores(logits[order], starts, t)
     return scores, labels[heads], [subsets[i] for i in heads]

@@ -1,12 +1,14 @@
 """Blockwise-DCT transform-coding simulators and declarative degradation chains.
 
 Two quantizers are modeled on top of a shared orthonormal 8x8 DCT: a
-JPEG-style integer-table quantizer and a video-codec-style uniform deadzone
-quantizer. ChainSpec composes them with the pixel primitives into a
-blur -> resize -> codec -> color pipeline. apply_chain runs the steps' plane
-kernels on raw (c, h, w) planes and checks the result once, at the end. The
-codecs walk a frame in bands of whole block rows, all channels at once, so a
-band stays in L2 from colour conversion to the 8-bit snap, with the same bits.
+JPEG-style quantizer with read-only 8x8 integer tables, and a video-codec-style
+uniform deadzone quantizer whose plain-number ``qstep`` and ``deadzone`` the
+``video_codec`` row of STEP_FIELDS checks, once per chain or public call.
+ChainSpec composes them with the pixel primitives into a blur -> resize ->
+codec -> color pipeline. apply_chain runs the steps' plane kernels on raw
+(c, h, w) planes and checks the result once, at the end. The codecs walk a
+frame in bands of whole block rows, all channels at once, so a band stays in
+L2 from colour conversion to the 8-bit snap, with the same bits.
 
 The simulators are approximations: no entropy coding, no chroma
 subsampling, no inter-frame prediction. HEIF/WebP-style compression is
@@ -109,28 +111,12 @@ JPEG_CHROMA_BASE = np.array(
 )
 
 
-@dataclass(frozen=True)
-class QuantTable:
-    """8x8 positive-integer quantization table, optionally tagged with its Q."""
-
-    table: np.ndarray
-    quality: int | None = None
-
-    def __post_init__(self):
-        tbl = np.ascontiguousarray(self.table, dtype=np.int64)
-        if tbl.shape != (BLOCK, BLOCK):
-            raise ValueError(f"table must be 8x8, got {tbl.shape}")
-        if tbl.min() < 1 or tbl.max() > 255:
-            raise ValueError("table entries must lie in [1, 255]")
-        tbl.setflags(write=False)
-        object.__setattr__(self, "table", tbl)
-
-
-def quant_table_from_quality(quality: int, channel: str = "luma") -> QuantTable:
+def quant_table_from_quality(quality: int, channel: str = "luma") -> np.ndarray:
     """Scale the standard base table by the reference quality convention.
 
     scale = 5000/Q for Q < 50, else 200 - 2Q;
-    entry = clamp(floor((base*scale + 50)/100), 1, 255).
+    entry = clamp(floor((base*scale + 50)/100), 1, 255). The table is a
+    read-only 8x8 int64 array.
     """
     if not 1 <= quality <= 100:
         raise InputError(f"quality must lie in [1, 100], got {quality}")
@@ -138,17 +124,18 @@ def quant_table_from_quality(quality: int, channel: str = "luma") -> QuantTable:
         raise ValueError(f"channel must be 'luma' or 'chroma', got {channel!r}")
     base = JPEG_LUMA_BASE if channel == "luma" else JPEG_CHROMA_BASE
     scale = 5000 // quality if quality < 50 else 200 - 2 * quality
-    scaled = (base * scale + 50) // 100
-    return QuantTable(np.clip(scaled, 1, 255), quality=quality)
+    table = np.clip((base * scale + 50) // 100, 1, 255)
+    table.setflags(write=False)
+    return table
 
 
-def quantize_coefficients(coeffs: np.ndarray, table: QuantTable) -> np.ndarray:
+def quantize_coefficients(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Divide (..., 8, 8) blocks by the table and round half-away-from-zero."""
-    return _round_half_away_inplace(np.divide(coeffs, table.table, dtype=np.float64))
+    return _round_half_away_inplace(np.divide(coeffs, table, dtype=np.float64))
 
 
-def dequantize_coefficients(indices: np.ndarray, table: QuantTable) -> np.ndarray:
-    return np.multiply(indices, table.table, dtype=np.float64)
+def dequantize_coefficients(indices: np.ndarray, table: np.ndarray) -> np.ndarray:
+    return np.multiply(indices, table, dtype=np.float64)
 
 
 @functools.lru_cache(maxsize=8)
@@ -156,49 +143,38 @@ def _jpeg_tables(quality: int, channels: int, nbx: int) -> np.ndarray:
     """The luma table, then chroma for each further channel, tiled along a row of
     ``nbx`` blocks as read-only float64 in _shifted_coeffs' (c, 1, 8, nbx, 8) layout."""
     kinds = ("luma", "chroma", "chroma")[:channels]
-    tables = [np.tile(quant_table_from_quality(quality, kind).table, nbx) for kind in kinds]
+    tables = [np.tile(quant_table_from_quality(quality, kind), nbx) for kind in kinds]
     tiled = np.array(tables, dtype=np.float64).reshape(channels, 1, BLOCK, nbx, BLOCK)
     tiled.setflags(write=False)
     return tiled
 
 
-@dataclass(frozen=True)
-class VideoQuantModel:
-    """Uniform deadzone quantizer standing in for video-codec quantization.
-
-    qstep is the step at 8-bit coefficient scale; deadzone is the fraction
-    of qstep below which AC coefficients are zeroed outright.
-    """
-
-    qstep: float
-    deadzone: float = 0.0
-
-    def __post_init__(self):
-        if not self.qstep > 0:
-            raise ValueError(f"qstep must be > 0, got {self.qstep}")
-        if not 0.0 <= self.deadzone < 1.0:
-            raise ValueError(f"deadzone must lie in [0, 1), got {self.deadzone}")
-
-
-def deadzone_quantize_block(coeffs: np.ndarray, model: VideoQuantModel) -> np.ndarray:
+def deadzone_quantize_block(
+    coeffs: np.ndarray, qstep: float, deadzone: float = 0.0
+) -> np.ndarray:
     """Reconstruction values of one coefficient block under the deadzone rule.
 
-    DC gets a plain round; AC is zeroed inside deadzone*qstep, otherwise
-    rounded to the nearest multiple of qstep.
+    ``qstep`` is the step at 8-bit coefficient scale; ``deadzone`` is the
+    fraction of qstep below which AC coefficients are zeroed outright. DC
+    gets a plain round; AC is zeroed inside deadzone*qstep, otherwise rounded
+    to the nearest multiple of qstep. Settings off the ``video_codec`` step's
+    row raise InputError.
     """
+    check_fields({"qstep": qstep, "deadzone": deadzone}, STEP_FIELDS["video_codec"],
+                 "deadzone_quantize_block: ")
     # viewed as (..., 8, 1, 8): a plane one block wide, in _shifted_coeffs' layout
-    rec = _deadzone_quantize_inplace(np.array(coeffs, dtype=np.float64)[..., None, :], model)
+    rec = _deadzone_quantize_inplace(np.array(coeffs, dtype=np.float64)[..., None, :],
+                                     qstep, deadzone)
     return rec[..., 0, :]
 
 
-def _deadzone_quantize_inplace(coeffs: np.ndarray, model: VideoQuantModel) -> np.ndarray:
+def _deadzone_quantize_inplace(coeffs: np.ndarray, qstep: float, deadzone: float) -> np.ndarray:
     """deadzone_quantize_block written over (..., nby, 8, nbx, 8) float64 ``coeffs``."""
-    q = model.qstep
-    dead = np.abs(coeffs) < model.deadzone * q
+    dead = np.abs(coeffs) < deadzone * qstep
     dead[..., 0, :, 0] = False  # DC is exempt from the deadzone
-    coeffs /= q
+    coeffs /= qstep
     _round_half_away_inplace(coeffs)
-    coeffs *= q
+    coeffs *= qstep
     np.copyto(coeffs, 0.0, where=dead)
     return coeffs
 
@@ -282,20 +258,24 @@ def _jpeg_simulate(data: np.ndarray, quality: int, quantize_output: bool = True)
     return out
 
 
-def video_codec_simulate(img: ImageBuffer, model: VideoQuantModel) -> ImageBuffer:
+def video_codec_simulate(img: ImageBuffer, qstep: float, deadzone: float = 0.0) -> ImageBuffer:
     """Deadzone-quantize the 8x8 DCT of every channel; float reconstruction.
 
     Unlike jpeg_simulate this works directly on the stored channels and
     skips the final 8-bit snap, approximating a codec's internal
-    reconstruction rather than a decoded file.
+    reconstruction rather than a decoded file. ``qstep`` and ``deadzone``
+    are deadzone_quantize_block's, checked the same way.
     """
-    return _as_image(img, _video_codec_simulate(img.data, model))
+    check_fields({"qstep": qstep, "deadzone": deadzone}, STEP_FIELDS["video_codec"],
+                 "video_codec_simulate: ")
+    return _as_image(img, _video_codec_simulate(img.data, qstep, deadzone))
 
 
-def _video_codec_simulate(data: np.ndarray, model: VideoQuantModel) -> np.ndarray:
+def _video_codec_simulate(data: np.ndarray, qstep: float, deadzone: float) -> np.ndarray:
     out = np.empty_like(data)
     for rows in _bands(data.shape[1], data.shape[2], BLOCK):
-        coeffs = _deadzone_quantize_inplace(_shifted_coeffs(data[:, rows], 128.0), model)
+        coeffs = _deadzone_quantize_inplace(_shifted_coeffs(data[:, rows], 128.0), qstep,
+                                            deadzone)
         dst = out[:, rows]
         _reconstruct(coeffs, 128.0, dst)
         np.clip(dst, 0.0, 1.0, out=dst)
@@ -352,7 +332,7 @@ _KERNELS = {
     "resize": lambda data, step, rng: _shorter_side_resize(data, step["shorter_side"]),
     "jpeg": lambda data, step, rng: _jpeg_simulate(data, step["quality"]),
     "video_codec": lambda data, step, rng: _video_codec_simulate(
-        data, VideoQuantModel(step["qstep"], step["deadzone"])),
+        data, step["qstep"], step["deadzone"]),
     "tv_range_squeeze": lambda data, step, rng: _tv_range_squeeze(data),
     "color_jitter": lambda data, step, rng: _color_jitter(
         data, *[float(rng.uniform(*step[key])) for key in _JITTER_KEYS]),

@@ -10,14 +10,15 @@ The dataset reducers (``dct_ac_histogram``, ``dataset_mean_rapsd``,
 per-image inputs once, in order; ``rapsd`` and ``residual_power`` are the
 per-image steps of the two spectral folds. Loading a corpus, parallelism and
 failure accounting belong to the CLI (``core.iter_samples``, ``core.successes``).
+The results are plain arrays or named tuples of them, which nothing checks
+again: the program computed them.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -27,78 +28,21 @@ from .errors import InputError
 from .pixelops import Window, gaussian_blur, to_luma
 
 
-@dataclass(frozen=True)
-class Histogram:
-    """Counts over strictly ascending bin edges; total == counts.sum()."""
+class DctAcResult(NamedTuple):
+    """Counts over ``bin_edges``; the share below ZERO_EPS and number of all AC values."""
 
     bin_edges: np.ndarray
     counts: np.ndarray
-    total: int
-
-    def __post_init__(self):
-        edges = np.ascontiguousarray(self.bin_edges, dtype=np.float64)
-        counts = np.ascontiguousarray(self.counts, dtype=np.int64)
-        if edges.ndim != 1 or counts.ndim != 1 or len(edges) != len(counts) + 1:
-            raise ValueError("need n+1 edges for n counts")
-        if not np.all(np.diff(edges) > 0):
-            raise ValueError("bin edges must be strictly ascending")
-        if counts.min(initial=0) < 0:
-            raise ValueError("counts must be non-negative")
-        if int(counts.sum()) != self.total:
-            raise ValueError("total must equal the sum of counts")
-        edges.setflags(write=False)
-        counts.setflags(write=False)
-        object.__setattr__(self, "bin_edges", edges)
-        object.__setattr__(self, "counts", counts)
+    zero_fraction: float
+    total_ac: int
 
 
-@dataclass(frozen=True)
-class RadialProfile:
+class RadialProfile(NamedTuple):
     """Mean power per radial-frequency bin, radii normalized to (0, 0.5]."""
 
     radii: np.ndarray
     power: np.ndarray
     counts: np.ndarray
-
-    def __post_init__(self):
-        radii = np.ascontiguousarray(self.radii, dtype=np.float64)
-        power = np.ascontiguousarray(self.power, dtype=np.float64)
-        counts = np.ascontiguousarray(self.counts, dtype=np.int64)
-        if not (len(radii) == len(power) == len(counts)):
-            raise ValueError("radii, power, counts must have equal length")
-        if not np.all(np.diff(radii) > 0):
-            raise ValueError("radii must be strictly ascending")
-        if not np.all(np.isfinite(power)) or power.min(initial=0.0) < 0:
-            raise ValueError("power must be finite and non-negative")
-        for arr in (radii, power, counts):
-            arr.setflags(write=False)
-        object.__setattr__(self, "radii", radii)
-        object.__setattr__(self, "power", power)
-        object.__setattr__(self, "counts", counts)
-
-
-@dataclass(frozen=True)
-class SpectrumImage:
-    """Log-scaled mean 2D power spectrum with DC shifted to the center bin."""
-
-    width: int
-    height: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.ascontiguousarray(self.values, dtype=np.float64)
-        if vals.shape != (self.height, self.width):
-            raise ValueError("values shape must be (height, width)")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-
-@dataclass(frozen=True)
-class DctAcResult:
-    histogram: Histogram
-    zero_fraction: float
-    total_ac: int
-    n_images: int
 
 
 def _luma_plane(img: ImageBuffer) -> np.ndarray:
@@ -132,7 +76,6 @@ def dct_ac_histogram(
     counts = np.zeros(nbins, dtype=np.int64)
     total_ac = 0
     n_zero = 0
-    n_images = 0
     ac_mask = np.ones((BLOCK, BLOCK), dtype=bool)
     ac_mask[0, 0] = False
     for img in images:
@@ -145,16 +88,9 @@ def dct_ac_histogram(
         counts += hist
         total_ac += ac.size
         n_zero += int(np.count_nonzero(np.abs(ac) < ZERO_EPS))
-        n_images += 1
-    if n_images == 0:
+    if total_ac == 0:  # every image adds at least one block's 63 coefficients
         raise InputError("dct_ac_histogram needs at least one image")
-    histogram = Histogram(edges, counts, int(counts.sum()))
-    return DctAcResult(
-        histogram=histogram,
-        zero_fraction=n_zero / total_ac,
-        total_ac=total_ac,
-        n_images=n_images,
-    )
+    return DctAcResult(edges, counts, n_zero / total_ac, total_ac)
 
 
 def rapsd(
@@ -241,8 +177,9 @@ def dataset_mean_rapsd(profiles: Iterable[RadialProfile]) -> RadialProfile:
     return RadialProfile(radii=profile.radii, power=power_sum / n_used, counts=count_sum)
 
 
-def luminance_histogram(images: Iterable[ImageBuffer]) -> Histogram:
-    """Pool 8-bit-quantized luma codes of all pixels into 256 bins."""
+def luminance_histogram(images: Iterable[ImageBuffer]) -> np.ndarray:
+    """Pool 8-bit-quantized luma codes of all pixels into 256 int64 counts,
+    one per code."""
     counts = np.zeros(256, dtype=np.int64)
     n_images = 0
     for img in images:
@@ -254,8 +191,7 @@ def luminance_histogram(images: Iterable[ImageBuffer]) -> Histogram:
         n_images += 1
     if n_images == 0:
         raise InputError("luminance_histogram needs at least one image")
-    edges = (np.arange(257) - 0.5) / 255.0
-    return Histogram(edges, counts, int(counts.sum()))
+    return counts
 
 
 class TvRangeVerdict(Enum):
@@ -264,18 +200,13 @@ class TvRangeVerdict(Enum):
     INDETERMINATE = "indeterminate"
 
 
-@dataclass(frozen=True)
-class TvRangeEvidence:
-    tail_mass: float
-    comb_score: float
-
-
 TAIL_FULL_THRESHOLD = 0.01
 COMB_THRESHOLD = 0.02
 
 
-def detect_tv_range(hist: Histogram) -> tuple[TvRangeVerdict, TvRangeEvidence]:
-    """Classify a 256-bin luma histogram as full range, limited, or unclear.
+def detect_tv_range(counts: np.ndarray) -> tuple[TvRangeVerdict, float, float]:
+    """Classify the 256 counts of a luma histogram as full range, limited, or
+    unclear, returning ``(verdict, tail_mass, comb_score)``.
 
     tail_mass is the mass at codes [0,15] and [236,255]. comb_score is the
     fraction of empty bins inside the central mass window (5th..95th mass
@@ -287,9 +218,8 @@ def detect_tv_range(hist: Histogram) -> tuple[TvRangeVerdict, TvRangeEvidence]:
     outranks tail evidence; content that never exercises the tails and
     shows no comb stays indeterminate (e.g. a constant image).
     """
-    if len(hist.counts) != 256:
-        raise InputError(f"expected 256 bins, got {len(hist.counts)}")
-    counts = hist.counts
+    if len(counts) != 256:
+        raise InputError(f"expected 256 bins, got {len(counts)}")
     total = int(counts.sum())
     if total == 0:
         raise InputError("histogram is empty")
@@ -305,12 +235,13 @@ def detect_tv_range(hist: Histogram) -> tuple[TvRangeVerdict, TvRangeEvidence]:
         comb_score = float(np.count_nonzero(window == 0) / len(window))
     else:
         comb_score = 0.0
-    evidence = TvRangeEvidence(tail_mass=tail_mass, comb_score=comb_score)
     if comb_score > COMB_THRESHOLD:
-        return TvRangeVerdict.LIMITED, evidence
-    if tail_mass > TAIL_FULL_THRESHOLD:
-        return TvRangeVerdict.FULL, evidence
-    return TvRangeVerdict.INDETERMINATE, evidence
+        verdict = TvRangeVerdict.LIMITED
+    elif tail_mass > TAIL_FULL_THRESHOLD:
+        verdict = TvRangeVerdict.FULL
+    else:
+        verdict = TvRangeVerdict.INDETERMINATE
+    return verdict, tail_mass, comb_score
 
 
 def residual_power(
@@ -328,11 +259,11 @@ def residual_power(
     return spectrum.real**2 + spectrum.imag**2
 
 
-def residual_spectrum(powers: Iterable[np.ndarray]) -> SpectrumImage:
+def residual_spectrum(powers: Iterable[np.ndarray]) -> np.ndarray:
     """Mean of ``residual_power`` spectra, log-scaled, DC shifted to the center.
 
-    The spectra are summed in iteration order and reported as
-    log10(1 + mean_power).
+    The spectra are summed in iteration order and reported as the
+    (size, size) array log10(1 + mean_power).
     """
     acc = 0  # 0 + the first spectrum is a new array; the rest add into it in place
     n_used = 0
@@ -340,5 +271,4 @@ def residual_spectrum(powers: Iterable[np.ndarray]) -> SpectrumImage:
         acc += power
     if n_used == 0:
         raise InputError("residual_spectrum needs at least one spectrum")
-    values = np.fft.fftshift(np.log10(1.0 + acc / n_used))
-    return SpectrumImage(width=values.shape[1], height=values.shape[0], values=values)
+    return np.fft.fftshift(np.log10(1.0 + acc / n_used))

@@ -17,7 +17,6 @@ from xmodal.codecsim import (
     ChainSpec,
     JPEG_CHROMA_BASE,
     JPEG_LUMA_BASE,
-    VideoQuantModel,
     apply_chain,
     dct8x8_forward,
     dct8x8_inverse,
@@ -241,11 +240,10 @@ def test_criterion_3_bidirectional_gain():
 
 @criterion(4, "zero-AC fraction ordering: video sim > JPEG Q75 > uncompressed")
 def test_criterion_4_dct_direction():
-    model = VideoQuantModel(qstep=24.0, deadzone=0.8)
     unc, jpeg75, vid, recomp = [], [], [], []
     for seed in range(100):
         img = textured_image(seed, h=32, w=32)
-        vid_out = video_codec_simulate(img, model)
+        vid_out = video_codec_simulate(img, qstep=24.0, deadzone=0.8)
         unc.append(dct_ac_histogram([img]).zero_fraction)
         jpeg75.append(
             dct_ac_histogram([jpeg_simulate(img, 75, quantize_output=False)]).zero_fraction
@@ -334,13 +332,13 @@ def _varied_full_range_image(i, h=128, w=128) -> ImageBuffer:
 def test_criterion_6_tv_range():
     for i in range(50):
         img = _varied_full_range_image(i)
-        verdict_orig, _ = detect_tv_range(luminance_histogram([img]))
-        verdict_sq, _ = detect_tv_range(luminance_histogram([tv_range_squeeze(img)]))
+        verdict_orig, _, _ = detect_tv_range(luminance_histogram([img]))
+        verdict_sq, _, _ = detect_tv_range(luminance_histogram([tv_range_squeeze(img)]))
         assert verdict_orig is TvRangeVerdict.FULL, f"image {i} original misread"
         assert verdict_sq is TvRangeVerdict.LIMITED, f"image {i} squeezed misread"
     ramp = ImageBuffer(np.tile(np.arange(256) / 255.0, (16, 1))[None])
-    hist = luminance_histogram([tv_range_squeeze(ramp)])
-    assert np.count_nonzero(hist.counts[16:236] == 0) >= 1
+    counts = luminance_histogram([tv_range_squeeze(ramp)])
+    assert np.count_nonzero(counts[16:236] == 0) >= 1
 
 
 # --- criterion 7 oracles (plain loops, no shared code with the implementation) ---
@@ -426,20 +424,19 @@ def test_criterion_8_numerical_kernels():
         assert np.abs(dct8x8_inverse(coeffs) - block).max() <= 1e-10
 
     table = quant_table_from_quality(60)
-    model = VideoQuantModel(qstep=9.7, deadzone=0.6)
     for _ in range(100):
         coeffs = rng.normal(scale=80.0, size=(8, 8))
         q1 = quantize_coefficients(coeffs, table)
         rec1 = dequantize_coefficients(q1, table)
         assert np.array_equal(quantize_coefficients(rec1, table), q1)
-        dz1 = deadzone_quantize_block(coeffs, model)
-        assert np.array_equal(deadzone_quantize_block(dz1, model), dz1)
+        dz1 = deadzone_quantize_block(coeffs, qstep=9.7, deadzone=0.6)
+        assert np.array_equal(deadzone_quantize_block(dz1, qstep=9.7, deadzone=0.6), dz1)
 
     for quality in (50, 96, 100):
         scale = 5000 // quality if quality < 50 else 200 - 2 * quality
         for channel, base in (("luma", JPEG_LUMA_BASE), ("chroma", JPEG_CHROMA_BASE)):
             expected = np.clip((base * scale + 50) // 100, 1, 255)
-            actual = quant_table_from_quality(quality, channel).table
+            actual = quant_table_from_quality(quality, channel)
             assert np.array_equal(actual, expected), f"Q={quality} {channel}"
 
 

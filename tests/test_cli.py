@@ -604,6 +604,27 @@ class TestEvaluateCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "eval").exists()
 
+    def test_overflowing_logit_exits_3_naming_the_record(
+        self, train_setup, tmp_path, capsys, monkeypatch
+    ):
+        # a finite 'x' passes every record check, but overflows this model to a -inf logit
+        checkpoint = self.make_checkpoint(train_setup, tmp_path)
+        monkeypatch.setattr("xmodal.cli.SCORE_BLOCK", 4, raising=False)
+        rng = np.random.default_rng(4)
+        records = [
+            {"id": f"r{i}", "x": rng.normal(size=6).tolist(),
+             "label": "fake" if i % 2 else "real", "modality": "image", "subset": "s"}
+            for i in range(10)
+        ]
+        records[6]["x"] = [1e308] * 6
+        features = feature_file(tmp_path, records)
+        capsys.readouterr()
+        assert run_cli("evaluate", "--checkpoint", checkpoint, "--features",
+                       features, "--out", tmp_path / "eval") == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {features}: feature record 6 ('r6') has a non-finite logit (-inf)\n"
+        assert not (tmp_path / "eval").exists()
+
     @pytest.mark.parametrize("frame_index", [[1], 1.5], ids=["list", "float"])
     def test_bad_frame_index_exits_2_naming_it(self, tmp_path, capsys, frame_index):
         argv = _evaluate_argv(tmp_path, _feature_doc(video_id="v", frame_index=frame_index))
@@ -1114,16 +1135,16 @@ class TestAnalyzeWithChain:
             for e in entries
         ]
         if kind == "dct":
-            column, expected = "count", dct_ac_histogram(images).histogram.counts
+            column, expected = "count", dct_ac_histogram(images).counts
         elif kind == "rapsd":
             column = "power"
             expected = dataset_mean_rapsd(rapsd(img) for img in images).power
         elif kind == "luma":
-            column, expected = "count", luminance_histogram(images).counts
+            column, expected = "count", luminance_histogram(images)
         else:
             column = "log10_power"
             powers = (residual_power(img, 1.0, 16) for img in images)
-            expected = residual_spectrum(powers).values.ravel()
+            expected = residual_spectrum(powers).ravel()
         written = np.array([float(row[column]) for row in rows])
         assert np.array_equal(written, expected)
 
@@ -1179,14 +1200,19 @@ class TestPartialFailures:
         )
         return write_manifest_file(tmp_path / "m.jsonl", entries)
 
-    def test_analyze_reports_failures_and_exits_zero(self, tmp_path):
+    @pytest.mark.parametrize("kind, count_key", [
+        ("dct", "n_images"), ("rapsd", "n_used"), ("luma", "n_images"), ("spectrum", "n_used"),
+    ])
+    def test_analyze_reports_failures_and_exits_zero(self, tmp_path, kind, count_key):
         manifest = self.broken_corpus(tmp_path)
         out = tmp_path / "out"
-        assert run_cli("analyze", "dct", "--manifest", manifest, "--out", out) == 0
-        summary = json.loads((out / "dct.summary.json").read_text())
+        assert run_cli("analyze", kind, "--manifest", manifest, "--out", out) == 0
+        summary = json.loads((out / f"{kind}.summary.json").read_text())
         assert summary["n_failed"] == 1
         assert summary["failed_ids"] == ["gone"]
-        assert summary["n_images"] == 4
+        [failure] = summary["failures"]
+        assert failure["id"] == "gone" and "missing.pgm" in failure["error"]
+        assert summary[count_key] == 5 - summary["n_failed"]
 
     def test_dct_counts_frame_below_one_block_as_failed(self, tmp_path):
         entries = []

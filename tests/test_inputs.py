@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 
 from xmodal import cli
 from xmodal.cli import DATA_FIELDS, FEATURE_FIELDS, load_train_config, main
-from xmodal.codecsim import STEP_FIELDS, ChainSpec
+from xmodal.codecsim import STEP_FIELDS, ChainSpec, deadzone_quantize_block, video_codec_simulate
 from xmodal.core import MANIFEST_FIELDS, Field, parse_manifest, save_image, write_manifest
-from xmodal.errors import InputError
+from xmodal.errors import InputError, NumericalError
 from xmodal.trainer import (
     PARAM_FIELDS,
     SYNTHETIC_FIELDS,
@@ -168,6 +168,37 @@ def test_manifest_lines(tmp_path_factory, doc):
 def test_chain_steps(name, data):
     doc = data.draw(document(STEP_FIELDS[name]))
     returns_or_input_error(ChainSpec.from_json, json.dumps({"steps": [{"step": name, **doc}]}))
+
+
+def input_error_text(call, *args, **kwargs):
+    """The text of the InputError ``call`` raises, or None when it raises none."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # a tiny qstep overflows
+            call(*args, **kwargs)
+    except InputError as exc:
+        return str(exc)
+    except NumericalError:  # the settings passed; the result is not finite
+        pass
+    return None
+
+
+@PROPERTY
+@given(data=st.data())
+def test_codec_settings_have_one_checker(data):
+    # each setting valid or wrong, as the video_codec row describes them
+    settings_ = {field.key: data.draw(st.one_of(valid_value(field),
+                                                st.sampled_from(WRONG + past_bounds(field))))
+                 for field in STEP_FIELDS["video_codec"]}
+    chain_error = input_error_text(
+        ChainSpec.from_json, json.dumps({"steps": [{"step": "video_codec", **settings_}]}))
+    for name, call, arg in (
+        ("deadzone_quantize_block", deadzone_quantize_block, np.zeros((8, 8))),
+        ("video_codec_simulate", video_codec_simulate, textured_image(seed=0, h=8, w=8)),
+    ):
+        error = input_error_text(call, arg, **settings_)
+        assert (error is None) == (chain_error is None), (name, error, chain_error)
+        if error is not None:  # the same words, after each one's prefix
+            assert error == f"{name}: " + chain_error.split("'video_codec': ", 1)[1]
 
 
 @PROPERTY

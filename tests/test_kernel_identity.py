@@ -20,7 +20,6 @@ from xmodal import cli, cmsupcon, forensics
 from xmodal.codecsim import (
     STEP_FIELDS,
     ChainSpec,
-    VideoQuantModel,
     _DCT,
     _KERNELS,
     _reconstruct,
@@ -163,14 +162,14 @@ def ref_blocks_inverse(coeffs, size):
 
 
 def ref_quantize_coefficients(coeffs, table):
-    return ref_round_half_away(np.asarray(coeffs, dtype=np.float64) / table.table)
+    return ref_round_half_away(np.asarray(coeffs, dtype=np.float64) / table)
 
 
-def ref_deadzone_quantize_block(coeffs, model):
+def ref_deadzone_quantize_block(coeffs, qstep, deadzone):
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    q = model.qstep
+    q = qstep
     rec = ref_round_half_away(coeffs / q) * q
-    ac_dead = np.abs(coeffs) < model.deadzone * q
+    ac_dead = np.abs(coeffs) < deadzone * q
     rec = np.where(ac_dead, 0.0, rec)
     rec_dc = ref_round_half_away(coeffs[..., 0, 0] / q) * q
     rec[..., 0, 0] = rec_dc
@@ -191,7 +190,7 @@ def ref_jpeg_simulate(data, quality, quantize_output=True):
     out_channels = []
     for (plane, offset), table in zip(channels, tables):
         coeffs, size = ref_blocks_forward(plane * 255.0 - offset)
-        rec = np.asarray(ref_quantize_coefficients(coeffs, table), dtype=np.float64) * table.table
+        rec = np.asarray(ref_quantize_coefficients(coeffs, table), dtype=np.float64) * table
         out_channels.append((ref_blocks_inverse(rec, size) + offset) / 255.0)
     if was_color:
         result = ref_ycbcr_to_rgb(np.stack(out_channels), ColorRange.FULL)
@@ -200,11 +199,11 @@ def ref_jpeg_simulate(data, quality, quantize_output=True):
     return ref_quantize_8bit(result) if quantize_output else result
 
 
-def ref_video_codec_simulate(data, model):
+def ref_video_codec_simulate(data, qstep, deadzone):
     out_channels = []
     for plane in data:
         coeffs, size = ref_blocks_forward(plane * 255.0 - 128.0)
-        rec = ref_deadzone_quantize_block(coeffs, model)
+        rec = ref_deadzone_quantize_block(coeffs, qstep, deadzone)
         out_channels.append((ref_blocks_inverse(rec, size) + 128.0) / 255.0)
     return np.clip(np.stack(out_channels), 0.0, 1.0)
 
@@ -306,10 +305,8 @@ class TestPixelKernels:
     @pytest.mark.parametrize("deadzone", [0.0, 0.5])
     def test_video_codec_simulate(self, h, w, channels, deadzone):
         img = codes_frame(7, channels, h, w)
-        model = VideoQuantModel(16.0, deadzone)
-        assert np.array_equal(
-            video_codec_simulate(img, model).data, ref_video_codec_simulate(img.data, model)
-        )
+        assert np.array_equal(video_codec_simulate(img, 16.0, deadzone).data,
+                              ref_video_codec_simulate(img.data, 16.0, deadzone))
 
     @pytest.mark.parametrize("half_codes", [False, True])
     def test_load_and_save_image(self, tmp_path, h, w, channels, half_codes):
@@ -359,9 +356,8 @@ def test_kernels_across_band_edges(h, w, channels):
     for quantize_output in (True, False):
         assert np.array_equal(jpeg_simulate(img, 75, quantize_output).data,
                               ref_jpeg_simulate(img.data, 75, quantize_output))
-    model = VideoQuantModel(16.0, 0.5)
-    assert np.array_equal(video_codec_simulate(img, model).data,
-                          ref_video_codec_simulate(img.data, model))
+    assert np.array_equal(video_codec_simulate(img, 16.0, 0.5).data,
+                          ref_video_codec_simulate(img.data, 16.0, 0.5))
     for length, angle in ((5, 0.0), (7, 30.0)):
         assert np.array_equal(motion_blur(img, length, angle).data,
                               ref_motion_blur(img.data, length, angle))
@@ -388,7 +384,7 @@ def test_chain_equals_its_public_functions_in_turn(channels):
     out = apply_chain(img, chain, np.random.default_rng(5))
     expected = motion_blur(img, 5, 30.0)
     expected = shorter_side_resize(gaussian_blur(expected, 1.2), 40)
-    expected = video_codec_simulate(jpeg_simulate(expected, 60), VideoQuantModel(12.0, 0.3))
+    expected = video_codec_simulate(jpeg_simulate(expected, 60), 12.0, 0.3)
     expected = tv_range_squeeze(expected)
     expected = ImageBuffer(_KERNELS["color_jitter"](expected.data, jitter,
                                                     np.random.default_rng(5)))
@@ -423,11 +419,9 @@ def test_coefficient_quantizers(deadzone):
     coeffs = rng.normal(0.0, 40.0, size=(5, 7, 8, 8))
     coeffs[0, 0, 3, 3] = -0.0
     coeffs[0, 1, 0, 0] = 10.0  # a DC value inside the 0.75 deadzone that rounds to 16
-    model = VideoQuantModel(16.0, deadzone)
     before = coeffs.copy()
-    assert np.array_equal(
-        deadzone_quantize_block(coeffs, model), ref_deadzone_quantize_block(coeffs, model)
-    )
+    assert np.array_equal(deadzone_quantize_block(coeffs, 16.0, deadzone),
+                          ref_deadzone_quantize_block(coeffs, 16.0, deadzone))
     table = quant_table_from_quality(30, "chroma")
     assert np.array_equal(
         quantize_coefficients(coeffs, table), ref_quantize_coefficients(coeffs, table)
@@ -471,13 +465,13 @@ def test_luminance_histogram_codes_at_rounding_edges():
         luma, np.nextafter(luma, -np.inf), np.nextafter(luma, np.inf), [-0.3, -0.0, 1.2]
     ])
     codes = [
-        int(np.flatnonzero(luminance_histogram([ImageBuffer(np.full((1, 1, 1), v))]).counts)[0])
+        int(np.flatnonzero(luminance_histogram([ImageBuffer(np.full((1, 1, 1), v))]))[0])
         for v in luma
     ]
     assert codes == ref_luma_codes(luma).tolist()
     img = frame(22, 3, 37, 53, lo=-0.2, hi=1.2)
     expected = np.bincount(ref_luma_codes(ref_to_luma(img.data)).ravel(), minlength=256)
-    assert np.array_equal(luminance_histogram([img, img]).counts, 2 * expected)
+    assert np.array_equal(luminance_histogram([img, img]), 2 * expected)
 
 
 @pytest.mark.parametrize("h, w", [(360, 640), (37, 53), (1, 1)])
@@ -534,8 +528,8 @@ def test_dct_ac_histogram_counts_match_explicit_edges(monkeypatch, nbins, value_
     monkeypatch.setattr(forensics, "_shifted_coeffs", lambda plane, offset: plane_coeffs)
     result = dct_ac_histogram([frame(20, 1, 8, 8)], value_range, nbins)
     expected, _ = np.histogram(ac, bins=edges)
-    assert np.array_equal(result.histogram.counts, expected)
-    assert np.array_equal(result.histogram.bin_edges, edges)
+    assert np.array_equal(result.counts, expected)
+    assert np.array_equal(result.bin_edges, edges)
 
 
 # planes wider and narrower than the kernels, down to a single row
