@@ -313,7 +313,8 @@ def load_feature_file(path: str | Path) -> list:
 
 
 def _records_to_dataset(path: Path) -> FeatureDataset:
-    """Read a training feature file with the record checks ``evaluate`` uses."""
+    """Read a training feature file with the reader ``evaluate`` uses; the first
+    record's ``x`` fixes the input width."""
     from . import trainer
 
     records = load_feature_file(path)
@@ -321,10 +322,9 @@ def _records_to_dataset(path: Path) -> FeatureDataset:
         raise InputError(f"{path}: {len(records)} records, more than a training split's "
                          f"{trainer.MAX_SPLIT}")
     first_x = records[0].get("x") if isinstance(records[0], dict) else None
-    x = _feature_rows(records, len(first_x) if isinstance(first_x, list) else 0, path)
-    _check_records(records, path, TRAINING_FIELDS)
-    return trainer.FeatureDataset(x, [_LABEL_CODES[rec["label"]] for rec in records],
-                                  [_MODALITY_CODES[rec["modality"]] for rec in records])
+    d_in = len(first_x) if isinstance(first_x, list) and first_x else 1
+    x, labels, modalities, *_ = _feature_columns(records, TRAINING_FIELDS, d_in, path)
+    return trainer.FeatureDataset(x, labels, modalities)
 
 
 def _history_csv(history: Sequence[EpochStats]) -> str:
@@ -407,85 +407,54 @@ def _record_name(rec, index: int) -> str:
 
 # the Python types of JSON numbers; bool is neither
 _NUMBER_TYPES = {int, float}
-
-
-def _feature_problem(rec, d_in: int) -> Optional[str]:
-    """Why ``rec`` has no usable feature vector, or None when it has one."""
-    if not isinstance(rec, dict) or "x" not in rec:
-        return "has no 'x' feature vector"
-    try:
-        x = np.asarray(rec["x"], dtype=np.float64)
-    except OverflowError:  # an integer beyond float64's range
-        return "'x' has non-finite values"
-    except (TypeError, ValueError):
-        return "'x' is not a flat list of numbers"
-    if x.shape != (d_in,):
-        return f"'x' has shape {x.shape}, the model expects ({d_in},)"
-    if not set(map(type, rec["x"])) <= _NUMBER_TYPES:
-        return "'x' is not a flat list of numbers"
-    if not np.isfinite(x).all():
-        return "'x' has non-finite values"
-    return None
-
-
-def _feature_rows(records: list, d_in: int, path) -> np.ndarray:
-    """Stack the records' ``x`` vectors into an (n, d_in) finite float array.
-    Only JSON numbers pass: numpy alone would read true/false and numeric strings."""
-    try:
-        rows = [rec["x"] for rec in records]
-        numbers = set(map(type, itertools.chain.from_iterable(rows))) <= _NUMBER_TYPES
-        x = np.array(rows, dtype=np.float64) if numbers else None
-    except (KeyError, TypeError, ValueError, OverflowError):
-        x = None
-    if x is None or x.shape != (len(records), d_in) or not np.isfinite(x).all():
-        for i, rec in enumerate(records):
-            problem = _feature_problem(rec, d_in)
-            if problem is not None:
-                raise InputError(f"{path}: {_record_name(rec, i)} {problem}")
-    return x
-
-
 _LABEL_CODES = {label.value: label.numeric for label in Label}
 _MODALITY_CODES = {modality.value: modality.numeric for modality in Modality}
 
-# One record of a feature file. Its `x` is checked with the other records'
-# vectors, and keys off the table, such as `id`, pass unchecked.
+# One record of a feature file besides its `x`, a list of the model's input
+# width of finite numbers. Keys off the table, such as `id`, pass unchecked.
 FEATURE_FIELDS = (
     Field("label", "choice", choices=tuple(_LABEL_CODES), required=True),
     Field("subset", "string", required=True),
     Field("video_id", "string", lo=1, null=True),
     Field("frame_index", "int", 0, 2**63 - 1, null=True),
-    Field("modality", "choice", choices=tuple(_MODALITY_CODES)),
+    Field("modality", "choice", choices=tuple(_MODALITY_CODES), default="image"),
 )
 # training also reads every record's modality
 TRAINING_FIELDS = (*FEATURE_FIELDS[:-1], dataclasses.replace(FEATURE_FIELDS[-1], required=True))
 
 
-def _check_records(records: list, path, table=FEATURE_FIELDS) -> None:
-    """Raise an error naming the file, the first record off ``table`` and its key."""
-    for i, rec in enumerate(records):
-        check_fields(rec, table, f"{path}: {_record_name(rec, i)} ", extra=True)
-
-
-def _record_tags(records: list[dict], path) -> tuple[np.ndarray, list, list, np.ndarray]:
-    """Label codes, subsets, video ids and frame indices (null as 0) of all records,
-    checked in bulk against FEATURE_FIELDS; only on a failure do per-record
-    checks name the first bad one."""
+def _feature_columns(records: list, table: tuple, d_in: int, path) -> tuple:
+    """x as an (n, d_in) float array, label and modality codes, subsets, video ids
+    and frame indices (null as 0) of all records, checked in bulk against ``table``
+    and an ``x`` of d_in >= 1 finite numbers. Only when that fails does the
+    table run record by record, to name the first bad record. An absent
+    optional modality reads as its row's default."""
+    modality = table[-1]
+    absent = None if modality.required else modality.default
     try:
+        rows = [rec["x"] for rec in records]
+        # only JSON numbers pass: numpy alone would read true/false and numeric strings
+        if not set(map(type, itertools.chain.from_iterable(rows))) <= _NUMBER_TYPES:
+            raise TypeError("x holds a value that is not a JSON number")
+        x = np.array(rows, dtype=np.float64)
         labels = np.array([_LABEL_CODES[rec["label"]] for rec in records], dtype=np.int8)
+        modalities = np.array([_MODALITY_CODES[rec.get("modality", absent)] for rec in records],
+                              dtype=np.int8)
         subsets = [rec["subset"] for rec in records]
         videos = [rec.get("video_id") for rec in records]
         indices = [rec.get("frame_index") for rec in records]
         frames = np.array([f or 0 for f in indices], dtype=np.int64)
-        ok = (set(map(type, subsets)) <= {str}
-              and set(map(type, videos)) <= {str, type(None)} and "" not in videos
-              and set(map(type, indices)) <= {int, type(None)} and frames.min() >= 0
-              and {rec.get("modality", "image") for rec in records} <= _MODALITY_CODES.keys())
+        if not (x.shape == (len(records), d_in) and np.isfinite(x).all()
+                and set(map(type, subsets)) <= {str}
+                and set(map(type, videos)) <= {str, type(None)} and "" not in videos
+                and set(map(type, indices)) <= {int, type(None)} and frames.min() >= 0):
+            raise ValueError("a record is off its table")
     except (KeyError, TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:
-        _check_records(records, path)
-    return labels, subsets, videos, frames
+        row = (Field("x", "number", required=True, length=d_in), *table)
+        for i, rec in enumerate(records):
+            check_fields(rec, row, f"{path}: {_record_name(rec, i)} ", extra=True)
+        raise
+    return x, labels, modalities, subsets, videos, frames
 
 
 def _score_feature_records(
@@ -497,8 +466,8 @@ def _score_feature_records(
     NumericalError."""
     from . import metrics, trainer
 
-    x = _feature_rows(records, model.d_in, path)
-    labels, subsets, videos, frames = _record_tags(records, path)
+    x, labels, _, subsets, videos, frames = _feature_columns(
+        records, FEATURE_FIELDS, model.d_in, path)
     seen: dict[str, int] = {}
     head = np.array([i if v is None else seen.setdefault(v, i)  # the video's first record
                      for i, v in enumerate(videos)], dtype=np.intp)

@@ -29,8 +29,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .core import (MAX_SIDE, MAX_SIGMA, Field, ImageBuffer, check_fields, parse_json, read_json,
-                   with_defaults)
+from .core import (MAX_SIDE, MAX_SIGMA, ZERO_EPS, Field, ImageBuffer, check_fields, parse_json,
+                   read_json, with_defaults)
 from .errors import InputError
 from .pixelops import (
     ColorRange,
@@ -315,7 +315,8 @@ STEP_FIELDS = {
     "gaussian_blur": (Field("sigma", "number", 0, MAX_SIGMA, required=True),),
     "resize": (Field("shorter_side", "int", 1, MAX_SIDE, required=True),),
     "jpeg": (Field("quality", "int", 1, 100, required=True),),
-    "video_codec": (Field("qstep", "number", 0, ends="(]", required=True),
+    # 8-bit coefficients divided by a qstep of at least ZERO_EPS stay finite
+    "video_codec": (Field("qstep", "number", ZERO_EPS, required=True),
                     Field("deadzone", "number", 0, 1, ends="[)", default=0.0)),
     "tv_range_squeeze": (),
     "color_jitter": tuple(Field(key, "pair", 0, MAX_JITTER, default=(1.0, 1.0))

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import Label, ScoredPrediction, csv_text
-from .errors import InputError
+from .errors import InputError, NumericalError
 
 DEFAULT_THRESHOLD = 0.5
 
@@ -267,7 +267,10 @@ def select_frame_indices(n_frames: int, t: int) -> list[int]:
 
 def video_scores(logits: np.ndarray, starts: np.ndarray, t: int) -> np.ndarray:
     """Each video's score: the clamped sigmoid of the mean logit of T uniformly spaced
-    frames. ``logits`` holds video ``v``'s frames in order from ``starts[v]`` on."""
+    frames. ``logits`` holds video ``v``'s frames in order from ``starts[v]`` on.
+    A non-finite logit raises NumericalError."""
+    if not np.isfinite(logits).all():
+        raise NumericalError(f"non-finite logit {logits[~np.isfinite(logits)][0]}")
     counts = np.diff(np.append(starts, len(logits)))
     scores = np.empty(len(starts))
     for n in set(counts.tolist()):

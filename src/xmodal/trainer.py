@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -526,26 +526,28 @@ MAX_SPLIT = 1 << 12
 # Synthetic separations, shifts and spreads stay this close to 0, so every
 # drawn feature is finite
 MAX_SCALE = 10**6
-SYNTHETIC_DIM = 6
 COUNT_KEYS = ("train_counts", "val_counts", "test_counts")
 
-# `data.synthetic` of a config file: the arguments of SyntheticSpec.default
+# `data.synthetic` of a config file and the keys of SyntheticSpec, with each
+# key's default. A null video_shift shifts the shortcut axis (class-blind in
+# video) by 3 and two modality-marker coordinates by 2.5 and -2.5.
 SYNTHETIC_FIELDS = (
-    Field("dim", "int", 4, MAX_SPLIT),
-    Field("signal_sep", "number", -MAX_SCALE, MAX_SCALE),
-    Field("shortcut_sep", "number", -MAX_SCALE, MAX_SCALE),
-    Field("noise_std", "number", 0, MAX_SCALE, ends="(]"),
+    Field("dim", "int", 4, MAX_SPLIT, default=6),
+    Field("signal_sep", "number", -MAX_SCALE, MAX_SCALE, default=5.0),
+    Field("shortcut_sep", "number", -MAX_SCALE, MAX_SCALE, default=7.0),
+    Field("noise_std", "number", 0, MAX_SCALE, ends="(]", default=1.0),
     Field("video_shift", "number", -MAX_SCALE, MAX_SCALE, null=True, length=0),
-    *(Field(key, "int", 0, MAX_SPLIT, length=4) for key in COUNT_KEYS),
-    Field("seed", "int", 0),
+    *(Field(key, "int", 0, MAX_SPLIT, length=4, default=counts) for key, counts in zip(
+        COUNT_KEYS, ((200, 200, 80, 0), (60, 60, 26, 0), (400, 400, 400, 400)))),
+    SEED_ROW,
 )
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """Gaussian cluster layout for the four (label, modality) groups.
+class SyntheticSpec(NamedTuple):
+    """Gaussian cluster layout for the four (label, modality) groups, as
+    ``synthetic_spec`` checks it.
 
-    means/stds have shape (4, dim) in GROUP_ORDER. The default layout
+    Every coordinate of every group spreads by noise_std. The default layout
     plants a shortcut trap: coordinate 1 separates the classes for images
     but carries no class information for video frames (and is shifted in
     the video domain, so an image-trained classifier reads every video as
@@ -556,85 +558,37 @@ class SyntheticSpec:
     alignment, not by direct supervision.
     """
 
-    means: np.ndarray
-    stds: np.ndarray
+    dim: int
+    signal_sep: float
+    shortcut_sep: float
+    noise_std: float
+    video_shift: Optional[tuple[float, ...]]
     train_counts: tuple[int, int, int, int]
     val_counts: tuple[int, int, int, int]
     test_counts: tuple[int, int, int, int]
-    seed: int = 0
-
-    def __post_init__(self):
-        means = np.ascontiguousarray(self.means, dtype=np.float64)
-        stds = np.ascontiguousarray(self.stds, dtype=np.float64)
-        if means.ndim != 2 or means.shape[0] != 4 or means.shape[1] < 2:
-            raise InputError("means must have shape (4, dim) with dim >= 2")
-        if stds.shape != means.shape:
-            raise InputError("stds must match means in shape")
-        if np.any(stds <= 0):
-            raise InputError("stds must be positive")
-        for counts in (self.train_counts, self.val_counts, self.test_counts):
-            if len(counts) != 4 or any(c < 0 for c in counts):
-                raise InputError("counts must be four non-negative integers")
-        for name, arr in (("means", means), ("stds", stds)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        for name in ("train_counts", "val_counts", "test_counts"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-
-    @property
-    def dim(self) -> int:
-        return self.means.shape[1]
+    seed: int
 
     @classmethod
-    def default(
-        cls,
-        dim: int = SYNTHETIC_DIM,
-        signal_sep: float = 5.0,
-        shortcut_sep: float = 7.0,
-        noise_std: float = 1.0,
-        video_shift: Optional[tuple[float, ...]] = None,
-        train_counts: tuple[int, int, int, int] = (200, 200, 80, 0),
-        val_counts: tuple[int, int, int, int] = (60, 60, 26, 0),
-        test_counts: tuple[int, int, int, int] = (400, 400, 400, 400),
-        seed: int = 0,
-    ) -> "SyntheticSpec":
-        if dim < 4:
-            raise InputError("default layout needs dim >= 4")
-        if video_shift is None:
-            # shift the shortcut axis (class-blind in video) plus two
-            # modality-marker coordinates
-            shift = np.zeros(dim)
-            shift[1] = 3.0
-            shift[2] = 2.5
-            shift[3] = -2.5
-        else:
-            shift = np.asarray(video_shift, dtype=np.float64)
-            if shift.shape != (dim,):
-                raise InputError(f"video_shift must have length {dim}")
-        means = np.zeros((4, dim))
-        for g, (label, modality) in enumerate(GROUP_ORDER):
-            sign = 1.0 if label is Label.FAKE else -1.0
-            means[g, 0] = sign * signal_sep / 2.0
-            if modality is Modality.IMAGE:
-                means[g, 1] = sign * shortcut_sep / 2.0
-            else:
-                means[g] += shift
-        stds = np.full((4, dim), noise_std)
-        return cls(means, stds, train_counts, val_counts, test_counts, seed)
+    def default(cls, **keys) -> "SyntheticSpec":
+        """The spec of the given SYNTHETIC_FIELDS keys, the rest at their defaults."""
+        return synthetic_spec(keys, "SyntheticSpec.default: ", "")
 
 
-def synthetic_spec(doc, where: str) -> SyntheticSpec:
-    """The spec a config file's ``data.synthetic`` asks for; errors name ``where``."""
-    kwargs = check_fields(doc, SYNTHETIC_FIELDS, where, "data.synthetic.")
+def synthetic_spec(doc, where: str = "", prefix: str = "data.synthetic.") -> SyntheticSpec:
+    """The spec a JSON object of SYNTHETIC_FIELDS keys gives, checked once: each
+    split holds 1 to MAX_SPLIT samples and video_shift, unless null, dim numbers.
+    Errors name ``where`` and the key as ``prefix + key``."""
+    spec = SyntheticSpec(**with_defaults(check_fields(doc, SYNTHETIC_FIELDS, where, prefix),
+                                         SYNTHETIC_FIELDS))
     for key in COUNT_KEYS:
-        if key in kwargs and not 1 <= sum(kwargs[key]) <= MAX_SPLIT:
-            raise InputError(f"{where}'data.synthetic.{key}': must hold 1 to {MAX_SPLIT} "
-                             f"samples in all, got {kwargs[key]}")
-    shift, dim = kwargs.get("video_shift"), kwargs.get("dim", SYNTHETIC_DIM)
-    if shift is not None and len(shift) != dim:
-        raise InputError(f"{where}'data.synthetic.video_shift': must hold dim = {dim} "
-                         f"numbers, got {len(shift)}")
-    return SyntheticSpec.default(**kwargs)
+        counts = getattr(spec, key)
+        if not 1 <= sum(counts) <= MAX_SPLIT:
+            raise InputError(f"{where}{prefix + key!r}: must hold 1 to {MAX_SPLIT} "
+                             f"samples in all, got {list(counts)}")
+    if spec.video_shift is not None and len(spec.video_shift) != spec.dim:
+        raise InputError(f"{where}{prefix + 'video_shift'!r}: must hold dim = {spec.dim} "
+                         f"numbers, got {len(spec.video_shift)}")
+    return spec
 
 
 @dataclass(frozen=True)
@@ -644,29 +598,30 @@ class SyntheticData:
     test: FeatureDataset
 
 
-def _sample_split(
-    spec: SyntheticSpec, counts: tuple[int, int, int, int], rng: np.random.Generator
-) -> FeatureDataset:
-    xs, ys, ms = [], [], []
-    for g, (label, modality) in enumerate(GROUP_ORDER):
-        n = counts[g]
-        if n == 0:
-            continue
-        xs.append(rng.normal(spec.means[g], spec.stds[g], size=(n, spec.dim)))
-        ys.append(np.full(n, label.numeric, dtype=np.int8))
-        ms.append(np.full(n, modality.numeric, dtype=np.int8))
-    if not xs:
-        raise InputError("split has zero samples")
-    return FeatureDataset(np.vstack(xs), np.concatenate(ys), np.concatenate(ms))
-
-
 def generate_synthetic(spec: SyntheticSpec) -> SyntheticData:
     """Draw disjoint train/val/test splits; deterministic per spec.seed."""
+    shift = np.zeros(spec.dim)
+    if spec.video_shift is None:
+        shift[1:4] = 3.0, 2.5, -2.5
+    else:
+        shift[:] = spec.video_shift
+    means = np.zeros((4, spec.dim))
+    for g, (label, modality) in enumerate(GROUP_ORDER):
+        sign = 1.0 if label is Label.FAKE else -1.0
+        means[g, 0] = sign * spec.signal_sep / 2.0
+        if modality is Modality.IMAGE:
+            means[g, 1] = sign * spec.shortcut_sep / 2.0
+        else:
+            means[g] += shift
+    codes = np.array([(label.numeric, modality.numeric) for label, modality in GROUP_ORDER],
+                     dtype=np.int8)
     rng = np.random.default_rng(spec.seed)
-    train = _sample_split(spec, spec.train_counts, rng)
-    val = _sample_split(spec, spec.val_counts, rng)
-    test = _sample_split(spec, spec.test_counts, rng)
-    return SyntheticData(train=train, val=val, test=test)
+    splits = []
+    for counts in (spec.train_counts, spec.val_counts, spec.test_counts):
+        x = np.vstack([rng.normal(means[g], spec.noise_std, size=(n, spec.dim))
+                       for g, n in enumerate(counts) if n])
+        splits.append(FeatureDataset(x, *np.repeat(codes, counts, axis=0).T))
+    return SyntheticData(*splits)
 
 
 # --- checkpoint serialization ------------------------------------------------------
@@ -691,7 +646,7 @@ def save_checkpoint(model: ToyModel, config: Mapping, path: str | Path) -> None:
 
 # A checkpoint's `params`, and each parameter's shape and row-major values
 PARAMS_FIELDS = tuple(Field(name, "object", required=True) for name in PARAM_NAMES)
-PARAM_FIELDS = (Field("shape", "int", 0, 2**31 - 1, required=True, length=0),
+PARAM_FIELDS = (Field("shape", "int", 1, 2**31 - 1, required=True, length=0),
                 Field("data", "number", required=True, length=0))
 
 

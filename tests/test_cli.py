@@ -43,6 +43,9 @@ from xmodal.trainer import TRAIN_FIELDS, ToyModel, save_checkpoint, train_config
 from conftest import textured_image, write_manifest_file
 from xmodal.core import save_image
 
+# how an evaluate or train error about a model of input width 6 describes a bad 'x'
+X6 = "'x': must be a list of 6 finite numbers, got "
+
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
@@ -570,15 +573,18 @@ class TestEvaluateCommand:
     @pytest.mark.parametrize(
         "x, message",
         [
-            (None, "has no 'x' feature vector"),
-            ([0.5] * 7, "'x' has shape (7,), the model expects (6,)"),
-            ([[0.5, 0.5], 0.5, 0.5, 0.5, 0.5, 0.5], "'x' is not a flat list of numbers"),
-            ([0.5, float("nan"), 0.5, 0.5, 0.5, 0.5], "'x' has non-finite values"),
-            ([0.5, True, 0.5, 0.5, 0.5, 0.5], "'x' is not a flat list of numbers"),
-            ([0.5, "0.5", 0.5, 0.5, 0.5, 0.5], "'x' is not a flat list of numbers"),
-            ([0.5, 10**400, 0.5, 0.5, 0.5, 0.5], "'x' has non-finite values"),
+            (None, "'x': missing key"),
+            ([0.5] * 7, f"{X6}[0.5, 0.5, 0.5, 0.5, 0.5, 0.5, ...]"),
+            ([[0.5, 0.5], 0.5, 0.5, 0.5, 0.5, 0.5], f"{X6}[[0.5, 0.5], 0.5, 0.5, 0.5, 0.5, 0.5]"),
+            ([0.5, float("nan"), 0.5, 0.5, 0.5, 0.5], f"{X6}[0.5, nan, 0.5, 0.5, 0.5, 0.5]"),
+            ([0.5, True, 0.5, 0.5, 0.5, 0.5], f"{X6}[0.5, True, 0.5, 0.5, 0.5, 0.5]"),
+            ([0.5, "0.5", 0.5, 0.5, 0.5, 0.5], f"{X6}[0.5, '0.5', 0.5, 0.5, 0.5, 0.5]"),
+            ([0.5, 10**400, 0.5, 0.5, 0.5, 0.5],
+             f"{X6}[0.5, 100000000000000000...0000000000000000000, 0.5, 0.5, 0.5, 0.5]"),
+            ([], f"{X6}[]"),
         ],
-        ids=["missing", "ragged", "nested", "nan", "bool", "numeric-string", "beyond-float64"],
+        ids=["missing", "ragged", "nested", "nan", "bool", "numeric-string", "beyond-float64",
+             "empty"],
     )
     def test_bad_feature_record_exits_2_naming_it(
         self, train_setup, tmp_path, capsys, monkeypatch, x, message
@@ -673,7 +679,8 @@ class TestEvaluateCommand:
         features = feature_file(tmp_path, records)
         assert run_cli("evaluate", "--checkpoint", checkpoint, "--features",
                        features, "--out", tmp_path / "eval") == 2
-        assert "feature record 0 ('r0') 'x' has shape (5,)" in capsys.readouterr().err
+        assert (f"feature record 0 ('r0') {X6}[0.5, 0.5, 0.5, 0.5, 0.5]"
+                in capsys.readouterr().err)
         assert not (tmp_path / "eval").exists()
 
     def test_rerun_byte_identical(self, train_setup, tmp_path):
@@ -766,22 +773,31 @@ MALFORMED_INPUTS = {
     "config-is-a-list": (lambda p: _train_argv(p, [1, 2]), "must be a JSON object"),
     "train-record-without-x": (
         lambda p: _train_on_features_argv(p, _feature_doc(x=None)),
-        "feature record 1 ('r1') has no 'x'"),
+        "feature record 1 ('r1') 'x': missing key"),
     "train-x-bool": (
         lambda p: _train_on_features_argv(p, _feature_doc(x=[True] * 6)),
-        "f.json: feature record 1 ('r1') 'x' is not a flat list of numbers"),
+        f"f.json: feature record 1 ('r1') {X6}[True, True, True, True, True, True]"),
     "train-x-numeric-string": (
         lambda p: _train_on_features_argv(p, _feature_doc(x=["0.5"] * 6)),
-        "f.json: feature record 1 ('r1') 'x' is not a flat list of numbers"),
+        f"f.json: feature record 1 ('r1') {X6}['0.5', '0.5', '0.5', '0.5', '0.5', '0.5']"),
+    "train-x-empty-everywhere": (
+        lambda p: _train_on_features_argv(
+            p, {"records": [dict(rec, x=[]) for rec in _feature_doc()["records"]]}),
+        "f.json: feature record 0 ('r0') 'x': must be a list of 1 finite numbers, got []"),
     "x-bool": (
         lambda p: _evaluate_argv(p, feature_doc=_feature_doc(x=[0.5] * 5 + [False])),
-        "f.json: feature record 1 ('r1') 'x' is not a flat list of numbers"),
+        f"f.json: feature record 1 ('r1') {X6}[0.5, 0.5, 0.5, 0.5, 0.5, False]"),
     "x-numeric-string": (
         lambda p: _evaluate_argv(p, feature_doc=_feature_doc(x=[0.5] * 5 + ["1e3"])),
-        "f.json: feature record 1 ('r1') 'x' is not a flat list of numbers"),
+        f"f.json: feature record 1 ('r1') {X6}[0.5, 0.5, 0.5, 0.5, 0.5, '1e3']"),
     "train-record-without-modality": (
         lambda p: _train_on_features_argv(p, _feature_doc(modality=None)),
         "f.json: feature record 1 ('r1') 'modality': missing key"),
+    "checkpoint-zero-width": (
+        lambda p: _evaluate_argv(p, edit_checkpoint=lambda d: d["params"].update(
+            w1={"shape": [0, 16], "data": []})),
+        "checkpoint.json: params.w1: 'shape': must be a list of any number of integers in "
+        "[1, 2147483647], got [0, 16]"),
     "checkpoint-missing-parameter": (
         lambda p: _evaluate_argv(p, edit_checkpoint=lambda d: d["params"].pop("wp")),
         "checkpoint.json: 'params.wp': missing key"),

@@ -137,6 +137,13 @@ class TestDeadzone:
         with pytest.raises(InputError, match=r"^deadzone_quantize_block: 'deadzone': "):
             deadzone_quantize_block(np.zeros((8, 8)), qstep=1.0, deadzone=1.0)
 
+    def test_subnormal_qstep_is_rejected_at_load(self):
+        # a step this small once passed the check and overflowed every sample
+        doc = json.dumps({"steps": [{"step": "video_codec", "qstep": 1e-320}]})
+        with pytest.raises(InputError, match=r"'qstep': must be a finite number >= 1e-06, "
+                                             r"got 1e-320$"):
+            ChainSpec.from_json(doc)
+
 
 class TestJpegSimulate:
     def test_constant_midgray_unchanged(self):

@@ -142,6 +142,11 @@ def test_train_keys_and_defaults_match_train_config():
     assert documented == dict(train_config({}))
 
 
+def test_synthetic_keys_and_defaults_match_synthetic_fields():
+    listed = ", ".join(f"`{field.key}` {json.dumps(field.default)}" for field in SYNTHETIC_FIELDS)
+    assert f"`data.synthetic` keys and defaults: {listed}." in FLAT_README
+
+
 def test_history_columns_match_history_csv():
     listed = _paragraph("`history.csv` has one row per epoch").split(" The ")[0]
     assert re.findall(r"`(\w+)`", listed) == _history_csv(()).strip().split(",")

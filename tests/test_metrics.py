@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from xmodal.core import Label, ScoredPrediction
-from xmodal.errors import InputError
+from xmodal.errors import InputError, NumericalError
 from xmodal.metrics import (
     Aggregation,
     FrameScore,
@@ -321,6 +321,14 @@ class TestMultiFrameAverage:
     def test_empty_video(self):
         with pytest.raises(InputError, match="video has no frames"):
             multi_frame_average([], t=1)
+
+    @pytest.mark.parametrize("logit", [math.nan, math.inf, -math.inf])
+    def test_non_finite_logit_is_not_a_score(self, logit):
+        with pytest.raises(NumericalError, match=f"non-finite logit {logit}"):
+            multi_frame_average(self.frames([logit]), t=1)
+        # an unpicked frame counts too
+        with pytest.raises(NumericalError):
+            multi_frame_average(self.frames([0.5, logit, 0.5, 0.5]), t=1)
 
     def test_grouping(self):
         frames = self.frames([0.1, 0.2], video_id="a") + self.frames([0.3], video_id="b")

@@ -589,12 +589,13 @@ class TestSyntheticData:
         assert not np.array_equal(data.train.x[:n], data.val.x[:n])
 
     def test_invalid_spec(self):
-        with pytest.raises(InputError, match="default layout needs dim >= 4"):
+        # the dim and noise_std rows of SYNTHETIC_FIELDS are the checks
+        with pytest.raises(InputError, match=r"^SyntheticSpec.default: 'dim': must be an "
+                                             r"integer in \[4, 4096\], got 2$"):
             SyntheticSpec.default(dim=2)
-        spec = SyntheticSpec.default()
-        with pytest.raises(InputError, match="stds must be positive"):
-            SyntheticSpec(spec.means, -spec.stds, spec.train_counts,
-                          spec.val_counts, spec.test_counts)
+        with pytest.raises(InputError, match=r"^SyntheticSpec.default: 'noise_std': must be a "
+                                             r"finite number in \(0, 1000000\], got -1.0$"):
+            SyntheticSpec.default(noise_std=-1.0)
 
     def test_null_geometry_gives_equal_modalities(self):
         # no shortcut, no shift: image and video are identically distributed,
