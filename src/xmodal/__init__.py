@@ -31,9 +31,7 @@ _EXPORTS = {
     "trainer": ("FeatureDataset", "SyntheticSpec", "ToyModel", "backward", "forward",
                 "generate_synthetic", "load_checkpoint", "mixed_batch_sampler",
                 "optimizer_step", "save_checkpoint", "train", "train_config"),
-    "metrics": ("Aggregation", "EvalReport", "FrameScore", "accuracy", "average_precision",
-                "balanced_accuracy", "multi_frame_average", "per_subset_report",
-                "precision_recall_f1"),
+    "metrics": ("Aggregation", "FrameScore", "multi_frame_average", "per_subset_report"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = (*_EXPORTS, "errors", "cli")

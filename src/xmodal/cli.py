@@ -330,8 +330,7 @@ def _records_to_dataset(path: Path) -> FeatureDataset:
 def _history_csv(history: Sequence[EpochStats]) -> str:
     from . import trainer
 
-    header = [f.name for f in dataclasses.fields(trainer.EpochStats)]
-    return csv_text(header, [dataclasses.astuple(h) for h in history])
+    return csv_text(trainer.EpochStats._fields, history)
 
 
 def load_train_config(path: Path, seed: Optional[int] = None) -> tuple:
@@ -431,6 +430,12 @@ def _feature_columns(records: list, table: tuple, d_in: int, path) -> tuple:
     optional modality reads as its row's default."""
     modality = table[-1]
     absent = None if modality.required else modality.default
+    row = (Field("x", "number", required=True, length=d_in), *table)
+
+    def name_the_first_bad_record():
+        for i, rec in enumerate(records):
+            check_fields(rec, row, f"{path}: {_record_name(rec, i)} ", extra=True)
+
     try:
         rows = [rec["x"] for rec in records]
         # only JSON numbers pass: numpy alone would read true/false and numeric strings
@@ -450,10 +455,12 @@ def _feature_columns(records: list, table: tuple, d_in: int, path) -> tuple:
                 and set(map(type, indices)) <= {int, type(None)} and frames.min() >= 0):
             raise ValueError("a record is off its table")
     except (KeyError, TypeError, ValueError, OverflowError):
-        row = (Field("x", "number", required=True, length=d_in), *table)
-        for i, rec in enumerate(records):
-            check_fields(rec, row, f"{path}: {_record_name(rec, i)} ", extra=True)
+        name_the_first_bad_record()
         raise
+    # np.array rounds an integer just past float64's range to the largest float;
+    # only the row check tells the two apart
+    if np.abs(x).max() == sys.float_info.max:
+        name_the_first_bad_record()
     return x, labels, modalities, subsets, videos, frames
 
 
@@ -515,11 +522,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     inputs = {"checkpoint": Path(args.checkpoint), "features": Path(args.features)}
     report = metrics.subset_report(scores, labels, subsets, args.threshold,
                                    metrics.Aggregation(args.aggregation))
+    rows = [*report["subsets"], report["mean_over_subsets"], report["overall_pooled"]]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.csv").write_text(report.to_csv_text(), encoding="utf-8")
-    _write_json(out_dir / "report.json", report.to_json_dict())
-    config_doc = {**_flags(args), "headline_acc": report.headline_row().acc}
+    (out_dir / "report.csv").write_text(
+        csv_text(metrics.REPORT_COLUMNS, [row.values() for row in rows]), encoding="utf-8")
+    _write_json(out_dir / "report.json", report)
+    headline = "overall_pooled" if args.aggregation == "overall" else "mean_over_subsets"
+    config_doc = {**_flags(args), "headline_acc": report[headline]["acc"]}
     _write_run_manifest(out_dir, "evaluate", config_doc, inputs)
     return 0
 

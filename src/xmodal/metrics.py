@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Label, ScoredPrediction, csv_text
+from .core import Label, ScoredPrediction
 from .errors import InputError, NumericalError
 
 DEFAULT_THRESHOLD = 0.5
@@ -28,48 +28,6 @@ def _scores_labels(preds: Sequence[ScoredPrediction]) -> tuple[np.ndarray, np.nd
     scores = np.asarray([p.score for p in preds], dtype=np.float64)
     labels = np.asarray([p.label.numeric for p in preds], dtype=np.int8)
     return scores, labels
-
-
-@dataclass(frozen=True)
-class PrfResult:
-    precision: float
-    recall: float
-    f1: float
-    precision_defined: bool
-    recall_defined: bool
-
-
-# Each metric is a one-line adapter over kernels on the columns ``_scores_labels`` makes.
-
-
-def accuracy(
-    preds: Sequence[ScoredPrediction], threshold: float = DEFAULT_THRESHOLD
-) -> float:
-    """Fraction classified correctly; score >= threshold predicts fake."""
-    return _accuracy(*_confusion(*_scores_labels(preds), threshold))
-
-
-def balanced_accuracy(
-    preds: Sequence[ScoredPrediction], threshold: float = DEFAULT_THRESHOLD
-) -> float:
-    """Mean of per-class recalls; requires both classes present.
-
-    Computed with a single division over integer counts so that on a
-    class-balanced input it equals plain accuracy bit-for-bit.
-    """
-    return _balanced_accuracy(*_confusion(*_scores_labels(preds), threshold))
-
-
-def average_precision(preds: Sequence[ScoredPrediction]) -> float:
-    """Step-sum AP over distinct score thresholds, ties entering together."""
-    return _average_precision(*_scores_labels(preds))
-
-
-def precision_recall_f1(
-    preds: Sequence[ScoredPrediction], threshold: float = DEFAULT_THRESHOLD
-) -> PrfResult:
-    """Precision/recall/F1 on the fake class; zero denominators flag as 0."""
-    return _precision_recall_f1(*_confusion(*_scores_labels(preds), threshold))
 
 
 def _confusion(
@@ -111,11 +69,12 @@ def _average_precision(scores: np.ndarray, labels: np.ndarray) -> float:
     return float(np.cumsum(terms)[-1])
 
 
-def _precision_recall_f1(tp: int, fp: int, fn: int, tn: int) -> PrfResult:
+def _precision_recall_f1(tp: int, fp: int, fn: int, tn: int) -> tuple[float, float, float]:
+    """Precision, recall and F1 on the fake class; a zero denominator gives 0."""
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return PrfResult(float(precision), float(recall), float(f1), tp + fp > 0, tp + fn > 0)
+    return float(precision), float(recall), float(f1)
 
 
 class Aggregation(Enum):
@@ -123,60 +82,19 @@ class Aggregation(Enum):
     OVERALL_POOLED = "overall"
 
 
-@dataclass(frozen=True)
-class MetricRow:
-    subset: str
-    n_real: int
-    n_fake: int
-    acc: float
-    balanced_acc: Optional[float]
-    ap: Optional[float]
-    precision: float
-    recall: float
-    f1: float
+# The columns of report.csv, and the keys of each row of report.json
+REPORT_COLUMNS = ("subset", "n_real", "n_fake", "acc", "balanced_acc", "ap", "precision",
+                  "recall", "f1")
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    """Per-subset metric rows plus both aggregates, with a fixed column order."""
-
-    rows: tuple[MetricRow, ...]
-    mean_over_subsets: MetricRow
-    overall_pooled: MetricRow
-    threshold: float
-    headline: Aggregation
-
-    COLUMNS = tuple(f.name for f in fields(MetricRow))
-
-    def headline_row(self) -> MetricRow:
-        if self.headline is Aggregation.MEAN_OVER_SUBSETS:
-            return self.mean_over_subsets
-        return self.overall_pooled
-
-    def to_csv_text(self) -> str:
-        rows = self.rows + (self.mean_over_subsets, self.overall_pooled)
-        return csv_text(self.COLUMNS, map(astuple, rows))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "headline": self.headline.value,
-            "subsets": [asdict(r) for r in self.rows],
-            "mean_over_subsets": asdict(self.mean_over_subsets),
-            "overall_pooled": asdict(self.overall_pooled),
-        }
-
-
-def _subset_row(
-    subset: str, scores: np.ndarray, labels: np.ndarray, threshold: float
-) -> MetricRow:
+def _subset_row(subset: str, scores: np.ndarray, labels: np.ndarray, threshold: float) -> dict:
     counts = _confusion(scores, labels, threshold)
     tp, fp, fn, tn = counts
-    prf = _precision_recall_f1(*counts)
-    return MetricRow(subset, tn + fp, tp + fn, _accuracy(*counts),
-                     _balanced_accuracy(*counts) if tp + fn and tn + fp else None,
-                     _average_precision(scores, labels) if tp + fn else None,
-                     prf.precision, prf.recall, prf.f1)
+    return dict(zip(REPORT_COLUMNS, (
+        subset, tn + fp, tp + fn, _accuracy(*counts),
+        _balanced_accuracy(*counts) if tp + fn and tn + fp else None,
+        _average_precision(scores, labels) if tp + fn else None,
+        *_precision_recall_f1(*counts))))
 
 
 def _mean_or_none(values: list[Optional[float]], what: str) -> Optional[float]:
@@ -194,8 +112,8 @@ def per_subset_report(
     preds: Sequence[ScoredPrediction],
     threshold: float = DEFAULT_THRESHOLD,
     headline: Aggregation = Aggregation.MEAN_OVER_SUBSETS,
-) -> EvalReport:
-    """Every subset row plus the mean-over-subsets and pooled aggregates."""
+) -> dict:
+    """``subset_report`` of a list of predictions: the same report document."""
     return subset_report(*_scores_labels(preds), [p.subset for p in preds], threshold, headline)
 
 
@@ -205,31 +123,44 @@ def subset_report(
     subsets: Sequence[str],
     threshold: float,
     headline: Aggregation,
-) -> EvalReport:
-    """``per_subset_report`` of the predictions in columns: float64 scores in
-    [0, 1], int8 label codes (real 0, fake 1) and each one's subset name."""
+) -> dict:
+    """The report document of predictions in columns: float64 scores in [0, 1],
+    int8 label codes (real 0, fake 1) and each one's subset name.
+
+    ``report.json`` is this document. It holds the ``threshold``, the
+    ``headline`` aggregation's value, one row per subset in name order under
+    ``subsets``, and the ``mean_over_subsets`` and ``overall_pooled`` rows. A
+    row maps REPORT_COLUMNS, in order, to its values, and ``report.csv`` lists
+    the rows in that order; a metric that a row's classes leave undefined is
+    None, and the subset mean leaves it out, with a warning.
+    """
     if len(scores) == 0:
         raise InputError("need at least one prediction")
     names = sorted(set(subsets))
     code = {name: c for c, name in enumerate(names)}
     codes = np.fromiter((code[s] for s in subsets), dtype=np.intp, count=len(subsets))
-    rows = tuple(
-        _subset_row(name, scores[codes == c], labels[codes == c], threshold)
-        for c, name in enumerate(names)
-    )
-    mean_row = MetricRow(
-        subset="mean_over_subsets",
-        n_real=sum(r.n_real for r in rows),
-        n_fake=sum(r.n_fake for r in rows),
-        acc=float(sum(r.acc for r in rows) / len(rows)),
-        balanced_acc=_mean_or_none([r.balanced_acc for r in rows], "balanced_acc"),
-        ap=_mean_or_none([r.ap for r in rows], "AP"),
-        precision=float(sum(r.precision for r in rows) / len(rows)),
-        recall=float(sum(r.recall for r in rows) / len(rows)),
-        f1=float(sum(r.f1 for r in rows) / len(rows)),
-    )
-    pooled = _subset_row("overall_pooled", scores, labels, threshold)
-    return EvalReport(rows, mean_row, pooled, threshold, headline)
+    rows = [_subset_row(name, scores[codes == c], labels[codes == c], threshold)
+            for c, name in enumerate(names)]
+
+    def mean(key: str) -> float:
+        return float(sum(r[key] for r in rows) / len(rows))
+
+    mean_row = {
+        "subset": "mean_over_subsets",
+        "n_real": sum(r["n_real"] for r in rows),
+        "n_fake": sum(r["n_fake"] for r in rows),
+        "acc": mean("acc"),
+        "balanced_acc": _mean_or_none([r["balanced_acc"] for r in rows], "balanced_acc"),
+        "ap": _mean_or_none([r["ap"] for r in rows], "AP"),
+        **{key: mean(key) for key in ("precision", "recall", "f1")},
+    }
+    return {
+        "threshold": threshold,
+        "headline": headline.value,
+        "subsets": rows,
+        "mean_over_subsets": mean_row,
+        "overall_pooled": _subset_row("overall_pooled", scores, labels, threshold),
+    }
 
 
 # --- multi-frame video scoring ------------------------------------------------------

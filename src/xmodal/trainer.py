@@ -102,8 +102,7 @@ def _param_arrays(model: Params) -> Mapping[str, np.ndarray]:
     return model.params() if isinstance(model, ToyModel) else model
 
 
-@dataclass(frozen=True)
-class ForwardResult:
+class ForwardResult(NamedTuple):
     logits: np.ndarray
     z: np.ndarray
     h: np.ndarray
@@ -295,34 +294,13 @@ def mixed_batch_sampler(
     return batches
 
 
-@dataclass(frozen=True)
-class FeatureDataset:
-    """Feature-level dataset: rows x with 0/1 labels y and modalities m."""
+class FeatureDataset(NamedTuple):
+    """Feature-level dataset: an (n, d) array x of rows with their n label codes y
+    and modality codes m, each 0 or 1. ``train`` checks it."""
 
     x: np.ndarray
     y: np.ndarray
     m: np.ndarray
-
-    def __post_init__(self):
-        x = np.ascontiguousarray(self.x, dtype=np.float64)
-        y = np.ascontiguousarray(self.y, dtype=np.int8)
-        m = np.ascontiguousarray(self.m, dtype=np.int8)
-        if x.ndim != 2:
-            raise InputError("x must be a 2-d array")
-        if not (x.shape[0] == len(y) == len(m)):
-            raise InputError("x, y, m must agree in length")
-        if not np.isfinite(x).all():
-            row = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])
-            raise InputError(f"feature row {row} has non-finite values")
-        for name, arr in (("labels", y), ("modalities", m)):
-            if not np.isin(arr, (0, 1)).all():
-                raise InputError(f"{name} must be 0 or 1")
-        for name, arr in (("x", x), ("y", y), ("m", m)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    def __len__(self) -> int:
-        return self.x.shape[0]
 
     def restrict_modality(self, modality: Modality) -> "FeatureDataset":
         keep = self.m == modality.numeric
@@ -369,8 +347,7 @@ def train_config(doc, where: str = "", prefix: str = "train.") -> Mapping:
                                           TRAIN_FIELDS))
 
 
-@dataclass(frozen=True)
-class EpochStats:
+class EpochStats(NamedTuple):
     """One epoch's row of history.csv. The train_* columns and the counters
     cover the epoch's batches as they were stepped, train_cm as the mean over
     their valid anchors; val_* cover the whole validation set after the epoch."""
@@ -387,8 +364,7 @@ class EpochStats:
     grad_norm: float  # the mean L2 norm of a step's gradient
 
 
-@dataclass(frozen=True)
-class TrainResult:
+class TrainResult(NamedTuple):
     model: ToyModel
     history: tuple[EpochStats, ...]
     best_epoch: int
@@ -436,18 +412,25 @@ def train(
     per-epoch history. Deterministic given (data, config, seed). ``config``
     holds every TRAIN_FIELDS key, as ``train_config`` returns it.
 
-    Inputs are checked once, here. The step loop then runs on four flat
+    Inputs are checked once, here: each dataset's shapes and codes. A
+    non-finite feature is not looked for; it makes a loss or an update
+    non-finite, which raises NumericalError. The step loop runs on four flat
     vectors, the parameters, their gradients and AdamW's two moments, with a
     view per parameter into each, and only checks that every update stayed
     finite.
     """
-    if len(val_data) == 0:
+    train_data, val_data = (FeatureDataset(*map(np.asarray, d)) for d in (train_data, val_data))
+    if len(val_data.y) == 0:
         raise InputError("validation set must be non-empty")
-    for name, data in (("training", train_data), ("validation", val_data)):
-        if data.x.shape[1] != model.d_in:
-            raise InputError(
-                f"{name} features have {data.x.shape[1]} columns, model expects {model.d_in}"
-            )
+    for name, (x, y, m) in (("training", train_data), ("validation", val_data)):
+        if x.ndim != 2 or x.shape[1] != model.d_in:
+            raise InputError(f"{name} features have shape {x.shape}, model expects "
+                             f"(n, {model.d_in})")
+        if not len(x) == len(y) == len(m):
+            raise InputError(f"{name} set has {len(x)} feature rows, {len(y)} labels "
+                             f"and {len(m)} modalities")
+        if not (np.isin(y, (0, 1)).all() and np.isin(m, (0, 1)).all()):
+            raise InputError(f"{name} labels and modalities must be 0 or 1")
     rng = np.random.default_rng(config["seed"])
     lam, tau, layer = config["lambda"], config["tau"], config["feature_layer"]
     variant = LossVariant(config["variant"])
@@ -591,8 +574,7 @@ def synthetic_spec(doc, where: str = "", prefix: str = "data.synthetic.") -> Syn
     return spec
 
 
-@dataclass(frozen=True)
-class SyntheticData:
+class SyntheticData(NamedTuple):
     train: FeatureDataset
     val: FeatureDataset
     test: FeatureDataset

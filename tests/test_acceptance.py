@@ -28,7 +28,7 @@ from xmodal.codecsim import (
     tv_range_squeeze,
     video_codec_simulate,
 )
-from xmodal.core import ImageBuffer, Label, Modality, ScoredPrediction, save_image
+from xmodal.core import ImageBuffer, Modality, save_image
 from xmodal.forensics import (
     TvRangeVerdict,
     dct_ac_histogram,
@@ -36,15 +36,9 @@ from xmodal.forensics import (
     luminance_histogram,
     rapsd,
 )
-from xmodal.metrics import (
-    accuracy,
-    average_precision,
-    balanced_accuracy,
-    precision_recall_f1,
-)
+from xmodal.metrics import Aggregation, subset_report
 from xmodal.pixelops import gaussian_blur, quantize_8bit
 from xmodal.trainer import (
-    FeatureDataset,
     SyntheticSpec,
     ToyModel,
     backward,
@@ -371,6 +365,13 @@ def _oracle_ap(scores, labels):
     return ap
 
 
+def _pooled_row(scores, labels):
+    """The ``overall_pooled`` row of the report on one subset, at threshold 0.5."""
+    report = subset_report(np.array(scores), np.array(labels, dtype=np.int8), ["s"] * len(scores),
+                           0.5, Aggregation.MEAN_OVER_SUBSETS)
+    return report["overall_pooled"]
+
+
 @criterion(7, "metrics equal brute-force oracles on 1000 tied instances")
 def test_criterion_7_metric_oracles():
     rng = np.random.default_rng(7)
@@ -382,36 +383,27 @@ def test_criterion_7_metric_oracles():
             labels[int(rng.integers(0, n))] = 1
         if sum(labels) == n:
             labels[int(rng.integers(0, n))] = 0
-        preds = [
-            ScoredPrediction(s, Label.FAKE if l else Label.REAL, "s")
-            for s, l in zip(scores, labels)
-        ]
+        row = _pooled_row(scores, labels)
         tp, fp, fn, tn = _oracle_counts(scores, labels, 0.5)
-        assert accuracy(preds) == (tp + tn) / n
+        assert row["acc"] == (tp + tn) / n
         # mean of the two recalls, in its exact single-division form
-        assert balanced_accuracy(preds) == (
+        assert row["balanced_acc"] == (
             tp * (tn + fp) + tn * (tp + fn)
         ) / (2 * (tp + fn) * (tn + fp))
-        prf = precision_recall_f1(preds)
         expected_p = tp / (tp + fp) if tp + fp else 0.0
         expected_r = tp / (tp + fn)
-        assert prf.precision == expected_p
-        assert prf.recall == expected_r
+        assert row["precision"] == expected_p
+        assert row["recall"] == expected_r
         expected_f1 = (
             2 * expected_p * expected_r / (expected_p + expected_r)
             if expected_p + expected_r
             else 0.0
         )
-        assert prf.f1 == expected_f1
-        assert average_precision(preds) == _oracle_ap(scores, labels)
+        assert row["f1"] == expected_f1
+        assert row["ap"] == _oracle_ap(scores, labels)
 
-    hand = [
-        ScoredPrediction(0.9, Label.FAKE, "s"),
-        ScoredPrediction(0.8, Label.REAL, "s"),
-        ScoredPrediction(0.7, Label.FAKE, "s"),
-        ScoredPrediction(0.6, Label.REAL, "s"),
-    ]
-    assert abs(average_precision(hand) - 5.0 / 6.0) <= 1e-12
+    hand = _pooled_row([0.9, 0.8, 0.7, 0.6], [1, 0, 1, 0])
+    assert abs(hand["ap"] - 5.0 / 6.0) <= 1e-12
 
 
 @criterion(8, "numerical kernels: DCT, Parseval, quantizers, quality tables")

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: outputs, determinism, exit codes."""
 
 import csv
+import hashlib
 import importlib
 import json
 import os
@@ -539,6 +540,8 @@ class TestEvaluateCommand:
                        features, "--out", out, "--aggregation", "overall") == 0
         report = json.loads((out / "report.json").read_text())
         assert report["headline"] == "overall"
+        headline_acc = json.loads((out / "run.json").read_text())["config"]["headline_acc"]
+        assert headline_acc == report["overall_pooled"]["acc"]
 
     def test_features_required_and_manifest_gone(self, tmp_path):
         for extra in ((), ("--manifest", tmp_path / "m.jsonl")):
@@ -582,9 +585,12 @@ class TestEvaluateCommand:
             ([0.5, 10**400, 0.5, 0.5, 0.5, 0.5],
              f"{X6}[0.5, 100000000000000000...0000000000000000000, 0.5, 0.5, 0.5, 0.5]"),
             ([], f"{X6}[]"),
+            # np.array would round it to the largest float
+            ([0.5, int(sys.float_info.max) + 1, 0.5, 0.5, 0.5, 0.5],
+             f"{X6}[0.5, 179769313486231570...0404026184124858369, 0.5, 0.5, 0.5, 0.5]"),
         ],
         ids=["missing", "ragged", "nested", "nan", "bool", "numeric-string", "beyond-float64",
-             "empty"],
+             "empty", "one-past-float64-max"],
     )
     def test_bad_feature_record_exits_2_naming_it(
         self, train_setup, tmp_path, capsys, monkeypatch, x, message
@@ -630,6 +636,21 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert err == f"error: {features}: feature record 6 ('r6') has a non-finite logit (-inf)\n"
         assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("largest", [int(sys.float_info.max), -int(sys.float_info.max),
+                                         sys.float_info.max], ids=["int", "-int", "float"])
+    def test_largest_float_is_scored(self, tmp_path, largest):
+        # a model blind to x[1] scores the record as it scores any other x[1]
+        def blind_to_x1(doc):
+            doc["params"]["w1"]["data"][16:32] = [0.0] * 16
+
+        reports = []
+        for name, x1 in (("largest", largest), ("zero", 0.0)):
+            (tmp_path / name).mkdir()
+            doc = _feature_doc(x=[0.5, x1, 0.5, 0.5, 0.5, 0.5])
+            assert run_cli(*_evaluate_argv(tmp_path / name, doc, blind_to_x1)) == 0
+            reports.append((tmp_path / name / "eval" / "report.json").read_text())
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("frame_index", [[1], 1.5], ids=["list", "float"])
     def test_bad_frame_index_exits_2_naming_it(self, tmp_path, capsys, frame_index):
@@ -699,6 +720,41 @@ class TestEvaluateCommand:
                            features, "--out", out) == 0
         assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+
+
+# SHA-256 of the outputs of test_learning_outputs_keep_their_bytes, recorded
+# before training results and reports became plain data
+LEARNING_OUTPUT_DIGESTS = {
+    "checkpoint.json": "42c1c8c364e66d62e2d933301e73b5a6fb0cba8e9af09e0b1d4467d12a75c6c4",
+    "history.csv": "6724d3ef1264088820a27192b11d1445339f7c501c66b0335f385f3178118877",
+    "report.csv": "ac36dd4dfd3e5ed053a145dc0af0b4d1fe3e2c7435c0d6534a6827c7f3661ed0",
+    "report.json": "4324cfa73ce93cf3cac6df3c04a1299ebba32b3bb5ee6dd41d5b51fe22e4bd71",
+}
+
+
+def test_learning_outputs_keep_their_bytes(tmp_path):
+    """A short synthetic ``train`` and an ``evaluate --frames 4`` of its model,
+    on videos and images in two subsets, write exactly the pinned bytes."""
+    config = {"data": {"synthetic": {"train_counts": [40, 40, 16, 4],
+                                     "val_counts": [12, 12, 6, 2],
+                                     "test_counts": [1, 1, 1, 1], "seed": 3}},
+              "train": {"epochs": 4, "batch_size": 16, "seed": 3}}
+    rng = np.random.default_rng(5)
+    records = [{"id": f"v{v}#{frame}", "video_id": f"v{v}", "frame_index": 4 - frame,
+                "x": rng.normal(size=6).tolist(), "label": "fake" if v % 2 else "real",
+                "modality": "video", "subset": "videos"}
+               for v in range(6) for frame in range(5)]
+    records += [{"id": f"i{i}", "x": rng.normal(size=6).tolist(),
+                 "label": "fake" if i % 2 else "real", "subset": "images"}
+                for i in range(12)]
+    out = tmp_path / "out"
+    assert run_cli(*_train_argv(tmp_path, config)) == 0
+    features = _write_json(tmp_path / "f.json", {"records": records})
+    assert run_cli("evaluate", "--checkpoint", out / "checkpoint.json", "--features", features,
+                   "--out", out, "--frames", 4) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in LEARNING_OUTPUT_DIGESTS}
+    assert digests == LEARNING_OUTPUT_DIGESTS
 
 
 def _write_json(path, doc):
@@ -784,6 +840,9 @@ MALFORMED_INPUTS = {
         lambda p: _train_on_features_argv(
             p, {"records": [dict(rec, x=[]) for rec in _feature_doc()["records"]]}),
         "f.json: feature record 0 ('r0') 'x': must be a list of 1 finite numbers, got []"),
+    "train-x-past-float64-max": (
+        lambda p: _train_on_features_argv(p, _feature_doc(x=[int(sys.float_info.max) + 1] * 6)),
+        f"f.json: feature record 1 ('r1') {X6}[179769313486231570...0404026184124858369, "),
     "x-bool": (
         lambda p: _evaluate_argv(p, feature_doc=_feature_doc(x=[0.5] * 5 + [False])),
         f"f.json: feature record 1 ('r1') {X6}[0.5, 0.5, 0.5, 0.5, 0.5, False]"),
@@ -1090,6 +1149,29 @@ class TestFeatureFileTraining:
         ) == 0
         report = json.loads((eval_out / "report.json").read_text())
         assert report["overall_pooled"]["acc"] == 1.0
+
+    def test_features_are_checked_finite_once_by_the_reader(self, tmp_path, monkeypatch):
+        train_f = feature_file(tmp_path, self.separable_records(36, 0))
+        val_f = tmp_path / "val.json"
+        val_f.write_text(json.dumps({"records": self.separable_records(20, 1, subset="val")}))
+        cfg_path = _write_json(tmp_path / "cfg.json", {
+            "data": {"train_features": str(train_f), "val_features": str(val_f)},
+            "train": {"epochs": 2, "batch_size": 16, "seed": 0}})
+        isfinite, checks = np.isfinite, []
+
+        def spy(a, *args, **kwargs):
+            checks.append((np.shape(a), sys._getframe(1).f_code.co_name))
+            return isfinite(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", spy)
+        out = tmp_path / "run"
+        assert run_cli("train", "--config", cfg_path, "--out", out) == 0
+        assert run_cli("evaluate", "--checkpoint", out / "checkpoint.json",
+                       "--features", val_f, "--out", tmp_path / "eval") == 0
+        # train reads both files, evaluate the validation file
+        feature_checks = [check for check in checks if check[0] in ((36, 2), (20, 2))]
+        assert feature_checks == [((36, 2), "_feature_columns"), ((20, 2), "_feature_columns"),
+                                  ((20, 2), "_feature_columns")]
 
     def test_diverging_training_exits_3(self, tmp_path):
         train_records = self.separable_records(32, 2)

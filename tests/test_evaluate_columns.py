@@ -21,8 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xmodal import cli
-from xmodal.core import Label, ScoredPrediction
-from xmodal.metrics import Aggregation, EvalReport, MetricRow, _average_precision
+from xmodal.core import Label, ScoredPrediction, csv_text
+from xmodal.metrics import Aggregation, _average_precision
 from xmodal.trainer import ToyModel, forward, save_checkpoint, train_config
 
 # --- reference implementations ----------------------------------------------
@@ -109,7 +109,7 @@ def ref_row(subset, preds, threshold):
     fn = int(np.sum((predicted == 0) & (labels == 1)))
     precision = tp / (tp + fp) if tp + fp > 0 else 0.0
     recall = tp / (tp + fn) if tp + fn > 0 else 0.0
-    return MetricRow(
+    return dict(
         subset=subset,
         n_real=n_real,
         n_fake=n_fake,
@@ -133,20 +133,27 @@ def ref_report(preds, threshold, headline):
     by_subset = {}
     for p in preds:
         by_subset.setdefault(p.subset, []).append(p)
-    rows = tuple(ref_row(name, group, threshold) for name, group in sorted(by_subset.items()))
-    mean_row = MetricRow(
+    rows = [ref_row(name, group, threshold) for name, group in sorted(by_subset.items())]
+    mean_row = dict(
         subset="mean_over_subsets",
-        n_real=sum(r.n_real for r in rows),
-        n_fake=sum(r.n_fake for r in rows),
-        acc=float(sum(r.acc for r in rows) / len(rows)),
-        balanced_acc=ref_mean([r.balanced_acc for r in rows]),
-        ap=ref_mean([r.ap for r in rows]),
-        precision=float(sum(r.precision for r in rows) / len(rows)),
-        recall=float(sum(r.recall for r in rows) / len(rows)),
-        f1=float(sum(r.f1 for r in rows) / len(rows)),
+        n_real=sum(r["n_real"] for r in rows),
+        n_fake=sum(r["n_fake"] for r in rows),
+        acc=float(sum(r["acc"] for r in rows) / len(rows)),
+        balanced_acc=ref_mean([r["balanced_acc"] for r in rows]),
+        ap=ref_mean([r["ap"] for r in rows]),
+        precision=float(sum(r["precision"] for r in rows) / len(rows)),
+        recall=float(sum(r["recall"] for r in rows) / len(rows)),
+        f1=float(sum(r["f1"] for r in rows) / len(rows)),
     )
-    return EvalReport(rows, mean_row, ref_row("overall_pooled", list(preds), threshold),
-                      threshold, headline)
+    return {"threshold": threshold, "headline": headline.value, "subsets": rows,
+            "mean_over_subsets": mean_row,
+            "overall_pooled": ref_row("overall_pooled", list(preds), threshold)}
+
+
+def ref_csv(report):
+    """report.csv of a reference report: every subset row, then both aggregates."""
+    rows = [*report["subsets"], report["mean_over_subsets"], report["overall_pooled"]]
+    return csv_text(list(rows[0]), [row.values() for row in rows])
 
 
 # --- random feature files ---------------------------------------------------
@@ -230,9 +237,9 @@ def test_report_bytes_equal_the_per_record_reference(doc, frames, aggregation, t
                                           block)
         headline = Aggregation(aggregation)
         report = ref_report(preds, threshold, headline)
-        cli._write_json(tmp / "ref.json", report.to_json_dict())
+        cli._write_json(tmp / "ref.json", report)
         assert written["report.json"] == (tmp / "ref.json").read_bytes()
-        assert written["report.csv"] == report.to_csv_text().encode()
+        assert written["report.csv"] == ref_csv(report).encode()
 
         scores, labels, subsets = cli._score_feature_records(
             model, "projection", doc["records"], frames)

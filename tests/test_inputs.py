@@ -11,6 +11,7 @@ The regression cases for single inputs live in ``test_cli.py``.
 import json
 import math
 import string
+import sys
 
 import numpy as np
 import pytest
@@ -20,7 +21,14 @@ from hypothesis import strategies as st
 from xmodal import cli
 from xmodal.cli import DATA_FIELDS, FEATURE_FIELDS, load_train_config, main
 from xmodal.codecsim import STEP_FIELDS, ChainSpec, deadzone_quantize_block, video_codec_simulate
-from xmodal.core import MANIFEST_FIELDS, Field, parse_manifest, save_image, write_manifest
+from xmodal.core import (
+    MANIFEST_FIELDS,
+    Field,
+    check_fields,
+    parse_manifest,
+    save_image,
+    write_manifest,
+)
 from xmodal.errors import InputError
 from xmodal.trainer import (
     PARAM_FIELDS,
@@ -254,6 +262,30 @@ def test_feature_records(tmp_path_factory, record, at, x):
     # table holds the drawn record too, the one reader names the same record alike
     if len(records[0].get("x", ())) == D_IN and "modality" in records[at]:
         assert train_error == evaluate_error
+
+
+# The largest float as an integer, and float64's spacing there: an integer
+# less than half a spacing past it still converts to it
+FLOAT_MAX = int(sys.float_info.max)
+TOP_ULP = 2**971
+
+
+@settings(PROPERTY, max_examples=120)
+@given(base=st.sampled_from([FLOAT_MAX, -FLOAT_MAX, 2**63, -2**63]),
+       offset=st.one_of(st.integers(-2, 2), st.sampled_from(
+           [TOP_ULP // 2 - 1, TOP_ULP // 2, TOP_ULP, -TOP_ULP // 2, -TOP_ULP])),
+       at=st.integers(0, 3), position=st.integers(0, D_IN - 1))
+def test_bulk_reader_agrees_with_the_row_check_on_large_integers(base, offset, at, position):
+    records = [{"id": f"r{i}", "x": [0.1 * i] * D_IN, "label": "real", "subset": "s"}
+               for i in range(4)]
+    records[at]["x"][position] = base + offset if base > 0 else base - offset
+    row = (Field("x", "number", required=True, length=D_IN), *FEATURE_FIELDS)
+    row_errors = [input_error_text(check_fields, rec, row,
+                                   f"f.json: feature record {i} ('r{i}') ", extra=True)
+                  for i, rec in enumerate(records)]
+    row_error = next((error for error in row_errors if error is not None), None)
+    assert input_error_text(cli._feature_columns, records, FEATURE_FIELDS, D_IN,
+                            "f.json") == row_error
 
 
 @PROPERTY

@@ -8,15 +8,17 @@ import pytest
 from xmodal.core import Label, ScoredPrediction
 from xmodal.errors import InputError, NumericalError
 from xmodal.metrics import (
+    REPORT_COLUMNS,
     Aggregation,
     FrameScore,
-    accuracy,
-    average_precision,
-    balanced_accuracy,
+    _accuracy,
+    _average_precision,
+    _balanced_accuracy,
+    _confusion,
+    _precision_recall_f1,
     group_frames,
     multi_frame_average,
     per_subset_report,
-    precision_recall_f1,
     select_frame_indices,
 )
 
@@ -26,6 +28,20 @@ def preds(scores, labels, subset="s"):
         ScoredPrediction(score=s, label=Label.FAKE if l else Label.REAL, subset=subset)
         for s, l in zip(scores, labels)
     ]
+
+
+def pooled(scores, labels):
+    """The ``overall_pooled`` row of the report document on the predictions."""
+    return per_subset_report(preds(scores, labels))["overall_pooled"]
+
+
+def columns(scores, labels):
+    """The kernels' float64 score and int8 label columns."""
+    return np.asarray(scores, dtype=np.float64), np.asarray(labels, dtype=np.int8)
+
+
+def counts(scores, labels, threshold=0.5):
+    return _confusion(*columns(scores, labels), threshold)
 
 
 # --- independent oracles (deliberately plain loops, no vectorization) ---------
@@ -94,47 +110,51 @@ def random_instance(rng):
 
 class TestAccuracy:
     def test_all_correct(self):
-        assert accuracy(preds([0.9, 0.1], [1, 0])) == 1.0
+        assert pooled([0.9, 0.1], [1, 0])["acc"] == 1.0
 
     def test_all_wrong(self):
-        assert accuracy(preds([0.9, 0.1], [0, 1])) == 0.0
+        assert pooled([0.9, 0.1], [0, 1])["acc"] == 0.0
 
     def test_tie_goes_to_fake(self):
-        assert accuracy(preds([0.5], [1])) == 1.0
-        assert accuracy(preds([0.5], [0])) == 0.0
+        assert _accuracy(*counts([0.5], [1])) == 1.0
+        assert _accuracy(*counts([0.5], [0])) == 0.0
 
     def test_empty(self):
         with pytest.raises(InputError, match="need at least one prediction"):
-            accuracy([])
+            per_subset_report([])
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             scores, labels = random_instance(rng)
-            assert accuracy(preds(scores, labels)) == oracle_accuracy(scores, labels)
+            assert pooled(scores, labels)["acc"] == oracle_accuracy(scores, labels)
 
 
 class TestBalancedAccuracy:
     def test_all_real_prediction_on_balanced_set(self):
-        assert balanced_accuracy(preds([0.1] * 4, [0, 0, 1, 1])) == 0.5
+        assert pooled([0.1] * 4, [0, 0, 1, 1])["balanced_acc"] == 0.5
 
     def test_perfect(self):
-        assert balanced_accuracy(preds([0.9, 0.9, 0.1, 0.1], [1, 1, 0, 0])) == 1.0
+        assert pooled([0.9, 0.9, 0.1, 0.1], [1, 1, 0, 0])["balanced_acc"] == 1.0
 
     def test_imbalance_exposed(self):
         scores = [0.1] * 90 + [0.1] * 10
         labels = [0] * 90 + [1] * 10
-        assert accuracy(preds(scores, labels)) == pytest.approx(0.9)
-        assert balanced_accuracy(preds(scores, labels)) == pytest.approx(0.5)
+        row = pooled(scores, labels)
+        assert row["acc"] == pytest.approx(0.9)
+        assert row["balanced_acc"] == pytest.approx(0.5)
 
     def test_single_class_rejected(self):
         with pytest.raises(InputError, match="balanced accuracy needs both classes"):
-            balanced_accuracy(preds([0.5, 0.6], [1, 1]))
+            _balanced_accuracy(*counts([0.5, 0.6], [1, 1]))
+        # the report leaves it undefined instead
+        with pytest.warns(UserWarning, match="undefined balanced_acc"):
+            assert pooled([0.5, 0.6], [1, 1])["balanced_acc"] is None
 
     def test_duplication_invariance(self):
         scores, labels = [0.8, 0.3, 0.6, 0.2], [1, 0, 0, 1]
-        base = balanced_accuracy(preds(scores, labels))
-        doubled = balanced_accuracy(preds(scores * 2, labels * 2))
+        base = pooled(scores, labels)["balanced_acc"]
+        doubled = pooled(scores * 2, labels * 2)["balanced_acc"]
         assert base == doubled
 
     def test_equals_accuracy_on_balanced_sets_exactly(self):
@@ -143,38 +163,38 @@ class TestBalancedAccuracy:
             n = int(rng.integers(1, 20))
             labels = [0] * n + [1] * n
             scores = (rng.integers(0, 4, 2 * n) / 3.0).tolist()
-            p = preds(scores, labels)
-            assert balanced_accuracy(p) == accuracy(p)
+            row = pooled(scores, labels)
+            assert row["balanced_acc"] == row["acc"]
         # counts known to expose one-ulp drift under the two-division formula
         labels = [1, 1, 1, 0, 0, 0]
         scores = [0.9, 0.9, 0.1, 0.1, 0.1, 0.1]  # tp=2, tn=3
-        p = preds(scores, labels)
-        assert balanced_accuracy(p) == accuracy(p) == 5 / 6
+        row = pooled(scores, labels)
+        assert row["balanced_acc"] == row["acc"] == 5 / 6
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
             scores, labels = random_instance(rng)
-            assert balanced_accuracy(preds(scores, labels)) == pytest.approx(
+            assert pooled(scores, labels)["balanced_acc"] == pytest.approx(
                 oracle_balanced_accuracy(scores, labels), abs=1e-12
             )
 
 
 class TestAveragePrecision:
     def test_perfect_ranking(self):
-        assert average_precision(preds([0.9, 0.8, 0.7, 0.6], [1, 1, 0, 0])) == 1.0
+        assert pooled([0.9, 0.8, 0.7, 0.6], [1, 1, 0, 0])["ap"] == 1.0
 
     def test_hand_derived_interleaved(self):
-        ap = average_precision(preds([0.9, 0.8, 0.7, 0.6], [1, 0, 1, 0]))
+        ap = pooled([0.9, 0.8, 0.7, 0.6], [1, 0, 1, 0])["ap"]
         assert ap == pytest.approx(5.0 / 6.0, abs=1e-12)
 
     def test_all_tied_equals_prevalence(self):
-        ap = average_precision(preds([0.5] * 8, [1, 1, 1, 1, 0, 0, 0, 0]))
+        ap = pooled([0.5] * 8, [1, 1, 1, 1, 0, 0, 0, 0])["ap"]
         assert ap == pytest.approx(0.5, abs=1e-12)
 
     def test_no_positives(self):
         with pytest.raises(InputError, match="average precision needs at least one fake"):
-            average_precision(preds([0.5, 0.6], [0, 0]))
+            _average_precision(*columns([0.5, 0.6], [0, 0]))
 
     def test_rank_invariance_under_monotone_transform(self):
         rng = np.random.default_rng(3)
@@ -184,64 +204,58 @@ class TestAveragePrecision:
             labels = rng.integers(0, 2, n)
             if labels.sum() == 0:
                 labels[0] = 1
-            base = average_precision(preds(scores.tolist(), labels.tolist()))
+            base = _average_precision(*columns(scores, labels))
             warped = (np.tanh(3.0 * scores) + 1.0) / 2.0  # strictly increasing
-            after = average_precision(preds(warped.tolist(), labels.tolist()))
+            after = _average_precision(*columns(warped, labels))
             assert base == pytest.approx(after, abs=1e-12)
 
     def test_matches_oracle_with_ties(self):
         rng = np.random.default_rng(4)
         for _ in range(300):
             scores, labels = random_instance(rng)
-            ours = average_precision(preds(scores, labels))
+            ours = pooled(scores, labels)["ap"]
             ref = oracle_average_precision(scores, labels)
             assert ours == pytest.approx(ref, abs=1e-12)
 
 
 class TestPrecisionRecallF1:
-    def test_perfect(self):
-        result = precision_recall_f1(preds([0.9, 0.1], [1, 0]))
-        assert (result.precision, result.recall, result.f1) == (1.0, 1.0, 1.0)
+    def prf(self, row):
+        return row["precision"], row["recall"], row["f1"]
 
-    def test_no_positive_predictions_flagged(self):
-        result = precision_recall_f1(preds([0.1, 0.2], [1, 0]))
-        assert result.precision == 0.0 and not result.precision_defined
-        assert result.recall == 0.0 and result.recall_defined
-        assert result.f1 == 0.0
+    def test_perfect(self):
+        assert self.prf(pooled([0.9, 0.1], [1, 0])) == (1.0, 1.0, 1.0)
+
+    def test_no_positive_predictions_give_zero(self):
+        assert _precision_recall_f1(*counts([0.1, 0.2], [1, 0])) == (0.0, 0.0, 0.0)
+        assert self.prf(pooled([0.1, 0.2], [1, 0])) == (0.0, 0.0, 0.0)
 
     def test_hand_counts(self):
         # TP=3, FP=1, FN=1
         scores = [0.9, 0.9, 0.9, 0.9, 0.1]
         labels = [1, 1, 1, 0, 1]
-        result = precision_recall_f1(preds(scores, labels))
-        assert result.precision == pytest.approx(0.75)
-        assert result.recall == pytest.approx(0.75)
-        assert result.f1 == pytest.approx(0.75)
+        assert self.prf(pooled(scores, labels)) == pytest.approx((0.75, 0.75, 0.75))
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
             scores, labels = random_instance(rng)
-            result = precision_recall_f1(preds(scores, labels))
-            p, r, f = oracle_prf(scores, labels)
-            assert result.precision == pytest.approx(p, abs=1e-12)
-            assert result.recall == pytest.approx(r, abs=1e-12)
-            assert result.f1 == pytest.approx(f, abs=1e-12)
+            assert self.prf(pooled(scores, labels)) == pytest.approx(
+                oracle_prf(scores, labels), abs=1e-12)
 
 
 class TestPerSubsetReport:
     def test_single_subset_aggregates_agree(self):
         p = preds([0.9, 0.2, 0.7, 0.4], [1, 0, 1, 0])
         report = per_subset_report(p)
-        assert report.mean_over_subsets.acc == report.overall_pooled.acc
-        assert report.rows[0].acc == report.overall_pooled.acc
+        assert report["mean_over_subsets"]["acc"] == report["overall_pooled"]["acc"]
+        assert report["subsets"][0]["acc"] == report["overall_pooled"]["acc"]
 
     def test_weighted_vs_unweighted_aggregation(self):
         small = preds([0.9] * 5 + [0.1] * 5, [1] * 5 + [0] * 5, subset="small")
         big = preds([0.9] * 500 + [0.1] * 500, [0] * 500 + [1] * 500, subset="big")
         report = per_subset_report(small + big)
-        assert report.mean_over_subsets.acc == pytest.approx(0.5)
-        assert report.overall_pooled.acc == pytest.approx(10 / 1010)
+        assert report["mean_over_subsets"]["acc"] == pytest.approx(0.5)
+        assert report["overall_pooled"]["acc"] == pytest.approx(10 / 1010)
 
     def test_subset_without_positives_flagged_na(self):
         good = preds([0.9, 0.1], [1, 0], subset="a")
@@ -249,35 +263,34 @@ class TestPerSubsetReport:
         with pytest.warns(UserWarning, match="undefined balanced_acc"), \
                 pytest.warns(UserWarning, match="AP"):
             report = per_subset_report(good + negatives_only)
-        by_name = {r.subset: r for r in report.rows}
-        assert by_name["b"].ap is None
-        assert report.mean_over_subsets.ap == by_name["a"].ap
+        by_name = {r["subset"]: r for r in report["subsets"]}
+        assert by_name["b"]["ap"] is None
+        assert report["mean_over_subsets"]["ap"] == by_name["a"]["ap"]
 
     def test_mean_of_identical_subsets_equals_single(self):
         a = preds([0.9, 0.4, 0.6, 0.1], [1, 0, 1, 0], subset="a")
         b = preds([0.9, 0.4, 0.6, 0.1], [1, 0, 1, 0], subset="b")
         report = per_subset_report(a + b)
         single = per_subset_report(a)
-        assert report.mean_over_subsets.acc == single.rows[0].acc
-        assert report.mean_over_subsets.ap == single.rows[0].ap
+        assert report["mean_over_subsets"]["acc"] == single["subsets"][0]["acc"]
+        assert report["mean_over_subsets"]["ap"] == single["subsets"][0]["ap"]
 
-    def test_csv_deterministic_and_ordered(self):
+    def test_rows_deterministic_and_ordered(self):
         p = preds([0.9, 0.2], [1, 0], subset="zeta") + preds(
             [0.8, 0.3], [1, 0], subset="alpha"
         )
-        r1 = per_subset_report(p).to_csv_text()
-        r2 = per_subset_report(list(p)).to_csv_text()
-        assert r1 == r2
-        lines = r1.strip().splitlines()
-        assert lines[1].startswith("alpha")
-        assert lines[2].startswith("zeta")
-        assert lines[3].startswith("mean_over_subsets")
-        assert lines[4].startswith("overall_pooled")
+        r1 = per_subset_report(p)
+        assert r1 == per_subset_report(list(p))
+        rows = [*r1["subsets"], r1["mean_over_subsets"], r1["overall_pooled"]]
+        assert [r["subset"] for r in rows] == ["alpha", "zeta", "mean_over_subsets",
+                                               "overall_pooled"]
+        assert all(tuple(r) == REPORT_COLUMNS for r in rows)
 
     def test_headline_selection(self):
         p = preds([0.9, 0.2], [1, 0], subset="a") + preds([0.1, 0.6], [1, 0], subset="b")
+        assert per_subset_report(p)["headline"] == "subset-mean"
         r = per_subset_report(p, headline=Aggregation.OVERALL_POOLED)
-        assert r.headline_row() is r.overall_pooled
+        assert r["headline"] == "overall"
 
 
 class TestMultiFrameAverage:
@@ -358,8 +371,8 @@ def scored_instances(draw):
 @settings(max_examples=60, deadline=None)
 def test_property_ap_duplication_invariance(instance):
     scores, labels = instance
-    base = average_precision(preds(scores, labels))
-    doubled = average_precision(preds(scores * 2, labels * 2))
+    base = _average_precision(*columns(scores, labels))
+    doubled = _average_precision(*columns(scores * 2, labels * 2))
     assert doubled == pytest.approx(base, abs=1e-12)
 
 
@@ -367,6 +380,6 @@ def test_property_ap_duplication_invariance(instance):
 @settings(max_examples=60, deadline=None)
 def test_property_ap_in_unit_interval_and_oracle(instance, _):
     scores, labels = instance
-    value = average_precision(preds(scores, labels))
+    value = _average_precision(*columns(scores, labels))
     assert 0.0 <= value <= 1.0
     assert value == pytest.approx(oracle_average_precision(scores, labels), abs=1e-12)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from xmodal.cmsupcon import LossVariant, binary_cross_entropy, contrastive_loss
-from xmodal.errors import InputError
+from xmodal.errors import InputError, NumericalError
 from xmodal.trainer import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -531,18 +531,56 @@ class TestTrainLoop:
         with pytest.raises(InputError, match="validation set must be non-empty"):
             train(model, data, empty, config)
 
-    def test_inputs_checked_once_on_entry(self):
-        x = np.ones((4, 2))
-        x[2, 1] = np.nan
-        with pytest.raises(InputError, match="feature row 2 has non-finite values"):
-            FeatureDataset(x, np.zeros(4), np.zeros(4))
-        with pytest.raises(InputError, match="labels must be 0 or 1"):
-            FeatureDataset(np.ones((2, 2)), [0, 2], [0, 1])
+    @pytest.mark.parametrize("split", [0, 1], ids=["training", "validation"])
+    @pytest.mark.parametrize("fault, error", [
+        ("nan-row", NumericalError), ("inf-row", NumericalError), ("lengths", InputError),
+        ("label-2", InputError), ("modality-2", InputError), ("width", InputError),
+    ])
+    def test_inputs_checked_once_on_entry(self, split, fault, error):
+        # a FeatureDataset checks nothing itself: train checks its shapes and
+        # codes, and a non-finite feature trips the loop's finiteness guard
+        x, y, m = (a.copy() for a in separable_dataset(9, n=8))
+        if fault == "nan-row":
+            x[2, 1] = np.nan
+        elif fault == "inf-row":
+            x[2] = np.inf
+        elif fault == "lengths":
+            y = y[:-1]
+        elif fault == "label-2":
+            y[3] = 2
+        elif fault == "modality-2":
+            m[3] = 2
+        else:
+            x = x[:, :1]
+        datasets = [separable_dataset(9, n=8), separable_dataset(10, n=8)]
+        datasets[split] = FeatureDataset(x, y, m)
+        config = train_config({"epochs": 1, "batch_size": 8, "lambda": 0.05, "seed": 0})
+        model = ToyModel.init(2, config["hidden_dim"], config["feature_dim"],
+                              np.random.default_rng(0))
+        result = None
+        with warnings.catch_warnings(), pytest.raises(error):
+            warnings.simplefilter("ignore", RuntimeWarning)  # arithmetic on inf and nan
+            result = train(model, *datasets, config)
+        assert result is None
+
+    def test_lists_train_as_their_arrays(self):
+        data = separable_dataset(9, n=8)
+        config = train_config({"epochs": 2, "batch_size": 8, "lambda": 0.05, "seed": 0})
+
+        def run(dataset):
+            model = ToyModel.init(2, config["hidden_dim"], config["feature_dim"],
+                                  np.random.default_rng(0))
+            return train(model, dataset, dataset, config).history
+
+        assert run(FeatureDataset(*(a.tolist() for a in data))) == run(data)
+
+    def test_feature_width_is_named(self):
         data = separable_dataset(9, n=8)
         config = train_config({"epochs": 1, "batch_size": 8, "lambda": 0.05, "seed": 0})
         model = ToyModel.init(3, config["hidden_dim"], config["feature_dim"],
                               np.random.default_rng(0))
-        with pytest.raises(InputError, match="training features have 2 columns"):
+        with pytest.raises(InputError, match=r"training features have shape \(8, 2\), "
+                                             r"model expects \(n, 3\)"):
             train(model, data, data, config)
 
 
@@ -569,7 +607,7 @@ class TestSyntheticData:
     def test_requested_counts_honored(self):
         spec = SyntheticSpec.default(train_counts=(100, 100, 100, 100), seed=0)
         data = generate_synthetic(spec)
-        assert len(data.train) == 400
+        assert len(data.train.y) == 400
         for label in (0, 1):
             for modality in (0, 1):
                 group = (data.train.y == label) & (data.train.m == modality)
@@ -585,7 +623,7 @@ class TestSyntheticData:
 
     def test_splits_are_distinct_draws(self):
         data = generate_synthetic(SyntheticSpec.default(seed=7))
-        n = min(len(data.train), len(data.val))
+        n = min(len(data.train.y), len(data.val.y))
         assert not np.array_equal(data.train.x[:n], data.val.x[:n])
 
     def test_invalid_spec(self):
