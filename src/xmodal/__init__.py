@@ -21,7 +21,7 @@ _EXPORTS = {
     "pixelops": ("ColorRange", "Window", "gaussian_blur", "motion_blur", "quantize_8bit",
                  "rgb_to_ycbcr", "round_half_away", "shorter_side_resize", "to_luma",
                  "ycbcr_to_rgb"),
-    "codecsim": ("ChainSpec", "apply_chain", "dct8x8_forward", "dct8x8_inverse",
+    "codecsim": ("apply_chain", "chain_steps", "dct8x8_forward", "dct8x8_inverse",
                  "derive_sample_seed", "jpeg_simulate", "quant_table_from_quality",
                  "tv_range_squeeze", "video_codec_simulate"),
     "forensics": ("DctAcResult", "RadialProfile", "TvRangeVerdict", "dataset_mean_rapsd",

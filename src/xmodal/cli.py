@@ -34,6 +34,7 @@ from .core import (
     Modality,
     check_fields,
     csv_text,
+    describe,
     iter_samples,
     load_image,
     load_luma,
@@ -48,12 +49,7 @@ from .errors import InputError, NumericalError
 # Each command imports its own stack when it runs: the pixel stack (pixelops,
 # codecsim, forensics) or the learning one (cmsupcon, trainer, metrics).
 if TYPE_CHECKING:
-    from .codecsim import ChainSpec
     from .trainer import EpochStats, FeatureDataset, ToyModel
-
-
-def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -64,19 +60,12 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(text + "\n", encoding="utf-8")
 
 
-def _write_run_manifest(
-    out_dir: Path, command: str, config: dict, inputs: dict[str, Path]
-) -> None:
-    doc = {
-        "command": command,
-        "version": __version__,
-        "config": config,
-        "inputs": {
-            name: {"path": str(path), "sha256": _sha256_file(path)}
-            for name, path in inputs.items()
-        },
-    }
-    _write_json(out_dir / "run.json", doc)
+def _write_run_manifest(out_dir: Path, command: str, config: dict,
+                        inputs: dict[str, Path]) -> None:
+    files = {name: {"path": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+             for name, path in inputs.items()}
+    _write_json(out_dir / "run.json",
+                {"command": command, "version": __version__, "config": config, "inputs": files})
 
 
 def _flags(args: argparse.Namespace) -> dict:
@@ -85,8 +74,8 @@ def _flags(args: argparse.Namespace) -> dict:
             if key not in ("command", "func", "usage_error")}
 
 
-def _seeded_chain(img: ImageBuffer, chain: ChainSpec, seed: int, sample_id: str) -> ImageBuffer:
-    """``img`` through ``chain``, drawing from a generator seeded per sample id."""
+def _seeded_chain(img: ImageBuffer, chain: tuple, seed: int, sample_id: str) -> ImageBuffer:
+    """``img`` through the ``chain`` steps, drawing from a generator seeded per sample id."""
     from . import codecsim
 
     rng = np.random.default_rng(codecsim.derive_sample_seed(seed, sample_id))
@@ -136,7 +125,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     chain = None
     loader = load_luma
     if args.chain:
-        chain = codecsim.ChainSpec.load(args.chain)
+        chain = codecsim.load_chain(args.chain)
         inputs["chain"] = Path(args.chain)
         loader = load_image
     elif kind == "spectrum":
@@ -254,7 +243,7 @@ def cmd_degrade(args: argparse.Namespace) -> int:
     from . import codecsim
 
     records = parse_manifest(args.manifest)[: args.limit]
-    chain = codecsim.ChainSpec.load(args.chain)
+    chain = codecsim.load_chain(args.chain)
     out_dir = Path(args.out)
     # the outermost directory this run creates, removed again if every sample fails
     created = next((d for d in (*reversed(out_dir.parents), out_dir) if not d.exists()), None)
@@ -543,18 +532,37 @@ MAX_THREADS = 1024
 # --range lies in (ZERO_EPS, MAX_RANGE], where every bin count gives finite,
 # strictly ascending edges.
 MAX_RANGE = 1e6
-# Each subcommand's numeric options, checked once parsed by the checker of the
-# input files. A row's key is the option's name without its dashes.
+# Each subcommand's options, in the order of its usage line. The parser is built
+# from these rows and the parsed values are checked against them, by the checker
+# of the input files. A row's key is the option's name without its dashes, its
+# kind gives the option's type, and --help prints its help and describe() words.
+_MANIFEST = Field("manifest", "string", required=True)
+_OUT = Field("out", "string", required=True)
+_SEED = Field("seed", "int", default=0)
 _LIMIT = Field("limit", "int", 1)
-_THREADS = Field("threads", "int", 1, MAX_THREADS)
+_THREADS = Field("threads", "int", 1, MAX_THREADS, default=1)
 FLAG_FIELDS = {
-    "analyze": (_LIMIT, Field("seed", "int"), _THREADS,
-                Field("range", "number", ZERO_EPS, MAX_RANGE, ends="(]"),
-                Field("sigma", "number", 0, MAX_SIGMA, ends="(]"),
-                Field("size", "int", 8, MAX_SIDE)),
-    "degrade": (Field("seed", "int"), _LIMIT, _THREADS),
-    "train": (SEED_ROW,),
-    "evaluate": (Field("frames", "int", 1), Field("threshold", "number"), _LIMIT),
+    "analyze": (_MANIFEST, _OUT, _LIMIT, _SEED, _THREADS,
+                Field("range", "number", ZERO_EPS, MAX_RANGE, ends="(]", default=64.0,
+                      help="dct: half-width of the coefficient histogram"),
+                Field("window", "choice", choices=("none", "hann"), default="none"),
+                Field("chain", "string",
+                      help="degradation chain applied to every frame before analysis"),
+                Field("sigma", "number", 0, MAX_SIGMA, ends="(]", default=1.0,
+                      help="spectrum: residual blur sigma"),
+                Field("size", "int", 8, MAX_SIDE, default=64, help="spectrum: transform size")),
+    "degrade": (_MANIFEST, Field("chain", "string", required=True), _OUT, _SEED, _LIMIT,
+                _THREADS),
+    "train": (Field("config", "string", required=True), _OUT,
+              dataclasses.replace(SEED_ROW, default=None,
+                                  help="override the seed in the config file")),
+    "evaluate": (Field("checkpoint", "string", required=True),
+                 Field("features", "string", required=True), _OUT,
+                 Field("aggregation", "choice", choices=("subset-mean", "overall"),
+                       default="subset-mean"),
+                 Field("frames", "int", 1, default=1,
+                       help="frames per video for logit averaging"),
+                 Field("threshold", "number", default=0.5), _LIMIT),
 }
 # analyze --bins for each kind that bins its values: (default, row). The rapsd
 # summary splits the profile into three bands, and each needs at least one bin.
@@ -563,11 +571,12 @@ FLAG_FIELDS = {
 # step makes.
 BINS = {"dct": (129, Field("bins", "int", 1, 1 << 16)),
         "rapsd": (32, Field("bins", "int", 3, MAX_SIDE))}
+_TYPES = {"int": int, "number": float}
 
 
 def check_flags(args: argparse.Namespace) -> None:
-    """Check the numeric options in ``args`` against their command's rows, after
-    giving ``--bins`` its kind's default. Raises InputError naming the option."""
+    """Check the options in ``args`` against their command's rows, after giving
+    ``--bins`` its kind's default. Raises InputError naming the option."""
     table = FLAG_FIELDS.get(args.command, ())
     if args.command == "analyze":
         if args.kind in BINS:
@@ -588,57 +597,27 @@ def build_parser() -> argparse.ArgumentParser:
         "training, and evaluation jobs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    analyze = sub.add_parser("analyze", help="run a forensic dataset analysis")
-    analyze.add_argument("kind", choices=("dct", "rapsd", "luma", "spectrum"))
-    analyze.add_argument("--manifest", required=True)
-    analyze.add_argument("--out", required=True)
-    analyze.add_argument("--limit", type=int, default=None)
-    analyze.add_argument("--seed", type=int, default=0)
-    analyze.add_argument("--threads", type=int, default=1)
-    analyze.add_argument("--bins", type=int, default=None)
-    analyze.add_argument("--range", type=float, default=64.0,
-                         help="dct: half-width of the coefficient histogram")
-    analyze.add_argument("--window", choices=("none", "hann"), default="none")
-    analyze.add_argument("--chain", default=None,
-                         help="degradation chain applied to every frame before analysis")
-    analyze.add_argument("--sigma", type=float, default=1.0,
-                         help="spectrum: residual blur sigma")
-    analyze.add_argument("--size", type=int, default=64, help="spectrum: transform size")
-    analyze.set_defaults(func=cmd_analyze)
-
-    degrade = sub.add_parser("degrade", help="apply a degradation chain to a corpus")
-    degrade.add_argument("--manifest", required=True)
-    degrade.add_argument("--chain", required=True)
-    degrade.add_argument("--out", required=True)
-    degrade.add_argument("--seed", type=int, default=0)
-    degrade.add_argument("--limit", type=int, default=None)
-    degrade.add_argument("--threads", type=int, default=1)
-    degrade.set_defaults(func=cmd_degrade)
-
-    train_p = sub.add_parser("train", help="train the desk-scale model")
-    train_p.add_argument("--config", required=True)
-    train_p.add_argument("--out", required=True)
-    train_p.add_argument("--seed", type=int, default=None,
-                         help="override the seed in the config file")
-    train_p.set_defaults(func=cmd_train)
-
-    evaluate = sub.add_parser("evaluate", help="score a dataset and emit a report")
-    evaluate.add_argument("--checkpoint", required=True)
-    evaluate.add_argument("--features", required=True)
-    evaluate.add_argument("--out", required=True)
-    evaluate.add_argument("--aggregation", choices=("subset-mean", "overall"),
-                          default="subset-mean")
-    evaluate.add_argument("--frames", type=int, default=1,
-                          help="frames per video for logit averaging")
-    evaluate.add_argument("--threshold", type=float, default=0.5)
-    evaluate.add_argument("--limit", type=int, default=None)
-    evaluate.set_defaults(func=cmd_evaluate)
-
-    version = sub.add_parser("version", help="print the tool version")
-    version.set_defaults(func=lambda args: print(__version__) or 0)
-    for command in sub.choices.values():
-        command.set_defaults(usage_error=command.error)
+    for name, about, func in (
+        ("analyze", "run a forensic dataset analysis", cmd_analyze),
+        ("degrade", "apply a degradation chain to a corpus", cmd_degrade),
+        ("train", "train the desk-scale model", cmd_train),
+        ("evaluate", "score a dataset and emit a report", cmd_evaluate),
+        ("version", "print the tool version", lambda args: print(__version__) or 0),
+    ):
+        command = sub.add_parser(name, help=about)
+        command.set_defaults(func=func, usage_error=command.error)
+        if name == "analyze":
+            command.add_argument("kind", choices=("dct", "rapsd", "luma", "spectrum"))
+        for row in FLAG_FIELDS.get(name, ()):
+            if name == "analyze" and row.key == "range":  # --bins keeps its usage-line place
+                command.add_argument("--bins", type=int, help="; ".join(
+                    f"{kind} (default {default}): {describe(bins)}"
+                    for kind, (default, bins) in BINS.items()))
+            words = describe(row)
+            command.add_argument(f"--{row.key}", type=_TYPES.get(row.kind),
+                                 choices=row.choices or None, required=row.required,
+                                 default=row.default,
+                                 help=f"{row.help}; {words}" if row.help else words)
     return parser
 
 

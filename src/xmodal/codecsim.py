@@ -4,11 +4,12 @@ Two quantizers are modeled on top of a shared orthonormal 8x8 DCT: a
 JPEG-style quantizer with read-only 8x8 integer tables, and a video-codec-style
 uniform deadzone quantizer whose plain-number ``qstep`` and ``deadzone`` the
 ``video_codec`` row of STEP_FIELDS checks, once per chain or public call.
-ChainSpec composes them with the pixel primitives into a blur -> resize ->
-codec -> color pipeline. apply_chain runs the steps' plane kernels on raw
-(c, h, w) planes and checks the result once, at the end. The codecs walk a
-frame in bands of whole block rows, all channels at once, so a band stays in
-L2 from colour conversion to the 8-bit snap, with the same bits.
+A chain composes them with the pixel primitives into a blur -> resize ->
+codec -> color pipeline: chain_steps checks a chain document once, into a
+tuple of read-only step documents, and apply_chain runs the steps' plane
+kernels on raw (c, h, w) planes and checks the result once, at the end. The
+codecs walk a frame in bands of whole block rows, all channels at once, so a
+band stays in L2 from colour conversion to the 8-bit snap, with the same bits.
 
 The simulators are approximations: no entropy coding, no chroma
 subsampling, no inter-frame prediction. HEIF/WebP-style compression is
@@ -19,18 +20,16 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import math
 import reprlib
-from collections.abc import Mapping
-from dataclasses import InitVar, dataclass
+from collections.abc import Mapping, Sequence
 from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
 
-from .core import (MAX_SIDE, MAX_SIGMA, ZERO_EPS, Field, ImageBuffer, check_fields, parse_json,
-                   read_json, with_defaults)
+from .core import (MAX_SIDE, MAX_SIGMA, ZERO_EPS, Field, ImageBuffer, check_fields, read_json,
+                   with_defaults)
 from .errors import InputError
 from .pixelops import (
     ColorRange,
@@ -341,75 +340,50 @@ _KERNELS = {
 }
 
 
-def _check_step(entry, where: str) -> MappingProxyType:
-    """A chain step's document ``{"step": name, **keys}``, checked against its
-    STEP_FIELDS row, as a read-only copy with every key filled in and each pair
-    a tuple. Errors begin with ``where``, which names the step."""
-    if not isinstance(entry, Mapping) or "step" not in entry:
-        raise InputError(f"{where}: bad chain step entry: {reprlib.repr(entry)}")
-    name = entry["step"]
-    if not isinstance(name, str) or name not in STEP_FIELDS:
-        raise InputError(f"{where}: unknown chain step {reprlib.repr(name)}")
-    keys = check_fields({key: value for key, value in entry.items() if key != "step"},
-                        STEP_FIELDS[name], f"{where} {name!r}: ")
-    return MappingProxyType({"step": name, **with_defaults(keys, STEP_FIELDS[name])})
+def chain_steps(doc, where: str | Path = "") -> tuple[Mapping, ...]:
+    """The steps of the chain document ``doc``, ``{"steps": [step, ...]}``.
 
-
-@dataclass(frozen=True)
-class ChainSpec:
-    """Ordered, validated list of degradation steps.
-
-    Each step is a read-only document ``{"step": name, **keys}`` holding every
-    key of its STEP_FIELDS row. ``where``, the chain file's path, begins the
-    text of any error.
+    Each step is checked against its STEP_FIELDS row and returned as a
+    read-only document ``{"step": name, **keys}`` holding every key of the
+    row, each pair a tuple. ``where``, a chain file's path, begins the text
+    of any error; step 0 is the first.
     """
-
-    steps: tuple[Mapping, ...]
-    where: InitVar[str | Path] = ""
-
-    def __post_init__(self, where):
-        prefix = f"{where}: " if where else ""
-        steps = tuple(_check_step(entry, f"{prefix}step {i}") for i, entry in enumerate(self.steps))
-        if not steps:
-            raise InputError(f"{prefix}chain must contain at least one step")
-        object.__setattr__(self, "steps", steps)
-
-    def to_json(self) -> str:
-        docs = [{key: list(value) if isinstance(value, tuple) else value
-                 for key, value in step.items()} for step in self.steps]
-        return json.dumps({"steps": docs}, indent=2, sort_keys=False)
-
-    @classmethod
-    def from_json(cls, text: str, path: str | Path = "chain") -> "ChainSpec":
-        """The chain in ``text``, read from ``path``, which errors name."""
-        return cls._from_json_doc(parse_json(text, path), path)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ChainSpec":
-        """The chain in the file at ``path``, read by the one input-file reader."""
-        return cls._from_json_doc(read_json(path), path)
-
-    @classmethod
-    def _from_json_doc(cls, doc, path: str | Path) -> "ChainSpec":
-        if not isinstance(doc, dict) or not isinstance(doc.get("steps"), list) or not doc["steps"]:
-            raise InputError(f"{path}: chain document must be {{'steps': [...]}} "
-                             "with at least one step")
-        # every other key is unknown
-        check_fields({key: value for key, value in doc.items() if key != "steps"}, (),
-                     f"{path}: ")
-        return cls(tuple(doc["steps"]), path)
+    prefix = f"{where}: " if where else ""
+    if not (isinstance(doc, Mapping) and isinstance(doc.get("steps"), (list, tuple))
+            and doc["steps"]):
+        raise InputError(f"{prefix}chain document must be {{'steps': [...]}} "
+                         "with at least one step")
+    # every other key is unknown
+    check_fields({key: value for key, value in doc.items() if key != "steps"}, (), prefix)
+    steps = []
+    for i, entry in enumerate(doc["steps"]):
+        if not isinstance(entry, Mapping) or "step" not in entry:
+            raise InputError(f"{prefix}step {i}: bad chain step entry: {reprlib.repr(entry)}")
+        name = entry["step"]
+        if not isinstance(name, str) or name not in STEP_FIELDS:
+            raise InputError(f"{prefix}step {i}: unknown chain step {reprlib.repr(name)}")
+        keys = check_fields({key: value for key, value in entry.items() if key != "step"},
+                            STEP_FIELDS[name], f"{prefix}step {i} {name!r}: ")
+        steps.append(MappingProxyType({"step": name, **with_defaults(keys, STEP_FIELDS[name])}))
+    return tuple(steps)
 
 
-def apply_chain(
-    img: ImageBuffer, chain: ChainSpec, rng: np.random.Generator
-) -> ImageBuffer:
-    """Apply the steps in order; randomized steps draw from rng.
+def load_chain(path: str | Path) -> tuple[Mapping, ...]:
+    """The steps of the chain file at ``path``, read by the one input-file reader."""
+    return chain_steps(read_json(path), path)
+
+
+def apply_chain(img: ImageBuffer, steps: Sequence[Mapping],
+                rng: np.random.Generator) -> ImageBuffer:
+    """Apply the steps ``chain_steps`` returns, in order; randomized steps draw from rng.
 
     The steps pass raw (c, h, w) float64 planes from one plane kernel to the
     next; only the result is checked, once, as it becomes an image.
     """
+    if not all(isinstance(step, MappingProxyType) for step in steps):
+        raise InputError("apply_chain: steps must be those chain_steps returns")
     data = img.data
-    for step in chain.steps:
+    for step in steps:
         data = _KERNELS[step["step"]](data, step, rng)
     return _as_image(img, data)
 

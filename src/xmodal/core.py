@@ -169,7 +169,8 @@ class Field:
     lie between ``lo`` and ``hi``, each bound closed or open as ``ends`` says
     ("[]", "(]", "[)" or "()"). With ``length``, the value is a list of that
     many numbers (0: any number of them). ``default`` stands in for an absent
-    optional key where the table's reader fills one in.
+    optional key where the table's reader fills one in. ``help`` is a
+    command-line option's one-line meaning, which its ``--help`` prints.
     """
 
     key: str
@@ -182,6 +183,7 @@ class Field:
     null: bool = False  # JSON null passes too
     length: Optional[int] = None
     default: object = None
+    help: str = ""
 
 
 # The bounds below are shared by the pixel and learning modules' field tables

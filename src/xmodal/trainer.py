@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -403,6 +404,14 @@ def _flat_views(flat: np.ndarray, shapes: Mapping[str, tuple]) -> dict[str, np.n
     return {name: part.reshape(shape) for (name, shape), part in zip(shapes.items(), parts)}
 
 
+def _check_finite_rows(train_data: FeatureDataset, val_data: FeatureDataset) -> None:
+    """Raise InputError naming the first feature row of either split that is not finite."""
+    for name, data in (("training", train_data), ("validation", val_data)):
+        bad = np.flatnonzero(~np.isfinite(data.x).all(axis=1))
+        if bad.size:
+            raise InputError(f"{name} feature row {bad[0]} holds a non-finite value")
+
+
 def train(
     model: ToyModel, train_data: FeatureDataset, val_data: FeatureDataset, config: Mapping
 ) -> TrainResult:
@@ -413,8 +422,9 @@ def train(
     holds every TRAIN_FIELDS key, as ``train_config`` returns it.
 
     Inputs are checked once, here: each dataset's shapes and codes. A
-    non-finite feature is not looked for; it makes a loss or an update
-    non-finite, which raises NumericalError. The step loop runs on four flat
+    non-finite feature is looked for only once it has made a loss or an
+    update non-finite: then InputError names its split and row, and with
+    every feature finite NumericalError is raised. The step loop runs on four flat
     vectors, the parameters, their gradients and AdamW's two moments, with a
     view per parameter into each, and only checks that every update stayed
     finite.
@@ -457,6 +467,7 @@ def train(
             step += 1
             optimizer_step(theta, grad, m, v, step, config["lr"], config["weight_decay"], work)
             if not np.isfinite(theta).all():
+                _check_finite_rows(train_data, val_data)
                 name = next(n for n, p in params.items() if not np.isfinite(p).all())
                 raise NumericalError(
                     f"parameter {name} became non-finite at epoch {epoch}; "
@@ -469,6 +480,7 @@ def train(
             np.concatenate(logits), train_data.y[np.concatenate(batches)], cm, lam)
         _, _, val_total, val_acc = _dataset_stats(params, val_stats, config)
         if not (np.isfinite(tr_total) and np.isfinite(val_total)):
+            _check_finite_rows(train_data, val_data)
             raise NumericalError(
                 f"non-finite loss at epoch {epoch}: train={tr_total}, val={val_total}"
             )
@@ -526,9 +538,9 @@ SYNTHETIC_FIELDS = (
 )
 
 
-class SyntheticSpec(NamedTuple):
+class SyntheticSpec(namedtuple("SyntheticSpec", [field.key for field in SYNTHETIC_FIELDS])):
     """Gaussian cluster layout for the four (label, modality) groups, as
-    ``synthetic_spec`` checks it.
+    ``synthetic_spec`` checks it: one field for each SYNTHETIC_FIELDS key.
 
     Every coordinate of every group spreads by noise_std. The default layout
     plants a shortcut trap: coordinate 1 separates the classes for images
@@ -541,15 +553,7 @@ class SyntheticSpec(NamedTuple):
     alignment, not by direct supervision.
     """
 
-    dim: int
-    signal_sep: float
-    shortcut_sep: float
-    noise_std: float
-    video_shift: Optional[tuple[float, ...]]
-    train_counts: tuple[int, int, int, int]
-    val_counts: tuple[int, int, int, int]
-    test_counts: tuple[int, int, int, int]
-    seed: int
+    __slots__ = ()
 
     @classmethod
     def default(cls, **keys) -> "SyntheticSpec":

@@ -49,6 +49,12 @@ def write_manifest_file(path: Path, entries) -> Path:
     return path
 
 
+def write_chain_file(path: Path, *steps) -> Path:
+    """A chain file holding ``steps``, as ``{"steps": [...]}``."""
+    path.write_text(json.dumps({"steps": list(steps)}), encoding="utf-8")
+    return path
+
+
 @pytest.fixture
 def image_dir(tmp_path):
     """Directory with a small corpus of PGM files plus a manifest."""

@@ -14,10 +14,10 @@ import numpy as np
 from xmodal.cli import main as cli_main
 from xmodal.cmsupcon import LossVariant, contrastive_grad, contrastive_loss
 from xmodal.codecsim import (
-    ChainSpec,
     JPEG_CHROMA_BASE,
     JPEG_LUMA_BASE,
     apply_chain,
+    chain_steps,
     dct8x8_forward,
     dct8x8_inverse,
     deadzone_quantize_block,
@@ -254,11 +254,11 @@ def test_criterion_4_dct_direction():
 
 @criterion(5, "canonical chain strictly cuts top-third RAPSD power")
 def test_criterion_5_rapsd_direction():
-    chain = ChainSpec((
+    chain = chain_steps({"steps": [
         {"step": "motion_blur", "length": 5, "angle_deg": 0.0},
         {"step": "resize", "shorter_side": 32},
         {"step": "video_codec", "qstep": 16.0, "deadzone": 0.5},
-    ))
+    ]})
     nbins = 12
     top = slice(2 * nbins // 3, nbins)
     n_batches, per_batch = 5, 20
@@ -469,10 +469,10 @@ def test_criterion_9_cli_determinism(tmp_path):
     )
 
     chain_path = tmp_path / "chain.json"
-    chain_path.write_text(
-        ChainSpec(({"step": "motion_blur", "length": 3, "angle_deg": 10.0},
-                   {"step": "jpeg", "quality": 85})).to_json()
-    )
+    chain_path.write_text(json.dumps({"steps": [
+        {"step": "motion_blur", "length": 3, "angle_deg": 10.0},
+        {"step": "jpeg", "quality": 85},
+    ]}))
     out = tmp_path / "degrade"
     run_twice(
         ["degrade", "--manifest", manifest, "--chain", chain_path, "--out", out,

@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -25,11 +26,11 @@ from xmodal.cli import (
 from xmodal.codecsim import (
     MAX_SIDE,
     MAX_SIGMA,
-    ChainSpec,
     apply_chain,
     derive_sample_seed,
+    load_chain,
 )
-from xmodal.core import load_image, parse_manifest
+from xmodal.core import describe, load_image, parse_manifest
 from xmodal.forensics import (
     ZERO_EPS,
     dataset_mean_rapsd,
@@ -41,7 +42,7 @@ from xmodal.forensics import (
 )
 from xmodal.trainer import TRAIN_FIELDS, ToyModel, save_checkpoint, train_config
 
-from conftest import textured_image, write_manifest_file
+from conftest import textured_image, write_chain_file, write_manifest_file
 from xmodal.core import save_image
 
 # how an evaluate or train error about a model of input width 6 describes a bad 'x'
@@ -219,10 +220,8 @@ class TestAnalyze:
 
 class TestDegrade:
     def chain_file(self, tmp_path, steps=None) -> Path:
-        chain = ChainSpec(steps or ({"step": "jpeg", "quality": 100},))
-        path = tmp_path / "chain.json"
-        path.write_text(chain.to_json())
-        return path
+        return write_chain_file(tmp_path / "chain.json",
+                                *(steps or ({"step": "jpeg", "quality": 100},)))
 
     def test_identityish_chain_outputs_close(self, corpus, tmp_path):
         root, manifest = corpus
@@ -269,7 +268,7 @@ class TestDegrade:
     def test_non_positive_counts_exit_2(self, corpus, tmp_path, flag):
         root, manifest = corpus
         chain = tmp_path / "chain.json"
-        chain.write_text(ChainSpec(({"step": "jpeg", "quality": 90},)).to_json())
+        write_chain_file(chain, {"step": "jpeg", "quality": 90})
         with pytest.raises(SystemExit) as exc:
             run_cli("degrade", "--manifest", manifest, "--chain", chain,
                     "--out", tmp_path / "deg", flag, 0)
@@ -1055,18 +1054,45 @@ def test_threads_above_the_bound_exit_2_before_any_pool(tmp_path, capsys, monkey
     assert not (tmp_path / "out").exists()
 
 
-def _subcommands() -> dict:
-    """Each subcommand's parser, by name."""
-    return next(a for a in build_parser()._actions if a.dest == "command").choices
+SUBCOMMANDS = ("analyze", "degrade", "train", "evaluate", "version")
 
 
-@pytest.mark.parametrize("name", sorted(_subcommands()))
-def test_every_numeric_option_has_a_flag_row(name):
-    rows = {field.key for field in FLAG_FIELDS.get(name, ())}
-    if name == "analyze":
-        rows |= {row.key for _, row in BINS.values()}
-    numeric = {a.dest for a in _subcommands()[name]._actions if a.type in (int, float)}
-    assert numeric <= rows
+def _help(capsys, monkeypatch, *argv) -> str:
+    """What ``xmodal *argv --help`` prints, one option to a line where it fits."""
+    monkeypatch.setenv("COLUMNS", "1000")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_options_are_the_flag_rows(capsys, monkeypatch, name):
+    # the options a command parses are its rows, with each row's default,
+    # plus analyze's kind and --bins
+    rows = FLAG_FIELDS.get(name, ())
+    special = {"kind": "dct", "bins": None} if name == "analyze" else {}
+    argv = [name, *(["dct"] if special else [])]
+    argv += [arg for row in rows if row.required for arg in (f"--{row.key}", "v")]
+    parsed = {key: value for key, value in vars(build_parser().parse_args(argv)).items()
+              if key not in ("command", "func", "usage_error")}
+    assert parsed == {**{row.key: "v" if row.required else row.default for row in rows},
+                      **special}
+    # and --help lists exactly those options, each with its row's words
+    assert "{" + ",".join(SUBCOMMANDS) + "}" in _help(capsys, monkeypatch)
+    options = _help(capsys, monkeypatch, name).split("options:")[1]
+    entries = {}
+    for chunk in re.split(r"\n  (?=-)", options):
+        if chunk.strip():
+            words = chunk.split()
+            entries[words[0].lstrip("-").rstrip(",")] = " ".join(words)
+    assert set(entries) == {"h"} | {row.key for row in rows} | ({"bins"} if special else set())
+    for row in rows:
+        assert describe(row) in entries[row.key] and row.help in entries[row.key]
+    if special:
+        assert all(f"{kind} (default {default}): {describe(bins)}" in entries["bins"]
+                   for kind, (default, bins) in BINS.items())
 
 
 @pytest.mark.parametrize("name", ["analyze", "degrade", "evaluate"])
@@ -1074,14 +1100,15 @@ def test_run_json_records_every_option(corpus, tmp_path, name):
     root, manifest = corpus
     out = tmp_path / "out"
     chain = tmp_path / "chain.json"
-    chain.write_text(ChainSpec(({"step": "jpeg", "quality": 90},)).to_json())
+    write_chain_file(chain, {"step": "jpeg", "quality": 90})
     argv = {"analyze": ["analyze", "luma", "--manifest", manifest, "--out", out],
             "degrade": ["degrade", "--manifest", manifest, "--chain", chain, "--out", out],
             "evaluate": _evaluate_argv(tmp_path)}[name]
     assert run_cli(*argv) == 0
     out = Path(argv[argv.index("--out") + 1])
     config = json.loads((out / "run.json").read_text())["config"]
-    options = {a.dest for a in _subcommands()[name]._actions if a.dest != "help"}
+    options = {row.key for row in FLAG_FIELDS[name]} | (
+        {"kind", "bins"} if name == "analyze" else set())
     assert set(config) == options | ({"headline_acc"} if name == "evaluate" else set())
     assert config["out"] == str(out)
 
@@ -1195,7 +1222,7 @@ class TestAnalyzeWithChain:
     def test_rapsd_chain_preprocessing(self, corpus, tmp_path):
         root, manifest = corpus
         chain_path = tmp_path / "chain.json"
-        chain_path.write_text(ChainSpec(({"step": "gaussian_blur", "sigma": 2.0},)).to_json())
+        write_chain_file(chain_path, {"step": "gaussian_blur", "sigma": 2.0})
         plain_out = tmp_path / "plain"
         chain_out = tmp_path / "chained"
         assert run_cli("analyze", "rapsd", "--manifest", manifest,
@@ -1218,10 +1245,10 @@ class TestAnalyzeWithChain:
             entries.append({"id": f"c{i}", "path": str(path), "label": "real",
                             "modality": "image", "subset": "s"})
         manifest = write_manifest_file(tmp_path / "m.jsonl", entries)
-        chain = ChainSpec(({"step": "color_jitter", "brightness": (0.7, 1.3)},
-                           {"step": "jpeg", "quality": 30}))
-        chain_path = tmp_path / "chain.json"
-        chain_path.write_text(chain.to_json())
+        chain_path = write_chain_file(tmp_path / "chain.json",
+                                      {"step": "color_jitter", "brightness": [0.7, 1.3]},
+                                      {"step": "jpeg", "quality": 30})
+        chain = load_chain(chain_path)
         out = tmp_path / "out"
         assert run_cli("analyze", kind, "--manifest", manifest, "--out", out,
                        "--chain", chain_path, "--seed", 5, "--size", 16) == 0
@@ -1256,7 +1283,7 @@ class TestAnalyzeWithChain:
     def test_dct_chain_preprocessing(self, corpus, tmp_path):
         root, manifest = corpus
         chain_path = tmp_path / "chain.json"
-        chain_path.write_text(ChainSpec(({"step": "jpeg", "quality": 30},)).to_json())
+        write_chain_file(chain_path, {"step": "jpeg", "quality": 30})
         plain_out, chain_out = tmp_path / "plain", tmp_path / "chained"
         assert run_cli("analyze", "dct", "--manifest", manifest, "--out", plain_out) == 0
         assert run_cli("analyze", "dct", "--manifest", manifest, "--out", chain_out,
@@ -1329,7 +1356,7 @@ class TestPartialFailures:
     def test_degrade_lists_failures_and_exits_zero(self, tmp_path):
         manifest = self.broken_corpus(tmp_path)
         chain_path = tmp_path / "chain.json"
-        chain_path.write_text(ChainSpec(({"step": "jpeg", "quality": 90},)).to_json())
+        write_chain_file(chain_path, {"step": "jpeg", "quality": 90})
         out = tmp_path / "deg"
         assert run_cli("degrade", "--manifest", manifest, "--chain", chain_path,
                        "--out", out, "--seed", 0) == 0
@@ -1346,7 +1373,7 @@ class TestPartialFailures:
         manifest = self.broken_corpus(tmp_path)
         (tmp_path / "ok_1.pgm").write_bytes(b"P5\n" + b"9" * 5000 + b" 32\n255\n" + bytes(64))
         chain = tmp_path / "chain.json"
-        chain.write_text(ChainSpec(({"step": "jpeg", "quality": 90},)).to_json())
+        write_chain_file(chain, {"step": "jpeg", "quality": 90})
         argv = ["analyze", "luma"] if command == "analyze" else ["degrade", "--chain", chain]
         out = tmp_path / "out"
         assert run_cli(*argv, "--manifest", manifest, "--out", out) == 0
@@ -1376,7 +1403,7 @@ class TestPartialFailures:
         manifest = write_manifest_file(tmp_path / "m.jsonl", entries)
         if command == "degrade":
             chain_path = tmp_path / "chain.json"
-            chain_path.write_text(ChainSpec(({"step": "jpeg", "quality": 90},)).to_json())
+            write_chain_file(chain_path, {"step": "jpeg", "quality": 90})
             argv = ("degrade", "--chain", chain_path)
         else:
             argv = ("analyze", command)
@@ -1393,7 +1420,7 @@ class TestPartialFailures:
         if kind != "degrade":
             return ["analyze", kind, "--manifest", manifest, "--out", out]
         chain = tmp_path / "chain.json"
-        chain.write_text(ChainSpec(({"step": "jpeg", "quality": 90},)).to_json())
+        write_chain_file(chain, {"step": "jpeg", "quality": 90})
         return ["degrade", "--chain", chain, "--manifest", manifest, "--out", out]
 
     @pytest.mark.parametrize("kind", ["dct", "rapsd", "luma", "spectrum", "degrade"])
@@ -1484,9 +1511,9 @@ class TestRuntimeWithoutScipy:
     def test_degrade_analyze_and_train_run(self, corpus, tmp_path):
         root, manifest = corpus
         chain = tmp_path / "chain.json"
-        chain.write_text(ChainSpec(({"step": "motion_blur", "length": 5, "angle_deg": 30.0},
-                                    {"step": "gaussian_blur", "sigma": 1.5},
-                                    {"step": "jpeg", "quality": 80})).to_json())
+        write_chain_file(chain, {"step": "motion_blur", "length": 5, "angle_deg": 30.0},
+                         {"step": "gaussian_blur", "sigma": 1.5},
+                         {"step": "jpeg", "quality": 80})
         config = _write_json(tmp_path / "cfg.json", {
             "data": {"synthetic": {"train_counts": [8, 8, 4, 4], "val_counts": [4, 4, 4, 4],
                                    "test_counts": [4, 4, 4, 4], "seed": 0}},
@@ -1536,8 +1563,8 @@ class TestEachCommandLoadsItsOwnStack:
     def test_degrade_and_analyze_load_no_learning_stack(self, corpus, tmp_path):
         root, manifest = corpus
         chain = tmp_path / "chain.json"
-        chain.write_text(ChainSpec(({"step": "gaussian_blur", "sigma": 1.0},
-                                    {"step": "jpeg", "quality": 80})).to_json())
+        write_chain_file(chain, {"step": "gaussian_blur", "sigma": 1.0},
+                         {"step": "jpeg", "quality": 80})
         degrade = self.loaded(tmp_path, ["degrade", "--manifest", manifest, "--chain", chain,
                                          "--out", tmp_path / "d"])
         assert not degrade & (_LEARNING_STACK | {"forensics"})

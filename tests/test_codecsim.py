@@ -1,6 +1,5 @@
 """DCT kernels, quantizers, codec simulators, and degradation chains."""
 
-import json
 import math
 
 import numpy as np
@@ -13,9 +12,9 @@ from xmodal.codecsim import (
     MAX_SIDE,
     MAX_SIGMA,
     STEP_FIELDS,
-    ChainSpec,
     _KERNELS,
     apply_chain,
+    chain_steps,
     dct8x8_forward,
     dct8x8_inverse,
     deadzone_quantize_block,
@@ -139,10 +138,10 @@ class TestDeadzone:
 
     def test_subnormal_qstep_is_rejected_at_load(self):
         # a step this small once passed the check and overflowed every sample
-        doc = json.dumps({"steps": [{"step": "video_codec", "qstep": 1e-320}]})
+        doc = {"steps": [{"step": "video_codec", "qstep": 1e-320}]}
         with pytest.raises(InputError, match=r"'qstep': must be a finite number >= 1e-06, "
                                              r"got 1e-320$"):
-            ChainSpec.from_json(doc)
+            chain_steps(doc)
 
 
 class TestJpegSimulate:
@@ -239,23 +238,21 @@ class TestTvRangeSqueeze:
 class TestChains:
     def test_identityish_chain_on_midgray(self):
         img = constant_rgb(0.5, h=24, w=24)
-        chain = ChainSpec((
+        chain = chain_steps({"steps": [
             {"step": "motion_blur", "length": 1, "angle_deg": 0.0},
             {"step": "resize", "shorter_side": 24},
             {"step": "jpeg", "quality": 100},
-        ))
+        ]})
         out = apply_chain(img, chain, np.random.default_rng(0))
         assert np.abs(out.data - img.data).max() <= 1 / 255 + 1e-12
 
     def test_canonical_chain_cuts_high_frequencies(self):
         img = noise_image(0, h=48, w=48)
-        chain = ChainSpec(
-            (
-                {"step": "motion_blur", "length": 5, "angle_deg": 0.0},
-                {"step": "resize", "shorter_side": 32},
-                {"step": "video_codec", "qstep": 16.0, "deadzone": 0.5},
-            )
-        )
+        chain = chain_steps({"steps": [
+            {"step": "motion_blur", "length": 5, "angle_deg": 0.0},
+            {"step": "resize", "shorter_side": 32},
+            {"step": "video_codec", "qstep": 16.0, "deadzone": 0.5},
+        ]})
         out = apply_chain(img, chain, np.random.default_rng(0))
         before = rapsd(img, nbins=12)
         after = rapsd(out, nbins=12)
@@ -264,14 +261,12 @@ class TestChains:
 
     def test_apply_chain_deterministic(self):
         img = textured_image(1, h=32, w=32, channels=3)
-        chain = ChainSpec(
-            (
-                {"step": "gaussian_blur", "sigma": 0.8},
-                {"step": "color_jitter", "brightness": (0.9, 1.1), "contrast": (0.9, 1.1),
-                 "saturation": (0.9, 1.1)},
-                {"step": "jpeg", "quality": 70},
-            )
-        )
+        chain = chain_steps({"steps": [
+            {"step": "gaussian_blur", "sigma": 0.8},
+            {"step": "color_jitter", "brightness": (0.9, 1.1), "contrast": (0.9, 1.1),
+             "saturation": (0.9, 1.1)},
+            {"step": "jpeg", "quality": 70},
+        ]})
         a = apply_chain(img, chain, np.random.default_rng(42))
         b = apply_chain(img, chain, np.random.default_rng(42))
         assert np.array_equal(a.data, b.data)
@@ -281,8 +276,8 @@ class TestChains:
     def test_every_step_has_a_kernel(self):
         assert list(_KERNELS) == list(STEP_FIELDS)
 
-    def test_chain_json_round_trip_fills_in_omitted_keys(self):
-        chain = ChainSpec([
+    def test_chain_steps_fill_in_omitted_keys(self):
+        chain = chain_steps({"steps": [
             {"step": "motion_blur", "length": 5},
             {"step": "gaussian_blur", "sigma": 0.5},
             {"step": "resize", "shorter_side": 128},
@@ -291,48 +286,50 @@ class TestChains:
             {"step": "tv_range_squeeze"},
             {"step": "color_jitter", "contrast": [0.9, 1.1]},
             {"step": "quantize_8bit"},
-        ])
-        assert [step["step"] for step in chain.steps] == list(STEP_FIELDS)
-        again = ChainSpec.from_json(chain.to_json())
-        assert again == chain
-        assert again.steps[0] == {"step": "motion_blur", "length": 5, "angle_deg": 0.0}
-        assert again.steps[4] == {"step": "video_codec", "qstep": 8.0, "deadzone": 0.0}
-        assert again.steps[6] == {"step": "color_jitter", "brightness": (1.0, 1.0),
-                                  "contrast": (0.9, 1.1), "saturation": (1.0, 1.0)}
+        ]})
+        assert [step["step"] for step in chain] == list(STEP_FIELDS)
+        assert chain[0] == {"step": "motion_blur", "length": 5, "angle_deg": 0.0}
+        assert chain[4] == {"step": "video_codec", "qstep": 8.0, "deadzone": 0.0}
+        assert chain[6] == {"step": "color_jitter", "brightness": (1.0, 1.0),
+                            "contrast": (0.9, 1.1), "saturation": (1.0, 1.0)}
 
     def test_bad_step_built_in_code_names_its_index(self):
         steps = [{"step": "jpeg", "quality": 75}, {"step": "video_codec", "qstep": 0.0}]
         with pytest.raises(InputError, match=r"^step 1 'video_codec': 'qstep': must be"):
-            ChainSpec(steps)
+            chain_steps({"steps": steps})
         with pytest.raises(InputError, match=r"^step 0 'jpeg': 'qualty': unknown key"):
-            ChainSpec([{"step": "jpeg", "qualty": 75}])
+            chain_steps({"steps": [{"step": "jpeg", "qualty": 75}]})
 
     def test_color_jitter_draws_each_factor_from_default_pairs_too(self):
         # the three draws keep every later draw of the stream where it was
         rng, ref = np.random.default_rng(3), np.random.default_rng(3)
-        chain = ChainSpec([{"step": "color_jitter", "contrast": [0.9, 1.1]}])
+        chain = chain_steps({"steps": [{"step": "color_jitter", "contrast": [0.9, 1.1]}]})
         apply_chain(noise_image(0, h=8, w=8, channels=3), chain, rng)
         [ref.uniform(*pair) for pair in ((1.0, 1.0), (0.9, 1.1), (1.0, 1.0))]
         assert rng.random() == ref.random()
 
+    def test_apply_chain_takes_only_checked_steps(self):
+        img = noise_image(0, h=8, w=8)
+        with pytest.raises(InputError, match="^apply_chain: steps must be those chain_steps"):
+            apply_chain(img, [{"step": "motion_blur", "length": 5}], np.random.default_rng(0))
+
     def test_step_documents_are_read_only(self):
-        step = ChainSpec([{"step": "jpeg", "quality": 75}]).steps[0]
+        step = chain_steps({"steps": [{"step": "jpeg", "quality": 75}]})[0]
         with pytest.raises(TypeError):
             step["quality"] = 5
         with pytest.raises(AttributeError):
             step.pop("quality")
 
-    def test_parameterless_steps_round_trip(self):
-        chain = ChainSpec(({"step": "tv_range_squeeze"}, {"step": "quantize_8bit"}))
-        again = ChainSpec.from_json(chain.to_json())
-        assert again == chain
+    def test_parameterless_steps_apply(self):
+        chain = chain_steps({"steps": [{"step": "tv_range_squeeze"}, {"step": "quantize_8bit"}]})
+        assert chain == ({"step": "tv_range_squeeze"}, {"step": "quantize_8bit"})
         img = noise_image(0, h=16, w=16, channels=3)
-        out = apply_chain(img, again, np.random.default_rng(0))
+        out = apply_chain(img, chain, np.random.default_rng(0))
         assert out.channels == 3
 
     def test_unknown_step_name(self):
         with pytest.raises(InputError, match="step 0: unknown chain step 'h264'"):
-            ChainSpec.from_json('{"steps": [{"step": "h264"}]}')
+            chain_steps({"steps": [{"step": "h264"}]})
 
     @pytest.mark.parametrize("step, key, largest", [
         ("motion_blur", "length", MAX_SIDE),
@@ -340,8 +337,8 @@ class TestChains:
         ("resize", "shorter_side", MAX_SIDE),
     ])
     def test_size_budget_is_the_largest_accepted_value(self, step, key, largest):
-        parse = lambda v: ChainSpec.from_json(json.dumps({"steps": [{"step": step, key: v}]}))
-        assert parse(largest).steps[0][key] == largest
+        parse = lambda v: chain_steps({"steps": [{"step": step, key: v}]})
+        assert parse(largest)[0][key] == largest
         with pytest.raises(InputError, match=f"step 0 '{step}': '{key}': must be"):
             parse(largest + 1)
         if step == "gaussian_blur":  # the kernel spans 2*ceil(3*sigma) + 1 pixels
@@ -349,9 +346,8 @@ class TestChains:
 
     @pytest.mark.parametrize("key", ["brightness", "contrast", "saturation"])
     def test_color_jitter_factors_are_bounded(self, key):
-        parse = lambda pair: ChainSpec.from_json(
-            json.dumps({"steps": [{"step": "color_jitter", key: pair}]}))
-        assert parse([0, MAX_JITTER]).steps[0][key] == (0, MAX_JITTER)
+        parse = lambda pair: chain_steps({"steps": [{"step": "color_jitter", key: pair}]})
+        assert parse([0, MAX_JITTER])[0][key] == (0, MAX_JITTER)
         for pair in ([0, MAX_JITTER + 1], [1e308, 1e308]):
             with pytest.raises(InputError, match=f"step 0 'color_jitter': '{key}': must be a pair"):
                 parse(pair)
@@ -361,7 +357,7 @@ class TestChains:
         img = noise_image(0, h=16, w=16, channels=3)
         step = {"step": "color_jitter", "brightness": (MAX_JITTER, MAX_JITTER),
                 "contrast": (MAX_JITTER, MAX_JITTER), "saturation": (0.0, 0.0)}
-        out = apply_chain(img, ChainSpec((step,)), np.random.default_rng(0))
+        out = apply_chain(img, chain_steps({"steps": [step]}), np.random.default_rng(0))
         assert np.all((out.data >= 0.0) & (out.data <= 1.0))
 
     def test_non_finite_chain_result_is_an_xmodal_error(self):
@@ -370,10 +366,11 @@ class TestChains:
         img = ImageBuffer(np.full((1, 8, 8), 1e308))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError, match="must be finite") as err:
-                apply_chain(img, ChainSpec(({"step": "jpeg", "quality": 75},)),
+                apply_chain(img, chain_steps({"steps": [{"step": "jpeg", "quality": 75}]}),
                             np.random.default_rng(0))
         assert isinstance(err.value, XmodalError)
 
     def test_empty_chain_rejected(self):
-        with pytest.raises(InputError, match="chain must contain at least one step"):
-            ChainSpec(tuple())
+        with pytest.raises(InputError, match=r"^chain document must be \{'steps': \[...\]\} "
+                                             "with at least one step$"):
+            chain_steps({"steps": []})

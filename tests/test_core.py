@@ -9,7 +9,7 @@ import types
 import numpy as np
 import pytest
 
-from xmodal.codecsim import ChainSpec, apply_chain
+from xmodal.codecsim import apply_chain, chain_steps
 from xmodal.core import (
     IN_FLIGHT_PER_THREAD,
     MANIFEST_FIELDS,
@@ -394,7 +394,7 @@ class TestIterSamples:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_non_finite_chain_result_is_a_failure(self, threads):
         # a gray JPEG round trip of 1e308 samples overflows to NaN
-        chain = ChainSpec(({"step": "jpeg", "quality": 75},))
+        chain = chain_steps({"steps": [{"step": "jpeg", "quality": 75}]})
 
         def loader(path: str) -> ImageBuffer:
             return ImageBuffer(np.full((1, 8, 8), 1e308 if path == "p1" else 0.5))

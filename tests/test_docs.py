@@ -37,6 +37,7 @@ from test_kernel_identity import RAPSD_RTOL
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 FLAT_README = " ".join(README.split())
+EXAMPLE = re.search(r"```python\n(.*?)```", README, flags=re.DOTALL).group(1)
 
 
 def _paragraph(opening: str) -> str:
@@ -81,10 +82,13 @@ def test_absent_step_keys_match_their_defaults():
 
 
 def test_library_example_imports_public_names():
-    example = re.search(r"```python\n(.*?)```", README, flags=re.DOTALL).group(1)
-    names = re.search(r"from xmodal import \((.*?)\)", example, flags=re.DOTALL).group(1)
+    names = re.search(r"from xmodal import \((.*?)\)", EXAMPLE, flags=re.DOTALL).group(1)
     imported = [name.strip() for name in names.split(",") if name.strip()]
-    assert "ChainSpec" in imported and set(imported) <= set(xmodal.__all__)
+    assert "chain_steps" in imported and set(imported) <= set(xmodal.__all__)
+
+
+def test_library_example_runs():
+    exec(compile(EXAMPLE, "README.md", "exec"), {})
 
 
 def test_size_bounds_match_the_budgets():
@@ -106,9 +110,14 @@ def test_exit_codes_are_documented():
     assert "Any other exception is a bug: it exits 1 with a traceback." in codes
 
 
+def _option(field) -> str:
+    default = "" if field.default is None else f" (default {json.dumps(field.default)})"
+    return f"`--{field.key}`{' (required)' if field.required else ''}{default}: {describe(field)}"
+
+
 @pytest.mark.parametrize("command", sorted(FLAG_FIELDS))
 def test_flag_tables_match_the_readme(command):
-    listing = " ".join(f"- `--{field.key}`: {describe(field)}." for field in FLAG_FIELDS[command])
+    listing = " ".join(f"- {_option(field)}." for field in FLAG_FIELDS[command])
     assert listing in FLAT_README
 
 

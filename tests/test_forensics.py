@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from xmodal.codecsim import (
-    ChainSpec,
     apply_chain,
+    chain_steps,
     jpeg_simulate,
     tv_range_squeeze,
 )
@@ -128,11 +128,11 @@ class TestDatasetMeanRapsd:
 
     def test_degraded_set_loses_high_band(self):
         originals = [noise_image(i, h=48, w=48) for i in range(10)]
-        chain = ChainSpec((
+        chain = chain_steps({"steps": [
             {"step": "motion_blur", "length": 5, "angle_deg": 0.0},
             {"step": "resize", "shorter_side": 32},
             {"step": "video_codec", "qstep": 16.0, "deadzone": 0.5},
-        ))
+        ]})
         degraded = [apply_chain(img, chain, np.random.default_rng(7)) for img in originals]
         nbins = 12
         orig = dataset_mean_rapsd(rapsd(img, nbins=nbins) for img in originals)
@@ -268,7 +268,7 @@ class TestColorInputsAndLimits:
 
     def test_dataset_mean_rapsd_chain_preprocessing(self):
         images = [noise_image(k, h=32, w=32) for k in range(4)]
-        chain = ChainSpec(({"step": "gaussian_blur", "sigma": 2.0},))
+        chain = chain_steps({"steps": [{"step": "gaussian_blur", "sigma": 2.0}]})
         rng = np.random.default_rng(1)
         plain = dataset_mean_rapsd(rapsd(img, nbins=8) for img in images)
         chained = dataset_mean_rapsd(

@@ -20,7 +20,13 @@ from hypothesis import strategies as st
 
 from xmodal import cli
 from xmodal.cli import DATA_FIELDS, FEATURE_FIELDS, load_train_config, main
-from xmodal.codecsim import STEP_FIELDS, ChainSpec, deadzone_quantize_block, video_codec_simulate
+from xmodal.codecsim import (
+    STEP_FIELDS,
+    chain_steps,
+    deadzone_quantize_block,
+    load_chain,
+    video_codec_simulate,
+)
 from xmodal.core import (
     MANIFEST_FIELDS,
     Field,
@@ -176,7 +182,7 @@ def test_manifest_lines(tmp_path_factory, doc):
 @given(name=st.sampled_from(sorted(STEP_FIELDS)), data=st.data())
 def test_chain_steps(name, data):
     doc = data.draw(document(STEP_FIELDS[name]))
-    returns_or_input_error(ChainSpec.from_json, json.dumps({"steps": [{"step": name, **doc}]}))
+    returns_or_input_error(chain_steps, {"steps": [{"step": name, **doc}]})
 
 
 def input_error_text(call, *args, **kwargs):
@@ -196,8 +202,7 @@ def test_codec_settings_have_one_checker(data):
     settings_ = {field.key: data.draw(st.one_of(valid_value(field),
                                                 st.sampled_from(WRONG + past_bounds(field))))
                  for field in STEP_FIELDS["video_codec"]}
-    chain_error = input_error_text(
-        ChainSpec.from_json, json.dumps({"steps": [{"step": "video_codec", **settings_}]}))
+    chain_error = input_error_text(chain_steps, {"steps": [{"step": "video_codec", **settings_}]})
     for name, call, arg in (
         ("deadzone_quantize_block", deadzone_quantize_block, np.zeros((8, 8))),
         ("video_codec_simulate", video_codec_simulate, textured_image(seed=0, h=8, w=8)),
@@ -206,6 +211,24 @@ def test_codec_settings_have_one_checker(data):
         assert (error is None) == (chain_error is None), (name, error, chain_error)
         if error is not None:  # the same words, after each one's prefix
             assert error == f"{name}: " + chain_error.split("'video_codec': ", 1)[1]
+
+
+@PROPERTY
+@given(names=st.lists(st.sampled_from(sorted(STEP_FIELDS)), min_size=1, max_size=3),
+       data=st.data())
+def test_chain_file_and_code_share_one_checker(tmp_path_factory, names, data):
+    steps = [{"step": name, **data.draw(document(STEP_FIELDS[name]))} for name in names]
+    doc = data.draw(st.sampled_from([{"steps": steps}, {"steps": steps, "zz_unknown": 1},
+                                     {"steps": []}, {"steps": steps[0]}, steps]))
+    path = tmp_path_factory.mktemp("chain") / "chain.json"
+    path.write_text(json.dumps(doc))
+    file_error = input_error_text(load_chain, path)
+    code_error = input_error_text(chain_steps, doc)
+    assert (file_error is None) == (code_error is None), (file_error, code_error)
+    if code_error is None:  # the same steps
+        assert load_chain(path) == chain_steps(doc)
+    else:  # the same words, after the file's path
+        assert file_error == f"{path}: {code_error}"
 
 
 @PROPERTY
@@ -296,7 +319,7 @@ def test_bulk_reader_agrees_with_the_row_check_on_large_integers(base, offset, a
 def test_raw_bytes(tmp_path_factory, blob):
     path = tmp_path_factory.mktemp("b") / "in.json"
     path.write_bytes(blob)
-    for load in (load_train_config, load_checkpoint, cli.load_feature_file, ChainSpec.load,
+    for load in (load_train_config, load_checkpoint, cli.load_feature_file, load_chain,
                  parse_manifest):
         returns_or_input_error(load, path)
 
@@ -313,7 +336,8 @@ COMMANDS = [*(["analyze", kind, "--manifest", "m", "--out", "o"]
 def flag_rows(command) -> tuple:
     """The rows of ``command``'s numeric options, its kind's ``--bins`` included."""
     bins = cli.BINS.get(command[1])
-    return cli.FLAG_FIELDS[command[0]] + ((bins[1],) if bins else ())
+    numeric = tuple(row for row in cli.FLAG_FIELDS[command[0]] if row.kind in ("int", "number"))
+    return numeric + ((bins[1],) if bins else ())
 
 
 @pytest.fixture

@@ -19,12 +19,12 @@ from scipy.special import expit
 from xmodal import cli, cmsupcon, forensics
 from xmodal.codecsim import (
     STEP_FIELDS,
-    ChainSpec,
     _DCT,
     _KERNELS,
     _reconstruct,
     _shifted_coeffs,
     apply_chain,
+    chain_steps,
     deadzone_quantize_block,
     jpeg_simulate,
     quant_table_from_quality,
@@ -369,7 +369,7 @@ def test_chain_equals_its_public_functions_in_turn(channels):
     # kernel, with a fresh generator: no other step draws from the chain's
     jitter = {"step": "color_jitter", "brightness": (0.8, 1.2), "contrast": (0.7, 1.3),
               "saturation": (0.5, 1.5)}
-    chain = ChainSpec([
+    chain = chain_steps({"steps": [
         {"step": "motion_blur", "length": 5, "angle_deg": 30.0},
         {"step": "gaussian_blur", "sigma": 1.2},
         {"step": "resize", "shorter_side": 40},
@@ -378,8 +378,8 @@ def test_chain_equals_its_public_functions_in_turn(channels):
         {"step": "tv_range_squeeze"},
         jitter,
         {"step": "quantize_8bit"},
-    ])
-    assert [step["step"] for step in chain.steps] == list(STEP_FIELDS)
+    ]})
+    assert [step["step"] for step in chain] == list(STEP_FIELDS)
     img = frame(24, channels, 53, 77)
     out = apply_chain(img, chain, np.random.default_rng(5))
     expected = motion_blur(img, 5, 30.0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from xmodal.cmsupcon import LossVariant, binary_cross_entropy, contrastive_loss
-from xmodal.errors import InputError, NumericalError
+from xmodal.errors import InputError
 from xmodal.trainer import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -532,13 +532,18 @@ class TestTrainLoop:
             train(model, data, empty, config)
 
     @pytest.mark.parametrize("split", [0, 1], ids=["training", "validation"])
-    @pytest.mark.parametrize("fault, error", [
-        ("nan-row", NumericalError), ("inf-row", NumericalError), ("lengths", InputError),
-        ("label-2", InputError), ("modality-2", InputError), ("width", InputError),
+    @pytest.mark.parametrize("fault, words", [
+        ("nan-row", "feature row 2 holds a non-finite value"),
+        ("inf-row", "feature row 2 holds a non-finite value"),
+        ("lengths", "set has 8 feature rows, 7 labels and 8 modalities"),
+        ("label-2", "labels and modalities must be 0 or 1"),
+        ("modality-2", "labels and modalities must be 0 or 1"),
+        ("width", "features have shape (8, 1), model expects (n, 2)"),
     ])
-    def test_inputs_checked_once_on_entry(self, split, fault, error):
+    def test_inputs_checked_once_on_entry(self, split, fault, words):
         # a FeatureDataset checks nothing itself: train checks its shapes and
-        # codes, and a non-finite feature trips the loop's finiteness guard
+        # codes, and a non-finite feature, once it trips the loop's finiteness
+        # guard, is named by its split and row
         x, y, m = (a.copy() for a in separable_dataset(9, n=8))
         if fault == "nan-row":
             x[2, 1] = np.nan
@@ -558,10 +563,11 @@ class TestTrainLoop:
         model = ToyModel.init(2, config["hidden_dim"], config["feature_dim"],
                               np.random.default_rng(0))
         result = None
-        with warnings.catch_warnings(), pytest.raises(error):
+        with warnings.catch_warnings(), pytest.raises(InputError) as err:
             warnings.simplefilter("ignore", RuntimeWarning)  # arithmetic on inf and nan
             result = train(model, *datasets, config)
         assert result is None
+        assert str(err.value) == f"{('training', 'validation')[split]} {words}"
 
     def test_lists_train_as_their_arrays(self):
         data = separable_dataset(9, n=8)
