@@ -36,7 +36,7 @@ from .core import (
     csv_text,
     describe,
     iter_samples,
-    load_image,
+    load_codes,
     load_luma,
     parse_manifest,
     read_json,
@@ -74,7 +74,8 @@ def _flags(args: argparse.Namespace) -> dict:
             if key not in ("command", "func", "usage_error")}
 
 
-def _seeded_chain(img: ImageBuffer, chain: tuple, seed: int, sample_id: str) -> ImageBuffer:
+def _seeded_chain(img: ImageBuffer | np.ndarray, chain: tuple, seed: int,
+                  sample_id: str) -> ImageBuffer:
     """``img`` through the ``chain`` steps, drawing from a generator seeded per sample id."""
     from . import codecsim
 
@@ -86,7 +87,10 @@ def _seeded_chain(img: ImageBuffer, chain: tuple, seed: int, sample_id: str) -> 
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _KEEP_FREED_BYTES = 1 << 30
-_HEAP_ARRAY_BYTES = 32 << 20  # the largest mmap threshold glibc accepts on 64-bit
+# The largest mmap threshold glibc accepts on 64-bit: a 3-channel float64 frame
+# above about 1.4 Mpixel. A chain builds one only when its leading channel-wise
+# run is empty or keeps the frame's size; that run goes a plane at a time.
+_HEAP_ARRAY_BYTES = 32 << 20
 
 
 def _keep_freed_heap() -> None:
@@ -120,18 +124,19 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     records = parse_manifest(args.manifest)[: args.limit]
     kind = args.kind
     inputs = {"manifest": Path(args.manifest)}
-    # every kind reduces luma, so without a chain (which needs RGB) frames are
-    # decoded straight to luma, and spectrum decodes only its window
+    # every kind reduces luma, so without a chain (which needs every channel)
+    # frames are decoded straight to luma, and spectrum decodes only its window;
+    # a chain starts from the frame's 8-bit codes
     chain = None
     loader = load_luma
     if args.chain:
         chain = codecsim.load_chain(args.chain)
         inputs["chain"] = Path(args.chain)
-        loader = load_image
+        loader = load_codes
     elif kind == "spectrum":
         loader = functools.partial(load_luma, size=args.size)
 
-    def per_sample(rec: Mapping, img: ImageBuffer):
+    def per_sample(rec: Mapping, img: ImageBuffer | np.ndarray):
         if chain is not None:
             img = _seeded_chain(img, chain, args.seed, rec["id"])
         if kind == "dct":
@@ -251,8 +256,8 @@ def cmd_degrade(args: argparse.Namespace) -> int:
     position = {rec["id"]: i for i, rec in enumerate(records)}
     _keep_freed_heap()
 
-    def degrade_one(rec: Mapping, img: ImageBuffer) -> dict:
-        degraded = _seeded_chain(img, chain, args.seed, rec["id"])
+    def degrade_one(rec: Mapping, codes: np.ndarray) -> dict:
+        degraded = _seeded_chain(codes, chain, args.seed, rec["id"])
         ext = "pgm" if degraded.channels == 1 else "ppm"
         out_path = out_dir / f"{position[rec['id']]:06d}_{_safe_filename(rec['id'])}.{ext}"
         save_image(degraded, out_path)
@@ -261,7 +266,8 @@ def cmd_degrade(args: argparse.Namespace) -> int:
     failed: list[tuple[str, str]] = []
     try:
         new_records = tuple(
-            successes(iter_samples(records, degrade_one, args.threads), failed, "degradation")
+            successes(iter_samples(records, degrade_one, args.threads, load_codes), failed,
+                      "degradation")
         )
     except InputError:
         if created is not None:

@@ -7,9 +7,10 @@ uniform deadzone quantizer whose plain-number ``qstep`` and ``deadzone`` the
 A chain composes them with the pixel primitives into a blur -> resize ->
 codec -> color pipeline: chain_steps checks a chain document once, into a
 tuple of read-only step documents, and apply_chain runs the steps' plane
-kernels on raw (c, h, w) planes and checks the result once, at the end. The
-codecs walk a frame in bands of whole block rows, all channels at once, so a
-band stays in L2 from colour conversion to the 8-bit snap, with the same bits.
+kernels on raw (c, h, w) planes, from an image or a frame's 8-bit codes, and
+checks the result once, at the end. The codecs walk a frame in bands of
+whole block rows, all channels at once, so a band stays in L2 from colour
+conversion to the 8-bit snap, with the same bits.
 
 The simulators are approximations: no entropy coding, no chroma
 subsampling, no inter-frame prediction. HEIF/WebP-style compression is
@@ -338,6 +339,10 @@ _KERNELS = {
         data, *[float(rng.uniform(*step[key])) for key in _JITTER_KEYS]),
     "quantize_8bit": lambda data, step, rng: _quantize_8bit(data),
 }
+# The steps whose kernels work on each channel alone, drawing nothing from the
+# generator: run on one plane at a time, they give the whole frame's bits.
+CHANNELWISE = frozenset({"motion_blur", "gaussian_blur", "resize", "video_codec",
+                         "quantize_8bit"})
 
 
 def chain_steps(doc, where: str | Path = "") -> tuple[Mapping, ...]:
@@ -373,19 +378,37 @@ def load_chain(path: str | Path) -> tuple[Mapping, ...]:
     return chain_steps(read_json(path), path)
 
 
-def apply_chain(img: ImageBuffer, steps: Sequence[Mapping],
+def apply_chain(img: ImageBuffer | np.ndarray, steps: Sequence[Mapping],
                 rng: np.random.Generator) -> ImageBuffer:
     """Apply the steps ``chain_steps`` returns, in order; randomized steps draw from rng.
 
-    The steps pass raw (c, h, w) float64 planes from one plane kernel to the
+    ``img`` is an image, or a frame's (c, h, w) uint8 codes as
+    ``core.load_codes`` returns them. Codes go through the chain's leading run
+    of CHANNELWISE steps one plane at a time, each plane divided by 255 as
+    ``load_image`` does, so only the run's result is ever a whole float64
+    frame; the bits are those of the chain of ``load_image``'s image. The
+    steps pass raw (c, h, w) float64 planes from one plane kernel to the
     next; only the result is checked, once, as it becomes an image.
     """
     if not all(isinstance(step, MappingProxyType) for step in steps):
         raise InputError("apply_chain: steps must be those chain_steps returns")
-    data = img.data
+    if isinstance(img, ImageBuffer):
+        data = img.data
+    else:
+        lead = next((i for i, step in enumerate(steps) if step["step"] not in CHANNELWISE),
+                    len(steps))
+        data = None
+        for c, codes in enumerate(img):
+            plane = np.divide(codes, 255.0)[None]
+            for step in steps[:lead]:
+                plane = _KERNELS[step["step"]](plane, step, rng)
+            if data is None:
+                data = np.empty((len(img), *plane.shape[1:]))
+            data[c] = plane[0]
+        steps = steps[lead:]
     for step in steps:
         data = _KERNELS[step["step"]](data, step, rng)
-    return _as_image(img, data)
+    return _as_image(img, data) if isinstance(img, ImageBuffer) else ImageBuffer(data)
 
 
 def derive_sample_seed(master_seed: int, sample_id: str) -> int:

@@ -391,12 +391,13 @@ def _read_pnm_header(blob: bytes, path: Path) -> tuple[bytes, int, int, int, int
     return magic, width, height, maxval, pos
 
 
-def _read_pnm(path: Path) -> np.ndarray:
+def load_codes(path: str | Path) -> np.ndarray:
     """Read a binary PGM (P5) or PPM (P6) file with maxval 255.
 
-    Returns its codes as a (channels, height, width) uint8 view; P6's
-    interleaved RGB is returned planar.
+    Returns its codes as a read-only (channels, height, width) uint8 view of
+    the file's bytes; P6's interleaved RGB is returned planar.
     """
+    path = Path(path)
     if not path.is_file():
         raise InputError(f"image not found: {path}")
     blob = path.read_bytes()
@@ -407,12 +408,9 @@ def _read_pnm(path: Path) -> np.ndarray:
         raise InputError(f"{path}: bad dimensions {width}x{height}")
     channels = 1 if magic == b"P5" else 3
     expected = width * height * channels
-    payload = blob[offset : offset + expected]
-    if len(payload) < expected:
-        raise InputError(
-            f"{path}: expected {expected} payload bytes, got {len(payload)}"
-        )
-    raw = np.frombuffer(payload, dtype=np.uint8)
+    if len(blob) - offset < expected:
+        raise InputError(f"{path}: expected {expected} payload bytes, got {len(blob) - offset}")
+    raw = np.frombuffer(blob, np.uint8, count=expected, offset=offset)
     if channels == 1:
         return raw.reshape(1, height, width)
     return raw.reshape(height, width, 3).transpose(2, 0, 1)
@@ -424,7 +422,7 @@ def load_image(path: str | Path) -> ImageBuffer:
     Pixel value u maps to u/255; P6 payload is interleaved RGB and is
     returned planar.
     """
-    planar = _read_pnm(Path(path))
+    planar = load_codes(path)
     data = np.empty(planar.shape)
     np.divide(planar, 255.0, out=data)
     return ImageBuffer(data)
@@ -452,7 +450,7 @@ def load_luma(path: str | Path, size: Optional[int] = None) -> ImageBuffer:
     building the RGB planes. With ``size``, only the ``_fit_to_square`` window
     of the codes is converted.
     """
-    codes = _read_pnm(Path(path))
+    codes = load_codes(path)
     if size is not None:
         codes = _fit_to_square(codes, size)
     luma = np.empty((1,) + codes.shape[1:])
@@ -507,12 +505,12 @@ IN_FLIGHT_PER_THREAD = 2
 
 def iter_samples(
     records: Iterable[Mapping],
-    fn: Callable[[Mapping, ImageBuffer], T],
+    fn: Callable[[Mapping, ImageBuffer | np.ndarray], T],
     threads: int = 1,
-    loader: Callable[[str], ImageBuffer] = load_image,
+    loader: Callable[[str], ImageBuffer | np.ndarray] = load_image,
 ) -> Iterator[tuple[Mapping, Union[T, Exception]]]:
-    """Load each manifest record's ``path``, apply ``fn(record, image)``, yield in
-    record order.
+    """Load each manifest record's ``path`` with ``loader``, apply
+    ``fn(record, loaded)``, yield in record order.
 
     This is the one per-sample corpus loop. A sample whose loading or ``fn``
     raises XmodalError or OSError is yielded as ``(record, exception)``

@@ -18,6 +18,7 @@ from xmodal.core import (
     Modality,
     check_fields,
     iter_samples,
+    load_codes,
     load_image,
     parse_json,
     parse_manifest,
@@ -265,6 +266,14 @@ class TestImageIO:
         path.write_bytes(b"P6\n4 4\n255\n" + bytes(10))
         with pytest.raises(InputError, match="expected 48 payload bytes, got 10"):
             load_image(path)
+
+    def test_codes_are_the_planar_payload(self, tmp_path):
+        path = tmp_path / "t.ppm"
+        path.write_bytes(b"P6\n2 1\n255\n" + bytes([1, 2, 3, 4, 5, 6]) + b"past the payload")
+        codes = load_codes(str(path))
+        assert codes.dtype == np.uint8 and not codes.flags.writeable
+        assert codes.tolist() == [[[1, 4]], [[2, 5]], [[3, 6]]]
+        assert np.array_equal(load_image(path).data, codes / 255.0)
 
     def test_unsupported_magic(self, tmp_path):
         path = tmp_path / "t.pbm"

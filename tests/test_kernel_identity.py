@@ -6,10 +6,13 @@ called SciPy, keep those SciPy calls as theirs, and the block DCT keeps its
 einsum form. Every comparison is ``np.array_equal`` on seeded random frames,
 at odd sizes, with 1 and 3 channels. The one exception is ``rapsd``'s power:
 it sums the real-input half spectrum where ``ref_rapsd`` sums the full
-``fft2`` plane, so it is held to ``RAPSD_RTOL`` per bin instead.
+``fft2`` plane, so it is held to ``RAPSD_RTOL`` per bin instead. A chain
+from a frame's 8-bit codes, which runs its channel-wise steps a plane at a
+time, is held to the same bytes as the chain from the frame's image.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from scipy.special import expit
 
 from xmodal import cli, cmsupcon, forensics
 from xmodal.codecsim import (
+    CHANNELWISE,
     STEP_FIELDS,
     _DCT,
     _KERNELS,
@@ -33,7 +37,8 @@ from xmodal.codecsim import (
     video_codec_simulate,
 )
 from xmodal.cmsupcon import bce_grad
-from xmodal.core import ImageBuffer, _fit_to_square, load_image, load_luma, save_image
+from xmodal.core import (ImageBuffer, _fit_to_square, load_codes, load_image, load_luma,
+                         save_image)
 from xmodal.errors import InputError
 from xmodal.forensics import dct_ac_histogram, luminance_histogram, rapsd
 from xmodal.pixelops import (
@@ -389,6 +394,91 @@ def test_chain_equals_its_public_functions_in_turn(channels):
     expected = ImageBuffer(_KERNELS["color_jitter"](expected.data, jitter,
                                                     np.random.default_rng(5)))
     assert np.array_equal(out.data, quantize_8bit(expected).data)
+
+
+@pytest.mark.parametrize("h, w", BAND_FRAMES)
+@pytest.mark.parametrize("channels", [1, 3])
+def test_channelwise_steps_one_plane_at_a_time(h, w, channels):
+    # the steps apply_chain runs a plane at a time on a frame's codes
+    steps = chain_steps({"steps": [
+        {"step": "motion_blur", "length": 5, "angle_deg": 30.0},
+        {"step": "gaussian_blur", "sigma": 1.2},
+        {"step": "resize", "shorter_side": min(h, w) * 2 // 3},
+        {"step": "video_codec", "qstep": 16.0, "deadzone": 0.5},
+        {"step": "quantize_8bit"},
+    ]})
+    assert {step["step"] for step in steps} == CHANNELWISE
+    data = frame(25, channels, h, w).data
+    for step in steps:
+        kernel = _KERNELS[step["step"]]
+        whole = np.ascontiguousarray(kernel(data, step, None))
+        planes = np.stack([kernel(plane[None], step, None)[0] for plane in data])
+        assert np.array_equal(planes.view(np.int64), whole.view(np.int64)), step["step"]
+
+
+CANONICAL_CHAIN = {"steps": [
+    {"step": "motion_blur", "length": 5, "angle_deg": 0.0},
+    {"step": "resize", "shorter_side": 256},
+    {"step": "jpeg", "quality": 75},
+    {"step": "video_codec", "qstep": 16.0, "deadzone": 0.5},
+]}
+EVERY_STEP_CHAIN = {"steps": [
+    {"step": "motion_blur", "length": 4, "angle_deg": 30.0},
+    {"step": "gaussian_blur", "sigma": 1.3},
+    {"step": "resize", "shorter_side": 100},
+    {"step": "video_codec", "qstep": 9.0, "deadzone": 0.2},
+    {"step": "quantize_8bit"},
+    {"step": "jpeg", "quality": 50},
+    {"step": "tv_range_squeeze"},
+    {"step": "color_jitter", "brightness": [0.8, 1.2], "saturation": [0.5, 1.5]},
+    {"step": "quantize_8bit"},
+]}
+
+
+@pytest.mark.parametrize("channels, doc", [
+    (3, CANONICAL_CHAIN),
+    (3, EVERY_STEP_CHAIN),
+    (3, {"steps": [{"step": "jpeg", "quality": 60}, {"step": "gaussian_blur", "sigma": 0.7}]}),
+    (3, {"steps": [{"step": "color_jitter", "contrast": [0.5, 1.5]}, {"step": "resize",
+                                                                       "shorter_side": 90}]}),
+    (1, CANONICAL_CHAIN),
+    (1, EVERY_STEP_CHAIN),
+], ids=["canonical", "every-step", "jpeg-first", "jitter-first", "p5-canonical", "p5-every-step"])
+def test_chain_of_the_codes_is_the_chain_of_the_image(tmp_path, channels, doc):
+    path = tmp_path / ("f.ppm" if channels == 3 else "f.pgm")
+    save_image(codes_frame(26, channels, 360, 640), path)
+    steps = chain_steps(doc)
+    expected = apply_chain(load_image(path), steps, np.random.default_rng(7))
+    out = apply_chain(load_codes(path), steps, np.random.default_rng(7))
+    assert out.data.tobytes() == expected.data.tobytes()
+
+
+def test_chain_of_the_codes_never_holds_a_float_frame(tmp_path):
+    path = tmp_path / "f.ppm"
+    save_image(codes_frame(27, 3, 360, 640), path)
+    steps = chain_steps(CANONICAL_CHAIN)
+    apply_chain(load_codes(path), steps, np.random.default_rng(0))  # fills the table caches
+    tracemalloc.start()
+    try:
+        apply_chain(load_codes(path), steps, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a float64 RGB frame of the source is 5.5 MB; the whole-frame chain
+    # of load_image's planes peaks near three of them
+    assert peak < 2.5 * 3 * 360 * 640 * 8
+
+
+def test_chain_that_changes_nothing_returns_its_image(tmp_path):
+    path = tmp_path / "f.ppm"
+    save_image(codes_frame(28, 3, 37, 53), path)
+    steps = chain_steps({"steps": [{"step": "motion_blur", "length": 1},
+                                   {"step": "gaussian_blur", "sigma": 0},
+                                   {"step": "resize", "shorter_side": 37}]})
+    img = load_image(path)
+    assert apply_chain(img, steps, np.random.default_rng(0)) is img
+    out = apply_chain(load_codes(path), steps, np.random.default_rng(0))
+    assert out.data.tobytes() == img.data.tobytes()
 
 
 # the BAND_FRAMES sizes, smaller and larger, give outputs of several row bands
