@@ -16,22 +16,21 @@ __version__ = "0.1.0"
 
 # The public names, by the module that defines them
 _EXPORTS = {
-    "core": ("ImageBuffer", "Label", "Modality", "ScoredPrediction", "load_image",
-             "parse_manifest", "save_image", "write_manifest"),
-    "pixelops": ("ColorRange", "Window", "gaussian_blur", "motion_blur", "quantize_8bit",
-                 "rgb_to_ycbcr", "round_half_away", "shorter_side_resize", "to_luma",
-                 "ycbcr_to_rgb"),
+    "core": ("ImageBuffer", "ScoredPrediction", "load_image", "parse_manifest", "save_image",
+             "write_manifest"),
+    "pixelops": ("gaussian_blur", "motion_blur", "quantize_8bit", "rgb_to_ycbcr",
+                 "round_half_away", "shorter_side_resize", "to_luma", "ycbcr_to_rgb"),
     "codecsim": ("apply_chain", "chain_steps", "dct8x8_forward", "dct8x8_inverse",
                  "derive_sample_seed", "jpeg_simulate", "quant_table_from_quality",
                  "tv_range_squeeze", "video_codec_simulate"),
-    "forensics": ("DctAcResult", "RadialProfile", "TvRangeVerdict", "dataset_mean_rapsd",
-                  "dct_ac_histogram", "detect_tv_range", "luminance_histogram", "rapsd",
-                  "residual_power", "residual_spectrum"),
-    "cmsupcon": ("LossVariant", "contrastive_grad", "contrastive_loss"),
+    "forensics": ("DctAcResult", "RadialProfile", "dataset_mean_rapsd", "dct_ac_histogram",
+                  "detect_tv_range", "luminance_histogram", "rapsd", "residual_power",
+                  "residual_spectrum"),
+    "cmsupcon": ("contrastive_grad", "contrastive_loss"),
     "trainer": ("FeatureDataset", "SyntheticSpec", "ToyModel", "backward", "forward",
                 "generate_synthetic", "load_checkpoint", "mixed_batch_sampler",
                 "optimizer_step", "save_checkpoint", "train", "train_config"),
-    "metrics": ("Aggregation", "FrameScore", "multi_frame_average", "per_subset_report"),
+    "metrics": ("FrameScore", "multi_frame_average", "per_subset_report"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = (*_EXPORTS, "errors", "cli")

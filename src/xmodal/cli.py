@@ -24,14 +24,16 @@ import numpy as np
 
 from . import __version__
 from .core import (
+    AGGREGATIONS,
+    LABELS,
     MAX_SIDE,
     MAX_SIGMA,
+    MODALITIES,
     SEED_ROW,
+    WINDOWS,
     ZERO_EPS,
     Field,
     ImageBuffer,
-    Label,
-    Modality,
     check_fields,
     csv_text,
     describe,
@@ -143,7 +145,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             # a frame too small for one DCT block fails alone, like a bad file
             return forensics.require_dct_block(img)
         if kind == "rapsd":
-            return forensics.rapsd(img, window=forensics.Window(args.window), nbins=args.bins)
+            return forensics.rapsd(img, window=args.window, nbins=args.bins)
         if kind == "spectrum":
             return forensics.residual_power(img, args.sigma, args.size)
         return img
@@ -195,7 +197,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         rows = [(code, int(count)) for code, count in enumerate(counts)]
         verdict, tail_mass, comb_score = forensics.detect_tv_range(counts)
         summary = {
-            "verdict": verdict.value,
+            "verdict": verdict,
             "tail_mass": tail_mass,
             "comb_score": comb_score,
             "total_pixels": int(counts.sum()),
@@ -401,17 +403,17 @@ def _record_name(rec, index: int) -> str:
 
 # the Python types of JSON numbers; bool is neither
 _NUMBER_TYPES = {int, float}
-_LABEL_CODES = {label.value: label.numeric for label in Label}
-_MODALITY_CODES = {modality.value: modality.numeric for modality in Modality}
+_LABEL_CODES = {label: code for code, label in enumerate(LABELS)}
+_MODALITY_CODES = {modality: code for code, modality in enumerate(MODALITIES)}
 
 # One record of a feature file besides its `x`, a list of the model's input
 # width of finite numbers. Keys off the table, such as `id`, pass unchecked.
 FEATURE_FIELDS = (
-    Field("label", "choice", choices=tuple(_LABEL_CODES), required=True),
+    Field("label", "choice", choices=LABELS, required=True),
     Field("subset", "string", required=True),
     Field("video_id", "string", lo=1, null=True),
     Field("frame_index", "int", 0, 2**63 - 1, null=True),
-    Field("modality", "choice", choices=tuple(_MODALITY_CODES), default="image"),
+    Field("modality", "choice", choices=MODALITIES, default="image"),
 )
 # training also reads every record's modality
 TRAINING_FIELDS = (*FEATURE_FIELDS[:-1], dataclasses.replace(FEATURE_FIELDS[-1], required=True))
@@ -515,16 +517,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         model, config["feature_layer"], records, args.frames, args.features
     )
     inputs = {"checkpoint": Path(args.checkpoint), "features": Path(args.features)}
-    report = metrics.subset_report(scores, labels, subsets, args.threshold,
-                                   metrics.Aggregation(args.aggregation))
+    report = metrics.subset_report(scores, labels, subsets, args.threshold, args.aggregation)
     rows = [*report["subsets"], report["mean_over_subsets"], report["overall_pooled"]]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.csv").write_text(
         csv_text(metrics.REPORT_COLUMNS, [row.values() for row in rows]), encoding="utf-8")
     _write_json(out_dir / "report.json", report)
-    headline = "overall_pooled" if args.aggregation == "overall" else "mean_over_subsets"
-    config_doc = {**_flags(args), "headline_acc": report[headline]["acc"]}
+    headline = report[metrics.HEADLINE_ROWS[args.aggregation]]
+    config_doc = {**_flags(args), "headline_acc": headline["acc"]}
     _write_run_manifest(out_dir, "evaluate", config_doc, inputs)
     return 0
 
@@ -551,7 +552,7 @@ FLAG_FIELDS = {
     "analyze": (_MANIFEST, _OUT, _LIMIT, _SEED, _THREADS,
                 Field("range", "number", ZERO_EPS, MAX_RANGE, ends="(]", default=64.0,
                       help="dct: half-width of the coefficient histogram"),
-                Field("window", "choice", choices=("none", "hann"), default="none"),
+                Field("window", "choice", choices=WINDOWS, default="none"),
                 Field("chain", "string",
                       help="degradation chain applied to every frame before analysis"),
                 Field("sigma", "number", 0, MAX_SIGMA, ends="(]", default=1.0,
@@ -564,8 +565,7 @@ FLAG_FIELDS = {
                                   help="override the seed in the config file")),
     "evaluate": (Field("checkpoint", "string", required=True),
                  Field("features", "string", required=True), _OUT,
-                 Field("aggregation", "choice", choices=("subset-mean", "overall"),
-                       default="subset-mean"),
+                 Field("aggregation", "choice", choices=AGGREGATIONS, default="subset-mean"),
                  Field("frames", "int", 1, default=1,
                        help="frames per video for logit averaging"),
                  Field("threshold", "number", default=0.5), _LIMIT),

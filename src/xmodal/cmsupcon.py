@@ -11,22 +11,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 import numpy as np
 
+from .core import check_choice
 from .errors import InputError
 
 DEFAULT_TAU = 0.07
 DEFAULT_LAMBDA = 0.05
+# the objective's positives: opposite-modality same-label samples, or every same-label one
+VARIANTS = ("cross_modal", "vanilla")
 
+# A feature row of at most this norm is dead: the kernel raises on it, and the
+# trainer's contrastive term leaves it out.
 _NORM_FLOOR = 1e-12
-
-
-class LossVariant(Enum):
-    CROSS_MODAL = "cross_modal"
-    VANILLA = "vanilla"
 
 
 def _row_norms(z: np.ndarray) -> np.ndarray:
@@ -123,25 +122,25 @@ def _check_batch(z, y, m, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return z, y, m
 
 
-def contrastive_loss(
-    z, y, m, tau: float = DEFAULT_TAU, variant: LossVariant = LossVariant.CROSS_MODAL
-) -> float:
+def contrastive_loss(z, y, m, tau: float = DEFAULT_TAU, variant: str = "cross_modal") -> float:
     """Supervised contrastive loss of features z with 0/1 labels y and modalities m.
 
-    The cross-modal variant takes as positives only opposite-modality samples of
-    the anchor's label; the vanilla one ignores modality. 0 when no anchor has a
-    positive.
+    ``variant`` is one of VARIANTS. "cross_modal" takes as positives only
+    opposite-modality samples of the anchor's label; "vanilla" ignores
+    modality. 0 when no anchor has a positive.
     """
+    check_choice(variant, "variant", VARIANTS, "contrastive_loss: ")
     z, y, m = _check_batch(z, y, m, tau)
-    return _contrastive(z, _positives(y, m, variant is LossVariant.CROSS_MODAL), tau).loss
+    return _contrastive(z, _positives(y, m, variant == "cross_modal"), tau).loss
 
 
 def contrastive_grad(
-    z, y, m, tau: float = DEFAULT_TAU, variant: LossVariant = LossVariant.CROSS_MODAL
+    z, y, m, tau: float = DEFAULT_TAU, variant: str = "cross_modal"
 ) -> np.ndarray:
     """Gradient of ``contrastive_loss`` w.r.t. the pre-normalization z."""
+    check_choice(variant, "variant", VARIANTS, "contrastive_grad: ")
     z, y, m = _check_batch(z, y, m, tau)
-    return _contrastive(z, _positives(y, m, variant is LossVariant.CROSS_MODAL), tau, True).grad
+    return _contrastive(z, _positives(y, m, variant == "cross_modal"), tau, True).grad
 
 
 def binary_cross_entropy(logits: np.ndarray, targets: np.ndarray) -> float:

@@ -29,11 +29,10 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .core import (MAX_SIDE, MAX_SIGMA, ZERO_EPS, Field, ImageBuffer, check_fields, read_json,
-                   with_defaults)
+from .core import (MAX_SIDE, MAX_SIGMA, ZERO_EPS, Field, ImageBuffer, check_choice, check_fields,
+                   read_json, with_defaults)
 from .errors import InputError
 from .pixelops import (
-    ColorRange,
     _as_image,
     _bands,
     _color_jitter,
@@ -109,10 +108,12 @@ JPEG_CHROMA_BASE = np.array(
     ],
     dtype=np.int64,
 )
+JPEG_CHANNELS = ("luma", "chroma")  # the channels of the two tables
 
 
 def quant_table_from_quality(quality: int, channel: str = "luma") -> np.ndarray:
-    """Scale the standard base table by the reference quality convention.
+    """Scale the standard base table of ``channel``, one of JPEG_CHANNELS, by the
+    reference quality convention.
 
     scale = 5000/Q for Q < 50, else 200 - 2Q;
     entry = clamp(floor((base*scale + 50)/100), 1, 255). The table is a
@@ -120,8 +121,7 @@ def quant_table_from_quality(quality: int, channel: str = "luma") -> np.ndarray:
     """
     if not 1 <= quality <= 100:
         raise InputError(f"quality must lie in [1, 100], got {quality}")
-    if channel not in ("luma", "chroma"):
-        raise ValueError(f"channel must be 'luma' or 'chroma', got {channel!r}")
+    check_choice(channel, "channel", JPEG_CHANNELS, "quant_table_from_quality: ")
     base = JPEG_LUMA_BASE if channel == "luma" else JPEG_CHROMA_BASE
     scale = 5000 // quality if quality < 50 else 200 - 2 * quality
     table = np.clip((base * scale + 50) // 100, 1, 255)
@@ -244,13 +244,13 @@ def _jpeg_simulate(data: np.ndarray, quality: int, quantize_output: bool = True)
     # a band of whole block rows, all channels, from colour conversion to the snap
     for rows in _bands(h, w, BLOCK):
         src, dst = data[:, rows], out[:, rows]
-        coeffs = _shifted_coeffs(_rgb_to_ycbcr(src, ColorRange.FULL) if c == 3 else src, offsets)
+        coeffs = _shifted_coeffs(_rgb_to_ycbcr(src, "full") if c == 3 else src, offsets)
         coeffs /= tables
         _round_half_away_inplace(coeffs)
         coeffs *= tables
         _reconstruct(coeffs, offsets, dst)
         if c == 3:
-            _ycbcr_to_rgb(dst, ColorRange.FULL, dst)
+            _ycbcr_to_rgb(dst, "full", dst)
         else:
             np.clip(dst, 0.0, 1.0, out=dst)
         if quantize_output:
@@ -293,8 +293,8 @@ def tv_range_squeeze(img: ImageBuffer) -> ImageBuffer:
 
 def _tv_range_squeeze(data: np.ndarray) -> np.ndarray:
     if data.shape[0] == 3:
-        limited = _quantize_8bit(_rgb_to_ycbcr(data, ColorRange.LIMITED))
-        return _quantize_8bit(_ycbcr_to_rgb(limited, ColorRange.LIMITED))
+        limited = _quantize_8bit(_rgb_to_ycbcr(data, "limited"))
+        return _quantize_8bit(_ycbcr_to_rgb(limited, "limited"))
     y = np.clip(data, 0.0, 1.0)
     y = round_half_away(((16.0 + 219.0 * y) / 255.0) * 255.0) / 255.0
     y = np.clip((255.0 * y - 16.0) / 219.0, 0.0, 1.0)

@@ -19,7 +19,6 @@ import sys
 import threading
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar, Union
@@ -32,28 +31,6 @@ from .errors import InputError, NumericalError, XmodalError
 KR = 0.299
 KG = 0.587
 KB = 0.114
-
-
-class Modality(Enum):
-    """Input modality of a sample. Numeric codes: image=0, video=1."""
-
-    IMAGE = "image"
-    VIDEO = "video"
-
-    @property
-    def numeric(self) -> int:
-        return 0 if self is Modality.IMAGE else 1
-
-
-class Label(Enum):
-    """Ground-truth class of a sample. Numeric codes: real=0, fake=1."""
-
-    REAL = "real"
-    FAKE = "fake"
-
-    @property
-    def numeric(self) -> int:
-        return 0 if self is Label.REAL else 1
 
 
 @dataclass(frozen=True)
@@ -99,12 +76,13 @@ class ScoredPrediction:
     """Probability-of-fake score paired with ground truth, for evaluation."""
 
     score: float
-    label: Label
+    label: str  # one of LABELS
     subset: str
 
     def __post_init__(self):
         if not (0.0 <= self.score <= 1.0):
             raise ValueError(f"score must lie in [0, 1], got {self.score}")
+        check_choice(self.label, "label", LABELS, "ScoredPrediction: ")
 
 
 # --- input files: one reader, one field checker ------------------------------
@@ -197,6 +175,12 @@ MAX_SIGMA = (MAX_SIDE - 1) // 6
 ZERO_EPS = 1e-6  # |coefficient| below this counts as an exact post-quantization zero
 # a training seed: `train` in a config file and a checkpoint, and `train --seed`
 SEED_ROW = Field("seed", "int", 0, default=0)
+# The values of the choices that the CLI's rows and the library share. A label's
+# or a modality's code is its index here: real 0, fake 1; image 0, video 1.
+LABELS = ("real", "fake")
+MODALITIES = ("image", "video")
+WINDOWS = ("none", "hann")  # rapsd's window
+AGGREGATIONS = ("subset-mean", "overall")  # the headline of an evaluation report
 
 
 def describe(field: Field) -> str:
@@ -278,6 +262,13 @@ def check_fields(doc, table: Sequence[Field], where: str, prefix: str = "",
     return doc
 
 
+def check_choice(value, key: str, choices: tuple, where: str) -> None:
+    """Raise InputError, in ``check_fields``' words naming ``where`` and ``key``,
+    unless ``value`` is one of ``choices``."""
+    if value not in choices:
+        check_fields({key: value}, (Field(key, "choice", choices=choices),), where)
+
+
 def with_defaults(doc: dict, table: Sequence[Field]) -> dict:
     """A checked ``doc`` with every key of ``table`` in table order: an absent
     key takes its field's default, and a list becomes a tuple."""
@@ -292,8 +283,8 @@ def with_defaults(doc: dict, table: Sequence[Field]) -> dict:
 MANIFEST_FIELDS = (
     Field("id", "string", lo=1, required=True),
     Field("path", "string", required=True),
-    Field("label", "choice", choices=tuple(label.value for label in Label), required=True),
-    Field("modality", "choice", choices=tuple(m.value for m in Modality), required=True),
+    Field("label", "choice", choices=LABELS, required=True),
+    Field("modality", "choice", choices=MODALITIES, required=True),
     Field("subset", "string", lo=1, required=True),
     Field("frame_index", "int", 0),
     Field("frame_count", "int", 1),

@@ -17,15 +17,14 @@ again: the program computed them.
 from __future__ import annotations
 
 import functools
-from enum import Enum
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .codecsim import BLOCK, _shifted_coeffs
-from .core import ZERO_EPS, ImageBuffer, _fit_to_square
+from .core import WINDOWS, ZERO_EPS, ImageBuffer, _fit_to_square, check_choice
 from .errors import InputError
-from .pixelops import Window, gaussian_blur, to_luma
+from .pixelops import gaussian_blur, to_luma
 
 
 class DctAcResult(NamedTuple):
@@ -93,12 +92,10 @@ def dct_ac_histogram(
     return DctAcResult(edges, counts, n_zero / total_ac, total_ac)
 
 
-def rapsd(
-    img: ImageBuffer, window: Window = Window.NONE, nbins: int = 32
-) -> RadialProfile:
+def rapsd(img: ImageBuffer, window: str = "none", nbins: int = 32) -> RadialProfile:
     """Radially averaged power spectral density of the luma plane.
 
-    Mean-subtracted, optionally Hann-windowed; power = |FFT|^2 / (W*H),
+    Mean-subtracted, then windowed by ``window``, one of WINDOWS; power = |FFT|^2 / (W*H),
     binned by normalized radial frequency into nbins equal-width bins over
     (0, 0.5]. DC and corner frequencies beyond 0.5 are excluded.
 
@@ -107,6 +104,7 @@ def rapsd(
     ``_radial_bins``). The counts equal the full plane's exactly; the power
     matches the full-plane form to about 1e-14 relative, not bit for bit.
     """
+    check_choice(window, "window", WINDOWS, "rapsd: ")
     if img.height < 16 or img.width < 16:
         raise InputError(
             f"rapsd needs at least 16x16 pixels, got {img.width}x{img.height}"
@@ -115,7 +113,7 @@ def rapsd(
         raise ValueError("nbins must be >= 1")
     plane = _luma_plane(img)
     plane = plane - plane.mean()
-    if window is Window.HANN:
+    if window == "hann":
         plane = plane * _hann_window(img.height, img.width)
     spectrum = np.fft.rfft2(plane)
     power = (spectrum.real**2 + spectrum.imag**2) / (img.width * img.height)
@@ -194,19 +192,14 @@ def luminance_histogram(images: Iterable[ImageBuffer]) -> np.ndarray:
     return counts
 
 
-class TvRangeVerdict(Enum):
-    FULL = "full"
-    LIMITED = "limited"
-    INDETERMINATE = "indeterminate"
-
-
 TAIL_FULL_THRESHOLD = 0.01
 COMB_THRESHOLD = 0.02
 
 
-def detect_tv_range(counts: np.ndarray) -> tuple[TvRangeVerdict, float, float]:
+def detect_tv_range(counts: np.ndarray) -> tuple[str, float, float]:
     """Classify the 256 counts of a luma histogram as full range, limited, or
-    unclear, returning ``(verdict, tail_mass, comb_score)``.
+    unclear, returning ``(verdict, tail_mass, comb_score)`` with the verdict
+    "full", "limited" or "indeterminate".
 
     tail_mass is the mass at codes [0,15] and [236,255]. comb_score is the
     fraction of empty bins inside the central mass window (5th..95th mass
@@ -236,11 +229,11 @@ def detect_tv_range(counts: np.ndarray) -> tuple[TvRangeVerdict, float, float]:
     else:
         comb_score = 0.0
     if comb_score > COMB_THRESHOLD:
-        verdict = TvRangeVerdict.LIMITED
+        verdict = "limited"
     elif tail_mass > TAIL_FULL_THRESHOLD:
-        verdict = TvRangeVerdict.FULL
+        verdict = "full"
     else:
-        verdict = TvRangeVerdict.INDETERMINATE
+        verdict = "indeterminate"
     return verdict, tail_mass, comb_score
 
 

@@ -11,12 +11,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Label, ScoredPrediction
+from .core import AGGREGATIONS, LABELS, ScoredPrediction, check_choice
 from .errors import InputError, NumericalError
 
 DEFAULT_THRESHOLD = 0.5
@@ -26,7 +25,7 @@ def _scores_labels(preds: Sequence[ScoredPrediction]) -> tuple[np.ndarray, np.nd
     if not preds:
         raise InputError("need at least one prediction")
     scores = np.asarray([p.score for p in preds], dtype=np.float64)
-    labels = np.asarray([p.label.numeric for p in preds], dtype=np.int8)
+    labels = np.asarray([LABELS.index(p.label) for p in preds], dtype=np.int8)
     return scores, labels
 
 
@@ -77,11 +76,8 @@ def _precision_recall_f1(tp: int, fp: int, fn: int, tn: int) -> tuple[float, flo
     return float(precision), float(recall), float(f1)
 
 
-class Aggregation(Enum):
-    MEAN_OVER_SUBSETS = "subset-mean"
-    OVERALL_POOLED = "overall"
-
-
+# The report row that each headline aggregation reads
+HEADLINE_ROWS = dict(zip(AGGREGATIONS, ("mean_over_subsets", "overall_pooled")))
 # The columns of report.csv, and the keys of each row of report.json
 REPORT_COLUMNS = ("subset", "n_real", "n_fake", "acc", "balanced_acc", "ap", "precision",
                   "recall", "f1")
@@ -111,9 +107,10 @@ def _mean_or_none(values: list[Optional[float]], what: str) -> Optional[float]:
 def per_subset_report(
     preds: Sequence[ScoredPrediction],
     threshold: float = DEFAULT_THRESHOLD,
-    headline: Aggregation = Aggregation.MEAN_OVER_SUBSETS,
+    headline: str = "subset-mean",
 ) -> dict:
     """``subset_report`` of a list of predictions: the same report document."""
+    check_choice(headline, "headline", AGGREGATIONS, "per_subset_report: ")
     return subset_report(*_scores_labels(preds), [p.subset for p in preds], threshold, headline)
 
 
@@ -122,18 +119,20 @@ def subset_report(
     labels: np.ndarray,
     subsets: Sequence[str],
     threshold: float,
-    headline: Aggregation,
+    headline: str,
 ) -> dict:
     """The report document of predictions in columns: float64 scores in [0, 1],
     int8 label codes (real 0, fake 1) and each one's subset name.
 
     ``report.json`` is this document. It holds the ``threshold``, the
-    ``headline`` aggregation's value, one row per subset in name order under
-    ``subsets``, and the ``mean_over_subsets`` and ``overall_pooled`` rows. A
+    ``headline`` aggregation, one of AGGREGATIONS, one row per subset in name
+    order under ``subsets``, and the ``mean_over_subsets`` and
+    ``overall_pooled`` rows; HEADLINE_ROWS names the row the headline reads. A
     row maps REPORT_COLUMNS, in order, to its values, and ``report.csv`` lists
     the rows in that order; a metric that a row's classes leave undefined is
     None, and the subset mean leaves it out, with a warning.
     """
+    check_choice(headline, "headline", AGGREGATIONS, "subset_report: ")
     if len(scores) == 0:
         raise InputError("need at least one prediction")
     names = sorted(set(subsets))
@@ -156,7 +155,7 @@ def subset_report(
     }
     return {
         "threshold": threshold,
-        "headline": headline.value,
+        "headline": headline,
         "subsets": rows,
         "mean_over_subsets": mean_row,
         "overall_pooled": _subset_row("overall_pooled", scores, labels, threshold),
@@ -172,7 +171,7 @@ class FrameScore:
 
     video_id: str
     frame_index: int
-    label: Label
+    label: str  # one of LABELS
     subset: str
     logit: float
 

@@ -10,22 +10,14 @@ All functions are pure; rounding everywhere is half-away-from-zero.
 from __future__ import annotations
 
 import math
-from enum import Enum
 
 import numpy as np
 
-from .core import KB, KG, KR, ImageBuffer
+from .core import KB, KG, KR, ImageBuffer, check_choice
 from .errors import InputError
 
-
-class ColorRange(Enum):
-    FULL = "full"
-    LIMITED = "limited"  # 8-bit luma codes 16..235, chroma 16..240
-
-
-class Window(Enum):
-    NONE = "none"
-    HANN = "hann"
+# "limited" is 8-bit TV range: luma codes 16..235, chroma 16..240
+COLOR_RANGES = ("full", "limited")
 
 
 def round_half_away(x: np.ndarray | float) -> np.ndarray:
@@ -57,17 +49,18 @@ def _as_image(img: ImageBuffer, data: np.ndarray) -> ImageBuffer:
     return img if data is img.data else ImageBuffer(data)
 
 
-def rgb_to_ycbcr(img: ImageBuffer, color_range: ColorRange = ColorRange.FULL) -> ImageBuffer:
+def rgb_to_ycbcr(img: ImageBuffer, color_range: str = "full") -> ImageBuffer:
     """BT.601 RGB -> YCbCr; neutral gray maps to Cb = Cr = 0.5.
 
-    Limited range applies the 8-bit affine maps Y' = (16 + 219*Y)/255 and
-    C' = (128 + 224*(C - 0.5))/255, so limited luma stays within
-    [16/255, 235/255]. Output clamped to [0, 1].
+    ``color_range`` is one of COLOR_RANGES. "limited" applies the 8-bit affine
+    maps Y' = (16 + 219*Y)/255 and C' = (128 + 224*(C - 0.5))/255, so limited
+    luma stays within [16/255, 235/255]. Output clamped to [0, 1].
     """
+    check_choice(color_range, "color_range", COLOR_RANGES, "rgb_to_ycbcr: ")
     return _as_image(img, _rgb_to_ycbcr(img.data, color_range))
 
 
-def _rgb_to_ycbcr(data: np.ndarray, color_range: ColorRange) -> np.ndarray:
+def _rgb_to_ycbcr(data: np.ndarray, color_range: str) -> np.ndarray:
     if data.shape[0] != 3:
         raise InputError(f"expected 3 channels, got {data.shape[0]}")
     out = np.clip(data, 0.0, 1.0)
@@ -79,7 +72,7 @@ def _rgb_to_ycbcr(data: np.ndarray, color_range: ColorRange) -> np.ndarray:
         plane *= scale
         plane += 0.5
     out[0] = y
-    if color_range is ColorRange.LIMITED:
+    if color_range == "limited":
         out[0] *= 219.0
         out[0] += 16.0
         out[1:] -= 0.5
@@ -89,18 +82,19 @@ def _rgb_to_ycbcr(data: np.ndarray, color_range: ColorRange) -> np.ndarray:
     return np.clip(out, 0.0, 1.0, out=out)
 
 
-def ycbcr_to_rgb(img: ImageBuffer, color_range: ColorRange = ColorRange.FULL) -> ImageBuffer:
+def ycbcr_to_rgb(img: ImageBuffer, color_range: str = "full") -> ImageBuffer:
     """Exact algebraic inverse of rgb_to_ycbcr, then clamped to [0, 1]."""
+    check_choice(color_range, "color_range", COLOR_RANGES, "ycbcr_to_rgb: ")
     return _as_image(img, _ycbcr_to_rgb(img.data, color_range))
 
 
-def _ycbcr_to_rgb(data: np.ndarray, color_range: ColorRange, out=None) -> np.ndarray:
+def _ycbcr_to_rgb(data: np.ndarray, color_range: str, out=None) -> np.ndarray:
     """ycbcr_to_rgb's planes, written into ``out``, which may be ``data``."""
     if data.shape[0] != 3:
         raise InputError(f"expected 3 channels, got {data.shape[0]}")
     out = np.empty_like(data) if out is None else out
     y, cb, cr = data
-    if color_range is ColorRange.LIMITED:
+    if color_range == "limited":
         # limited-to-full affine maps into ``out``, which then holds Y, Cb, Cr
         np.multiply(data, 255.0, out=out)
         out[0] -= 16.0

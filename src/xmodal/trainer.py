@@ -22,15 +22,17 @@ from typing import Mapping, NamedTuple, Optional, Union
 import numpy as np
 
 from .cmsupcon import (
+    _NORM_FLOOR,
     DEFAULT_LAMBDA,
     DEFAULT_TAU,
-    LossVariant,
+    VARIANTS,
     _contrastive,
     _positives,
     bce_grad,
     binary_cross_entropy,
 )
-from .core import SEED_ROW, Field, Label, Modality, check_fields, read_json, with_defaults
+from .core import (MODALITIES, SEED_ROW, Field, check_choice, check_fields, read_json,
+                   with_defaults)
 from .errors import InputError, NumericalError
 
 CHECKPOINT_FORMAT = "xmodal-checkpoint"
@@ -113,7 +115,9 @@ class ForwardResult(NamedTuple):
 def forward(
     model: Params, x: np.ndarray, feature_layer: str = "projection"
 ) -> ForwardResult:
-    """Batched forward pass; z is the contrastive feature (pre-normalization)."""
+    """Batched forward pass; z is the contrastive feature (pre-normalization),
+    taken from ``feature_layer``, one of FEATURE_LAYERS."""
+    check_choice(feature_layer, "feature_layer", FEATURE_LAYERS, "forward: ")
     p = _param_arrays(model)
     x = np.asarray(x, dtype=np.float64)
     d_in = p["w1"].shape[0]
@@ -121,35 +125,28 @@ def forward(
         raise InputError(f"expected input (n, {d_in}), got {x.shape}")
     pre = x @ p["w1"] + p["b1"]
     h = np.maximum(pre, 0.0)
-    if feature_layer == "projection":
-        z = h @ p["wp"]
-    elif feature_layer == "hidden":
-        z = h
-    else:
-        raise ValueError(f"unknown feature_layer {feature_layer!r}")
+    z = h @ p["wp"] if feature_layer == "projection" else h
     logits = h @ p["wc"] + p["bc"][0]
     return ForwardResult(logits=logits, z=z, h=h, pre_activation=pre)
 
 
-_LIVE_NORM = 1e-12  # rows below this are dead (all-ReLU-off) and sit out the CM term
-
-
 def _live_rows(z: np.ndarray) -> np.ndarray:
-    return np.flatnonzero(np.linalg.norm(z, axis=1) > _LIVE_NORM)
+    return np.flatnonzero(np.linalg.norm(z, axis=1) > _NORM_FLOOR)
 
 
 def contrastive_term(
-    z: np.ndarray, y: np.ndarray, m: np.ndarray, tau: float, variant: LossVariant,
+    z: np.ndarray, y: np.ndarray, m: np.ndarray, tau: float, variant: str,
     positives: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> float:
     """Contrastive loss over the live-feature subbatch (dead rows excluded).
-    ``positives``, if given, is ``_positives`` of all of y and m."""
+    ``variant`` is one of VARIANTS; ``positives``, if given, is ``_positives``
+    of all of y and m."""
+    check_choice(variant, "variant", VARIANTS, "contrastive_term: ")
     live = _live_rows(z)
     if live.size < 2:
         return 0.0
     if positives is None:
-        cross_modal = variant is LossVariant.CROSS_MODAL
-        positives = _positives(np.asarray(y)[live], np.asarray(m)[live], cross_modal)
+        positives = _positives(np.asarray(y)[live], np.asarray(m)[live], variant == "cross_modal")
     elif live.size < len(z):
         mask = positives[0][np.ix_(live, live)]
         positives = mask, mask.sum(axis=1)
@@ -158,12 +155,12 @@ def contrastive_term(
 
 def backward(
     model: Params, x: np.ndarray, targets: np.ndarray, lam: float, tau: float,
-    modalities: np.ndarray, feature_layer: str = "projection",
-    variant: LossVariant = LossVariant.CROSS_MODAL,
+    modalities: np.ndarray, feature_layer: str = "projection", variant: str = "cross_modal",
     grads: Optional[dict[str, np.ndarray]] = None, steps: Optional[list] = None,
 ) -> dict[str, np.ndarray]:
     """Analytic gradients of the joint objective w.r.t. every parameter,
-    written into ``grads`` when it is given, else into new arrays.
+    written into ``grads`` when it is given, else into new arrays. ``variant``
+    is one of VARIANTS.
 
     The contrastive path is skipped entirely when lam == 0 so a pure-BCE
     run is bit-identical to setting lam to zero, and after the dead-row
@@ -172,6 +169,7 @@ def backward(
     out the contrastive term. When ``steps`` is given, the batch's (logits,
     contrastive loss, valid anchors, dead rows) are appended to it.
     """
+    check_choice(variant, "variant", VARIANTS, "backward: ")
     p = _param_arrays(model)
     x = np.asarray(x, dtype=np.float64)
     out = forward(p, x, feature_layer)
@@ -188,8 +186,7 @@ def backward(
     if lam > 0:
         live = _live_rows(out.z)
         dead = len(out.z) - live.size
-        cross_modal = variant is LossVariant.CROSS_MODAL
-        positives = _positives(targets[live], modalities[live], cross_modal)
+        positives = _positives(targets[live], modalities[live], variant == "cross_modal")
         if positives[1].any():
             term = _contrastive(out.z[live], positives, tau, True)
             cm, valid = term.loss, term.valid.size
@@ -303,10 +300,12 @@ class FeatureDataset(NamedTuple):
     y: np.ndarray
     m: np.ndarray
 
-    def restrict_modality(self, modality: Modality) -> "FeatureDataset":
-        keep = self.m == modality.numeric
+    def restrict_modality(self, modality: str) -> "FeatureDataset":
+        """The rows of ``modality``, one of MODALITIES."""
+        check_choice(modality, "modality", MODALITIES, "restrict_modality: ")
+        keep = self.m == MODALITIES.index(modality)
         if not keep.any():
-            raise InputError(f"no {modality.value} samples to restrict to")
+            raise InputError(f"no {modality} samples to restrict to")
         return FeatureDataset(self.x[keep], self.y[keep], self.m[keep])
 
 
@@ -321,6 +320,7 @@ MAX_WIDTH = 1 << 10
 # feature comes from: 'hidden' binds the alignment to the representation the
 # classifier reads, which is what makes the cross-modal term effective at this
 # scale; 'projection' routes it through the separate head instead.
+FEATURE_LAYERS = ("projection", "hidden")
 TRAIN_FIELDS = (
     Field("epochs", "int", 1, default=150),
     # a batch mixes both modalities while both pools last, with or without the
@@ -332,9 +332,8 @@ TRAIN_FIELDS = (
     Field("patience", "int", 0, default=20),
     Field("lr", "number", 0, ends="(]", default=1e-3),
     Field("weight_decay", "number", 0, default=0.01),
-    Field("feature_layer", "choice", choices=("projection", "hidden"), default="hidden"),
-    Field("variant", "choice", choices=tuple(v.value for v in LossVariant),
-          default=LossVariant.CROSS_MODAL.value),
+    Field("feature_layer", "choice", choices=FEATURE_LAYERS, default="hidden"),
+    Field("variant", "choice", choices=VARIANTS, default="cross_modal"),
     Field("hidden_dim", "int", 1, MAX_WIDTH, default=16),
     Field("feature_dim", "int", 1, MAX_WIDTH, default=8),
 )
@@ -376,7 +375,7 @@ class TrainResult(NamedTuple):
 def _stats_inputs(data: FeatureDataset, config: Mapping) -> tuple:
     """The dataset and, when the contrastive term is on, its positives: what
     ``_dataset_stats`` needs of a dataset that no epoch changes."""
-    cross_modal = LossVariant(config["variant"]) is LossVariant.CROSS_MODAL
+    cross_modal = config["variant"] == "cross_modal"
     return data, _positives(data.y, data.m, cross_modal) if config["lambda"] > 0 else None
 
 
@@ -392,8 +391,7 @@ def _dataset_stats(model: Params, inputs: tuple, config: Mapping) -> tuple[float
     out = forward(model, data.x, config["feature_layer"])
     cm = 0.0
     if config["lambda"] > 0:
-        cm = contrastive_term(out.z, data.y, data.m, config["tau"],
-                              LossVariant(config["variant"]), positives)
+        cm = contrastive_term(out.z, data.y, data.m, config["tau"], config["variant"], positives)
     return _loss_stats(out.logits, data.y, cm, config["lambda"])
 
 
@@ -443,7 +441,6 @@ def train(
             raise InputError(f"{name} labels and modalities must be 0 or 1")
     rng = np.random.default_rng(config["seed"])
     lam, tau, layer = config["lambda"], config["tau"], config["feature_layer"]
-    variant = LossVariant(config["variant"])
     shapes = {name: arr.shape for name, arr in model.params().items()}
     theta = np.concatenate([arr.ravel() for arr in model.params().values()])
     grad, m, v, *work = np.zeros((5, theta.size))  # work: AdamW's two scratch vectors
@@ -462,7 +459,7 @@ def train(
         steps, norm_sum = [], 0.0
         for idx in batches:
             backward(params, train_data.x[idx], train_y[idx], lam, tau, train_data.m[idx],
-                     layer, variant, grads, steps)
+                     layer, config["variant"], grads, steps)
             norm_sum += math.sqrt(grad @ grad)
             step += 1
             optimizer_step(theta, grad, m, v, step, config["lr"], config["weight_decay"], work)
@@ -506,12 +503,9 @@ def train(
 
 # --- synthetic cross-modal data -------------------------------------------------
 
-GROUP_ORDER: tuple[tuple[Label, Modality], ...] = (
-    (Label.REAL, Modality.IMAGE),
-    (Label.FAKE, Modality.IMAGE),
-    (Label.REAL, Modality.VIDEO),
-    (Label.FAKE, Modality.VIDEO),
-)
+# the (label, modality) codes of the four groups: real image, fake image, real
+# video, fake video
+GROUP_ORDER = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
 # The memory budget of a split: each epoch computes n x n float64 statistics
@@ -592,15 +586,14 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticData:
     else:
         shift[:] = spec.video_shift
     means = np.zeros((4, spec.dim))
-    for g, (label, modality) in enumerate(GROUP_ORDER):
-        sign = 1.0 if label is Label.FAKE else -1.0
+    for g, (fake, video) in enumerate(GROUP_ORDER):
+        sign = 1.0 if fake else -1.0
         means[g, 0] = sign * spec.signal_sep / 2.0
-        if modality is Modality.IMAGE:
-            means[g, 1] = sign * spec.shortcut_sep / 2.0
-        else:
+        if video:
             means[g] += shift
-    codes = np.array([(label.numeric, modality.numeric) for label, modality in GROUP_ORDER],
-                     dtype=np.int8)
+        else:
+            means[g, 1] = sign * spec.shortcut_sep / 2.0
+    codes = np.array(GROUP_ORDER, dtype=np.int8)
     rng = np.random.default_rng(spec.seed)
     splits = []
     for counts in (spec.train_counts, spec.val_counts, spec.test_counts):

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from xmodal.cli import main as cli_main
-from xmodal.cmsupcon import LossVariant, contrastive_grad, contrastive_loss
+from xmodal.cmsupcon import contrastive_grad, contrastive_loss
 from xmodal.codecsim import (
     JPEG_CHROMA_BASE,
     JPEG_LUMA_BASE,
@@ -28,15 +28,14 @@ from xmodal.codecsim import (
     tv_range_squeeze,
     video_codec_simulate,
 )
-from xmodal.core import ImageBuffer, Modality, save_image
+from xmodal.core import ImageBuffer, save_image
 from xmodal.forensics import (
-    TvRangeVerdict,
     dct_ac_histogram,
     detect_tv_range,
     luminance_histogram,
     rapsd,
 )
-from xmodal.metrics import Aggregation, subset_report
+from xmodal.metrics import subset_report
 from xmodal.pixelops import gaussian_blur, quantize_8bit
 from xmodal.trainer import (
     SyntheticSpec,
@@ -174,7 +173,7 @@ def test_criterion_2_loss_semantics():
         m = np.array([0, 1, 0, 1])
         tau = float(rng.choice([0.07, 0.5, 1.0]))
         a = contrastive_loss(z, y, m, tau)
-        b = contrastive_loss(z, y, m, tau, LossVariant.VANILLA)
+        b = contrastive_loss(z, y, m, tau, "vanilla")
         assert abs(a - b) <= 1e-12
 
     # hand-derived n=3 example
@@ -198,8 +197,8 @@ def test_criterion_3_bidirectional_gain():
     for seed in range(5):
         spec = SyntheticSpec.default(seed=seed)
         data = generate_synthetic(spec)
-        img_train = data.train.restrict_modality(Modality.IMAGE)
-        img_val = data.val.restrict_modality(Modality.IMAGE)
+        img_train = data.train.restrict_modality("image")
+        img_val = data.val.restrict_modality("image")
         runs = {}
         for name, (tr, va, lam) in {
             "image_only": (img_train, img_val, 0.0),
@@ -328,8 +327,8 @@ def test_criterion_6_tv_range():
         img = _varied_full_range_image(i)
         verdict_orig, _, _ = detect_tv_range(luminance_histogram([img]))
         verdict_sq, _, _ = detect_tv_range(luminance_histogram([tv_range_squeeze(img)]))
-        assert verdict_orig is TvRangeVerdict.FULL, f"image {i} original misread"
-        assert verdict_sq is TvRangeVerdict.LIMITED, f"image {i} squeezed misread"
+        assert verdict_orig == "full", f"image {i} original misread"
+        assert verdict_sq == "limited", f"image {i} squeezed misread"
     ramp = ImageBuffer(np.tile(np.arange(256) / 255.0, (16, 1))[None])
     counts = luminance_histogram([tv_range_squeeze(ramp)])
     assert np.count_nonzero(counts[16:236] == 0) >= 1
@@ -368,7 +367,7 @@ def _oracle_ap(scores, labels):
 def _pooled_row(scores, labels):
     """The ``overall_pooled`` row of the report on one subset, at threshold 0.5."""
     report = subset_report(np.array(scores), np.array(labels, dtype=np.int8), ["s"] * len(scores),
-                           0.5, Aggregation.MEAN_OVER_SUBSETS)
+                           0.5, "subset-mean")
     return report["overall_pooled"]
 
 

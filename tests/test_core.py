@@ -13,9 +13,9 @@ from xmodal.codecsim import apply_chain, chain_steps
 from xmodal.core import (
     IN_FLIGHT_PER_THREAD,
     MANIFEST_FIELDS,
+    LABELS,
+    MODALITIES,
     ImageBuffer,
-    Label,
-    Modality,
     check_fields,
     iter_samples,
     load_codes,
@@ -35,22 +35,17 @@ from conftest import write_manifest_file
 VALID = {"id": "a", "path": "a.ppm", "label": "real", "modality": "image", "subset": "s"}
 
 
-class TestEnums:
+class TestLabelsAndModalities:
     def test_serialized_strings(self):
-        assert Modality.IMAGE.value == "image"
-        assert Modality.VIDEO.value == "video"
-        assert Label.REAL.value == "real"
-        assert Label.FAKE.value == "fake"
-
-    def test_numeric_codes(self):
-        assert (Modality.IMAGE.numeric, Modality.VIDEO.numeric) == (0, 1)
-        assert (Label.REAL.numeric, Label.FAKE.numeric) == (0, 1)
+        # in code order: a value's code is its index, real 0, fake 1, image 0, video 1
+        assert LABELS == ("real", "fake")
+        assert MODALITIES == ("image", "video")
 
     def test_round_trip_through_strings(self):
-        # a manifest line's label and modality are exactly the enums' values
+        # a manifest line's label and modality are exactly the shared values
         fields = {field.key: field for field in MANIFEST_FIELDS}
-        assert [Modality(v) for v in fields["modality"].choices] == list(Modality)
-        assert [Label(v) for v in fields["label"].choices] == list(Label)
+        assert fields["modality"].choices == MODALITIES
+        assert fields["label"].choices == LABELS
 
     def test_unknown_strings(self):
         fields = {field.key: field for field in MANIFEST_FIELDS}

@@ -19,10 +19,14 @@ from xmodal.cli import (
     _history_csv,
     build_parser,
 )
-from xmodal.codecsim import MAX_JITTER, MAX_SIDE, MAX_SIGMA, STEP_FIELDS
-from xmodal.core import MANIFEST_FIELDS, PNM_DIGITS, describe
+from xmodal.cmsupcon import VARIANTS
+from xmodal.codecsim import JPEG_CHANNELS, MAX_JITTER, MAX_SIDE, MAX_SIGMA, STEP_FIELDS
+from xmodal.core import (AGGREGATIONS, LABELS, MANIFEST_FIELDS, MODALITIES, PNM_DIGITS, WINDOWS,
+                         describe)
 from xmodal.forensics import ZERO_EPS
+from xmodal.pixelops import COLOR_RANGES
 from xmodal.trainer import (
+    FEATURE_LAYERS,
     MAX_SCALE,
     MAX_SPLIT,
     MAX_WIDTH,
@@ -89,6 +93,15 @@ def test_library_example_imports_public_names():
 
 def test_library_example_runs():
     exec(compile(EXAMPLE, "README.md", "exec"), {})
+
+
+def test_choice_values_match_the_library():
+    listed = re.findall(r'- `(\w+)` \([^)]*\): ((?:"[\w-]+"(?:, )?)+)',
+                        _paragraph("Choice arguments take"))
+    assert {key: tuple(re.findall(r'"([\w-]+)"', values)) for key, values in listed} == {
+        "label": LABELS, "modality": MODALITIES, "variant": VARIANTS,
+        "feature_layer": FEATURE_LAYERS, "window": WINDOWS, "color_range": COLOR_RANGES,
+        "headline": AGGREGATIONS, "channel": JPEG_CHANNELS}
 
 
 def test_size_bounds_match_the_budgets():

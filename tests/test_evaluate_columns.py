@@ -21,8 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xmodal import cli
-from xmodal.core import Label, ScoredPrediction, csv_text
-from xmodal.metrics import Aggregation, _average_precision
+from xmodal.core import LABELS, ScoredPrediction, csv_text
+from xmodal.metrics import _average_precision
 from xmodal.trainer import ToyModel, forward, save_checkpoint, train_config
 
 # --- reference implementations ----------------------------------------------
@@ -32,7 +32,7 @@ from xmodal.trainer import ToyModel, forward, save_checkpoint, train_config
 class RefFrame:
     video_id: str
     frame_index: int
-    label: Label
+    label: str
     subset: str
     logit: float
 
@@ -68,7 +68,7 @@ def ref_score_feature_records(model, feature_layer, records, t, block=cli.SCORE_
             singles.append(RefFrame(
                 video_id=str(rec.get("video_id") or f"__single_{i}"),
                 frame_index=rec.get("frame_index") or 0,
-                label=Label(rec["label"]),
+                label=rec["label"],
                 subset=rec["subset"],
                 logit=logit,
             ))
@@ -99,7 +99,7 @@ def ref_average_precision(scores, labels):
 
 def ref_row(subset, preds, threshold):
     scores = np.asarray([p.score for p in preds], dtype=np.float64)
-    labels = np.asarray([p.label.numeric for p in preds], dtype=np.int8)
+    labels = np.asarray([LABELS.index(p.label) for p in preds], dtype=np.int8)
     predicted = (scores >= threshold).astype(np.int8)
     n_fake = int(labels.sum())
     n_real = len(preds) - n_fake
@@ -145,7 +145,7 @@ def ref_report(preds, threshold, headline):
         recall=float(sum(r["recall"] for r in rows) / len(rows)),
         f1=float(sum(r["f1"] for r in rows) / len(rows)),
     )
-    return {"threshold": threshold, "headline": headline.value, "subsets": rows,
+    return {"threshold": threshold, "headline": headline, "subsets": rows,
             "mean_over_subsets": mean_row,
             "overall_pooled": ref_row("overall_pooled", list(preds), threshold)}
 
@@ -235,8 +235,7 @@ def test_report_bytes_equal_the_per_record_reference(doc, frames, aggregation, t
                        "--threshold", str(threshold)])
         preds = ref_score_feature_records(model, "projection", doc["records"], frames,
                                           block)
-        headline = Aggregation(aggregation)
-        report = ref_report(preds, threshold, headline)
+        report = ref_report(preds, threshold, aggregation)
         cli._write_json(tmp / "ref.json", report)
         assert written["report.json"] == (tmp / "ref.json").read_bytes()
         assert written["report.csv"] == ref_csv(report).encode()
@@ -244,7 +243,7 @@ def test_report_bytes_equal_the_per_record_reference(doc, frames, aggregation, t
         scores, labels, subsets = cli._score_feature_records(
             model, "projection", doc["records"], frames)
         assert np.array_equal(scores, [p.score for p in preds])
-        assert labels.tolist() == [p.label.numeric for p in preds]
+        assert labels.tolist() == [LABELS.index(p.label) for p in preds]
         assert subsets == [p.subset for p in preds]
 
 
@@ -283,5 +282,5 @@ def test_bench_sized_file_scores_equal_the_reference():
         scores, labels, subsets = cli._score_feature_records(
             model, "projection", records, frames)
         assert np.array_equal(scores, [p.score for p in preds])
-        assert labels.tolist() == [p.label.numeric for p in preds]
+        assert labels.tolist() == [LABELS.index(p.label) for p in preds]
         assert subsets == [p.subset for p in preds]

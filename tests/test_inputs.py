@@ -8,40 +8,61 @@ NumericalError to exit 3; anything else is a bug that exits 1 with a traceback.
 The regression cases for single inputs live in ``test_cli.py``.
 """
 
+import ast
 import json
 import math
+import re
 import string
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import xmodal
 from xmodal import cli
 from xmodal.cli import DATA_FIELDS, FEATURE_FIELDS, load_train_config, main
+from xmodal.cmsupcon import VARIANTS, contrastive_grad, contrastive_loss
 from xmodal.codecsim import (
+    JPEG_CHANNELS,
     STEP_FIELDS,
     chain_steps,
     deadzone_quantize_block,
     load_chain,
+    quant_table_from_quality,
     video_codec_simulate,
 )
 from xmodal.core import (
+    AGGREGATIONS,
+    LABELS,
     MANIFEST_FIELDS,
+    MODALITIES,
+    WINDOWS,
     Field,
+    ImageBuffer,
+    ScoredPrediction,
     check_fields,
     parse_manifest,
     save_image,
     write_manifest,
 )
 from xmodal.errors import InputError
+from xmodal.forensics import rapsd
+from xmodal.metrics import per_subset_report, subset_report
+from xmodal.pixelops import COLOR_RANGES, rgb_to_ycbcr, ycbcr_to_rgb
 from xmodal.trainer import (
+    FEATURE_LAYERS,
     PARAM_FIELDS,
     SYNTHETIC_FIELDS,
     TRAIN_FIELDS,
     SyntheticSpec,
     ToyModel,
+    backward,
+    contrastive_term,
+    forward,
+    generate_synthetic,
     load_checkpoint,
     save_checkpoint,
     train_config,
@@ -385,3 +406,90 @@ def test_main_exit_codes(tmp_path_factory, capsys, step, data):
         assert code in (0, 2, 3) and "Traceback" not in err
         if code:
             assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+# --- choices: each set of values is one tuple, checked where a public call takes it ---
+
+Z = np.random.default_rng(0).normal(size=(8, 4))
+Y = np.array([0, 0, 1, 1, 0, 1, 0, 1])
+M = np.array([0, 1, 0, 1, 1, 0, 0, 1])
+MODEL = ToyModel.init(4, 5, 3, np.random.default_rng(0))
+X = np.random.default_rng(1).normal(size=(8, 4))
+IMAGE = ImageBuffer(np.random.default_rng(2).random((3, 32, 32)))
+SCORES = np.array([0.9, 0.2, 0.6, 0.4, 0.7, 0.1])
+CODES = np.array([1, 0, 1, 0, 0, 1], dtype=np.int8)
+SUBSETS = ["a", "a", "a", "b", "b", "b"]
+PREDICTIONS = [ScoredPrediction(s, LABELS[c], u) for s, c, u in zip(SCORES, CODES, SUBSETS)]
+
+# name -> (the call of a choice, the value it is given, the result of that value's
+# branch, the choice's argument and its values). Each result is the one the branch
+# gave when the choices were enum members, called with the member.
+CHOICE_CASES = {
+    "contrastive_loss": (lambda v: contrastive_loss(Z, Y, M, variant=v),
+                         "cross_modal", 7.753138423331565, "variant", VARIANTS),
+    "contrastive_grad": (lambda v: np.abs(contrastive_grad(Z, Y, M, variant=v)).sum(),
+                         "cross_modal", 18.668311412978163, "variant", VARIANTS),
+    "backward": (lambda v: sum(np.abs(g).sum() for g in backward(
+                     MODEL, X, Y, 0.5, 0.07, M, "projection", v).values()),
+                 "cross_modal", 123.47583137831052, "variant", VARIANTS),
+    "contrastive_term": (lambda v: contrastive_term(Z, Y, M, 0.07, v),
+                         "cross_modal", 7.753138423331565, "variant", VARIANTS),
+    "forward": (lambda v: np.abs(forward(MODEL, X, v).z).sum(),
+                "hidden", 9.229062965755936, "feature_layer", FEATURE_LAYERS),
+    "rapsd": (lambda v: rapsd(IMAGE, v, 8).power.sum(),
+              "hann", 0.05321612716001538, "window", WINDOWS),
+    "rgb_to_ycbcr": (lambda v: rgb_to_ycbcr(IMAGE, v).data.sum(),
+                     "limited", 1539.192459756663, "color_range", COLOR_RANGES),
+    "ycbcr_to_rgb": (lambda v: ycbcr_to_rgb(IMAGE, v).data.sum(),
+                     "limited", 1560.0522606922818, "color_range", COLOR_RANGES),
+    "quant_table_from_quality": (lambda v: quant_table_from_quality(50, v).sum(),
+                                 "chroma", 5505, "channel", JPEG_CHANNELS),
+    "subset_report": (lambda v: subset_report(SCORES, CODES, SUBSETS, 0.5, v)["headline"],
+                      "overall", "overall", "headline", AGGREGATIONS),
+    "per_subset_report": (lambda v: per_subset_report(PREDICTIONS, headline=v)["headline"],
+                          "overall", "overall", "headline", AGGREGATIONS),
+    "restrict_modality": (lambda v: generate_synthetic(SyntheticSpec.default()).train
+                          .restrict_modality(v).x.sum(),
+                          "video", 8.075903916641515, "modality", MODALITIES),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHOICE_CASES))
+def test_a_choice_given_as_its_string_takes_the_branch_it_names(name):
+    call, value, result, _, _ = CHOICE_CASES[name]
+    expected = result if isinstance(result, str) else pytest.approx(result, rel=1e-12)
+    assert call(value) == expected
+
+
+@pytest.mark.parametrize("name", sorted(CHOICE_CASES))
+def test_an_off_row_choice_raises_input_error_naming_its_argument(name):
+    call, value, _, key, choices = CHOICE_CASES[name]
+    words = f"{key!r}: must be one of {', '.join(map(repr, choices))}, got {value[:-1]!r}"
+    with pytest.raises(InputError, match=f"^{re.escape(f'{name}: {words}')}$"):
+        call(value[:-1])
+
+
+def test_each_choice_row_reads_the_tuple_the_library_checks():
+    library = {"label": LABELS, "modality": MODALITIES, "window": WINDOWS,
+               "aggregation": AGGREGATIONS, "variant": VARIANTS,
+               "feature_layer": FEATURE_LAYERS}
+    rows = [row for table in (*cli.FLAG_FIELDS.values(), FEATURE_FIELDS, cli.TRAINING_FIELDS,
+                              TRAIN_FIELDS, MANIFEST_FIELDS)
+            for row in table if row.kind == "choice"]
+    assert {row.key for row in rows} == set(library)
+    for row in rows:
+        assert row.choices is library[row.key], row.key
+
+
+def test_no_module_defines_an_enum():
+    found = []
+    for path in sorted(Path(xmodal.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                found += [f"{path.name}: class {node.name}({ast.unparse(base)})"
+                          for base in node.bases if "Enum" in ast.unparse(base)]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [node.module] if isinstance(node, ast.ImportFrom) else [
+                    alias.name for alias in node.names]
+                found += [f"{path.name}: imports enum" for module in modules if module == "enum"]
+    assert not found

@@ -45,8 +45,6 @@ from xmodal.pixelops import (
     KB,
     KG,
     KR,
-    ColorRange,
-    Window,
     _bands,
     gaussian_blur,
     motion_blur,
@@ -77,7 +75,7 @@ def ref_rgb_to_ycbcr(data, color_range):
     y = KR * r + KG * g + KB * b
     cb = (b - y) * (0.5 / (1.0 - KB)) + 0.5
     cr = (r - y) * (0.5 / (1.0 - KR)) + 0.5
-    if color_range is ColorRange.LIMITED:
+    if color_range == "limited":
         y = (16.0 + 219.0 * y) / 255.0
         cb = (128.0 + 224.0 * (cb - 0.5)) / 255.0
         cr = (128.0 + 224.0 * (cr - 0.5)) / 255.0
@@ -86,7 +84,7 @@ def ref_rgb_to_ycbcr(data, color_range):
 
 def ref_ycbcr_to_rgb(data, color_range):
     y, cb, cr = data
-    if color_range is ColorRange.LIMITED:
+    if color_range == "limited":
         y = (255.0 * y - 16.0) / 219.0
         cb = (255.0 * cb - 128.0) / 224.0 + 0.5
         cr = (255.0 * cr - 128.0) / 224.0 + 0.5
@@ -184,7 +182,7 @@ def ref_deadzone_quantize_block(coeffs, qstep, deadzone):
 def ref_jpeg_simulate(data, quality, quantize_output=True):
     was_color = data.shape[0] == 3
     if was_color:
-        ycbcr = ref_rgb_to_ycbcr(data, ColorRange.FULL)
+        ycbcr = ref_rgb_to_ycbcr(data, "full")
         channels = [(ycbcr[0], 128.0), (ycbcr[1], 127.5), (ycbcr[2], 127.5)]
     else:
         channels = [(data[0], 128.0)]
@@ -198,7 +196,7 @@ def ref_jpeg_simulate(data, quality, quantize_output=True):
         rec = np.asarray(ref_quantize_coefficients(coeffs, table), dtype=np.float64) * table
         out_channels.append((ref_blocks_inverse(rec, size) + offset) / 255.0)
     if was_color:
-        result = ref_ycbcr_to_rgb(np.stack(out_channels), ColorRange.FULL)
+        result = ref_ycbcr_to_rgb(np.stack(out_channels), "full")
     else:
         result = np.clip(np.stack(out_channels), 0.0, 1.0)
     return ref_quantize_8bit(result) if quantize_output else result
@@ -214,8 +212,8 @@ def ref_video_codec_simulate(data, qstep, deadzone):
 
 
 def ref_tv_range_squeeze_rgb(data):
-    limited = ref_quantize_8bit(ref_rgb_to_ycbcr(data, ColorRange.LIMITED))
-    return ref_quantize_8bit(ref_ycbcr_to_rgb(limited, ColorRange.LIMITED))
+    limited = ref_quantize_8bit(ref_rgb_to_ycbcr(data, "limited"))
+    return ref_quantize_8bit(ref_ycbcr_to_rgb(limited, "limited"))
 
 
 def ref_luma_codes(luma):
@@ -225,7 +223,7 @@ def ref_luma_codes(luma):
 def ref_rapsd(img, window, nbins):
     plane = ref_to_luma(img.data)[0] if img.channels == 3 else img.data[0]
     plane = plane - plane.mean()
-    if window is Window.HANN:
+    if window == "hann":
         plane = plane * np.outer(np.hanning(img.height), np.hanning(img.width))
     spectrum = np.fft.fft2(plane)
     power = (spectrum.real**2 + spectrum.imag**2) / (img.width * img.height)
@@ -266,7 +264,7 @@ def codes_frame(seed, channels, h, w):
 
 
 @pytest.mark.parametrize("h, w", SIZES)
-@pytest.mark.parametrize("color_range", [ColorRange.FULL, ColorRange.LIMITED])
+@pytest.mark.parametrize("color_range", ["full", "limited"])
 class TestColorConversion:
     def test_rgb_to_ycbcr(self, h, w, color_range):
         img = frame(1, 3, h, w)
@@ -528,7 +526,7 @@ RAPSD_RTOL = 1e-12
 # resolution of every size here, so some bins stay empty
 @pytest.mark.parametrize("h, w", [(37, 53), (16, 16), (64, 96), (17, 16), (16, 17),
                                   (101, 99), (33, 100)])
-@pytest.mark.parametrize("window", [Window.NONE, Window.HANN])
+@pytest.mark.parametrize("window", ["none", "hann"])
 @pytest.mark.parametrize("nbins", [3, 8, 200])
 def test_rapsd_with_cached_bins(h, w, window, nbins):
     for seed in (12, 13):  # the second call reads the cached bin geometry

@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from xmodal.core import Label, ScoredPrediction
+from xmodal.core import ScoredPrediction
 from xmodal.errors import InputError, NumericalError
 from xmodal.metrics import (
     REPORT_COLUMNS,
-    Aggregation,
     FrameScore,
     _accuracy,
     _average_precision,
@@ -25,7 +24,7 @@ from xmodal.metrics import (
 
 def preds(scores, labels, subset="s"):
     return [
-        ScoredPrediction(score=s, label=Label.FAKE if l else Label.REAL, subset=subset)
+        ScoredPrediction(score=s, label="fake" if l else "real", subset=subset)
         for s, l in zip(scores, labels)
     ]
 
@@ -289,12 +288,12 @@ class TestPerSubsetReport:
     def test_headline_selection(self):
         p = preds([0.9, 0.2], [1, 0], subset="a") + preds([0.1, 0.6], [1, 0], subset="b")
         assert per_subset_report(p)["headline"] == "subset-mean"
-        r = per_subset_report(p, headline=Aggregation.OVERALL_POOLED)
+        r = per_subset_report(p, headline="overall")
         assert r["headline"] == "overall"
 
 
 class TestMultiFrameAverage:
-    def frames(self, logits, video_id="v", label=Label.FAKE, subset="s"):
+    def frames(self, logits, video_id="v", label="fake", subset="s"):
         return [
             FrameScore(
                 video_id=video_id,

@@ -5,7 +5,6 @@ import pytest
 
 from xmodal.errors import InputError
 from xmodal.pixelops import (
-    ColorRange,
     gaussian_blur,
     motion_blur,
     motion_blur_kernel,
@@ -30,7 +29,7 @@ class TestRounding:
 
 class TestColorConversion:
     def test_white_full_range(self):
-        yc = rgb_to_ycbcr(constant_rgb(1.0), ColorRange.FULL)
+        yc = rgb_to_ycbcr(constant_rgb(1.0), "full")
         assert yc.data[0, 0, 0] == pytest.approx(1.0, abs=1e-12)
         assert yc.data[1, 0, 0] == pytest.approx(0.5, abs=1e-12)
         assert yc.data[2, 0, 0] == pytest.approx(0.5, abs=1e-12)
@@ -40,22 +39,22 @@ class TestColorConversion:
         assert rgb_to_ycbcr(red).data[0, 0, 0] == pytest.approx(0.299, abs=1e-12)
 
     def test_white_limited_range(self):
-        yc = rgb_to_ycbcr(constant_rgb(1.0), ColorRange.LIMITED)
+        yc = rgb_to_ycbcr(constant_rgb(1.0), "limited")
         assert yc.data[0, 0, 0] == pytest.approx(235 / 255, abs=1e-12)
 
     def test_limited_black_point_inverse(self):
         ycbcr = rgb_image(
             np.full((2, 2), 16 / 255), np.full((2, 2), 128 / 255), np.full((2, 2), 128 / 255)
         )
-        rgb = ycbcr_to_rgb(ycbcr, ColorRange.LIMITED)
+        rgb = ycbcr_to_rgb(ycbcr, "limited")
         assert np.all(np.abs(rgb.data) < 1e-6)
 
     def test_neutral_inverse_full(self):
         ycbcr = rgb_image(np.ones((2, 2)), np.full((2, 2), 0.5), np.full((2, 2), 0.5))
-        rgb = ycbcr_to_rgb(ycbcr, ColorRange.FULL)
+        rgb = ycbcr_to_rgb(ycbcr, "full")
         assert np.allclose(rgb.data, 1.0, atol=1e-12)
 
-    @pytest.mark.parametrize("color_range", [ColorRange.FULL, ColorRange.LIMITED])
+    @pytest.mark.parametrize("color_range", ["full", "limited"])
     def test_round_trip(self, color_range):
         img = noise_image(3, h=9, w=7, channels=3)
         back = ycbcr_to_rgb(rgb_to_ycbcr(img, color_range), color_range)
@@ -64,7 +63,7 @@ class TestColorConversion:
     def test_limited_luma_stays_in_tv_band(self):
         for seed in range(5):
             img = noise_image(seed, h=8, w=8, channels=3, lo=0.0, hi=1.0)
-            y = rgb_to_ycbcr(img, ColorRange.LIMITED).data[0]
+            y = rgb_to_ycbcr(img, "limited").data[0]
             assert y.min() >= 16 / 255 - 1e-12
             assert y.max() <= 235 / 255 + 1e-12
 
