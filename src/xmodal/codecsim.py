@@ -5,12 +5,12 @@ JPEG-style quantizer with read-only 8x8 integer tables, and a video-codec-style
 uniform deadzone quantizer whose plain-number ``qstep`` and ``deadzone`` the
 ``video_codec`` row of STEP_FIELDS checks, once per chain or public call.
 A chain composes them with the pixel primitives into a blur -> resize ->
-codec -> color pipeline: chain_steps checks a chain document once, into a
-tuple of read-only step documents, and apply_chain runs the steps' plane
-kernels on raw (c, h, w) planes, from an image or a frame's 8-bit codes, and
-checks the result once, at the end. The codecs walk a frame in bands of
-whole block rows, all channels at once, so a band stays in L2 from colour
-conversion to the 8-bit snap, with the same bits.
+codec -> color pipeline: chain_steps checks a chain document once, into
+read-only step documents; apply_chain runs their plane kernels on raw (c, h, w)
+planes of an image or a frame's 8-bit codes and checks the result at the end.
+The codecs and motion_blur write over planes the chain allocated, never an
+image's. The codecs walk a frame in bands of whole block rows, all channels
+at once (same bits): a band stays in L2 from colour conversion to the snap.
 
 The simulators are approximations: no entropy coding, no chroma
 subsampling, no inter-frame prediction. HEIF/WebP-style compression is
@@ -33,6 +33,7 @@ from .core import (MAX_SIDE, MAX_SIGMA, ZERO_EPS, Field, ImageBuffer, check_choi
                    read_json, with_defaults)
 from .errors import InputError
 from .pixelops import (
+    BLUR_FIELDS,
     _as_image,
     _bands,
     _color_jitter,
@@ -234,14 +235,14 @@ def jpeg_simulate(
     return _as_image(img, _jpeg_simulate(img.data, quality, quantize_output))
 
 
-def _jpeg_simulate(data: np.ndarray, quality: int, quantize_output: bool = True) -> np.ndarray:
+def _jpeg_simulate(data: np.ndarray, quality: int, quantize_output: bool, out=None) -> np.ndarray:
     # color input goes through full-range YCbCr; chroma is shifted by its
     # neutral so a neutral-gray image has exactly-zero chroma coefficients
     c, h, w = data.shape
     tables = _jpeg_tables(quality, c, -(-w // BLOCK))
     offsets = _YCC_OFFSETS[:c]
-    out = np.empty_like(data)
-    # a band of whole block rows, all channels, from colour conversion to the snap
+    out = np.empty_like(data) if out is None else out
+    # ``out`` may be ``data``: each band of block rows is in its DCT buffer before it is written
     for rows in _bands(h, w, BLOCK):
         src, dst = data[:, rows], out[:, rows]
         coeffs = _shifted_coeffs(_rgb_to_ycbcr(src, "full") if c == 3 else src, offsets)
@@ -271,8 +272,8 @@ def video_codec_simulate(img: ImageBuffer, qstep: float, deadzone: float = 0.0) 
     return _as_image(img, _video_codec_simulate(img.data, qstep, deadzone))
 
 
-def _video_codec_simulate(data: np.ndarray, qstep: float, deadzone: float) -> np.ndarray:
-    out = np.empty_like(data)
+def _video_codec_simulate(data: np.ndarray, qstep: float, deadzone: float, out=None) -> np.ndarray:
+    out = np.empty_like(data) if out is None else out
     for rows in _bands(data.shape[1], data.shape[2], BLOCK):
         coeffs = _deadzone_quantize_inplace(_shifted_coeffs(data[:, rows], 128.0), qstep,
                                             deadzone)
@@ -310,9 +311,7 @@ _JITTER_KEYS = ("brightness", "contrast", "saturation")
 # Each chain step's keys, by the step's name in a chain file. A step that
 # leaves out an optional key takes its default.
 STEP_FIELDS = {
-    "motion_blur": (Field("length", "int", 1, MAX_SIDE, required=True),
-                    Field("angle_deg", "number", default=0.0)),
-    "gaussian_blur": (Field("sigma", "number", 0, MAX_SIGMA, required=True),),
+    **BLUR_FIELDS,
     "resize": (Field("shorter_side", "int", 1, MAX_SIDE, required=True),),
     "jpeg": (Field("quality", "int", 1, 100, required=True),),
     # 8-bit coefficients divided by a qstep of at least ZERO_EPS stay finite
@@ -324,20 +323,21 @@ STEP_FIELDS = {
     "quantize_8bit": (),
 }
 
-# Each chain step's plane kernel, kernel(data, step, rng), by the same names.
-# color_jitter draws its factors in _JITTER_KEYS order, each uniform over its
-# pair, a [1.0, 1.0] pair too.
+# Each chain step's plane kernel, kernel(data, step, rng, out), by the same names;
+# ``out`` is ``data`` where the chain owns it, else None. color_jitter draws its
+# factors in _JITTER_KEYS order, each uniform over its pair, a [1.0, 1.0] pair too.
 _KERNELS = {
-    "motion_blur": lambda data, step, rng: _motion_blur(data, step["length"], step["angle_deg"]),
-    "gaussian_blur": lambda data, step, rng: _gaussian_blur(data, step["sigma"]),
-    "resize": lambda data, step, rng: _shorter_side_resize(data, step["shorter_side"]),
-    "jpeg": lambda data, step, rng: _jpeg_simulate(data, step["quality"]),
-    "video_codec": lambda data, step, rng: _video_codec_simulate(
-        data, step["qstep"], step["deadzone"]),
-    "tv_range_squeeze": lambda data, step, rng: _tv_range_squeeze(data),
-    "color_jitter": lambda data, step, rng: _color_jitter(
+    "motion_blur": lambda data, step, rng, out: _motion_blur(data, step["length"],
+                                                             step["angle_deg"], out),
+    "gaussian_blur": lambda data, step, rng, out: _gaussian_blur(data, step["sigma"]),
+    "resize": lambda data, step, rng, out: _shorter_side_resize(data, step["shorter_side"]),
+    "jpeg": lambda data, step, rng, out: _jpeg_simulate(data, step["quality"], True, out),
+    "video_codec": lambda data, step, rng, out: _video_codec_simulate(
+        data, step["qstep"], step["deadzone"], out),
+    "tv_range_squeeze": lambda data, step, rng, out: _tv_range_squeeze(data),
+    "color_jitter": lambda data, step, rng, out: _color_jitter(
         data, *[float(rng.uniform(*step[key])) for key in _JITTER_KEYS]),
-    "quantize_8bit": lambda data, step, rng: _quantize_8bit(data),
+    "quantize_8bit": lambda data, step, rng, out: _quantize_8bit(data, out),
 }
 # The steps whose kernels work on each channel alone, drawing nothing from the
 # generator: run on one plane at a time, they give the whole frame's bits.
@@ -386,9 +386,9 @@ def apply_chain(img: ImageBuffer | np.ndarray, steps: Sequence[Mapping],
     ``core.load_codes`` returns them. Codes go through the chain's leading run
     of CHANNELWISE steps one plane at a time, each plane divided by 255 as
     ``load_image`` does, so only the run's result is ever a whole float64
-    frame; the bits are those of the chain of ``load_image``'s image. The
-    steps pass raw (c, h, w) float64 planes from one plane kernel to the
-    next; only the result is checked, once, as it becomes an image.
+    frame; the bits are those of the chain of ``load_image``'s image. Plane
+    kernels pass raw (c, h, w) float64 planes on, writing over any the chain
+    allocated, never an image's; the result is checked once, as an image.
     """
     if not all(isinstance(step, MappingProxyType) for step in steps):
         raise InputError("apply_chain: steps must be those chain_steps returns")
@@ -401,13 +401,13 @@ def apply_chain(img: ImageBuffer | np.ndarray, steps: Sequence[Mapping],
         for c, codes in enumerate(img):
             plane = np.divide(codes, 255.0)[None]
             for step in steps[:lead]:
-                plane = _KERNELS[step["step"]](plane, step, rng)
+                plane = _KERNELS[step["step"]](plane, step, rng, plane)
             if data is None:
                 data = np.empty((len(img), *plane.shape[1:]))
             data[c] = plane[0]
         steps = steps[lead:]
     for step in steps:
-        data = _KERNELS[step["step"]](data, step, rng)
+        data = _KERNELS[step["step"]](data, step, rng, data if data.flags.writeable else None)
     return _as_image(img, data) if isinstance(img, ImageBuffer) else ImageBuffer(data)
 
 

@@ -3,8 +3,8 @@
 Color conversion, 8-bit quantization, resize, blur and luma extraction: the
 building blocks the degradation chains and the forensic analyses are
 assembled from. Each public function wraps a private kernel on raw (c, h, w)
-float64 planes, which codecsim.apply_chain calls directly.
-All functions are pure; rounding everywhere is half-away-from-zero.
+float64 planes, which codecsim.apply_chain calls directly. All public
+functions are pure; rounding everywhere is half-away-from-zero.
 """
 
 from __future__ import annotations
@@ -13,11 +13,16 @@ import math
 
 import numpy as np
 
-from .core import KB, KG, KR, ImageBuffer, check_choice
+from .core import (KB, KG, KR, MAX_SIDE, MAX_SIGMA, Field, ImageBuffer, check_choice,
+                   check_fields)
 from .errors import InputError
 
 # "limited" is 8-bit TV range: luma codes 16..235, chroma 16..240
 COLOR_RANGES = ("full", "limited")
+# the blur steps' rows of codecsim.STEP_FIELDS, which the public blur functions check too
+BLUR_FIELDS = {"motion_blur": (Field("length", "int", 1, MAX_SIDE, required=True),
+                               Field("angle_deg", "number", default=0.0)),
+               "gaussian_blur": (Field("sigma", "number", 0, MAX_SIGMA, required=True),)}
 
 
 def round_half_away(x: np.ndarray | float) -> np.ndarray:
@@ -30,7 +35,9 @@ def _round_half_away_inplace(x: np.ndarray) -> np.ndarray:
     mag = np.abs(x, out=np.empty_like(x))  # an array even when ``x`` is 0-d
     mag += 0.5
     np.floor(mag, out=mag)
-    return np.copysign(mag, x, out=x)
+    bits = np.bitwise_and(x.view(np.int64), -1 << 63, out=x.view(np.int64))  # x's sign bit
+    bits |= mag.view(np.int64)  # mag's sign bit is 0, so this is copysign(mag, x), faster
+    return x
 
 
 def _bt601_luma(r: np.ndarray, g: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -215,12 +222,11 @@ def gaussian_blur(img: ImageBuffer, sigma: float) -> ImageBuffer:
     Borders are mirror-reflected (the edge pixel repeats); a plane narrower
     than the kernel radius is reflected back and forth.
     """
+    check_fields({"sigma": sigma}, BLUR_FIELDS["gaussian_blur"], "gaussian_blur: ")
     return _as_image(img, _gaussian_blur(img.data, sigma))
 
 
 def _gaussian_blur(data: np.ndarray, sigma: float) -> np.ndarray:
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
     if sigma == 0:
         return data
     radius = int(math.ceil(3.0 * sigma))
@@ -238,8 +244,8 @@ def motion_blur_kernel(length: int, angle_deg: float) -> np.ndarray:
     L sample points along the line get weight 1/L each; points that
     rasterize to the same pixel accumulate, so the kernel always sums to 1.
     """
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
+    check_fields({"length": length, "angle_deg": angle_deg}, BLUR_FIELDS["motion_blur"],
+                 "motion_blur_kernel: ")
     theta = math.radians(angle_deg)
     dx, dy = math.cos(theta), math.sin(theta)
     offsets = np.arange(length) - (length - 1) / 2.0
@@ -259,10 +265,12 @@ def motion_blur(img: ImageBuffer, length: int, angle_deg: float = 0.0) -> ImageB
     its nonzero taps in raveled order of the flipped kernel, the order
     ndimage.convolve uses, so the two agree bit for bit.
     """
+    check_fields({"length": length, "angle_deg": angle_deg}, BLUR_FIELDS["motion_blur"],
+                 "motion_blur: ")
     return _as_image(img, _motion_blur(img.data, length, angle_deg))
 
 
-def _motion_blur(data: np.ndarray, length: int, angle_deg: float = 0.0) -> np.ndarray:
+def _motion_blur(data: np.ndarray, length: int, angle_deg: float = 0.0, out=None) -> np.ndarray:
     if length == 1:
         return data
     kernel = motion_blur_kernel(length, angle_deg)[::-1, ::-1]
@@ -276,12 +284,12 @@ def _motion_blur(data: np.ndarray, length: int, angle_deg: float = 0.0) -> np.nd
     _, h, w = data.shape
     stride = w + 2 * rx  # of the padded plane's rows
     bands = _bands(h, w)
-    out = np.empty_like(data)
+    out = np.empty_like(data) if out is None else out
     acc, term = np.empty((2, min(h, bands[0].stop) * stride))
-    # One plane at a time, so its padded copy stays in cache while its bands
-    # read it. A band's taps and sums run over whole padded rows as one flat
-    # run, which NumPy streams about 2x faster than (rows, w) views; the
-    # 2*rx sums past each row's end are dropped.
+    # One plane at a time, padded before it is written (so ``out`` may be ``data``),
+    # its padded copy in cache while its bands read it. A band's taps and sums run
+    # over whole padded rows as one flat run, which NumPy streams about 2x faster
+    # than (rows, w) views; the 2*rx sums past each row's end are dropped.
     for plane, dst in zip(data, out):
         flat = np.pad(plane, ((ry, ry), (rx, rx)), mode="symmetric").ravel()
         for band in bands:

@@ -8,6 +8,25 @@ import pytest
 
 from xmodal.core import ImageBuffer, save_image
 
+# the benchmark's chain, and a chain that holds every step type
+CANONICAL_CHAIN = {"steps": [
+    {"step": "motion_blur", "length": 5, "angle_deg": 0.0},
+    {"step": "resize", "shorter_side": 256},
+    {"step": "jpeg", "quality": 75},
+    {"step": "video_codec", "qstep": 16.0, "deadzone": 0.5},
+]}
+EVERY_STEP_CHAIN = {"steps": [
+    {"step": "motion_blur", "length": 4, "angle_deg": 30.0},
+    {"step": "gaussian_blur", "sigma": 1.3},
+    {"step": "resize", "shorter_side": 100},
+    {"step": "video_codec", "qstep": 9.0, "deadzone": 0.2},
+    {"step": "quantize_8bit"},
+    {"step": "jpeg", "quality": 50},
+    {"step": "tv_range_squeeze"},
+    {"step": "color_jitter", "brightness": [0.8, 1.2], "saturation": [0.5, 1.5]},
+    {"step": "quantize_8bit"},
+]}
+
 
 def gray_image(values) -> ImageBuffer:
     """1-channel buffer from a 2-d array."""

@@ -42,7 +42,7 @@ from xmodal.forensics import (
 )
 from xmodal.trainer import TRAIN_FIELDS, ToyModel, save_checkpoint, train_config
 
-from conftest import textured_image, write_chain_file, write_manifest_file
+from conftest import EVERY_STEP_CHAIN, textured_image, write_chain_file, write_manifest_file
 from xmodal.core import save_image
 
 # how an evaluate or train error about a model of input width 6 describes a bad 'x'
@@ -263,6 +263,28 @@ class TestDegrade:
         a = {k: v for k, v in dir_snapshot(serial).items() if k.endswith(".pgm")}
         b = {k: v for k, v in dir_snapshot(threaded).items() if k.endswith(".pgm")}
         assert a == b
+
+    def test_threads_do_not_change_outputs_of_any_step(self, tmp_path):
+        # colour and gray frames through every step type, which the codecs and the
+        # motion blur run over the frame the chain owns
+        entries = []
+        for i in range(6):
+            path = tmp_path / f"f{i}.{'ppm' if i % 2 else 'pgm'}"
+            save_image(textured_image(seed=500 + i, h=36, w=52, channels=3 if i % 2 else 1),
+                       path)
+            entries.append({"id": f"f{i}", "path": str(path), "label": "real",
+                            "modality": "image", "subset": "s"})
+        manifest = write_manifest_file(tmp_path / "m.jsonl", entries)
+        chain = write_chain_file(tmp_path / "chain.json", *EVERY_STEP_CHAIN["steps"])
+        frames = []
+        for threads in (1, 2):
+            out = tmp_path / f"t{threads}"
+            assert run_cli("degrade", "--manifest", manifest, "--chain", chain,
+                           "--out", out, "--seed", 3, "--threads", threads) == 0
+            frames.append({k: v for k, v in dir_snapshot(out).items()
+                           if k.endswith((".ppm", ".pgm"))})
+        assert sorted(Path(k).suffix for k in frames[0]) == [".pgm"] * 3 + [".ppm"] * 3
+        assert frames[0] == frames[1]
 
     @pytest.mark.parametrize("flag", ["--limit", "--threads"])
     def test_non_positive_counts_exit_2(self, corpus, tmp_path, flag):

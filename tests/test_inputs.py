@@ -51,7 +51,8 @@ from xmodal.core import (
 from xmodal.errors import InputError
 from xmodal.forensics import rapsd
 from xmodal.metrics import per_subset_report, subset_report
-from xmodal.pixelops import COLOR_RANGES, rgb_to_ycbcr, ycbcr_to_rgb
+from xmodal.pixelops import (COLOR_RANGES, gaussian_blur, motion_blur, motion_blur_kernel,
+                             rgb_to_ycbcr, ycbcr_to_rgb)
 from xmodal.trainer import (
     FEATURE_LAYERS,
     PARAM_FIELDS,
@@ -232,6 +233,30 @@ def test_codec_settings_have_one_checker(data):
         assert (error is None) == (chain_error is None), (name, error, chain_error)
         if error is not None:  # the same words, after each one's prefix
             assert error == f"{name}: " + chain_error.split("'video_codec': ", 1)[1]
+
+
+# each public blur function, by the chain step whose row it checks
+BLUR_CALLS = {
+    "motion_blur": (
+        ("motion_blur", lambda keys: motion_blur(textured_image(seed=0, h=8, w=8), **keys)),
+        ("motion_blur_kernel", lambda keys: motion_blur_kernel(**keys))),
+    "gaussian_blur": (
+        ("gaussian_blur", lambda keys: gaussian_blur(textured_image(seed=0, h=8, w=8), **keys)),),
+}
+
+
+@pytest.mark.parametrize("step", sorted(BLUR_CALLS))
+def test_blur_settings_have_one_checker(step):
+    small = {field.key: 3 if field.required else field.default for field in STEP_FIELDS[step]}
+    cases = [small] + [{**small, field.key: value} for field in STEP_FIELDS[step]
+                       for value in WRONG + past_bounds(field) + [-1]]
+    for keys in cases:
+        chain_error = input_error_text(chain_steps, {"steps": [{"step": step, **keys}]})
+        for name, call in BLUR_CALLS[step]:
+            error = input_error_text(call, keys)
+            assert (error is None) == (chain_error is None), (name, keys, error, chain_error)
+            if error is not None:  # the same words, after each one's prefix
+                assert error == f"{name}: " + chain_error.split(f"{step!r}: ", 1)[1]
 
 
 @PROPERTY

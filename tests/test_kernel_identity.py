@@ -51,12 +51,13 @@ from xmodal.pixelops import (
     motion_blur_kernel,
     quantize_8bit,
     rgb_to_ycbcr,
+    round_half_away,
     shorter_side_resize,
     to_luma,
     ycbcr_to_rgb,
 )
 
-from conftest import write_manifest_file
+from conftest import CANONICAL_CHAIN, EVERY_STEP_CHAIN, write_manifest_file
 
 # --- reference implementations ----------------------------------------------
 
@@ -390,7 +391,7 @@ def test_chain_equals_its_public_functions_in_turn(channels):
     expected = video_codec_simulate(jpeg_simulate(expected, 60), 12.0, 0.3)
     expected = tv_range_squeeze(expected)
     expected = ImageBuffer(_KERNELS["color_jitter"](expected.data, jitter,
-                                                    np.random.default_rng(5)))
+                                                    np.random.default_rng(5), None))
     assert np.array_equal(out.data, quantize_8bit(expected).data)
 
 
@@ -409,28 +410,11 @@ def test_channelwise_steps_one_plane_at_a_time(h, w, channels):
     data = frame(25, channels, h, w).data
     for step in steps:
         kernel = _KERNELS[step["step"]]
-        whole = np.ascontiguousarray(kernel(data, step, None))
-        planes = np.stack([kernel(plane[None], step, None)[0] for plane in data])
+        whole = np.ascontiguousarray(kernel(data, step, None, None))
+        # each plane a copy the kernel writes over, as in apply_chain's leading run
+        planes = np.stack([kernel(own, step, None, own)[0]
+                           for own in (plane[None].copy() for plane in data)])
         assert np.array_equal(planes.view(np.int64), whole.view(np.int64)), step["step"]
-
-
-CANONICAL_CHAIN = {"steps": [
-    {"step": "motion_blur", "length": 5, "angle_deg": 0.0},
-    {"step": "resize", "shorter_side": 256},
-    {"step": "jpeg", "quality": 75},
-    {"step": "video_codec", "qstep": 16.0, "deadzone": 0.5},
-]}
-EVERY_STEP_CHAIN = {"steps": [
-    {"step": "motion_blur", "length": 4, "angle_deg": 30.0},
-    {"step": "gaussian_blur", "sigma": 1.3},
-    {"step": "resize", "shorter_side": 100},
-    {"step": "video_codec", "qstep": 9.0, "deadzone": 0.2},
-    {"step": "quantize_8bit"},
-    {"step": "jpeg", "quality": 50},
-    {"step": "tv_range_squeeze"},
-    {"step": "color_jitter", "brightness": [0.8, 1.2], "saturation": [0.5, 1.5]},
-    {"step": "quantize_8bit"},
-]}
 
 
 @pytest.mark.parametrize("channels, doc", [
@@ -463,8 +447,9 @@ def test_chain_of_the_codes_never_holds_a_float_frame(tmp_path):
     finally:
         tracemalloc.stop()
     # a float64 RGB frame of the source is 5.5 MB; the whole-frame chain
-    # of load_image's planes peaks near three of them
-    assert peak < 2.5 * 3 * 360 * 640 * 8
+    # of load_image's planes peaks near three of them. The codecs write over
+    # the chain's own frame, so none of them holds a second output frame.
+    assert peak < 1.75 * 3 * 360 * 640 * 8
 
 
 def test_chain_that_changes_nothing_returns_its_image(tmp_path):
@@ -477,6 +462,42 @@ def test_chain_that_changes_nothing_returns_its_image(tmp_path):
     assert apply_chain(img, steps, np.random.default_rng(0)) is img
     out = apply_chain(load_codes(path), steps, np.random.default_rng(0))
     assert out.data.tobytes() == img.data.tobytes()
+
+
+@pytest.mark.parametrize("doc", [CANONICAL_CHAIN, EVERY_STEP_CHAIN], ids=["canonical",
+                                                                          "every-step"])
+@pytest.mark.parametrize("channels", [1, 3])
+def test_chain_never_writes_into_callers_planes(tmp_path, channels, doc):
+    path = tmp_path / ("f.ppm" if channels == 3 else "f.pgm")
+    save_image(codes_frame(29, channels, 90, 150), path)
+    steps = chain_steps(doc)
+    img, codes = load_image(path), load_codes(path)
+    before, codes_before = img.data.tobytes(), codes.tobytes()
+    out = apply_chain(img, steps, np.random.default_rng(0))
+    assert img.data.tobytes() == before
+    assert not np.shares_memory(out.data, img.data)
+    apply_chain(codes, steps, np.random.default_rng(0))
+    assert codes.tobytes() == codes_before
+    for call in (lambda: jpeg_simulate(img, 50), lambda: video_codec_simulate(img, 9.0, 0.2),
+                 lambda: motion_blur(img, 4, 30.0), lambda: quantize_8bit(img)):
+        assert not np.shares_memory(call().data, img.data)
+        assert img.data.tobytes() == before
+
+
+def test_round_half_away_keeps_the_bits_of_copysign():
+    # the sign bit ORed into floor(|x| + 0.5) must be copysign's, on every kind of float
+    quiet_nans = np.array([0x7FF8000000000123, 0xFFF8000000000001], dtype=np.uint64)
+    specials = np.concatenate([
+        [0.0, 0.5, 1.5, 2.5, 0.49999999999999994, 1.0 - 2.0**-53, np.inf, np.nan, 5e-324,
+         2.0**-1022 - 5e-324, 2.0**-1022, 2.0**52 - 0.5, 2.0**52 + 0.5, 2.0**52 + 1,
+         2.0**53 - 1, np.finfo(np.float64).max],
+        quiet_nans.view(np.float64)])
+    x = np.concatenate([specials, -specials,
+                        np.random.default_rng(3).normal(scale=300.0, size=100_000)])
+    expected = ref_round_half_away(x).view(np.int64)
+    assert np.array_equal(round_half_away(x).view(np.int64), expected)
+    for value, bits in zip(x[:2 * len(specials)], expected):
+        assert np.array(round_half_away(value)).view(np.int64) == bits
 
 
 # the BAND_FRAMES sizes, smaller and larger, give outputs of several row bands
