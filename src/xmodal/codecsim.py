@@ -10,7 +10,7 @@ read-only step documents; apply_chain runs their plane kernels on raw (c, h, w)
 planes of an image or a frame's 8-bit codes and checks the result at the end.
 The codecs and motion_blur write over planes the chain allocated, never an
 image's. The codecs walk a frame in bands of whole block rows, all channels
-at once (same bits): a band stays in L2 from colour conversion to the snap.
+at once (same bits), in one DCT workspace: a band stays in L2 throughout.
 
 The simulators are approximations: no entropy coding, no chroma
 subsampling, no inter-frame prediction. HEIF/WebP-style compression is
@@ -29,19 +29,19 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .core import (MAX_SIDE, MAX_SIGMA, ZERO_EPS, Field, ImageBuffer, check_choice, check_fields,
-                   read_json, with_defaults)
+from .core import (MAX_SIDE, MAX_SIGMA, ZERO_EPS, Field, ImageBuffer, _bands, check_choice,
+                   check_fields, read_json, with_defaults)
 from .errors import InputError
 from .pixelops import (
     BLUR_FIELDS,
     _as_image,
-    _bands,
     _color_jitter,
     _gaussian_blur,
     _motion_blur,
     _quantize_8bit,
     _rgb_to_ycbcr,
     _round_half_away_inplace,
+    _scratch,
     _shorter_side_resize,
     _ycbcr_to_rgb,
     round_half_away,
@@ -67,7 +67,7 @@ def dct8x8_forward(pixels: np.ndarray) -> np.ndarray:
     """Orthonormal 2D DCT-II of one 8x8 block."""
     block = np.asarray(pixels, dtype=np.float64)
     if block.shape != (BLOCK, BLOCK):
-        raise ValueError(f"expected an 8x8 block, got shape {block.shape}")
+        raise InputError(f"dct8x8_forward: expected an 8x8 block, got shape {block.shape}")
     return _DCT @ block @ _DCT.T
 
 
@@ -75,7 +75,7 @@ def dct8x8_inverse(coeffs: np.ndarray) -> np.ndarray:
     """Exact inverse of dct8x8_forward (round trip error <= 1e-10)."""
     block = np.asarray(coeffs, dtype=np.float64)
     if block.shape != (BLOCK, BLOCK):
-        raise ValueError(f"expected an 8x8 block, got shape {block.shape}")
+        raise InputError(f"dct8x8_inverse: expected an 8x8 block, got shape {block.shape}")
     return _DCT.T @ block @ _DCT
 
 
@@ -169,12 +169,13 @@ def deadzone_quantize_block(
     return rec[..., 0, :]
 
 
-def _deadzone_quantize_inplace(coeffs: np.ndarray, qstep: float, deadzone: float) -> np.ndarray:
+def _deadzone_quantize_inplace(coeffs: np.ndarray, qstep: float, deadzone: float,
+                               scratch=None) -> np.ndarray:
     """deadzone_quantize_block written over (..., nby, 8, nbx, 8) float64 ``coeffs``."""
-    dead = np.abs(coeffs) < deadzone * qstep
+    dead = np.abs(coeffs, out=_scratch(scratch, coeffs.shape)) < deadzone * qstep
     dead[..., 0, :, 0] = False  # DC is exempt from the deadzone
     coeffs /= qstep
-    _round_half_away_inplace(coeffs)
+    _round_half_away_inplace(coeffs, scratch)
     coeffs *= qstep
     np.copyto(coeffs, 0.0, where=dead)
     return coeffs
@@ -188,36 +189,46 @@ CHROMA_OFFSET = 127.5  # chroma neutral is 0.5 in float, i.e. 127.5 at 8-bit sca
 _YCC_OFFSETS = np.array([LUMA_OFFSET, CHROMA_OFFSET, CHROMA_OFFSET])[:, None, None]
 
 
-def _shifted_coeffs(plane: np.ndarray, offset) -> np.ndarray:
+def _dct_workspace(band: np.ndarray) -> np.ndarray:
+    """A pair of flat buffers, each as large as the padded planes of ``band``."""
+    *lead, h, w = band.shape
+    return np.empty((2, math.prod(lead) * -(-h // BLOCK) * -(-w // BLOCK) * BLOCK * BLOCK))
+
+
+def _shifted_coeffs(plane: np.ndarray, offset, work=(None, None)) -> np.ndarray:
     """Block DCT of (..., h, w) planes at 8-bit scale, level-shifted by ``-offset``.
 
     The shifted planes are written into a buffer edge-padded to a multiple of 8.
     Their coefficients keep that buffer's layout, shape (..., nby, 8, nbx, 8):
     coefficient (u, v) of block (a, b) sits at [..., a, u, b, v]. One matmul
     sums over the rows of each block, a second over its columns, in that
-    order: the other order differs in the last bit.
+    order: the other order differs in the last bit. The padded planes, then the
+    coefficients, take the first buffer of the pair ``work``, the row sums the
+    second, so no matmul writes over its input (NumPy would copy it); so does
+    _reconstruct. Without a pair each is its own array: the row sums are freed on return.
     """
     *lead, h, w = plane.shape
     nby, nbx = -(-h // BLOCK), -(-w // BLOCK)
-    padded = np.empty((*lead, nby * BLOCK, nbx * BLOCK))
+    padded, rows = (_scratch(buf, (*lead, nby * BLOCK, nbx * BLOCK)) for buf in work)
     shifted = np.multiply(plane, 255.0, out=padded[..., :h, :w])
     shifted -= offset
     padded[..., :h, w:] = shifted[..., -1:]
     padded[..., h:, :] = padded[..., h - 1 : h, :]
-    coeffs = np.matmul(_DCT, padded.reshape(-1, BLOCK, nbx * BLOCK))
-    flat = coeffs.reshape(-1, BLOCK)
-    np.matmul(flat, _DCT.T, out=flat)
-    return coeffs.reshape(*lead, nby, BLOCK, nbx, BLOCK)
+    np.matmul(_DCT, padded.reshape(-1, BLOCK, nbx * BLOCK),
+              out=rows.reshape(-1, BLOCK, nbx * BLOCK))
+    np.matmul(rows.reshape(-1, BLOCK), _DCT.T, out=padded.reshape(-1, BLOCK))
+    return padded.reshape(*lead, nby, BLOCK, nbx, BLOCK)
 
 
-def _reconstruct(coeffs: np.ndarray, offset, out: np.ndarray) -> None:
+def _reconstruct(coeffs: np.ndarray, offset, out: np.ndarray, work=(None, None)) -> None:
     """Inverse of _shifted_coeffs (rows, then columns) into the [0, 1]-scale planes ``out``."""
     *lead, nby, _, nbx, _ = coeffs.shape
-    plane = np.matmul(_DCT.T, coeffs.reshape(-1, BLOCK, nbx * BLOCK))
-    flat = plane.reshape(-1, BLOCK)
-    np.matmul(flat, _DCT, out=flat)
+    plane, rows = (_scratch(buf, (*lead, nby * BLOCK, nbx * BLOCK)) for buf in work)
+    np.matmul(_DCT.T, coeffs.reshape(-1, BLOCK, nbx * BLOCK),
+              out=rows.reshape(-1, BLOCK, nbx * BLOCK))
+    np.matmul(rows.reshape(-1, BLOCK), _DCT, out=plane.reshape(-1, BLOCK))
     h, w = out.shape[-2:]
-    np.add(plane.reshape(*lead, nby * BLOCK, nbx * BLOCK)[..., :h, :w], offset, out=out)
+    np.add(plane[..., :h, :w], offset, out=out)
     out /= 255.0
 
 
@@ -242,20 +253,24 @@ def _jpeg_simulate(data: np.ndarray, quality: int, quantize_output: bool, out=No
     tables = _jpeg_tables(quality, c, -(-w // BLOCK))
     offsets = _YCC_OFFSETS[:c]
     out = np.empty_like(data) if out is None else out
-    # ``out`` may be ``data``: each band of block rows is in its DCT buffer before it is written
-    for rows in _bands(h, w, BLOCK):
+    bands = _bands(h, w, BLOCK)
+    work = _dct_workspace(data[:, bands[0]])
+    # ``out`` may be ``data``: a band is read (its YCbCr planes into ``dst``) before it is
+    # written. work[1] holds the colour conversions' and the roundings' temporaries too.
+    for rows in bands:
         src, dst = data[:, rows], out[:, rows]
-        coeffs = _shifted_coeffs(_rgb_to_ycbcr(src, "full") if c == 3 else src, offsets)
+        src = _rgb_to_ycbcr(src, "full", dst, work[1]) if c == 3 else src
+        coeffs = _shifted_coeffs(src, offsets, work)
         coeffs /= tables
-        _round_half_away_inplace(coeffs)
+        _round_half_away_inplace(coeffs, work[1])
         coeffs *= tables
-        _reconstruct(coeffs, offsets, dst)
+        _reconstruct(coeffs, offsets, dst, work)
         if c == 3:
-            _ycbcr_to_rgb(dst, "full", dst)
+            _ycbcr_to_rgb(dst, "full", dst, work[1])
         else:
             np.clip(dst, 0.0, 1.0, out=dst)
         if quantize_output:
-            _quantize_8bit(dst, out=dst)
+            _quantize_8bit(dst, dst, work[1])
     return out
 
 
@@ -274,11 +289,13 @@ def video_codec_simulate(img: ImageBuffer, qstep: float, deadzone: float = 0.0) 
 
 def _video_codec_simulate(data: np.ndarray, qstep: float, deadzone: float, out=None) -> np.ndarray:
     out = np.empty_like(data) if out is None else out
-    for rows in _bands(data.shape[1], data.shape[2], BLOCK):
-        coeffs = _deadzone_quantize_inplace(_shifted_coeffs(data[:, rows], 128.0), qstep,
-                                            deadzone)
+    bands = _bands(data.shape[1], data.shape[2], BLOCK)
+    work = _dct_workspace(data[:, bands[0]])
+    for rows in bands:
+        coeffs = _shifted_coeffs(data[:, rows], 128.0, work)
+        _deadzone_quantize_inplace(coeffs, qstep, deadzone, work[1])
         dst = out[:, rows]
-        _reconstruct(coeffs, 128.0, dst)
+        _reconstruct(coeffs, 128.0, dst, work)
         np.clip(dst, 0.0, 1.0, out=dst)
     return out
 
@@ -324,13 +341,15 @@ STEP_FIELDS = {
 }
 
 # Each chain step's plane kernel, kernel(data, step, rng, out), by the same names;
-# ``out`` is ``data`` where the chain owns it, else None. color_jitter draws its
-# factors in _JITTER_KEYS order, each uniform over its pair, a [1.0, 1.0] pair too.
+# ``out`` is ``data`` where the chain owns it, else None, or the frame's plane that the
+# last step of apply_chain's leading run writes. color_jitter draws its factors in
+# _JITTER_KEYS order, each uniform over its pair, a [1.0, 1.0] pair too.
 _KERNELS = {
     "motion_blur": lambda data, step, rng, out: _motion_blur(data, step["length"],
                                                              step["angle_deg"], out),
     "gaussian_blur": lambda data, step, rng, out: _gaussian_blur(data, step["sigma"]),
-    "resize": lambda data, step, rng, out: _shorter_side_resize(data, step["shorter_side"]),
+    "resize": lambda data, step, rng, out: _shorter_side_resize(
+        data, step["shorter_side"], None if out is data else out),
     "jpeg": lambda data, step, rng, out: _jpeg_simulate(data, step["quality"], True, out),
     "video_codec": lambda data, step, rng, out: _video_codec_simulate(
         data, step["qstep"], step["deadzone"], out),
@@ -382,12 +401,12 @@ def apply_chain(img: ImageBuffer | np.ndarray, steps: Sequence[Mapping],
                 rng: np.random.Generator) -> ImageBuffer:
     """Apply the steps ``chain_steps`` returns, in order; randomized steps draw from rng.
 
-    ``img`` is an image, or a frame's (c, h, w) uint8 codes as
-    ``core.load_codes`` returns them. Codes go through the chain's leading run
-    of CHANNELWISE steps one plane at a time, each plane divided by 255 as
-    ``load_image`` does, so only the run's result is ever a whole float64
-    frame; the bits are those of the chain of ``load_image``'s image. Plane
-    kernels pass raw (c, h, w) float64 planes on, writing over any the chain
+    ``img`` is an image, or a frame's (c, h, w) uint8 codes as ``core.load_codes``
+    returns them. Codes go through the chain's leading run of CHANNELWISE steps
+    one plane at a time, each divided by 255 as ``load_image`` does; the run's
+    last kernel writes each plane after the first into the run's frame, the one
+    whole float64 frame. The bits are those of the chain of ``load_image``'s image.
+    Plane kernels pass raw (c, h, w) float64 planes on, writing over any the chain
     allocated, never an image's; the result is checked once, as an image.
     """
     if not all(isinstance(step, MappingProxyType) for step in steps):
@@ -399,12 +418,15 @@ def apply_chain(img: ImageBuffer | np.ndarray, steps: Sequence[Mapping],
                     len(steps))
         data = None
         for c, codes in enumerate(img):
+            dst = None if data is None else data[c : c + 1]
             plane = np.divide(codes, 255.0)[None]
-            for step in steps[:lead]:
-                plane = _KERNELS[step["step"]](plane, step, rng, plane)
+            for i, step in enumerate(steps[:lead], 1):
+                plane = _KERNELS[step["step"]](plane, step, rng,
+                                               plane if dst is None or i < lead else dst)
             if data is None:
                 data = np.empty((len(img), *plane.shape[1:]))
-            data[c] = plane[0]
+            if plane is not dst:  # the first plane, or the run ended without writing ``dst``
+                data[c] = plane[0]
         steps = steps[lead:]
     for step in steps:
         data = _KERNELS[step["step"]](data, step, rng, data if data.flags.writeable else None)

@@ -209,7 +209,9 @@ def describe(field: Field) -> str:
 
 
 def _number_fits(field: Field, value, integer: bool) -> bool:
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+    # a library caller's NumPy integers are integers too; JSON holds none
+    kinds = (int, np.integer) if integer else (int, np.integer, float)
+    if isinstance(value, bool) or not isinstance(value, kinds):
         return False
     # a number is neither NaN nor beyond float64's range (an integer may be)
     if not (integer or abs(value) <= sys.float_info.max):
@@ -456,6 +458,19 @@ def load_luma(path: str | Path, size: Optional[int] = None) -> ImageBuffer:
     return ImageBuffer(luma)
 
 
+# Kernels that stream whole frames take bands of rows of about 32k samples per
+# plane, which stay in a core's L2 cache with their temporaries (2 MiB per core
+# on the Xeon this was tuned on; whole frames made the codecs ~2x slower). Smaller
+# bands mean more NumPy calls, which were slower at 2 threads.
+_BAND_SAMPLES = 1 << 15
+
+
+def _bands(rows: int, width: int, multiple: int = 1) -> list[slice]:
+    """Slices of ``rows`` rows of ``width`` samples, each a whole number of ``multiple`` rows."""
+    step = multiple * max(1, _BAND_SAMPLES // (multiple * width))
+    return [slice(top, top + step) for top in range(0, rows, step)]
+
+
 def save_image(img: ImageBuffer, path: str | Path) -> None:
     """Write an ImageBuffer as binary PGM/PPM (maxval 255).
 
@@ -463,13 +478,14 @@ def save_image(img: ImageBuffer, path: str | Path) -> None:
     load -> save round trip of an 8-bit file is byte-identical.
     """
     path = Path(path)
-    scaled = np.clip(img.data, 0.0, 1.0)
-    scaled *= 255.0
-    scaled += 0.5
-    np.floor(scaled, out=scaled)
-    # interleaved (height, width, channels) codes, cast straight from the planes
+    # interleaved (height, width, channels) codes, cast from the planes a band of rows at a time
     codes = np.empty((img.height, img.width, img.channels), dtype=np.uint8)
-    np.copyto(codes, scaled.transpose(1, 2, 0), casting="unsafe")
+    for rows in _bands(img.height, img.width * img.channels):
+        scaled = np.clip(img.data[:, rows], 0.0, 1.0)
+        scaled *= 255.0
+        scaled += 0.5
+        np.floor(scaled, out=scaled)
+        np.copyto(codes[rows], scaled.transpose(1, 2, 0), casting="unsafe")
     magic = b"P5" if img.channels == 1 else b"P6"
     with path.open("wb") as fh:
         fh.write(b"%s\n%d %d\n255\n" % (magic, img.width, img.height))

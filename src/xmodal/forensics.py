@@ -22,9 +22,14 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .codecsim import BLOCK, _shifted_coeffs
-from .core import WINDOWS, ZERO_EPS, ImageBuffer, _fit_to_square, check_choice
+from .core import (WINDOWS, ZERO_EPS, Field, ImageBuffer, _fit_to_square, check_choice,
+                   check_fields)
 from .errors import InputError
 from .pixelops import gaussian_blur, to_luma
+
+
+# the reducers' own bounds on their arguments (the CLI's --bins and --range rows are stricter)
+REDUCER_FIELDS = (Field("nbins", "int", 1), Field("value_range", "number", 0, ends="(]"))
 
 
 class DctAcResult(NamedTuple):
@@ -69,8 +74,8 @@ def dct_ac_histogram(
     zero_fraction counts |a| < ZERO_EPS over all coefficients, in or out
     of the histogram range.
     """
-    if not value_range > 0:
-        raise ValueError(f"value_range must be positive, got {value_range}")
+    check_fields({"value_range": value_range, "nbins": nbins}, REDUCER_FIELDS,
+                 "dct_ac_histogram: ")
     edges = np.linspace(-value_range, value_range, nbins + 1)
     counts = np.zeros(nbins, dtype=np.int64)
     total_ac = 0
@@ -109,8 +114,7 @@ def rapsd(img: ImageBuffer, window: str = "none", nbins: int = 32) -> RadialProf
         raise InputError(
             f"rapsd needs at least 16x16 pixels, got {img.width}x{img.height}"
         )
-    if nbins < 1:
-        raise ValueError("nbins must be >= 1")
+    check_fields({"nbins": nbins}, REDUCER_FIELDS, "rapsd: ")
     plane = _luma_plane(img)
     plane = plane - plane.mean()
     if window == "hann":

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .core import (KB, KG, KR, MAX_SIDE, MAX_SIGMA, Field, ImageBuffer, check_choice,
+from .core import (KB, KG, KR, MAX_SIDE, MAX_SIGMA, Field, ImageBuffer, _bands, check_choice,
                    check_fields)
 from .errors import InputError
 
@@ -30,9 +30,14 @@ def round_half_away(x: np.ndarray | float) -> np.ndarray:
     return _round_half_away_inplace(np.array(x, dtype=np.float64))[()]
 
 
-def _round_half_away_inplace(x: np.ndarray) -> np.ndarray:
-    """round_half_away of a float64 array, written over ``x``; returns ``x``."""
-    mag = np.abs(x, out=np.empty_like(x))  # an array even when ``x`` is 0-d
+def _scratch(buf: np.ndarray | None, shape: tuple) -> np.ndarray:
+    """A float64 array of ``shape`` at the start of the flat workspace ``buf``, or a new one."""
+    return np.empty(shape) if buf is None else buf[: math.prod(shape)].reshape(shape)
+
+
+def _round_half_away_inplace(x: np.ndarray, scratch=None) -> np.ndarray:
+    """round_half_away of a float64 array, written over ``x``; its temporary is in ``scratch``."""
+    mag = np.abs(x, out=_scratch(scratch, x.shape))  # an array even when ``x`` is 0-d
     mag += 0.5
     np.floor(mag, out=mag)
     bits = np.bitwise_and(x.view(np.int64), -1 << 63, out=x.view(np.int64))  # x's sign bit
@@ -40,10 +45,11 @@ def _round_half_away_inplace(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _bt601_luma(r: np.ndarray, g: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """KR*r + KG*g + KB*b, summed left to right, written into ``out``."""
+def _bt601_luma(r: np.ndarray, g: np.ndarray, b: np.ndarray, out: np.ndarray,
+                term=None) -> np.ndarray:
+    """KR*r + KG*g + KB*b, summed left to right, into ``out``; ``term`` is scratch or None."""
     np.multiply(r, KR, out=out)
-    term = np.multiply(g, KG)
+    term = np.multiply(g, KG, out=term)
     out += term
     np.multiply(b, KB, out=term)
     out += term
@@ -67,12 +73,14 @@ def rgb_to_ycbcr(img: ImageBuffer, color_range: str = "full") -> ImageBuffer:
     return _as_image(img, _rgb_to_ycbcr(img.data, color_range))
 
 
-def _rgb_to_ycbcr(data: np.ndarray, color_range: str) -> np.ndarray:
+def _rgb_to_ycbcr(data: np.ndarray, color_range: str, out=None, scratch=None) -> np.ndarray:
+    """rgb_to_ycbcr's planes into ``out``, which may be ``data``; temporaries in ``scratch``."""
     if data.shape[0] != 3:
         raise InputError(f"expected 3 channels, got {data.shape[0]}")
-    out = np.clip(data, 0.0, 1.0)
+    out = np.clip(data, 0.0, 1.0, out=out)
     r, g, b = out
-    y = _bt601_luma(r, g, b, np.empty_like(r))
+    y, term = _scratch(scratch, (2, *r.shape))
+    _bt601_luma(r, g, b, y, term)
     # Cb takes G's plane and Cr takes B's once each is spent; Y takes R's last
     for plane, rgb, scale in ((out[1], b, 0.5 / (1.0 - KB)), (out[2], r, 0.5 / (1.0 - KR))):
         np.subtract(rgb, y, out=plane)
@@ -95,8 +103,8 @@ def ycbcr_to_rgb(img: ImageBuffer, color_range: str = "full") -> ImageBuffer:
     return _as_image(img, _ycbcr_to_rgb(img.data, color_range))
 
 
-def _ycbcr_to_rgb(data: np.ndarray, color_range: str, out=None) -> np.ndarray:
-    """ycbcr_to_rgb's planes, written into ``out``, which may be ``data``."""
+def _ycbcr_to_rgb(data: np.ndarray, color_range: str, out=None, scratch=None) -> np.ndarray:
+    """ycbcr_to_rgb's planes into ``out``, which may be ``data``; temporaries in ``scratch``."""
     if data.shape[0] != 3:
         raise InputError(f"expected 3 channels, got {data.shape[0]}")
     out = np.empty_like(data) if out is None else out
@@ -110,10 +118,11 @@ def _ycbcr_to_rgb(data: np.ndarray, color_range: str, out=None) -> np.ndarray:
         out[1:] /= 224.0
         out[1:] += 0.5
         y, cb, cr = out
-    r = np.subtract(cr, 0.5)
+    r, b = _scratch(scratch, (2, *y.shape))
+    np.subtract(cr, 0.5, out=r)
     r *= (1.0 - KR) / 0.5
     r += y
-    b = np.subtract(cb, 0.5)
+    np.subtract(cb, 0.5, out=b)
     b *= (1.0 - KB) / 0.5
     b += y
     # Cb and Cr are spent, so their planes take G and a scratch term
@@ -133,24 +142,11 @@ def quantize_8bit(img: ImageBuffer) -> ImageBuffer:
     return _as_image(img, _quantize_8bit(img.data))
 
 
-def _quantize_8bit(data: np.ndarray, out=None) -> np.ndarray:
+def _quantize_8bit(data: np.ndarray, out=None, scratch=None) -> np.ndarray:
     """quantize_8bit's planes, written into ``out``, which may be ``data``."""
-    out = _round_half_away_inplace(np.multiply(data, 255.0, out=out))
+    out = _round_half_away_inplace(np.multiply(data, 255.0, out=out), scratch)
     out /= 255.0
     return out
-
-
-# Kernels that stream whole frames take bands of rows of about 32k samples per
-# plane, which stay in a core's L2 cache with their temporaries (2 MiB per core
-# on the Xeon this was tuned on; whole frames made the codecs ~2x slower). Smaller
-# bands mean more NumPy calls, which were slower at 2 threads.
-_BAND_SAMPLES = 1 << 15
-
-
-def _bands(rows: int, width: int, multiple: int = 1) -> list[slice]:
-    """Slices of ``rows`` rows of ``width`` samples, each a whole number of ``multiple`` rows."""
-    step = multiple * max(1, _BAND_SAMPLES // (multiple * width))
-    return [slice(top, top + step) for top in range(0, rows, step)]
 
 
 def shorter_side_resize(img: ImageBuffer, target: int) -> ImageBuffer:
@@ -158,8 +154,8 @@ def shorter_side_resize(img: ImageBuffer, target: int) -> ImageBuffer:
     return _as_image(img, _shorter_side_resize(img.data, target))
 
 
-def _shorter_side_resize(data: np.ndarray, target: int) -> np.ndarray:
-    """Separable bilinear resample with half-pixel center alignment, by bands of output rows."""
+def _shorter_side_resize(data: np.ndarray, target: int, out=None) -> np.ndarray:
+    """Separable bilinear resample, half-pixel centers aligned, by bands of output rows."""
     if target < 1:
         raise InputError(f"target side must be >= 1, got {target}")
     c, in_h, in_w = data.shape
@@ -176,7 +172,7 @@ def _shorter_side_resize(data: np.ndarray, target: int) -> np.ndarray:
     y0 = np.clip(np.floor(ys).astype(int), 0, in_h - 1)
     y1 = np.clip(y0 + 1, 0, in_h - 1)
     fy = np.clip(ys - y0, 0.0, 1.0)[None, :, None]
-    out = np.empty((c, out_h, out_w))
+    out = np.empty((c, out_h, out_w)) if out is None else out
     for band in _bands(out_h, out_w):
         # np.take keeps the gathered arrays C-contiguous, unlike fancy indexing
         mixed = np.take(data, y0[band], axis=1)
@@ -279,30 +275,41 @@ def _motion_blur(data: np.ndarray, length: int, angle_deg: float = 0.0, out=None
     # pad only the axes the taps span: a horizontal kernel needs no row margin
     ry = int(np.max(np.abs(rows - radius)))
     rx = int(np.max(np.abs(cols - radius)))
-    # (row, column) of each tap's window in the padded plane, and its weight
+    # (row, column) of each tap's window in a padded band, and its weight
     taps = [(r - radius + ry, c - radius + rx, kernel[r, c]) for r, c in zip(rows, cols)]
     _, h, w = data.shape
-    stride = w + 2 * rx  # of the padded plane's rows
-    bands = _bands(h, w)
+    stride = w + 2 * rx  # of a padded row
+    # the plane row of each padded row; a padded row's margin columns and those they mirror
+    row_of = np.pad(np.arange(h), ry, mode="symmetric")
+    margin = np.r_[:rx, rx + w : stride]
+    mirror = np.pad(np.arange(w), rx, mode="symmetric")[margin] + rx
+    bands = _bands(h, w, ry + 1)  # band k reads bands k - 1, k and k + 1 only
     out = np.empty_like(data) if out is None else out
-    acc, term = np.empty((2, min(h, bands[0].stop) * stride))
-    # One plane at a time, padded before it is written (so ``out`` may be ``data``),
-    # its padded copy in cache while its bands read it. A band's taps and sums run
-    # over whole padded rows as one flat run, which NumPy streams about 2x faster
-    # than (rows, w) views; the 2*rx sums past each row's end are dropped.
+    padded = np.empty((min(h, bands[0].stop) + 2 * ry, stride))
+    flat = padded.ravel()
+    acc, term = np.empty((2, flat.size - 2 * ry * stride))
+    # One band at a time is padded, and its taps and sums run over whole padded rows
+    # as one flat run, which NumPy streams about 2x faster than (rows, w) views; the
+    # 2*rx sums past each row's end are dropped. A band is written once the next one,
+    # which reads ry of its rows, is padded, so ``out`` may be ``data``.
     for plane, dst in zip(data, out):
-        flat = np.pad(plane, ((ry, ry), (rx, rx)), mode="symmetric").ravel()
-        for band in bands:
-            n = min(band.stop, h) - band.start
+        for k, band in enumerate(bands):
+            band_rows = row_of[band.start : min(band.stop, h) + 2 * ry]
+            padded[: len(band_rows), rx : rx + w] = plane[band_rows]
+            padded[: len(band_rows), margin] = padded[: len(band_rows), mirror]
+            if k:
+                dst[bands[k - 1]] = done
+            n = len(band_rows) - 2 * ry
             size = n * stride - 2 * rx
-            for k, (y, x, weight) in enumerate(taps):
-                window = flat[(band.start + y) * stride + x :][:size]
-                if k == 0:
+            for i, (y, x, weight) in enumerate(taps):
+                window = flat[y * stride + x :][:size]
+                if i == 0:
                     np.multiply(window, weight, out=acc[:size])
                 else:
                     np.multiply(window, weight, out=term[:size])
                     acc[:size] += term[:size]
-            dst[band] = acc[: n * stride].reshape(n, stride)[:, :w]
+            done = acc[: n * stride].reshape(n, stride)[:, :w]
+        dst[bands[-1]] = done
     return out
 
 

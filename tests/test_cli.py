@@ -42,7 +42,8 @@ from xmodal.forensics import (
 )
 from xmodal.trainer import TRAIN_FIELDS, ToyModel, save_checkpoint, train_config
 
-from conftest import EVERY_STEP_CHAIN, textured_image, write_chain_file, write_manifest_file
+from conftest import (CANONICAL_CHAIN, EVERY_STEP_CHAIN, textured_image, write_chain_file,
+                      write_manifest_file)
 from xmodal.core import save_image
 
 # how an evaluate or train error about a model of input width 6 describes a bad 'x'
@@ -776,6 +777,85 @@ def test_learning_outputs_keep_their_bytes(tmp_path):
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in LEARNING_OUTPUT_DIGESTS}
     assert digests == LEARNING_OUTPUT_DIGESTS
+
+
+# SHA-256 of the outputs of test_pixel_outputs_keep_their_bytes, recorded before
+# the chain kernels' scratch shrank to one band
+PIXEL_OUTPUT_DIGESTS = {
+    "degrade/canonical/000000_f0.pgm":
+        "38ec7f37dd67847ef1747a562fa71bb3004257d3838b97478ed20579b546c986",
+    "degrade/canonical/000001_f1.ppm":
+        "5279eba4b9ac7481ab8e319e210726ce425e5734dca717bbc3cedeed7b73903a",
+    "degrade/canonical/000002_f2.pgm":
+        "203bd3e13931d260b1227c8795bcc28e9d1c6a979fadf01a1f151eb5baedf3cc",
+    "degrade/canonical/000003_f3.ppm":
+        "be6b577bf22aa28160a542d6792144241d6e6fe69b1703ecdf3ba995452ced6c",
+    "degrade/canonical/degrade.summary.json":
+        "857676fb010d12955b23a2cef8c45f0ceea2bddcb6c98e986fe00c5ab2b9470f",
+    "degrade/every_step/000000_f0.pgm":
+        "b3bb11e230fd5df7ae8c64a73ffd11c9c5b46574ead27687f54812877ef54468",
+    "degrade/every_step/000001_f1.ppm":
+        "7965e5c1d3b4b84f16d999b53de5622eadfd1bcdf8a1d2e31f0580dbae1d724d",
+    "degrade/every_step/000002_f2.pgm":
+        "0ca58317cc0beea558487a3c06657174c8d26afc27f09b7442b2df34f4f09a7f",
+    "degrade/every_step/000003_f3.ppm":
+        "afb80cd7a940b9f8056397475ef3e215019387d62656d2cf4045c27722d2dc2b",
+    "degrade/every_step/degrade.summary.json":
+        "857676fb010d12955b23a2cef8c45f0ceea2bddcb6c98e986fe00c5ab2b9470f",
+    "analyze/dct/dct.csv": "d79c3b4083f87a5e52f1ef86df68cc908b0c1984f6eaaf46c62b6567931b293b",
+    "analyze/dct/dct.summary.json":
+        "650143ae6f1e8c93919e14a72312d840ed74b6e3fe282ddd9611f4b1c5c45f6a",
+    "analyze/rapsd/rapsd.csv": "fbb0bb4d4efd579028a3d657cff60f04db49a842db85af11dcac7640c0dea626",
+    "analyze/rapsd/rapsd.summary.json":
+        "5077beefdd00040f8db90deb41f9b3072088a92ac41bdb38b8567a4121ef0f73",
+    "analyze/luma/luma.csv": "807061a361b97a0a2cc100b733247a992e77a439aac8f2fe959ec43e524a7a23",
+    "analyze/luma/luma.summary.json":
+        "8416b8ee156eed97a745ad88d0e0487000b6eb336b15f69aba1e72e211ca9a16",
+    "analyze/spectrum/spectrum.csv":
+        "af7922f0fe0029aeffb14e2fe292a0a93e448870b45699fa13f0d7d146a4e862",
+    "analyze/spectrum/spectrum.summary.json":
+        "985ca7556850c3aca5325d6a6e64185d591cc17edab6d3e173614c960b24cb54",
+    "analyze/dct_chain/dct.csv": "e3cd075a23c48c98cadab91e35c8f818ca69273fe4a713f40c1563ee912484b7",
+    "analyze/dct_chain/dct.summary.json":
+        "365f6e388f4e65750831cda151fc7fb2695ceaff9a3b85861a17151c9bbba542",
+}
+
+
+def _pixel_outputs(tmp_path) -> dict[str, str]:
+    """The SHA-256 of every frame ``degrade`` writes with the canonical and the
+    every-step chain at 1 and 2 threads, and of every ``analyze`` result file, on
+    gray and colour frames larger than one band of each kernel."""
+    entries = []
+    for i, (h, w) in enumerate([(150, 260), (150, 260), (270, 200), (270, 200)]):
+        path = tmp_path / f"f{i}.{'ppm' if i % 2 else 'pgm'}"
+        save_image(textured_image(seed=700 + i, h=h, w=w, channels=3 if i % 2 else 1), path)
+        entries.append({"id": f"f{i}", "path": str(path), "label": "real",
+                        "modality": "image", "subset": "s"})
+    manifest = write_manifest_file(tmp_path / "m.jsonl", entries)
+    chains = {name: write_chain_file(tmp_path / f"{name}.json", *doc["steps"])
+              for name, doc in (("canonical", CANONICAL_CHAIN), ("every_step", EVERY_STEP_CHAIN))}
+    runs = {f"degrade/{name}/t{threads}": ["degrade", "--chain", chain, "--threads", threads]
+            for name, chain in chains.items() for threads in (1, 2)}
+    runs.update({f"analyze/{kind}": ["analyze", kind] for kind in ("dct", "rapsd", "luma",
+                                                                    "spectrum")})
+    runs["analyze/dct_chain"] = ["analyze", "dct", "--chain", chains["every_step"]]
+    digests = {}
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert run_cli(*argv, "--manifest", manifest, "--out", out, "--seed", 3) == 0
+        for file, blob in dir_snapshot(out).items():
+            # the manifest and run.json hold paths; run.json also times the run
+            if not file.endswith(("manifest.jsonl", "run.json")):
+                digests[f"{name}/{file}"] = hashlib.sha256(blob).hexdigest()
+    return digests
+
+
+def test_pixel_outputs_keep_their_bytes(tmp_path):
+    """Every pixel output, at 1 and at 2 threads, is exactly the pinned bytes."""
+    digests = _pixel_outputs(tmp_path)
+    for threads in (1, 2):
+        assert {k.replace(f"/t{threads}/", "/"): v for k, v in digests.items()
+                if f"/t{3 - threads}/" not in k} == PIXEL_OUTPUT_DIGESTS
 
 
 def _write_json(path, doc):

@@ -277,5 +277,5 @@ class TestColorInputsAndLimits:
 
 class TestValidatorsRejectNan:
     def test_dct_histogram_nan_range(self):
-        with pytest.raises(ValueError, match="value_range"):
+        with pytest.raises(InputError, match="value_range"):
             dct_ac_histogram([constant_rgb(0.3, h=16, w=16)], value_range=float("nan"))

@@ -29,6 +29,8 @@ from xmodal.codecsim import (
     JPEG_CHANNELS,
     STEP_FIELDS,
     chain_steps,
+    dct8x8_forward,
+    dct8x8_inverse,
     deadzone_quantize_block,
     load_chain,
     quant_table_from_quality,
@@ -49,7 +51,7 @@ from xmodal.core import (
     write_manifest,
 )
 from xmodal.errors import InputError
-from xmodal.forensics import rapsd
+from xmodal.forensics import dct_ac_histogram, rapsd
 from xmodal.metrics import per_subset_report, subset_report
 from xmodal.pixelops import (COLOR_RANGES, gaussian_blur, motion_blur, motion_blur_kernel,
                              rgb_to_ycbcr, ycbcr_to_rgb)
@@ -492,6 +494,36 @@ def test_an_off_row_choice_raises_input_error_naming_its_argument(name):
     words = f"{key!r}: must be one of {', '.join(map(repr, choices))}, got {value[:-1]!r}"
     with pytest.raises(InputError, match=f"^{re.escape(f'{name}: {words}')}$"):
         call(value[:-1])
+
+
+# a library call past its own bound, and the words of its InputError
+BOUND_CASES = [
+    (lambda: dct8x8_forward(np.zeros((4, 4))),
+     "dct8x8_forward: expected an 8x8 block, got shape (4, 4)"),
+    (lambda: dct8x8_inverse(np.zeros((8, 9))),
+     "dct8x8_inverse: expected an 8x8 block, got shape (8, 9)"),
+    (lambda: rapsd(IMAGE, nbins=0), "rapsd: 'nbins': must be an integer >= 1, got 0"),
+    (lambda: rapsd(IMAGE, nbins=2.0), "rapsd: 'nbins': must be an integer >= 1, got 2.0"),
+    (lambda: dct_ac_histogram([IMAGE], nbins=0),
+     "dct_ac_histogram: 'nbins': must be an integer >= 1, got 0"),
+    *((lambda value=value: dct_ac_histogram([IMAGE], value_range=value),
+       f"dct_ac_histogram: 'value_range': must be a finite number > 0, got {value!r}")
+      for value in (0, -1.5, float("nan"), float("inf"), True)),
+]
+
+
+@pytest.mark.parametrize("call, words", BOUND_CASES, ids=[
+    f"{words.split(':')[0]}-{words.rsplit('got ', 1)[1]}" for _, words in BOUND_CASES])
+def test_a_library_bound_raises_input_error(call, words):
+    with pytest.raises(InputError, match=f"^{re.escape(words)}$"):
+        call()
+
+
+def test_library_bounds_admit_their_edges():
+    assert len(rapsd(IMAGE, nbins=1).power) == 1
+    assert len(rapsd(IMAGE, nbins=np.int64(3)).power) == 3  # a NumPy integer is an integer
+    result = dct_ac_histogram([IMAGE], value_range=5e-324, nbins=1)
+    assert len(result.counts) == 1 and result.total_ac == 16 * 63  # 16 blocks of 8x8
 
 
 def test_each_choice_row_reads_the_tuple_the_library_checks():

@@ -25,8 +25,10 @@ from xmodal.codecsim import (
     STEP_FIELDS,
     _DCT,
     _KERNELS,
+    _jpeg_simulate,
     _reconstruct,
     _shifted_coeffs,
+    _video_codec_simulate,
     apply_chain,
     chain_steps,
     deadzone_quantize_block,
@@ -46,6 +48,7 @@ from xmodal.pixelops import (
     KG,
     KR,
     _bands,
+    _motion_blur,
     gaussian_blur,
     motion_blur,
     motion_blur_kernel,
@@ -358,10 +361,14 @@ def test_kernels_across_band_edges(h, w, channels):
         assert len(_bands(h, w, 8)) > 1 and len(_bands(h, w)) > 1
     img = codes_frame(23, channels, h, w)
     for quantize_output in (True, False):
-        assert np.array_equal(jpeg_simulate(img, 75, quantize_output).data,
-                              ref_jpeg_simulate(img.data, 75, quantize_output))
-    assert np.array_equal(video_codec_simulate(img, 16.0, 0.5).data,
-                          ref_video_codec_simulate(img.data, 16.0, 0.5))
+        expected = ref_jpeg_simulate(img.data, 75, quantize_output)
+        assert np.array_equal(jpeg_simulate(img, 75, quantize_output).data, expected)
+        own = img.data.copy()  # written over, as the chain does
+        assert np.array_equal(_jpeg_simulate(own, 75, quantize_output, own), expected)
+    expected = ref_video_codec_simulate(img.data, 16.0, 0.5)
+    assert np.array_equal(video_codec_simulate(img, 16.0, 0.5).data, expected)
+    own = img.data.copy()
+    assert np.array_equal(_video_codec_simulate(own, 16.0, 0.5, own), expected)
     for length, angle in ((5, 0.0), (7, 30.0)):
         assert np.array_equal(motion_blur(img, length, angle).data,
                               ref_motion_blur(img.data, length, angle))
@@ -435,21 +442,46 @@ def test_chain_of_the_codes_is_the_chain_of_the_image(tmp_path, channels, doc):
     assert out.data.tobytes() == expected.data.tobytes()
 
 
+def traced_peak(call) -> int:
+    """The most bytes ``call()`` holds at once, after a first call fills the caches."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_chain_of_the_codes_never_holds_a_float_frame(tmp_path):
     path = tmp_path / "f.ppm"
     save_image(codes_frame(27, 3, 360, 640), path)
     steps = chain_steps(CANONICAL_CHAIN)
-    apply_chain(load_codes(path), steps, np.random.default_rng(0))  # fills the table caches
-    tracemalloc.start()
-    try:
-        apply_chain(load_codes(path), steps, np.random.default_rng(0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: save_image(
+        apply_chain(load_codes(path), steps, np.random.default_rng(0)), tmp_path / "o.ppm"))
     # a float64 RGB frame of the source is 5.5 MB; the whole-frame chain
-    # of load_image's planes peaks near three of them. The codecs write over
-    # the chain's own frame, so none of them holds a second output frame.
-    assert peak < 1.75 * 3 * 360 * 640 * 8
+    # of load_image's planes peaks near three of them. A sample holds the
+    # codes, one frame, the plane being processed and band-sized scratch
+    # (6.43 MB); a second frame-sized array would pass 1.19 frames (6.58 MB).
+    assert peak < 1.19 * 3 * 360 * 640 * 8
+
+
+# one band of one plane of a 256x455 frame, the unit of the kernels' scratch
+BAND_BYTES = 8 * 455 * _bands(256, 455)[0].stop
+
+
+@pytest.mark.parametrize("call, limit", [
+    (lambda x, path: _motion_blur(x, 7, 30.0, x), 5 * BAND_BYTES),
+    (lambda x, path: _jpeg_simulate(x, 75, True, x), 8 * BAND_BYTES),
+    (lambda x, path: _video_codec_simulate(x, 16.0, 0.5, x), 8 * BAND_BYTES),
+    # save_image's own 8-bit codes come on top
+    (lambda x, path: save_image(ImageBuffer(x), path), 3 * BAND_BYTES + 3 * 256 * 455),
+], ids=["motion_blur", "jpeg", "video_codec", "save_image"])
+def test_kernel_scratch_is_a_few_bands(tmp_path, call, limit):
+    # in place on a 256x455 frame, as the chain runs them: a plane-sized temporary
+    # (3.6 bands) or a frame-sized one would break the bound
+    x = codes_frame(30, 3, 256, 455).data.copy()
+    assert traced_peak(lambda: call(x, tmp_path / "f.ppm")) < limit
 
 
 def test_chain_that_changes_nothing_returns_its_image(tmp_path):
@@ -652,6 +684,25 @@ def test_motion_blur_matches_ndimage_convolve(h, w, angle):
     for length in range(1, 16):
         expected = ref_motion_blur(img.data, length, angle)
         assert np.array_equal(motion_blur(img, length, angle).data, expected), length
+
+
+@pytest.mark.parametrize("h, w, lengths", [
+    (360, 640, (3, 7, 15, 75)), (137, 1001, (3, 7, 15, 75)), (40, 4096, (3, 7, 15, 75)),
+    (2, 2, (3, 7, 15)), (1, 9, (3, 7, 15))])
+@pytest.mark.parametrize("angle", [30.0, 45.0, 90.0, 135.0])
+def test_motion_blur_in_place_across_band_edges(h, w, lengths, angle):
+    # as the chain calls it: a band is written over the plane once the next band,
+    # which reads the last rows of this one, is padded. Length 75 reaches 19 to 37
+    # rows up and down, more than a 32k-sample band is tall at widths 1001 (32 rows)
+    # and 4096 (8), so the blur's bands must grow with the kernel to stay exact.
+    data = frame(17, 3, h, w).data
+    for length in lengths:
+        kernel = motion_blur_kernel(length, angle)
+        assert np.nonzero(kernel.any(axis=1))[0].size > 1  # the taps span rows
+        expected = ref_motion_blur(data, length, angle)
+        own = data.copy()
+        assert _motion_blur(own, length, angle, out=own) is own
+        assert np.array_equal(own.view(np.int64), expected.view(np.int64)), length
 
 
 @pytest.mark.parametrize("h, w", [(360, 640), (37, 53), (6, 5), (2, 9), (1, 1)])
