@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 
 # The public names, by the module that defines them
 _EXPORTS = {
-    "core": ("ImageBuffer", "ScoredPrediction", "load_image", "parse_manifest", "save_image",
+    "core": ("ScoredPrediction", "load_image", "parse_manifest", "save_image",
              "write_manifest"),
     "pixelops": ("gaussian_blur", "motion_blur", "quantize_8bit", "rgb_to_ycbcr",
                  "round_half_away", "shorter_side_resize", "to_luma", "ycbcr_to_rgb"),

@@ -32,8 +32,8 @@ from .core import (
     SEED_ROW,
     WINDOWS,
     ZERO_EPS,
+    FRAMES_ROW,
     Field,
-    ImageBuffer,
     check_fields,
     csv_text,
     describe,
@@ -76,8 +76,7 @@ def _flags(args: argparse.Namespace) -> dict:
             if key not in ("command", "func", "usage_error")}
 
 
-def _seeded_chain(img: ImageBuffer | np.ndarray, chain: tuple, seed: int,
-                  sample_id: str) -> ImageBuffer:
+def _seeded_chain(img: np.ndarray, chain: tuple, seed: int, sample_id: str) -> np.ndarray:
     """``img`` through the ``chain`` steps, drawing from a generator seeded per sample id."""
     from . import codecsim
 
@@ -138,7 +137,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     elif kind == "spectrum":
         loader = functools.partial(load_luma, size=args.size)
 
-    def per_sample(rec: Mapping, img: ImageBuffer | np.ndarray):
+    def per_sample(rec: Mapping, img: np.ndarray):
         if chain is not None:
             img = _seeded_chain(img, chain, args.seed, rec["id"])
         if kind == "dct":
@@ -260,7 +259,7 @@ def cmd_degrade(args: argparse.Namespace) -> int:
 
     def degrade_one(rec: Mapping, codes: np.ndarray) -> dict:
         degraded = _seeded_chain(codes, chain, args.seed, rec["id"])
-        ext = "pgm" if degraded.channels == 1 else "ppm"
+        ext = "pgm" if len(degraded) == 1 else "ppm"
         out_path = out_dir / f"{position[rec['id']]:06d}_{_safe_filename(rec['id'])}.{ext}"
         save_image(degraded, out_path)
         return {**rec, "path": str(out_path)}
@@ -566,8 +565,7 @@ FLAG_FIELDS = {
     "evaluate": (Field("checkpoint", "string", required=True),
                  Field("features", "string", required=True), _OUT,
                  Field("aggregation", "choice", choices=AGGREGATIONS, default="subset-mean"),
-                 Field("frames", "int", 1, default=1,
-                       help="frames per video for logit averaging"),
+                 FRAMES_ROW,
                  Field("threshold", "number", default=0.5), _LIMIT),
 }
 # analyze --bins for each kind that bins its values: (default, row). The rapsd

@@ -8,8 +8,8 @@ A chain composes them with the pixel primitives into a blur -> resize ->
 codec -> color pipeline: chain_steps checks a chain document once, into
 read-only step documents; apply_chain runs their plane kernels on raw (c, h, w)
 planes of an image or a frame's 8-bit codes and checks the result at the end.
-The codecs and motion_blur write over planes the chain allocated, never an
-image's. The codecs walk a frame in bands of whole block rows, all channels
+The codecs and motion_blur write over planes the chain allocated, never the
+caller's. The codecs walk a frame in bands of whole block rows, all channels
 at once (same bits), in one DCT workspace: a band stays in L2 throughout.
 
 The simulators are approximations: no entropy coding, no chroma
@@ -29,12 +29,11 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .core import (MAX_SIDE, MAX_SIGMA, ZERO_EPS, Field, ImageBuffer, _bands, check_choice,
-                   check_fields, read_json, with_defaults)
+from .core import (MAX_SIDE, MAX_SIGMA, ZERO_EPS, Field, _bands, check_choice, check_fields,
+                   check_planes, read_json, with_defaults)
 from .errors import InputError
 from .pixelops import (
     BLUR_FIELDS,
-    _as_image,
     _color_jitter,
     _gaussian_blur,
     _motion_blur,
@@ -232,9 +231,7 @@ def _reconstruct(coeffs: np.ndarray, offset, out: np.ndarray, work=(None, None))
     out /= 255.0
 
 
-def jpeg_simulate(
-    img: ImageBuffer, quality: int, quantize_output: bool = True
-) -> ImageBuffer:
+def jpeg_simulate(img: np.ndarray, quality: int, quantize_output: bool = True) -> np.ndarray:
     """JPEG-style transform coding round trip at the given quality.
 
     Full-range YCbCr, 4:4:4 (no chroma subsampling), blockwise level-shifted
@@ -243,7 +240,7 @@ def jpeg_simulate(
     decoded file; pass False to keep the float reconstruction, which
     preserves exactly-zero AC coefficients for analysis.
     """
-    return _as_image(img, _jpeg_simulate(img.data, quality, quantize_output))
+    return _jpeg_simulate(check_planes(img), quality, quantize_output)
 
 
 def _jpeg_simulate(data: np.ndarray, quality: int, quantize_output: bool, out=None) -> np.ndarray:
@@ -274,7 +271,7 @@ def _jpeg_simulate(data: np.ndarray, quality: int, quantize_output: bool, out=No
     return out
 
 
-def video_codec_simulate(img: ImageBuffer, qstep: float, deadzone: float = 0.0) -> ImageBuffer:
+def video_codec_simulate(img: np.ndarray, qstep: float, deadzone: float = 0.0) -> np.ndarray:
     """Deadzone-quantize the 8x8 DCT of every channel; float reconstruction.
 
     Unlike jpeg_simulate this works directly on the stored channels and
@@ -284,7 +281,7 @@ def video_codec_simulate(img: ImageBuffer, qstep: float, deadzone: float = 0.0) 
     """
     check_fields({"qstep": qstep, "deadzone": deadzone}, STEP_FIELDS["video_codec"],
                  "video_codec_simulate: ")
-    return _as_image(img, _video_codec_simulate(img.data, qstep, deadzone))
+    return _video_codec_simulate(check_planes(img), qstep, deadzone)
 
 
 def _video_codec_simulate(data: np.ndarray, qstep: float, deadzone: float, out=None) -> np.ndarray:
@@ -300,13 +297,13 @@ def _video_codec_simulate(data: np.ndarray, qstep: float, deadzone: float, out=N
     return out
 
 
-def tv_range_squeeze(img: ImageBuffer) -> ImageBuffer:
+def tv_range_squeeze(img: np.ndarray) -> np.ndarray:
     """Round trip through 8-bit limited-range coding and back to full range.
 
     Stretching the 219 limited luma codes back over 256 slots leaves
     periodic empty histogram bins: the comb signature of TV-range video.
     """
-    return _as_image(img, _tv_range_squeeze(img.data))
+    return _tv_range_squeeze(check_planes(img))
 
 
 def _tv_range_squeeze(data: np.ndarray) -> np.ndarray:
@@ -397,23 +394,23 @@ def load_chain(path: str | Path) -> tuple[Mapping, ...]:
     return chain_steps(read_json(path), path)
 
 
-def apply_chain(img: ImageBuffer | np.ndarray, steps: Sequence[Mapping],
-                rng: np.random.Generator) -> ImageBuffer:
+def apply_chain(img: np.ndarray, steps: Sequence[Mapping],
+                rng: np.random.Generator) -> np.ndarray:
     """Apply the steps ``chain_steps`` returns, in order; randomized steps draw from rng.
 
-    ``img`` is an image, or a frame's (c, h, w) uint8 codes as ``core.load_codes``
-    returns them. Codes go through the chain's leading run of CHANNELWISE steps
-    one plane at a time, each divided by 255 as ``load_image`` does; the run's
-    last kernel writes each plane after the first into the run's frame, the one
-    whole float64 frame. The bits are those of the chain of ``load_image``'s image.
-    Plane kernels pass raw (c, h, w) float64 planes on, writing over any the chain
-    allocated, never an image's; the result is checked once, as an image.
+    ``img`` is an image's planes, or a frame's (c, h, w) uint8 codes as
+    ``core.load_codes`` returns them. Codes go through the chain's leading run of
+    CHANNELWISE steps one plane at a time, each divided by 255 as ``load_image``
+    does; the run's last kernel writes each plane after the first into the run's
+    frame, the one whole float64 frame. The bits are those of the chain of
+    ``load_image``'s planes. Plane kernels pass raw planes on, writing over the
+    writeable ones, which the chain allocated: ``check_planes`` views the
+    caller's read-only. The result is checked once.
     """
     if not all(isinstance(step, MappingProxyType) for step in steps):
         raise InputError("apply_chain: steps must be those chain_steps returns")
-    if isinstance(img, ImageBuffer):
-        data = img.data
-    else:
+    data = check_planes(img, codes=True)
+    if data.dtype == np.uint8:  # ``img`` itself
         lead = next((i for i, step in enumerate(steps) if step["step"] not in CHANNELWISE),
                     len(steps))
         data = None
@@ -430,7 +427,7 @@ def apply_chain(img: ImageBuffer | np.ndarray, steps: Sequence[Mapping],
         steps = steps[lead:]
     for step in steps:
         data = _KERNELS[step["step"]](data, step, rng, data if data.flags.writeable else None)
-    return _as_image(img, data) if isinstance(img, ImageBuffer) else ImageBuffer(data)
+    return check_planes(data)
 
 
 def derive_sample_seed(master_seed: int, sample_id: str) -> int:

@@ -1,10 +1,10 @@
 """Shared data model: labels, modalities, sample manifests, images, features.
 
-All types are immutable after construction; every operation here is a pure
-function of its inputs. Every input file is read by ``read_json`` (manifests
-line by line through ``parse_json``) and checked by ``check_fields`` against
-its kind's field table. A manifest record is the checked object of its line,
-as a read-only mapping.
+Every operation here is a pure function of its inputs. An image is its
+(channels, height, width) float64 planes, checked by ``check_planes``. Every
+input file is read by ``read_json`` (manifests line by line through
+``parse_json``) and checked by ``check_fields`` against its kind's field table.
+A manifest record is the checked object of its line, as a read-only mapping.
 """
 
 from __future__ import annotations
@@ -34,44 +34,6 @@ KB = 0.114
 
 
 @dataclass(frozen=True)
-class ImageBuffer:
-    """Planar floating-point pixel data, nominal range [0, 1].
-
-    ``data`` has shape (channels, height, width) with channels 1 or 3.
-    The array is made read-only at construction; operations return new
-    buffers instead of mutating.
-    """
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(self.data, dtype=np.float64)
-        if arr.ndim != 3:
-            raise ValueError("image data must have shape (channels, height, width)")
-        c, h, w = arr.shape
-        if c not in (1, 3):
-            raise ValueError(f"channel count must be 1 or 3, got {c}")
-        if h < 1 or w < 1:
-            raise ValueError("image dimensions must be positive")
-        if not np.all(np.isfinite(arr)):
-            raise NumericalError("image data must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[2]
-
-
-@dataclass(frozen=True)
 class ScoredPrediction:
     """Probability-of-fake score paired with ground truth, for evaluation."""
 
@@ -80,8 +42,7 @@ class ScoredPrediction:
     subset: str
 
     def __post_init__(self):
-        if not (0.0 <= self.score <= 1.0):
-            raise ValueError(f"score must lie in [0, 1], got {self.score}")
+        check_fields({"score": self.score}, (SCORE_ROW,), "ScoredPrediction: ")
         check_choice(self.label, "label", LABELS, "ScoredPrediction: ")
 
 
@@ -175,6 +136,9 @@ MAX_SIGMA = (MAX_SIDE - 1) // 6
 ZERO_EPS = 1e-6  # |coefficient| below this counts as an exact post-quantization zero
 # a training seed: `train` in a config file and a checkpoint, and `train --seed`
 SEED_ROW = Field("seed", "int", 0, default=0)
+# `evaluate --frames` and the T of metrics.select_frame_indices; a ScoredPrediction's score
+FRAMES_ROW = Field("frames", "int", 1, default=1, help="frames per video for logit averaging")
+SCORE_ROW = Field("score", "number", 0, 1)
 # The values of the choices that the CLI's rows and the library share. A label's
 # or a modality's code is its index here: real 0, fake 1; image 0, video 1.
 LABELS = ("real", "fake")
@@ -209,7 +173,8 @@ def describe(field: Field) -> str:
 
 
 def _number_fits(field: Field, value, integer: bool) -> bool:
-    # a library caller's NumPy integers are integers too; JSON holds none
+    # a library caller's NumPy integers and floats count too; JSON holds none
+    value = float(value) if isinstance(value, np.floating) else value
     kinds = (int, np.integer) if integer else (int, np.integer, float)
     if isinstance(value, bool) or not isinstance(value, kinds):
         return False
@@ -409,8 +374,29 @@ def load_codes(path: str | Path) -> np.ndarray:
     return raw.reshape(height, width, 3).transpose(2, 0, 1)
 
 
-def load_image(path: str | Path) -> ImageBuffer:
-    """Load a binary PGM (P5) or PPM (P6) file with maxval 255.
+def check_planes(img, channels: tuple = (1, 3), codes: bool = False) -> np.ndarray:
+    """``img`` as an image's planes: a read-only C-contiguous (channels, height,
+    width) float64 view, copied only where ``img`` has another dtype or layout.
+
+    InputError unless the shape is 3-D with one of ``channels`` and no zero side,
+    NumericalError if a sample is not finite. With ``codes``, uint8 planes (8-bit
+    codes) are checked by their shape alone and returned as they are.
+    """
+    keep = codes and getattr(img, "dtype", None) == np.uint8
+    data = img if keep else np.ascontiguousarray(img, dtype=np.float64).view()
+    if data.ndim != 3 or data.shape[0] not in channels or 0 in data.shape:
+        raise InputError(f"image planes must have shape ({' or '.join(map(str, channels))}, "
+                         f"height, width), got {data.shape}")
+    if keep:
+        return data
+    if not np.isfinite(data).all():
+        raise NumericalError("image data must be finite")
+    data.setflags(write=False)
+    return data
+
+
+def load_image(path: str | Path) -> np.ndarray:
+    """Load a binary PGM (P5) or PPM (P6) file with maxval 255 as planes.
 
     Pixel value u maps to u/255; P6 payload is interleaved RGB and is
     returned planar.
@@ -418,7 +404,7 @@ def load_image(path: str | Path) -> ImageBuffer:
     planar = load_codes(path)
     data = np.empty(planar.shape)
     np.divide(planar, 255.0, out=data)
-    return ImageBuffer(data)
+    return data
 
 
 def _fit_to_square(planes: np.ndarray, size: int) -> np.ndarray:
@@ -435,7 +421,7 @@ def _fit_to_square(planes: np.ndarray, size: int) -> np.ndarray:
     return planes[..., y0 : y0 + size, x0 : x0 + size]
 
 
-def load_luma(path: str | Path, size: Optional[int] = None) -> ImageBuffer:
+def load_luma(path: str | Path, size: Optional[int] = None) -> np.ndarray:
     """Load a PGM/PPM file straight to its 1-channel BT.601 luma.
 
     Bit for bit ``pixelops.to_luma(load_image(path))``: each code plane is
@@ -455,7 +441,7 @@ def load_luma(path: str | Path, size: Optional[int] = None) -> ImageBuffer:
             np.divide(plane, 255.0, out=term)
             term *= weight
             luma[0] += term
-    return ImageBuffer(luma)
+    return luma
 
 
 # Kernels that stream whole frames take bands of rows of about 32k samples per
@@ -471,24 +457,26 @@ def _bands(rows: int, width: int, multiple: int = 1) -> list[slice]:
     return [slice(top, top + step) for top in range(0, rows, step)]
 
 
-def save_image(img: ImageBuffer, path: str | Path) -> None:
-    """Write an ImageBuffer as binary PGM/PPM (maxval 255).
+def save_image(img: np.ndarray, path: str | Path) -> None:
+    """Write an image's planes as binary PGM/PPM (maxval 255).
 
     Samples are clamped to [0, 1] and rounded half-away-from-zero, so a
     load -> save round trip of an 8-bit file is byte-identical.
     """
+    data = check_planes(img)
+    c, h, w = data.shape
     path = Path(path)
     # interleaved (height, width, channels) codes, cast from the planes a band of rows at a time
-    codes = np.empty((img.height, img.width, img.channels), dtype=np.uint8)
-    for rows in _bands(img.height, img.width * img.channels):
-        scaled = np.clip(img.data[:, rows], 0.0, 1.0)
+    codes = np.empty((h, w, c), dtype=np.uint8)
+    for rows in _bands(h, w * c):
+        scaled = np.clip(data[:, rows], 0.0, 1.0)
         scaled *= 255.0
         scaled += 0.5
         np.floor(scaled, out=scaled)
         np.copyto(codes[rows], scaled.transpose(1, 2, 0), casting="unsafe")
-    magic = b"P5" if img.channels == 1 else b"P6"
+    magic = b"P5" if c == 1 else b"P6"
     with path.open("wb") as fh:
-        fh.write(b"%s\n%d %d\n255\n" % (magic, img.width, img.height))
+        fh.write(b"%s\n%d %d\n255\n" % (magic, w, h))
         fh.write(codes.data)
 
 
@@ -512,9 +500,9 @@ IN_FLIGHT_PER_THREAD = 2
 
 def iter_samples(
     records: Iterable[Mapping],
-    fn: Callable[[Mapping, ImageBuffer | np.ndarray], T],
+    fn: Callable[[Mapping, np.ndarray], T],
     threads: int = 1,
-    loader: Callable[[str], ImageBuffer | np.ndarray] = load_image,
+    loader: Callable[[str], np.ndarray] = load_image,
 ) -> Iterator[tuple[Mapping, Union[T, Exception]]]:
     """Load each manifest record's ``path`` with ``loader``, apply
     ``fn(record, loaded)``, yield in record order.

@@ -22,8 +22,8 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .codecsim import BLOCK, _shifted_coeffs
-from .core import (WINDOWS, ZERO_EPS, Field, ImageBuffer, _fit_to_square, check_choice,
-                   check_fields)
+from .core import (WINDOWS, ZERO_EPS, Field, _fit_to_square, check_choice, check_fields,
+                   check_planes)
 from .errors import InputError
 from .pixelops import gaussian_blur, to_luma
 
@@ -49,21 +49,17 @@ class RadialProfile(NamedTuple):
     counts: np.ndarray
 
 
-def _luma_plane(img: ImageBuffer) -> np.ndarray:
-    return to_luma(img).data[0]
-
-
-def require_dct_block(img: ImageBuffer) -> ImageBuffer:
-    """Return ``img`` if it holds at least one whole 8x8 block, else raise."""
-    if img.height < BLOCK or img.width < BLOCK:
-        raise InputError(
-            f"need at least {BLOCK}x{BLOCK} pixels, got {img.width}x{img.height}"
-        )
-    return img
+def require_dct_block(img: np.ndarray) -> np.ndarray:
+    """``img``'s checked planes if they hold at least one whole 8x8 block, else raise."""
+    data = check_planes(img)
+    _, height, width = data.shape
+    if height < BLOCK or width < BLOCK:
+        raise InputError(f"need at least {BLOCK}x{BLOCK} pixels, got {width}x{height}")
+    return data
 
 
 def dct_ac_histogram(
-    images: Iterable[ImageBuffer],
+    images: Iterable[np.ndarray],
     value_range: float = 64.0,
     nbins: int = 129,
 ) -> DctAcResult:
@@ -83,10 +79,9 @@ def dct_ac_histogram(
     ac_mask = np.ones((BLOCK, BLOCK), dtype=bool)
     ac_mask[0, 0] = False
     for img in images:
-        require_dct_block(img)
-        h8 = (img.height // BLOCK) * BLOCK
-        w8 = (img.width // BLOCK) * BLOCK
-        coeffs = _shifted_coeffs(_luma_plane(img)[:h8, :w8], 128.0)
+        data = require_dct_block(img)
+        h8, w8 = (side // BLOCK * BLOCK for side in data.shape[1:])
+        coeffs = _shifted_coeffs(to_luma(data)[0, :h8, :w8], 128.0)
         ac = coeffs.transpose(0, 2, 1, 3)[:, :, ac_mask].ravel()
         hist, _ = np.histogram(ac, bins=edges)
         counts += hist
@@ -97,7 +92,7 @@ def dct_ac_histogram(
     return DctAcResult(edges, counts, n_zero / total_ac, total_ac)
 
 
-def rapsd(img: ImageBuffer, window: str = "none", nbins: int = 32) -> RadialProfile:
+def rapsd(img: np.ndarray, window: str = "none", nbins: int = 32) -> RadialProfile:
     """Radially averaged power spectral density of the luma plane.
 
     Mean-subtracted, then windowed by ``window``, one of WINDOWS; power = |FFT|^2 / (W*H),
@@ -110,18 +105,18 @@ def rapsd(img: ImageBuffer, window: str = "none", nbins: int = 32) -> RadialProf
     matches the full-plane form to about 1e-14 relative, not bit for bit.
     """
     check_choice(window, "window", WINDOWS, "rapsd: ")
-    if img.height < 16 or img.width < 16:
-        raise InputError(
-            f"rapsd needs at least 16x16 pixels, got {img.width}x{img.height}"
-        )
+    data = check_planes(img)
+    _, height, width = data.shape
+    if height < 16 or width < 16:
+        raise InputError(f"rapsd needs at least 16x16 pixels, got {width}x{height}")
     check_fields({"nbins": nbins}, REDUCER_FIELDS, "rapsd: ")
-    plane = _luma_plane(img)
+    plane = to_luma(data)[0]
     plane = plane - plane.mean()
     if window == "hann":
-        plane = plane * _hann_window(img.height, img.width)
+        plane = plane * _hann_window(height, width)
     spectrum = np.fft.rfft2(plane)
-    power = (spectrum.real**2 + spectrum.imag**2) / (img.width * img.height)
-    mask, idx, weight, counts = _radial_bins(img.height, img.width, nbins)
+    power = (spectrum.real**2 + spectrum.imag**2) / (width * height)
+    mask, idx, weight, counts = _radial_bins(height, width, nbins)
     sums = np.bincount(idx, weights=power[mask] * weight, minlength=nbins)
     mean_power = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
     radii = (np.arange(nbins) + 0.5) * (0.5 / nbins)
@@ -179,14 +174,14 @@ def dataset_mean_rapsd(profiles: Iterable[RadialProfile]) -> RadialProfile:
     return RadialProfile(radii=profile.radii, power=power_sum / n_used, counts=count_sum)
 
 
-def luminance_histogram(images: Iterable[ImageBuffer]) -> np.ndarray:
+def luminance_histogram(images: Iterable[np.ndarray]) -> np.ndarray:
     """Pool 8-bit-quantized luma codes of all pixels into 256 int64 counts,
-    one per code."""
+    one per code. Each image is checked by ``to_luma``."""
     counts = np.zeros(256, dtype=np.int64)
     n_images = 0
     for img in images:
         # after the clip, round_half_away(luma*255) is floor(luma*255 + 0.5), an int cast
-        codes = np.clip(_luma_plane(img), 0.0, 1.0)
+        codes = np.clip(to_luma(img)[0], 0.0, 1.0)
         codes *= 255.0
         codes += 0.5
         counts += np.bincount(codes.astype(np.intp).ravel(), minlength=256)
@@ -241,18 +236,16 @@ def detect_tv_range(counts: np.ndarray) -> tuple[str, float, float]:
     return verdict, tail_mass, comb_score
 
 
-def residual_power(
-    img: ImageBuffer, denoise_sigma: float = 1.0, size: int = 64
-) -> np.ndarray:
+def residual_power(img: np.ndarray, denoise_sigma: float = 1.0, size: int = 64) -> np.ndarray:
     """|FFT|^2 of one image's high-pass luma residual, as a (size, size) array.
 
     The luma plane is center-cropped to size x size (edge-padded first if
     smaller); the residual is that plane minus its Gaussian blur, a denoiser
-    stand-in.
+    stand-in. The image is checked by ``to_luma``.
     """
-    luma = _fit_to_square(_luma_plane(img), size)
-    blurred = gaussian_blur(ImageBuffer(luma[None, :, :]), denoise_sigma)
-    spectrum = np.fft.fft2(luma - blurred.data[0])
+    luma = _fit_to_square(to_luma(img)[0], size)
+    blurred = gaussian_blur(luma[None, :, :], denoise_sigma)
+    spectrum = np.fft.fft2(luma - blurred[0])
     return spectrum.real**2 + spectrum.imag**2
 
 

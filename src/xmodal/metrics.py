@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import AGGREGATIONS, LABELS, ScoredPrediction, check_choice
+from .core import AGGREGATIONS, FRAMES_ROW, LABELS, ScoredPrediction, check_choice, check_fields
 from .errors import InputError, NumericalError
 
 DEFAULT_THRESHOLD = 0.5
@@ -187,8 +187,7 @@ def select_frame_indices(n_frames: int, t: int) -> list[int]:
     """T uniformly spaced frame positions; T=1 picks the middle frame."""
     if n_frames < 1:
         raise InputError("video has no frames")
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    check_fields({"frames": t}, (FRAMES_ROW,), "select_frame_indices: ")
     t = min(t, n_frames)
     raw = [(j + 0.5) * n_frames / t - 0.5 for j in range(t)]
     # raw is >= 0 here, so floor(r + 0.5) is round-half-away-from-zero

@@ -2,9 +2,11 @@
 
 Color conversion, 8-bit quantization, resize, blur and luma extraction: the
 building blocks the degradation chains and the forensic analyses are
-assembled from. Each public function wraps a private kernel on raw (c, h, w)
-float64 planes, which codecsim.apply_chain calls directly. All public
-functions are pure; rounding everywhere is half-away-from-zero.
+assembled from. Each public function checks an image's (c, h, w) float64
+planes with core.check_planes and runs a private kernel on them, which
+codecsim.apply_chain calls directly. All public functions are pure: one that
+changes nothing returns a read-only view of its caller's planes. Rounding
+everywhere is half-away-from-zero.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ import math
 
 import numpy as np
 
-from .core import (KB, KG, KR, MAX_SIDE, MAX_SIGMA, Field, ImageBuffer, _bands, check_choice,
-                   check_fields)
+from .core import (KB, KG, KR, MAX_SIDE, MAX_SIGMA, Field, _bands, check_choice, check_fields,
+                   check_planes)
 from .errors import InputError
 
 # "limited" is 8-bit TV range: luma codes 16..235, chroma 16..240
@@ -56,13 +58,7 @@ def _bt601_luma(r: np.ndarray, g: np.ndarray, b: np.ndarray, out: np.ndarray,
     return out
 
 
-def _as_image(img: ImageBuffer, data: np.ndarray) -> ImageBuffer:
-    """A plane kernel's result on ``img`` as an image: ``img`` itself when the kernel
-    returned ``img``'s own planes (images are immutable, so no copy or re-check)."""
-    return img if data is img.data else ImageBuffer(data)
-
-
-def rgb_to_ycbcr(img: ImageBuffer, color_range: str = "full") -> ImageBuffer:
+def rgb_to_ycbcr(img: np.ndarray, color_range: str = "full") -> np.ndarray:
     """BT.601 RGB -> YCbCr; neutral gray maps to Cb = Cr = 0.5.
 
     ``color_range`` is one of COLOR_RANGES. "limited" applies the 8-bit affine
@@ -70,13 +66,11 @@ def rgb_to_ycbcr(img: ImageBuffer, color_range: str = "full") -> ImageBuffer:
     luma stays within [16/255, 235/255]. Output clamped to [0, 1].
     """
     check_choice(color_range, "color_range", COLOR_RANGES, "rgb_to_ycbcr: ")
-    return _as_image(img, _rgb_to_ycbcr(img.data, color_range))
+    return _rgb_to_ycbcr(check_planes(img, (3,)), color_range)
 
 
 def _rgb_to_ycbcr(data: np.ndarray, color_range: str, out=None, scratch=None) -> np.ndarray:
     """rgb_to_ycbcr's planes into ``out``, which may be ``data``; temporaries in ``scratch``."""
-    if data.shape[0] != 3:
-        raise InputError(f"expected 3 channels, got {data.shape[0]}")
     out = np.clip(data, 0.0, 1.0, out=out)
     r, g, b = out
     y, term = _scratch(scratch, (2, *r.shape))
@@ -97,16 +91,14 @@ def _rgb_to_ycbcr(data: np.ndarray, color_range: str, out=None, scratch=None) ->
     return np.clip(out, 0.0, 1.0, out=out)
 
 
-def ycbcr_to_rgb(img: ImageBuffer, color_range: str = "full") -> ImageBuffer:
+def ycbcr_to_rgb(img: np.ndarray, color_range: str = "full") -> np.ndarray:
     """Exact algebraic inverse of rgb_to_ycbcr, then clamped to [0, 1]."""
     check_choice(color_range, "color_range", COLOR_RANGES, "ycbcr_to_rgb: ")
-    return _as_image(img, _ycbcr_to_rgb(img.data, color_range))
+    return _ycbcr_to_rgb(check_planes(img, (3,)), color_range)
 
 
 def _ycbcr_to_rgb(data: np.ndarray, color_range: str, out=None, scratch=None) -> np.ndarray:
     """ycbcr_to_rgb's planes into ``out``, which may be ``data``; temporaries in ``scratch``."""
-    if data.shape[0] != 3:
-        raise InputError(f"expected 3 channels, got {data.shape[0]}")
     out = np.empty_like(data) if out is None else out
     y, cb, cr = data
     if color_range == "limited":
@@ -137,9 +129,9 @@ def _ycbcr_to_rgb(data: np.ndarray, color_range: str, out=None, scratch=None) ->
     return np.clip(out, 0.0, 1.0, out=out)
 
 
-def quantize_8bit(img: ImageBuffer) -> ImageBuffer:
+def quantize_8bit(img: np.ndarray) -> np.ndarray:
     """Snap every sample to the 8-bit grid: u -> round(255*u)/255."""
-    return _as_image(img, _quantize_8bit(img.data))
+    return _quantize_8bit(check_planes(img))
 
 
 def _quantize_8bit(data: np.ndarray, out=None, scratch=None) -> np.ndarray:
@@ -149,9 +141,9 @@ def _quantize_8bit(data: np.ndarray, out=None, scratch=None) -> np.ndarray:
     return out
 
 
-def shorter_side_resize(img: ImageBuffer, target: int) -> ImageBuffer:
+def shorter_side_resize(img: np.ndarray, target: int) -> np.ndarray:
     """Aspect-preserving resize so that min(width, height) == target."""
-    return _as_image(img, _shorter_side_resize(img.data, target))
+    return _shorter_side_resize(check_planes(img), target)
 
 
 def _shorter_side_resize(data: np.ndarray, target: int, out=None) -> np.ndarray:
@@ -212,14 +204,14 @@ def _fold(x: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def gaussian_blur(img: ImageBuffer, sigma: float) -> ImageBuffer:
+def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian blur, kernel truncated at 3*sigma and renormalized.
 
     Borders are mirror-reflected (the edge pixel repeats); a plane narrower
     than the kernel radius is reflected back and forth.
     """
     check_fields({"sigma": sigma}, BLUR_FIELDS["gaussian_blur"], "gaussian_blur: ")
-    return _as_image(img, _gaussian_blur(img.data, sigma))
+    return _gaussian_blur(check_planes(img), sigma)
 
 
 def _gaussian_blur(data: np.ndarray, sigma: float) -> np.ndarray:
@@ -254,16 +246,20 @@ def motion_blur_kernel(length: int, angle_deg: float) -> np.ndarray:
     return kernel
 
 
-def motion_blur(img: ImageBuffer, length: int, angle_deg: float = 0.0) -> ImageBuffer:
+def motion_blur(img: np.ndarray, length: int, angle_deg: float = 0.0) -> np.ndarray:
     """Convolve with a straight-line kernel; length 1 is the identity.
 
-    Borders are mirror-reflected, as in gaussian_blur. Each output pixel sums
-    its nonzero taps in raveled order of the flipped kernel, the order
-    ndimage.convolve uses, so the two agree bit for bit.
+    Borders are mirror-reflected, as in gaussian_blur, and the mirror repeats
+    however far the taps reach (NumPy's "symmetric" pad). Each output pixel
+    sums its nonzero taps in raveled order of the flipped kernel, the order
+    ndimage.convolve uses, so the two agree bit for bit while the taps reach
+    fewer than 4x the plane's side along each axis more than a pixel long.
+    Past that they differ: the blur keeps the repeating mirror, and SciPy's
+    "reflect" extension does not.
     """
     check_fields({"length": length, "angle_deg": angle_deg}, BLUR_FIELDS["motion_blur"],
                  "motion_blur: ")
-    return _as_image(img, _motion_blur(img.data, length, angle_deg))
+    return _motion_blur(check_planes(img), length, angle_deg)
 
 
 def _motion_blur(data: np.ndarray, length: int, angle_deg: float = 0.0, out=None) -> np.ndarray:
@@ -313,9 +309,9 @@ def _motion_blur(data: np.ndarray, length: int, angle_deg: float = 0.0, out=None
     return out
 
 
-def to_luma(img: ImageBuffer) -> ImageBuffer:
+def to_luma(img: np.ndarray) -> np.ndarray:
     """BT.601 full-range luma; grayscale input passes through unchanged."""
-    return _as_image(img, _to_luma(img.data))
+    return _to_luma(check_planes(img))
 
 
 def _to_luma(data: np.ndarray) -> np.ndarray:

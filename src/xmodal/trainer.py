@@ -52,7 +52,7 @@ def _check_params(arrays: Mapping[str, np.ndarray], shapes: Mapping[str, tuple],
         if arr.shape != shapes[name]:
             raise InputError(f"{where}{name}: shape {arr.shape}, expected {shapes[name]}")
         if not np.isfinite(arr).all():
-            raise ValueError(f"{name}: non-finite value")
+            raise NumericalError(f"{where}{name}: non-finite value")
 
 
 @dataclass(frozen=True)
@@ -254,10 +254,9 @@ def mixed_batch_sampler(
     still have samples left; each remaining slot draws video with
     probability VIDEO_FRACTION.
     """
+    check_fields({"batch_size": batch_size}, TRAIN_FIELDS, "mixed_batch_sampler: ")
     image_pool = np.asarray(image_pool, dtype=np.int64)
     video_pool = np.asarray(video_pool, dtype=np.int64)
-    if batch_size < 2:
-        raise ValueError("batch_size must be >= 2")
     if image_pool.size == 0 and video_pool.size == 0:
         raise InputError("need at least one non-empty pool")
     if image_pool.size == 0 or video_pool.size == 0:

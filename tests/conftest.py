@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xmodal.core import ImageBuffer, save_image
+from xmodal.core import save_image
 
 # the benchmark's chain, and a chain that holds every step type
 CANONICAL_CHAIN = {"steps": [
@@ -28,37 +28,34 @@ EVERY_STEP_CHAIN = {"steps": [
 ]}
 
 
-def gray_image(values) -> ImageBuffer:
-    """1-channel buffer from a 2-d array."""
-    arr = np.asarray(values, dtype=np.float64)
-    return ImageBuffer(arr[None, :, :])
+def gray_image(values) -> np.ndarray:
+    """1-channel planes from a 2-d array."""
+    return np.array(values, dtype=np.float64)[None, :, :]
 
 
-def rgb_image(r, g, b) -> ImageBuffer:
-    return ImageBuffer(np.stack([np.asarray(r, dtype=np.float64),
-                                 np.asarray(g, dtype=np.float64),
-                                 np.asarray(b, dtype=np.float64)]))
+def rgb_image(r, g, b) -> np.ndarray:
+    return np.stack([np.asarray(r, dtype=np.float64),
+                     np.asarray(g, dtype=np.float64),
+                     np.asarray(b, dtype=np.float64)])
 
 
-def constant_rgb(value, h=8, w=8) -> ImageBuffer:
+def constant_rgb(value, h=8, w=8) -> np.ndarray:
     plane = np.full((h, w), float(value))
     return rgb_image(plane, plane, plane)
 
 
-def noise_image(seed, h=32, w=32, channels=1, lo=0.1, hi=0.9) -> ImageBuffer:
-    rng = np.random.default_rng(seed)
-    data = rng.uniform(lo, hi, size=(channels, h, w))
-    return ImageBuffer(data)
+def noise_image(seed, h=32, w=32, channels=1, lo=0.1, hi=0.9) -> np.ndarray:
+    return np.random.default_rng(seed).uniform(lo, hi, size=(channels, h, w))
 
 
-def textured_image(seed, h=64, w=64, channels=1, noise_sigma=0.05) -> ImageBuffer:
+def textured_image(seed, h=64, w=64, channels=1, noise_sigma=0.05) -> np.ndarray:
     """Smooth gradient plus seeded Gaussian noise, safely inside [0.1, 0.9]."""
     rng = np.random.default_rng(seed)
     yy, xx = np.meshgrid(np.linspace(0, 1, h), np.linspace(0, 1, w), indexing="ij")
     base = 0.5 + 0.15 * np.sin(2 * np.pi * (xx * 2 + yy)) + 0.1 * (xx - 0.5)
     data = np.stack([base + rng.normal(0.0, noise_sigma, size=(h, w))
                      for _ in range(channels)])
-    return ImageBuffer(np.clip(data, 0.1, 0.9))
+    return np.clip(data, 0.1, 0.9)
 
 
 def write_manifest_file(path: Path, entries) -> Path:

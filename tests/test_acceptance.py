@@ -28,7 +28,7 @@ from xmodal.codecsim import (
     tv_range_squeeze,
     video_codec_simulate,
 )
-from xmodal.core import ImageBuffer, save_image
+from xmodal.core import save_image
 from xmodal.forensics import (
     dct_ac_histogram,
     detect_tv_range,
@@ -266,7 +266,7 @@ def test_criterion_5_rapsd_direction():
         for k in range(per_batch):
             seed = batch_idx * per_batch + k
             rng_img = np.random.default_rng(5000 + seed)
-            img = ImageBuffer(rng_img.uniform(0.1, 0.9, size=(1, 48, 48)))
+            img = rng_img.uniform(0.1, 0.9, size=(1, 48, 48))
             degraded = apply_chain(img, chain, np.random.default_rng(seed))
             before.append(rapsd(img, nbins=nbins).power)
             after.append(rapsd(degraded, nbins=nbins).power)
@@ -294,7 +294,7 @@ def _stamp_extremes(data, rng):
     return data
 
 
-def _varied_full_range_image(i, h=128, w=128) -> ImageBuffer:
+def _varied_full_range_image(i, h=128, w=128) -> np.ndarray:
     rng = np.random.default_rng(1000 + i)
     kind = i % 5
     yy, xx = np.meshgrid(np.linspace(0, 1, h), np.linspace(0, 1, w), indexing="ij")
@@ -312,13 +312,13 @@ def _varied_full_range_image(i, h=128, w=128) -> ImageBuffer:
         )
     elif kind == 3:
         base = rng.uniform(0, 1, (h, w))
-        data = gaussian_blur(ImageBuffer(base[None]), 2.0).data[0] + rng.normal(
+        data = gaussian_blur(base[None], 2.0)[0] + rng.normal(
             0, 0.03, (h, w)
         )
     else:
         data = xx * yy + rng.normal(0, 0.08, (h, w))
     data = _stamp_extremes(_stretch(data), rng)
-    return quantize_8bit(ImageBuffer(np.clip(data, 0.0, 1.0)[None]))
+    return quantize_8bit(np.clip(data, 0.0, 1.0)[None])
 
 
 @criterion(6, "TV-range forensics: 50 originals Full, 50 squeezed Limited")
@@ -329,7 +329,7 @@ def test_criterion_6_tv_range():
         verdict_sq, _, _ = detect_tv_range(luminance_histogram([tv_range_squeeze(img)]))
         assert verdict_orig == "full", f"image {i} original misread"
         assert verdict_sq == "limited", f"image {i} squeezed misread"
-    ramp = ImageBuffer(np.tile(np.arange(256) / 255.0, (16, 1))[None])
+    ramp = np.tile(np.arange(256) / 255.0, (16, 1))[None]
     counts = luminance_histogram([tv_range_squeeze(ramp)])
     assert np.count_nonzero(counts[16:236] == 0) >= 1
 

@@ -237,7 +237,7 @@ class TestDegrade:
             assert old["id"] == new["id"]
             before = load_image(old["path"])
             after = load_image(new["path"])
-            assert np.abs(before.data - after.data).max() <= 1 / 255 + 1e-12
+            assert np.abs(before - after).max() <= 1 / 255 + 1e-12
 
     def test_rerun_byte_identical(self, corpus, tmp_path):
         root, manifest = corpus

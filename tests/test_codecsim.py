@@ -25,7 +25,6 @@ from xmodal.codecsim import (
     tv_range_squeeze,
     video_codec_simulate,
 )
-from xmodal.core import ImageBuffer
 from xmodal.errors import InputError, NumericalError, XmodalError
 from xmodal.forensics import dct_ac_histogram, luminance_histogram, rapsd
 
@@ -149,18 +148,18 @@ class TestJpegSimulate:
         img = constant_rgb(0.5, h=16, w=16)
         for quality in (10, 50, 95):
             out = jpeg_simulate(img, quality)
-            assert np.abs(out.data - img.data).max() <= 1 / 255 + 1e-12
+            assert np.abs(out - img).max() <= 1 / 255 + 1e-12
 
     def test_gray_input_supported(self):
         img = noise_image(0, h=24, w=24)
         out = jpeg_simulate(img, 80)
-        assert out.channels == 1
-        assert out.data.min() >= 0.0 and out.data.max() <= 1.0
+        assert len(out) == 1
+        assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_non_multiple_of_8_dims(self):
         img = noise_image(1, h=19, w=13, channels=3)
         out = jpeg_simulate(img, 70)
-        assert (out.height, out.width) == (19, 13)
+        assert out.shape[1:] == (19, 13)
 
     def test_more_zeros_at_low_quality(self):
         zero_low, zero_high = [], []
@@ -175,7 +174,7 @@ class TestJpegSimulate:
     def test_output_is_8bit_by_default(self):
         img = noise_image(2, h=16, w=16, channels=3)
         out = jpeg_simulate(img, 60)
-        codes = out.data * 255.0
+        codes = out * 255.0
         assert np.allclose(codes, np.round(codes), atol=1e-9)
 
     def test_quality_monotone_zero_fraction(self):
@@ -197,12 +196,12 @@ class TestVideoCodecSimulate:
     def test_fine_quantization_near_identity(self):
         img = noise_image(0, h=16, w=16)
         out = video_codec_simulate(img, qstep=1e-6, deadzone=0.0)
-        assert np.abs(out.data - img.data).max() < 1e-4
+        assert np.abs(out - img).max() < 1e-4
 
     def test_constant_within_one_code(self):
         img = constant_rgb(0.4, h=16, w=16)
         out = video_codec_simulate(img, qstep=12.0, deadzone=0.5)
-        assert np.abs(out.data - img.data).max() <= 1 / 255
+        assert np.abs(out - img).max() <= 1 / 255
 
     def test_deadzone_beats_jpeg_q90_zero_fraction(self):
         video_zero, jpeg_zero = [], []
@@ -221,7 +220,7 @@ class TestTvRangeSqueeze:
     def test_black_point_round_trip(self):
         img = constant_rgb(0.0, h=8, w=8)
         out = tv_range_squeeze(img)
-        assert np.abs(out.data).max() <= 1 / 255 + 1e-12
+        assert np.abs(out).max() <= 1 / 255 + 1e-12
 
     def test_ramp_develops_empty_bins(self):
         ramp = gray_image(np.tile(np.arange(256) / 255.0, (8, 1)))
@@ -232,7 +231,7 @@ class TestTvRangeSqueeze:
         img = textured_image(0, h=32, w=32, channels=3)
         once = tv_range_squeeze(img)
         twice = tv_range_squeeze(once)
-        assert np.abs(twice.data - once.data).max() <= 1 / 255 + 1e-12
+        assert np.abs(twice - once).max() <= 1 / 255 + 1e-12
 
 
 class TestChains:
@@ -244,7 +243,7 @@ class TestChains:
             {"step": "jpeg", "quality": 100},
         ]})
         out = apply_chain(img, chain, np.random.default_rng(0))
-        assert np.abs(out.data - img.data).max() <= 1 / 255 + 1e-12
+        assert np.abs(out - img).max() <= 1 / 255 + 1e-12
 
     def test_canonical_chain_cuts_high_frequencies(self):
         img = noise_image(0, h=48, w=48)
@@ -269,9 +268,9 @@ class TestChains:
         ]})
         a = apply_chain(img, chain, np.random.default_rng(42))
         b = apply_chain(img, chain, np.random.default_rng(42))
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a, b)
         c = apply_chain(img, chain, np.random.default_rng(43))
-        assert not np.array_equal(a.data, c.data)
+        assert not np.array_equal(a, c)
 
     def test_every_step_has_a_kernel(self):
         assert list(_KERNELS) == list(STEP_FIELDS)
@@ -325,7 +324,7 @@ class TestChains:
         assert chain == ({"step": "tv_range_squeeze"}, {"step": "quantize_8bit"})
         img = noise_image(0, h=16, w=16, channels=3)
         out = apply_chain(img, chain, np.random.default_rng(0))
-        assert out.channels == 3
+        assert len(out) == 3
 
     def test_unknown_step_name(self):
         with pytest.raises(InputError, match="step 0: unknown chain step 'h264'"):
@@ -358,12 +357,12 @@ class TestChains:
         step = {"step": "color_jitter", "brightness": (MAX_JITTER, MAX_JITTER),
                 "contrast": (MAX_JITTER, MAX_JITTER), "saturation": (0.0, 0.0)}
         out = apply_chain(img, chain_steps({"steps": [step]}), np.random.default_rng(0))
-        assert np.all((out.data >= 0.0) & (out.data <= 1.0))
+        assert np.all((out >= 0.0) & (out <= 1.0))
 
     def test_non_finite_chain_result_is_an_xmodal_error(self):
         # a gray JPEG round trip of 1e308 samples overflows to NaN; the check
         # at the chain's end raises an error the corpus loop counts
-        img = ImageBuffer(np.full((1, 8, 8), 1e308))
+        img = np.full((1, 8, 8), 1e308)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError, match="must be finite") as err:
                 apply_chain(img, chain_steps({"steps": [{"step": "jpeg", "quality": 75}]}),

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import re
 import threading
 import time
 import types
@@ -15,8 +16,8 @@ from xmodal.core import (
     MANIFEST_FIELDS,
     LABELS,
     MODALITIES,
-    ImageBuffer,
     check_fields,
+    check_planes,
     iter_samples,
     load_codes,
     load_image,
@@ -27,7 +28,7 @@ from xmodal.core import (
     successes,
     write_manifest,
 )
-from xmodal.errors import InputError
+from xmodal.errors import InputError, NumericalError
 
 from conftest import write_manifest_file
 
@@ -220,25 +221,47 @@ class TestReadJsonPausesTheGc:
         assert gc.isenabled() is gc_state
 
 
-class TestImageBuffer:
-    def test_shape_properties(self):
-        buf = ImageBuffer(np.zeros((3, 4, 5)))
-        assert (buf.channels, buf.height, buf.width) == (3, 4, 5)
+class TestCheckPlanes:
+    def test_float_planes_are_viewed_read_only_without_a_copy(self):
+        data = np.zeros((3, 4, 5))
+        planes = check_planes(data)
+        assert planes.shape == (3, 4, 5) and planes.dtype == np.float64
+        assert np.shares_memory(planes, data) and not planes.flags.writeable
+        assert data.flags.writeable  # the caller's array keeps its flag
 
-    def test_rejects_bad_channels(self):
-        with pytest.raises(ValueError):
-            ImageBuffer(np.zeros((2, 4, 4)))
+    @pytest.mark.parametrize("data", [
+        np.arange(60, dtype=np.uint8).reshape(3, 4, 5),
+        np.arange(60).reshape(3, 4, 5),
+        np.zeros((5, 4, 3)).transpose(2, 1, 0),
+        [[[0.25, 0.5]]],
+    ], ids=["uint8", "int64", "transposed", "list"])
+    def test_other_dtypes_and_layouts_are_copied_to_c_contiguous_float64(self, data):
+        planes = check_planes(data)
+        assert planes.dtype == np.float64 and planes.flags.c_contiguous
+        assert np.array_equal(planes, np.asarray(data, dtype=np.float64))
+        assert not planes.flags.writeable
 
-    def test_rejects_non_finite(self):
+    @pytest.mark.parametrize("shape", [(2, 4, 4), (4, 4), (1, 0, 4), (3, 4, 0), (0, 4, 4),
+                                       (1, 1, 1, 1)])
+    def test_a_bad_shape_is_an_input_error(self, shape):
+        with pytest.raises(InputError, match=re.escape(
+                f"image planes must have shape (1 or 3, height, width), got {shape}")):
+            check_planes(np.zeros(shape))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_sample_is_a_numerical_error(self, value):
         data = np.zeros((1, 2, 2))
-        data[0, 0, 0] = np.nan
-        with pytest.raises(ValueError):
-            ImageBuffer(data)
+        data[0, 0, 0] = value
+        with pytest.raises(NumericalError, match="^image data must be finite$"):
+            check_planes(data)
 
-    def test_data_is_read_only(self):
-        buf = ImageBuffer(np.zeros((1, 2, 2)))
-        with pytest.raises(ValueError):
-            buf.data[0, 0, 0] = 1.0
+    def test_codes_pass_as_they_are(self):
+        codes = np.arange(12, dtype=np.uint8).reshape(2, 2, 3).transpose(2, 0, 1)
+        assert check_planes(codes, codes=True) is codes
+        with pytest.raises(InputError, match="got \\(2, 2\\)"):
+            check_planes(codes[0], codes=True)
+        # only uint8 planes are codes
+        assert check_planes(codes / 255.0, codes=True).dtype == np.float64
 
 
 class TestImageIO:
@@ -246,15 +269,15 @@ class TestImageIO:
         path = tmp_path / "t.pgm"
         path.write_bytes(b"P5\n2 1\n255\n" + bytes([0, 255]))
         buf = load_image(path)
-        assert (buf.width, buf.height, buf.channels) == (2, 1, 1)
-        assert buf.data[0, 0, 0] == 0.0
-        assert buf.data[0, 0, 1] == 1.0
+        assert buf.shape == (1, 1, 2)
+        assert buf[0, 0, 0] == 0.0
+        assert buf[0, 0, 1] == 1.0
 
     def test_ppm_direct_scaling(self, tmp_path):
         path = tmp_path / "t.ppm"
         path.write_bytes(b"P6\n1 1\n255\n" + bytes([128, 128, 128]))
         buf = load_image(path)
-        assert np.allclose(buf.data[:, 0, 0], 128 / 255)
+        assert np.allclose(buf[:, 0, 0], 128 / 255)
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "t.ppm"
@@ -268,7 +291,7 @@ class TestImageIO:
         codes = load_codes(str(path))
         assert codes.dtype == np.uint8 and not codes.flags.writeable
         assert codes.tolist() == [[[1, 4]], [[2, 5]], [[3, 6]]]
-        assert np.array_equal(load_image(path).data, codes / 255.0)
+        assert np.array_equal(load_image(path), codes / 255.0)
 
     def test_unsupported_magic(self, tmp_path):
         path = tmp_path / "t.pbm"
@@ -290,7 +313,7 @@ class TestImageIO:
         path = tmp_path / "t.pgm"
         path.write_bytes(b"P5\n# a comment\n2 2\n255\n" + bytes([0, 1, 2, 3]))
         buf = load_image(path)
-        assert buf.data[0, 1, 1] == 3 / 255
+        assert buf[0, 1, 1] == 3 / 255
 
     @pytest.mark.parametrize("seed,magic", [(0, "pgm"), (1, "ppm"), (2, "ppm")])
     def test_lossless_round_trip(self, tmp_path, seed, magic):
@@ -305,7 +328,7 @@ class TestImageIO:
         copy = tmp_path / f"copy.{magic}"
         save_image(loaded, copy)
         assert copy.read_bytes() == original.read_bytes()
-        assert np.array_equal(load_image(copy).data, loaded.data)
+        assert np.array_equal(load_image(copy), loaded)
 
 
 def sample_records(n: int) -> list[dict]:
@@ -315,10 +338,10 @@ def sample_records(n: int) -> list[dict]:
 def memory_loader(missing=()):
     """Loader serving a 1x1 image whose value encodes the record number."""
 
-    def loader(path: str) -> ImageBuffer:
+    def loader(path: str) -> np.ndarray:
         if path in missing:
             raise InputError(f"image not found: {path}")
-        return ImageBuffer(np.full((1, 1, 1), int(path[1:]) / 100.0))
+        return np.full((1, 1, 1), int(path[1:]) / 100.0)
 
     return loader
 
@@ -333,7 +356,7 @@ class TestIterSamples:
             time.sleep(0.001 * ((12 - n) % 4))  # finish out of submission order
             if n == 7:
                 raise InputError("bad payload")
-            return rec["id"], img.data[0, 0, 0]
+            return rec["id"], img[0, 0, 0]
 
         stream = iter_samples(records, fn, threads, memory_loader({"p2", "p9"}))
         out = list(stream)
@@ -400,8 +423,8 @@ class TestIterSamples:
         # a gray JPEG round trip of 1e308 samples overflows to NaN
         chain = chain_steps({"steps": [{"step": "jpeg", "quality": 75}]})
 
-        def loader(path: str) -> ImageBuffer:
-            return ImageBuffer(np.full((1, 8, 8), 1e308 if path == "p1" else 0.5))
+        def loader(path: str) -> np.ndarray:
+            return np.full((1, 8, 8), 1e308 if path == "p1" else 0.5)
 
         def fn(rec, img):
             with np.errstate(over="ignore", invalid="ignore"):

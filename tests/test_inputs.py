@@ -43,16 +43,15 @@ from xmodal.core import (
     MODALITIES,
     WINDOWS,
     Field,
-    ImageBuffer,
     ScoredPrediction,
     check_fields,
     parse_manifest,
     save_image,
     write_manifest,
 )
-from xmodal.errors import InputError
+from xmodal.errors import InputError, NumericalError
 from xmodal.forensics import dct_ac_histogram, rapsd
-from xmodal.metrics import per_subset_report, subset_report
+from xmodal.metrics import per_subset_report, select_frame_indices, subset_report
 from xmodal.pixelops import (COLOR_RANGES, gaussian_blur, motion_blur, motion_blur_kernel,
                              rgb_to_ycbcr, ycbcr_to_rgb)
 from xmodal.trainer import (
@@ -67,11 +66,13 @@ from xmodal.trainer import (
     forward,
     generate_synthetic,
     load_checkpoint,
+    mixed_batch_sampler,
     save_checkpoint,
     train_config,
 )
 
 from conftest import textured_image
+from test_kernel_identity import PIXEL_CALLS
 
 D_IN = 6
 
@@ -442,7 +443,7 @@ Y = np.array([0, 0, 1, 1, 0, 1, 0, 1])
 M = np.array([0, 1, 0, 1, 1, 0, 0, 1])
 MODEL = ToyModel.init(4, 5, 3, np.random.default_rng(0))
 X = np.random.default_rng(1).normal(size=(8, 4))
-IMAGE = ImageBuffer(np.random.default_rng(2).random((3, 32, 32)))
+IMAGE = np.random.default_rng(2).random((3, 32, 32))
 SCORES = np.array([0.9, 0.2, 0.6, 0.4, 0.7, 0.1])
 CODES = np.array([1, 0, 1, 0, 0, 1], dtype=np.int8)
 SUBSETS = ["a", "a", "a", "b", "b", "b"]
@@ -465,9 +466,9 @@ CHOICE_CASES = {
                 "hidden", 9.229062965755936, "feature_layer", FEATURE_LAYERS),
     "rapsd": (lambda v: rapsd(IMAGE, v, 8).power.sum(),
               "hann", 0.05321612716001538, "window", WINDOWS),
-    "rgb_to_ycbcr": (lambda v: rgb_to_ycbcr(IMAGE, v).data.sum(),
+    "rgb_to_ycbcr": (lambda v: rgb_to_ycbcr(IMAGE, v).sum(),
                      "limited", 1539.192459756663, "color_range", COLOR_RANGES),
-    "ycbcr_to_rgb": (lambda v: ycbcr_to_rgb(IMAGE, v).data.sum(),
+    "ycbcr_to_rgb": (lambda v: ycbcr_to_rgb(IMAGE, v).sum(),
                      "limited", 1560.0522606922818, "color_range", COLOR_RANGES),
     "quant_table_from_quality": (lambda v: quant_table_from_quality(50, v).sum(),
                                  "chroma", 5505, "channel", JPEG_CHANNELS),
@@ -509,6 +510,15 @@ BOUND_CASES = [
     *((lambda value=value: dct_ac_histogram([IMAGE], value_range=value),
        f"dct_ac_histogram: 'value_range': must be a finite number > 0, got {value!r}")
       for value in (0, -1.5, float("nan"), float("inf"), True)),
+    (lambda: select_frame_indices(4, 0),
+     "select_frame_indices: 'frames': must be an integer >= 1, got 0"),
+    (lambda: mixed_batch_sampler(np.arange(3), np.arange(3, 6), 1, np.random.default_rng(0)),
+     "mixed_batch_sampler: 'batch_size': must be an integer >= 2, got 1"),
+    *((lambda value=value: ScoredPrediction(value, "fake", "a"),
+       f"ScoredPrediction: 'score': must be a finite number in [0, 1], got {value!r}")
+      for value in (-0.5, 1.5, float("nan"))),
+    (lambda: ScoredPrediction(np.float32(np.inf), "fake", "a"),
+     "ScoredPrediction: 'score': must be a finite number in [0, 1], got np.float32(inf)"),
 ]
 
 
@@ -520,6 +530,12 @@ def test_a_library_bound_raises_input_error(call, words):
 
 
 def test_library_bounds_admit_their_edges():
+    assert select_frame_indices(4, 1) == [2]
+    assert len(mixed_batch_sampler(np.arange(3), np.arange(3, 6), 2,
+                                   np.random.default_rng(0))) == 3
+    # a NumPy float is a number, as a NumPy integer is an integer
+    scores = (0, 1.0, np.float32(0.25))
+    assert [ScoredPrediction(score, "real", "a").score for score in scores] == [0, 1.0, 0.25]
     assert len(rapsd(IMAGE, nbins=1).power) == 1
     assert len(rapsd(IMAGE, nbins=np.int64(3)).power) == 3  # a NumPy integer is an integer
     result = dct_ac_histogram([IMAGE], value_range=5e-324, nbins=1)
@@ -550,3 +566,61 @@ def test_no_module_defines_an_enum():
                     alias.name for alias in node.names]
                 found += [f"{path.name}: imports enum" for module in modules if module == "enum"]
     assert not found
+
+
+def test_a_non_finite_parameter_is_a_numerical_error():
+    params = {name: np.array(getattr(MODEL, name)) for name in ("w1", "b1", "wp", "wc", "bc")}
+    params["wc"][1] = np.inf
+    with pytest.raises(NumericalError, match="^wc: non-finite value$"):
+        ToyModel(**params)
+
+
+@pytest.mark.parametrize("name", sorted(PIXEL_CALLS))
+def test_every_pixel_function_checks_its_planes(tmp_path, name):
+    channels = "3" if name in ("rgb_to_ycbcr", "ycbcr_to_rgb") else "1 or 3"
+    for shape in ((2, 16, 16), (16, 16), (3, 0, 16), (1, 1, 16, 16)):
+        words = f"image planes must have shape ({channels}, height, width), got {shape}"
+        with pytest.raises(InputError, match=f"^{re.escape(words)}$"):
+            PIXEL_CALLS[name](np.zeros(shape), tmp_path / "f.ppm")
+    planes = np.full((3, 16, 16), 0.5)
+    planes[1, 2, 3] = np.nan
+    with pytest.raises(NumericalError, match="^image data must be finite$"):
+        PIXEL_CALLS[name](planes, tmp_path / "f.ppm")
+    assert not (tmp_path / "f.ppm").exists()
+
+
+def _catches_value_error(handler: ast.ExceptHandler) -> bool:
+    names = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return any(name is None or getattr(name, "id", None) in ("ValueError", "Exception")
+               for name in names)
+
+
+def _value_error_raises(nodes, caught: bool = False):
+    """For each ``raise ValueError`` in ``nodes``, outside nested functions: whether
+    a ``try`` around it catches ValueError."""
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        exc = getattr(node, "exc", None) if isinstance(node, ast.Raise) else None
+        if "ValueError" in (getattr(exc, "id", None), getattr(getattr(exc, "func", None), "id",
+                                                               None)):
+            yield caught
+        if isinstance(node, ast.Try):
+            yield from _value_error_raises(
+                node.body, caught or any(map(_catches_value_error, node.handlers)))
+            yield from _value_error_raises([*node.handlers, *node.orelse, *node.finalbody],
+                                           caught)
+        else:
+            yield from _value_error_raises(ast.iter_child_nodes(node), caught)
+
+
+def test_every_value_error_the_library_raises_is_caught_where_it_is_raised():
+    # ValueError is outside the exit-code contract (2 for input, 3 for numerical
+    # errors): a library raise of one is a step of its own function's control flow
+    found = []
+    for path in sorted(Path(xmodal.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [(path.name, node.name, caught)
+                          for caught in _value_error_raises(node.body)]
+    assert found == [("cli.py", "_feature_columns", True)]

@@ -39,7 +39,7 @@ from xmodal.codecsim import (
     video_codec_simulate,
 )
 from xmodal.cmsupcon import bce_grad
-from xmodal.core import (ImageBuffer, _fit_to_square, load_codes, load_image, load_luma,
+from xmodal.core import (_fit_to_square, load_codes, load_image, load_luma,
                          save_image)
 from xmodal.errors import InputError
 from xmodal.forensics import dct_ac_histogram, luminance_histogram, rapsd
@@ -225,14 +225,15 @@ def ref_luma_codes(luma):
 
 
 def ref_rapsd(img, window, nbins):
-    plane = ref_to_luma(img.data)[0] if img.channels == 3 else img.data[0]
+    channels, height, width = img.shape
+    plane = ref_to_luma(img)[0] if channels == 3 else img[0]
     plane = plane - plane.mean()
     if window == "hann":
-        plane = plane * np.outer(np.hanning(img.height), np.hanning(img.width))
+        plane = plane * np.outer(np.hanning(height), np.hanning(width))
     spectrum = np.fft.fft2(plane)
-    power = (spectrum.real**2 + spectrum.imag**2) / (img.width * img.height)
-    fy = np.fft.fftfreq(img.height)[:, None]
-    fx = np.fft.fftfreq(img.width)[None, :]
+    power = (spectrum.real**2 + spectrum.imag**2) / (width * height)
+    fy = np.fft.fftfreq(height)[:, None]
+    fx = np.fft.fftfreq(width)[None, :]
     radius = np.sqrt(fx * fx + fy * fy)
     mask = (radius > 0.0) & (radius <= 0.5)
     bin_width = 0.5 / nbins
@@ -255,13 +256,13 @@ SIZES = [(37, 53), (8, 8), (64, 96), (16, 13), (13, 16), (1, 9)]
 def frame(seed, channels, h, w, lo=-0.05, hi=1.05):
     """Random planes, a little outside [0, 1] so the clamps have work to do."""
     rng = np.random.default_rng(seed)
-    return ImageBuffer(rng.uniform(lo, hi, size=(channels, h, w)))
+    return rng.uniform(lo, hi, size=(channels, h, w))
 
 
 def codes_frame(seed, channels, h, w):
     """A frame on the 8-bit grid, as a decoded file would hold."""
     rng = np.random.default_rng(seed)
-    return ImageBuffer(rng.integers(0, 256, size=(channels, h, w)) / 255.0)
+    return rng.integers(0, 256, size=(channels, h, w)) / 255.0
 
 
 # --- tests -----------------------------------------------------------------------
@@ -273,13 +274,13 @@ class TestColorConversion:
     def test_rgb_to_ycbcr(self, h, w, color_range):
         img = frame(1, 3, h, w)
         assert np.array_equal(
-            rgb_to_ycbcr(img, color_range).data, ref_rgb_to_ycbcr(img.data, color_range)
+            rgb_to_ycbcr(img, color_range), ref_rgb_to_ycbcr(img, color_range)
         )
 
     def test_ycbcr_to_rgb(self, h, w, color_range):
         img = frame(2, 3, h, w)
         assert np.array_equal(
-            ycbcr_to_rgb(img, color_range).data, ref_ycbcr_to_rgb(img.data, color_range)
+            ycbcr_to_rgb(img, color_range), ref_ycbcr_to_rgb(img, color_range)
         )
 
 
@@ -288,44 +289,44 @@ class TestColorConversion:
 class TestPixelKernels:
     def test_quantize_8bit(self, h, w, channels):
         img = frame(3, channels, h, w)
-        assert np.array_equal(quantize_8bit(img).data, ref_quantize_8bit(img.data))
+        assert np.array_equal(quantize_8bit(img), ref_quantize_8bit(img))
 
     @pytest.mark.parametrize("length, angle", [(5, 0.0), (4, 33.0)])
     def test_motion_blur(self, h, w, channels, length, angle):
         img = frame(4, channels, h, w)
         assert np.array_equal(
-            motion_blur(img, length, angle).data, ref_motion_blur(img.data, length, angle)
+            motion_blur(img, length, angle), ref_motion_blur(img, length, angle)
         )
 
     def test_to_luma(self, h, w, channels):
         img = frame(5, channels, h, w)
-        expected = ref_to_luma(img.data) if channels == 3 else img.data
-        assert np.array_equal(to_luma(img).data, expected)
+        expected = ref_to_luma(img) if channels == 3 else img
+        assert np.array_equal(to_luma(img), expected)
 
     @pytest.mark.parametrize("quality", [10, 75, 100])
     def test_jpeg_simulate(self, h, w, channels, quality):
         img = codes_frame(6, channels, h, w)
         assert np.array_equal(
-            jpeg_simulate(img, quality).data, ref_jpeg_simulate(img.data, quality)
+            jpeg_simulate(img, quality), ref_jpeg_simulate(img, quality)
         )
 
     @pytest.mark.parametrize("deadzone", [0.0, 0.5])
     def test_video_codec_simulate(self, h, w, channels, deadzone):
         img = codes_frame(7, channels, h, w)
-        assert np.array_equal(video_codec_simulate(img, 16.0, deadzone).data,
-                              ref_video_codec_simulate(img.data, 16.0, deadzone))
+        assert np.array_equal(video_codec_simulate(img, 16.0, deadzone),
+                              ref_video_codec_simulate(img, 16.0, deadzone))
 
     @pytest.mark.parametrize("half_codes", [False, True])
     def test_load_and_save_image(self, tmp_path, h, w, channels, half_codes):
         img = frame(8, channels, h, w)
         if half_codes:  # samples halfway between two codes round up
-            img = ImageBuffer((np.floor(img.data * 255.0) + 0.5) / 255.0)
+            img = (np.floor(img * 255.0) + 0.5) / 255.0
         path = tmp_path / ("f.ppm" if channels == 3 else "f.pgm")
         save_image(img, path)
-        codes = np.floor(np.clip(img.data, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
+        codes = np.floor(np.clip(img, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
         payload = codes[0].tobytes() if channels == 1 else codes.transpose(1, 2, 0).tobytes()
         assert path.read_bytes().endswith(b"\n%d %d\n255\n" % (w, h) + payload)
-        assert np.array_equal(load_image(path).data, codes.astype(np.float64) / 255.0)
+        assert np.array_equal(load_image(path), codes.astype(np.float64) / 255.0)
 
 
 # planes with both, one or no sides a multiple of 8, down to a single row
@@ -336,7 +337,7 @@ DCT_PLANES = [(256, 455), (360, 640), (37, 53), (9, 17), (8, 8), (1, 9), (1080, 
 @pytest.mark.parametrize("on_grid", [False, True])
 def test_block_dct_matches_einsum(h, w, on_grid):
     img = codes_frame(21, 1, h, w) if on_grid else frame(21, 1, h, w)
-    plane = img.data[0]
+    plane = img[0]
     expected, size = ref_blocks_forward(plane * 255.0 - 128.0)
     coeffs = _shifted_coeffs(plane, 128.0)
     assert coeffs.shape == (-(-h // 8), 8, -(-w // 8), 8)
@@ -361,17 +362,17 @@ def test_kernels_across_band_edges(h, w, channels):
         assert len(_bands(h, w, 8)) > 1 and len(_bands(h, w)) > 1
     img = codes_frame(23, channels, h, w)
     for quantize_output in (True, False):
-        expected = ref_jpeg_simulate(img.data, 75, quantize_output)
-        assert np.array_equal(jpeg_simulate(img, 75, quantize_output).data, expected)
-        own = img.data.copy()  # written over, as the chain does
+        expected = ref_jpeg_simulate(img, 75, quantize_output)
+        assert np.array_equal(jpeg_simulate(img, 75, quantize_output), expected)
+        own = img.copy()  # written over, as the chain does
         assert np.array_equal(_jpeg_simulate(own, 75, quantize_output, own), expected)
-    expected = ref_video_codec_simulate(img.data, 16.0, 0.5)
-    assert np.array_equal(video_codec_simulate(img, 16.0, 0.5).data, expected)
-    own = img.data.copy()
+    expected = ref_video_codec_simulate(img, 16.0, 0.5)
+    assert np.array_equal(video_codec_simulate(img, 16.0, 0.5), expected)
+    own = img.copy()
     assert np.array_equal(_video_codec_simulate(own, 16.0, 0.5, own), expected)
     for length, angle in ((5, 0.0), (7, 30.0)):
-        assert np.array_equal(motion_blur(img, length, angle).data,
-                              ref_motion_blur(img.data, length, angle))
+        assert np.array_equal(motion_blur(img, length, angle),
+                              ref_motion_blur(img, length, angle))
 
 
 @pytest.mark.parametrize("channels", [1, 3])
@@ -397,9 +398,8 @@ def test_chain_equals_its_public_functions_in_turn(channels):
     expected = shorter_side_resize(gaussian_blur(expected, 1.2), 40)
     expected = video_codec_simulate(jpeg_simulate(expected, 60), 12.0, 0.3)
     expected = tv_range_squeeze(expected)
-    expected = ImageBuffer(_KERNELS["color_jitter"](expected.data, jitter,
-                                                    np.random.default_rng(5), None))
-    assert np.array_equal(out.data, quantize_8bit(expected).data)
+    expected = _KERNELS["color_jitter"](expected, jitter, np.random.default_rng(5), None)
+    assert np.array_equal(out, quantize_8bit(expected))
 
 
 @pytest.mark.parametrize("h, w", BAND_FRAMES)
@@ -414,7 +414,7 @@ def test_channelwise_steps_one_plane_at_a_time(h, w, channels):
         {"step": "quantize_8bit"},
     ]})
     assert {step["step"] for step in steps} == CHANNELWISE
-    data = frame(25, channels, h, w).data
+    data = frame(25, channels, h, w)
     for step in steps:
         kernel = _KERNELS[step["step"]]
         whole = np.ascontiguousarray(kernel(data, step, None, None))
@@ -439,7 +439,7 @@ def test_chain_of_the_codes_is_the_chain_of_the_image(tmp_path, channels, doc):
     steps = chain_steps(doc)
     expected = apply_chain(load_image(path), steps, np.random.default_rng(7))
     out = apply_chain(load_codes(path), steps, np.random.default_rng(7))
-    assert out.data.tobytes() == expected.data.tobytes()
+    assert out.tobytes() == expected.tobytes()
 
 
 def traced_peak(call) -> int:
@@ -475,25 +475,26 @@ BAND_BYTES = 8 * 455 * _bands(256, 455)[0].stop
     (lambda x, path: _jpeg_simulate(x, 75, True, x), 8 * BAND_BYTES),
     (lambda x, path: _video_codec_simulate(x, 16.0, 0.5, x), 8 * BAND_BYTES),
     # save_image's own 8-bit codes come on top
-    (lambda x, path: save_image(ImageBuffer(x), path), 3 * BAND_BYTES + 3 * 256 * 455),
+    (lambda x, path: save_image(x, path), 3 * BAND_BYTES + 3 * 256 * 455),
 ], ids=["motion_blur", "jpeg", "video_codec", "save_image"])
 def test_kernel_scratch_is_a_few_bands(tmp_path, call, limit):
     # in place on a 256x455 frame, as the chain runs them: a plane-sized temporary
     # (3.6 bands) or a frame-sized one would break the bound
-    x = codes_frame(30, 3, 256, 455).data.copy()
+    x = codes_frame(30, 3, 256, 455).copy()
     assert traced_peak(lambda: call(x, tmp_path / "f.ppm")) < limit
 
 
-def test_chain_that_changes_nothing_returns_its_image(tmp_path):
+def test_chain_that_changes_nothing_returns_its_planes(tmp_path):
     path = tmp_path / "f.ppm"
     save_image(codes_frame(28, 3, 37, 53), path)
     steps = chain_steps({"steps": [{"step": "motion_blur", "length": 1},
                                    {"step": "gaussian_blur", "sigma": 0},
                                    {"step": "resize", "shorter_side": 37}]})
     img = load_image(path)
-    assert apply_chain(img, steps, np.random.default_rng(0)) is img
+    same = apply_chain(img, steps, np.random.default_rng(0))
+    assert np.shares_memory(same, img) and same.shape == img.shape  # no copy
     out = apply_chain(load_codes(path), steps, np.random.default_rng(0))
-    assert out.data.tobytes() == img.data.tobytes()
+    assert out.tobytes() == img.tobytes()
 
 
 @pytest.mark.parametrize("doc", [CANONICAL_CHAIN, EVERY_STEP_CHAIN], ids=["canonical",
@@ -504,16 +505,45 @@ def test_chain_never_writes_into_callers_planes(tmp_path, channels, doc):
     save_image(codes_frame(29, channels, 90, 150), path)
     steps = chain_steps(doc)
     img, codes = load_image(path), load_codes(path)
-    before, codes_before = img.data.tobytes(), codes.tobytes()
+    before, codes_before = img.tobytes(), codes.tobytes()
     out = apply_chain(img, steps, np.random.default_rng(0))
-    assert img.data.tobytes() == before
-    assert not np.shares_memory(out.data, img.data)
+    assert img.tobytes() == before
+    assert not np.shares_memory(out, img)
     apply_chain(codes, steps, np.random.default_rng(0))
     assert codes.tobytes() == codes_before
-    for call in (lambda: jpeg_simulate(img, 50), lambda: video_codec_simulate(img, 9.0, 0.2),
-                 lambda: motion_blur(img, 4, 30.0), lambda: quantize_8bit(img)):
-        assert not np.shares_memory(call().data, img.data)
-        assert img.data.tobytes() == before
+
+
+# every public function that takes an image, each called so that it does work
+PIXEL_CALLS = {
+    "rgb_to_ycbcr": lambda x, path: rgb_to_ycbcr(x, "limited"),
+    "ycbcr_to_rgb": lambda x, path: ycbcr_to_rgb(x, "limited"),
+    "quantize_8bit": lambda x, path: quantize_8bit(x),
+    "shorter_side_resize": lambda x, path: shorter_side_resize(x, 20),
+    "gaussian_blur": lambda x, path: gaussian_blur(x, 1.5),
+    "motion_blur": lambda x, path: motion_blur(x, 4, 30.0),
+    "to_luma": lambda x, path: to_luma(x),
+    "jpeg_simulate": lambda x, path: jpeg_simulate(x, 50),
+    "video_codec_simulate": lambda x, path: video_codec_simulate(x, 9.0, 0.2),
+    "tv_range_squeeze": lambda x, path: tv_range_squeeze(x),
+    "apply_chain": lambda x, path: apply_chain(x, chain_steps(EVERY_STEP_CHAIN),
+                                               np.random.default_rng(0)),
+    "save_image": lambda x, path: save_image(x, path),
+    "require_dct_block": lambda x, path: forensics.require_dct_block(x),
+    "dct_ac_histogram": lambda x, path: dct_ac_histogram([x]),
+    "rapsd": lambda x, path: rapsd(x, "hann"),
+    "luminance_histogram": lambda x, path: luminance_histogram([x]),
+    "residual_power": lambda x, path: forensics.residual_power(x, 1.0, 24),
+}
+
+
+@pytest.mark.parametrize("name, channels", [
+    (name, channels) for name in sorted(PIXEL_CALLS) for channels in (1, 3)
+    if channels == 3 or name not in ("rgb_to_ycbcr", "ycbcr_to_rgb")])
+def test_no_public_function_writes_over_its_callers_array(tmp_path, name, channels):
+    x = frame(31, channels, 37, 53)  # writeable C-contiguous float64: viewed, not copied
+    before = x.copy()
+    PIXEL_CALLS[name](x, tmp_path / "f.ppm")
+    assert x.flags.writeable and np.array_equal(x.view(np.int64), before.view(np.int64))
 
 
 def test_round_half_away_keeps_the_bits_of_copysign():
@@ -544,14 +574,14 @@ def test_resize_up_and_down(h, w, target, channels):
     s = target / min(w, h)
     out_w = target if w <= h else int(ref_round_half_away(w * s))
     out_h = target if h <= w else int(ref_round_half_away(h * s))
-    expected = ref_bilinear_resize(img.data, out_h, out_w)
-    assert np.array_equal(shorter_side_resize(img, target).data, expected)
+    expected = ref_bilinear_resize(img, out_h, out_w)
+    assert np.array_equal(shorter_side_resize(img, target), expected)
 
 
 @pytest.mark.parametrize("h, w", SIZES)
 def test_tv_range_squeeze(h, w):
     img = frame(10, 3, h, w)
-    assert np.array_equal(tv_range_squeeze(img).data, ref_tv_range_squeeze_rgb(img.data))
+    assert np.array_equal(tv_range_squeeze(img), ref_tv_range_squeeze_rgb(img))
 
 
 @pytest.mark.parametrize("deadzone", [0.0, 0.5, 0.75])
@@ -606,12 +636,12 @@ def test_luminance_histogram_codes_at_rounding_edges():
         luma, np.nextafter(luma, -np.inf), np.nextafter(luma, np.inf), [-0.3, -0.0, 1.2]
     ])
     codes = [
-        int(np.flatnonzero(luminance_histogram([ImageBuffer(np.full((1, 1, 1), v))]))[0])
+        int(np.flatnonzero(luminance_histogram([np.full((1, 1, 1), v)]))[0])
         for v in luma
     ]
     assert codes == ref_luma_codes(luma).tolist()
     img = frame(22, 3, 37, 53, lo=-0.2, hi=1.2)
-    expected = np.bincount(ref_luma_codes(ref_to_luma(img.data)).ravel(), minlength=256)
+    expected = np.bincount(ref_luma_codes(ref_to_luma(img)).ravel(), minlength=256)
     assert np.array_equal(luminance_histogram([img, img]), 2 * expected)
 
 
@@ -620,11 +650,11 @@ def test_luminance_histogram_codes_at_rounding_edges():
 def test_load_luma_matches_to_luma_of_load_image(tmp_path, h, w, channels):
     path = tmp_path / ("f.ppm" if channels == 3 else "f.pgm")
     save_image(codes_frame(18, channels, h, w), path)
-    expected = to_luma(load_image(path)).data
-    assert np.array_equal(load_luma(path).data, expected)
+    expected = to_luma(load_image(path))
+    assert np.array_equal(load_luma(path), expected)
     # windows narrower than both sides, between the two, and wider than both
     for size in (1, 8, 40, 64, 1000):
-        window = load_luma(path, size).data
+        window = load_luma(path, size)
         assert window.shape == (1, size, size)
         assert np.array_equal(window[0], _fit_to_square(expected[0], size)), size
 
@@ -677,13 +707,41 @@ def test_dct_ac_histogram_counts_match_explicit_edges(monkeypatch, nbins, value_
 BLUR_PLANES = [(360, 640), (37, 53), (2, 2), (1, 9)]
 
 
-@pytest.mark.parametrize("h, w", BLUR_PLANES)
+def ref_symmetric_motion_blur(data, length, angle_deg):
+    """The line kernel's taps, in raveled order of the flipped kernel, summed over
+    planes that np.pad mirrors periodically however far the taps reach."""
+    kernel = motion_blur_kernel(length, angle_deg)[::-1, ::-1]
+    radius = kernel.shape[0] // 2
+    _, h, w = data.shape
+    padded = np.pad(data, ((0, 0), (radius, radius), (radius, radius)), mode="symmetric")
+    out = None
+    for y, x in zip(*np.nonzero(kernel)):
+        term = kernel[y, x] * padded[:, y : y + h, x : x + w]
+        out = term if out is None else out + term
+    return out
+
+
+def tap_reach(length, angle_deg) -> tuple[int, int]:
+    """The rows and the columns a motion_blur kernel's taps reach from its center."""
+    kernel = motion_blur_kernel(length, angle_deg)
+    rows, cols = np.nonzero(kernel)
+    radius = kernel.shape[0] // 2
+    return int(np.abs(rows - radius).max()), int(np.abs(cols - radius).max())
+
+
+@pytest.mark.parametrize("h, w", [*BLUR_PLANES, (3, 3), (5, 5), (8, 8)])
 @pytest.mark.parametrize("angle", [0.0, 30.0, 45.0, 90.0, 135.0])
 def test_motion_blur_matches_ndimage_convolve(h, w, angle):
+    # SciPy agrees while the taps reach fewer than 4x the side along each axis
+    # longer than a pixel (first differing at length 16, 24, 40 and 64 at 0 degrees
+    # on 2, 3, 5 and 8 px squares); the small planes take lengths past that bound
     img = frame(15, 1, h, w)
-    for length in range(1, 16):
-        expected = ref_motion_blur(img.data, length, angle)
-        assert np.array_equal(motion_blur(img, length, angle).data, expected), length
+    for length in range(1, 16 if min(h, w) > 8 else 12 * max(h, w) + 4):
+        ry, rx = tap_reach(length, angle)
+        out = motion_blur(img, length, angle)
+        within = (ry < 4 * h or h == 1) and (rx < 4 * w or w == 1)
+        assert np.array_equal(out, ref_motion_blur(img, length, angle)) == within, length
+        assert np.array_equal(out, ref_symmetric_motion_blur(img, length, angle)), length
 
 
 @pytest.mark.parametrize("h, w, lengths", [
@@ -695,7 +753,7 @@ def test_motion_blur_in_place_across_band_edges(h, w, lengths, angle):
     # which reads the last rows of this one, is padded. Length 75 reaches 19 to 37
     # rows up and down, more than a 32k-sample band is tall at widths 1001 (32 rows)
     # and 4096 (8), so the blur's bands must grow with the kernel to stay exact.
-    data = frame(17, 3, h, w).data
+    data = frame(17, 3, h, w)
     for length in lengths:
         kernel = motion_blur_kernel(length, angle)
         assert np.nonzero(kernel.any(axis=1))[0].size > 1  # the taps span rows
@@ -711,8 +769,8 @@ def test_gaussian_blur_matches_ndimage_convolve1d(h, w, channels):
     img = frame(16, channels, h, w)
     # radius 1 to 10: the small planes are narrower than most of these kernels
     for sigma in np.arange(0.3, 3.31, 0.1):
-        expected = ref_gaussian_blur(img.data, sigma)
-        assert np.array_equal(gaussian_blur(img, sigma).data, expected), sigma
+        expected = ref_gaussian_blur(img, sigma)
+        assert np.array_equal(gaussian_blur(img, sigma), expected), sigma
 
 
 def normal_logits(rng):
