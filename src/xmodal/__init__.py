@@ -22,7 +22,7 @@ _EXPORTS = {
                  "round_half_away", "shorter_side_resize", "to_luma", "ycbcr_to_rgb"),
     "codecsim": ("apply_chain", "chain_steps", "dct8x8_forward", "dct8x8_inverse",
                  "derive_sample_seed", "jpeg_simulate", "quant_table_from_quality",
-                 "tv_range_squeeze", "video_codec_simulate"),
+                 "video_codec_simulate"),
     "forensics": ("DctAcResult", "RadialProfile", "dataset_mean_rapsd", "dct_ac_histogram",
                   "detect_tv_range", "luminance_histogram", "rapsd", "residual_power",
                   "residual_spectrum"),

@@ -43,7 +43,6 @@ from .core import (
     parse_manifest,
     read_json,
     save_image,
-    successes,
     write_manifest,
 )
 from .errors import InputError, NumericalError
@@ -150,68 +149,56 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return img
 
     _keep_freed_heap()
-    # each reducer folds the results as they stream in; ``failed`` fills as it does
-    failed: list[tuple[str, str]] = []
-    results = successes(
-        iter_samples(records, per_sample, args.threads, loader),
-        failed,
-        f"{kind} analysis",
-    )
+    # each reducer folds the results as they stream in; ``failures`` fills as it does
+    failures: list[dict] = []
+    results = iter_samples(records, per_sample, loader, failures, f"{kind} analysis",
+                           args.threads)
 
     if kind == "dct":
         edges, counts, zero_fraction, total_ac = forensics.dct_ac_histogram(
             results, value_range=args.range, nbins=args.bins)
         header = ("bin_lo", "bin_hi", "count")
-        rows = [
-            (repr(float(edges[i])), repr(float(edges[i + 1])), int(c))
-            for i, c in enumerate(counts)
-        ]
+        rows = zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist())
         center = np.abs(edges[:-1] + np.diff(edges) / 2.0)
         near_zero = float(counts[center < 0.5].sum() / max(int(counts.sum()), 1))
         summary = {
             "zero_fraction": zero_fraction,
             "near_zero_mass": near_zero,
             "total_ac": total_ac,
-            "n_images": len(records) - len(failed),
+            "n_images": len(records) - len(failures),
         }
 
     elif kind == "rapsd":
         profile = forensics.dataset_mean_rapsd(results)
         header = ("radius", "power", "count")
-        rows = [
-            (repr(float(r)), repr(float(p)), int(c))
-            for r, p, c in zip(profile.radii, profile.power, profile.counts)
-        ]
+        rows = zip(profile.radii.tolist(), profile.power.tolist(), profile.counts.tolist())
         third = len(profile.power) // 3
         summary = {
             "low_band_power": float(profile.power[:third].mean()),
             "mid_band_power": float(profile.power[third : 2 * third].mean()),
             "high_band_power": float(profile.power[2 * third :].mean()),
-            "n_used": len(records) - len(failed),
+            "n_used": len(records) - len(failures),
         }
 
     elif kind == "luma":
         counts = forensics.luminance_histogram(results)
         header = ("code", "count")
-        rows = [(code, int(count)) for code, count in enumerate(counts)]
+        rows = enumerate(counts.tolist())
         verdict, tail_mass, comb_score = forensics.detect_tv_range(counts)
         summary = {
             "verdict": verdict,
             "tail_mass": tail_mass,
             "comb_score": comb_score,
             "total_pixels": int(counts.sum()),
-            "n_images": len(records) - len(failed),
+            "n_images": len(records) - len(failures),
         }
 
     else:  # spectrum; argparse restricts the kinds
         values = forensics.residual_spectrum(results)
         height, width = values.shape
         header = ("row", "col", "log10_power")
-        rows = [
-            (y, x, repr(float(values[y, x])))
-            for y in range(height)
-            for x in range(width)
-        ]
+        rows = [(y, x, value) for y, row in enumerate(values.tolist())
+                for x, value in enumerate(row)]
         cy, cx = height // 2, width // 2
         quarter = max(height // 4, 1)
         lf = values[cy - quarter : cy + quarter, cx - quarter : cx + quarter]
@@ -223,12 +210,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "high_freq_mean": float((total_sum - lf_sum) / max(hf_cells, 1)),
             "size": width,
             "denoise_sigma": args.sigma,
-            "n_used": len(records) - len(failed),
+            "n_used": len(records) - len(failures),
         }
 
-    summary["n_failed"] = len(failed)
-    summary["failed_ids"] = [rec_id for rec_id, _ in failed]
-    summary["failures"] = [{"id": rec_id, "error": error} for rec_id, error in failed]
+    summary["n_failed"] = len(failures)
+    summary["failed_ids"] = [failure["id"] for failure in failures]
+    summary["failures"] = failures
     # created only once a sample has reduced, so an all-failing run leaves no --out
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -264,12 +251,10 @@ def cmd_degrade(args: argparse.Namespace) -> int:
         save_image(degraded, out_path)
         return {**rec, "path": str(out_path)}
 
-    failed: list[tuple[str, str]] = []
+    failures: list[dict] = []
     try:
-        new_records = tuple(
-            successes(iter_samples(records, degrade_one, args.threads, load_codes), failed,
-                      "degradation")
-        )
+        new_records = tuple(iter_samples(records, degrade_one, load_codes, failures,
+                                         "degradation", args.threads))
     except InputError:
         if created is not None:
             shutil.rmtree(created)
@@ -277,8 +262,8 @@ def cmd_degrade(args: argparse.Namespace) -> int:
     write_manifest(new_records, out_dir / "manifest.jsonl")
     summary = {
         "n_ok": len(new_records),
-        "n_failed": len(failed),
-        "failures": [{"id": rec_id, "error": error} for rec_id, error in failed],
+        "n_failed": len(failures),
+        "failures": failures,
     }
     _write_json(out_dir / "degrade.summary.json", summary)
     _write_run_manifest(

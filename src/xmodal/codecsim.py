@@ -29,11 +29,11 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .core import (MAX_SIDE, MAX_SIGMA, ZERO_EPS, Field, _bands, check_choice, check_fields,
+from .core import (MAX_SIGMA, ZERO_EPS, Field, _bands, check_choice, check_fields,
                    check_planes, read_json, with_defaults)
 from .errors import InputError
 from .pixelops import (
-    BLUR_FIELDS,
+    PIXEL_STEP_FIELDS,
     _color_jitter,
     _gaussian_blur,
     _motion_blur,
@@ -117,10 +117,10 @@ def quant_table_from_quality(quality: int, channel: str = "luma") -> np.ndarray:
 
     scale = 5000/Q for Q < 50, else 200 - 2Q;
     entry = clamp(floor((base*scale + 50)/100), 1, 255). The table is a
-    read-only 8x8 int64 array.
+    read-only 8x8 int64 array. A ``quality`` off the ``jpeg`` step's row raises
+    InputError.
     """
-    if not 1 <= quality <= 100:
-        raise InputError(f"quality must lie in [1, 100], got {quality}")
+    check_fields({"quality": quality}, STEP_FIELDS["jpeg"], "quant_table_from_quality: ")
     check_choice(channel, "channel", JPEG_CHANNELS, "quant_table_from_quality: ")
     base = JPEG_LUMA_BASE if channel == "luma" else JPEG_CHROMA_BASE
     scale = 5000 // quality if quality < 50 else 200 - 2 * quality
@@ -297,16 +297,13 @@ def _video_codec_simulate(data: np.ndarray, qstep: float, deadzone: float, out=N
     return out
 
 
-def tv_range_squeeze(img: np.ndarray) -> np.ndarray:
-    """Round trip through 8-bit limited-range coding and back to full range.
+def _tv_range_squeeze(data: np.ndarray) -> np.ndarray:
+    """The ``tv_range_squeeze`` step: a round trip through 8-bit limited-range
+    coding and back to full range.
 
     Stretching the 219 limited luma codes back over 256 slots leaves
     periodic empty histogram bins: the comb signature of TV-range video.
     """
-    return _tv_range_squeeze(check_planes(img))
-
-
-def _tv_range_squeeze(data: np.ndarray) -> np.ndarray:
     if data.shape[0] == 3:
         limited = _quantize_8bit(_rgb_to_ycbcr(data, "limited"))
         return _quantize_8bit(_ycbcr_to_rgb(limited, "limited"))
@@ -325,8 +322,7 @@ _JITTER_KEYS = ("brightness", "contrast", "saturation")
 # Each chain step's keys, by the step's name in a chain file. A step that
 # leaves out an optional key takes its default.
 STEP_FIELDS = {
-    **BLUR_FIELDS,
-    "resize": (Field("shorter_side", "int", 1, MAX_SIDE, required=True),),
+    **PIXEL_STEP_FIELDS,
     "jpeg": (Field("quality", "int", 1, 100, required=True),),
     # 8-bit coefficients divided by a qstep of at least ZERO_EPS stay finite
     "video_codec": (Field("qstep", "number", ZERO_EPS, required=True),
@@ -383,9 +379,9 @@ def chain_steps(doc, where: str | Path = "") -> tuple[Mapping, ...]:
         name = entry["step"]
         if not isinstance(name, str) or name not in STEP_FIELDS:
             raise InputError(f"{prefix}step {i}: unknown chain step {reprlib.repr(name)}")
-        keys = check_fields({key: value for key, value in entry.items() if key != "step"},
-                            STEP_FIELDS[name], f"{prefix}step {i} {name!r}: ")
-        steps.append(MappingProxyType({"step": name, **with_defaults(keys, STEP_FIELDS[name])}))
+        keys = with_defaults({key: value for key, value in entry.items() if key != "step"},
+                             STEP_FIELDS[name], f"{prefix}step {i} {name!r}: ")
+        steps.append(MappingProxyType({"step": name, **keys}))
     return tuple(steps)
 
 

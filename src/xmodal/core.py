@@ -236,14 +236,16 @@ def check_choice(value, key: str, choices: tuple, where: str) -> None:
         check_fields({key: value}, (Field(key, "choice", choices=choices),), where)
 
 
-def with_defaults(doc: dict, table: Sequence[Field]) -> dict:
-    """A checked ``doc`` with every key of ``table`` in table order: an absent
-    key takes its field's default, and a list becomes a tuple."""
+def with_defaults(doc, table: Sequence[Field], where: str, prefix: str = "") -> Mapping:
+    """``doc``, checked by ``check_fields`` against ``table`` (errors name ``where``
+    and ``prefix + key``), as a read-only mapping of every key of ``table`` in
+    table order: an absent key takes its field's default, and a list becomes a tuple."""
+    check_fields(doc, table, where, prefix)
     filled = {}
     for field in table:
         value = doc.get(field.key, field.default)
         filled[field.key] = tuple(value) if isinstance(value, list) else value
-    return filled
+    return MappingProxyType(filled)
 
 
 # one line of a manifest
@@ -378,12 +380,17 @@ def check_planes(img, channels: tuple = (1, 3), codes: bool = False) -> np.ndarr
     """``img`` as an image's planes: a read-only C-contiguous (channels, height,
     width) float64 view, copied only where ``img`` has another dtype or layout.
 
-    InputError unless the shape is 3-D with one of ``channels`` and no zero side,
-    NumericalError if a sample is not finite. With ``codes``, uint8 planes (8-bit
-    codes) are checked by their shape alone and returned as they are.
+    InputError unless ``img`` is an array of numbers whose shape is 3-D with one
+    of ``channels`` and no zero side, NumericalError if a sample is not finite.
+    With ``codes``, uint8 planes (8-bit codes) are checked by their shape alone
+    and returned as they are.
     """
     keep = codes and getattr(img, "dtype", None) == np.uint8
-    data = img if keep else np.ascontiguousarray(img, dtype=np.float64).view()
+    try:
+        data = img if keep else np.ascontiguousarray(img, dtype=np.float64).view()
+    except (ValueError, TypeError):  # ragged nesting, or a value that is not a number
+        raise InputError(f"image planes must be an array of numbers, "
+                         f"got {reprlib.repr(img)}") from None
     if data.ndim != 3 or data.shape[0] not in channels or 0 in data.shape:
         raise InputError(f"image planes must have shape ({' or '.join(map(str, channels))}, "
                          f"height, width), got {data.shape}")
@@ -498,22 +505,10 @@ T = TypeVar("T")
 IN_FLIGHT_PER_THREAD = 2
 
 
-def iter_samples(
-    records: Iterable[Mapping],
-    fn: Callable[[Mapping, np.ndarray], T],
-    threads: int = 1,
-    loader: Callable[[str], np.ndarray] = load_image,
-) -> Iterator[tuple[Mapping, Union[T, Exception]]]:
-    """Load each manifest record's ``path`` with ``loader``, apply
-    ``fn(record, loaded)``, yield in record order.
-
-    This is the one per-sample corpus loop. A sample whose loading or ``fn``
-    raises XmodalError or OSError is yielded as ``(record, exception)``
-    instead of ending the stream. With ``threads > 1`` samples run on a
-    thread pool, with at most ``IN_FLIGHT_PER_THREAD * threads`` of them
-    submitted and not yet consumed, so memory is bounded by that window
-    rather than by the corpus size.
-    """
+def _outcomes(records: Iterable[Mapping], fn: Callable, loader: Callable,
+              threads: int) -> Iterator[tuple[Mapping, Union[T, Exception]]]:
+    """``(record, fn(record, loader(record["path"])))`` in record order, or
+    ``(record, exception)`` where that raised XmodalError or OSError."""
     if threads <= 1:
         for rec in records:
             # ``img`` stays bound until the next load replaces it. Freeing it
@@ -552,22 +547,26 @@ def iter_samples(
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def successes(
-    stream: Iterable[tuple[Mapping, Union[T, Exception]]],
-    failed: list[tuple[str, str]],
-    what: str,
-) -> Iterator[T]:
-    """Yield the results of ``iter_samples``: the one failure ledger, appending
-    each failed sample's ``(id, error text)`` to ``failed``.
+def iter_samples(records: Iterable[Mapping], fn: Callable[[Mapping, np.ndarray], T],
+                 loader: Callable[[str], np.ndarray], failures: list[dict], what: str,
+                 threads: int = 1) -> Iterator[T]:
+    """Load each manifest record's ``path`` with ``loader``, apply
+    ``fn(record, loaded)`` and yield the results in record order.
 
-    Raises InputError once the stream ends if no sample succeeded.
+    This is the one per-sample corpus loop and its failure ledger. A sample
+    whose loading or ``fn`` raises XmodalError or OSError is not yielded: it
+    is appended to ``failures`` as the summary record ``{"id", "error"}``.
+    Once the records end, InputError (``all N samples failed <what>``) if
+    none succeeded. With ``threads > 1`` samples run on a thread pool, with
+    at most ``IN_FLIGHT_PER_THREAD * threads`` of them submitted and not yet
+    consumed, so memory is bounded by that window rather than by the corpus size.
     """
     n_ok = 0
-    for rec, result in stream:
+    for rec, result in _outcomes(records, fn, loader, threads):
         if isinstance(result, Exception):
-            failed.append((rec["id"], str(result)))
+            failures.append({"id": rec["id"], "error": str(result)})
         else:
             n_ok += 1
             yield result
     if n_ok == 0:
-        raise InputError(f"all {len(failed)} samples failed {what}")
+        raise InputError(f"all {len(failures)} samples failed {what}")

@@ -9,7 +9,7 @@ The dataset reducers (``dct_ac_histogram``, ``dataset_mean_rapsd``,
 ``luminance_histogram``, ``residual_spectrum``) are plain folds that consume
 per-image inputs once, in order; ``rapsd`` and ``residual_power`` are the
 per-image steps of the two spectral folds. Loading a corpus, parallelism and
-failure accounting belong to the CLI (``core.iter_samples``, ``core.successes``).
+failure accounting belong to the CLI's corpus loop (``core.iter_samples``).
 The results are plain arrays or named tuples of them, which nothing checks
 again: the program computed them.
 """

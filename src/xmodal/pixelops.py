@@ -21,10 +21,12 @@ from .errors import InputError
 
 # "limited" is 8-bit TV range: luma codes 16..235, chroma 16..240
 COLOR_RANGES = ("full", "limited")
-# the blur steps' rows of codecsim.STEP_FIELDS, which the public blur functions check too
-BLUR_FIELDS = {"motion_blur": (Field("length", "int", 1, MAX_SIDE, required=True),
-                               Field("angle_deg", "number", default=0.0)),
-               "gaussian_blur": (Field("sigma", "number", 0, MAX_SIGMA, required=True),)}
+# the blur and resize steps' rows of codecsim.STEP_FIELDS, which their public
+# functions check too
+PIXEL_STEP_FIELDS = {"motion_blur": (Field("length", "int", 1, MAX_SIDE, required=True),
+                                     Field("angle_deg", "number", default=0.0)),
+                     "gaussian_blur": (Field("sigma", "number", 0, MAX_SIGMA, required=True),),
+                     "resize": (Field("shorter_side", "int", 1, MAX_SIDE, required=True),)}
 
 
 def round_half_away(x: np.ndarray | float) -> np.ndarray:
@@ -141,21 +143,25 @@ def _quantize_8bit(data: np.ndarray, out=None, scratch=None) -> np.ndarray:
     return out
 
 
-def shorter_side_resize(img: np.ndarray, target: int) -> np.ndarray:
-    """Aspect-preserving resize so that min(width, height) == target."""
-    return _shorter_side_resize(check_planes(img), target)
+def shorter_side_resize(img: np.ndarray, shorter_side: int) -> np.ndarray:
+    """Aspect-preserving resize so that min(width, height) == shorter_side, an
+    integer checked against the ``resize`` step's row."""
+    check_fields({"shorter_side": shorter_side}, PIXEL_STEP_FIELDS["resize"],
+                 "shorter_side_resize: ")
+    return _shorter_side_resize(check_planes(img), shorter_side)
 
 
 def _shorter_side_resize(data: np.ndarray, target: int, out=None) -> np.ndarray:
     """Separable bilinear resample, half-pixel centers aligned, by bands of output rows."""
-    if target < 1:
-        raise InputError(f"target side must be >= 1, got {target}")
     c, in_h, in_w = data.shape
     if min(in_w, in_h) == target:
         return data
     s = target / min(in_w, in_h)
     out_w = target if in_w <= in_h else int(round_half_away(in_w * s))
     out_h = target if in_h <= in_w else int(round_half_away(in_h * s))
+    if max(out_w, out_h) > MAX_SIDE:  # the size budget, checked before anything is allocated
+        raise InputError(f"resizing {in_w}x{in_h} to shorter side {target} gives "
+                         f"{out_w}x{out_h}, a side longer than {MAX_SIDE}")
     xs = (np.arange(out_w) + 0.5) * (in_w / out_w) - 0.5
     ys = (np.arange(out_h) + 0.5) * (in_h / out_h) - 0.5
     x0 = np.clip(np.floor(xs).astype(int), 0, in_w - 1)
@@ -210,7 +216,7 @@ def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     Borders are mirror-reflected (the edge pixel repeats); a plane narrower
     than the kernel radius is reflected back and forth.
     """
-    check_fields({"sigma": sigma}, BLUR_FIELDS["gaussian_blur"], "gaussian_blur: ")
+    check_fields({"sigma": sigma}, PIXEL_STEP_FIELDS["gaussian_blur"], "gaussian_blur: ")
     return _gaussian_blur(check_planes(img), sigma)
 
 
@@ -232,7 +238,7 @@ def motion_blur_kernel(length: int, angle_deg: float) -> np.ndarray:
     L sample points along the line get weight 1/L each; points that
     rasterize to the same pixel accumulate, so the kernel always sums to 1.
     """
-    check_fields({"length": length, "angle_deg": angle_deg}, BLUR_FIELDS["motion_blur"],
+    check_fields({"length": length, "angle_deg": angle_deg}, PIXEL_STEP_FIELDS["motion_blur"],
                  "motion_blur_kernel: ")
     theta = math.radians(angle_deg)
     dx, dy = math.cos(theta), math.sin(theta)
@@ -257,7 +263,7 @@ def motion_blur(img: np.ndarray, length: int, angle_deg: float = 0.0) -> np.ndar
     Past that they differ: the blur keeps the repeating mirror, and SciPy's
     "reflect" extension does not.
     """
-    check_fields({"length": length, "angle_deg": angle_deg}, BLUR_FIELDS["motion_blur"],
+    check_fields({"length": length, "angle_deg": angle_deg}, PIXEL_STEP_FIELDS["motion_blur"],
                  "motion_blur: ")
     return _motion_blur(check_planes(img), length, angle_deg)
 

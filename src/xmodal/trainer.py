@@ -16,7 +16,6 @@ import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
-from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Union
 
 import numpy as np
@@ -342,8 +341,7 @@ def train_config(doc, where: str = "", prefix: str = "train.") -> Mapping:
     """The training config a JSON object of TRAIN_FIELDS keys gives, checked once:
     a read-only mapping of all of them, an absent key at its default. Errors
     name ``where`` and the key as ``prefix + key``."""
-    return MappingProxyType(with_defaults(check_fields(doc, TRAIN_FIELDS, where, prefix),
-                                          TRAIN_FIELDS))
+    return with_defaults(doc, TRAIN_FIELDS, where, prefix)
 
 
 class EpochStats(NamedTuple):
@@ -558,8 +556,7 @@ def synthetic_spec(doc, where: str = "", prefix: str = "data.synthetic.") -> Syn
     """The spec a JSON object of SYNTHETIC_FIELDS keys gives, checked once: each
     split holds 1 to MAX_SPLIT samples and video_shift, unless null, dim numbers.
     Errors name ``where`` and the key as ``prefix + key``."""
-    spec = SyntheticSpec(**with_defaults(check_fields(doc, SYNTHETIC_FIELDS, where, prefix),
-                                         SYNTHETIC_FIELDS))
+    spec = SyntheticSpec(**with_defaults(doc, SYNTHETIC_FIELDS, where, prefix))
     for key in COUNT_KEYS:
         counts = getattr(spec, key)
         if not 1 <= sum(counts) <= MAX_SPLIT:

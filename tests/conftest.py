@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from xmodal.codecsim import apply_chain, chain_steps
 from xmodal.core import save_image
 
 # the benchmark's chain, and a chain that holds every step type
@@ -26,6 +27,12 @@ EVERY_STEP_CHAIN = {"steps": [
     {"step": "color_jitter", "brightness": [0.8, 1.2], "saturation": [0.5, 1.5]},
     {"step": "quantize_8bit"},
 ]}
+
+
+def tv_range_squeezed(img) -> np.ndarray:
+    """``img`` through the one-step ``tv_range_squeeze`` chain, which draws nothing."""
+    steps = chain_steps({"steps": [{"step": "tv_range_squeeze"}]})
+    return apply_chain(img, steps, np.random.default_rng(0))
 
 
 def gray_image(values) -> np.ndarray:

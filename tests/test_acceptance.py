@@ -25,7 +25,6 @@ from xmodal.codecsim import (
     jpeg_simulate,
     quant_table_from_quality,
     quantize_coefficients,
-    tv_range_squeeze,
     video_codec_simulate,
 )
 from xmodal.core import save_image
@@ -323,14 +322,17 @@ def _varied_full_range_image(i, h=128, w=128) -> np.ndarray:
 
 @criterion(6, "TV-range forensics: 50 originals Full, 50 squeezed Limited")
 def test_criterion_6_tv_range():
+    squeeze = chain_steps({"steps": [{"step": "tv_range_squeeze"}]})
+    rng = np.random.default_rng(0)  # the step draws nothing
     for i in range(50):
         img = _varied_full_range_image(i)
         verdict_orig, _, _ = detect_tv_range(luminance_histogram([img]))
-        verdict_sq, _, _ = detect_tv_range(luminance_histogram([tv_range_squeeze(img)]))
+        squeezed = apply_chain(img, squeeze, rng)
+        verdict_sq, _, _ = detect_tv_range(luminance_histogram([squeezed]))
         assert verdict_orig == "full", f"image {i} original misread"
         assert verdict_sq == "limited", f"image {i} squeezed misread"
     ramp = np.tile(np.arange(256) / 255.0, (16, 1))[None]
-    counts = luminance_histogram([tv_range_squeeze(ramp)])
+    counts = luminance_histogram([apply_chain(ramp, squeeze, rng)])
     assert np.count_nonzero(counts[16:236] == 0) >= 1
 
 

@@ -24,13 +24,12 @@ from xmodal.cli import (
     main,
 )
 from xmodal.codecsim import (
-    MAX_SIDE,
     MAX_SIGMA,
     apply_chain,
     derive_sample_seed,
     load_chain,
 )
-from xmodal.core import describe, load_image, parse_manifest
+from xmodal.core import MAX_SIDE, describe, load_image, parse_manifest
 from xmodal.forensics import (
     ZERO_EPS,
     dataset_mean_rapsd,
@@ -1468,6 +1467,23 @@ class TestPartialFailures:
         assert summary["failures"][0]["id"] == "gone"
         assert "missing.pgm" in summary["failures"][0]["error"]
         assert len(parse_manifest(out / "manifest.jsonl")) == 4
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_resize_past_the_size_budget_is_one_failed_frame(self, tmp_path, threads):
+        # a 128x1 frame resized to a 128 shorter side would be 16384 pixels wide
+        manifest = self.broken_corpus(tmp_path)
+        (tmp_path / "ok_1.pgm").write_bytes(b"P5\n128 1\n255\n" + bytes(range(128)))
+        chain = write_chain_file(tmp_path / "chain.json", {"step": "resize", "shorter_side": 128})
+        out = tmp_path / "out"
+        assert run_cli("degrade", "--chain", chain, "--manifest", manifest, "--out", out,
+                       "--threads", threads) == 0
+        summary = json.loads((out / "degrade.summary.json").read_text())
+        assert summary["n_ok"] == 3 and summary["failures"] == [
+            {"id": "ok1", "error": "resizing 128x1 to shorter side 128 gives 16384x128, "
+                                   "a side longer than 4096"},
+            {"id": "gone", "error": f"image not found: {tmp_path / 'missing.pgm'}"}]
+        assert sorted(p.name for p in out.glob("*.pgm")) == [
+            "000000_ok0.pgm", "000002_ok2.pgm", "000003_ok3.pgm"]
 
     @pytest.mark.parametrize("command", ["analyze", "degrade"])
     def test_header_number_too_long_is_one_failed_frame(self, tmp_path, command):

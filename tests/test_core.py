@@ -25,7 +25,6 @@ from xmodal.core import (
     parse_manifest,
     read_json,
     save_image,
-    successes,
     write_manifest,
 )
 from xmodal.errors import InputError, NumericalError
@@ -358,15 +357,14 @@ class TestIterSamples:
                 raise InputError("bad payload")
             return rec["id"], img[0, 0, 0]
 
-        stream = iter_samples(records, fn, threads, memory_loader({"p2", "p9"}))
-        out = list(stream)
-        assert [rec["id"] for rec, _ in out] == [rec["id"] for rec in records]
-        failed = [rec["id"] for rec, res in out if isinstance(res, Exception)]
-        assert failed == ["r2", "r7", "r9"]
-        assert isinstance(out[2][1], InputError) and str(out[2][1]) == "image not found: p2"
-        for rec, res in out:
-            if not isinstance(res, Exception):
-                assert res == (rec["id"], int(rec["id"][1:]) / 100.0)
+        failures = []
+        out = list(iter_samples(records, fn, memory_loader({"p2", "p9"}), failures, "to load",
+                                threads))
+        ok = [rec["id"] for rec in records if rec["id"] not in ("r2", "r7", "r9")]
+        assert out == [(rec_id, int(rec_id[1:]) / 100.0) for rec_id in ok]
+        assert failures == [{"id": "r2", "error": "image not found: p2"},
+                            {"id": "r7", "error": "bad payload"},
+                            {"id": "r9", "error": "image not found: p9"}]
 
     def test_results_held_never_exceed_window(self):
         threads = 2
@@ -382,11 +380,12 @@ class TestIterSamples:
             return rec["id"]
 
         consumed = []
-        for rec, _ in iter_samples(sample_records(40), fn, threads, memory_loader()):
+        for rec_id in iter_samples(sample_records(40), fn, memory_loader(), [], "to load",
+                                   threads):
             time.sleep(0.002)  # a slow consumer lets unbounded workers run ahead
             with lock:
                 live -= 1
-            consumed.append(rec["id"])
+            consumed.append(rec_id)
         assert len(consumed) == 40
         assert 1 <= peak <= window
 
@@ -396,27 +395,26 @@ class TestIterSamples:
 
         for threads in (1, 2):
             with pytest.raises(RuntimeError):
-                list(iter_samples(sample_records(3), fn, threads, memory_loader()))
+                list(iter_samples(sample_records(3), fn, memory_loader(), [], "to load", threads))
 
-    def test_successes_collects_failed_ids(self):
-        failed = []
-        stream = iter_samples(
-            sample_records(4), lambda rec, img: rec["id"], 1, memory_loader({"p1"})
-        )
-        assert list(successes(stream, failed, "to load")) == ["r0", "r2", "r3"]
-        assert [rec_id for rec_id, _ in failed] == ["r1"]
+    def test_failures_collect_failed_ids(self):
+        failures = []
+        stream = iter_samples(sample_records(4), lambda rec, img: rec["id"],
+                              memory_loader({"p1"}), failures, "to load")
+        assert list(stream) == ["r0", "r2", "r3"]
+        assert [failure["id"] for failure in failures] == ["r1"]
 
-    def test_successes_records_error_text(self):
+    def test_failures_record_error_text(self):
         def fn(rec, img):
             if rec["id"] == "r2":
                 raise InputError("bad payload in r2")
             return rec["id"]
 
-        failed = []
-        stream = iter_samples(sample_records(4), fn, 2, memory_loader({"p0"}))
-        assert list(successes(stream, failed, "to load")) == ["r1", "r3"]
-        assert failed[0][0] == "r0" and "p0" in failed[0][1]
-        assert failed[1] == ("r2", "bad payload in r2")
+        failures = []
+        stream = iter_samples(sample_records(4), fn, memory_loader({"p0"}), failures, "to load", 2)
+        assert list(stream) == ["r1", "r3"]
+        assert failures[0]["id"] == "r0" and "p0" in failures[0]["error"]
+        assert failures[1] == {"id": "r2", "error": "bad payload in r2"}
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_non_finite_chain_result_is_a_failure(self, threads):
@@ -430,14 +428,16 @@ class TestIterSamples:
             with np.errstate(over="ignore", invalid="ignore"):
                 return apply_chain(img, chain, np.random.default_rng(0))
 
-        failed = []
-        stream = iter_samples(sample_records(3), fn, threads, loader)
-        assert len(list(successes(stream, failed, "degradation"))) == 2
-        assert failed == [("r1", "image data must be finite")]
+        failures = []
+        stream = iter_samples(sample_records(3), fn, loader, failures, "degradation", threads)
+        assert len(list(stream)) == 2
+        assert failures == [{"id": "r1", "error": "image data must be finite"}]
 
-    def test_successes_raises_when_all_fail(self):
-        stream = iter_samples(
-            sample_records(2), lambda rec, img: img, 2, memory_loader({"p0", "p1"})
-        )
-        with pytest.raises(InputError, match="all 2 samples failed"):
-            list(successes(stream, [], "to load"))
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_raises_when_all_fail(self, threads):
+        failures = []
+        stream = iter_samples(sample_records(2), lambda rec, img: img,
+                              memory_loader({"p0", "p1"}), failures, "to load", threads)
+        with pytest.raises(InputError, match="^all 2 samples failed to load$"):
+            list(stream)
+        assert [failure["id"] for failure in failures] == ["r0", "r1"]

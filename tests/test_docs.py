@@ -1,8 +1,11 @@
-"""The README's commands, chain step names, field tables and train settings match the code."""
+"""The README's commands, chain step names, field tables and train settings match the code,
+and every module name the docs cite exists."""
 
+import importlib
 import json
 import re
 import shlex
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -20,9 +23,9 @@ from xmodal.cli import (
     build_parser,
 )
 from xmodal.cmsupcon import VARIANTS
-from xmodal.codecsim import JPEG_CHANNELS, MAX_JITTER, MAX_SIDE, MAX_SIGMA, STEP_FIELDS
-from xmodal.core import (AGGREGATIONS, LABELS, MANIFEST_FIELDS, MODALITIES, PNM_DIGITS, WINDOWS,
-                         describe)
+from xmodal.codecsim import JPEG_CHANNELS, MAX_JITTER, MAX_SIGMA, STEP_FIELDS
+from xmodal.core import (AGGREGATIONS, LABELS, MANIFEST_FIELDS, MAX_SIDE, MODALITIES, PNM_DIGITS,
+                         WINDOWS, describe)
 from xmodal.forensics import ZERO_EPS
 from xmodal.pixelops import COLOR_RANGES
 from xmodal.trainer import (
@@ -192,3 +195,34 @@ def test_readme_command_parses(command):
             build_parser().parse_args(shlex.split(line)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {line}")
+
+
+def _doc_texts() -> list[tuple[str, str]]:
+    """(file name, text) of every docstring, string and comment in the package's
+    modules, and of the README."""
+    texts = []
+    for path in sorted(Path(xmodal.__file__).parent.glob("*.py")):
+        with path.open("rb") as fh:
+            texts += [(path.name, token.string) for token in tokenize.tokenize(fh.readline)
+                      if token.type in (tokenize.STRING, tokenize.COMMENT)]
+    return texts + [("README.md", README)]
+
+
+def test_dotted_names_in_the_docs_resolve():
+    # `core.iter_samples`, `trainer.ToyModel.from_params`: a module of the package
+    # and a name in it; `cli.py` names a file
+    modules = (*xmodal._EXPORTS, "errors", "cli")
+    pattern = re.compile(rf"\b({'|'.join(modules)})\.([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)")
+    cited, stale = 0, []
+    for where, text in _doc_texts():
+        for match in pattern.finditer(text):
+            module, dotted = match.groups()
+            if dotted == "py":
+                continue
+            cited += 1
+            owner = importlib.import_module(f"xmodal.{module}")
+            for part in dotted.split("."):
+                owner = getattr(owner, part, None)
+            if owner is None:
+                stale.append(f"{where}: {match.group(0)}")
+    assert cited > 30 and not stale

@@ -7,7 +7,6 @@ from xmodal.codecsim import (
     apply_chain,
     chain_steps,
     jpeg_simulate,
-    tv_range_squeeze,
 )
 from xmodal.errors import InputError
 from xmodal.forensics import (
@@ -21,7 +20,7 @@ from xmodal.forensics import (
 )
 from xmodal.pixelops import gaussian_blur
 
-from conftest import constant_rgb, gray_image, noise_image, textured_image
+from conftest import constant_rgb, gray_image, noise_image, textured_image, tv_range_squeezed
 
 
 class TestDctAcHistogram:
@@ -157,7 +156,7 @@ class TestLuminanceHistogram:
         assert np.all(counts > 0)
 
     def test_squeezed_ramp_has_interior_gap(self):
-        counts = luminance_histogram([tv_range_squeeze(ramp_image())])
+        counts = luminance_histogram([tv_range_squeezed(ramp_image())])
         interior = counts[16:236]
         assert np.count_nonzero(interior == 0) >= 1
 
@@ -174,7 +173,7 @@ class TestDetectTvRange:
 
     def test_squeezed_ramp_is_limited(self):
         verdict, tail_mass, comb_score = detect_tv_range(
-            luminance_histogram([tv_range_squeeze(ramp_image())])
+            luminance_histogram([tv_range_squeezed(ramp_image())])
         )
         assert verdict == "limited"
         assert comb_score > 0.02
@@ -190,7 +189,7 @@ class TestDetectTvRange:
     def test_letterboxed_squeezed_ramp_stays_limited(self):
         plane = np.zeros((100, 256))
         plane[20:80] = np.arange(256) / 255.0
-        squeezed = tv_range_squeeze(gray_image(plane))
+        squeezed = tv_range_squeezed(gray_image(plane))
         verdict, tail_mass, comb_score = detect_tv_range(luminance_histogram([squeezed]))
         assert verdict == "limited"
         assert comb_score > 0.02

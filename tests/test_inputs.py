@@ -53,7 +53,7 @@ from xmodal.errors import InputError, NumericalError
 from xmodal.forensics import dct_ac_histogram, rapsd
 from xmodal.metrics import per_subset_report, select_frame_indices, subset_report
 from xmodal.pixelops import (COLOR_RANGES, gaussian_blur, motion_blur, motion_blur_kernel,
-                             rgb_to_ycbcr, ycbcr_to_rgb)
+                             rgb_to_ycbcr, shorter_side_resize, to_luma, ycbcr_to_rgb)
 from xmodal.trainer import (
     FEATURE_LAYERS,
     PARAM_FIELDS,
@@ -519,11 +519,22 @@ BOUND_CASES = [
       for value in (-0.5, 1.5, float("nan"))),
     (lambda: ScoredPrediction(np.float32(np.inf), "fake", "a"),
      "ScoredPrediction: 'score': must be a finite number in [0, 1], got np.float32(inf)"),
+    # the resize and jpeg steps' rows, which their public functions share
+    *((lambda value=value: shorter_side_resize(IMAGE, value),
+       f"shorter_side_resize: 'shorter_side': must be an integer in [1, 4096], got {value!r}")
+      for value in (2.5, 0, 4097)),
+    *((lambda value=value: quant_table_from_quality(value),
+       f"quant_table_from_quality: 'quality': must be an integer in [1, 100], got {value!r}")
+      for value in (50.5, True)),
+    # planes NumPy cannot read as an array of numbers
+    (lambda: to_luma([[[0.1], [0.2, 0.3]]]),
+     "image planes must be an array of numbers, got [[[0.1], [0.2, 0.3]]]"),
+    (lambda: to_luma("abc"), "image planes must be an array of numbers, got 'abc'"),
 ]
 
 
 @pytest.mark.parametrize("call, words", BOUND_CASES, ids=[
-    f"{words.split(':')[0]}-{words.rsplit('got ', 1)[1]}" for _, words in BOUND_CASES])
+    f"{re.split('[:,]', words)[0]}-{words.rsplit('got ', 1)[1]}" for _, words in BOUND_CASES])
 def test_a_library_bound_raises_input_error(call, words):
     with pytest.raises(InputError, match=f"^{re.escape(words)}$"):
         call()
@@ -540,6 +551,9 @@ def test_library_bounds_admit_their_edges():
     assert len(rapsd(IMAGE, nbins=np.int64(3)).power) == 3  # a NumPy integer is an integer
     result = dct_ac_histogram([IMAGE], value_range=5e-324, nbins=1)
     assert len(result.counts) == 1 and result.total_ac == 16 * 63  # 16 blocks of 8x8
+    assert quant_table_from_quality(np.int64(1)).dtype == np.int64
+    assert np.all(quant_table_from_quality(100) == 1)
+    assert shorter_side_resize(IMAGE, np.int64(1)).shape == (3, 1, 1)
 
 
 def test_each_choice_row_reads_the_tuple_the_library_checks():

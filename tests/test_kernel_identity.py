@@ -35,7 +35,6 @@ from xmodal.codecsim import (
     jpeg_simulate,
     quant_table_from_quality,
     quantize_coefficients,
-    tv_range_squeeze,
     video_codec_simulate,
 )
 from xmodal.cmsupcon import bce_grad
@@ -60,7 +59,7 @@ from xmodal.pixelops import (
     ycbcr_to_rgb,
 )
 
-from conftest import CANONICAL_CHAIN, EVERY_STEP_CHAIN, write_manifest_file
+from conftest import CANONICAL_CHAIN, EVERY_STEP_CHAIN, tv_range_squeezed, write_manifest_file
 
 # --- reference implementations ----------------------------------------------
 
@@ -397,7 +396,7 @@ def test_chain_equals_its_public_functions_in_turn(channels):
     expected = motion_blur(img, 5, 30.0)
     expected = shorter_side_resize(gaussian_blur(expected, 1.2), 40)
     expected = video_codec_simulate(jpeg_simulate(expected, 60), 12.0, 0.3)
-    expected = tv_range_squeeze(expected)
+    expected = tv_range_squeezed(expected)
     expected = _KERNELS["color_jitter"](expected, jitter, np.random.default_rng(5), None)
     assert np.array_equal(out, quantize_8bit(expected))
 
@@ -524,7 +523,7 @@ PIXEL_CALLS = {
     "to_luma": lambda x, path: to_luma(x),
     "jpeg_simulate": lambda x, path: jpeg_simulate(x, 50),
     "video_codec_simulate": lambda x, path: video_codec_simulate(x, 9.0, 0.2),
-    "tv_range_squeeze": lambda x, path: tv_range_squeeze(x),
+    "tv_range_squeeze": lambda x, path: tv_range_squeezed(x),  # a chain step alone
     "apply_chain": lambda x, path: apply_chain(x, chain_steps(EVERY_STEP_CHAIN),
                                                np.random.default_rng(0)),
     "save_image": lambda x, path: save_image(x, path),
@@ -566,7 +565,7 @@ def test_round_half_away_keeps_the_bits_of_copysign():
 @pytest.mark.parametrize("h, w, target", [
     (37, 53, 20), (37, 53, 81), (64, 96, 40), (9, 200, 16), (256, 455, 144), (256, 455, 360),
     (360, 640, 256), (360, 640, 480), (137, 1001, 100), (137, 1001, 200), (8, 4096, 3),
-    (8, 4096, 16),
+    (8, 2048, 16),  # a 4096-wide output: the size budget's edge
 ])
 @pytest.mark.parametrize("channels", [1, 3])
 def test_resize_up_and_down(h, w, target, channels):
@@ -581,7 +580,7 @@ def test_resize_up_and_down(h, w, target, channels):
 @pytest.mark.parametrize("h, w", SIZES)
 def test_tv_range_squeeze(h, w):
     img = frame(10, 3, h, w)
-    assert np.array_equal(tv_range_squeeze(img), ref_tv_range_squeeze_rgb(img))
+    assert np.array_equal(tv_range_squeezed(img), ref_tv_range_squeeze_rgb(img))
 
 
 @pytest.mark.parametrize("deadzone", [0.0, 0.5, 0.75])

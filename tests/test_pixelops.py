@@ -116,6 +116,13 @@ class TestResize:
         out = shorter_side_resize(img, 14)
         assert np.allclose(out, 0.37, atol=1e-12)
 
+    def test_a_longer_side_past_the_size_budget_raises(self):
+        # a 16384-wide output: raised before any array of that size is allocated
+        words = "resizing 128x1 to shorter side 128 gives 16384x128, a side longer than 4096"
+        with pytest.raises(InputError, match=f"^{words}$"):
+            shorter_side_resize(np.zeros((1, 1, 128)), 128)
+        assert shorter_side_resize(np.zeros((1, 1, 128)), 32).shape == (1, 32, 4096)
+
 
 class TestGaussianBlur:
     def test_sigma_zero_identity(self):
