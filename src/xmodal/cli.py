@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import functools
 import hashlib
-import itertools
 import json
 import shutil
 import sys
@@ -34,6 +33,7 @@ from .core import (
     ZERO_EPS,
     FRAMES_ROW,
     Field,
+    check_columns,
     check_fields,
     csv_text,
     describe,
@@ -385,11 +385,6 @@ def _record_name(rec, index: int) -> str:
     return f"feature record {index}" + (f" ({rec_id!r})" if rec_id is not None else "")
 
 
-# the Python types of JSON numbers; bool is neither
-_NUMBER_TYPES = {int, float}
-_LABEL_CODES = {label: code for code, label in enumerate(LABELS)}
-_MODALITY_CODES = {modality: code for code, modality in enumerate(MODALITIES)}
-
 # One record of a feature file besides its `x`, a list of the model's input
 # width of finite numbers. Keys off the table, such as `id`, pass unchecked.
 FEATURE_FIELDS = (
@@ -404,45 +399,14 @@ TRAINING_FIELDS = (*FEATURE_FIELDS[:-1], dataclasses.replace(FEATURE_FIELDS[-1],
 
 
 def _feature_columns(records: list, table: tuple, d_in: int, path) -> tuple:
-    """x as an (n, d_in) float array, label and modality codes, subsets, video ids
-    and frame indices (null as 0) of all records, checked in bulk against ``table``
-    and an ``x`` of d_in >= 1 finite numbers. Only when that fails does the
-    table run record by record, to name the first bad record. An absent
-    optional modality reads as its row's default."""
-    modality = table[-1]
-    absent = None if modality.required else modality.default
-    row = (Field("x", "number", required=True, length=d_in), *table)
-
-    def name_the_first_bad_record():
-        for i, rec in enumerate(records):
-            check_fields(rec, row, f"{path}: {_record_name(rec, i)} ", extra=True)
-
-    try:
-        rows = [rec["x"] for rec in records]
-        # only JSON numbers pass: numpy alone would read true/false and numeric strings
-        if not set(map(type, itertools.chain.from_iterable(rows))) <= _NUMBER_TYPES:
-            raise TypeError("x holds a value that is not a JSON number")
-        x = np.array(rows, dtype=np.float64)
-        labels = np.array([_LABEL_CODES[rec["label"]] for rec in records], dtype=np.int8)
-        modalities = np.array([_MODALITY_CODES[rec.get("modality", absent)] for rec in records],
-                              dtype=np.int8)
-        subsets = [rec["subset"] for rec in records]
-        videos = [rec.get("video_id") for rec in records]
-        indices = [rec.get("frame_index") for rec in records]
-        frames = np.array([f or 0 for f in indices], dtype=np.int64)
-        if not (x.shape == (len(records), d_in) and np.isfinite(x).all()
-                and set(map(type, subsets)) <= {str}
-                and set(map(type, videos)) <= {str, type(None)} and "" not in videos
-                and set(map(type, indices)) <= {int, type(None)} and frames.min() >= 0):
-            raise ValueError("a record is off its table")
-    except (KeyError, TypeError, ValueError, OverflowError):
-        name_the_first_bad_record()
-        raise
-    # np.array rounds an integer just past float64's range to the largest float;
-    # only the row check tells the two apart
-    if np.abs(x).max() == sys.float_info.max:
-        name_the_first_bad_record()
-    return x, labels, modalities, subsets, videos, frames
+    """The checked x (n, d_in), label and modality codes, subsets, video ids, frames (null 0)."""
+    columns = check_columns(records, (Field("x", "number", required=True, length=d_in), *table),
+                            lambda i, rec: f"{path}: {_record_name(rec, i)} ")
+    code = {name: i for names in (LABELS, MODALITIES) for i, name in enumerate(names)}.__getitem__
+    labels, modalities = (np.fromiter(map(code, columns[key]), np.int8, len(records))
+                          for key in ("label", "modality"))
+    frames = np.array([f or 0 for f in columns["frame_index"]], dtype=np.int64)
+    return columns["x"], labels, modalities, columns["subset"], columns["video_id"], frames
 
 
 def _score_feature_records(

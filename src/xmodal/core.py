@@ -19,8 +19,9 @@ import sys
 import threading
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
-from types import MappingProxyType
+from types import MappingProxyType, NoneType
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar, Union
 
 import numpy as np
@@ -248,6 +249,41 @@ def with_defaults(doc, table: Sequence[Field], where: str, prefix: str = "") -> 
     return MappingProxyType(filled)
 
 
+def _column(field: Field, values: list):
+    """``values``, or None unless each fits ``field`` by ``_fits``: a scalar once per distinct
+    (type, value), since True == 1 == 1.0; lists of ``length`` numbers at once, ints exactly."""
+    if field.length is None:
+        try:
+            distinct = set(values)
+        except TypeError:  # a list or an object
+            return None
+        if set(map(type, distinct)) - {str, NoneType} and set(map(type, values)) - {int, NoneType}:
+            distinct = [value for _, value in set(zip(map(type, values), values))]
+        return values if all(_fits(field, value) for value in distinct) else None
+    if not (set(map(type, values)) <= {list, tuple} and set(map(len, values)) == {field.length}):
+        return None
+    items = list(chain(*values))
+    if list(map(type, items)).count(float) < len(items) and not all(
+            type(v) is float or type(v) is int and _number_fits(field, v, False) for v in items):
+        return None
+    x = np.array(items, np.float64).reshape(-1, field.length)
+    return x if np.isfinite(x).all() and all(
+        _number_fits(field, v, False) for v in (x.min(), x.max())) else None
+
+
+def check_columns(records: list, table: Sequence[Field], where: Callable) -> dict:
+    """``table``'s keys over ``records`` as ``_column``s, an absent optional key read as its
+    default. Where one fails, ``check_fields`` names the first bad record, at ``where(i, rec)``."""
+    if set(map(type, records)) <= {dict}:
+        columns = {field.key: _column(field, list(map(dict.get, records, repeat(field.key), repeat(
+            object() if field.required else field.default)))) for field in table}
+        if all(column is not None for column in columns.values()):
+            return columns
+    for i, rec in enumerate(records):
+        check_fields(rec, table, where(i, rec), extra=True)
+    raise AssertionError("check_columns failed a column that check_fields passes")
+
+
 # one line of a manifest
 MANIFEST_FIELDS = (
     Field("id", "string", lo=1, required=True),
@@ -393,7 +429,7 @@ def check_planes(img, channels: tuple = (1, 3), codes: bool = False) -> np.ndarr
                          f"got {reprlib.repr(img)}") from None
     if data.ndim != 3 or data.shape[0] not in channels or 0 in data.shape:
         raise InputError(f"image planes must have shape ({' or '.join(map(str, channels))}, "
-                         f"height, width), got {data.shape}")
+                         f"height, width), got {np.shape(img)}")
     if keep:
         return data
     if not np.isfinite(data).all():

@@ -17,19 +17,21 @@ again: the program computed them.
 from __future__ import annotations
 
 import functools
+import reprlib
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .codecsim import BLOCK, _shifted_coeffs
-from .core import (WINDOWS, ZERO_EPS, Field, _fit_to_square, check_choice, check_fields,
-                   check_planes)
+from .core import (MAX_SIDE, WINDOWS, ZERO_EPS, Field, _fit_to_square, check_choice,
+                   check_fields, check_planes)
 from .errors import InputError
 from .pixelops import gaussian_blur, to_luma
 
 
-# the reducers' own bounds on their arguments (the CLI's --bins and --range rows are stricter)
-REDUCER_FIELDS = (Field("nbins", "int", 1), Field("value_range", "number", 0, ends="(]"))
+# the reducers' own bounds on their arguments (the CLI's --bins, --range, --size are stricter)
+REDUCER_FIELDS = (Field("nbins", "int", 1), Field("value_range", "number", 0, ends="(]"),
+                  Field("size", "int", 1, MAX_SIDE))
 
 
 class DctAcResult(NamedTuple):
@@ -210,8 +212,11 @@ def detect_tv_range(counts: np.ndarray) -> tuple[str, float, float]:
     outranks tail evidence; content that never exercises the tails and
     shows no comb stays indeterminate (e.g. a constant image).
     """
-    if len(counts) != 256:
-        raise InputError(f"expected 256 bins, got {len(counts)}")
+    counts = np.asarray(counts)
+    if counts.shape != (256,) or counts.dtype.kind not in "iuf" or not (
+            np.isfinite(counts) & (counts >= 0)).all():
+        raise InputError("detect_tv_range: expected 256 finite counts >= 0, got " + (
+            reprlib.repr(counts.tolist()) if counts.shape == (256,) else f"shape {counts.shape}"))
     total = int(counts.sum())
     if total == 0:
         raise InputError("histogram is empty")
@@ -243,6 +248,7 @@ def residual_power(img: np.ndarray, denoise_sigma: float = 1.0, size: int = 64) 
     smaller); the residual is that plane minus its Gaussian blur, a denoiser
     stand-in. The image is checked by ``to_luma``.
     """
+    check_fields({"size": size}, REDUCER_FIELDS, "residual_power: ")
     luma = _fit_to_square(to_luma(img)[0], size)
     blurred = gaussian_blur(luma[None, :, :], denoise_sigma)
     spectrum = np.fft.fft2(luma - blurred[0])

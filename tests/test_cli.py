@@ -1298,8 +1298,8 @@ class TestFeatureFileTraining:
                        "--features", val_f, "--out", tmp_path / "eval") == 0
         # train reads both files, evaluate the validation file
         feature_checks = [check for check in checks if check[0] in ((36, 2), (20, 2))]
-        assert feature_checks == [((36, 2), "_feature_columns"), ((20, 2), "_feature_columns"),
-                                  ((20, 2), "_feature_columns")]
+        assert feature_checks == [((36, 2), "_column"), ((20, 2), "_column"),
+                                  ((20, 2), "_column")]
 
     def test_diverging_training_exits_3(self, tmp_path):
         train_records = self.separable_records(32, 2)

@@ -50,7 +50,7 @@ from xmodal.core import (
     write_manifest,
 )
 from xmodal.errors import InputError, NumericalError
-from xmodal.forensics import dct_ac_histogram, rapsd
+from xmodal.forensics import dct_ac_histogram, detect_tv_range, rapsd, residual_power
 from xmodal.metrics import per_subset_report, select_frame_indices, subset_report
 from xmodal.pixelops import (COLOR_RANGES, gaussian_blur, motion_blur, motion_blur_kernel,
                              rgb_to_ycbcr, shorter_side_resize, to_luma, ycbcr_to_rgb)
@@ -360,6 +360,65 @@ def test_bulk_reader_agrees_with_the_row_check_on_large_integers(base, offset, a
                             "f.json") == row_error
 
 
+# Values off a feature row: a wrong type, a bool for an int, null, unhashable
+# lists and dicts, NaN and infinities, and integers past int64 and float64
+# (FLOAT_MAX + TOP_ULP // 2 rounds to the largest float, but is past it)
+OFF_ROW = [True, False, "1", "", None, [], [1], {}, {"a": 1}, float("nan"), float("inf"),
+           -float("inf"), 2**63, -2**63 - 1, FLOAT_MAX + TOP_ULP // 2, -FLOAT_MAX - 1, 2**1024]
+X_ROW = Field("x", "number", required=True, length=D_IN)
+X_ITEMS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.integers(-2**70, 2**70), st.sampled_from([FLOAT_MAX, -FLOAT_MAX]))
+
+
+@st.composite
+def feature_records(draw, table):
+    """One to four records over ``X_ROW`` and ``table``, each with valid values
+    and an extra key, then at most one fault in one of them: an off-row value,
+    an off-row item of ``x``, a missing key, or no record at all."""
+    row = (X_ROW, *table)
+    records = []
+    for _ in range(draw(st.integers(1, 4))):
+        rec = {"id": draw(st.text(string.ascii_letters, max_size=3))}
+        for field in row:
+            if field.required or draw(st.booleans()):
+                rec[field.key] = draw(st.lists(X_ITEMS, min_size=D_IN, max_size=D_IN)
+                                      if field is X_ROW else valid_value(field))
+        records.append(rec)
+    at, field = draw(st.integers(0, len(records) - 1)), draw(st.sampled_from(row))
+    fault = draw(st.sampled_from(["none", "value", "item", "missing", "record"]))
+    if fault == "value":
+        records[at][field.key] = draw(st.sampled_from(OFF_ROW + past_bounds(field)))
+    elif fault == "item":
+        records[at]["x"][draw(st.integers(0, D_IN - 1))] = draw(st.sampled_from(OFF_ROW))
+    elif fault == "missing":
+        records[at].pop(field.key, None)
+    elif fault == "record":
+        records[at] = draw(st.sampled_from([[], "r", None]))
+    return records
+
+
+@settings(PROPERTY, max_examples=300)
+@given(table=st.sampled_from([FEATURE_FIELDS, cli.TRAINING_FIELDS]), data=st.data())
+def test_bulk_reader_raises_exactly_when_the_row_check_does(table, data):
+    records = data.draw(feature_records(table))
+    row = (X_ROW, *table)
+    row_errors = (input_error_text(check_fields, rec, row,
+                                   f"f.json: {cli._record_name(rec, i)} ", extra=True)
+                  for i, rec in enumerate(records))
+    row_error = next((error for error in row_errors if error is not None), None)
+    assert input_error_text(cli._feature_columns, records, table, D_IN, "f.json") == row_error
+
+
+@pytest.mark.parametrize("value", [True, False, 1.0, 0.0])
+def test_the_bulk_reader_tells_a_value_from_an_equal_one_of_another_type(value):
+    # True == 1 == 1.0 in a set, but only the int is a frame index
+    records = [{"x": [0.5] * D_IN, "label": "real", "subset": "s", "frame_index": f}
+               for f in (int(value), value)]
+    assert input_error_text(cli._feature_columns, records, FEATURE_FIELDS, D_IN, "f.json") == (
+        "f.json: feature record 1 'frame_index': must be an integer in "
+        f"[0, 9223372036854775807] or null, got {value!r}")
+
+
 @PROPERTY
 @given(blob=st.one_of(
     st.binary(max_size=40),
@@ -530,6 +589,20 @@ BOUND_CASES = [
     (lambda: to_luma([[[0.1], [0.2, 0.3]]]),
      "image planes must be an array of numbers, got [[[0.1], [0.2, 0.3]]]"),
     (lambda: to_luma("abc"), "image planes must be an array of numbers, got 'abc'"),
+    # a 0-d input, named by its own shape
+    *((lambda value=value: to_luma(value),
+       "image planes must have shape (1 or 3, height, width), got ()") for value in (5.0, None)),
+    # residual_power's transform size, and detect_tv_range's counts
+    *((lambda value=value: residual_power(IMAGE, 1.0, value),
+       f"residual_power: 'size': must be an integer in [1, 4096], got {value!r}")
+      for value in (2.5, True, 5000, -3)),
+    *((lambda value=value: detect_tv_range(value),
+       f"detect_tv_range: expected 256 finite counts >= 0, got {words}")
+      for value, words in (([1] * 255, "shape (255,)"), (np.ones((16, 16)), "shape (16, 16)"),
+                           ([float("nan")] * 256, "[nan, nan, nan, nan, nan, nan, ...]"),
+                           ([float("inf")] + [1] * 255, "[inf, 1.0, 1.0, 1.0, 1.0, 1.0, ...]"),
+                           ([-1] + [1] * 255, "[-1, 1, 1, 1, 1, 1, ...]"),
+                           (["1"] * 256, "['1', '1', '1', '1', '1', '1', ...]"))),
 ]
 
 
@@ -554,6 +627,10 @@ def test_library_bounds_admit_their_edges():
     assert quant_table_from_quality(np.int64(1)).dtype == np.int64
     assert np.all(quant_table_from_quality(100) == 1)
     assert shorter_side_resize(IMAGE, np.int64(1)).shape == (3, 1, 1)
+    assert residual_power(IMAGE, 1.0, 1).shape == (1, 1)
+    assert residual_power(IMAGE, 1.0, np.int64(8)).shape == (8, 8)
+    # counts are read as an array, so a list of ints counts too
+    assert detect_tv_range([0] * 16 + [1] * 220 + [0] * 20)[0] == "indeterminate"
 
 
 def test_each_choice_row_reads_the_tuple_the_library_checks():
@@ -630,11 +707,12 @@ def _value_error_raises(nodes, caught: bool = False):
 
 def test_every_value_error_the_library_raises_is_caught_where_it_is_raised():
     # ValueError is outside the exit-code contract (2 for input, 3 for numerical
-    # errors): a library raise of one is a step of its own function's control flow
+    # errors): the library raises none, except as a step of its own function's
+    # control flow that it catches
     found = []
     for path in sorted(Path(xmodal.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 found += [(path.name, node.name, caught)
                           for caught in _value_error_raises(node.body)]
-    assert found == [("cli.py", "_feature_columns", True)]
+    assert found == []
