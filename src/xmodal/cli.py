@@ -140,8 +140,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if chain is not None:
             img = _seeded_chain(img, chain, args.seed, rec["id"])
         if kind == "dct":
-            # a frame too small for one DCT block fails alone, like a bad file
-            return forensics.require_dct_block(img)
+            # a frame too small for one DCT block fails alone; loaded or chained, it is finite
+            return forensics._require_dct_block(img)
         if kind == "rapsd":
             return forensics.rapsd(img, window=args.window, nbins=args.bins)
         if kind == "spectrum":
@@ -400,6 +400,8 @@ TRAINING_FIELDS = (*FEATURE_FIELDS[:-1], dataclasses.replace(FEATURE_FIELDS[-1],
 
 def _feature_columns(records: list, table: tuple, d_in: int, path) -> tuple:
     """The checked x (n, d_in), label and modality codes, subsets, video ids, frames (null 0)."""
+    if not records:
+        raise InputError(f"{path}: need at least one record")
     columns = check_columns(records, (Field("x", "number", required=True, length=d_in), *table),
                             lambda i, rec: f"{path}: {_record_name(rec, i)} ")
     code = {name: i for names in (LABELS, MODALITIES) for i, name in enumerate(names)}.__getitem__
@@ -446,13 +448,13 @@ def _score_feature_records(
             trainer.forward(model, x[first : first + SCORE_BLOCK], feature_layer).logits
             for first in range(0, len(records), SCORE_BLOCK)
         ])
-    bad = np.flatnonzero(~np.isfinite(logits))
-    if bad.size:
-        i = int(bad[0])
+    try:
+        scores = metrics.video_scores(logits[order], starts, t)
+    except NumericalError:
+        i = int(np.flatnonzero(~np.isfinite(logits))[0])
         raise NumericalError(f"{path}: {_record_name(records[i], i)} has a non-finite logit "
-                             f"({logits[i]})")
+                             f"({logits[i]})") from None
     heads = head[starts].tolist()
-    scores = metrics.video_scores(logits[order], starts, t)
     return scores, labels[heads], [subsets[i] for i in heads]
 
 

@@ -8,10 +8,10 @@ comb-patterned luminance histograms.
 The dataset reducers (``dct_ac_histogram``, ``dataset_mean_rapsd``,
 ``luminance_histogram``, ``residual_spectrum``) are plain folds that consume
 per-image inputs once, in order; ``rapsd`` and ``residual_power`` are the
-per-image steps of the two spectral folds. Loading a corpus, parallelism and
+per-image steps of the two spectral folds; each image is checked once, at the
+entry of the reducer or step that takes it. Loading a corpus, parallelism and
 failure accounting belong to the CLI's corpus loop (``core.iter_samples``).
-The results are plain arrays or named tuples of them, which nothing checks
-again: the program computed them.
+Nothing checks the results, plain arrays or named tuples: the program computed them.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .codecsim import BLOCK, _shifted_coeffs
 from .core import (MAX_SIDE, WINDOWS, ZERO_EPS, Field, _fit_to_square, check_choice,
                    check_fields, check_planes)
 from .errors import InputError
-from .pixelops import gaussian_blur, to_luma
+from .pixelops import PIXEL_STEP_FIELDS, _gaussian_blur, _to_luma, to_luma
 
 
 # the reducers' own bounds on their arguments (the CLI's --bins, --range, --size are stricter)
@@ -51,9 +51,8 @@ class RadialProfile(NamedTuple):
     counts: np.ndarray
 
 
-def require_dct_block(img: np.ndarray) -> np.ndarray:
-    """``img``'s checked planes if they hold at least one whole 8x8 block, else raise."""
-    data = check_planes(img)
+def _require_dct_block(data: np.ndarray) -> np.ndarray:
+    """Checked planes ``data`` if they hold at least one whole 8x8 block, else raise."""
     _, height, width = data.shape
     if height < BLOCK or width < BLOCK:
         raise InputError(f"need at least {BLOCK}x{BLOCK} pixels, got {width}x{height}")
@@ -81,9 +80,9 @@ def dct_ac_histogram(
     ac_mask = np.ones((BLOCK, BLOCK), dtype=bool)
     ac_mask[0, 0] = False
     for img in images:
-        data = require_dct_block(img)
+        data = _require_dct_block(check_planes(img))
         h8, w8 = (side // BLOCK * BLOCK for side in data.shape[1:])
-        coeffs = _shifted_coeffs(to_luma(data)[0, :h8, :w8], 128.0)
+        coeffs = _shifted_coeffs(_to_luma(data)[0, :h8, :w8], 128.0)
         ac = coeffs.transpose(0, 2, 1, 3)[:, :, ac_mask].ravel()
         hist, _ = np.histogram(ac, bins=edges)
         counts += hist
@@ -112,7 +111,7 @@ def rapsd(img: np.ndarray, window: str = "none", nbins: int = 32) -> RadialProfi
     if height < 16 or width < 16:
         raise InputError(f"rapsd needs at least 16x16 pixels, got {width}x{height}")
     check_fields({"nbins": nbins}, REDUCER_FIELDS, "rapsd: ")
-    plane = to_luma(data)[0]
+    plane = _to_luma(data)[0]
     plane = plane - plane.mean()
     if window == "hann":
         plane = plane * _hann_window(height, width)
@@ -246,12 +245,13 @@ def residual_power(img: np.ndarray, denoise_sigma: float = 1.0, size: int = 64) 
 
     The luma plane is center-cropped to size x size (edge-padded first if
     smaller); the residual is that plane minus its Gaussian blur, a denoiser
-    stand-in. The image is checked by ``to_luma``.
+    stand-in. The image is checked by ``to_luma``, ``denoise_sigma`` by ``gaussian_blur``'s row.
     """
     check_fields({"size": size}, REDUCER_FIELDS, "residual_power: ")
-    luma = _fit_to_square(to_luma(img)[0], size)
-    blurred = gaussian_blur(luma[None, :, :], denoise_sigma)
-    spectrum = np.fft.fft2(luma - blurred[0])
+    check_fields({"sigma": denoise_sigma}, PIXEL_STEP_FIELDS["gaussian_blur"],
+                 "residual_power: ", "denoise_")
+    luma = _fit_to_square(to_luma(img), size)
+    spectrum = np.fft.fft2(luma[0] - _gaussian_blur(luma, denoise_sigma)[0])
     return spectrum.real**2 + spectrum.imag**2
 
 

@@ -44,16 +44,6 @@ def _param_shapes(d_in: int, d_h: int, d_z: int) -> dict[str, tuple[int, ...]]:
     return {"w1": (d_in, d_h), "b1": (d_h,), "wp": (d_h, d_z), "wc": (d_h,), "bc": (1,)}
 
 
-def _check_params(arrays: Mapping[str, np.ndarray], shapes: Mapping[str, tuple],
-                  where: str = "") -> None:
-    """Raise an error naming ``where`` and the first parameter off its shape or not finite."""
-    for name, arr in arrays.items():
-        if arr.shape != shapes[name]:
-            raise InputError(f"{where}{name}: shape {arr.shape}, expected {shapes[name]}")
-        if not np.isfinite(arr).all():
-            raise NumericalError(f"{where}{name}: non-finite value")
-
-
 @dataclass(frozen=True)
 class ToyModel:
     """relu MLP: h = relu(x W1 + b1); z = h Wp (projection); logit = h wc + bc."""
@@ -69,8 +59,12 @@ class ToyModel:
                   for n in PARAM_NAMES}
         if arrays["w1"].ndim != 2 or arrays["wp"].ndim != 2:
             raise InputError("w1 must be (d_in, d_h) and wp (d_h, d_z)")
-        _check_params(arrays, _param_shapes(*arrays["w1"].shape, arrays["wp"].shape[1]))
-        for name, arr in arrays.items():
+        shapes = _param_shapes(*arrays["w1"].shape, arrays["wp"].shape[1])
+        for name, arr in arrays.items():  # the one scan of each parameter
+            if arr.shape != shapes[name]:
+                raise InputError(f"{name}: shape {arr.shape}, expected {shapes[name]}")
+            if not np.isfinite(arr).all():
+                raise NumericalError(f"{name}: non-finite value")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -626,6 +620,8 @@ PARAM_FIELDS = (Field("shape", "int", 1, 2**31 - 1, required=True, length=0),
 
 
 def load_checkpoint(path: str | Path) -> tuple[ToyModel, Mapping]:
+    """The model and config of a ``save_checkpoint`` file. InputError, naming ``path``, for a
+    format, version, config or parameter off its table, or a parameter shape off the config."""
     doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise InputError(f"{path}: not a {CHECKPOINT_FORMAT} file")
@@ -647,5 +643,7 @@ def load_checkpoint(path: str | Path) -> tuple[ToyModel, Mapping]:
     # w1's row count is the model's input width, which only the data fixes
     d_in = params["w1"].shape[0] if params["w1"].ndim else 0
     shapes = _param_shapes(d_in, config["hidden_dim"], config["feature_dim"])
-    _check_params(params, shapes, f"{path}: params.")
+    for name, arr in params.items():  # PARAM_FIELDS made every value a finite number
+        if arr.shape != shapes[name]:
+            raise InputError(f"{path}: params.{name}: shape {arr.shape}, expected {shapes[name]}")
     return ToyModel.from_params(params), config

@@ -1,6 +1,7 @@
 """Shared fixtures and image/manifest builders for the test suite."""
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +77,19 @@ def write_chain_file(path: Path, *steps) -> Path:
     """A chain file holding ``steps``, as ``{"steps": [...]}``."""
     path.write_text(json.dumps({"steps": list(steps)}), encoding="utf-8")
     return path
+
+
+@pytest.fixture
+def isfinite_calls(monkeypatch):
+    """The (shape, calling function) of each ``np.isfinite`` call, in order, as they happen."""
+    isfinite, calls = np.isfinite, []
+
+    def spy(a, *args, **kwargs):
+        calls.append((np.shape(a), sys._getframe(1).f_code.co_name))
+        return isfinite(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", spy)
+    return calls
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -1237,6 +1238,23 @@ def test_malformed_checkpoint_parameter_exits_2_naming_it(tmp_path, capsys, name
     assert problem in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("job", ["dct", "rapsd", "luma", "spectrum", "evaluate"])
+def test_each_value_is_scanned_for_finiteness_once(image_dir, tmp_path, isfinite_calls, job):
+    # analyze: each frame's planes (spectrum's 64x64 window of them); evaluate: each
+    # checkpoint parameter of a (6, 16, 8) model, the (4, 6) features and the 4 logits
+    if job == "evaluate":
+        argv = _evaluate_argv(tmp_path)
+        expected = {(6, 16): 1, (16,): 2, (16, 8): 1, (1,): 1, (4, 6): 1, (4,): 1}
+    else:
+        _, manifest = image_dir
+        argv = ["analyze", job, "--manifest", manifest, "--out", tmp_path / "out"]
+        expected = {(1, 64, 64) if job == "spectrum" else (1, 32, 32): 6}
+    isfinite_calls.clear()  # writing the inputs scanned them
+    assert run_cli(*argv) == 0
+    shapes = [shape for shape, _ in isfinite_calls if job == "evaluate" or len(shape) == 3]
+    assert Counter(shapes) == expected
+
+
 class TestFeatureFileTraining:
     def separable_records(self, n, seed, subset="train"):
         rng = np.random.default_rng(seed)
@@ -1278,26 +1296,19 @@ class TestFeatureFileTraining:
         report = json.loads((eval_out / "report.json").read_text())
         assert report["overall_pooled"]["acc"] == 1.0
 
-    def test_features_are_checked_finite_once_by_the_reader(self, tmp_path, monkeypatch):
+    def test_features_are_checked_finite_once_by_the_reader(self, tmp_path, isfinite_calls):
         train_f = feature_file(tmp_path, self.separable_records(36, 0))
         val_f = tmp_path / "val.json"
         val_f.write_text(json.dumps({"records": self.separable_records(20, 1, subset="val")}))
         cfg_path = _write_json(tmp_path / "cfg.json", {
             "data": {"train_features": str(train_f), "val_features": str(val_f)},
             "train": {"epochs": 2, "batch_size": 16, "seed": 0}})
-        isfinite, checks = np.isfinite, []
-
-        def spy(a, *args, **kwargs):
-            checks.append((np.shape(a), sys._getframe(1).f_code.co_name))
-            return isfinite(a, *args, **kwargs)
-
-        monkeypatch.setattr(np, "isfinite", spy)
         out = tmp_path / "run"
         assert run_cli("train", "--config", cfg_path, "--out", out) == 0
         assert run_cli("evaluate", "--checkpoint", out / "checkpoint.json",
                        "--features", val_f, "--out", tmp_path / "eval") == 0
         # train reads both files, evaluate the validation file
-        feature_checks = [check for check in checks if check[0] in ((36, 2), (20, 2))]
+        feature_checks = [check for check in isfinite_calls if check[0] in ((36, 2), (20, 2))]
         assert feature_checks == [((36, 2), "_column"), ((20, 2), "_column"),
                                   ((20, 2), "_column")]
 

@@ -419,6 +419,14 @@ def test_the_bulk_reader_tells_a_value_from_an_equal_one_of_another_type(value):
         f"[0, 9223372036854775807] or null, got {value!r}")
 
 
+def test_an_empty_record_list_is_an_input_error():
+    model = ToyModel.init(D_IN, 16, 8, np.random.default_rng(0))
+    for call in (lambda: cli._feature_columns([], FEATURE_FIELDS, D_IN, "f.json"),
+                 lambda: cli._score_feature_records(model, "hidden", [], 1, "f.json")):
+        with pytest.raises(InputError, match="^f.json: need at least one record$"):
+            call()
+
+
 @PROPERTY
 @given(blob=st.one_of(
     st.binary(max_size=40),
@@ -596,6 +604,10 @@ BOUND_CASES = [
     *((lambda value=value: residual_power(IMAGE, 1.0, value),
        f"residual_power: 'size': must be an integer in [1, 4096], got {value!r}")
       for value in (2.5, True, 5000, -3)),
+    # its blur's sigma, checked against gaussian_blur's row under the caller's name
+    *((lambda value=value: residual_power(IMAGE, value, 8),
+       f"residual_power: 'denoise_sigma': must be a finite number in [0, 682], got {value!r}")
+      for value in (float("nan"), -1.0, 5000.0, True, "a")),
     *((lambda value=value: detect_tv_range(value),
        f"detect_tv_range: expected 256 finite counts >= 0, got {words}")
       for value, words in (([1] * 255, "shape (255,)"), (np.ones((16, 16)), "shape (16, 16)"),
@@ -629,6 +641,7 @@ def test_library_bounds_admit_their_edges():
     assert shorter_side_resize(IMAGE, np.int64(1)).shape == (3, 1, 1)
     assert residual_power(IMAGE, 1.0, 1).shape == (1, 1)
     assert residual_power(IMAGE, 1.0, np.int64(8)).shape == (8, 8)
+    assert residual_power(IMAGE, np.float64(0.0), 8).shape == (8, 8)
     # counts are read as an array, so a list of ints counts too
     assert detect_tv_range([0] * 16 + [1] * 220 + [0] * 20)[0] == "indeterminate"
 

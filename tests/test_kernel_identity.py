@@ -527,7 +527,6 @@ PIXEL_CALLS = {
     "apply_chain": lambda x, path: apply_chain(x, chain_steps(EVERY_STEP_CHAIN),
                                                np.random.default_rng(0)),
     "save_image": lambda x, path: save_image(x, path),
-    "require_dct_block": lambda x, path: forensics.require_dct_block(x),
     "dct_ac_histogram": lambda x, path: dct_ac_histogram([x]),
     "rapsd": lambda x, path: rapsd(x, "hann"),
     "luminance_histogram": lambda x, path: luminance_histogram([x]),
